@@ -218,13 +218,6 @@ def teichmuller(c: int, p: int, precision: int = DEFAULT_PRECISION) -> int:
     return t
 
 
-def teich_pow(c: int, k: int, p: int, precision: int = DEFAULT_PRECISION) -> int:
-    """[c]^k as a truncated integer; multiplicativity gives [c]^k = [c^k mod p]."""
-    if c % p == 0:
-        return 1 if k == 0 else 0
-    return teichmuller(pow(c % p, k % (p - 1) if k else 0, p), p, precision) if k else 1
-
-
 def power_sum_lambda(i: int, p: int, precision: int = DEFAULT_PRECISION) -> int:
     """sum of [lam]^i over lam in F_p, mod p^precision.
 

@@ -129,6 +129,8 @@ def _sweep_worker(job) -> dict:
 def _lemma_rows(p: int, r_to: int) -> list[dict]:
     """Class-sum lemma checks from the incremental residue tables (the exact
     big-integer path is exercised against the tables in the test-suite)."""
+    if r_to < 1:
+        raise DomainError(f"empty lemma range: --r-to {r_to} is below 1")
     rows = []
     p2, p3 = p * p, p**3
     for r in range(1, r_to + 1):
@@ -178,6 +180,8 @@ def cmd_sweep(args) -> int:
     hi = args.r_to
     if lo < 2 * args.p + 1:
         raise DomainError(f"sweep range starts below 2p+1 = {2 * args.p + 1}")
+    if hi < lo:
+        raise DomainError(f"empty sweep range: --r-to {hi} is below --r-from {lo}")
     jobs = [(args.p, r, checks) for r in range(lo, hi + 1)]
     if args.jobs > 1:
         with Pool(args.jobs) as pool:
@@ -235,6 +239,7 @@ def cmd_witness(args) -> int:
         "factorization": rep.factorization,
         "checks": [[name, bool(ok)] for name, ok in rep.checks],
         "ok": rep.ok,
+        "precision_margin": str(rep.precision_margin),
     }
 
     def text():
@@ -247,6 +252,8 @@ def cmd_witness(args) -> int:
         for name, ok in rep.checks:
             print(f"  [{'PASS' if ok else 'FAIL'}] {name}")
         print(f"  verdict: {'ok' if rep.ok else 'FAILED'}")
+        print(f"  precision margin: {rep.precision_margin} "
+              f"(the audit aborts below {arith.PRECISION_HEADROOM})")
 
     _emit(payload, args.format, text)
     return EXIT_OK if rep.ok else EXIT_MISMATCH

@@ -12,6 +12,25 @@ raising/lowering decomposition on branch-0 support; ``direct_T`` evaluates
 the defining double-coset formula with generic coset normalization and is
 kept as an independent test oracle.  A mod-p Hecke operator on irreducible
 weight models supports the factorization certificates of the witness audits.
+
+Capped absolute precision.  An ``IndFunction`` carries a cap N (the
+capped-absolute model of Caruso, Roe and Vaccon, "Tracking p-adic
+precision", 2014): every coefficient of the true function differs from the
+stored one by a value of valuation >= N, and a coefficient that is not
+stored at all has valuation >= N.  The cap starts at the function's
+``precision`` and moves with the arithmetic: ``+`` and ``-`` take the
+smaller cap, ``scale(q)`` adds v(q), ``shift_ap(k)`` adds min(k, 2k).  The
+raising and lowering parts do not compute an output term whose valuation is
+certified >= N.  The certificate is min(v(c), err) + min(d, 2d) for each
+term c A^d of the input coefficient, plus the valuation of the p^j factor of
+T+ or of the p^(r-i) factor of T-.  Since 1 < sigma < 2, min(d, 2d) <=
+d * sigma, so the bound holds at every slope the audits accept.  Dropping
+such a term is sound because T preserves the integral lattice: the output
+is again known up to valuation N, and the audits only read valuations below
+1 + PRECISION_HEADROOM (integrality and the residue mod p).  So
+``audit_valuations`` and ``reduce_mod_p`` refuse a cap below that, and
+``functions_agree`` refuses a ``min_val`` above the cap.  ``direct_T``
+drops nothing.
 """
 
 from __future__ import annotations
@@ -25,6 +44,8 @@ import numpy as np
 
 from .arith import (
     DEFAULT_PRECISION,
+    INF,
+    PRECISION_HEADROOM,
     ApCoeff,
     ResidueExpr,
     _val_capped,
@@ -101,16 +122,24 @@ def teich_table(p: int, precision: int = DEFAULT_PRECISION) -> TeichTable:
 
 
 class IndFunction:
-    """Finitely supported function on the tree cosets with polynomial values."""
+    """Finitely supported function on the tree cosets with polynomial values,
+    known up to valuation ``cap`` (see the module docstring)."""
 
     def __init__(self, p: int, r: int, precision: int = DEFAULT_PRECISION):
         self.p = p
         self.r = r
         self.precision = precision
+        self.cap = precision
         self.data: dict[Coset, dict[int, ApCoeff]] = {}
 
-    def copy(self) -> "IndFunction":
+    def _empty(self, cap=None) -> "IndFunction":
+        """A zero function of the same shape, with this cap unless one is given."""
         out = IndFunction(self.p, self.r, self.precision)
+        out.cap = self.cap if cap is None else cap
+        return out
+
+    def copy(self) -> "IndFunction":
+        out = self._empty()
         out.data = {c: dict(poly) for c, poly in self.data.items()}
         return out
 
@@ -136,6 +165,7 @@ class IndFunction:
 
     def __add__(self, other: "IndFunction") -> "IndFunction":
         out = self.copy()
+        out.cap = min(self.cap, other.cap)
         for coset, poly in other.data.items():
             for j, c in poly.items():
                 out.accumulate(coset, j, c)
@@ -145,13 +175,14 @@ class IndFunction:
         return self + other.scale(-1)
 
     def scale(self, q) -> "IndFunction":
-        out = IndFunction(self.p, self.r, self.precision)
+        q = Fraction(q)
+        out = self._empty(self.cap + padic_val(q, self.p))
         for coset, poly in self.data.items():
             out.data[coset] = {j: c.scale(q, self.p) for j, c in poly.items()}
         return out.prune()
 
     def shift_ap(self, k: int) -> "IndFunction":
-        out = IndFunction(self.p, self.r, self.precision)
+        out = self._empty(self.cap + min(k, 2 * k))
         for coset, poly in self.data.items():
             out.data[coset] = {j: c.shift(k) for j, c in poly.items()}
         return out
@@ -179,47 +210,53 @@ def _require_branch0(f: IndFunction) -> None:
             )
 
 
+def _floor_val(c: ApCoeff, p: int) -> int:
+    """A valuation bound for c that holds at every slope in (1, 2):
+    v(A^d) = d * sigma >= min(d, 2d)."""
+    return min(min(_val_capped(x, p), e) + min(d, 2 * d) for d, (x, e) in c.terms.items())
+
+
 def apply_Tplus(f: IndFunction) -> IndFunction:
-    """Level-raising part: spreads each coset over its p children."""
+    """Level-raising part: spreads each coset over its p children.  The
+    output term with index j carries a factor p^j, so j stops where that
+    factor takes the term past the cap."""
     _require_branch0(f)
-    p, r = f.p, f.r
+    p, cap = f.p, f.cap
     table = teich_table(p, f.precision)
-    out = IndFunction(p, r, f.precision)
+    out = f._empty()
     for coset, poly in f.data.items():
         n, digits = coset.level, coset.digits
+        # (i, j) -> c_i * (-1)^(i-j) binom(i, j) p^j, shared by all children
+        parts = {}
+        for i, c in poly.items():
+            for j in range(min(i, cap - 1 - _floor_val(c, p)) + 1):
+                factor = Fraction(math.comb(i, j) * (-1) ** (i - j)) * Fraction(p) ** j
+                parts[i, j] = c.scale(factor, p)
         for lam in range(p):
             child = Coset(0, n + 1, digits + (lam,))
-            for i, c in poly.items():
-                if lam == 0:
-                    # only the i = j term survives
-                    out.accumulate(child, i, c.scale(Fraction(p) ** i, p))
-                    continue
-                for j in range(i + 1):
-                    sign = -1 if (i - j) % 2 else 1
-                    factor = Fraction(math.comb(i, j) * sign) * Fraction(p) ** j
-                    term = c.scale(factor, p)
-                    if i != j:
-                        term = term.scale_trunc(table.power(lam, i - j), f.precision, p)
+            for (i, j), term in parts.items():
+                if i == j:
                     out.accumulate(child, j, term)
+                elif lam:
+                    # for lam = 0 only the i = j term survives
+                    out.accumulate(child, j, term.scale_trunc(table.power(lam, i - j), f.precision, p))
     return out.prune()
 
 
 def apply_Tminus(f: IndFunction) -> IndFunction:
     """Level-lowering part: drops the leading digit (to the other branch at
-    level zero)."""
+    level zero).  Every term from index i carries a factor p^(r-i), so an
+    index whose factor takes it past the cap is skipped."""
     _require_branch0(f)
-    p, r = f.p, f.r
+    p, r, cap = f.p, f.r, f.cap
     table = teich_table(p, f.precision)
-    out = IndFunction(p, r, f.precision)
+    out = f._empty()
     for coset, poly in f.data.items():
         n, digits = coset.level, coset.digits
-        if n == 0:
-            for j, c in poly.items():
-                out.accumulate(ALPHA, j, c.scale(Fraction(p) ** (r - j), p))
-            continue
-        parent = Coset(0, n - 1, digits[:-1])
-        top = digits[-1]
+        parent, top = (ALPHA, 0) if n == 0 else (Coset(0, n - 1, digits[:-1]), digits[-1])
         for i, c in poly.items():
+            if _floor_val(c, p) + r - i >= cap:
+                continue
             base = c.scale(Fraction(p) ** (r - i), p)
             if top == 0:
                 out.accumulate(parent, i, base)
@@ -366,7 +403,7 @@ def direct_T(f: IndFunction) -> IndFunction:
     normalization; works on either branch.  Test oracle for apply_T."""
     p, r = f.p, f.r
     table = teich_table(p, f.precision)
-    out = IndFunction(p, r, f.precision)
+    out = f._empty()
     for coset, poly in f.data.items():
         g = coset_matrix(coset, p, f.precision)
         for lam in range(p):
@@ -383,7 +420,7 @@ def direct_T(f: IndFunction) -> IndFunction:
 
 def translate(k_mat, f: IndFunction) -> IndFunction:
     """Left translation of f by an integral matrix of unit determinant."""
-    out = IndFunction(f.p, f.r, f.precision)
+    out = f._empty()
     for coset, poly in f.data.items():
         g = coset_matrix(coset, f.p, f.precision)
         c2, poly2 = normalize_pair(_mat_mul(k_mat, g), poly, f.p, f.r, f.precision)
@@ -393,8 +430,11 @@ def translate(k_mat, f: IndFunction) -> IndFunction:
 
 def functions_agree(f: IndFunction, g: IndFunction, sigma: Fraction, min_val=3) -> bool:
     """True when every coefficient of f - g has valuation at least min_val
-    (equality up to the carried Teichmuller precision)."""
+    (equality up to the carried Teichmuller precision).  A min_val above the
+    cap of f - g cannot be decided and raises PrecisionError."""
     diff = f - g
+    if min_val > diff.cap:
+        raise PrecisionError(f"min_val {min_val} exceeds the absolute cap {diff.cap}")
     for poly in diff.data.values():
         for c in poly.values():
             if c.val_lb(sigma, diff.p) < min_val:
@@ -415,11 +455,29 @@ class ValuationReport(NamedTuple):
     failures: list  # entries with bound < 0
 
 
+def _require_residue_cap(f: IndFunction) -> None:
+    if f.cap < 1 + PRECISION_HEADROOM:
+        raise PrecisionError(
+            f"absolute cap {f.cap} is within headroom {PRECISION_HEADROOM} of the residue"
+        )
+
+
+def precision_margin(f: IndFunction, sigma: Fraction):
+    """Smallest err + d*sigma - 1 over the truncated terms of f, with the cap
+    counted as one more such term (cap - 1).  ``reduce_mod_p`` raises
+    PrecisionError exactly when this is below PRECISION_HEADROOM, and each
+    carried digit more raises it by one."""
+    truncated = {(e, d) for poly in f.data.values() for c in poly.values()
+                 for d, (_, e) in c.terms.items() if e is not INF}
+    return min([f.cap - 1] + [e + d * sigma - 1 for e, d in truncated])
+
+
 def audit_valuations(f: IndFunction, sigma: Fraction) -> ValuationReport:
     """Certify a lower valuation bound for every coefficient.
 
     A negative bound achieved by a single symbol degree is an exact failure;
     a tie between several degrees is reported as indeterminate."""
+    _require_residue_cap(f)
     entries = []
     failures = []
     min_val = math.inf
@@ -518,6 +576,7 @@ class ResidueFunction:
 
 def reduce_mod_p(f: IndFunction, sigma: Fraction) -> ResidueFunction:
     """Residue of a certified-integral function."""
+    _require_residue_cap(f)
     out = ResidueFunction(f.p, f.r + 1)
     for coset, poly in f.data.items():
         for j, c in poly.items():

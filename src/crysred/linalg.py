@@ -164,17 +164,3 @@ def nullspace(mat, p: int) -> list[np.ndarray]:
         basis.append(v)
     return basis
 
-
-def solve_right(A, b, p: int):
-    """One solution x of A x = b over F_p, or None."""
-    A = np.asarray(A, dtype=np.int64) % p
-    b = np.asarray(b, dtype=np.int64) % p
-    m, n = A.shape
-    aug = np.hstack([A, b.reshape(-1, 1)])
-    R, pivots = rref(aug, p)
-    x = np.zeros(n, dtype=np.int64)
-    for i, piv in enumerate(pivots):
-        if piv == n:
-            return None
-        x[piv] = R[i, n]
-    return x

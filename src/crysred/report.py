@@ -106,7 +106,7 @@ def _check_socle(tag: str, socle: Counter, pred, discrepancies: list[str]) -> No
 
 def structure_report(p: int, r: int, checks=("dim", "x", "q")) -> ReportRecord:
     """Compare the closed-form predictions with the brute-force engine."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     desc = case_descriptor(p, r)
     rec = ReportRecord(
         p=p, r=r, k=desc.k, a=desc.a, b=desc.b, n=desc.n, u=desc.u,
@@ -154,5 +154,5 @@ def structure_report(p: int, r: int, checks=("dim", "x", "q")) -> ReportRecord:
             rec.discrepancies.append("q dimension mismatch")
         _check_socle("q", q.socle, pred, rec.discrepancies)
     rec.passed = not rec.discrepancies
-    rec.seconds = round(time.time() - t0, 4)
+    rec.seconds = round(time.perf_counter() - t0, 4)
     return rec

@@ -30,7 +30,7 @@ from .arith import (
     padic_val,
 )
 from .classify import case_descriptor
-from .errors import HypothesisError
+from .errors import DomainError, HypothesisError
 from .hecke import (
     IDENTITY,
     IndFunction,
@@ -38,6 +38,7 @@ from .hecke import (
     audit_valuations,
     g0,
     modp_T,
+    precision_margin,
     reduce_mod_p,
     t_minus_ap,
     teich_table,
@@ -97,6 +98,11 @@ class WitnessReport:
     factorization: str | None
     checks: list[tuple[str, bool]] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
+    #: smallest err + d*sigma - 1 over the truncated terms of (T - A)f, the
+    #: absolute cap counted as one more term; the audit aborts below
+    #: PRECISION_HEADROOM, and each carried digit more adds one.  Not part
+    #: of the verdict.
+    precision_margin: Fraction | None = None
 
     @property
     def ok(self) -> bool:
@@ -142,6 +148,8 @@ def _validate(case: WitnessCase) -> dict:
     p, r, sig = case.p, case.r, case.sigma
     if case.tag not in TAGS:
         raise HypothesisError(f"unknown scenario {case.tag}")
+    if case.ubar is not None and case.ubar % p == 0:
+        raise DomainError(f"ubar = {case.ubar} is not a unit mod p = {p}")
     if not Fraction(1) < sig < Fraction(2):
         raise HypothesisError(f"slope {sig} outside (1, 2)")
     desc = case_descriptor(p, r)
@@ -451,17 +459,26 @@ def verify_witness(case: WitnessCase) -> WitnessReport:
     """Full audit: integrality of (T - A) f, image identification in the
     terminal quotient, and the surviving-constituent certificate."""
     info = _validate(case)
-    forbidden = info["forbidden"]
     f = build_witness(case)
     g = t_minus_ap(f)
     audit = audit_valuations(g, case.sigma)
-    checks: list[tuple[str, bool]] = []
-    notes: list[str] = []
-    if not audit.integral:
-        return WitnessReport(
+    if audit.integral:
+        rep = _identify_image(case, info, g, audit)
+    else:
+        rep = WitnessReport(
             case, False, audit.min_valuation, "-", None, "-", False, None,
             [("integral", False)], [f"valuation failures: {audit.failures[:3]}"],
         )
+    rep.precision_margin = precision_margin(g, case.sigma)
+    return rep
+
+
+def _identify_image(case: WitnessCase, info: dict, g: IndFunction, audit) -> WitnessReport:
+    """Reduce the integral (T - A)f mod p, project it into the terminal
+    quotient and check the scenario's claimed image."""
+    forbidden = info["forbidden"]
+    checks: list[tuple[str, bool]] = []
+    notes: list[str] = []
     env = QEnv(case.p, case.r)
     rq = env.project_fn(reduce_mod_p(g, case.sigma))
     tag, p, r = case.tag, case.p, case.r

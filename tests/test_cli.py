@@ -1,5 +1,6 @@
 import json
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -118,6 +119,17 @@ class TestSweep:
                            "--r-to", "20")
         assert code == 2
 
+    def test_empty_range_is_a_domain_error(self, capsys):
+        # an empty sweep checks nothing, so it must not report success
+        code, out, err = run(capsys, "sweep", "--p", "5", "--r-from", "30",
+                             "--r-to", "20")
+        assert code == 2 and "empty" in err and out == ""
+        code, out, err = run(capsys, "sweep", "--p", "5", "--check", "lemmas",
+                             "--r-to", "0")
+        assert code == 2 and "empty" in err and out == ""
+        code, out, err = run(capsys, "verify-lemmas", "--p", "5", "--r-to", "0")
+        assert code == 2 and "empty" in err and out == ""
+
 
 class TestWitnessCommand:
     def test_ok_case(self, capsys):
@@ -140,6 +152,20 @@ class TestWitnessCommand:
         code, _, err = run(capsys, "witness", "--case", "T9.2", "--p", "3",
                            "--r", "21", "--slope", "3/2", "--ubar", "1")
         assert code == 4
+
+    def test_non_unit_ubar_is_a_domain_error(self, capsys):
+        code, _, err = run(capsys, "witness", "--case", "T8.7-low", "--p", "5",
+                           "--r", "23", "--slope", "3/2", "--ubar", "5")
+        assert code == 2 and "unit" in err
+
+    def test_json_precision_margin(self, capsys, monkeypatch):
+        # eight carried digits leave three to spare over the abort at five
+        monkeypatch.setenv("CRYSRED_PRECISION", "8")
+        code, out, _ = run(capsys, "witness", "--case", "T8.7-high", "--p", "5",
+                           "--r", "23", "--slope", "7/4", "--format", "json")
+        payload = json.loads(out)
+        assert code == 0 and payload["ok"]
+        assert Fraction(payload["precision_margin"]) == 5
 
     def test_precision_env_abort(self, capsys, monkeypatch):
         monkeypatch.setenv("CRYSRED_PRECISION", "4")

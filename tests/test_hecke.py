@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from crysred.arith import ApCoeff
+from crysred.arith import PRECISION_HEADROOM, ApCoeff
 from crysred.hecke import (
     ALPHA,
     Coset,
@@ -26,7 +28,7 @@ from crysred.hecke import (
     teich_table,
     translate,
 )
-from crysred.errors import IndeterminateCancellation
+from crysred.errors import IndeterminateCancellation, PrecisionError
 from crysred.symrep import sym_power
 
 ONE = ApCoeff.rational(1)
@@ -172,3 +174,101 @@ class TestModpOperator:
         # the lowered value is (2X + Y)^s
         want = np.array([math.comb(s, i) * pow(2, s - i, p) for i in range(s + 1)]) % p
         assert np.array_equal(out.data[IDENTITY][0], want)
+
+
+# slopes near both ends of (1, 2): the cap's bound min(d, 2d) must hold at each
+SLOPES = [Fraction(65, 64), Fraction(5, 4), Fraction(3, 2), Fraction(127, 64)]
+# Teichmuller digits carried well past the caps drawn below, so that the
+# truncation noise of the two evaluations cannot hide a wrongly dropped term
+WIDE_PRECISION = 30
+
+
+@st.composite
+def witness_shaped(draw):
+    """Branch-0 functions shaped like the witness builders' output: rational
+    coefficients with p-power denominators, A-degrees -2..2, Teichmuller-
+    truncated terms, several cosets at levels 0..2, and an absolute cap."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    r = draw(st.integers(2 * p + 2, 40))
+    table = teich_table(p, WIDE_PRECISION)
+    f = IndFunction(p, r, WIDE_PRECISION)
+    for _ in range(draw(st.integers(1, 3))):
+        m = draw(st.integers(0, 2))
+        coset = g0(m, tuple(draw(st.lists(st.integers(0, p - 1), min_size=m, max_size=m))))
+        for _ in range(draw(st.integers(1, 3))):
+            c = ApCoeff()
+            for _ in range(draw(st.integers(1, 2))):
+                num = draw(st.integers(-p * p, p * p).filter(bool))
+                term = ApCoeff.rational(Fraction(num, p ** draw(st.integers(0, 3))),
+                                        draw(st.integers(-2, 2)))
+                if draw(st.booleans()):
+                    lam, k = draw(st.integers(1, p - 1)), draw(st.integers(1, p - 1))
+                    term = term.scale_trunc(table.power(lam, k), WIDE_PRECISION, p)
+                c = c + term
+            f.accumulate(coset, draw(st.integers(0, r)), c)
+    f.prune()
+    f.cap = draw(st.integers(1 + PRECISION_HEADROOM, 10))
+    return f
+
+
+class TestAbsoluteCap:
+    @settings(max_examples=60, deadline=None)
+    @given(witness_shaped(), st.sampled_from(SLOPES))
+    def test_capped_T_matches_direct_formula(self, f, sig):
+        # every term apply_T leaves out must have valuation >= the cap
+        assert f.data
+        got = apply_T(f)
+        assert got.cap == f.cap
+        assert functions_agree(got, direct_T(f), sig, min_val=f.cap)
+
+    def test_terms_past_the_cap_are_not_computed(self):
+        f = elementary(5, 40, g0(1, (2,)), {40: ONE, 39: ONE})
+        full = direct_T(f)
+        capped = apply_T(f)
+        count = lambda g: sum(len(poly) for poly in g.data.values())
+        assert count(capped) < count(full)
+
+    def test_truncation_error_survives_the_cap(self):
+        # a coefficient known only to valuation 3 (stored value 0): its
+        # error, not the stored value, decides whether a term is dropped
+        from crysred.hecke import precision_margin
+
+        unknown = ApCoeff({0: (Fraction(0), 3)})
+        f = elementary(5, 11, g0(1, (2,)), {11: unknown, 4: unknown}, precision=8)
+        out = apply_T(f)
+        assert out.data
+        assert precision_margin(out, Fraction(5, 4)) == 3 - 1
+
+    def test_cap_follows_the_arithmetic(self):
+        f = elementary(5, 11, IDENTITY, {0: ONE}, precision=8)
+        assert f.cap == 8
+        assert f.scale(Fraction(1, 25)).cap == 6
+        assert f.scale(10).cap == 9
+        assert f.shift_ap(1).cap == 9 and f.shift_ap(-1).cap == 6
+        assert (f + f.scale(Fraction(1, 5))).cap == 7
+        assert (f - f.shift_ap(2)).cap == 8
+        assert t_minus_ap(f).cap == 8
+
+    def test_low_cap_refused_by_audit_and_reduction(self):
+        # an integral function whose cap sits within the headroom of the
+        # residue: neither integrality nor the residue can be certified
+        low = elementary(5, 11, IDENTITY, {0: ApCoeff.rational(25)}, precision=4)
+        low = low.scale(Fraction(1, 25))
+        assert low.cap == PRECISION_HEADROOM
+        with pytest.raises(PrecisionError):
+            audit_valuations(low, Fraction(5, 4))
+        with pytest.raises(PrecisionError):
+            reduce_mod_p(low, Fraction(5, 4))
+        ok = elementary(5, 11, IDENTITY, {0: ApCoeff.rational(5)}, precision=4)
+        ok = ok.scale(Fraction(1, 5))
+        assert ok.cap == 1 + PRECISION_HEADROOM
+        assert audit_valuations(ok, Fraction(5, 4)).integral
+        assert reduce_mod_p(ok, Fraction(5, 4)).data[IDENTITY][0][0] == 1
+
+    def test_agreement_above_the_cap_refused(self):
+        f = elementary(5, 11, IDENTITY, {0: ONE}, precision=8)
+        assert functions_agree(f, f, Fraction(5, 4), min_val=8)
+        with pytest.raises(PrecisionError):
+            functions_agree(f, f, Fraction(5, 4), min_val=9)
+        with pytest.raises(PrecisionError):
+            functions_agree(f, f.scale(Fraction(1, 5)), Fraction(5, 4), min_val=8)

@@ -164,6 +164,22 @@ class TestVerdicts:
             WitnessCase("T8.7-high", 5, 23, Fraction(7, 4), precision=5)
         ).ok
 
+    def test_precision_margin_predicts_the_abort(self):
+        # the audit aborts exactly when the margin drops below the headroom;
+        # the margin is reported beside the verdict and does not enter it
+        from crysred.arith import PRECISION_HEADROOM
+        from crysred.errors import PrecisionError
+
+        at = {n: verify_witness(WitnessCase("T8.7-high", 5, 23, Fraction(7, 4), precision=n))
+              for n in (5, 6)}
+        assert at[5].ok and at[5].precision_margin == PRECISION_HEADROOM
+        assert at[6].precision_margin == PRECISION_HEADROOM + 1
+        assert (at[5].constant, at[5].min_valuation) == (at[6].constant, at[6].min_valuation)
+        with pytest.raises(PrecisionError):
+            verify_witness(WitnessCase("T8.7-high", 5, 23, Fraction(7, 4), precision=4))
+        rep = verify_witness(case("T8.2", 5, 19, "5/4"))
+        assert rep.ok and rep.precision_margin >= PRECISION_HEADROOM
+
     def test_minimal_degree_boundary(self):
         # at r = 2p+1 two monomial indices of the depth-2 polynomial coincide
         # and their coefficients must accumulate
