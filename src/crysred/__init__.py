@@ -35,7 +35,6 @@ from .symrep import (
     act,
     build_X,
     filtration_spaces,
-    frobenius_twist_check,
     jh_decompose,
     quotient_Q,
     span_closure,
@@ -53,7 +52,7 @@ __all__ = [
     "case_descriptor", "classify_reduction", "llc_image", "predict_dim_X",
     "predict_Q_structure", "predict_X_structure", "IndFunction", "apply_T",
     "apply_Tminus", "apply_Tplus", "HomogPoly", "JHLabel", "act", "build_X",
-    "filtration_spaces", "frobenius_twist_check", "jh_decompose", "quotient_Q",
+    "filtration_spaces", "jh_decompose", "quotient_Q",
     "span_closure", "theta_divides", "WitnessCase", "build_witness",
     "verify_witness",
 ]

@@ -5,7 +5,9 @@ brute-force report at one weight), ``sweep`` (batch prediction-vs-computation
 table), ``witness`` (one witness-function audit), ``verify-lemmas``
 (congruence-lemma sweep).  Formats: text, json, csv.  Exit codes: 0 success,
 1 mismatch found, 2 domain error, 3 dimension bound exceeded, 4 hypotheses
-not satisfied, 5 indeterminate cancellation.
+not satisfied, 5 indeterminate cancellation, 6 internal error (any other
+exception, such as a failed engine self-check; its traceback goes to
+stderr).
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ EXIT_DOMAIN = 2
 EXIT_DIMENSION = 3
 EXIT_HYPOTHESIS = 4
 EXIT_INDETERMINATE = 5
+EXIT_INTERNAL = 6
 
 PRECISION_ENV = "CRYSRED_PRECISION"
 
@@ -383,6 +386,12 @@ def main(argv=None) -> int:
         # both mean: the audit cannot decide, and refuses to guess
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INDETERMINATE
+    except Exception as exc:  # a bug, not a verdict: never report it as a mismatch
+        import traceback  # only a failing run pays for this import
+
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -344,22 +344,6 @@ def _substitute_poly(poly: dict[int, ApCoeff], mat, r: int, p: int, prec: int):
     return out
 
 
-def _teich_digits_of(x: int, m: int, p: int, precision: int) -> tuple[int, ...]:
-    """First m Teichmuller digits of an integer known mod p^precision."""
-    table = teich_table(p, precision)
-    digits = []
-    mod = p**precision
-    for i in range(m):
-        d = x % p
-        digits.append(d)
-        x = (x - table.rep[d]) % mod
-        if x % p**(i + 1):
-            raise PrecisionError("digit extraction left a non-divisible remainder")
-        x //= p
-        mod //= p
-    return tuple(digits)
-
-
 def normalize_pair(mat, poly: dict[int, ApCoeff], p: int, r: int,
                    precision: int = DEFAULT_PRECISION) -> tuple[Coset, dict[int, ApCoeff]]:
     """Rewrite [mat, poly] as [canonical coset, k . poly] with k integral of

@@ -2,7 +2,8 @@
 
 Row-echelon bookkeeping is incremental: an ``FpSpace`` keeps a reduced
 echelon basis and absorbs new vectors one at a time, which is what the
-span-closure and spinning loops need.  Entries are always reduced mod p.
+span-closure and spinning loops need.  A whole matrix is reduced at once by
+``eliminate``, one pivot column per step.  Entries are always reduced mod p.
 """
 
 from __future__ import annotations
@@ -26,10 +27,10 @@ class FpSpace:
 
     @classmethod
     def from_rows(cls, rows, n: int, p: int) -> "FpSpace":
-        sp = cls(n, p)
-        for row in rows:
-            sp.add(row)
-        return sp
+        if not len(rows):
+            return cls(n, p)
+        R, pivots = rref(np.asarray(rows, dtype=np.int64).reshape(len(rows), n), p)
+        return cls.from_echelon(R, pivots, n, p)
 
     @classmethod
     def from_echelon(cls, rows, pivots, n: int, p: int) -> "FpSpace":
@@ -45,32 +46,29 @@ class FpSpace:
     def dim(self) -> int:
         return len(self.rows)
 
-    def copy(self) -> "FpSpace":
-        sp = FpSpace(self.n, self.p)
-        sp.rows = [r.copy() for r in self.rows]
-        sp.pivots = list(self.pivots)
-        return sp
+    def _eliminate(self, v) -> tuple[np.ndarray, np.ndarray]:
+        # One pass clears the pivots of a reduced basis.  For a basis that is
+        # only echelon, each pass multiplies the pivot entries by the
+        # strictly triangular part of the pivot block, which is nilpotent.
+        w = as_vec(v, self.p)
+        coeffs = np.zeros(w.shape[:-1] + (len(self.rows),), dtype=np.int64)
+        R = self.matrix()
+        c = w[..., self.pivots]
+        while c.any():
+            coeffs = (coeffs + c) % self.p
+            w = (w - c @ R) % self.p
+            c = w[..., self.pivots]
+        return w, coeffs
 
     def reduce(self, v) -> np.ndarray:
-        """Remainder of v after elimination against the stored basis."""
-        w = as_vec(v, self.p).copy()
-        for row, piv in zip(self.rows, self.pivots):
-            c = w[piv]
-            if c:
-                w -= c * row
-                w %= self.p
-        return w
+        """Remainder of v (a vector, or the rows of a matrix) after
+        elimination against the stored basis."""
+        return self._eliminate(v)[0]
 
     def express(self, v):
-        """Coefficients of v in the stored basis, or None if v is outside."""
-        w = as_vec(v, self.p).copy()
-        coeffs = np.zeros(len(self.rows), dtype=np.int64)
-        for i, (row, piv) in enumerate(zip(self.rows, self.pivots)):
-            c = w[piv]
-            if c:
-                coeffs[i] = c
-                w -= c * row
-                w %= self.p
+        """Coefficients of v (a vector, or the rows of a matrix) in the
+        stored basis, or None if some vector is outside."""
+        w, coeffs = self._eliminate(v)
         if w.any():
             return None
         return coeffs
@@ -99,6 +97,18 @@ class FpSpace:
         self.pivots.insert(pos, piv)
         return True
 
+    def add_rows(self, vecs) -> np.ndarray:
+        """Insert the rows of a matrix at once; returns the echelon rows of
+        their part that is new modulo the old space (empty if none)."""
+        new, new_pivots = rref(self.reduce(vecs), self.p)
+        if new_pivots:
+            # the new rows vanish at the old pivots; clear theirs from the old rows
+            old = [(row - row[new_pivots] @ new) % self.p for row in self.rows]
+            merged = sorted(zip(self.pivots + new_pivots, old + list(new)), key=lambda pr: pr[0])
+            self.pivots = [piv for piv, _ in merged]
+            self.rows = [row for _, row in merged]
+        return new
+
     def matrix(self) -> np.ndarray:
         if not self.rows:
             return np.zeros((0, self.n), dtype=np.int64)
@@ -109,21 +119,15 @@ class FpSpace:
         return [j for j in range(self.n) if j not in piv]
 
     def union(self, other: "FpSpace") -> "FpSpace":
-        out = self.copy()
-        for row in other.rows:
-            out.add(row)
-        return out
+        return FpSpace.from_rows(np.vstack([self.matrix(), other.matrix()]), self.n, self.p)
 
     def intersect(self, other: "FpSpace") -> "FpSpace":
         """Intersection of two row spaces via a kernel computation."""
         A, B = self.matrix(), other.matrix()
         if not len(A) or not len(B):
             return FpSpace(self.n, self.p)
-        stacked = np.vstack([A, B])
-        out = FpSpace(self.n, self.p)
-        for coeffs in nullspace(stacked.T, self.p):
-            out.add(coeffs[: len(A)] @ A % self.p)
-        return out
+        kernel = nullspace(np.vstack([A, B]).T, self.p)
+        return FpSpace.from_rows([c[: len(A)] @ A % self.p for c in kernel], self.n, self.p)
 
     def __eq__(self, other) -> bool:
         return (
@@ -135,12 +139,38 @@ class FpSpace:
         )
 
 
+def eliminate(A: np.ndarray, p: int, ncols: int) -> list[int]:
+    """Gauss-Jordan elimination of A in place, with pivots taken only among
+    its first ``ncols`` columns.  A holds int64 entries reduced mod p.
+    Returns the pivot columns; row i of the result carries the i-th pivot,
+    and the rows below the last pivot vanish on the first ``ncols`` columns."""
+    pivots: list[int] = []
+    col = 0
+    for row in range(A.shape[0]):
+        live = np.flatnonzero(A[row:, col:ncols].any(axis=0))
+        if not live.size:
+            break
+        col += int(live[0])
+        k = row + int(np.flatnonzero(A[row:, col])[0])
+        if k != row:
+            A[[row, k]] = A[[k, row]]
+        A[row] = A[row] * pow(int(A[row, col]), -1, p) % p
+        f = A[:, col].copy()
+        f[row] = 0
+        hit = np.flatnonzero(f)
+        A[hit] = (A[hit] - np.outer(f[hit], A[row])) % p
+        pivots.append(col)
+        col += 1
+    return pivots
+
+
 def rref(mat, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row-echelon form of a matrix over F_p."""
-    sp = FpSpace(np.asarray(mat).shape[1] if len(mat) else 0, p)
-    for row in np.asarray(mat, dtype=np.int64) % p:
-        sp.add(row)
-    return sp.matrix(), list(sp.pivots)
+    if not len(mat):
+        return np.zeros((0, 0), dtype=np.int64), []
+    A = np.array(mat, dtype=np.int64) % p
+    pivots = eliminate(A, p, A.shape[1])
+    return A[: len(pivots)], pivots
 
 
 def rank(mat, p: int) -> int:
@@ -148,19 +178,13 @@ def rank(mat, p: int) -> int:
 
 
 def nullspace(mat, p: int) -> list[np.ndarray]:
-    """Basis of the right kernel of ``mat`` over F_p."""
+    """Basis of the right kernel of ``mat`` over F_p, one vector per free column."""
     mat = np.asarray(mat, dtype=np.int64) % p
-    m, n = mat.shape
     R, pivots = rref(mat, p)
-    basis = []
     piv_set = set(pivots)
-    for j in range(n):
-        if j in piv_set:
-            continue
-        v = np.zeros(n, dtype=np.int64)
-        v[j] = 1
-        for i, piv in enumerate(pivots):
-            v[piv] = (-R[i, j]) % p
-        basis.append(v)
-    return basis
-
+    free = [j for j in range(mat.shape[1]) if j not in piv_set]
+    basis = np.zeros((len(free), mat.shape[1]), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    if pivots:
+        basis[:, pivots] = -R[:, free].T % p
+    return list(basis)

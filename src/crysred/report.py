@@ -15,13 +15,11 @@ from .classify import (
 )
 from .symrep import (
     JHLabel,
-    SubquotientModule,
     build_X,
-    filtration_spaces,
     jh_decompose,
     quotient_Q,
     socle_labels,
-    sym_power,
+    theta_intersection_dims,
 )
 
 CSV_COLUMNS = [
@@ -122,7 +120,7 @@ def structure_report(p: int, r: int, checks=("dim", "x", "q")) -> ReportRecord:
             )
     if "x" in checks:
         pred = predict_X_structure(desc)
-        mod = SubquotientModule(sym_power(p, r), X.space, None)
+        mod = X.module
         got = jh_decompose(mod)
         rec.x_factors_predicted = factors_to_str(pred.factors)
         rec.x_factors_computed = factors_to_str(got)
@@ -133,17 +131,11 @@ def structure_report(p: int, r: int, checks=("dim", "x", "q")) -> ReportRecord:
         if pred.dimension != X.dim:
             rec.discrepancies.append("x-structure dimension mismatch")
         _check_socle("x", socle_labels(mod), pred, rec.discrepancies)
-        xtop = build_X(p, r, "top")
-        vstar, vstar2 = filtration_spaces(p, r)
-        rec.filtration_dims = (
-            X.space.intersect(vstar).dim,
-            X.space.intersect(vstar2).dim,
-            xtop.space.intersect(vstar).dim,
-            xtop.space.intersect(vstar2).dim,
-        )
+        rec.filtration_dims = theta_intersection_dims(X) + theta_intersection_dims(
+            build_X(p, r, "top"))
     if "q" in checks:
         pred = predict_Q_structure(desc)
-        q = quotient_Q(p, r)
+        q = quotient_Q(p, r, X=X)
         rec.q_factors_predicted = factors_to_str(pred.factors)
         rec.q_factors_computed = factors_to_str(q.factors)
         if pred.factors != q.factors:

@@ -5,24 +5,30 @@ polynomials F = sum_j c_j X^(r-j) Y^j, stored as the coefficient vector
 (c_0, ..., c_r); a matrix (a b; c d) acts by substitution
 F -> F(aX + cY, bX + dY), a left action: act(g, act(h, F)) = act(g h, F).
 
-Provided here: brute-force span closures under the full matrix monoid or
-the invertible group, the submodules generated by the top two monomials,
-the theta-divisibility filtration, the terminal quotient of the degree-r
-module by (second-monomial submodule + twice-theta-divisible part), and a
-Jordan-Hoelder decomposition for small modules by socle peeling.
+Provided here: the submodules generated by the top two monomials, built
+from their classical spanning sets and certified stable under the full
+matrix monoid; the theta-divisibility filtration and the normal forms
+modulo theta and theta^2; the terminal quotient of the degree-r module by
+(second-monomial submodule + twice-theta-divisible part), computed in the
+2p+2 coordinates of the module modulo theta^2; and a Jordan-Hoelder
+decomposition for small modules by socle peeling, with torus weights read
+off the diagonal.  Brute-force span closures under the full matrix monoid
+or the invertible group, and the r-row theta-multiple spaces and
+subquotients, remain as the reference the fast engine is tested against.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from collections import Counter, OrderedDict
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import linalg
-from .errors import DimensionBoundError
+from .errors import DimensionBoundError, DomainError
 from .linalg import FpSpace
 
 JH_DIMENSION_BOUND = 2000
@@ -148,18 +154,6 @@ class SymPower:
         self.p = p
         self.r = r
         self._mats: dict[tuple[int, int, int, int], np.ndarray] = {}
-        self._comb: np.ndarray | None = None
-
-    def comb(self) -> np.ndarray:
-        """Pascal triangle mod p up to degree r (comb[n, k] = binom(n, k))."""
-        if self._comb is None:
-            n = self.r + 1
-            C = np.zeros((n + 1, n + 1), dtype=np.int64)
-            C[:, 0] = 1
-            for i in range(1, n + 1):
-                C[i, 1 : i + 1] = (C[i - 1, : i] + C[i - 1, 1 : i + 1]) % self.p
-            self._comb = C
-        return self._comb
 
     def monomial(self, j: int) -> np.ndarray:
         v = np.zeros(self.r + 1, dtype=np.int64)
@@ -175,35 +169,15 @@ class SymPower:
         return M
 
     def _build_matrix(self, g: tuple[int, int, int, int]) -> np.ndarray:
+        """Column j is (aX + cY)^(r-j) (bX + dY)^j."""
         p, r = self.p, self.r
         a, b, c, d = g
-        n = r + 1
-        M = np.zeros((n, n), dtype=np.int64)
-        if b == 0 and c == 0:
-            # diagonal: X^(r-j) Y^j -> a^(r-j) d^j
-            for j in range(n):
-                M[j, j] = pow(a, r - j, p) * pow(d, j, p) % p
-        elif a == 1 and d == 1 and c == 0:
-            # upper unipotent-type (1 b; 0 1): F(X, bX + Y)
-            C = self.comb()
-            for j in range(n):
-                for i in range(j + 1):
-                    M[i, j] = C[j, i] * pow(b, j - i, p) % p
-        elif (a, b, c, d) == (0, 1, 1, 0):
-            for j in range(n):
-                M[r - j, j] = 1
-        elif (a, b, c, d) == (1, 0, 0, 0):
-            M[0, 0] = 1
-        else:
-            # generic: column j is (aX+cY)^(r-j) (bX+dY)^j
-            first = [np.array([1], dtype=np.int64)]
-            second = [np.array([1], dtype=np.int64)]
-            for _ in range(r):
-                first.append(np.convolve(first[-1], np.array([a, c], dtype=np.int64)) % p)
-                second.append(np.convolve(second[-1], np.array([b, d], dtype=np.int64)) % p)
-            for j in range(n):
-                M[:, j] = np.convolve(first[r - j], second[j]) % p
-        return M
+        first = [np.array([1], dtype=np.int64)]
+        second = [np.array([1], dtype=np.int64)]
+        for _ in range(r):
+            first.append(np.convolve(first[-1], np.array([a, c], dtype=np.int64)) % p)
+            second.append(np.convolve(second[-1], np.array([b, d], dtype=np.int64)) % p)
+        return np.array([np.convolve(first[r - j], second[j]) % p for j in range(r + 1)]).T
 
     def act_vec(self, g, v: np.ndarray) -> np.ndarray:
         return self.action_matrix(g) @ (v % self.p) % self.p
@@ -218,21 +192,10 @@ class SymPower:
         return gens
 
 
-_SYMPOWERS: OrderedDict = OrderedDict()
-_SYMPOWER_CACHE_SIZE = 8
-
-
+@functools.lru_cache(maxsize=8)
 def sym_power(p: int, r: int) -> SymPower:
     """Bounded cache of action machinery; sweeps touch each degree once."""
-    key = (p, r)
-    if key in _SYMPOWERS:
-        _SYMPOWERS.move_to_end(key)
-        return _SYMPOWERS[key]
-    inst = SymPower(p, r)
-    _SYMPOWERS[key] = inst
-    while len(_SYMPOWERS) > _SYMPOWER_CACHE_SIZE:
-        _SYMPOWERS.popitem(last=False)
-    return inst
+    return SymPower(p, r)
 
 
 def act(g, F: HomogPoly) -> HomogPoly:
@@ -251,20 +214,65 @@ def mat_mul(g, h, p: int) -> tuple[int, int, int, int]:
     )
 
 
+def check_int64_domain(p: int, r: int) -> None:
+    """The fast engine multiplies (r+1)-long rows of residues in int64;
+    refuse degrees where such a product could wrap around."""
+    if p * p * (r + 2) >= 2**63:
+        raise DomainError(f"p*p*(r+2) >= 2^63 at p={p}, r={r}: int64 arithmetic could overflow")
+
+
+def _binomials(n, i, p: int) -> np.ndarray:
+    """binom(n, i) mod p elementwise over broadcast arrays with 0 <= n,
+    digit by digit (Lucas); zero where i > n."""
+    small = np.zeros((p, p), dtype=np.int64)
+    small[:, 0] = 1
+    for a in range(1, p):
+        small[a, 1:] = (small[a - 1, 1:] + small[a - 1, :-1]) % p
+    n, i = np.broadcast_arrays(np.asarray(n, dtype=np.int64), np.asarray(i, dtype=np.int64))
+    out = np.ones(n.shape, dtype=np.int64)
+    while n.any() or i.any():
+        out = out * small[n % p, i % p] % p
+        n, i = n // p, i // p
+    return out
+
+
+def _power_table(a: np.ndarray, n: int, p: int) -> np.ndarray:
+    """a_k^e mod p for e = 0..n, one row per entry a_k."""
+    cyc = np.ones((len(a), p - 1), dtype=np.int64)
+    for e in range(1, p - 1):
+        cyc[:, e] = cyc[:, e - 1] * a % p
+    out = cyc[:, np.arange(n + 1) % (p - 1)]
+    out[a % p == 0, 1:] = 0
+    return out
+
+
+def _orbit_vectors(mats, r: int, j: int, p: int) -> np.ndarray:
+    """Rows h . X^(r-j) Y^j = (aX + cY)^(r-j) (bX + dY)^j for h = (a, b, c, d)
+    in ``mats`` and j in {0, 1}, in O(r) each."""
+    a, b, c, d = (np.array(col, dtype=np.int64) % p for col in zip(*mats))
+    n = r - j
+    F = _binomials(n, np.arange(n + 1), p) * _power_table(a, n, p)[:, ::-1] % p * _power_table(c, n, p) % p
+    if j == 0:
+        return F
+    out = np.zeros((len(F), r + 1), dtype=np.int64)
+    out[:, :r] = F * b[:, None]
+    out[:, 1:] += F * d[:, None]
+    return out % p
+
+
 # ---------------------------------------------------------------------------
 # span closures and the distinguished submodules
 
 
 @dataclass
 class ClosedSubspace:
-    """An echelonized subspace together with its verified stability flags."""
+    """An echelonized monoid-stable subspace; ``module`` is the action of the
+    Gamma generators on its echelon basis, when it was built alongside."""
 
     p: int
     r: int
     space: FpSpace
-    group: str  # "M" or "Gamma"
-    m_stable: bool = False
-    gamma_stable: bool = False
+    module: GammaModule | None = None
 
     @property
     def dim(self) -> int:
@@ -303,59 +311,53 @@ def span_closure(generators, group: str = "M", p: int | None = None, r: int | No
             w = M @ v % p
             if space.add(w):
                 work.append(w)
-    closed = ClosedSubspace(p, r, space, group)
-    closed.gamma_stable = True
-    closed.m_stable = group == "M"
-    return closed
+    return ClosedSubspace(p, r, space)
 
 
-def verify_stability(sub: ClosedSubspace, samples: int = 20, seed: int = 0) -> bool:
-    """Re-check stability on random elements of the full matrix monoid."""
-    rng = np.random.default_rng(seed)
-    symp = sym_power(sub.p, sub.r)
-    mats = rng.integers(0, sub.p, size=(samples, 4))
-    for g in mats:
-        M = symp.action_matrix(tuple(int(x) for x in g))
-        for row in sub.space.rows:
-            if M @ row % sub.p not in sub.space:
-                return False
-    return True
+def _spanning_matrices(p: int, which: str) -> list[tuple[int, int, int, int]]:
+    """Matrices h whose images h . X^r ("top") or h . X^(r-1)Y ("second") are
+    the classical spanning set: X^r and (kX + Y)^r; or X^r, Y^r,
+    X (kX + Y)^(r-1) and (X + lY)^(r-1) Y."""
+    if which == "top":
+        return [(1, 0, 0, 1)] + [(k, 0, 1, 1) for k in range(p)]
+    return ([(1, 1, 0, 0), (0, 0, 1, 1)] + [(k, 1, 1, 0) for k in range(p)]
+            + [(1, 0, l, 1) for l in range(p)])
 
 
 def standard_spanning_set(p: int, r: int, which: str) -> list[np.ndarray]:
     """The classical spanning sets of the top- and second-monomial submodules."""
-    symp = sym_power(p, r)
-    C = symp.comb()
-    out = [symp.monomial(0)]
-    if which == "top":
-        for k in range(p):
-            # (kX + Y)^r
-            v = np.array([C[r, i] * pow(k, r - i, p) for i in range(r + 1)], dtype=np.int64) % p
-            out.append(v)
-        return out
-    out.append(symp.monomial(r))
-    for k in range(p):
-        # X (kX + Y)^(r-1)
-        v = np.zeros(r + 1, dtype=np.int64)
-        for i in range(r):
-            v[i] = C[r - 1, i] * pow(k, r - 1 - i, p) % p
-        out.append(v)
-    for l in range(p):
-        # (X + lY)^(r-1) Y
-        v = np.zeros(r + 1, dtype=np.int64)
-        for m in range(r):
-            v[m + 1] = C[r - 1, m] * pow(l, m, p) % p
-        out.append(v)
-    return out
+    return list(_orbit_vectors(_spanning_matrices(p, which), r, 0 if which == "top" else 1, p))
 
 
 def build_X(p: int, r: int, which: str = "second") -> ClosedSubspace:
-    """Monoid-stable span closure of X^r ("top") or X^(r-1)Y ("second")."""
+    """Submodule generated by X^r ("top") or X^(r-1)Y ("second") under the
+    full matrix monoid, as the span of ``standard_spanning_set``.
+
+    The span is certified to be the closure: it contains the generator, and
+    (g h) . v0 lies in it for every spanning image h . v0 and every g among
+    the Gamma generators and diag(1, 0), which generate the monoid.  The
+    same images give the Gamma action on the echelon basis."""
     if r < 1:
         raise ValueError("need r >= 1")
-    symp = sym_power(p, r)
+    check_int64_domain(p, r)
     j = 0 if which == "top" else 1
-    return span_closure([symp.monomial(j)], group="M", p=p, r=r)
+    hs = _spanning_matrices(p, which)
+    S = _orbit_vectors(hs, r, j, p)
+    # eliminate [S | I]: the pivot rows are the echelon basis B = T S
+    A = np.hstack([S, np.eye(len(S), dtype=np.int64)])
+    pivots = linalg.eliminate(A, p, r + 1)
+    B, T = A[: len(pivots), : r + 1], A[: len(pivots), r + 1 :]
+    mats = {}
+    for name, g in zip(GEN_NAMES + ("e",), SymPower(p, r).gamma_generators() + [(1, 0, 0, 0)]):
+        images = _orbit_vectors([mat_mul(g, h, p) for h in hs], r, j, p)
+        coords = images[:, pivots]
+        if ((images - coords @ B) % p).any():
+            raise ArithmeticError(f"spanning set of the {which} submodule is not monoid-stable "
+                                  f"at p={p}, r={r}")
+        mats[name] = (T @ coords % p).T
+    del mats["e"]
+    space = FpSpace.from_echelon(B, pivots, r + 1, p)
+    return ClosedSubspace(p, r, space, GammaModule(p, mats))
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +386,38 @@ def theta_multiple_space(p: int, r: int, k: int) -> FpSpace:
 def filtration_spaces(p: int, r: int) -> tuple[FpSpace, FpSpace]:
     """Bases of the theta- and theta^2-divisible subspaces of degree r."""
     return theta_multiple_space(p, r, 1), theta_multiple_space(p, r, 2)
+
+
+def theta_normal_form(p: int, r: int, k: int) -> tuple[np.ndarray, list[int]]:
+    """Reduction modulo the theta^k-divisible subspace, k in {1, 2}.
+
+    The multiples theta^k X^(s-m) Y^m lead at monomial index m + k, so the
+    monomials outside k..r-kp are coordinates on the quotient (p+1 of them
+    for k = 1, 2p+2 for k = 2, once r >= kp + k - 1).  Returns the matrix
+    whose row j is the class of X^(r-j) Y^j in those coordinates, and the
+    coordinate monomials.  Its rows follow from e_j = e_(j+p-1) (k = 1) and
+    e_j = 2 e_(j+p-1) - e_(j+2p-2) (k = 2), a block of p-1 rows at a time."""
+    lo, hi = k, r - k * p
+    cols = [j for j in range(r + 1) if not lo <= j <= hi]
+    R = np.zeros((r + 1, len(cols)), dtype=np.int64)
+    R[cols, np.arange(len(cols))] = 1
+    coef = [1] if k == 1 else [2, p - 1]
+    step = p - 1
+    while hi >= lo:
+        bot = max(lo, hi - step + 1)
+        acc = sum(c * R[bot + i * step : hi + 1 + i * step] for i, c in enumerate(coef, 1))
+        R[bot : hi + 1] = acc % p
+        hi = bot - 1
+    return R, cols
+
+
+def theta_intersection_dims(X: ClosedSubspace) -> tuple[int, int]:
+    """dim(X n V*) and dim(X n V**): X's dimension less the rank of its
+    basis under the normal forms modulo theta and theta^2."""
+    B = X.space.matrix()
+    return tuple(
+        X.dim - linalg.rank(B @ theta_normal_form(X.p, X.r, k)[0] % X.p, X.p) for k in (1, 2)
+    )
 
 
 def divide_theta(vec: np.ndarray, p: int) -> np.ndarray | None:
@@ -466,30 +500,22 @@ class GammaModule:
         return self.mats[name] @ (v % self.p) % self.p
 
     def spin(self, vecs) -> FpSpace:
-        """Smallest invariant subspace containing the given vectors."""
+        """Smallest invariant subspace containing the given vectors: each
+        round applies every generator to the rows the last round added."""
         space = FpSpace(self.dim, self.p)
-        work = [np.asarray(v, dtype=np.int64) % self.p for v in vecs]
-        work = [v for v in work if space.add(v)]
-        while work:
-            v = work.pop()
-            for name in GEN_NAMES:
-                w = self.act(name, v)
-                if space.add(w):
-                    work.append(w)
+        new = space.add_rows(np.asarray(vecs, dtype=np.int64).reshape(-1, self.dim))
+        while len(new):
+            new = space.add_rows(np.vstack([new @ self.mats[name].T for name in GEN_NAMES]))
         return space
 
     def restrict(self, sub: FpSpace) -> "GammaModule":
         B = sub.matrix()
         mats = {}
         for name in GEN_NAMES:
-            cols = []
-            for row in B:
-                img = self.act(name, row)
-                coeffs = sub.express(img)
-                if coeffs is None:
-                    raise ValueError("subspace is not invariant")
-                cols.append(coeffs)
-            mats[name] = np.array(cols, dtype=np.int64).T if len(B) else np.zeros((0, 0), dtype=np.int64)
+            coeffs = sub.express(B @ self.mats[name].T)
+            if coeffs is None:
+                raise ValueError("subspace is not invariant")
+            mats[name] = coeffs.T
         return GammaModule(self.p, mats)
 
     def quotient(self, sub: FpSpace) -> tuple["GammaModule", Callable[[np.ndarray], np.ndarray]]:
@@ -497,68 +523,51 @@ class GammaModule:
         nonpiv = sub.nonpivot_columns()
 
         def project(v: np.ndarray) -> np.ndarray:
-            return sub.reduce(v)[nonpiv]
+            return sub.reduce(v)[..., nonpiv]
 
-        mats = {}
-        for name in GEN_NAMES:
-            M = np.zeros((len(nonpiv), len(nonpiv)), dtype=np.int64)
-            for j, col in enumerate(nonpiv):
-                e = np.zeros(self.dim, dtype=np.int64)
-                e[col] = 1
-                M[:, j] = project(self.act(name, e))
-            mats[name] = M
+        # column j of each matrix: the class of the image of basis vector nonpiv[j]
+        mats = {name: project(self.mats[name][:, nonpiv].T).T for name in GEN_NAMES}
         return GammaModule(self.p, mats), project
 
     def unipotent_fixed(self) -> FpSpace:
         U = self.mats["u"] - np.eye(self.dim, dtype=np.int64)
         return FpSpace.from_rows(linalg.nullspace(U, self.p), self.dim, self.p)
 
+    def torus_weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """Diagonals of d1 and d2.  Raises ArithmeticError unless both act
+        diagonally, i.e. unless the coordinates are torus weight vectors."""
+        for name in ("d1", "d2"):
+            if (self.mats[name] != np.diag(np.diagonal(self.mats[name]))).any():
+                raise ArithmeticError(f"{name} is not diagonal: the module is not torus-graded")
+        return np.diagonal(self.mats["d1"]), np.diagonal(self.mats["d2"])
+
 
 class SubquotientModule(GammaModule):
-    """W / U for subspaces U <= W of the degree-r module, with projection
-    from ambient coefficient vectors and monomial lifts."""
+    """W / U for subspaces U <= W of the degree-r module (W = None: the
+    whole module), with projection from ambient coefficient vectors.  It
+    works on (r+1)-long rows and is the reference for ``QuotientModule``."""
 
     def __init__(self, symp: SymPower, W: FpSpace | None, U: FpSpace | None):
         self.symp = symp
         p, r = symp.p, symp.r
-        if U is None:
-            U = FpSpace(r + 1, p)
-        self.U = U
+        self.U = U if U is not None else FpSpace(r + 1, p)
         if W is None:
             # ambient quotient: coordinates are the non-pivot monomials of U
-            self._mode = "quotient"
-            self._cols = U.nonpivot_columns()
-            dim = len(self._cols)
-            mats = {}
-            for name, g in zip(GEN_NAMES, _standard_gens(p)):
-                A = symp.action_matrix(g)
-                M = np.zeros((dim, dim), dtype=np.int64)
-                for j, col in enumerate(self._cols):
-                    M[:, j] = U.reduce(A[:, col])[self._cols]
-                mats[name] = M
+            self._comp = None
+            self._cols = self.U.nonpivot_columns()
+            basis = np.eye(r + 1, dtype=np.int64)[self._cols]
         else:
-            self._mode = "subquotient"
-            comp_rows = []
-            acc = U.copy()
-            for row in W.matrix():
-                if acc.add(row):
-                    comp_rows.append(row)
-            # comp_rows are W-vectors independent modulo U
-            self._comp = FpSpace.from_rows([U.reduce(x) for x in comp_rows], r + 1, p)
-            dim = self._comp.dim
-            mats = {}
-            for name, g in zip(GEN_NAMES, _standard_gens(p)):
-                A = symp.action_matrix(g)
-                M = np.zeros((dim, dim), dtype=np.int64)
-                for j, row in enumerate(self._comp.matrix()):
-                    M[:, j] = self._project_vec(A @ row % p)
-                mats[name] = M
+            # coordinates: an echelon basis of W reduced modulo U
+            self._comp = FpSpace.from_rows(self.U.reduce(W.matrix()), r + 1, p)
+            basis = self._comp.matrix()
+        mats = {name: self._project_vec(basis @ symp.action_matrix(g).T).T
+                for name, g in zip(GEN_NAMES, symp.gamma_generators())}
         super().__init__(p, mats)
 
     def _project_vec(self, v: np.ndarray) -> np.ndarray:
         w = self.U.reduce(v)
-        if self._mode == "quotient":
-            return w[self._cols]
+        if self._comp is None:
+            return w[..., self._cols]
         coeffs = self._comp.express(w)
         if coeffs is None:
             raise ValueError("vector not in the subquotient")
@@ -568,19 +577,6 @@ class SubquotientModule(GammaModule):
         """Class of an ambient polynomial in module coordinates."""
         return self._project_vec(_as_vec(F, self.p))
 
-    def lift(self, coords: np.ndarray) -> np.ndarray:
-        coords = np.asarray(coords, dtype=np.int64) % self.p
-        if self._mode == "quotient":
-            out = np.zeros(self.symp.r + 1, dtype=np.int64)
-            out[self._cols] = coords
-            return out
-        return coords @ self._comp.matrix() % self.p
-
-
-def _standard_gens(p: int) -> list[tuple[int, int, int, int]]:
-    g = primitive_root(p)
-    return [(1, 1, 0, 1), (0, 1, 1, 0), (g, 0, 0, 1), (1, 0, 0, g)]
-
 
 def weight_module(p: int, s: int, t: int) -> GammaModule:
     """Model of the irreducible with label (s, t) on degree-s polynomials,
@@ -589,7 +585,7 @@ def weight_module(p: int, s: int, t: int) -> GammaModule:
     g = primitive_root(p)
     dets = {"u": 1, "w": -1, "d1": g, "d2": g}
     mats = {}
-    for name, gen in zip(GEN_NAMES, _standard_gens(p)):
+    for name, gen in zip(GEN_NAMES, symp.gamma_generators()):
         mats[name] = symp.action_matrix(gen) * pow(dets[name] % p, t, p) % p
     return GammaModule(p, mats)
 
@@ -626,55 +622,48 @@ def _weight_candidates(alpha: int, beta: int, p: int) -> list[JHLabel]:
 
 
 def socle_simples(mod: GammaModule) -> list[tuple[JHLabel, FpSpace]]:
-    """All simple submodules generated by highest-weight lines, deduplicated."""
+    """All simple submodules generated by highest-weight lines, deduplicated.
+
+    The module must be torus-graded (see ``GammaModule.torus_weights``).  Its
+    unipotent-fixed space is torus-stable, so each echelon row of it is a
+    weight vector whose weight is read off the diagonal at its pivot."""
     p = mod.p
     fixed = mod.unipotent_fixed()
     if fixed.dim == 0:
         if mod.dim:
             raise ArithmeticError("nonzero module without unipotent-fixed vectors")
         return []
-    g = primitive_root(p)
     B = fixed.matrix()
-    # restrictions of the torus generators to the fixed space
-    D = {}
-    for name in ("d1", "d2"):
-        cols = []
-        for row in B:
-            coeffs = fixed.express(mod.act(name, row))
-            if coeffs is None:
-                raise ArithmeticError("torus does not preserve the fixed space")
-            cols.append(coeffs)
-        D[name] = np.array(cols, dtype=np.int64).T
+    weights = []
+    for diag in mod.torus_weights():
+        w = diag[fixed.pivots]
+        if ((B * diag - w[:, None] * B) % p).any():
+            raise ArithmeticError("torus is not diagonal on the unipotent-fixed space")
+        weights.append(w)
+    g = primitive_root(p)
+    dlog = {pow(g, e, p): e for e in range(p - 1)}
+    spaces: dict[tuple[int, int], list[np.ndarray]] = {}
+    for row, e1, e2 in zip(B, *weights):
+        spaces.setdefault((dlog[int(e1)], dlog[int(e2)]), []).append(row)
     found: list[tuple[JHLabel, FpSpace]] = []
     seen: set[bytes] = set()
-    k = fixed.dim
-    eye = np.eye(k, dtype=np.int64)
-    for alpha in range(p - 1):
-        e1 = pow(g, alpha, p)
-        M1 = (D["d1"] - e1 * eye) % p
-        for beta in range(p - 1):
-            e2 = pow(g, beta, p)
-            M2 = (D["d2"] - e2 * eye) % p
-            ker = linalg.nullspace(np.vstack([M1, M2]), p)
-            if not ker:
+    for (alpha, beta), ambient in sorted(spaces.items()):
+        cands = _weight_candidates(alpha, beta, p)
+        for line in _lines(ambient, p):
+            span = mod.spin([line])
+            inner_fixed = mod.restrict(span).unipotent_fixed()
+            if inner_fixed.dim != 1:
                 continue
-            cands = _weight_candidates(alpha, beta, p)
-            ambient = [(c @ B) % p for c in ker]
-            for line in _lines(ambient, p):
-                span = mod.spin([line])
-                inner_fixed = mod.restrict(span).unipotent_fixed()
-                if inner_fixed.dim != 1:
-                    continue
-                match = [c for c in cands if c.s + 1 == span.dim]
-                if not match:
-                    raise ArithmeticError(
-                        f"simple submodule of dim {span.dim} matches no label "
-                        f"of weight ({alpha}, {beta})"
-                    )
-                key = span.matrix().tobytes()
-                if key not in seen:
-                    seen.add(key)
-                    found.append((match[0], span))
+            match = [c for c in cands if c.s + 1 == span.dim]
+            if not match:
+                raise ArithmeticError(
+                    f"simple submodule of dim {span.dim} matches no label "
+                    f"of weight ({alpha}, {beta})"
+                )
+            key = span.matrix().tobytes()
+            if key not in seen:
+                seen.add(key)
+                found.append((match[0], span))
     found.sort(key=lambda lab_sp: (lab_sp[1].dim, lab_sp[0], lab_sp[1].matrix().tobytes()))
     return found
 
@@ -750,6 +739,29 @@ def _inv_matrix(A: np.ndarray, p: int) -> np.ndarray:
 # the terminal quotient
 
 
+class QuotientModule(GammaModule):
+    """V_r / (U + V**) for a submodule U, computed in the 2p+2 coordinates of
+    V_r/V**: the quotient of that module by the normal form of U."""
+
+    def __init__(self, p: int, r: int, U: FpSpace):
+        self.normal_form, self.cols = theta_normal_form(p, r, 2)
+        # V_r/V**: column c of each generator is the normal form of g . X^(r-c) Y^c
+        g, c = primitive_root(p), np.array(self.cols)
+        ambient = GammaModule(p, {
+            "u": (_binomials(c[:, None], np.arange(r + 1), p) @ self.normal_form % p).T,
+            "w": self.normal_form[r - c].T,
+            "d1": np.diag([pow(g, r - j, p) for j in self.cols]),
+            "d2": np.diag([pow(g, j, p) for j in self.cols]),
+        })
+        image = FpSpace.from_rows(U.matrix() @ self.normal_form % p, len(self.cols), p)
+        mod, self.project_coords = ambient.quotient(image)
+        super().__init__(p, mod.mats)
+
+    def project(self, F) -> np.ndarray:
+        """Class of an ambient degree-r polynomial in module coordinates."""
+        return self.project_coords(_as_vec(F, self.p) @ self.normal_form % self.p)
+
+
 @dataclass
 class QuotientData:
     """The quotient of the degree-r module by (second-monomial submodule +
@@ -757,55 +769,31 @@ class QuotientData:
 
     p: int
     r: int
-    module: SubquotientModule
+    module: QuotientModule
     x_second: ClosedSubspace
-    v_star: FpSpace
-    v_star2: FpSpace
-    denominator: FpSpace
     dimension: int
     factors: Counter = field(default_factory=Counter)
     socle: Counter = field(default_factory=Counter)
 
     def star_image(self) -> FpSpace:
-        """Image of the theta-divisible subspace inside the quotient."""
-        img = FpSpace(self.module.dim, self.p)
-        for row in self.v_star.matrix():
-            img.add(self.module.project(row))
-        return img
+        """Image of the theta-divisible subspace inside the quotient: the
+        kernel of the normal form modulo theta on V_r/V**, projected."""
+        R1, _ = theta_normal_form(self.p, self.r, 1)
+        kernel = linalg.nullspace(R1[self.module.cols].T, self.p)
+        rows = [self.module.project_coords(v) for v in kernel]
+        return FpSpace.from_rows(rows, self.module.dim, self.p)
 
 
-def quotient_Q(p: int, r: int, decompose: bool = True) -> QuotientData:
-    from .errors import DomainError
-
+def quotient_Q(p: int, r: int, decompose: bool = True, X: ClosedSubspace | None = None) -> QuotientData:
+    """The terminal quotient; ``X`` is the second-monomial submodule when the
+    caller has already built it."""
     if r < 2 * p + 1:
         raise DomainError(f"need r >= 2p+1; got r={r}, p={p}")
-    symp = sym_power(p, r)
-    x2 = build_X(p, r, "second")
-    vstar, vstar2 = filtration_spaces(p, r)
-    denom = x2.space.union(vstar2)
-    module = SubquotientModule(symp, None, denom)
-    data = QuotientData(p, r, module, x2, vstar, vstar2, denom, module.dim)
+    if X is None:
+        X = build_X(p, r, "second")
+    module = QuotientModule(p, r, X.space)
+    data = QuotientData(p, r, module, X, module.dim)
     if decompose:
         data.factors = jh_decompose(module)
         data.socle = socle_labels(module)
     return data
-
-
-def frobenius_twist_check(p: int, u: int, n: int) -> bool:
-    """Raising variables to the p^n power identifies the top-monomial module
-    in degree u with the one in degree p^n u; checks ranks and a basis map."""
-    if u % p == 0 or n < 1:
-        raise ValueError("need p coprime to u and n >= 1")
-    r = p**n * u
-    Xu = build_X(p, u, "top")
-    Xr = build_X(p, r, "top")
-    if Xu.dim != Xr.dim:
-        return False
-    stretched = FpSpace(r + 1, p)
-    for row in Xu.space.matrix():
-        img = np.zeros(r + 1, dtype=np.int64)
-        img[np.arange(u + 1) * p**n] = row
-        if img not in Xr.space:
-            return False
-        stretched.add(img)
-    return stretched.dim == Xu.dim

@@ -409,12 +409,8 @@ class QEnv:
 
     def kill_submodule(self, keep: JHLabel) -> FpSpace:
         """Span of the socle constituents whose label differs from ``keep``."""
-        space = FpSpace(self.module.dim, self.p)
-        for label, sub in socle_simples(self.module):
-            if label != keep:
-                for row in sub.matrix():
-                    space.add(row)
-        return space
+        rows = [row for label, sub in socle_simples(self.module) if label != keep for row in sub.rows]
+        return FpSpace.from_rows(rows, self.module.dim, self.p)
 
 
 def _expected_fn(env: QEnv, entries) -> ResidueFunction:

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from crysred import cli
 from crysred.cli import main, parse_slope
 from crysred.errors import DomainError
 from crysred.report import (
@@ -84,6 +85,24 @@ class TestStructure:
                            "--format", "json")
         rec = ReportRecord.from_dict(json.loads(out))
         assert rec.passed and rec.dim_computed == 6
+
+    def test_int64_overflow_is_a_domain_error(self, capsys):
+        # refused before any module is built
+        r = 2**63 // 9
+        code, out, err = run(capsys, "structure", "--p", "3", "--r", str(r),
+                             "--bound", str(r + 2))
+        assert code == 2 and "2^63" in err and out == ""
+
+    def test_internal_error_exit(self, capsys, monkeypatch):
+        # an exception that is not a verdict must not read as a mismatch (1)
+        def broken(p, r, checks=()):
+            raise ArithmeticError("spanning set is not monoid-stable")
+
+        monkeypatch.setattr(cli, "structure_report", broken)
+        code, out, err = run(capsys, "structure", "--p", "5", "--r", "25")
+        assert code == cli.EXIT_INTERNAL == 6 and out == ""
+        assert err.startswith("error: internal: ArithmeticError: spanning set")
+        assert "Traceback" in err
 
 
 class TestSweep:

@@ -1,3 +1,5 @@
+import multiprocessing
+import os
 from collections import Counter
 
 import numpy as np
@@ -6,30 +8,157 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crysred import symrep
+from crysred.errors import DomainError
 from crysred.linalg import FpSpace, nullspace, rank, rref
+from crysred.report import structure_report
 from crysred.symrep import (
     HomogPoly,
     JHLabel,
     SubquotientModule,
     act,
     build_X,
+    check_int64_domain,
     filtration_spaces,
-    frobenius_twist_check,
     gamma_iso,
     jh_decompose,
     jh_label,
     mat_mul,
     quotient_Q,
     socle_labels,
+    socle_simples,
     span_closure,
     standard_spanning_set,
     sym_power,
     theta_divides,
     theta_divides_criterion,
+    theta_intersection_dims,
+    theta_normal_form,
     theta_vec,
-    verify_stability,
     weight_module,
 )
+
+
+def frobenius_twist_check(p: int, u: int, n: int) -> bool:
+    """Raising variables to the p^n power identifies the top-monomial module
+    in degree u with the one in degree p^n u; checks ranks and a basis map."""
+    if u % p == 0 or n < 1:
+        raise ValueError("need p coprime to u and n >= 1")
+    r = p**n * u
+    Xu = build_X(p, u, "top")
+    Xr = build_X(p, r, "top")
+    if Xu.dim != Xr.dim:
+        return False
+    stretched = FpSpace(r + 1, p)
+    for row in Xu.space.matrix():
+        img = np.zeros(r + 1, dtype=np.int64)
+        img[np.arange(u + 1) * p**n] = row
+        if img not in Xr.space:
+            return False
+        stretched.add(img)
+    return stretched.dim == Xu.dim
+
+
+def _conjugated_weight_module():
+    """weight_module(5, 3, 2), a copy of it in scrambled (not torus-graded)
+    coordinates, and the change of basis P."""
+    p = 5
+    m1 = weight_module(p, 3, 2)
+    P = np.array([[1, 2, 0, 4], [0, 1, 0, 0], [3, 0, 1, 0], [0, 0, 0, 1]], dtype=np.int64)
+    Pinv = symrep._inv_matrix(P, p)
+    m2 = symrep.GammaModule(p, {k: P @ v @ Pinv % p for k, v in m1.mats.items()})
+    return m1, m2, P
+
+
+def _spin_by_worklist(mod, vecs) -> FpSpace:
+    """Vector-at-a-time spin, the reference for GammaModule.spin."""
+    space = FpSpace(mod.dim, mod.p)
+    work = [v for v in (np.asarray(v, dtype=np.int64) % mod.p for v in vecs) if space.add(v)]
+    while work:
+        v = work.pop()
+        for name in symrep.GEN_NAMES:
+            w = mod.act(name, v)
+            if space.add(w):
+                work.append(w)
+    return space
+
+
+def _socle_by_weight_search(mod):
+    """The (p-1)^2 kernel search for highest-weight lines that socle_simples
+    replaced by reading weights off the torus diagonal; the reference."""
+    p = mod.p
+    fixed = mod.unipotent_fixed()
+    if fixed.dim == 0:
+        return []
+    g = symrep.primitive_root(p)
+    B = fixed.matrix()
+    D = {name: np.array([fixed.express(mod.act(name, row)) for row in B]).T for name in ("d1", "d2")}
+    eye = np.eye(fixed.dim, dtype=np.int64)
+    found, seen = [], set()
+    for alpha in range(p - 1):
+        for beta in range(p - 1):
+            ker = nullspace(np.vstack([(D["d1"] - pow(g, alpha, p) * eye) % p,
+                                       (D["d2"] - pow(g, beta, p) * eye) % p]), p)
+            cands = symrep._weight_candidates(alpha, beta, p)
+            for line in (symrep._lines([c @ B % p for c in ker], p) if ker else []):
+                span = mod.spin([line])
+                if mod.restrict(span).unipotent_fixed().dim != 1:
+                    continue
+                key = span.matrix().tobytes()
+                if key not in seen:
+                    seen.add(key)
+                    found.append((next(c for c in cands if c.s + 1 == span.dim), span))
+    found.sort(key=lambda lab_sp: (lab_sp[1].dim, lab_sp[0], lab_sp[1].matrix().tobytes()))
+    return found
+
+
+def _engine_vs_reference(job):
+    """Mismatches at (p, r) between the fixed-size engine and the r-row
+    reference: span closure, intersections with the theta-multiple spaces,
+    and the quotient-mode SubquotientModule by X + V**."""
+    p, r = job
+    symp = sym_power(p, r)
+    bad, fast = [], {}
+    for which, j in (("top", 0), ("second", 1)):
+        X = build_X(p, r, which)
+        ref = span_closure([symp.monomial(j)], group="M", p=p, r=r)
+        if X.space != ref.space:
+            bad.append(f"{which}: span")
+            continue
+        ref_mod = SubquotientModule(symp, ref.space, None)
+        if any(not np.array_equal(X.module.mats[n], ref_mod.mats[n]) for n in symrep.GEN_NAMES):
+            bad.append(f"{which}: module matrices")
+        fast[which] = X
+    if r < 2 * p + 1 or bad:
+        return [(p, r, b) for b in bad]
+    vs, vss = filtration_spaces(p, r)
+    for which, X in fast.items():
+        ref_dims = (X.space.intersect(vs).dim, X.space.intersect(vss).dim)
+        if theta_intersection_dims(X) != ref_dims:
+            bad.append(f"{which}: filtration dims")
+    X = fast["second"]
+    q = quotient_Q(p, r, decompose=False, X=X)
+    ref_q = SubquotientModule(symp, None, X.space.union(vss))
+    if any(not np.array_equal(q.module.mats[n], ref_q.mats[n]) for n in symrep.GEN_NAMES):
+        bad.append("Q: generator matrices")
+    vecs = np.random.default_rng(p * 10000 + r).integers(0, p, size=(8, r + 1))
+    if not np.array_equal(q.module.project(vecs), ref_q.project(vecs)):
+        bad.append("Q: projection")
+    if q.star_image() != FpSpace.from_rows(ref_q.project(vs.matrix()), ref_q.dim, p):
+        bad.append("Q: image of V*")
+    return [(p, r, b) for b in bad]
+
+
+def verify_stability(sub, samples: int = 20, seed: int = 0) -> bool:
+    """Re-check stability on random elements of the full matrix monoid."""
+    rng = np.random.default_rng(seed)
+    symp = sym_power(sub.p, sub.r)
+    mats = rng.integers(0, sub.p, size=(samples, 4))
+    for g in mats:
+        M = symp.action_matrix(tuple(int(x) for x in g))
+        for row in sub.space.rows:
+            if M @ row % sub.p not in sub.space:
+                return False
+    return True
 
 
 class TestLinalg:
@@ -298,12 +427,7 @@ class TestJordanHoelder:
 
     def test_gamma_iso_roundtrip(self):
         p = 5
-        m1 = weight_module(p, 3, 2)
-        # conjugated copy: same module in scrambled coordinates
-        P = np.array([[1, 2, 0, 4], [0, 1, 0, 0], [3, 0, 1, 0], [0, 0, 0, 1]], dtype=np.int64)
-        Pinv = symrep._inv_matrix(P, p)
-        mats = {k: P @ m % p @ Pinv % p for k, m in m1.mats.items()}
-        m2 = symrep.GammaModule(p, {k: P @ v @ Pinv % p for k, v in m1.mats.items()})
+        m1, m2, P = _conjugated_weight_module()
         gen = sym_power(p, 3).monomial(0)
         T = gamma_iso(m1, gen, m2, P @ gen % p)
         assert np.array_equal(T @ gen % p, P @ gen % p)
@@ -382,3 +506,88 @@ class TestFrobeniusTwist:
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             frobenius_twist_check(5, 10, 1)
+
+
+class TestEngineAgainstReference:
+    def test_full_grid(self):
+        # fast build_X (top and second) equals the span closure for
+        # 1 <= r <= 3p^2; from r = 2p+1 on, the filtration dims, the Q
+        # generator matrices, its projection and the image of V* equal the
+        # r-row reference as well
+        jobs = [(p, r) for p in (3, 5, 7, 11) for r in range(1, 3 * p * p + 1)]
+        jobs.sort(key=lambda job: -job[0] ** 2 * job[1])  # costliest first
+        workers = min(8, max(1, os.cpu_count() or 1))
+        if workers > 1 and os.environ.get("CRYSRED_TEST_SERIAL") != "1":
+            with multiprocessing.get_context("spawn").Pool(workers) as pool:
+                results = pool.map(_engine_vs_reference, jobs, chunksize=4)
+        else:
+            results = [_engine_vs_reference(job) for job in jobs]
+        assert len(results) == 3 * (9 + 25 + 49 + 121)
+        mismatches = [m for res in results for m in res]
+        assert not mismatches, mismatches[:10]
+
+
+class TestThetaNormalForms:
+    def test_match_echelon_reduction(self):
+        # every monomial's normal form equals its remainder against the
+        # theta^k-multiple echelon space, read on the non-pivot columns
+        for p in (3, 5, 7):
+            for r in range(0, 3 * p * p + 1):
+                for k in (1, 2):
+                    R, cols = theta_normal_form(p, r, k)
+                    space = symrep.theta_multiple_space(p, r, k)
+                    assert cols == space.nonpivot_columns()
+                    if r >= k * p + k - 1:
+                        assert len(cols) == (p + 1) * k
+                    rem = space.reduce(np.eye(r + 1, dtype=np.int64))
+                    assert np.array_equal(R, rem[:, cols]), (p, r, k)
+                    assert not rem[:, space.pivots].any()
+
+
+class TestGradedSocle:
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_weight_search_on_random_subquotients(self, data):
+        p = data.draw(st.sampled_from([3, 5, 7]), label="p")
+        r = data.draw(st.integers(1, 3 * p), label="r")
+        full = SubquotientModule(sym_power(p, r), None, None)
+
+        def weight_vectors(n):
+            # torus weight vectors: supported on one class of Y-degrees mod p-1
+            out = []
+            for _ in range(n):
+                j = data.draw(st.integers(0, r))
+                v = np.zeros(r + 1, dtype=np.int64)
+                for i in range(j % (p - 1), r + 1, p - 1):
+                    v[i] = data.draw(st.integers(0, p - 1))
+                v[j] = 1
+                out.append(v)
+            return out
+
+        gens_u = weight_vectors(data.draw(st.integers(0, 2)))
+        gens_w = gens_u + weight_vectors(data.draw(st.integers(1, 2)))
+        U, W = full.spin(gens_u), full.spin(gens_w)
+        assert U == _spin_by_worklist(full, gens_u) and W == _spin_by_worklist(full, gens_w)
+        mod = SubquotientModule(sym_power(p, r), W, U)
+        got, want = socle_simples(mod), _socle_by_weight_search(mod)
+        assert [label for label, _ in got] == [label for label, _ in want]
+        assert all(a == b for (_, a), (_, b) in zip(got, want))
+
+    def test_rejects_a_module_not_graded_by_the_torus(self):
+        m1, m2, _ = _conjugated_weight_module()
+        assert socle_labels(m1) == Counter({jh_label(3, 2, 5): 1})
+        with pytest.raises(ArithmeticError):
+            socle_simples(m2)
+
+
+class TestInt64Guard:
+    def test_boundary(self):
+        # the first degree with p*p*(r+2) >= 2^63 is refused before any
+        # module is built; the degree below it passes the guard
+        for p in (3, 5, 53):
+            r = -(-(2**63) // (p * p)) - 2
+            check_int64_domain(p, r - 1)
+            for call in (lambda: build_X(p, r, "top"), lambda: build_X(p, r),
+                         lambda: quotient_Q(p, r), lambda: structure_report(p, r)):
+                with pytest.raises(DomainError):
+                    call()
