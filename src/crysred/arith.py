@@ -172,8 +172,8 @@ def class_sum_table(r: int, p: int, k: int = 3) -> list[int]:
     """sum of binom(r, j) mod p^k over 0 <= j <= r, per class j mod (p-1).
 
     One incremental pass carrying binom(r, j) as p^e * unit with the unit
-    held mod p^k; exact residues without full-size integers, so degree
-    sweeps into the thousands stay fast.
+    held mod p^k; exact residues without full-size integers.  It is the
+    per-degree reference for the degree sweep ``_class_sum_tables``.
     """
     require_odd_prime(p)
     pk = p**k
@@ -201,6 +201,56 @@ def class_sum_table(r: int, p: int, k: int = 3) -> list[int]:
             inv_cache[den] = inv
         u = u * (num % pk) % pk * inv % pk
         j += 1
+
+
+def _class_sum_tables(r_to: int, p: int, k: int):
+    """Yield class_sum_table(r, p, k) for r = 0, 1, ..., r_to.
+
+    Pascal's rule summed over a class, t_(r+1)[c] = t_r[c] + t_r[c-1] with c-1
+    taken mod p-1, steps from t_0 = e_0 in p-1 additions per degree."""
+    pk = p**k
+    tab = [1] + [0] * (p - 2)
+    yield tab
+    for _ in range(r_to):
+        tab = [(tab[c] + tab[c - 1]) % pk for c in range(p - 1)]
+        yield tab
+
+
+def lemma_rows(p: int, r_to: int) -> list[dict]:
+    """The three class-sum lemmas at every degree 1 <= r <= r_to, one row per
+    degree, checked on residue tables mod p^3 (the big-integer class sums
+    are their oracle in the test-suite)."""
+    if r_to < 1:
+        raise DomainError(f"empty lemma range: --r-to {r_to} is below 1")
+    require_odd_prime(p)
+    rows = []
+    p2, p3 = p * p, p**3
+    tables = _class_sum_tables(r_to, p, 3)
+    next(tables)  # r = 0
+    for r, tab in enumerate(tables, start=1):
+        a = r % (p - 1) or p - 1
+        b = a if a != 1 else p
+        row = {"p": p, "r": r, "a": a, "b": b}
+        # sum over 0 < j < r in class a: drop j = r, and j = 0 when a = p-1
+        S = (tab[a % (p - 1)] - 1 - (1 if a == p - 1 else 0)) % p3
+        want = (a - r) * inv_mod(a, p) % p
+        quotient = (S % p2) // p if S % p == 0 else -1
+        ok = quotient == want
+        row["class_sum_quotient"] = quotient
+        row["class_sum_expected"] = want
+        if r >= b:  # below b the sum is empty and the closed form does not apply
+            # sum over 0 < j < r-1 in class b-1: drop j = r-1, and j = 0 when b = p
+            tr = (tab[(b - 1) % (p - 1)] - r - (1 if b == p else 0)) % p
+            ok &= tr == (b - r) % p
+            row["t_sum"] = tr
+        if r % p == 0 and (r - 1) % (p - 1) == 0:
+            # sum over 1 < j < r in class 1: drop j = 1 and j = r
+            s2 = (tab[1 % (p - 1)] - r - 1) % p2
+            ok &= s2 == (p - r) % p2
+            row["s_sum_mod_p2"] = s2
+        row["pass"] = bool(ok)
+        rows.append(row)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -240,21 +290,36 @@ def power_sum_lambda(i: int, p: int, precision: int = DEFAULT_PRECISION) -> int:
 # never trust the construction: every property is re-checked exactly.
 
 
+def _binom_row(r: int) -> list[int]:
+    """The exact row binom(r, 0), ..., binom(r, r), by
+    binom(r, j+1) = binom(r, j) * (r-j) / (j+1)."""
+    row = [1] * (r + 1)
+    c = 1
+    for j in range(r):
+        c = c * (r - j) // (j + 1)
+        row[j + 1] = c
+    return row
+
+
 def _validate_family(name: str, checks: dict[str, bool]) -> None:
     failed = [k for k, ok in checks.items() if not ok]
     if failed:
         raise ArithmeticError(f"{name} family failed checks: {', '.join(failed)}")
 
 
-def alpha_family_properties(fam: dict[int, int], r: int, a: int, p: int) -> dict[str, bool]:
-    """Exact big-integer checks for a linear-level alpha family."""
+def _alpha_properties(fam: dict[int, int], r: int, a: int, p: int, row: list[int]) -> dict[str, bool]:
     tgt = math.comb(r, 2) if a == 2 else 0
     return {
-        "matches_binom_mod_p": all((fam[j] - math.comb(r, j)) % p == 0 for j in fam),
+        "matches_binom_mod_p": all((fam[j] - row[j]) % p == 0 for j in fam),
         "sum_mod_p3": sum(fam.values()) % p**3 == 0,
         "weighted_sum_mod_p2": sum(j * x for j, x in fam.items()) % p**2 == 0,
         "choose2_sum_mod_p": (sum(math.comb(j, 2) * x for j, x in fam.items()) - tgt) % p == 0,
     }
+
+
+def alpha_family_properties(fam: dict[int, int], r: int, a: int, p: int) -> dict[str, bool]:
+    """Exact big-integer checks for a linear-level alpha family."""
+    return _alpha_properties(fam, r, a, p, _binom_row(r))
 
 
 def choose_alphas(r: int, a: int, p: int) -> dict[int, int]:
@@ -268,24 +333,29 @@ def choose_alphas(r: int, a: int, p: int) -> dict[int, int]:
     if not (2 <= a <= p - 1) or (r - a) % (p - 1):
         raise HypothesisError(f"need r = a (mod p-1) with 2 <= a <= p-1; got r={r}, a={a}")
     js = list(_class_range(1, r, a, p - 1))
+    row = _binom_row(r)
     if r <= a * p:
         fam = {j: 0 for j in js}
     else:
         a_inv = inv_mod(a, p * p)
-        alpha_a = -a_inv * sum(j * math.comb(r, j) for j in js if j > a)
-        fam = {j: math.comb(r, j) for j in js}
+        alpha_a = -a_inv * sum(j * row[j] for j in js if j > a)
+        fam = {j: row[j] for j in js}
         fam[a] = alpha_a
-        fam[a * p] = -sum(math.comb(r, j) for j in js if j not in (a, a * p)) - alpha_a
-    _validate_family("alpha", alpha_family_properties(fam, r, a, p))
+        fam[a * p] = -sum(row[j] for j in js if j not in (a, a * p)) - alpha_a
+    _validate_family("alpha", _alpha_properties(fam, r, a, p, row))
     return fam
 
 
-def beta_family_properties(fam: dict[int, int], r: int, b: int, p: int) -> dict[str, bool]:
-    out = {"matches_binom_mod_p": all((fam[j] - math.comb(r, j)) % p == 0 for j in fam)}
+def _beta_properties(fam: dict[int, int], p: int, row: list[int]) -> dict[str, bool]:
+    out = {"matches_binom_mod_p": all((fam[j] - row[j]) % p == 0 for j in fam)}
     for n in (0, 1, 2):
         total = sum(math.comb(j, n) * x for j, x in fam.items() if j >= n)
         out[f"choose{n}_sum_mod_p{3 - n}"] = total % p ** (3 - n) == 0
     return out
+
+
+def beta_family_properties(fam: dict[int, int], r: int, b: int, p: int) -> dict[str, bool]:
+    return _beta_properties(fam, p, _binom_row(r))
 
 
 def choose_betas(r: int, b: int, p: int) -> dict[int, int]:
@@ -302,24 +372,25 @@ def choose_betas(r: int, b: int, p: int) -> dict[int, int]:
     js = list(_class_range(b - 1, r - 1, b - 1, p - 1))
     if not js:
         return {}
+    row = _binom_row(r)
     j0, j1 = b - 1, (b - 1) * p
     binv = inv_mod(b - 1, p * p)
-    beta0 = -binv * sum(j * math.comb(r, j) for j in js if j > j0)
-    fam = {j: math.comb(r, j) for j in js}
+    beta0 = -binv * sum(j * row[j] for j in js if j > j0)
+    fam = {j: row[j] for j in js}
     fam[j0] = beta0
-    fam[j1] = -sum(math.comb(r, j) for j in js if j not in (j0, j1)) - beta0
-    _validate_family("beta", beta_family_properties(fam, r, b, p))
+    fam[j1] = -sum(row[j] for j in js if j not in (j0, j1)) - beta0
+    _validate_family("beta", _beta_properties(fam, p, row))
     return fam
 
 
-def quad_family_properties(
-    fam: dict[int, int], r: int, p: int, cubic_target: int
+def _quad_properties(
+    fam: dict[int, int], p: int, cubic_target: int, row: list[int]
 ) -> dict[str, bool]:
     if not fam:
         # degenerate degree: no indices, nothing to satisfy
         return {"empty": True}
     out = {
-        "matches_binom_mod_p2": all((fam[j] - math.comb(r, j)) % (p * p) == 0 for j in fam),
+        "matches_binom_mod_p2": all((fam[j] - row[j]) % (p * p) == 0 for j in fam),
         "choose3_sum_mod_p": (
             sum(math.comb(j, 3) * x for j, x in fam.items() if j >= 3) - cubic_target
         )
@@ -330,6 +401,12 @@ def quad_family_properties(
         total = sum(math.comb(j, n) * x for j, x in fam.items() if j >= n)
         out[f"choose{n}_sum_mod_p{4 - n}"] = total % p ** (4 - n) == 0
     return out
+
+
+def quad_family_properties(
+    fam: dict[int, int], r: int, p: int, cubic_target: int
+) -> dict[str, bool]:
+    return _quad_properties(fam, p, cubic_target, _binom_row(r))
 
 
 def _require_quad_hypotheses(r: int, p: int) -> None:
@@ -346,11 +423,12 @@ def choose_alphas_modp2(r: int, p: int) -> dict[int, int]:
     js = list(_class_range(p, r, 1, p - 1))
     if not js:
         return {}
-    fam = {j: math.comb(r, j) for j in js}
+    row = _binom_row(r)
+    fam = {j: row[j] for j in js}
     # a single correction at j = p makes the plain sum vanish exactly; the
     # higher-weight congruences then hold on their own
-    fam[p] -= sum(math.comb(r, j) for j in js)
-    _validate_family("alpha2", quad_family_properties(fam, r, p, 1 if p == 3 else 0))
+    fam[p] -= sum(row[j] for j in js)
+    _validate_family("alpha2", _quad_properties(fam, p, 1 if p == 3 else 0, row))
     return fam
 
 
@@ -362,9 +440,10 @@ def choose_gammas_modp2(r: int, p: int) -> dict[int, int]:
     js = list(_class_range(p - 1, r - 1, 0, p - 1))
     if not js:
         return {}
+    row = _binom_row(r)
     j0, j1 = p - 1, (p - 1) * p
-    S = sum(math.comb(r, j) for j in js)
-    T1 = sum(j * math.comb(r, j) for j in js)
+    S = sum(row[j] for j in js)
+    T1 = sum(j * row[j] for j in js)
     if S % (p * p) or T1 % (p * p):
         raise ArithmeticError("plain/weighted class sums not divisible by p^2")
     c0 = -(S // (p * p))
@@ -372,10 +451,10 @@ def choose_gammas_modp2(r: int, p: int) -> dict[int, int]:
     # j-weighted sum mod p^3; their index gap p-1 is invertible mod p
     eps1 = (-(T1 // (p * p)) - j0 * c0) * inv_mod(j1 - j0, p) % p
     eps0 = c0 - eps1
-    fam = {j: math.comb(r, j) for j in js}
+    fam = {j: row[j] for j in js}
     fam[j0] += p * p * eps0
     fam[j1] += p * p * eps1
-    _validate_family("gamma", quad_family_properties(fam, r, p, -1 if p == 3 else 0))
+    _validate_family("gamma", _quad_properties(fam, p, -1 if p == 3 else 0, row))
     return fam
 
 
@@ -487,16 +566,23 @@ class ApCoeff:
             lb = min(lb, min(padic_val(c, p), e) + d * sigma)
         return lb
 
-    def min_terms(self, sigma: Fraction, p: int):
-        """(bound, [degrees achieving it]) over the stored terms."""
-        best, who = INF, []
+    def audit_terms(self, sigma: Fraction, p: int):
+        """(bound, [degrees achieving it], short) over the stored terms, one
+        valuation per term.  ``short`` is (err, d) of the first truncated term
+        whose error sits within PRECISION_HEADROOM of valuation 0, else None:
+        when the bound is >= 0, ``certify_val_ge(0, ...)`` raises exactly
+        for such a term."""
+        best, who, short = INF, [], None
         for d, (c, e) in self.terms.items():
-            v = min(padic_val(c, p), e) + d * sigma
+            ds = d * sigma
+            v = min(padic_val(c, p), e) + ds
             if v < best:
                 best, who = v, [d]
             elif v == best:
                 who.append(d)
-        return best, who
+            if short is None and e is not INF and e + ds < PRECISION_HEADROOM:
+                short = (e, d)
+        return best, who, short
 
     def certify_val_ge(self, bound, sigma: Fraction, p: int) -> bool:
         """True if the true valuation is provably >= bound; raises

@@ -129,41 +129,9 @@ def _sweep_worker(job) -> dict:
     return structure_report(p, r, checks).to_dict()
 
 
-def _lemma_rows(p: int, r_to: int) -> list[dict]:
-    """Class-sum lemma checks from the incremental residue tables (the exact
-    big-integer path is exercised against the tables in the test-suite)."""
-    if r_to < 1:
-        raise DomainError(f"empty lemma range: --r-to {r_to} is below 1")
-    rows = []
-    p2, p3 = p * p, p**3
-    for r in range(1, r_to + 1):
-        a = r % (p - 1) or p - 1
-        b = a if a != 1 else p
-        row = {"p": p, "r": r, "a": a, "b": b}
-        ok = True
-        tab = arith.class_sum_table(r, p, 3)
-        S = (tab[a % (p - 1)] - 1 - (1 if a == p - 1 else 0)) % p3
-        want = (a - r) * arith.inv_mod(a, p) % p
-        quotient = (S % p2) // p if S % p == 0 else -1
-        ok &= quotient == want
-        row["class_sum_quotient"] = quotient
-        row["class_sum_expected"] = want
-        if r >= b:  # below b the sum is empty and the closed form does not apply
-            tr = (tab[(b - 1) % (p - 1)] - r - (1 if b == p else 0)) % p
-            ok &= tr == (b - r) % p
-            row["t_sum"] = tr
-        if r % p == 0 and (r - 1) % (p - 1) == 0:
-            s2 = (tab[1 % (p - 1)] - r - 1) % p2
-            ok &= s2 == (p - r) % p2
-            row["s_sum_mod_p2"] = s2
-        row["pass"] = bool(ok)
-        rows.append(row)
-    return rows
-
-
 def cmd_sweep(args) -> int:
     if args.check == "lemmas":
-        rows = _lemma_rows(args.p, args.r_to)
+        rows = arith.lemma_rows(args.p, args.r_to)
         bad = [row for row in rows if not row["pass"]]
         if args.format == "json":
             print(json.dumps({"rows": rows, "failed": len(bad)}, indent=2, sort_keys=True))
@@ -268,7 +236,7 @@ def cmd_witness(args) -> int:
 
 def cmd_verify_lemmas(args) -> int:
     failures = 0
-    rows = _lemma_rows(args.p, args.r_to)
+    rows = arith.lemma_rows(args.p, args.r_to)
     failures += sum(not row["pass"] for row in rows)
     fam_rows = []
     p = args.p

@@ -457,23 +457,24 @@ def precision_margin(f: IndFunction, sigma: Fraction):
 
 
 def audit_valuations(f: IndFunction, sigma: Fraction) -> ValuationReport:
-    """Certify a lower valuation bound for every coefficient.
+    """Certify a lower valuation bound for every coefficient, in one pass.
 
     A negative bound achieved by a single symbol degree is an exact failure;
-    a tie between several degrees is reported as indeterminate."""
+    a tie between several degrees is reported as indeterminate.  Either wins
+    over a truncated term too close to valuation 0, which otherwise raises
+    PrecisionError (the first such term in the function's own order)."""
     _require_residue_cap(f)
     entries = []
-    failures = []
-    min_val = math.inf
-    for coset in sorted(f.data):
-        for j in sorted(f.data[coset]):
-            c = f.data[coset][j]
-            bound, degs = c.min_terms(sigma, f.p)
+    short = None
+    for coset, poly in f.data.items():
+        for j, c in poly.items():
+            bound, degs, s = c.audit_terms(sigma, f.p)
             entries.append((coset, j, bound, tuple(degs)))
-            if bound < 0:
-                failures.append((coset, j, bound, tuple(degs)))
-            if bound < min_val:
-                min_val = bound
+            if short is None:
+                short = s
+    entries.sort(key=lambda entry: entry[:2])
+    min_val = min((entry[2] for entry in entries), default=math.inf)
+    failures = [entry for entry in entries if entry[2] < 0]
     if failures:
         multi = [e for e in failures if len(e[3]) > 1]
         if multi:
@@ -481,11 +482,9 @@ def audit_valuations(f: IndFunction, sigma: Fraction) -> ValuationReport:
                 f"minimal valuation tied between symbol degrees at {multi[0][:2]}"
             )
         return ValuationReport(False, min_val, entries, failures)
-    # re-certify through the precision-aware path
-    for coset, poly in f.data.items():
-        for j, c in poly.items():
-            if not c.certify_val_ge(0, sigma, f.p):
-                return ValuationReport(False, min_val, entries, [(coset, j, c.val_lb(sigma, f.p), ())])
+    if short is not None:
+        err, d = short
+        raise PrecisionError(f"bound 0 within headroom of precision {err} at degree {d}")
     return ValuationReport(True, min_val, entries, [])
 
 

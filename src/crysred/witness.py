@@ -28,6 +28,7 @@ from .arith import (
     class_sum_S,
     inv_mod,
     padic_val,
+    require_odd_prime,
 )
 from .classify import case_descriptor
 from .errors import DomainError, HypothesisError
@@ -148,8 +149,10 @@ def _validate(case: WitnessCase) -> dict:
     p, r, sig = case.p, case.r, case.sigma
     if case.tag not in TAGS:
         raise HypothesisError(f"unknown scenario {case.tag}")
-    if case.ubar is not None and case.ubar % p == 0:
-        raise DomainError(f"ubar = {case.ubar} is not a unit mod p = {p}")
+    if case.ubar is not None:
+        require_odd_prime(p)  # a unit mod p needs p first
+        if case.ubar % p == 0:
+            raise DomainError(f"ubar = {case.ubar} is not a unit mod p = {p}")
     if not Fraction(1) < sig < Fraction(2):
         raise HypothesisError(f"slope {sig} outside (1, 2)")
     desc = case_descriptor(p, r)

@@ -88,35 +88,13 @@ class TestCriterion3:
 
 
 class TestCriterion4:
-    @staticmethod
-    def _lemma_failures_via_table(p, r):
-        """Check the three class-sum lemmas at (p, r) from one residue table."""
-        out = []
-        a = r % (p - 1) or p - 1
-        b = a if a != 1 else p
-        tab = arith.class_sum_table(r, p, 3)
-        p2, p3 = p * p, p**3
-        # sum over 0 < j < r in class a: drop j = r, and j = 0 when a = p-1
-        S = (tab[a % (p - 1)] - 1 - (1 if a == p - 1 else 0)) % p3
-        if S % p or (S % p2) // p != (a - r) * inv_mod(a, p) % p:
-            out.append(("S", p, r))
-        # sum over 0 < j < r-1 in class b-1: drop j = r-1, and j = 0 when b = p
-        if r >= b:
-            T = (tab[(b - 1) % (p - 1)] - r - (1 if b == p else 0)) % p
-            if T != (b - r) % p:
-                out.append(("T", p, r))
-        if r % p == 0 and (r - 1) % (p - 1) == 0:
-            # sum over 1 < j < r in class 1: drop j = 1 and j = r
-            S2 = (tab[1 % (p - 1)] - r - 1) % p2
-            if S2 != (p - r) % p2:
-                out.append(("S2", p, r))
-        return out
-
     def test_congruence_lemmas(self):
-        failures = []
+        rows = {}
         for p in LEMMA_PRIMES:
-            for r in range(1, LEMMA_R_MAX + 1):
-                failures.extend(self._lemma_failures_via_table(p, r))
+            for row in arith.lemma_rows(p, LEMMA_R_MAX):
+                rows[p, row["r"]] = row
+        failures = [("lemma", p, r) for (p, r), row in rows.items() if not row["pass"]]
+        assert len(rows) == len(LEMMA_PRIMES) * LEMMA_R_MAX
         # tie the fast residue path to the big-integer functions on a sample
         for p in LEMMA_PRIMES:
             for r in range(1, 160):
@@ -134,6 +112,16 @@ class TestCriterion4:
                     S2 = (tab[1 % (p - 1)] - r - 1) % p**2
                     if S2 != class_sum_S_modp2(r, p):
                         failures.append(("S2-oracle", p, r))
+                # and the swept rows to the same big-integer functions
+                row = rows[p, r]
+                if row["class_sum_quotient"] != class_sum_S(r, a, p)[1]:
+                    failures.append(("S-row", p, r))
+                if r >= b and row["t_sum"] != class_sum_T(r, b, p):
+                    failures.append(("T-row", p, r))
+                if ("s_sum_mod_p2" in row) != (r % p == 0 and (r - 1) % (p - 1) == 0):
+                    failures.append(("S2-row-presence", p, r))
+                elif "s_sum_mod_p2" in row and row["s_sum_mod_p2"] != class_sum_S_modp2(r, p):
+                    failures.append(("S2-row", p, r))
         # constructed families: every enumerated congruence, exact big integers
         for p in (3, 5, 7):
             for a in range(2, p):

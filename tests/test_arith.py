@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crysred import arith
+from crysred import arith, cli
 from crysred.arith import (
     ApCoeff,
     ResidueExpr,
@@ -27,7 +27,8 @@ from crysred.arith import (
     quad_family_properties,
     teichmuller,
 )
-from crysred.errors import HypothesisError, PrecisionError
+from crysred.errors import DomainError, HypothesisError, PrecisionError
+from test_acceptance import LEMMA_PRIMES, LEMMA_R_MAX
 
 PRIMES = [3, 5, 7, 11, 13]
 
@@ -276,3 +277,72 @@ class TestResidueExpr:
         b = ResidueExpr(5, {-1: 3})
         assert (a * b).coeffs == {0: 1}
         assert (a - a).is_zero()
+
+
+def _lemma_rows_per_degree(p: int, r_to: int) -> list[dict]:
+    """The lemma rows built from one ``class_sum_table`` per degree: the
+    reference for ``arith.lemma_rows``, which steps its tables across
+    degrees."""
+    rows = []
+    p2, p3 = p * p, p**3
+    for r in range(1, r_to + 1):
+        a = r % (p - 1) or p - 1
+        b = a if a != 1 else p
+        row = {"p": p, "r": r, "a": a, "b": b}
+        ok = True
+        tab = arith.class_sum_table(r, p, 3)
+        S = (tab[a % (p - 1)] - 1 - (1 if a == p - 1 else 0)) % p3
+        want = (a - r) * inv_mod(a, p) % p
+        quotient = (S % p2) // p if S % p == 0 else -1
+        ok &= quotient == want
+        row["class_sum_quotient"] = quotient
+        row["class_sum_expected"] = want
+        if r >= b:
+            tr = (tab[(b - 1) % (p - 1)] - r - (1 if b == p else 0)) % p
+            ok &= tr == (b - r) % p
+            row["t_sum"] = tr
+        if r % p == 0 and (r - 1) % (p - 1) == 0:
+            s2 = (tab[1 % (p - 1)] - r - 1) % p2
+            ok &= s2 == (p - r) % p2
+            row["s_sum_mod_p2"] = s2
+        row["pass"] = bool(ok)
+        rows.append(row)
+    return rows
+
+
+class TestDegreeSweep:
+    def test_tables_match_per_degree_table(self):
+        for p in LEMMA_PRIMES:
+            tables = arith._class_sum_tables(LEMMA_R_MAX, p, 3)
+            for r, tab in enumerate(tables):
+                assert tab == arith.class_sum_table(r, p, 3), (p, r)
+            assert r == LEMMA_R_MAX
+
+    def test_lemma_rows_match_per_degree_rows(self):
+        for p in LEMMA_PRIMES:
+            assert arith.lemma_rows(p, 600) == _lemma_rows_per_degree(p, 600), p
+
+    def test_lemma_rows_refuse_bad_input(self):
+        with pytest.raises(DomainError, match="empty"):
+            arith.lemma_rows(5, 0)
+        for p in (-3, 0, 1, 2, 9):
+            with pytest.raises(DomainError, match="not an odd prime"):
+                arith.lemma_rows(p, 5)
+
+    def test_binom_row_at_every_family_degree(self, monkeypatch, capsys):
+        # every row that verify-lemmas builds, for each odd prime p <= 13,
+        # against math.comb
+        seen = set()
+        row_fn = arith._binom_row
+
+        def recording(r):
+            seen.add(r)
+            return row_fn(r)
+
+        monkeypatch.setattr(arith, "_binom_row", recording)
+        for p in (3, 5, 7, 11, 13):
+            assert cli.main(["verify-lemmas", "--p", str(p), "--r-to", str(LEMMA_R_MAX)]) == 0
+        capsys.readouterr()
+        assert {2041, 4069} <= seen
+        for r in sorted(seen):
+            assert row_fn(r) == [math.comb(r, j) for j in range(r + 1)], r

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crysred import cli
 from crysred.cli import main, parse_slope
@@ -15,6 +19,7 @@ from crysred.report import (
     structure_report,
 )
 from crysred.symrep import JHLabel
+from crysred.witness import TAGS
 
 
 def run(capsys, *argv):
@@ -177,6 +182,11 @@ class TestWitnessCommand:
                            "--r", "23", "--slope", "3/2", "--ubar", "5")
         assert code == 2 and "unit" in err
 
+    def test_ubar_with_p_zero_is_a_domain_error(self, capsys):
+        code, out, err = run(capsys, "witness", "--case", "T8.2", "--p", "0",
+                             "--r", "19", "--slope", "3/2", "--ubar", "0")
+        assert code == 2 and "p = 0 is not an odd prime" in err and out == ""
+
     def test_json_precision_margin(self, capsys, monkeypatch):
         # eight carried digits leave three to spare over the abort at five
         monkeypatch.setenv("CRYSRED_PRECISION", "8")
@@ -204,6 +214,13 @@ class TestVerifyLemmas:
         code, out, _ = run(capsys, "verify-lemmas", "--p", "5", "--r-to", "120")
         assert code == 0 and "failures: 0" in out
 
+    def test_p_one_is_a_domain_error(self, capsys):
+        # refused before any arithmetic mod p - 1
+        for argv in (["verify-lemmas", "--p", "1", "--r-to", "5"],
+                     ["sweep", "--p", "1", "--check", "lemmas", "--r-to", "5"]):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and "p = 1 is not an odd prime" in err and out == "", argv
+
 
 class TestRecordCodecs:
     def test_report_record_roundtrip(self):
@@ -218,3 +235,63 @@ class TestRecordCodecs:
             Counter({JHLabel(1, 0): 2, JHLabel(3, 1): 1}),
         ]:
             assert factors_from_str(factors_to_str(factors)) == factors
+
+
+# ---------------------------------------------------------------------------
+# every input ends in a documented exit code
+
+DOCUMENTED_EXITS = {0, 1, 2, 3, 4, 5}
+SMALL_P = st.one_of(st.sampled_from([3, 5, 7, 11, 13]), st.integers(-3, 13))
+SLOPES = st.sampled_from(["3/2", "5/4", "4/3", "7/4", "6/5", "5/3", "1", "2", "5/2", "0",
+                          "-3/2", "3/0", "1.5", "1e0", "abc", ""])
+HYP_STAR = st.sampled_from(["holds", "fails", "unknown"])
+FORMATS = st.sampled_from(["text", "json"])
+
+
+@st.composite
+def cli_argv(draw):
+    """Bounded arguments for one subcommand: small and invalid p, r and
+    --r-to, each witness tag, malformed and out-of-range slopes, --ubar."""
+    p = ["--p", str(draw(SMALL_P))]
+    command = draw(st.sampled_from(["classify", "structure", "sweep", "witness", "verify-lemmas"]))
+    if command == "classify":
+        which = draw(st.sampled_from(["--k", "--r", "both", "neither"]))
+        argv = ["classify", *p, "--slope", draw(SLOPES), "--hyp-star", draw(HYP_STAR)]
+        if which in ("--k", "both"):
+            argv += ["--k", str(draw(st.integers(-2, 42)))]
+        if which in ("--r", "both"):
+            argv += ["--r", str(draw(st.integers(-2, 40)))]
+        return argv + ["--format", draw(FORMATS)]
+    if command == "structure":
+        return ["structure", *p, "--r", str(draw(st.integers(-2, 40))),
+                "--bound", str(draw(st.integers(0, 60))), "--format", draw(FORMATS)]
+    if command == "sweep":
+        check = draw(st.sampled_from(["dim", "x-factors", "q-factors", "all", "lemmas"]))
+        r_to = draw(st.integers(-3, 200 if check == "lemmas" else 40))
+        argv = ["sweep", *p, "--check", check, "--r-to", str(r_to),
+                "--format", draw(st.sampled_from(["text", "csv", "json"]))]
+        if draw(st.booleans()):
+            argv += ["--r-from", str(draw(st.integers(-3, 40)))]
+        return argv
+    if command == "witness":
+        argv = ["witness", "--case", draw(st.sampled_from(list(TAGS))), *p,
+                "--r", str(draw(st.integers(-2, 40))), "--slope", draw(SLOPES),
+                "--hyp-star", draw(HYP_STAR), "--format", draw(FORMATS)]
+        if draw(st.booleans()):
+            argv += ["--ubar", str(draw(st.integers(-2, 13)))]
+        return argv
+    return ["verify-lemmas", *p, "--r-to", str(draw(st.integers(-3, 200))),
+            "--format", draw(FORMATS)]
+
+
+class TestExitCodes:
+    @given(cli_argv())
+    @settings(max_examples=250, deadline=None)
+    def test_every_exit_code_is_documented(self, argv):
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refuses the arguments
+                code = exc.code
+        assert code in DOCUMENTED_EXITS, (argv, code, err.getvalue()[-400:])

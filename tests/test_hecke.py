@@ -6,13 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crysred.arith import PRECISION_HEADROOM, ApCoeff
+from crysred.arith import PRECISION_HEADROOM, ApCoeff, padic_val
 from crysred.hecke import (
     ALPHA,
     Coset,
     IDENTITY,
     IndFunction,
     ResidueFunction,
+    ValuationReport,
+    _require_residue_cap,
     apply_T,
     apply_Tminus,
     apply_Tplus,
@@ -272,3 +274,110 @@ class TestAbsoluteCap:
             functions_agree(f, f, Fraction(5, 4), min_val=9)
         with pytest.raises(PrecisionError):
             functions_agree(f, f.scale(Fraction(1, 5)), Fraction(5, 4), min_val=8)
+
+
+def _min_terms(c: ApCoeff, sigma, p):
+    """(bound, [degrees achieving it]) over the stored terms."""
+    best, who = math.inf, []
+    for d, (v, e) in c.terms.items():
+        val = min(padic_val(v, p), e) + d * sigma
+        if val < best:
+            best, who = val, [d]
+        elif val == best:
+            who.append(d)
+    return best, who
+
+
+def _two_pass_audit(f, sigma):
+    """The valuation audit as two passes, kept as the reference of the
+    one-pass ``audit_valuations``: bounds in sorted order first, then every
+    coefficient re-certified through ``certify_val_ge``."""
+    _require_residue_cap(f)
+    entries, failures, min_val = [], [], math.inf
+    for coset in sorted(f.data):
+        for j in sorted(f.data[coset]):
+            bound, degs = _min_terms(f.data[coset][j], sigma, f.p)
+            entries.append((coset, j, bound, tuple(degs)))
+            if bound < 0:
+                failures.append((coset, j, bound, tuple(degs)))
+            if bound < min_val:
+                min_val = bound
+    if failures:
+        multi = [e for e in failures if len(e[3]) > 1]
+        if multi:
+            raise IndeterminateCancellation(
+                f"minimal valuation tied between symbol degrees at {multi[0][:2]}"
+            )
+        return ValuationReport(False, min_val, entries, failures)
+    for coset, poly in f.data.items():
+        for j, c in poly.items():
+            if not c.certify_val_ge(0, sigma, f.p):
+                return ValuationReport(False, min_val, entries, [(coset, j, c.val_lb(sigma, f.p), ())])
+    return ValuationReport(True, min_val, entries, [])
+
+
+def _outcome(audit, f, sigma):
+    try:
+        return ("report", audit(f, sigma))
+    except (IndeterminateCancellation, PrecisionError) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+AUDIT_COSETS = [IDENTITY, g0(1, (0,)), g0(1, (3,)), g0(2, (1, 4))]
+
+
+@st.composite
+def audit_inputs(draw):
+    """Functions at p = 5, r = 11 whose coefficients mix exact and truncated
+    terms, inserted in a drawn (unsorted) order, so bounds below 0, ties
+    and truncated terms within the headroom all occur, alone and together."""
+    f = IndFunction(5, 11, precision=8)
+    for _ in range(draw(st.integers(1, 5))):
+        terms = {}
+        for _ in range(draw(st.integers(1, 2))):
+            d = draw(st.sampled_from([-1, 0, 0, 1, 1, 2, 2]))
+            num = draw(st.integers(-30, 30))
+            den = 5 ** draw(st.sampled_from([0, 0, 0, 0, 0, 0, 1, 2]))
+            err = draw(st.one_of(st.just(math.inf), st.integers(0, 6)))
+            terms[d] = (Fraction(num, den), err)
+        f.accumulate(draw(st.sampled_from(AUDIT_COSETS)), draw(st.integers(0, 11)),
+                     ApCoeff(terms))
+    sigma = draw(st.sampled_from([Fraction(5, 4), Fraction(4, 3), Fraction(3, 2)]))
+    return f, sigma
+
+
+class TestSinglePassAudit:
+    SHORT = ApCoeff({0: (Fraction(5), 1)})  # 5 known mod 5: within the headroom of 0
+    SIG = Fraction(3, 2)
+
+    def _function(self, *coeffs):
+        f = IndFunction(5, 11, precision=8)
+        for j, (coset, c) in enumerate(coeffs):
+            f.accumulate(coset, j, c)
+        return f
+
+    def test_negative_bound_wins_over_headroom(self):
+        f = self._function((g0(1, (3,)), self.SHORT), (IDENTITY, ApCoeff.rational(Fraction(1, 5))))
+        new = _outcome(audit_valuations, f, self.SIG)
+        assert new == _outcome(_two_pass_audit, f, self.SIG)
+        assert new[0] == "report" and not new[1].integral and len(new[1].failures) == 1
+
+    def test_tie_wins_over_headroom(self):
+        tie = ApCoeff.rational(Fraction(1, 5)) + ApCoeff.rational(Fraction(1, 5**4), 2)
+        f = self._function((IDENTITY, self.SHORT), (g0(1, (0,)), tie))
+        new = _outcome(audit_valuations, f, self.SIG)
+        assert new == _outcome(_two_pass_audit, f, self.SIG)
+        assert new[0] == "IndeterminateCancellation"
+
+    def test_headroom_alone_raises_at_the_first_term(self):
+        later = ApCoeff({1: (Fraction(5), 0)})  # another term short of headroom
+        f = self._function((g0(1, (3,)), later), (IDENTITY, self.SHORT))
+        new = _outcome(audit_valuations, f, self.SIG)
+        assert new == _outcome(_two_pass_audit, f, self.SIG)
+        assert new == ("PrecisionError", "bound 0 within headroom of precision 0 at degree 1")
+
+    @given(audit_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_same_outcome_as_two_passes(self, inputs):
+        f, sigma = inputs
+        assert _outcome(audit_valuations, f, sigma) == _outcome(_two_pass_audit, f, sigma)
