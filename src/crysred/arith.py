@@ -570,8 +570,8 @@ class ApCoeff:
         """(bound, [degrees achieving it], short) over the stored terms, one
         valuation per term.  ``short`` is (err, d) of the first truncated term
         whose error sits within PRECISION_HEADROOM of valuation 0, else None:
-        when the bound is >= 0, ``certify_val_ge(0, ...)`` raises exactly
-        for such a term."""
+        when the bound is >= 0, such a term is exactly one whose stored
+        value cannot certify valuation >= 0 within the carried precision."""
         best, who, short = INF, [], None
         for d, (c, e) in self.terms.items():
             ds = d * sigma
@@ -583,21 +583,6 @@ class ApCoeff:
             if short is None and e is not INF and e + ds < PRECISION_HEADROOM:
                 short = (e, d)
         return best, who, short
-
-    def certify_val_ge(self, bound, sigma: Fraction, p: int) -> bool:
-        """True if the true valuation is provably >= bound; raises
-        PrecisionError when a truncated term sits too close to the call."""
-        for d, (c, e) in self.terms.items():
-            v_stored = padic_val(c, p) + d * sigma
-            if e is not INF and e + d * sigma < bound + PRECISION_HEADROOM:
-                if v_stored >= bound:
-                    raise PrecisionError(
-                        f"bound {bound} within headroom of precision {e} at degree {d}"
-                    )
-                return False
-            if min(v_stored, INF if e is INF else e + d * sigma) < bound:
-                return False
-        return True
 
     def residue(self, sigma: Fraction, p: int) -> "ResidueExpr":
         """Image mod the maximal ideal, as a polynomial in the residue symbol

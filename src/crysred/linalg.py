@@ -118,9 +118,6 @@ class FpSpace:
         piv = set(self.pivots)
         return [j for j in range(self.n) if j not in piv]
 
-    def union(self, other: "FpSpace") -> "FpSpace":
-        return FpSpace.from_rows(np.vstack([self.matrix(), other.matrix()]), self.n, self.p)
-
     def intersect(self, other: "FpSpace") -> "FpSpace":
         """Intersection of two row spaces via a kernel computation."""
         A, B = self.matrix(), other.matrix()

@@ -18,7 +18,6 @@ from .symrep import (
     build_X,
     jh_decompose,
     quotient_Q,
-    socle_labels,
     theta_intersection_dims,
 )
 
@@ -121,7 +120,7 @@ def structure_report(p: int, r: int, checks=("dim", "x", "q")) -> ReportRecord:
     if "x" in checks:
         pred = predict_X_structure(desc)
         mod = X.module
-        got = jh_decompose(mod)
+        got, socle = jh_decompose(mod)
         rec.x_factors_predicted = factors_to_str(pred.factors)
         rec.x_factors_computed = factors_to_str(got)
         if pred.factors != got:
@@ -130,7 +129,7 @@ def structure_report(p: int, r: int, checks=("dim", "x", "q")) -> ReportRecord:
             )
         if pred.dimension != X.dim:
             rec.discrepancies.append("x-structure dimension mismatch")
-        _check_socle("x", socle_labels(mod), pred, rec.discrepancies)
+        _check_socle("x", socle, pred, rec.discrepancies)
         rec.filtration_dims = theta_intersection_dims(X) + theta_intersection_dims(
             build_X(p, r, "top"))
     if "q" in checks:

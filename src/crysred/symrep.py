@@ -10,17 +10,22 @@ from their classical spanning sets and certified stable under the full
 matrix monoid; the theta-divisibility filtration and the normal forms
 modulo theta and theta^2; the terminal quotient of the degree-r module by
 (second-monomial submodule + twice-theta-divisible part), computed in the
-2p+2 coordinates of the module modulo theta^2; and a Jordan-Hoelder
-decomposition for small modules by socle peeling, with torus weights read
-off the diagonal.  Brute-force span closures under the full matrix monoid
-or the invertible group, and the r-row theta-multiple spaces and
-subquotients, remain as the reference the fast engine is tested against.
+2p+2 coordinates of the module modulo theta^2; and the socle and
+Jordan-Hoelder factors of a torus-graded module.  The socle comes from Hom
+spaces, the method of the MeatAxe (Parker, 1984; Holt and Rees, "Testing
+modules for irreducibility", 1994): the torus weights of the
+unipotent-fixed vectors name the candidate simple modules L, and
+Hom(L, M) is a nullspace whose dimension is the multiplicity of L, with no
+enumeration of vectors.  The factors are read one Loewy layer at a time,
+passing to the quotient by the whole socle.  Brute-force span closures
+under the full matrix monoid or the invertible group, and the r-row
+theta-multiple spaces and subquotients, remain as the reference the fast
+engine is tested against.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -591,42 +596,58 @@ def weight_module(p: int, s: int, t: int) -> GammaModule:
 
 
 # ---------------------------------------------------------------------------
-# Jordan-Hoelder decomposition by socle peeling
-
-
-def _lines(vectors: list[np.ndarray], p: int, cap: int = 20000):
-    """Representatives of the lines in the span of independent vectors
-    (leading coefficient normalized to 1)."""
-    k = len(vectors)
-    if k == 1:
-        yield vectors[0] % p
-        return
-    if (p**k - 1) // (p - 1) > cap:
-        raise ArithmeticError("weight space too large to enumerate lines")
-    for i in range(k):
-        for tail in itertools.product(range(p), repeat=k - 1 - i):
-            v = vectors[i] % p
-            for j, c in enumerate(tail):
-                v = (v + c * vectors[i + 1 + j]) % p
-            yield v
+# socle and Jordan-Hoelder decomposition by Hom spaces
 
 
 def _weight_candidates(alpha: int, beta: int, p: int) -> list[JHLabel]:
-    s0 = (alpha - beta) % (p - 1)
-    t = beta % (p - 1)
-    cands = []
-    for s in (s0, s0 + (p - 1)):
-        if 0 <= s <= p - 1:
-            cands.append(JHLabel(s, t))
-    return cands
+    """Labels whose highest-weight vector has torus weight (g^alpha, g^beta)."""
+    s0, t = (alpha - beta) % (p - 1), beta % (p - 1)
+    return [JHLabel(s, t) for s in (s0, s0 + p - 1) if s <= p - 1]
+
+
+def _hom_maps(src: GammaModule, src_gen: np.ndarray, dst: GammaModule,
+              C: np.ndarray) -> list[np.ndarray]:
+    """Basis of the equivariant maps src -> dst that send ``src_gen`` into
+    the column span of C, as matrices.  ``src_gen`` must generate src.
+
+    The pair (src_gen, C) is spun together: each new vector x of src is
+    recorded with the matrix Y whose column k is the image of x under the
+    map pinned by src_gen -> C e_k.  With the recorded x as the columns of
+    X, that map is T_k = (column k of each Y) X^-1, and sum theta_k T_k is
+    equivariant exactly when theta lies in the nullspace of the stacked
+    conditions T_k g - g T_k over the four generators."""
+    p = src.p
+    space = FpSpace(src.dim, p)
+    xs, ys = [], []
+    work = [(np.asarray(src_gen) % p, np.asarray(C).reshape(dst.dim, -1) % p)]
+    while work:
+        x, Y = work.pop()
+        if space.add(x):
+            xs.append(x)
+            ys.append(Y)
+            for name in GEN_NAMES:
+                work.append((src.act(name, x), dst.mats[name] @ Y % p))
+    if space.dim != src.dim:
+        raise ValueError("generator does not generate the source module")
+    Xinv = _inv_matrix(np.array(xs, dtype=np.int64).T, p)
+    maps = np.einsum("nak,nm->kam", np.array(ys), Xinv) % p
+    conds = np.hstack([(maps @ src.mats[name] - dst.mats[name] @ maps).reshape(len(maps), -1) % p
+                       for name in GEN_NAMES]).T
+    return [np.tensordot(theta, maps, axes=1) % p
+            for theta in linalg.nullspace(conds[conds.any(axis=1)], p)]
 
 
 def socle_simples(mod: GammaModule) -> list[tuple[JHLabel, FpSpace]]:
-    """All simple submodules generated by highest-weight lines, deduplicated.
+    """The socle as one (label, isotypic component) pair per label, sorted.
 
     The module must be torus-graded (see ``GammaModule.torus_weights``).  Its
     unipotent-fixed space is torus-stable, so each echelon row of it is a
-    weight vector whose weight is read off the diagonal at its pivot."""
+    weight vector whose weight is read off the diagonal at its pivot.  A
+    weight admits one or two labels; for each, Hom(L, mod) is computed by
+    ``_hom_maps`` from the highest-weight vector of the model L, whose
+    images lie in the fixed vectors of that weight.  Its dimension is the
+    multiplicity of L in the socle (End(L) = F_p), and the images of its
+    basis span the component."""
     p = mod.p
     fixed = mod.unipotent_fixed()
     if fixed.dim == 0:
@@ -646,82 +667,55 @@ def socle_simples(mod: GammaModule) -> list[tuple[JHLabel, FpSpace]]:
     for row, e1, e2 in zip(B, *weights):
         spaces.setdefault((dlog[int(e1)], dlog[int(e2)]), []).append(row)
     found: list[tuple[JHLabel, FpSpace]] = []
-    seen: set[bytes] = set()
-    for (alpha, beta), ambient in sorted(spaces.items()):
-        cands = _weight_candidates(alpha, beta, p)
-        for line in _lines(ambient, p):
-            span = mod.spin([line])
-            inner_fixed = mod.restrict(span).unipotent_fixed()
-            if inner_fixed.dim != 1:
+    for (alpha, beta), rows in spaces.items():
+        for label in _weight_candidates(alpha, beta, p):
+            top = sym_power(p, label.s).monomial(0)
+            maps = _hom_maps(weight_module(p, *label), top, mod, np.array(rows).T)
+            if not maps:
                 continue
-            match = [c for c in cands if c.s + 1 == span.dim]
-            if not match:
-                raise ArithmeticError(
-                    f"simple submodule of dim {span.dim} matches no label "
-                    f"of weight ({alpha}, {beta})"
-                )
-            key = span.matrix().tobytes()
-            if key not in seen:
-                seen.add(key)
-                found.append((match[0], span))
-    found.sort(key=lambda lab_sp: (lab_sp[1].dim, lab_sp[0], lab_sp[1].matrix().tobytes()))
+            component = mod.spin([T @ top % p for T in maps])
+            if component.dim != len(maps) * (label.s + 1):
+                raise ArithmeticError(f"{label.render()}-isotypic socle component has dim "
+                                      f"{component.dim}, not {len(maps)} * {label.s + 1}")
+            found.append((label, component))
+    found.sort(key=lambda pair: pair[0])
     return found
 
 
-def socle_labels(mod: GammaModule) -> Counter:
-    return Counter(label for label, _ in socle_simples(mod))
-
-
-def jh_decompose(mod: GammaModule, bound: int = JH_DIMENSION_BOUND) -> Counter:
-    """Multiset of irreducible labels of a module, found by repeatedly
-    splitting off a simple submodule and passing to the quotient."""
+def jh_decompose(mod: GammaModule, bound: int = JH_DIMENSION_BOUND) -> tuple[Counter, Counter]:
+    """The multisets of irreducible labels of a module's Jordan-Hoelder
+    factors and of its socle.  Each step passes to the quotient by the whole
+    socle, so there is one socle search per Loewy layer."""
     if mod.dim > bound:
         raise DimensionBoundError(f"module dimension {mod.dim} exceeds bound {bound}")
-    labels: Counter = Counter()
+    layers: list[Counter] = []
     current = mod
-    total = 0
     while current.dim > 0:
-        simples = socle_simples(current)
-        if not simples:
+        socle = socle_simples(current)
+        if not socle:
             raise ArithmeticError("no simple submodule found")
-        label, span = simples[0]
-        labels[label] += 1
-        total += label.s + 1
-        current, _ = current.quotient(span)
-    if total != mod.dim:
+        layers.append(Counter({label: comp.dim // (label.s + 1) for label, comp in socle}))
+        rows = np.vstack([comp.matrix() for _, comp in socle])
+        current, _ = current.quotient(FpSpace.from_rows(rows, current.dim, mod.p))
+    factors = sum(layers, Counter())
+    # overlapping components would make the quotients fall short
+    if sum((label.s + 1) * m for label, m in factors.items()) != mod.dim:
         raise ArithmeticError("factor dimensions do not add up")
-    return labels
+    return factors, layers[0] if layers else Counter()
 
 
 def gamma_iso(
     src: GammaModule, src_gen: np.ndarray, dst: GammaModule, dst_gen: np.ndarray
 ) -> np.ndarray:
-    """Matrix of the equivariant isomorphism pinned by src_gen -> dst_gen.
-
-    The generator pair is spun simultaneously; the resulting linear map is
-    verified to intertwine every generator, and to be bijective."""
+    """Matrix of the equivariant isomorphism pinned by src_gen -> dst_gen:
+    ``_hom_maps`` with the single column dst_gen, checked to be bijective."""
     if src.dim != dst.dim:
         raise ValueError("dimension mismatch")
-    p = src.p
-    space = FpSpace(src.dim, p)
-    pairs: list[tuple[np.ndarray, np.ndarray]] = []
-    work = [(np.asarray(src_gen) % p, np.asarray(dst_gen) % p)]
-    while work:
-        x, y = work.pop()
-        if space.add(x):
-            pairs.append((x, y))
-            for name in GEN_NAMES:
-                work.append((src.act(name, x), dst.act(name, y)))
-    if space.dim != src.dim:
-        raise ValueError("generator does not generate the source module")
-    X = np.array([x for x, _ in pairs], dtype=np.int64).T
-    Y = np.array([y for _, y in pairs], dtype=np.int64).T
-    Xinv = _inv_matrix(X, p)
-    T = Y @ Xinv % p
-    for name in GEN_NAMES:
-        if not np.array_equal(T @ src.mats[name] % p, dst.mats[name] @ T % p):
-            raise ValueError("constructed map is not equivariant")
-    if linalg.rank(T, p) != src.dim:
+    maps = _hom_maps(src, src_gen, dst, dst_gen)
+    if not maps:
+        raise ValueError("constructed map is not equivariant")
+    T = maps[0]
+    if linalg.rank(T, src.p) != src.dim:
         raise ValueError("constructed map is not invertible")
     return T
 
@@ -794,6 +788,5 @@ def quotient_Q(p: int, r: int, decompose: bool = True, X: ClosedSubspace | None 
     module = QuotientModule(p, r, X.space)
     data = QuotientData(p, r, module, X, module.dim)
     if decompose:
-        data.factors = jh_decompose(module)
-        data.socle = socle_labels(module)
+        data.factors, data.socle = jh_decompose(module)
     return data

@@ -1,0 +1,205 @@
+"""Reference paths kept as test oracles, independent of the library paths
+they check.
+
+- The Hecke operator by its defining double-coset formula: ``direct_T``
+  evaluates every pair with generic coset normalization (``normalize_pair``)
+  on exact ``Fraction`` arithmetic and drops no term, against the
+  raising/lowering decomposition ``apply_T``.  ``translate`` is the left
+  action of an integral matrix of unit determinant, for the equivariance
+  checks, and ``functions_agree`` compares two functions up to a valuation.
+- ``certify_val_ge``: the per-coefficient valuation certificate, the second
+  pass of the two-pass reference of ``hecke.audit_valuations``.
+- ``union``: the sum of two F_p subspaces.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from itertools import product as _iter_product
+
+import numpy as np
+
+from crysred.arith import (
+    DEFAULT_PRECISION,
+    INF,
+    PRECISION_HEADROOM,
+    ApCoeff,
+    _val_capped,
+    padic_val,
+)
+from crysred.errors import PrecisionError
+from crysred.hecke import Coset, IndFunction, teich_table
+from crysred.linalg import FpSpace
+
+# ---------------------------------------------------------------------------
+# the Hecke operator by its defining formula
+
+
+def coset_matrix(coset: Coset, p: int, precision: int = DEFAULT_PRECISION):
+    table = teich_table(p, precision)
+    mu = table.digits_value(coset.digits)
+    if coset.branch == 0:
+        return (p**coset.level, mu, 0, 1)
+    return (1, 0, p * mu, p ** (coset.level + 1))
+
+
+def _mat_mul(A, B):
+    a, b, c, d = A
+    e, f, g, h = B
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+def _binomial_powers(x: int, y: int, n: int) -> list[list[int]]:
+    """Coefficient lists of (xX + yY)^k for k = 0..n."""
+    table = [[1]]
+    for _ in range(n):
+        prev = table[-1]
+        table.append(
+            [
+                (prev[m] if m < len(prev) else 0) * x + (prev[m - 1] * y if m > 0 else 0)
+                for m in range(len(prev) + 1)
+            ]
+        )
+    return table
+
+
+def _substitute_poly(poly: dict[int, ApCoeff], mat, r: int, p: int, prec: int):
+    """Exact substitution F(aX + cY, bX + dY) on ApCoeff polynomials; the
+    resulting integer weights are treated as carrying the given precision."""
+    a, b, c, d = mat
+    first = _binomial_powers(a, c, max((r - i for i in poly), default=0))
+    second = _binomial_powers(b, d, max(poly, default=0))
+    # raw accumulation: (j, degree) -> [rational sum, error bound]
+    acc: dict[int, dict[int, list]] = {}
+    for i, coeff in poly.items():
+        # integer weight profile of (aX+cY)^(r-i) (bX+dY)^i
+        f1, f2 = first[r - i], second[i]
+        weights = [0] * (len(f1) + len(f2) - 1)
+        for m1, w1 in enumerate(f1):
+            if w1 == 0:
+                continue
+            for m2, w2 in enumerate(f2):
+                if w2:
+                    weights[m1 + m2] += w1 * w2
+        for dd, (cc, ee) in coeff.terms.items():
+            eps = min(ee, _val_capped(cc, p) + prec)
+            for j, w in enumerate(weights):
+                if w == 0:
+                    continue
+                cell = acc.setdefault(j, {}).setdefault(dd, [Fraction(0), math.inf])
+                cell[0] += cc * w
+                cell[1] = min(cell[1], eps)
+    out: dict[int, ApCoeff] = {}
+    for j, cells in acc.items():
+        terms = {dd: (val, eps) for dd, (val, eps) in cells.items() if val != 0 or eps is not math.inf}
+        if terms:
+            out[j] = ApCoeff(terms)
+    return out
+
+
+def normalize_pair(mat, poly: dict[int, ApCoeff], p: int, r: int,
+                   precision: int = DEFAULT_PRECISION) -> tuple[Coset, dict[int, ApCoeff]]:
+    """Rewrite [mat, poly] as [canonical coset, k . poly] with k integral of
+    unit determinant.  Central powers of p act trivially."""
+    A, B, C, D = mat
+    s = min(padic_val(x, p) for x in (A, B, C, D) if x != 0)
+    if s:
+        q = p**s
+        A, B, C, D = A // q, B // q, C // q, D // q
+    det = A * D - B * C
+    m = padic_val(det, p)
+    if m is math.inf or m >= precision - 2:
+        raise PrecisionError("determinant valuation too close to carried precision")
+    pm = p**m
+    table = teich_table(p, precision)
+    matches = []
+    # branch-0 candidates at level m
+    for digs in _iter_product(range(p), repeat=m):
+        lam = table.digits_value(digs)
+        if (A - lam * C) % pm == 0 and (B - lam * D) % pm == 0:
+            k = ((A - lam * C) // pm, (B - lam * D) // pm, C, D)
+            matches.append((Coset(0, m, digs), k))
+            break
+    if not matches and m >= 1:
+        for digs in _iter_product(range(p), repeat=m - 1):
+            lam = table.digits_value(digs)
+            if (C - p * lam * A) % pm == 0 and (D - p * lam * B) % pm == 0:
+                k = (A, B, (C - p * lam * A) // pm, (D - p * lam * B) // pm)
+                matches.append((Coset(1, m - 1, digs), k))
+                break
+    if not matches:
+        raise ArithmeticError("no canonical coset matched")
+    coset, k = matches[0]
+    if padic_val(k[0] * k[3] - k[1] * k[2], p) != 0:
+        raise ArithmeticError("normalizing factor is not invertible")
+    return coset, _substitute_poly(poly, k, r, p, precision - m)
+
+
+def direct_T(f: IndFunction) -> IndFunction:
+    """The defining double-coset formula, evaluated pair by pair with generic
+    normalization; works on either branch.  Test oracle for apply_T."""
+    p, r = f.p, f.r
+    table = teich_table(p, f.precision)
+    out = f._empty()
+    for coset, poly in f.data.items():
+        g = coset_matrix(coset, p, f.precision)
+        for lam in range(p):
+            t = table.rep[lam]
+            h = (p, t, 0, 1)
+            transformed = _substitute_poly(poly, (1, -t, 0, p), r, p, f.precision)
+            c2, poly2 = normalize_pair(_mat_mul(g, h), transformed, p, r, f.precision)
+            out.add_term(c2, poly2)
+        transformed = _substitute_poly(poly, (p, 0, 0, 1), r, p, f.precision)
+        c2, poly2 = normalize_pair(_mat_mul(g, (1, 0, 0, p)), transformed, p, r, f.precision)
+        out.add_term(c2, poly2)
+    return out.prune()
+
+
+def translate(k_mat, f: IndFunction) -> IndFunction:
+    """Left translation of f by an integral matrix of unit determinant."""
+    out = f._empty()
+    for coset, poly in f.data.items():
+        g = coset_matrix(coset, f.p, f.precision)
+        c2, poly2 = normalize_pair(_mat_mul(k_mat, g), poly, f.p, f.r, f.precision)
+        out.add_term(c2, poly2)
+    return out.prune()
+
+
+def functions_agree(f: IndFunction, g: IndFunction, sigma: Fraction, min_val=3) -> bool:
+    """True when every coefficient of f - g has valuation at least min_val
+    (equality up to the carried Teichmuller precision).  A min_val above the
+    cap of f - g cannot be decided and raises PrecisionError."""
+    diff = f - g
+    if min_val > diff.cap:
+        raise PrecisionError(f"min_val {min_val} exceeds the absolute cap {diff.cap}")
+    for poly in diff.data.values():
+        for c in poly.values():
+            if c.val_lb(sigma, diff.p) < min_val:
+                return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# valuation certificate and subspace sum
+
+
+def certify_val_ge(c: ApCoeff, bound, sigma: Fraction, p: int) -> bool:
+    """True if the true valuation of c is provably >= bound; raises
+    PrecisionError when a truncated term sits too close to the call."""
+    for d, (x, e) in c.terms.items():
+        v_stored = padic_val(x, p) + d * sigma
+        if e is not INF and e + d * sigma < bound + PRECISION_HEADROOM:
+            if v_stored >= bound:
+                raise PrecisionError(
+                    f"bound {bound} within headroom of precision {e} at degree {d}"
+                )
+            return False
+        if min(v_stored, INF if e is INF else e + d * sigma) < bound:
+            return False
+    return True
+
+
+def union(a: FpSpace, b: FpSpace) -> FpSpace:
+    """The sum of two subspaces of the same F_p^n."""
+    return FpSpace.from_rows(np.vstack([a.matrix(), b.matrix()]), a.n, a.p)

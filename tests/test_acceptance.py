@@ -25,16 +25,10 @@ from crysred.arith import (
     quad_family_properties,
 )
 from crysred.classify import classify_reduction, llc_image
-from crysred.hecke import (
-    apply_T,
-    direct_T,
-    elementary,
-    functions_agree,
-    g0,
-    translate,
-)
+from crysred.hecke import apply_T, elementary, g0
 from crysred.symrep import HomogPoly, theta_divides, theta_divides_criterion
 from crysred.witness import WitnessCase, verify_witness
+from reference import direct_T, functions_agree, translate
 
 LEMMA_PRIMES = (3, 5, 7, 11, 13)
 LEMMA_R_MAX = 2000

@@ -19,19 +19,16 @@ from crysred.hecke import (
     apply_Tminus,
     apply_Tplus,
     audit_valuations,
-    direct_T,
     elementary,
-    functions_agree,
     g0,
     modp_T,
-    normalize_pair,
     reduce_mod_p,
     t_minus_ap,
     teich_table,
-    translate,
 )
 from crysred.errors import IndeterminateCancellation, PrecisionError
 from crysred.symrep import sym_power
+from reference import certify_val_ge, direct_T, functions_agree, normalize_pair, translate
 
 ONE = ApCoeff.rational(1)
 
@@ -311,7 +308,7 @@ def _two_pass_audit(f, sigma):
         return ValuationReport(False, min_val, entries, failures)
     for coset, poly in f.data.items():
         for j, c in poly.items():
-            if not c.certify_val_ge(0, sigma, f.p):
+            if not certify_val_ge(c, 0, sigma, f.p):
                 return ValuationReport(False, min_val, entries, [(coset, j, c.val_lb(sigma, f.p), ())])
     return ValuationReport(True, min_val, entries, [])
 

@@ -1,3 +1,4 @@
+import itertools
 import multiprocessing
 import os
 from collections import Counter
@@ -24,7 +25,6 @@ from crysred.symrep import (
     jh_label,
     mat_mul,
     quotient_Q,
-    socle_labels,
     socle_simples,
     span_closure,
     standard_spanning_set,
@@ -36,6 +36,7 @@ from crysred.symrep import (
     theta_vec,
     weight_module,
 )
+from reference import union
 
 
 def frobenius_twist_check(p: int, u: int, n: int) -> bool:
@@ -82,9 +83,72 @@ def _spin_by_worklist(mod, vecs) -> FpSpace:
     return space
 
 
+def _lines(vectors: list[np.ndarray], p: int, cap: int = 20000):
+    """Representatives of the lines in the span of independent vectors
+    (leading coefficient normalized to 1)."""
+    k = len(vectors)
+    if k == 1:
+        yield vectors[0] % p
+        return
+    if (p**k - 1) // (p - 1) > cap:
+        raise ArithmeticError("weight space too large to enumerate lines")
+    for i in range(k):
+        for tail in itertools.product(range(p), repeat=k - 1 - i):
+            v = vectors[i] % p
+            for j, c in enumerate(tail):
+                v = (v + c * vectors[i + 1 + j]) % p
+            yield v
+
+
+def _socle_by_line_enumeration(mod):
+    """Every simple submodule, found by spinning each line of each
+    highest-weight space of the unipotent-fixed vectors and keeping the
+    spans whose own fixed space is a line; deduplicated.  The reference
+    for the Hom-space ``socle_simples``, with weights read off the torus
+    diagonal."""
+    p = mod.p
+    fixed = mod.unipotent_fixed()
+    if fixed.dim == 0:
+        if mod.dim:
+            raise ArithmeticError("nonzero module without unipotent-fixed vectors")
+        return []
+    B = fixed.matrix()
+    weights = []
+    for diag in mod.torus_weights():
+        w = diag[fixed.pivots]
+        if ((B * diag - w[:, None] * B) % p).any():
+            raise ArithmeticError("torus is not diagonal on the unipotent-fixed space")
+        weights.append(w)
+    g = symrep.primitive_root(p)
+    dlog = {pow(g, e, p): e for e in range(p - 1)}
+    spaces = {}
+    for row, e1, e2 in zip(B, *weights):
+        spaces.setdefault((dlog[int(e1)], dlog[int(e2)]), []).append(row)
+    found, seen = [], set()
+    for (alpha, beta), ambient in sorted(spaces.items()):
+        cands = symrep._weight_candidates(alpha, beta, p)
+        for line in _lines(ambient, p):
+            span = mod.spin([line])
+            if mod.restrict(span).unipotent_fixed().dim != 1:
+                continue
+            match = [c for c in cands if c.s + 1 == span.dim]
+            if not match:
+                raise ArithmeticError(
+                    f"simple submodule of dim {span.dim} matches no label "
+                    f"of weight ({alpha}, {beta})"
+                )
+            key = span.matrix().tobytes()
+            if key not in seen:
+                seen.add(key)
+                found.append((match[0], span))
+    found.sort(key=lambda lab_sp: (lab_sp[1].dim, lab_sp[0], lab_sp[1].matrix().tobytes()))
+    return found
+
+
 def _socle_by_weight_search(mod):
-    """The (p-1)^2 kernel search for highest-weight lines that socle_simples
-    replaced by reading weights off the torus diagonal; the reference."""
+    """The (p-1)^2 kernel search for highest-weight lines that the line
+    enumeration replaced by reading weights off the torus diagonal; the
+    second reference."""
     p = mod.p
     fixed = mod.unipotent_fixed()
     if fixed.dim == 0:
@@ -99,7 +163,7 @@ def _socle_by_weight_search(mod):
             ker = nullspace(np.vstack([(D["d1"] - pow(g, alpha, p) * eye) % p,
                                        (D["d2"] - pow(g, beta, p) * eye) % p]), p)
             cands = symrep._weight_candidates(alpha, beta, p)
-            for line in (symrep._lines([c @ B % p for c in ker], p) if ker else []):
+            for line in (_lines([c @ B % p for c in ker], p) if ker else []):
                 span = mod.spin([line])
                 if mod.restrict(span).unipotent_fixed().dim != 1:
                     continue
@@ -137,7 +201,7 @@ def _engine_vs_reference(job):
             bad.append(f"{which}: filtration dims")
     X = fast["second"]
     q = quotient_Q(p, r, decompose=False, X=X)
-    ref_q = SubquotientModule(symp, None, X.space.union(vss))
+    ref_q = SubquotientModule(symp, None, union(X.space, vss))
     if any(not np.array_equal(q.module.mats[n], ref_q.mats[n]) for n in symrep.GEN_NAMES):
         bad.append("Q: generator matrices")
     vecs = np.random.default_rng(p * 10000 + r).integers(0, p, size=(8, r + 1))
@@ -202,7 +266,7 @@ class TestLinalg:
             assert coeffs is not None
             assert np.array_equal(coeffs @ sp.matrix() % p, np.array(row) % p)
         # union with itself changes nothing
-        assert sp.union(sp) == sp
+        assert union(sp, sp) == sp
 
 
 class TestAction:
@@ -352,7 +416,7 @@ class TestJordanHoelder:
     def test_weight_models(self):
         for p, s, t in [(5, 3, 2), (5, 0, 1), (7, 6, 3), (3, 1, 1)]:
             mod = weight_module(p, s, t)
-            assert jh_decompose(mod) == Counter({jh_label(s, t, p): 1})
+            assert jh_decompose(mod)[0] == Counter({jh_label(s, t, p): 1})
 
     def test_quotient_by_theta_part(self):
         # degree r modulo the theta-divisible part: two constituents,
@@ -362,8 +426,8 @@ class TestJordanHoelder:
             vstar, _ = filtration_spaces(p, r)
             mod = SubquotientModule(sym_power(p, r), None, vstar)
             want = Counter({jh_label(a, 0, p): 1, jh_label(p - a - 1, a, p): 1})
-            assert jh_decompose(mod) == want
-            soc = socle_labels(mod)
+            factors, soc = jh_decompose(mod)
+            assert factors == want
             if a == p - 1:
                 assert soc == want
             else:
@@ -375,7 +439,7 @@ class TestJordanHoelder:
             a = r % (p - 1) or p - 1
             v1, v2 = filtration_spaces(p, r)
             mod = SubquotientModule(sym_power(p, r), v1, v2)
-            soc = socle_labels(mod)
+            soc = jh_decompose(mod)[1]
             assert (len(list(soc.elements())) == 2) == (a == 2), (r, soc)
 
     def test_quotient_by_theta_part_sweep(self):
@@ -387,8 +451,8 @@ class TestJordanHoelder:
                 vstar, _ = filtration_spaces(p, r)
                 mod = SubquotientModule(sym_power(p, r), None, vstar)
                 want = Counter({jh_label(a, 0, p): 1, jh_label(p - a - 1, a, p): 1})
-                assert jh_decompose(mod) == want, (p, r)
-                soc = socle_labels(mod)
+                factors, soc = jh_decompose(mod)
+                assert factors == want, (p, r)
                 assert (soc == want) == (a == p - 1), (p, r, soc)
                 if a != p - 1:
                     assert soc == Counter({jh_label(a, 0, p): 1}), (p, r, soc)
@@ -404,8 +468,8 @@ class TestJordanHoelder:
                 v1, v2 = filtration_spaces(p, r)
                 mod = SubquotientModule(sym_power(p, r), v1, v2)
                 want = Counter({lower: 1, upper: 1})
-                assert jh_decompose(mod) == want, (p, r)
-                soc = socle_labels(mod)
+                factors, soc = jh_decompose(mod)
+                assert factors == want, (p, r)
                 assert (soc == want) == (a == 2), (p, r, soc)
 
     def test_full_symmetric_power_a_plus_p_minus_1(self):
@@ -416,7 +480,7 @@ class TestJordanHoelder:
             want = Counter(
                 {jh_label(a - 2, 1, p): 1, jh_label(a, 0, p): 1, jh_label(p - a - 1, a, p): 1}
             )
-            assert jh_decompose(mod) == want
+            assert jh_decompose(mod)[0] == want
 
     def test_dimension_bound(self):
         from crysred.errors import DimensionBoundError
@@ -431,6 +495,37 @@ class TestJordanHoelder:
         gen = sym_power(p, 3).monomial(0)
         T = gamma_iso(m1, gen, m2, P @ gen % p)
         assert np.array_equal(T @ gen % p, P @ gen % p)
+
+    def test_gamma_iso_refusals(self):
+        p = 5
+        m1, _, _ = _conjugated_weight_module()
+        symp = sym_power(p, 3)
+        with pytest.raises(ValueError, match="does not generate"):
+            gamma_iso(m1, np.zeros(4, dtype=np.int64), m1, symp.monomial(0))
+        with pytest.raises(ValueError, match="not equivariant"):
+            gamma_iso(m1, symp.monomial(0), m1, symp.monomial(1))
+        with pytest.raises(ValueError, match="not invertible"):
+            gamma_iso(m1, symp.monomial(0), m1, np.zeros(4, dtype=np.int64))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            gamma_iso(m1, symp.monomial(0), weight_module(p, 2, 2), sym_power(p, 2).monomial(0))
+
+    def test_socle_counts_multiplicity(self):
+        # X's socle is V1 + V1 at these degrees: two copies, not the p + 1
+        # simple submodules inside their sum
+        for p, r in [(3, 9), (3, 27), (5, 25), (7, 49)]:
+            socle = jh_decompose(build_X(p, r).module)[1]
+            assert socle == Counter({jh_label(1, 0, p): 2}), (p, r)
+
+    def test_isotypic_module_with_a_large_weight_space(self):
+        # ten copies of V1 at p = 3: the highest-weight space has dimension
+        # 10, i.e. 29524 lines, and is decomposed without enumerating them
+        m = weight_module(3, 1, 0)
+        mod = symrep.GammaModule(3, {k: np.kron(np.eye(10, dtype=np.int64), v)
+                                     for k, v in m.mats.items()})
+        factors, socle = jh_decompose(mod)
+        assert factors == socle == Counter({jh_label(1, 0, 3): 10})
+        [(label, component)] = socle_simples(mod)
+        assert label == jh_label(1, 0, 3) and component.dim == 20
 
 
 class TestQuotient:
@@ -569,13 +664,22 @@ class TestGradedSocle:
         U, W = full.spin(gens_u), full.spin(gens_w)
         assert U == _spin_by_worklist(full, gens_u) and W == _spin_by_worklist(full, gens_w)
         mod = SubquotientModule(sym_power(p, r), W, U)
-        got, want = socle_simples(mod), _socle_by_weight_search(mod)
-        assert [label for label, _ in got] == [label for label, _ in want]
-        assert all(a == b for (_, a), (_, b) in zip(got, want))
+        by_lines, by_weights = _socle_by_line_enumeration(mod), _socle_by_weight_search(mod)
+        assert [label for label, _ in by_lines] == [label for label, _ in by_weights]
+        assert all(a == b for (_, a), (_, b) in zip(by_lines, by_weights))
+        # per label: the isotypic component is the span of the reference's
+        # simple submodules with that label, and its multiplicity dim/(s+1)
+        got, socle = socle_simples(mod), jh_decompose(mod)[1]
+        assert [label for label, _ in got] == sorted({label for label, _ in by_lines})
+        assert set(socle) == {label for label, _ in got}
+        for label, component in got:
+            simples = np.vstack([span.matrix() for lab, span in by_lines if lab == label])
+            assert component == FpSpace.from_rows(simples, mod.dim, p)
+            assert socle[label] * (label.s + 1) == component.dim
 
     def test_rejects_a_module_not_graded_by_the_torus(self):
         m1, m2, _ = _conjugated_weight_module()
-        assert socle_labels(m1) == Counter({jh_label(3, 2, 5): 1})
+        assert jh_decompose(m1)[1] == Counter({jh_label(3, 2, 5): 1})
         with pytest.raises(ArithmeticError):
             socle_simples(m2)
 
