@@ -497,10 +497,6 @@ class ApCoeff:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
     def rational(cls, q, d: int = 0):
         q = Fraction(q)
         return cls({d: (q, INF)}) if q else cls()
@@ -646,9 +642,6 @@ class ResidueExpr:
     def __sub__(self, other):
         return self + (-other)
 
-    def scale(self, c: int):
-        return ResidueExpr(self.p, {e: v * c for e, v in self.coeffs.items()})
-
     def __mul__(self, other):
         out = {}
         for e1, c1 in self.coeffs.items():
@@ -658,9 +651,6 @@ class ResidueExpr:
 
     def __eq__(self, other):
         return isinstance(other, ResidueExpr) and self.p == other.p and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.p, tuple(sorted(self.coeffs.items()))))
 
     def is_zero(self) -> bool:
         return not self.coeffs

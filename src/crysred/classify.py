@@ -10,7 +10,7 @@ sweeps.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .arith import digit_sum, padic_val, require_odd_prime
@@ -318,19 +318,17 @@ def llc_image(p: int, s: int, lam: str | int, eta_exp: int = 0) -> LLCEntry:
 
 
 def hecke_quotient_image(p: int, label: JHLabel, refinement: str = "supersingular") -> GaloisRep:
-    """Galois side attached to a quotient of the induction from one weight.
+    """Galois side attached to a quotient of the induction from one weight:
+    the ``llc_image`` of the label.
 
     ``refinement`` records how the Hecke action on the surviving weight was
-    pinned down: "supersingular" (factors through the cokernel of T) or
-    "t2plus1" (factors through the cokernel of T^2 + 1, giving the pair of
-    characters with scalars +-i)."""
+    pinned down: "supersingular" (factors through the cokernel of T, lambda
+    = 0) or "t2plus1" (factors through the cokernel of T^2 + 1, lambda = +-i,
+    giving the pair of characters unr(i) w^t + unr(-i) w^t)."""
     s, t = label
-    if refinement == "t2plus1":
-        if s != p - 2:
-            raise ValueError("the T^2+1 refinement only arises at s = p-2")
-        # pi(p-2, +-i, w^t) pairs up to unr(i) w^t + unr(-i) w^t
-        return reducible(p, (("i", t), ("-i", t)))
-    return induced(p, s + 1 + (p + 1) * t)
+    if refinement == "t2plus1" and s != p - 2:
+        raise ValueError("the T^2+1 refinement only arises at s = p-2")
+    return llc_image(p, s, "i" if refinement == "t2plus1" else 0, t).galois
 
 
 def surviving_factor(desc: CaseDescriptor) -> tuple[JHLabel, str]:
@@ -354,6 +352,20 @@ def surviving_factor(desc: CaseDescriptor) -> tuple[JHLabel, str]:
 
 # ---------------------------------------------------------------------------
 # the classifier
+
+
+def _table_form(rep: GaloisRep) -> GaloisRep:
+    """Write an induced exponent as the member of its {e, p*e mod p^2-1}
+    orbit in 3..2p, the theorem's b+1 or b+p.  At most one member lies
+    there; a survivor with neither is not a table entry and raises."""
+    if rep.kind != "induced":
+        return rep
+    p = rep.p
+    e = rep.induced_exp
+    members = [x for x in {e, e * p % (p * p - 1)} if 3 <= x <= 2 * p]
+    if not members:
+        raise ArithmeticError(f"{rep.render()} has no conjugate exponent in 3..{2 * p}")
+    return replace(rep, induced_exp=members[0])
 
 
 def _star_alternatives(desc: CaseDescriptor) -> tuple[GaloisRep, ...]:
@@ -404,8 +416,7 @@ def classify_reduction(
         )
     r = k - 2
     desc = case_descriptor(p, r)
-    b = desc.b
-    star_relevant = b == 3 and slope == Fraction(3, 2)
+    star_relevant = desc.b == 3 and slope == Fraction(3, 2)
     notes = []
     if hyp_star != "unknown" and not star_relevant:
         notes.append("hyp_star ignored: only relevant when b = 3 and slope = 3/2")
@@ -419,22 +430,5 @@ def classify_reduction(
                 f"(hyp_star = {hyp_star})",
             ),
         )
-    if b == 2:
-        rep = induced(p, b + 1 if not (desc.p_div_r or desc.p_div_r_minus_1) else b + p)
-    elif b < p:
-        rep = induced(p, b + p if not desc.p_div_r_minus_b else b + 1)
-    else:
-        if not desc.p2_div_r_minus_b:
-            rep = induced(p, b + p)
-        else:
-            rep = reducible(p, (("i", 1), ("-i", 1)))
-    if notes:
-        rep = GaloisRep(
-            p,
-            rep.kind,
-            induced_exp=rep.induced_exp,
-            unramified_twist=rep.unramified_twist,
-            characters=rep.characters,
-            notes=tuple(notes),
-        )
-    return rep
+    rep = _table_form(hecke_quotient_image(p, *surviving_factor(desc)))
+    return replace(rep, notes=tuple(notes))

@@ -40,6 +40,17 @@ EXIT_HYPOTHESIS = 4
 EXIT_INDETERMINATE = 5
 EXIT_INTERNAL = 6
 
+# Library exceptions that are verdicts on the input, with their exit codes.
+# Indeterminate cancellation and a precision abort both mean that the audit
+# cannot decide, and refuses to guess.
+EXIT_CODES = {
+    DomainError: EXIT_DOMAIN,
+    DimensionBoundError: EXIT_DIMENSION,
+    HypothesisError: EXIT_HYPOTHESIS,
+    IndeterminateCancellation: EXIT_INDETERMINATE,
+    PrecisionError: EXIT_INDETERMINATE,
+}
+
 PRECISION_ENV = "CRYSRED_PRECISION"
 
 
@@ -130,6 +141,8 @@ def _sweep_worker(job) -> dict:
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise DomainError(f"--jobs must be at least 1, got {args.jobs}")
     if args.check == "lemmas":
         rows = arith.lemma_rows(args.p, args.r_to)
         bad = [row for row in rows if not row["pass"]]
@@ -154,8 +167,9 @@ def cmd_sweep(args) -> int:
     if hi < lo:
         raise DomainError(f"empty sweep range: --r-to {hi} is below --r-from {lo}")
     jobs = [(args.p, r, checks) for r in range(lo, hi + 1)]
-    if args.jobs > 1:
-        with Pool(args.jobs) as pool:
+    workers = min(args.jobs, len(jobs), os.cpu_count() or 1)
+    if workers > 1:
+        with Pool(workers) as pool:
             dicts = pool.map(_sweep_worker, jobs)
     else:
         dicts = [_sweep_worker(job) for job in jobs]
@@ -234,10 +248,19 @@ def cmd_witness(args) -> int:
 # verify-lemmas (family constructors included)
 
 
+def _family_row(family: str, choose, args, **labels) -> dict:
+    """One family row: ``choose(*args)`` validates its own output, and a
+    validation failure is a real failure."""
+    row = {"family": family, **labels}
+    try:
+        choose(*args)
+    except Exception as exc:
+        return {**row, "pass": False, "error": str(exc)}
+    return {**row, "pass": True}
+
+
 def cmd_verify_lemmas(args) -> int:
-    failures = 0
     rows = arith.lemma_rows(args.p, args.r_to)
-    failures += sum(not row["pass"] for row in rows)
     fam_rows = []
     p = args.p
     for a in range(2, p):
@@ -246,27 +269,13 @@ def cmd_verify_lemmas(args) -> int:
                 continue
             if (r - a) % (p - 1):
                 continue
-            try:
-                arith.choose_alphas(r, a, p)
-                fam_rows.append({"family": "alpha", "r": r, "a": a, "pass": True})
-            except Exception as exc:  # validation failure is a real failure
-                fam_rows.append({"family": "alpha", "r": r, "a": a, "pass": False, "error": str(exc)})
-                failures += 1
+            fam_rows.append(_family_row("alpha", arith.choose_alphas, (r, a, p), r=r, a=a))
     for b in range(3, p + 1):
         for r in (b, p * p - p + b, p * p - p + b + p * (p - 1)):
-            try:
-                arith.choose_betas(r, b, p)
-                fam_rows.append({"family": "beta", "r": r, "b": b, "pass": True})
-            except Exception as exc:
-                fam_rows.append({"family": "beta", "r": r, "b": b, "pass": False, "error": str(exc)})
-                failures += 1
+            fam_rows.append(_family_row("beta", arith.choose_betas, (r, b, p), r=r, b=b))
     for r in (p, p + p * p * (p - 1), p + 2 * p * p * (p - 1)):
-        try:
-            arith.choose_gammas_alphas2(r, p)
-            fam_rows.append({"family": "quad", "r": r, "pass": True})
-        except Exception as exc:
-            fam_rows.append({"family": "quad", "r": r, "pass": False, "error": str(exc)})
-            failures += 1
+        fam_rows.append(_family_row("quad", arith.choose_gammas_alphas2, (r, p), r=r))
+    failures = sum(not row["pass"] for row in rows + fam_rows)
     if args.format == "json":
         print(json.dumps({"lemma_rows": len(rows), "families": fam_rows,
                           "failed": failures}, indent=2, sort_keys=True))
@@ -341,20 +350,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except DimensionBoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIMENSION
-    except HypothesisError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
-    except (IndeterminateCancellation, PrecisionError) as exc:
-        # both mean: the audit cannot decide, and refuses to guess
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INDETERMINATE
-    except Exception as exc:  # a bug, not a verdict: never report it as a mismatch
+    except Exception as exc:
+        for kind, code in EXIT_CODES.items():
+            if isinstance(exc, kind):
+                print(f"error: {exc}", file=sys.stderr)
+                return code
+        # a bug, not a verdict: never report it as a mismatch
         import traceback  # only a failing run pays for this import
 
         print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -119,8 +119,7 @@ def structure_report(p: int, r: int, checks=("dim", "x", "q")) -> ReportRecord:
             )
     if "x" in checks:
         pred = predict_X_structure(desc)
-        mod = X.module
-        got, socle = jh_decompose(mod)
+        got, socle = jh_decompose(X.module)
         rec.x_factors_predicted = factors_to_str(pred.factors)
         rec.x_factors_computed = factors_to_str(got)
         if pred.factors != got:
@@ -135,15 +134,16 @@ def structure_report(p: int, r: int, checks=("dim", "x", "q")) -> ReportRecord:
     if "q" in checks:
         pred = predict_Q_structure(desc)
         q = quotient_Q(p, r, X=X)
+        got, socle = jh_decompose(q)
         rec.q_factors_predicted = factors_to_str(pred.factors)
-        rec.q_factors_computed = factors_to_str(q.factors)
-        if pred.factors != q.factors:
+        rec.q_factors_computed = factors_to_str(got)
+        if pred.factors != got:
             rec.discrepancies.append(
                 f"q-factors: predicted {rec.q_factors_predicted}, got {rec.q_factors_computed}"
             )
-        if pred.dimension != q.dimension:
+        if pred.dimension != q.dim:
             rec.discrepancies.append("q dimension mismatch")
-        _check_socle("q", q.socle, pred, rec.discrepancies)
+        _check_socle("q", socle, pred, rec.discrepancies)
     rec.passed = not rec.discrepancies
     rec.seconds = round(time.perf_counter() - t0, 4)
     return rec

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import functools
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -109,9 +109,6 @@ class HomogPoly:
         if (self.p, self.r) != (other.p, other.r):
             raise ValueError("degree or characteristic mismatch")
         return HomogPoly.from_vec(self.p, self.vec() + other.vec())
-
-    def scale(self, c: int) -> "HomogPoly":
-        return HomogPoly.from_vec(self.p, self.vec() * (c % self.p))
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
@@ -738,6 +735,7 @@ class QuotientModule(GammaModule):
     V_r/V**: the quotient of that module by the normal form of U."""
 
     def __init__(self, p: int, r: int, U: FpSpace):
+        self.r = r
         self.normal_form, self.cols = theta_normal_form(p, r, 2)
         # V_r/V**: column c of each generator is the normal form of g . X^(r-c) Y^c
         g, c = primitive_root(p), np.array(self.cols)
@@ -755,38 +753,19 @@ class QuotientModule(GammaModule):
         """Class of an ambient degree-r polynomial in module coordinates."""
         return self.project_coords(_as_vec(F, self.p) @ self.normal_form % self.p)
 
-
-@dataclass
-class QuotientData:
-    """The quotient of the degree-r module by (second-monomial submodule +
-    twice-theta-divisible part), with its decomposition data."""
-
-    p: int
-    r: int
-    module: QuotientModule
-    x_second: ClosedSubspace
-    dimension: int
-    factors: Counter = field(default_factory=Counter)
-    socle: Counter = field(default_factory=Counter)
-
     def star_image(self) -> FpSpace:
         """Image of the theta-divisible subspace inside the quotient: the
         kernel of the normal form modulo theta on V_r/V**, projected."""
         R1, _ = theta_normal_form(self.p, self.r, 1)
-        kernel = linalg.nullspace(R1[self.module.cols].T, self.p)
-        rows = [self.module.project_coords(v) for v in kernel]
-        return FpSpace.from_rows(rows, self.module.dim, self.p)
+        kernel = linalg.nullspace(R1[self.cols].T, self.p)
+        return FpSpace.from_rows([self.project_coords(v) for v in kernel], self.dim, self.p)
 
 
-def quotient_Q(p: int, r: int, decompose: bool = True, X: ClosedSubspace | None = None) -> QuotientData:
+def quotient_Q(p: int, r: int, X: ClosedSubspace | None = None) -> QuotientModule:
     """The terminal quotient; ``X`` is the second-monomial submodule when the
     caller has already built it."""
     if r < 2 * p + 1:
         raise DomainError(f"need r >= 2p+1; got r={r}, p={p}")
     if X is None:
         X = build_X(p, r, "second")
-    module = QuotientModule(p, r, X.space)
-    data = QuotientData(p, r, module, X, module.dim)
-    if decompose:
-        data.factors, data.socle = jh_decompose(module)
-    return data
+    return QuotientModule(p, r, X.space)

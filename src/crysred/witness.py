@@ -391,24 +391,14 @@ class QEnv:
     def __init__(self, p: int, r: int):
         self.p = p
         self.r = r
-        self.qd = quotient_Q(p, r, decompose=False)
-        self.module = self.qd.module
-        self.star = self.qd.star_image()
+        self.module = quotient_Q(p, r)
+        self.star = self.module.star_image()
 
     def cls(self, vec) -> np.ndarray:
         return self.module.project(vec)
 
-    def cls_mono(self, j: int) -> np.ndarray:
-        return self.cls(sym_power(self.p, self.r).monomial(j))
-
     def cls_theta(self, m: int, c: int = 1) -> np.ndarray:
         return self.cls(_theta_times(self.p, self.r, m, c))
-
-    def project_fn(self, rf: ResidueFunction) -> ResidueFunction:
-        return rf.map_vectors(self.cls, self.module.dim)
-
-    def spin(self, vecs) -> FpSpace:
-        return self.module.spin(vecs)
 
     def kill_submodule(self, keep: JHLabel) -> FpSpace:
         """Span of the socle constituents whose label differs from ``keep``."""
@@ -479,7 +469,7 @@ def _identify_image(case: WitnessCase, info: dict, g: IndFunction, audit) -> Wit
     checks: list[tuple[str, bool]] = []
     notes: list[str] = []
     env = QEnv(case.p, case.r)
-    rq = env.project_fn(reduce_mod_p(g, case.sigma))
+    rq = reduce_mod_p(g, case.sigma).map_vectors(env.cls, env.module.dim)
     tag, p, r = case.tag, case.p, case.r
     desc = info["desc"]
 
@@ -495,7 +485,7 @@ def _identify_image(case: WitnessCase, info: dict, g: IndFunction, audit) -> Wit
         c = (r - a) * inv_mod(a, p) % p
         checks.append(("constant matches the class-sum closed form",
                        c == (-class_sum_S(r, a, p)[1]) % p))
-        gen = env.cls_mono(a)
+        gen = env.cls(sym_power(p, r).monomial(a))
         checks.append(("image = c * generator modulo the singular part",
                        (v - c * gen) % p in env.star))
         checks.append(("generator survives the singular part", gen not in env.star))
@@ -515,9 +505,9 @@ def _identify_image(case: WitnessCase, info: dict, g: IndFunction, audit) -> Wit
         )
         checks.append(("image equals the claimed theta combination", rq == expected))
         v = rq.data[target][0]
-        span = env.spin([v])
+        span = env.module.spin([v])
         checks.append(("image generates the full singular image", span == env.star))
-        j0part = env.spin([env.cls_theta(r - p - 1)])
+        j0part = env.module.spin([env.cls_theta(r - p - 1)])
         checks.append(("bottom constituent has the right size", j0part.dim == b - 1))
         checks.append(
             ("image hits the middle constituent with constant -b",
@@ -542,7 +532,7 @@ def _identify_image(case: WitnessCase, info: dict, g: IndFunction, audit) -> Wit
         checks.append(("image equals c * [X^(r-2) Y^2]", rq == expected.prune()))
         nonzero = _expr_nonzero(c_expr, forbidden, case.ubar)
         checks.append(("generator class generates the singular image",
-                       env.spin([q]) == env.star))
+                       env.module.spin([q]) == env.star))
         label = jh_label(p - 2, 2, p)
         return WitnessReport(case, True, audit.min_valuation, target.render(), label,
                              c_expr.render(), nonzero, None, checks, notes)
@@ -554,16 +544,16 @@ def _identify_image(case: WitnessCase, info: dict, g: IndFunction, audit) -> Wit
         expected = _expected_fn(env, [(target, ResidueExpr.const(c, p),
                                        _theta_times(p, r, r - p - 1))])
         checks.append(("image equals c * [theta Y^(r-p-1)]", rq == expected))
-        j0part = env.spin([env.cls_theta(r - p - 1)])
+        j0part = env.module.spin([env.cls_theta(r - p - 1)])
         checks.append(("bottom constituent has dimension p-1", j0part.dim == p - 1))
         v = rq.data[target][0]
-        checks.append(("image generates the bottom constituent", env.spin([v]) == j0part))
+        checks.append(("image generates the bottom constituent", env.module.spin([v]) == j0part))
         return WitnessReport(case, True, audit.min_valuation, target.render(),
                              jh_label(p - 2, 1, p), str(c), c != 0, None, checks, notes)
 
     if tag == "T8.8-ii":
         high = p == 3 and case.sigma >= Fraction(3, 2)
-        j0part = env.spin([env.cls_theta(r - p - 1)])
+        j0part = env.module.spin([env.cls_theta(r - p - 1)])
         checks.append(("values sit inside the singular image", _in_space(env.star, rq)))
         qmod, proj = env.module.quotient(j0part)
         top = rq.map_vectors(proj, qmod.dim)
@@ -615,7 +605,7 @@ def _identify_image(case: WitnessCase, info: dict, g: IndFunction, audit) -> Wit
 
     # T9.2
     high = p == 3 and case.sigma >= Fraction(3, 2)
-    j0part = env.spin([env.cls_theta(r - p - 1)])
+    j0part = env.module.spin([env.cls_theta(r - p - 1)])
     checks.append(("values sit inside the bottom constituent", _in_space(j0part, rq)))
     sub = env.module.restrict(j0part)
     model = weight_module(p, p - 2, 1)

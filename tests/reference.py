@@ -10,6 +10,9 @@ they check.
 - ``certify_val_ge``: the per-coefficient valuation certificate, the second
   pass of the two-pass reference of ``hecke.audit_valuations``.
 - ``union``: the sum of two F_p subspaces.
+- ``classify_by_table``: the reduction table written out by congruence cell,
+  with the exponents b+1 and b+p, against ``classify_reduction``, which
+  derives it from ``surviving_factor`` and ``llc_image``.
 """
 
 from __future__ import annotations
@@ -27,6 +30,13 @@ from crysred.arith import (
     ApCoeff,
     _val_capped,
     padic_val,
+)
+from crysred.classify import (
+    GaloisRep,
+    _star_alternatives,
+    case_descriptor,
+    induced,
+    reducible,
 )
 from crysred.errors import PrecisionError
 from crysred.hecke import Coset, IndFunction, teich_table
@@ -203,3 +213,36 @@ def certify_val_ge(c: ApCoeff, bound, sigma: Fraction, p: int) -> bool:
 def union(a: FpSpace, b: FpSpace) -> FpSpace:
     """The sum of two subspaces of the same F_p^n."""
     return FpSpace.from_rows(np.vstack([a.matrix(), b.matrix()]), a.n, a.p)
+
+
+# ---------------------------------------------------------------------------
+# the reduction table by congruence cell
+
+
+def classify_by_table(p: int, k: int, slope: Fraction, hyp_star: str = "unknown") -> GaloisRep:
+    """The semisimplified reduction at weight k >= 2p+2, read off the table:
+    ind(w2^(b+1)) or ind(w2^(b+p)) by the divisibility of r, r-1 and r-b,
+    and unr(i) w + unr(-i) w when b = p and p^2 | r-b."""
+    desc = case_descriptor(p, k - 2)
+    b = desc.b
+    star_relevant = b == 3 and Fraction(slope) == Fraction(3, 2)
+    notes = ()
+    if hyp_star != "unknown" and not star_relevant:
+        notes = ("hyp_star ignored: only relevant when b = 3 and slope = 3/2",)
+    if star_relevant and hyp_star != "holds":
+        return GaloisRep(
+            p,
+            "undetermined",
+            alternatives=_star_alternatives(desc),
+            notes=(
+                "b = 3 with slope exactly 3/2 requires the genericity hypothesis "
+                f"(hyp_star = {hyp_star})",
+            ),
+        )
+    if b == 2:
+        return induced(p, b + 1 if not (desc.p_div_r or desc.p_div_r_minus_1) else b + p, notes=notes)
+    if b < p:
+        return induced(p, b + p if not desc.p_div_r_minus_b else b + 1, notes=notes)
+    if not desc.p2_div_r_minus_b:
+        return induced(p, b + p, notes=notes)
+    return reducible(p, (("i", 1), ("-i", 1)), notes=notes)

@@ -133,6 +133,43 @@ class TestSweep:
         assert code1 == code2 == 0
         assert out1 == out2
 
+    def test_jobs_below_one_is_a_domain_error(self, capsys):
+        for jobs in ("0", "-1"):
+            code, out, err = run(capsys, "sweep", "--p", "5", "--r-to", "12", "--jobs", jobs)
+            assert code == 2 and "--jobs" in err and out == ""
+
+    def test_pool_size_is_capped(self, capsys, monkeypatch):
+        # a recorder stands in for the process pool, so no process starts
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, n):
+                sizes.append(n)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return [fn(job) for job in jobs]
+
+        monkeypatch.setattr(cli, "Pool", RecordingPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+        sweep = ["sweep", "--p", "5", "--r-from", "11", "--check", "dim", "--format", "csv"]
+        assert run(capsys, *sweep, "--r-to", "11", "--jobs", "64")[0] == 0
+        assert sizes == []  # one degree runs serially
+        assert run(capsys, *sweep, "--r-to", "13", "--jobs", "64")[0] == 0
+        assert sizes == [3]  # no more workers than degrees
+        assert run(capsys, *sweep, "--r-to", "20", "--jobs", "64")[0] == 0
+        assert sizes == [3, 4]  # no more workers than cpus
+        assert run(capsys, *sweep, "--r-to", "20", "--jobs", "2")[0] == 0
+        assert sizes == [3, 4, 2]
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+        assert run(capsys, *sweep, "--r-to", "20", "--jobs", "64")[0] == 0
+        assert sizes == [3, 4, 2]  # cpu count unknown: serial
+
     def test_lemma_sweep(self, capsys):
         code, out, _ = run(capsys, "sweep", "--p", "11", "--check", "lemmas",
                            "--r-to", "150")
