@@ -51,46 +51,13 @@ def inv_mod(a: int, m: int) -> int:
 def padic_val(x, p: int):
     """Exact p-adic valuation of an int or Fraction; v(0) = +inf."""
     if isinstance(x, Fraction):
-        if x == 0:
-            return INF
-        return padic_val(x.numerator, p) - padic_val(x.denominator, p)
+        return INF if x == 0 else padic_val(x.numerator, p) - padic_val(x.denominator, p)
     if x == 0:
         return INF
-    x = abs(x)
-    v = 0
+    x, v = abs(x), 0
     while x % p == 0:
-        x //= p
-        v += 1
+        x, v = x // p, v + 1
     return v
-
-
-def _val_capped(x, p: int, cap: int = 40):
-    """Lower-bound-safe valuation, capped to avoid factoring huge integers.
-
-    Only used for rounding-error bookkeeping, where any bound beyond the
-    carried precision is as good as exact."""
-    if isinstance(x, Fraction):
-        if x == 0:
-            return INF
-        return _val_capped(x.numerator, p, cap) - padic_val(x.denominator, p)
-    if x == 0:
-        return INF
-    x = abs(x)
-    v = 0
-    while v < cap and x % p == 0:
-        x //= p
-        v += 1
-    return v
-
-
-def reduce_mod(x, p: int) -> int:
-    """Image in F_p of a p-integral rational (or integer)."""
-    if isinstance(x, int):
-        return x % p
-    num, den = x.numerator, x.denominator
-    if den % p == 0:
-        raise ValueError(f"{x} is not p-integral at p = {p}")
-    return num * inv_mod(den, p) % p
 
 
 def digits(s: int, p: int) -> list[int]:
@@ -470,146 +437,178 @@ def choose_gammas_alphas2(r: int, p: int) -> tuple[dict[int, int], dict[int, int
 class ApCoeff:
     """A finite sum  sum_d c_d * A^d  of powers of the symbolic eigenvalue A.
 
-    Each rational c_d carries a lower bound ``err`` on the valuation of its
-    rounding error (INF when exact); errors enter only through Teichmuller
-    truncation.  Valuations are taken with v(A) = sigma, an exact rational
-    supplied at audit time.
+    Term d is the integer triple (n, k, err): c_d = n * p^k with p not
+    dividing n (n = k = 0 when the term holds only an error bound), and err
+    a lower bound on the valuation of its Teichmuller rounding error (INF
+    when exact).  So v(c_d) = k, and at slope v(A) = a/b the term's valuation
+    is compared as the integer b*k + a*d.  Built without ``p``, a coefficient
+    keeps rational terms (k = 0) until ``at(p)`` splits it: in an
+    ``IndFunction``, in a sum, or in a method given ``p``.  A denominator
+    prime to p raises ArithmeticError there.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("p", "terms")
 
-    def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for d, (c, err) in terms.items():
-                if c != 0 or err is not INF:
-                    self._accum(d, c, err)
-
-    def _accum(self, d, c, err):
-        if d in self.terms:
-            c0, e0 = self.terms[d]
-            c, err = c0 + c, min(e0, err)
-        if c == 0 and err is INF:
-            self.terms.pop(d, None)
-        else:
-            self.terms[d] = (c, err)
-
-    # -- constructors ------------------------------------------------------
+    def __init__(self, terms=None, p: int | None = None):
+        """``terms`` maps d to (rational c_d, err)."""
+        self.p = p
+        self.terms = {d: (*_split(c, p), e) if p else (c, 0, e)
+                      for d, (c, e) in (terms or {}).items() if c or e != INF}
 
     @classmethod
-    def rational(cls, q, d: int = 0):
-        q = Fraction(q)
-        return cls({d: (q, INF)}) if q else cls()
+    def rational(cls, q, d: int = 0, p: int | None = None):
+        return cls({d: (q, INF)}, p)
 
     @classmethod
-    def trunc(cls, n: int, precision: int, d: int = 0):
+    def trunc(cls, n: int, precision: int, d: int = 0, p: int | None = None):
         """An integer known modulo p^precision (e.g. a Teichmuller lift)."""
-        return cls({d: (Fraction(n), precision)})
+        return cls({d: (n, precision)}, p)
+
+    def at(self, p: int | None = None) -> "ApCoeff":
+        """This coefficient split at p; p None keeps its own prime."""
+        if self.p is None and p is not None:
+            return ApCoeff({d: (c, e) for d, (c, _, e) in self.terms.items()}, p)
+        if self.p is None or p not in (None, self.p):
+            raise ValueError(f"coefficient at p = {self.p} used at p = {p}")
+        return self
+
+    def exact_terms(self) -> dict:
+        """{d: (c_d as a Fraction, err)}."""
+        return {d: (Fraction(n) * Fraction(self.p or 1) ** k, e)
+                for d, (n, k, e) in self.terms.items()}
 
     # -- ring-ish operations ------------------------------------------------
 
     def __add__(self, other):
-        out = ApCoeff(dict(self.terms))
-        for d, (c, err) in other.terms.items():
-            out._accum(d, c, err)
-        out._prune()
+        a, b = (self, other) if self.p == other.p else (self.at(other.p), other.at(self.p))
+        out = ApCoeff(p=a.p)
+        out.terms = dict(a.terms)
+        for d, t in b.terms.items():
+            _accum(out.terms, a.p, d, *t)
         return out
 
     def __neg__(self):
-        return ApCoeff({d: (-c, e) for d, (c, e) in self.terms.items()})
+        out = ApCoeff(p=self.p)
+        self._mul_into(out, -1, 0)
+        return out
 
     def __sub__(self, other):
         return self + (-other)
 
-    def scale(self, q, p: int):
-        """Multiply by an exact rational."""
-        q = Fraction(q)
-        if q == 0:
-            return ApCoeff()
-        dv = _val_capped(q, p)
-        return ApCoeff({d: (c * q, e if e is INF else e + dv) for d, (c, e) in self.terms.items()})
+    def _mul_into(self, acc: "ApCoeff", u: int, m: int, rel=INF) -> None:
+        """acc += self * u * p^m, the unit u known to relative precision rel."""
+        terms, p = acc.terms, self.p
+        for d, (n, k, e) in self.terms.items():
+            _accum(terms, p, d, n * u, k + m, min(e + m, k + m + rel) if n else e + m)
 
-    def scale_trunc(self, n: int, precision: int, p: int):
-        """Multiply by an integer known mod p^precision."""
-        out = {}
-        for d, (c, e) in self.terms.items():
-            # (c + E)(n + F): error at least min(v(c) + precision, e)
-            ee = min(e, _val_capped(c, p) + precision)
-            out[d] = (c * n, ee)
-        res = ApCoeff()
-        for d, (c, e) in out.items():
-            res._accum(d, c, e)
-        res._prune()
-        return res
+    def scale(self, q, p: int | None = None):
+        """Multiply by an exact rational with a p-power denominator."""
+        c = self.at(p)
+        out = ApCoeff(p=c.p)
+        if q:
+            c._mul_into(out, *_split(q, c.p))
+        return out
+
+    def scale_trunc(self, n: int, precision: int, p: int | None = None):
+        """Multiply by an integer known mod p^precision: (c + E)(n + F) - cn
+        has valuation at least min(v(E), v(c) + precision)."""
+        c = self.at(p)
+        out = ApCoeff(p=c.p)
+        u, m = _split(n, c.p)
+        for d, (x, k, e) in c.terms.items():
+            _accum(out.terms, c.p, d, x * u, k + m, min(e, k + precision) if x else e)
+        return out
 
     def shift(self, k: int):
         """Multiply by A^k."""
-        return ApCoeff({d + k: ce for d, ce in self.terms.items()})
-
-    def _prune(self):
-        for d in [d for d, (c, e) in self.terms.items() if c == 0 and e is INF]:
-            del self.terms[d]
+        out = ApCoeff(p=self.p)
+        out.terms = {d + k: t for d, t in self.terms.items()}
+        return out
 
     def is_exact_zero(self) -> bool:
         return not self.terms
 
     # -- audits --------------------------------------------------------------
 
-    def val_lb(self, sigma: Fraction, p: int):
+    def val_lb(self, sigma: Fraction, p: int | None = None):
         """Certified lower bound for the valuation of the true value."""
-        lb = INF
-        for d, (c, e) in self.terms.items():
-            lb = min(lb, min(padic_val(c, p), e) + d * sigma)
-        return lb
+        return self.audit_terms(sigma, p)[0]
 
-    def audit_terms(self, sigma: Fraction, p: int):
+    def audit_terms(self, sigma: Fraction, p: int | None = None):
         """(bound, [degrees achieving it], short) over the stored terms, one
         valuation per term.  ``short`` is (err, d) of the first truncated term
         whose error sits within PRECISION_HEADROOM of valuation 0, else None:
         when the bound is >= 0, such a term is exactly one whose stored
         value cannot certify valuation >= 0 within the carried precision."""
+        a, b = sigma.numerator, sigma.denominator
         best, who, short = INF, [], None
-        for d, (c, e) in self.terms.items():
-            ds = d * sigma
-            v = min(padic_val(c, p), e) + ds
+        for d, (n, k, e) in self.at(p).terms.items():
+            v = b * (min(k, e) if n else e) + a * d
             if v < best:
                 best, who = v, [d]
             elif v == best:
                 who.append(d)
-            if short is None and e is not INF and e + ds < PRECISION_HEADROOM:
+            if short is None and b * e + a * d < b * PRECISION_HEADROOM:
                 short = (e, d)
-        return best, who, short
+        return INF if best == INF else Fraction(best, b), who, short
 
-    def residue(self, sigma: Fraction, p: int) -> "ResidueExpr":
+    def residue(self, sigma: Fraction, p: int | None = None) -> "ResidueExpr":
         """Image mod the maximal ideal, as a polynomial in the residue symbol
-        of A^2/p^3 (only slope 3/2 produces nonconstant output)."""
-        out = ResidueExpr(p)
-        for d, (c, e) in self.terms.items():
-            v = padic_val(c, p) + d * sigma
-            if e is not INF and e + d * sigma < 1 + PRECISION_HEADROOM:
+        u of A^2/p^3 (only slope 3/2 produces nonconstant output).  A unit
+        term n p^k A^d has k = -3d/2 there, so it contributes n u^(d/2)."""
+        c = self.at(p)
+        a, b = sigma.numerator, sigma.denominator
+        out = {}
+        for d, (n, k, e) in c.terms.items():
+            if b * e + a * d < b * (1 + PRECISION_HEADROOM):
                 raise PrecisionError("residue requested beyond carried precision")
-            if v > 0:
+            if not n or b * k + a * d > 0:
                 continue
-            if v < 0:
+            if b * k + a * d < 0:
                 raise ArithmeticError("residue of a non-integral value")
-            if d == 0:
-                out = out + ResidueExpr(p, {0: reduce_mod(c, p)})
-            else:
-                if sigma != Fraction(3, 2) or d % 2:
-                    raise ArithmeticError("unit part is not expressible in the residue symbol")
-                expo = d // 2
-                out = out + ResidueExpr(p, {expo: reduce_mod(c * Fraction(p) ** (3 * expo), p)})
-        return out
+            if d and ((a, b) != (3, 2) or d % 2):
+                raise ArithmeticError("unit part is not expressible in the residue symbol")
+            out[d // 2] = n
+        return ResidueExpr(c.p, out)
 
     def __repr__(self):
-        if not self.terms:
-            return "ApCoeff(0)"
-        bits = []
-        for d in sorted(self.terms):
-            c, e = self.terms[d]
-            tag = "" if e is INF else f"~{e}"
-            bits.append(f"{c}{tag}*A^{d}" if d else f"{c}{tag}")
-        return "ApCoeff(" + " + ".join(bits) + ")"
+        bits = [f"{c}{'' if e == INF else f'~{e}'}" + (f"*A^{d}" if d else "")
+                for d, (c, e) in sorted(self.exact_terms().items())]
+        return "ApCoeff(" + (" + ".join(bits) or "0") + ")"
+
+
+def _split(q, p: int) -> tuple[int, int]:
+    """(u, m) with q = u * p^m and p not dividing u, (0, 0) for q = 0;
+    ArithmeticError unless the denominator of q is a power of p."""
+    q = Fraction(q)
+    m = padic_val(q.denominator, p)
+    if q.denominator != p**m:
+        raise ArithmeticError(f"{q} has a denominator prime to p = {p}")
+    v = padic_val(q.numerator, p) if q else m
+    return q.numerator // p ** v, v - m
+
+
+def _accum(terms: dict, p: int | None, d: int, n, k: int, e) -> None:
+    """terms[d] += n * p^k with error bound e, in place.  p is stripped only
+    when the exponents are equal (never from unsplit terms, where k = 0)."""
+    cur = terms.get(d)
+    if cur is not None:
+        n0, k0, e0 = cur
+        e = min(e0, e)
+        if not n:
+            n, k = n0, k0
+        elif n0 and k != k0:
+            lo = min(k, k0)
+            n, k = n0 * p ** (k0 - lo) + n * p ** (k - lo), lo
+        elif n0:
+            n += n0
+            while p and n and n % p == 0:
+                n //= p
+                k += 1
+    if n or e != INF:
+        terms[d] = (n, k if n else 0, e)
+    else:
+        terms.pop(d, None)
 
 
 class ResidueExpr:

@@ -6,13 +6,12 @@ Functions live on the standard tree cosets
     branch 1:  (1  0; p*mu  p^(m+1))
 
 and are finite sums of elementary terms [coset, polynomial]; polynomial
-coefficients are ``ApCoeff`` values (rationals times powers of the symbolic
-eigenvalue, with Teichmuller truncation tracked).  ``apply_T`` implements the
-raising/lowering decomposition on branch-0 support.  Its oracle, the defining
-double-coset formula evaluated with generic coset normalization
-(``direct_T``), lives with the tests in ``tests/reference.py``.  A mod-p
-Hecke operator on irreducible weight models supports the factorization
-certificates of the witness audits.
+coefficients are ``ApCoeff`` values, sums of n p^k A^d with n a p-adic unit
+and A the symbolic eigenvalue, Teichmuller truncation tracked.  ``apply_T``
+is the raising/lowering decomposition on branch-0 support.  Its oracle, the
+double-coset formula with generic coset normalization (``direct_T``), lives
+in ``tests/reference.py``.  A mod-p Hecke operator on irreducible weight
+models supports the factorization certificates of the witness audits.
 
 Capped absolute precision.  An ``IndFunction`` carries a cap N (the
 capped-absolute model of Caruso, Roe and Vaccon, "Tracking p-adic
@@ -22,9 +21,9 @@ stored at all has valuation >= N.  The cap starts at the function's
 ``precision`` and moves with the arithmetic: ``+`` and ``-`` take the
 smaller cap, ``scale(q)`` adds v(q), ``shift_ap(k)`` adds min(k, 2k).  The
 raising and lowering parts do not compute an output term whose valuation is
-certified >= N.  The certificate is min(v(c), err) + min(d, 2d) for each
-term c A^d of the input coefficient, plus the valuation of the p^j factor of
-T+ or of the p^(r-i) factor of T-.  Since 1 < sigma < 2, min(d, 2d) <=
+certified >= N.  The certificate is min(k, err) + min(d, 2d) for each
+term n p^k A^d of the input coefficient, plus the valuation of the p^j
+factor of T+ or of the p^(r-i) factor of T-.  Since 1 < sigma < 2, min(d, 2d) <=
 d * sigma, so the bound holds at every slope the audits accept.  Dropping
 such a term is sound because T preserves the integral lattice: the output
 is again known up to valuation N, and the audits only read valuations below
@@ -34,6 +33,7 @@ is again known up to valuation N, and the audits only read valuations below
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import NamedTuple
@@ -46,7 +46,6 @@ from .arith import (
     PRECISION_HEADROOM,
     ApCoeff,
     ResidueExpr,
-    _val_capped,
     padic_val,
     teichmuller,
 )
@@ -89,7 +88,6 @@ class TeichTable:
     def __init__(self, p: int, precision: int = DEFAULT_PRECISION):
         self.p = p
         self.precision = precision
-        self.modulus = p**precision
         self.rep = [teichmuller(c, p, precision) for c in range(p)]
 
     def power(self, c: int, k: int) -> int:
@@ -101,18 +99,10 @@ class TeichTable:
             return 0
         return self.rep[pow(c, k % (self.p - 1) or (self.p - 1), self.p)]
 
-    def digits_value(self, digits) -> int:
-        return sum(self.rep[d] * self.p**i for i, d in enumerate(digits)) % self.modulus
 
-
-_TABLES: dict[tuple[int, int], TeichTable] = {}
-
-
+@functools.cache
 def teich_table(p: int, precision: int = DEFAULT_PRECISION) -> TeichTable:
-    key = (p, precision)
-    if key not in _TABLES:
-        _TABLES[key] = TeichTable(p, precision)
-    return _TABLES[key]
+    return TeichTable(p, precision)
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +134,7 @@ class IndFunction:
     def accumulate(self, coset: Coset, j: int, coeff: ApCoeff) -> None:
         if coeff.is_exact_zero():
             return
+        coeff = coeff.at(self.p)
         poly = self.data.setdefault(coset, {})
         cur = poly.get(j)
         poly[j] = coeff if cur is None else cur + coeff
@@ -176,7 +167,7 @@ class IndFunction:
         q = Fraction(q)
         out = self._empty(self.cap + padic_val(q, self.p))
         for coset, poly in self.data.items():
-            out.data[coset] = {j: c.scale(q, self.p) for j, c in poly.items()}
+            out.data[coset] = {j: c.scale(q) for j, c in poly.items()}
         return out.prune()
 
     def shift_ap(self, k: int) -> "IndFunction":
@@ -201,69 +192,76 @@ def elementary(p: int, r: int, coset: Coset, terms: dict[int, ApCoeff],
 
 
 def _require_branch0(f: IndFunction) -> None:
-    for coset in f.data:
-        if coset.branch != 0:
-            raise NotImplementedError(
-                "the operator is only implemented on branch-0 support"
-            )
+    if any(coset.branch for coset in f.data):
+        raise NotImplementedError("the operator is only implemented on branch-0 support")
 
 
-def _floor_val(c: ApCoeff, p: int) -> int:
+def _floor_val(c: ApCoeff) -> int:
     """A valuation bound for c that holds at every slope in (1, 2):
     v(A^d) = d * sigma >= min(d, 2d)."""
-    return min(min(_val_capped(x, p), e) + min(d, 2 * d) for d, (x, e) in c.terms.items())
+    return min(min(k if n else INF, e) + min(d, 2 * d) for d, (n, k, e) in c.terms.items())
+
+
+def _binom_units(i: int, p: int, top: int) -> list[tuple[int, int]]:
+    """[(u, v)] with binom(i, j) = u * p^v, p not dividing u, for j = 0..top
+    (none if top < 0), by binom(i, j+1) = binom(i, j) (i-j)/(j+1) on unit parts."""
+    row, u, v = [(1, 0)] if top >= 0 else [], 1, 0
+    for j in range(top):
+        va, vb = padic_val(i - j, p), padic_val(j + 1, p)
+        u, v = u * ((i - j) // p**va) // ((j + 1) // p**vb), v + va - vb
+        row.append((u, v))
+    return row
+
+
+def _spread(out: IndFunction, coset: Coset, rows, table, t: int, sign: int, step: int) -> None:
+    """out[coset, j] += c * binom(i, j) (sign [t])^(i-j) p^(base + step j) for
+    each (i, c, base, row) in rows and each binom(i, j) = u p^v of the row.
+    [t]^(i-j) is known to the table's precision, and is exactly 1 at j = i."""
+    p, prec, poly = out.p, table.precision, out.data.setdefault(coset, {})
+    # (sign [t])^e for e > 0 depends only on e mod p-1, which is even
+    powers = [sign**e * table.power(t, e or p - 1) for e in range(p - 1)]
+    for i, c, base, row in rows:
+        for j, (u, v) in enumerate(row):
+            if i != j and not t:
+                continue
+            acc = poly.get(j)
+            if acc is None:
+                acc = poly[j] = ApCoeff(p=p)
+            if i == j:
+                c._mul_into(acc, u, base + v + step * j)
+            else:
+                c._mul_into(acc, u * powers[(i - j) % (p - 1)], base + v + step * j, prec)
 
 
 def apply_Tplus(f: IndFunction) -> IndFunction:
-    """Level-raising part: spreads each coset over its p children.  The
-    output term with index j carries a factor p^j, so j stops where that
-    factor takes the term past the cap."""
+    """Level-raising part: spreads each coset over its p children, index i
+    onto j <= i with weight (-1)^(i-j) binom(i, j) p^j [lam]^(i-j).  The
+    factor p^j stops j where it takes the term past the cap."""
     _require_branch0(f)
-    p, cap = f.p, f.cap
-    table = teich_table(p, f.precision)
-    out = f._empty()
+    table, out = teich_table(f.p, f.precision), f._empty()
     for coset, poly in f.data.items():
-        n, digits = coset.level, coset.digits
-        # (i, j) -> c_i * (-1)^(i-j) binom(i, j) p^j, shared by all children
-        parts = {}
-        for i, c in poly.items():
-            for j in range(min(i, cap - 1 - _floor_val(c, p)) + 1):
-                factor = Fraction(math.comb(i, j) * (-1) ** (i - j)) * Fraction(p) ** j
-                parts[i, j] = c.scale(factor, p)
-        for lam in range(p):
-            child = Coset(0, n + 1, digits + (lam,))
-            for (i, j), term in parts.items():
-                if i == j:
-                    out.accumulate(child, j, term)
-                elif lam:
-                    # for lam = 0 only the i = j term survives
-                    out.accumulate(child, j, term.scale_trunc(table.power(lam, i - j), f.precision, p))
+        rows = [(i, c, 0, _binom_units(i, f.p, min(i, f.cap - 1 - _floor_val(c))))
+                for i, c in poly.items()]
+        for lam in range(f.p):
+            _spread(out, Coset(0, coset.level + 1, coset.digits + (lam,)), rows, table, lam, -1, 1)
     return out.prune()
 
 
 def apply_Tminus(f: IndFunction) -> IndFunction:
-    """Level-lowering part: drops the leading digit (to the other branch at
-    level zero).  Every term from index i carries a factor p^(r-i), so an
-    index whose factor takes it past the cap is skipped."""
+    """Level-lowering part: drops the leading digit t (to the other branch at
+    level zero), index i onto j <= i with weight binom(i, j) p^(r-i) [t]^(i-j).
+    An index whose factor p^(r-i) takes it past the cap is skipped."""
     _require_branch0(f)
-    p, r, cap = f.p, f.r, f.cap
-    table = teich_table(p, f.precision)
-    out = f._empty()
+    p, r = f.p, f.r
+    table, out = teich_table(p, f.precision), f._empty()
+    binoms = {}  # the binomial rows of this call, by index
     for coset, poly in f.data.items():
         n, digits = coset.level, coset.digits
         parent, top = (ALPHA, 0) if n == 0 else (Coset(0, n - 1, digits[:-1]), digits[-1])
-        for i, c in poly.items():
-            if _floor_val(c, p) + r - i >= cap:
-                continue
-            base = c.scale(Fraction(p) ** (r - i), p)
-            if top == 0:
-                out.accumulate(parent, i, base)
-                continue
-            for j in range(i + 1):
-                term = base.scale(math.comb(i, j), p)
-                if i != j:
-                    term = term.scale_trunc(table.power(top, i - j), f.precision, p)
-                out.accumulate(parent, j, term)
+        rows = [(i, c, r - i, binoms.get(i) or binoms.setdefault(i, _binom_units(i, p, i)))
+                for i, c in poly.items() if _floor_val(c) + r - i < f.cap]
+        if rows:  # a parent enters the output where its first term does
+            _spread(out, parent, rows, table, top, 1, 0)
     return out.prune()
 
 
@@ -301,9 +299,10 @@ def precision_margin(f: IndFunction, sigma: Fraction):
     counted as one more such term (cap - 1).  ``reduce_mod_p`` raises
     PrecisionError exactly when this is below PRECISION_HEADROOM, and each
     carried digit more raises it by one."""
-    truncated = {(e, d) for poly in f.data.values() for c in poly.values()
-                 for d, (_, e) in c.terms.items() if e is not INF}
-    return min([f.cap - 1] + [e + d * sigma - 1 for e, d in truncated])
+    a, b = sigma.numerator, sigma.denominator
+    least = min([b * f.cap] + [b * e + a * d for poly in f.data.values() for c in poly.values()
+                               for d, (_, _, e) in c.terms.items() if e != INF])
+    return Fraction(least, b) - 1
 
 
 def audit_valuations(f: IndFunction, sigma: Fraction) -> ValuationReport:
@@ -318,7 +317,7 @@ def audit_valuations(f: IndFunction, sigma: Fraction) -> ValuationReport:
     short = None
     for coset, poly in f.data.items():
         for j, c in poly.items():
-            bound, degs, s = c.audit_terms(sigma, f.p)
+            bound, degs, s = c.audit_terms(sigma)
             entries.append((coset, j, bound, tuple(degs)))
             if short is None:
                 short = s
@@ -413,7 +412,7 @@ def reduce_mod_p(f: IndFunction, sigma: Fraction) -> ResidueFunction:
     out = ResidueFunction(f.p, f.r + 1)
     for coset, poly in f.data.items():
         for j, c in poly.items():
-            expr = c.residue(sigma, f.p)
+            expr = c.residue(sigma)
             for e, val in expr.coeffs.items():
                 vec = np.zeros(f.r + 1, dtype=np.int64)
                 vec[j] = val

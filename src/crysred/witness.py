@@ -433,7 +433,7 @@ def _expr_nonzero(expr: ResidueExpr, forbidden: int | None, ubar: int | None) ->
 
 def _residue_of(case: WitnessCase, num: Fraction, d: int) -> ResidueExpr:
     """Residue of num * A^d under the case slope (zero if positive valuation)."""
-    return ApCoeff.rational(num, d).residue(case.sigma, case.p)
+    return ApCoeff.rational(num, d, case.p).residue(case.sigma)
 
 
 def _in_space(space: FpSpace, fn: ResidueFunction) -> bool:

@@ -9,6 +9,10 @@ they check.
   checks, and ``functions_agree`` compares two functions up to a valuation.
 - ``certify_val_ge``: the per-coefficient valuation certificate, the second
   pass of the two-pass reference of ``hecke.audit_valuations``.
+- ``FractionCoeff``: the coefficient arithmetic of ``ApCoeff`` on exact
+  ``Fraction`` terms with ``padic_val`` valuations, against the (unit,
+  p-exponent) terms of ``ApCoeff``; with it ``_val_capped`` and
+  ``reduce_mod``, which the library no longer uses.
 - ``union``: the sum of two F_p subspaces.
 - ``classify_by_table``: the reduction table written out by congruence cell,
   with the exponents b+1 and b+p, against ``classify_reduction``, which
@@ -28,7 +32,8 @@ from crysred.arith import (
     INF,
     PRECISION_HEADROOM,
     ApCoeff,
-    _val_capped,
+    ResidueExpr,
+    inv_mod,
     padic_val,
 )
 from crysred.classify import (
@@ -46,9 +51,14 @@ from crysred.linalg import FpSpace
 # the Hecke operator by its defining formula
 
 
+def digits_value(table, digits) -> int:
+    """The Teichmuller expansion sum [d_i] p^i of a digit tuple, mod p^precision."""
+    return sum(table.rep[d] * table.p**i for i, d in enumerate(digits)) % table.p**table.precision
+
+
 def coset_matrix(coset: Coset, p: int, precision: int = DEFAULT_PRECISION):
     table = teich_table(p, precision)
-    mu = table.digits_value(coset.digits)
+    mu = digits_value(table, coset.digits)
     if coset.branch == 0:
         return (p**coset.level, mu, 0, 1)
     return (1, 0, p * mu, p ** (coset.level + 1))
@@ -92,7 +102,7 @@ def _substitute_poly(poly: dict[int, ApCoeff], mat, r: int, p: int, prec: int):
             for m2, w2 in enumerate(f2):
                 if w2:
                     weights[m1 + m2] += w1 * w2
-        for dd, (cc, ee) in coeff.terms.items():
+        for dd, (cc, ee) in coeff.exact_terms().items():
             eps = min(ee, _val_capped(cc, p) + prec)
             for j, w in enumerate(weights):
                 if w == 0:
@@ -104,7 +114,7 @@ def _substitute_poly(poly: dict[int, ApCoeff], mat, r: int, p: int, prec: int):
     for j, cells in acc.items():
         terms = {dd: (val, eps) for dd, (val, eps) in cells.items() if val != 0 or eps is not math.inf}
         if terms:
-            out[j] = ApCoeff(terms)
+            out[j] = ApCoeff(terms, p)
     return out
 
 
@@ -126,14 +136,14 @@ def normalize_pair(mat, poly: dict[int, ApCoeff], p: int, r: int,
     matches = []
     # branch-0 candidates at level m
     for digs in _iter_product(range(p), repeat=m):
-        lam = table.digits_value(digs)
+        lam = digits_value(table, digs)
         if (A - lam * C) % pm == 0 and (B - lam * D) % pm == 0:
             k = ((A - lam * C) // pm, (B - lam * D) // pm, C, D)
             matches.append((Coset(0, m, digs), k))
             break
     if not matches and m >= 1:
         for digs in _iter_product(range(p), repeat=m - 1):
-            lam = table.digits_value(digs)
+            lam = digits_value(table, digs)
             if (C - p * lam * A) % pm == 0 and (D - p * lam * B) % pm == 0:
                 k = (A, B, (C - p * lam * A) // pm, (D - p * lam * B) // pm)
                 matches.append((Coset(1, m - 1, digs), k))
@@ -191,21 +201,117 @@ def functions_agree(f: IndFunction, g: IndFunction, sigma: Fraction, min_val=3) 
 
 
 # ---------------------------------------------------------------------------
+# coefficients on Fractions
+
+
+def _val_capped(x, p: int, cap: int = 40):
+    """Lower-bound-safe valuation, capped to avoid factoring huge integers."""
+    if isinstance(x, Fraction):
+        if x == 0:
+            return INF
+        return _val_capped(x.numerator, p, cap) - padic_val(x.denominator, p)
+    if x == 0:
+        return INF
+    x = abs(x)
+    v = 0
+    while v < cap and x % p == 0:
+        x //= p
+        v += 1
+    return v
+
+
+def reduce_mod(x, p: int) -> int:
+    """Image in F_p of a p-integral rational (or integer)."""
+    if isinstance(x, int):
+        return x % p
+    num, den = x.numerator, x.denominator
+    if den % p == 0:
+        raise ValueError(f"{x} is not p-integral at p = {p}")
+    return num * inv_mod(den, p) % p
+
+
+class FractionCoeff:
+    """sum_d c_d A^d at the prime p as {d: (Fraction c_d, err)}, every
+    operation on exact Fractions: the model that ``ApCoeff`` must agree with
+    in value and error bound."""
+
+    def __init__(self, p: int, terms=None):
+        self.p = p
+        self.terms = {}
+        for d, (c, e) in (terms or {}).items():
+            self._accum(d, Fraction(c), e)
+
+    def _accum(self, d, c, e):
+        if d in self.terms:
+            c0, e0 = self.terms[d]
+            c, e = c0 + c, min(e0, e)
+        if c == 0 and e == INF:
+            self.terms.pop(d, None)
+        else:
+            self.terms[d] = (c, e)
+
+    def __add__(self, other):
+        out = FractionCoeff(self.p, self.terms)
+        for d, (c, e) in other.terms.items():
+            out._accum(d, c, e)
+        return out
+
+    def __neg__(self):
+        return FractionCoeff(self.p, {d: (-c, e) for d, (c, e) in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, q):
+        q = Fraction(q)
+        if q == 0:
+            return FractionCoeff(self.p)
+        return FractionCoeff(self.p, {d: (c * q, e + padic_val(q, self.p))
+                                      for d, (c, e) in self.terms.items()})
+
+    def scale_trunc(self, n: int, precision: int):
+        return FractionCoeff(self.p, {d: (c * n, min(e, padic_val(c, self.p) + precision))
+                                      for d, (c, e) in self.terms.items()})
+
+    def shift(self, k: int):
+        return FractionCoeff(self.p, {d + k: t for d, t in self.terms.items()})
+
+    def val_lb(self, sigma: Fraction):
+        return min((min(padic_val(c, self.p), e) + d * sigma
+                    for d, (c, e) in self.terms.items()), default=INF)
+
+    def residue(self, sigma: Fraction) -> ResidueExpr:
+        p, out = self.p, ResidueExpr(self.p)
+        for d, (c, e) in self.terms.items():
+            if e + d * sigma < 1 + PRECISION_HEADROOM:
+                raise PrecisionError("residue requested beyond carried precision")
+            v = padic_val(c, p) + d * sigma
+            if v > 0:
+                continue
+            if v < 0:
+                raise ArithmeticError("residue of a non-integral value")
+            if d and (sigma != Fraction(3, 2) or d % 2):
+                raise ArithmeticError("unit part is not expressible in the residue symbol")
+            out = out + ResidueExpr(p, {d // 2: reduce_mod(c * Fraction(p) ** (3 * d // 2), p)})
+        return out
+
+
+# ---------------------------------------------------------------------------
 # valuation certificate and subspace sum
 
 
 def certify_val_ge(c: ApCoeff, bound, sigma: Fraction, p: int) -> bool:
     """True if the true valuation of c is provably >= bound; raises
     PrecisionError when a truncated term sits too close to the call."""
-    for d, (x, e) in c.terms.items():
+    for d, (x, e) in c.at(p).exact_terms().items():
         v_stored = padic_val(x, p) + d * sigma
-        if e is not INF and e + d * sigma < bound + PRECISION_HEADROOM:
+        if e != INF and e + d * sigma < bound + PRECISION_HEADROOM:
             if v_stored >= bound:
                 raise PrecisionError(
                     f"bound {bound} within headroom of precision {e} at degree {d}"
                 )
             return False
-        if min(v_stored, INF if e is INF else e + d * sigma) < bound:
+        if min(v_stored, e + d * sigma) < bound:
             return False
     return True
 

@@ -28,7 +28,7 @@ from crysred.arith import (
     teichmuller,
 )
 from crysred.errors import DomainError, HypothesisError, PrecisionError
-from reference import certify_val_ge
+from reference import FractionCoeff, certify_val_ge
 from test_acceptance import LEMMA_PRIMES, LEMMA_R_MAX
 
 PRIMES = [3, 5, 7, 11, 13]
@@ -179,7 +179,7 @@ class TestFamilies:
 class TestApCoeff:
     def test_single_term_valuation_is_exact(self):
         sig = Fraction(5, 4)
-        c = ApCoeff.rational(Fraction(25, 3), -1)
+        c = ApCoeff.rational(Fraction(75), -1)  # 75 = 3 * 5^2
         assert c.val_lb(sig, 5) == 2 - sig
         assert certify_val_ge(c, 0, sig, 5)
         assert not certify_val_ge(c, 1, sig, 5)
@@ -191,7 +191,8 @@ class TestApCoeff:
         assert c.val_lb(sig, 5) == 0
 
     def test_residue_constant(self):
-        c = ApCoeff.rational(Fraction(7, 3))
+        # 7/3 to three 5-adic digits
+        c = ApCoeff.rational(7 * inv_mod(3, 5**3))
         expr = c.residue(Fraction(5, 4), 5)
         assert expr.coeffs == {0: 7 * inv_mod(3, 5) % 5}
 
@@ -217,7 +218,14 @@ class TestApCoeff:
     def test_scale_trunc_tracks_error(self):
         c = ApCoeff.rational(Fraction(1, 5)).scale_trunc(teichmuller(2, 5), 8, 5)
         assert c.val_lb(Fraction(3, 2), 5) == -1
-        assert c.terms[0][1] == 7  # precision dropped by the 1/5
+        assert c.exact_terms()[0][1] == 7  # precision dropped by the 1/5
+
+    def test_denominator_prime_to_p_is_refused(self):
+        with pytest.raises(ArithmeticError):
+            ApCoeff.rational(Fraction(7, 3), p=5)
+        # split where the coefficient first meets its prime
+        with pytest.raises(ArithmeticError):
+            ApCoeff.rational(Fraction(25, 3), -1).val_lb(Fraction(5, 4), 5)
 
     def test_padic_val(self):
         assert padic_val(Fraction(50, 3), 5) == 2
@@ -259,6 +267,71 @@ class TestApCoeffProperties:
     def test_subtraction_cancels(self, data):
         a = self._random_coeff(data)
         assert (a - a).val_lb(Fraction(3, 2), 5) == arith.INF
+
+
+@st.composite
+def coeff_terms(draw, p):
+    """{d: (rational, err)} with p-power denominators, exact and truncated
+    terms, and terms that hold only an error bound."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 3))):
+        num = draw(st.integers(-p**3, p**3))
+        err = draw(st.one_of(st.just(arith.INF), st.integers(-2, 8)))
+        if num == 0 and err == arith.INF:
+            continue
+        terms[draw(st.integers(-2, 2))] = (Fraction(num, p ** draw(st.integers(0, 3))), err)
+    return terms
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except (ArithmeticError, PrecisionError) as exc:
+        return type(exc).__name__
+
+
+class TestApCoeffAgainstFractions:
+    """The (unit, p-exponent) terms of ApCoeff against FractionCoeff: the
+    same exact value and error bound after every operation."""
+
+    @given(st.data(), st.sampled_from([3, 5, 7]))
+    @settings(max_examples=300, deadline=None)
+    def test_operations_match(self, data, p):
+        raw = data.draw(coeff_terms(p))
+        a, ref = ApCoeff(raw, p), FractionCoeff(p, raw)
+        assert a.exact_terms() == ref.terms
+        assert ApCoeff(raw).at(p).exact_terms() == ref.terms
+        for _ in range(data.draw(st.integers(1, 6))):
+            op = data.draw(st.sampled_from(["add", "sub", "scale", "scale_trunc", "shift"]))
+            if op in ("add", "sub"):
+                other = data.draw(coeff_terms(p))
+                b, ref_b = ApCoeff(other, p), FractionCoeff(p, other)
+                a, ref = (a + b, ref + ref_b) if op == "add" else (a - b, ref - ref_b)
+            elif op == "scale":
+                q = Fraction(data.draw(st.integers(-p**3, p**3)), p ** data.draw(st.integers(0, 3)))
+                a, ref = a.scale(q), ref.scale(q)
+            elif op == "scale_trunc":
+                prec = data.draw(st.integers(1, 10))
+                n = data.draw(st.one_of(
+                    st.builds(lambda c: teichmuller(c, p, prec), st.integers(1, p - 1)),
+                    st.integers(-p**4, p**4)))
+                a, ref = a.scale_trunc(n, prec), ref.scale_trunc(n, prec)
+            else:
+                k = data.draw(st.integers(-2, 2))
+                a, ref = a.shift(k), ref.shift(k)
+            assert a.exact_terms() == ref.terms, op
+        for sigma in (Fraction(5, 4), Fraction(3, 2), Fraction(7, 4)):
+            assert a.val_lb(sigma) == ref.val_lb(sigma)
+            mine = _outcome(lambda: a.residue(sigma))
+            theirs = _outcome(lambda: ref.residue(sigma))
+            assert mine == theirs
+
+    def test_scale_by_zero_and_unit_ladder(self):
+        c = ApCoeff.rational(Fraction(2, 25), 1, p=5)
+        assert c.scale(0).is_exact_zero()
+        # n * p^k with p not dividing n after a sum of equal exponents
+        s = c + ApCoeff.rational(Fraction(3, 25), 1, p=5)
+        assert s.terms == {1: (1, -1, arith.INF)}
 
 
 class TestResidueExpr:

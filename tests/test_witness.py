@@ -190,3 +190,19 @@ class TestVerdicts:
             # slope-3/2 audit needs no flag value beyond "holds"
             assert verify_witness(case("T9.1-low", p, r, "3/2", "holds")).ok
 """Heavier instances (r around one hundred) run in the acceptance suite."""
+
+
+class TestLargeAudits:
+    """Audits at large r: the smallest admissible T9.2 degrees at p = 11 and
+    13, and the two T9.2/T8.2 audits that once took 40 s each.  The margins
+    are the ones the Fraction-based coefficients computed."""
+
+    @pytest.mark.parametrize("tag, p, r, sig, star, margin", [
+        ("T9.2", 11, 1221, "3/2", "holds", 4),
+        ("T9.2", 13, 2041, "3/2", "holds", 4),
+        ("T9.2", 7, 301, "5/4", "unknown", Fraction(9, 2)),
+        ("T8.2", 13, 400, "5/4", "unknown", Fraction(19, 4)),
+    ])
+    def test_ok_with_margin(self, tag, p, r, sig, star, margin):
+        rep = verify_witness(case(tag, p, r, sig, star))
+        assert rep.ok and rep.precision_margin == margin
