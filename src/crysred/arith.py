@@ -51,12 +51,16 @@ def inv_mod(a: int, m: int) -> int:
 def padic_val(x, p: int):
     """Exact p-adic valuation of an int or Fraction; v(0) = +inf."""
     if isinstance(x, Fraction):
-        return INF if x == 0 else padic_val(x.numerator, p) - padic_val(x.denominator, p)
+        if x == 0:
+            return INF
+        return padic_val(x.numerator, p) - padic_val(x.denominator, p)
     if x == 0:
         return INF
-    x, v = abs(x), 0
+    x = abs(x)
+    v = 0
     while x % p == 0:
-        x, v = x // p, v + 1
+        x //= p
+        v += 1
     return v
 
 
@@ -441,10 +445,11 @@ class ApCoeff:
     dividing n (n = k = 0 when the term holds only an error bound), and err
     a lower bound on the valuation of its Teichmuller rounding error (INF
     when exact).  So v(c_d) = k, and at slope v(A) = a/b the term's valuation
-    is compared as the integer b*k + a*d.  Built without ``p``, a coefficient
-    keeps rational terms (k = 0) until ``at(p)`` splits it: in an
-    ``IndFunction``, in a sum, or in a method given ``p``.  A denominator
-    prime to p raises ArithmeticError there.
+    is compared as the integer b*k + a*d.  The library builds every
+    coefficient with its ``p``; a denominator prime to p raises
+    ArithmeticError.  For callers that have no prime at hand, a coefficient
+    built without ``p`` keeps rational terms (k = 0) until ``at(p)`` splits
+    it: in an ``IndFunction``, in a sum, or in a method given ``p``.
     """
 
     __slots__ = ("p", "terms")
@@ -572,9 +577,13 @@ class ApCoeff:
         return ResidueExpr(c.p, out)
 
     def __repr__(self):
-        bits = [f"{c}{'' if e == INF else f'~{e}'}" + (f"*A^{d}" if d else "")
-                for d, (c, e) in sorted(self.exact_terms().items())]
-        return "ApCoeff(" + (" + ".join(bits) or "0") + ")"
+        if not self.terms:
+            return "ApCoeff(0)"
+        bits = []
+        for d, (c, e) in sorted(self.exact_terms().items()):
+            tag = "" if e == INF else f"~{e}"
+            bits.append(f"{c}{tag}*A^{d}" if d else f"{c}{tag}")
+        return "ApCoeff(" + " + ".join(bits) + ")"
 
 
 def _split(q, p: int) -> tuple[int, int]:

@@ -182,8 +182,7 @@ def cmd_sweep(args) -> int:
         for rec in records:
             print(",".join(rec.csv_row()))
     elif args.format == "json":
-        rows = dicts if args.timings else [dict(d, seconds=0.0) for d in dicts]
-        out = {"rows": rows, "failed": len(failed)}
+        out = {"rows": [dict(d, seconds=0.0) for d in dicts], "failed": len(failed)}
         print(json.dumps(out, indent=2, sort_keys=True))
     else:
         for rec in records:
@@ -326,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["dim", "x-factors", "q-factors", "all", "lemmas"])
     w.add_argument("--jobs", type=int, default=1)
     w.add_argument("--format", default="text", choices=["text", "csv", "json"])
-    w.add_argument("--timings", action="store_true", help="keep real seconds in json rows")
     w.set_defaults(fn=cmd_sweep)
 
     t = sub.add_parser("witness", help="audit one witness function")

@@ -33,7 +33,6 @@ is again known up to valuation N, and the audits only read valuations below
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 from typing import NamedTuple
@@ -100,9 +99,14 @@ class TeichTable:
         return self.rep[pow(c, k % (self.p - 1) or (self.p - 1), self.p)]
 
 
-@functools.cache
+_TABLES: dict[tuple[int, int], TeichTable] = {}
+
+
 def teich_table(p: int, precision: int = DEFAULT_PRECISION) -> TeichTable:
-    return TeichTable(p, precision)
+    key = (p, precision)
+    if key not in _TABLES:
+        _TABLES[key] = TeichTable(p, precision)
+    return _TABLES[key]
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +196,11 @@ def elementary(p: int, r: int, coset: Coset, terms: dict[int, ApCoeff],
 
 
 def _require_branch0(f: IndFunction) -> None:
-    if any(coset.branch for coset in f.data):
-        raise NotImplementedError("the operator is only implemented on branch-0 support")
+    for coset in f.data:
+        if coset.branch != 0:
+            raise NotImplementedError(
+                "the operator is only implemented on branch-0 support"
+            )
 
 
 def _floor_val(c: ApCoeff) -> int:
@@ -300,8 +307,9 @@ def precision_margin(f: IndFunction, sigma: Fraction):
     PrecisionError exactly when this is below PRECISION_HEADROOM, and each
     carried digit more raises it by one."""
     a, b = sigma.numerator, sigma.denominator
-    least = min([b * f.cap] + [b * e + a * d for poly in f.data.values() for c in poly.values()
-                               for d, (_, _, e) in c.terms.items() if e != INF])
+    truncated = {(e, d) for poly in f.data.values() for c in poly.values()
+                 for d, (_, _, e) in c.terms.items() if e != INF}
+    least = min([b * f.cap] + [b * e + a * d for e, d in truncated])
     return Fraction(least, b) - 1
 
 

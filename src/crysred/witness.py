@@ -205,8 +205,8 @@ def _validate(case: WitnessCase) -> dict:
 # builders
 
 
-def _rat(num, den=1, d=0) -> ApCoeff:
-    return ApCoeff.rational(Fraction(num, den), d)
+def _rat(p: int, num, den=1, d=0) -> ApCoeff:
+    return ApCoeff.rational(Fraction(num, den), d, p)
 
 
 def _poly(terms: dict[int, ApCoeff]) -> dict[int, ApCoeff]:
@@ -224,31 +224,31 @@ def _build_T82_family(case: WitnessCase, a: int) -> IndFunction:
     f = IndFunction(p, r, case.precision)
     # two-level part: (1/p)(Y^r - X^(p-1) Y^(r-p+1)) over the depth-2 cosets
     for lam in range(p):
-        f.add_term(g0(2, (0, lam)), _poly({r: _rat(1, p), r - p + 1: _rat(-1, p)}))
+        f.add_term(g0(2, (0, lam)), _poly({r: _rat(p, 1, p), r - p + 1: _rat(p, -1, p)}))
     # depth-1 part: ((p-1)/p) A^-1 * sum alpha_j X^(r-j) Y^j
     alphas = choose_alphas(r, a, p)
     f.add_term(
         g0(1, (0,)),
-        _poly({j: _rat((p - 1) * alpha, p, d=-1) for j, alpha in alphas.items()}),
+        _poly({j: _rat(p, (p - 1) * alpha, p, d=-1) for j, alpha in alphas.items()}),
     )
     if a == p - 1:
-        f.add_term(IDENTITY, _poly({0: _rat(1 - p, p), p - 1: _rat(p - 1, p)}))
+        f.add_term(IDENTITY, _poly({0: _rat(p, 1 - p, p), p - 1: _rat(p, p - 1, p)}))
     return f
 
 
 def _build_T86_family(case: WitnessCase, b: int) -> IndFunction:
     p, r = case.p, case.r
     f = IndFunction(p, r, case.precision)
-    base = _rat(p, 1, d=-1)
+    base = _rat(p, p, 1, d=-1)
     for lam in range(1, p):
         c = _teich_coeff(case, base, lam, p - 2)
         f.add_term(g0(1, (lam,)), _poly({r: c, b: c.scale(-1, p)}))
-    c0 = _rat(r * (1 - p), 1, d=-1)
+    c0 = _rat(p, r * (1 - p), 1, d=-1)
     f.add_term(g0(1, (0,)), _poly({r - 1: c0, b - 1: c0.scale(-1, p)}))
     betas = choose_betas(r, b, p)
     f.add_term(
         IDENTITY,
-        _poly({j: _rat(p * (p - 1) * beta, 1, d=-2) for j, beta in betas.items()}),
+        _poly({j: _rat(p, p * (p - 1) * beta, 1, d=-2) for j, beta in betas.items()}),
     )
     return f
 
@@ -256,16 +256,16 @@ def _build_T86_family(case: WitnessCase, b: int) -> IndFunction:
 def _build_T87_high(case: WitnessCase) -> IndFunction:
     p, r, b = case.p, case.r, 3
     f = IndFunction(p, r, case.precision)
-    base = _rat(1, p * p, d=1)
+    base = _rat(p, 1, p * p, d=1)
     for lam in range(1, p):
         c = _teich_coeff(case, base, lam, p - 2)
         f.add_term(g0(1, (lam,)), _poly({r: c, b: c.scale(-1, p)}))
-    c0 = _rat(r * (1 - p), p**3, d=1)
+    c0 = _rat(p, r * (1 - p), p**3, d=1)
     f.add_term(g0(1, (0,)), _poly({r - 1: c0, b - 1: c0.scale(-1, p)}))
     betas = choose_betas(r, b, p)
     f.add_term(
         IDENTITY,
-        _poly({j: _rat((p - 1) * beta, p * p) for j, beta in betas.items()}),
+        _poly({j: _rat(p, (p - 1) * beta, p * p) for j, beta in betas.items()}),
     )
     return f
 
@@ -273,34 +273,34 @@ def _build_T87_high(case: WitnessCase) -> IndFunction:
 def _build_T88_i(case: WitnessCase) -> IndFunction:
     p, r = case.p, case.r
     f = IndFunction(p, r, case.precision)
-    base = _rat(1, p)
+    base = _rat(p, 1, p)
     for lam in range(1, p):
         c = _teich_coeff(case, base, lam, p - 2)
         f.add_term(g0(2, (0, lam)), _poly({r: c, p: c.scale(-1, p)}))
     betas = choose_betas(r, p, p)
     f.add_term(
         g0(1, (0,)),
-        _poly({j: _rat((p - 1) * beta, p, d=-1) for j, beta in betas.items()}),
+        _poly({j: _rat(p, (p - 1) * beta, p, d=-1) for j, beta in betas.items()}),
     )
-    f.add_term(IDENTITY, _poly({0: _rat(1 - p, p), r - p: _rat(p - 1, p)}))
+    f.add_term(IDENTITY, _poly({0: _rat(p, 1 - p, p), r - p: _rat(p, p - 1, p)}))
     return f
 
 
 def _build_T88_ii(case: WitnessCase) -> IndFunction:
     p, r = case.p, case.r
     f = IndFunction(p, r, case.precision)
-    base = _rat(1, 1, d=-1)
+    base = _rat(p, 1, 1, d=-1)
     for lam in range(1, p):
         c = _teich_coeff(case, base, lam, p - 2)
         f.add_term(g0(2, (0, lam)), _poly({r: c, p: c.scale(-1, p)}))
-    c0 = _rat((1 - p) * r, p, d=-1)
+    c0 = _rat(p, (1 - p) * r, p, d=-1)
     f.add_term(g0(2, (0, 0)), _poly({r - 1: c0, p - 1: c0.scale(-1, p)}))
     gammas = choose_gammas_modp2(r, p)
     f.add_term(
         g0(1, (0,)),
-        _poly({j: _rat((p - 1) * gamma, 1, d=-2) for j, gamma in gammas.items()}),
+        _poly({j: _rat(p, (p - 1) * gamma, 1, d=-2) for j, gamma in gammas.items()}),
     )
-    f.add_term(IDENTITY, _poly({0: _rat(1 - p, 1, d=-1), r - p: _rat(p - 1, 1, d=-1)}))
+    f.add_term(IDENTITY, _poly({0: _rat(p, 1 - p, 1, d=-1), r - p: _rat(p, p - 1, 1, d=-1)}))
     if p == 3 and case.sigma >= Fraction(3, 2):
         f = f.shift_ap(2).scale(Fraction(1, p**3))
     return f
@@ -324,16 +324,17 @@ def _build_T91(case: WitnessCase) -> IndFunction:
     terms: dict[int, int] = {}
     for idx, c in ((2, 1), (p + 1, -1), (r - p, -1), (r - 1, 1)):
         terms[idx] = terms.get(idx, 0) + c
-    poly = {j: _rat(c, 1, d=-1) for j, c in terms.items() if c}
+    poly = {j: _rat(p, c, 1, d=-1) for j, c in terms.items() if c}
     for lam in range(p):
         f.add_term(g0(2, (0, lam)), _poly(dict(poly)))
     alphas = choose_alphas(r - 1, 2, p)
     f.add_term(
         g0(1, (0,)),
-        _poly({j: _rat((p - 1) * p * alpha, 1, d=-2) for j, alpha in alphas.items()}),
+        _poly({j: _rat(p, (p - 1) * p * alpha, 1, d=-2) for j, alpha in alphas.items()}),
     )
     if p == 3:
-        f.add_term(IDENTITY, _poly({0: _rat((1 - p) * p, 1, d=-1), p - 1: _rat((p - 1) * p, 1, d=-1)}))
+        f.add_term(IDENTITY, _poly({0: _rat(p, (1 - p) * p, 1, d=-1),
+                                    p - 1: _rat(p, (p - 1) * p, 1, d=-1)}))
     if case.tag.endswith("high"):
         f = f.shift_ap(2).scale(Fraction(1, p**3))
     return f
@@ -344,14 +345,14 @@ def _build_T92(case: WitnessCase) -> IndFunction:
     f = IndFunction(p, r, case.precision)
     for lam in range(p):
         for mu in range(1, p):
-            f.add_term(g0(2, (lam, mu)), _poly({r: _rat(1, 1, d=-1), p: _rat(-1, 1, d=-1)}))
-        f.add_term(g0(2, (lam, 0)), _poly({r: _rat(1 - p, 1, d=-1), p: _rat(p - 1, 1, d=-1)}))
+            f.add_term(g0(2, (lam, mu)), _poly({r: _rat(p, 1, 1, d=-1), p: _rat(p, -1, 1, d=-1)}))
+        f.add_term(g0(2, (lam, 0)), _poly({r: _rat(p, 1 - p, 1, d=-1), p: _rat(p, p - 1, 1, d=-1)}))
     alphas = choose_alphas_modp2(r, p)
-    poly1 = _poly({j: _rat((p - 1) * alpha, 1, d=-2) for j, alpha in alphas.items()})
+    poly1 = _poly({j: _rat(p, (p - 1) * alpha, 1, d=-2) for j, alpha in alphas.items()})
     for lam in range(p):
         f.add_term(g0(1, (lam,)), dict(poly1))
     # X^(r-1) Y - X^(r-p) Y^p, i.e. coefficient indices 1 and p
-    f.add_term(IDENTITY, _poly({1: _rat(r, p, d=-1), p: _rat(-r, p, d=-1)}))
+    f.add_term(IDENTITY, _poly({1: _rat(p, r, p, d=-1), p: _rat(p, -r, p, d=-1)}))
     if p == 3 and case.sigma >= Fraction(3, 2):
         f = f.shift_ap(2).scale(Fraction(1, p**3))
     return f

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crysred import cli, report
+from crysred import cli
 from crysred.cli import main, parse_slope
 from crysred.errors import DomainError
 from crysred.report import (
@@ -169,20 +169,6 @@ class TestSweep:
         monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
         assert run(capsys, *sweep, "--r-to", "20", "--jobs", "64")[0] == 0
         assert sizes == [3, 4, 2]  # cpu count unknown: serial
-
-    def test_json_seconds_only_with_timings(self, capsys, monkeypatch):
-        # a clock that advances 0.5 s per reading: each report spans one step
-        ticks = iter(range(10**6))
-        monkeypatch.setattr(report.time, "perf_counter", lambda: next(ticks) * 0.5)
-        args = ["sweep", "--p", "5", "--r-from", "11", "--r-to", "14", "--format", "json"]
-        code, out, _ = run(capsys, *args)
-        assert code == 0 and out == run(capsys, *args)[1]
-        plain = json.loads(out)["rows"]
-        assert [row["seconds"] for row in plain] == [0.0] * 4
-        code, timed, _ = run(capsys, *args, "--timings")
-        rows = json.loads(timed)["rows"]
-        assert code == 0 and [row["seconds"] for row in rows] == [0.5] * 4
-        assert [dict(row, seconds=0.0) for row in rows] == plain
 
     def test_lemma_sweep(self, capsys):
         code, out, _ = run(capsys, "sweep", "--p", "11", "--check", "lemmas",
