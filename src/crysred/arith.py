@@ -439,61 +439,53 @@ def choose_gammas_alphas2(r: int, p: int) -> tuple[dict[int, int], dict[int, int
 
 
 class ApCoeff:
-    """A finite sum  sum_d c_d * A^d  of powers of the symbolic eigenvalue A.
+    """A finite sum  sum_d c_d * A^d  of powers of the symbolic eigenvalue A,
+    at the prime ``p``.
 
     Term d is the integer triple (n, k, err): c_d = n * p^k with p not
     dividing n (n = k = 0 when the term holds only an error bound), and err
     a lower bound on the valuation of its Teichmuller rounding error (INF
     when exact).  So v(c_d) = k, and at slope v(A) = a/b the term's valuation
-    is compared as the integer b*k + a*d.  The library builds every
-    coefficient with its ``p``; a denominator prime to p raises
-    ArithmeticError.  For callers that have no prime at hand, a coefficient
-    built without ``p`` keeps rational terms (k = 0) until ``at(p)`` splits
-    it: in an ``IndFunction``, in a sum, or in a method given ``p``.
+    is compared as the integer b*k + a*d.  The prime is part of the value:
+    a rational with a denominator prime to p raises ArithmeticError, and a
+    coefficient met at another prime (in a sum, an ``IndFunction`` or
+    ``val_lb``) raises ValueError.
     """
 
     __slots__ = ("p", "terms")
 
-    def __init__(self, terms=None, p: int | None = None):
+    def __init__(self, terms: dict, p: int):
         """``terms`` maps d to (rational c_d, err)."""
         self.p = p
-        self.terms = {d: (*_split(c, p), e) if p else (c, 0, e)
-                      for d, (c, e) in (terms or {}).items() if c or e != INF}
+        self.terms = {d: (*_split(c, p), e) for d, (c, e) in terms.items() if c or e != INF}
 
     @classmethod
-    def rational(cls, q, d: int = 0, p: int | None = None):
+    def rational(cls, q, d: int = 0, *, p: int):
         return cls({d: (q, INF)}, p)
 
     @classmethod
-    def trunc(cls, n: int, precision: int, d: int = 0, p: int | None = None):
+    def trunc(cls, n: int, precision: int, d: int = 0, *, p: int):
         """An integer known modulo p^precision (e.g. a Teichmuller lift)."""
         return cls({d: (n, precision)}, p)
 
-    def at(self, p: int | None = None) -> "ApCoeff":
-        """This coefficient split at p; p None keeps its own prime."""
-        if self.p is None and p is not None:
-            return ApCoeff({d: (c, e) for d, (c, _, e) in self.terms.items()}, p)
-        if self.p is None or p not in (None, self.p):
-            raise ValueError(f"coefficient at p = {self.p} used at p = {p}")
-        return self
-
     def exact_terms(self) -> dict:
         """{d: (c_d as a Fraction, err)}."""
-        return {d: (Fraction(n) * Fraction(self.p or 1) ** k, e)
+        return {d: (Fraction(n) * Fraction(self.p) ** k, e)
                 for d, (n, k, e) in self.terms.items()}
 
     # -- ring-ish operations ------------------------------------------------
 
     def __add__(self, other):
-        a, b = (self, other) if self.p == other.p else (self.at(other.p), other.at(self.p))
-        out = ApCoeff(p=a.p)
-        out.terms = dict(a.terms)
-        for d, t in b.terms.items():
-            _accum(out.terms, a.p, d, *t)
+        if other.p != self.p:
+            raise ValueError(f"coefficient at p = {other.p} added at p = {self.p}")
+        out = ApCoeff({}, self.p)
+        out.terms = dict(self.terms)
+        for d, t in other.terms.items():
+            _accum(out.terms, self.p, d, *t)
         return out
 
     def __neg__(self):
-        out = ApCoeff(p=self.p)
+        out = ApCoeff({}, self.p)
         self._mul_into(out, -1, 0)
         return out
 
@@ -506,27 +498,25 @@ class ApCoeff:
         for d, (n, k, e) in self.terms.items():
             _accum(terms, p, d, n * u, k + m, min(e + m, k + m + rel) if n else e + m)
 
-    def scale(self, q, p: int | None = None):
+    def scale(self, q):
         """Multiply by an exact rational with a p-power denominator."""
-        c = self.at(p)
-        out = ApCoeff(p=c.p)
+        out = ApCoeff({}, self.p)
         if q:
-            c._mul_into(out, *_split(q, c.p))
+            self._mul_into(out, *_split(q, self.p))
         return out
 
-    def scale_trunc(self, n: int, precision: int, p: int | None = None):
+    def scale_trunc(self, n: int, precision: int):
         """Multiply by an integer known mod p^precision: (c + E)(n + F) - cn
         has valuation at least min(v(E), v(c) + precision)."""
-        c = self.at(p)
-        out = ApCoeff(p=c.p)
-        u, m = _split(n, c.p)
-        for d, (x, k, e) in c.terms.items():
-            _accum(out.terms, c.p, d, x * u, k + m, min(e, k + precision) if x else e)
+        out = ApCoeff({}, self.p)
+        u, m = _split(n, self.p)
+        for d, (x, k, e) in self.terms.items():
+            _accum(out.terms, self.p, d, x * u, k + m, min(e, k + precision) if x else e)
         return out
 
     def shift(self, k: int):
         """Multiply by A^k."""
-        out = ApCoeff(p=self.p)
+        out = ApCoeff({}, self.p)
         out.terms = {d + k: t for d, t in self.terms.items()}
         return out
 
@@ -535,11 +525,14 @@ class ApCoeff:
 
     # -- audits --------------------------------------------------------------
 
-    def val_lb(self, sigma: Fraction, p: int | None = None):
-        """Certified lower bound for the valuation of the true value."""
-        return self.audit_terms(sigma, p)[0]
+    def val_lb(self, sigma: Fraction, p: int):
+        """Certified lower bound for the valuation of the true value; p must
+        be the coefficient's own prime."""
+        if p != self.p:
+            raise ValueError(f"coefficient at p = {self.p} valued at p = {p}")
+        return self.audit_terms(sigma)[0]
 
-    def audit_terms(self, sigma: Fraction, p: int | None = None):
+    def audit_terms(self, sigma: Fraction):
         """(bound, [degrees achieving it], short) over the stored terms, one
         valuation per term.  ``short`` is (err, d) of the first truncated term
         whose error sits within PRECISION_HEADROOM of valuation 0, else None:
@@ -547,7 +540,7 @@ class ApCoeff:
         value cannot certify valuation >= 0 within the carried precision."""
         a, b = sigma.numerator, sigma.denominator
         best, who, short = INF, [], None
-        for d, (n, k, e) in self.at(p).terms.items():
+        for d, (n, k, e) in self.terms.items():
             v = b * (min(k, e) if n else e) + a * d
             if v < best:
                 best, who = v, [d]
@@ -557,14 +550,13 @@ class ApCoeff:
                 short = (e, d)
         return INF if best == INF else Fraction(best, b), who, short
 
-    def residue(self, sigma: Fraction, p: int | None = None) -> "ResidueExpr":
+    def residue(self, sigma: Fraction) -> "ResidueExpr":
         """Image mod the maximal ideal, as a polynomial in the residue symbol
         u of A^2/p^3 (only slope 3/2 produces nonconstant output).  A unit
         term n p^k A^d has k = -3d/2 there, so it contributes n u^(d/2)."""
-        c = self.at(p)
         a, b = sigma.numerator, sigma.denominator
         out = {}
-        for d, (n, k, e) in c.terms.items():
+        for d, (n, k, e) in self.terms.items():
             if b * e + a * d < b * (1 + PRECISION_HEADROOM):
                 raise PrecisionError("residue requested beyond carried precision")
             if not n or b * k + a * d > 0:
@@ -574,7 +566,7 @@ class ApCoeff:
             if d and ((a, b) != (3, 2) or d % 2):
                 raise ArithmeticError("unit part is not expressible in the residue symbol")
             out[d // 2] = n
-        return ResidueExpr(c.p, out)
+        return ResidueExpr(self.p, out)
 
     def __repr__(self):
         if not self.terms:
@@ -597,9 +589,9 @@ def _split(q, p: int) -> tuple[int, int]:
     return q.numerator // p ** v, v - m
 
 
-def _accum(terms: dict, p: int | None, d: int, n, k: int, e) -> None:
+def _accum(terms: dict, p: int, d: int, n, k: int, e) -> None:
     """terms[d] += n * p^k with error bound e, in place.  p is stripped only
-    when the exponents are equal (never from unsplit terms, where k = 0)."""
+    when the exponents are equal: otherwise the sum of the units is a unit."""
     cur = terms.get(d)
     if cur is not None:
         n0, k0, e0 = cur
@@ -611,7 +603,7 @@ def _accum(terms: dict, p: int | None, d: int, n, k: int, e) -> None:
             n, k = n0 * p ** (k0 - lo) + n * p ** (k - lo), lo
         elif n0:
             n += n0
-            while p and n and n % p == 0:
+            while n and n % p == 0:
                 n //= p
                 k += 1
     if n or e != INF:

@@ -136,9 +136,10 @@ class IndFunction:
         return out
 
     def accumulate(self, coset: Coset, j: int, coeff: ApCoeff) -> None:
+        if coeff.p != self.p:
+            raise ValueError(f"coefficient at p = {coeff.p} used at p = {self.p}")
         if coeff.is_exact_zero():
             return
-        coeff = coeff.at(self.p)
         poly = self.data.setdefault(coset, {})
         cur = poly.get(j)
         poly[j] = coeff if cur is None else cur + coeff
@@ -233,7 +234,7 @@ def _spread(out: IndFunction, coset: Coset, rows, table, t: int, sign: int, step
                 continue
             acc = poly.get(j)
             if acc is None:
-                acc = poly[j] = ApCoeff(p=p)
+                acc = poly[j] = ApCoeff({}, p)
             if i == j:
                 c._mul_into(acc, u, base + v + step * j)
             else:

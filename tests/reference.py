@@ -303,7 +303,9 @@ class FractionCoeff:
 def certify_val_ge(c: ApCoeff, bound, sigma: Fraction, p: int) -> bool:
     """True if the true valuation of c is provably >= bound; raises
     PrecisionError when a truncated term sits too close to the call."""
-    for d, (x, e) in c.at(p).exact_terms().items():
+    if c.p != p:
+        raise ValueError(f"coefficient at p = {c.p} certified at p = {p}")
+    for d, (x, e) in c.exact_terms().items():
         v_stored = padic_val(x, p) + d * sigma
         if e != INF and e + d * sigma < bound + PRECISION_HEADROOM:
             if v_stored >= bound:

@@ -178,7 +178,7 @@ class TestCriterion6:
             poly = {}
             for _ in range(int(rng.integers(1, 3))):
                 poly[int(rng.integers(0, r + 1))] = arith.ApCoeff.rational(
-                    int(rng.integers(1, p))
+                    int(rng.integers(1, p)), p=p
                 )
             f = elementary(p, r, g0(m, digs), poly)
             if not functions_agree(apply_T(f), direct_T(f), sig, min_val=4):

@@ -258,6 +258,25 @@ class TestVerifyLemmas:
             code, out, err = run(capsys, *argv)
             assert code == 2 and "p = 1 is not an odd prime" in err and out == "", argv
 
+    def test_internal_error_in_a_family_is_not_a_mismatch(self, capsys, monkeypatch):
+        def broken(r, b, p):
+            raise IndexError("list index out of range")
+
+        monkeypatch.setattr(cli.arith, "choose_betas", broken)
+        code, out, err = run(capsys, "verify-lemmas", "--p", "5", "--r-to", "10")
+        assert code == 6 and "internal: IndexError" in err and "failures:" not in out
+
+    def test_failed_family_check_is_a_mismatch(self, capsys, monkeypatch):
+        def failing(r, b, p):
+            raise ArithmeticError("beta family failed checks: sum_mod_p3")
+
+        monkeypatch.setattr(cli.arith, "choose_betas", failing)
+        code, out, _ = run(capsys, "verify-lemmas", "--p", "5", "--r-to", "10", "--format", "json")
+        doc = json.loads(out)
+        betas = [row for row in doc["families"] if row["family"] == "beta"]
+        assert code == 1 and betas and doc["failed"] == len(betas)
+        assert all(not row["pass"] and "sum_mod_p3" in row["error"] for row in betas)
+
 
 class TestRecordCodecs:
     def test_report_record_roundtrip(self):

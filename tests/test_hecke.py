@@ -30,7 +30,7 @@ from crysred.errors import IndeterminateCancellation, PrecisionError
 from crysred.symrep import sym_power
 from reference import certify_val_ge, direct_T, functions_agree, normalize_pair, translate
 
-ONE = ApCoeff.rational(1)
+ONE = ApCoeff.rational(1, p=5)
 
 
 class TestBasics:
@@ -66,6 +66,11 @@ class TestBasics:
             out = apply_Tminus(elementary(5, 11, g0(1, (lam,)), {11: ONE}))
             assert list(out.data) == [IDENTITY]
 
+    def test_coefficient_at_another_prime_is_refused(self):
+        f = elementary(5, 11, IDENTITY, {0: ONE})
+        with pytest.raises(ValueError):
+            f.accumulate(IDENTITY, 1, ApCoeff.rational(1, p=7))
+
 
 class TestAgainstDirectFormula:
     def test_random_branch0(self):
@@ -79,7 +84,7 @@ class TestAgainstDirectFormula:
             f = IndFunction(p, r)
             for _ in range(int(rng.integers(1, 4))):
                 f.accumulate(g0(m, digs), int(rng.integers(0, r + 1)),
-                             ApCoeff.rational(int(rng.integers(1, p))))
+                             ApCoeff.rational(int(rng.integers(1, p)), p=p))
             assert functions_agree(apply_T(f), direct_T(f), sig, min_val=4)
 
     def test_equivariance_random(self):
@@ -90,7 +95,8 @@ class TestAgainstDirectFormula:
             r = int(rng.integers(2 * p + 2, 40))
             m = int(rng.integers(0, 3))
             digs = tuple(int(x) for x in rng.integers(0, p, m))
-            f = elementary(p, r, g0(m, digs), {int(rng.integers(0, r + 1)): ONE})
+            one = ApCoeff.rational(1, p=p)
+            f = elementary(p, r, g0(m, digs), {int(rng.integers(0, r + 1)): one})
             while True:
                 k = tuple(int(x) for x in rng.integers(0, p**4, 4))
                 if (k[0] * k[3] - k[1] * k[2]) % p:
@@ -120,23 +126,23 @@ class TestAgainstDirectFormula:
 
 class TestAudits:
     def test_integral_function(self):
-        f = elementary(5, 11, IDENTITY, {0: ApCoeff.rational(Fraction(1, 5), 1)})
+        f = elementary(5, 11, IDENTITY, {0: ApCoeff.rational(Fraction(1, 5), 1, p=5)})
         rep = audit_valuations(f, Fraction(5, 4))
         assert rep.integral and rep.min_valuation == Fraction(1, 4)
 
     def test_exact_failure(self):
-        f = elementary(5, 11, IDENTITY, {0: ApCoeff.rational(Fraction(1, 5))})
+        f = elementary(5, 11, IDENTITY, {0: ApCoeff.rational(Fraction(1, 5), p=5)})
         rep = audit_valuations(f, Fraction(5, 4))
         assert not rep.integral and rep.failures
 
     def test_indeterminate_tie(self):
-        c = ApCoeff.rational(Fraction(1, 5)) + ApCoeff.rational(Fraction(1, 5**4), 2)
+        c = ApCoeff.rational(Fraction(1, 5), p=5) + ApCoeff.rational(Fraction(1, 5**4), 2, p=5)
         f = elementary(5, 11, IDENTITY, {0: c})
         with pytest.raises(IndeterminateCancellation):
             audit_valuations(f, Fraction(3, 2))
 
     def test_reduction(self):
-        c = ApCoeff.rational(Fraction(7)) + ApCoeff.rational(Fraction(5))
+        c = ApCoeff.rational(Fraction(7), p=5) + ApCoeff.rational(Fraction(5), p=5)
         f = elementary(5, 11, IDENTITY, {3: c})
         red = reduce_mod_p(f, Fraction(5, 4))
         assert red.data[IDENTITY][0][3] == 2
@@ -195,14 +201,14 @@ def witness_shaped(draw):
         m = draw(st.integers(0, 2))
         coset = g0(m, tuple(draw(st.lists(st.integers(0, p - 1), min_size=m, max_size=m))))
         for _ in range(draw(st.integers(1, 3))):
-            c = ApCoeff()
+            c = ApCoeff({}, p)
             for _ in range(draw(st.integers(1, 2))):
                 num = draw(st.integers(-p * p, p * p).filter(bool))
                 term = ApCoeff.rational(Fraction(num, p ** draw(st.integers(0, 3))),
-                                        draw(st.integers(-2, 2)))
+                                        draw(st.integers(-2, 2)), p=p)
                 if draw(st.booleans()):
                     lam, k = draw(st.integers(1, p - 1)), draw(st.integers(1, p - 1))
-                    term = term.scale_trunc(table.power(lam, k), WIDE_PRECISION, p)
+                    term = term.scale_trunc(table.power(lam, k), WIDE_PRECISION)
                 c = c + term
             f.accumulate(coset, draw(st.integers(0, r)), c)
     f.prune()
@@ -232,7 +238,7 @@ class TestAbsoluteCap:
         # error, not the stored value, decides whether a term is dropped
         from crysred.hecke import precision_margin
 
-        unknown = ApCoeff({0: (Fraction(0), 3)})
+        unknown = ApCoeff({0: (Fraction(0), 3)}, 5)
         f = elementary(5, 11, g0(1, (2,)), {11: unknown, 4: unknown}, precision=8)
         out = apply_T(f)
         assert out.data
@@ -251,14 +257,14 @@ class TestAbsoluteCap:
     def test_low_cap_refused_by_audit_and_reduction(self):
         # an integral function whose cap sits within the headroom of the
         # residue: neither integrality nor the residue can be certified
-        low = elementary(5, 11, IDENTITY, {0: ApCoeff.rational(25)}, precision=4)
+        low = elementary(5, 11, IDENTITY, {0: ApCoeff.rational(25, p=5)}, precision=4)
         low = low.scale(Fraction(1, 25))
         assert low.cap == PRECISION_HEADROOM
         with pytest.raises(PrecisionError):
             audit_valuations(low, Fraction(5, 4))
         with pytest.raises(PrecisionError):
             reduce_mod_p(low, Fraction(5, 4))
-        ok = elementary(5, 11, IDENTITY, {0: ApCoeff.rational(5)}, precision=4)
+        ok = elementary(5, 11, IDENTITY, {0: ApCoeff.rational(5, p=5)}, precision=4)
         ok = ok.scale(Fraction(1, 5))
         assert ok.cap == 1 + PRECISION_HEADROOM
         assert audit_valuations(ok, Fraction(5, 4)).integral
@@ -338,13 +344,13 @@ def audit_inputs(draw):
             err = draw(st.one_of(st.just(math.inf), st.integers(0, 6)))
             terms[d] = (Fraction(num, den), err)
         f.accumulate(draw(st.sampled_from(AUDIT_COSETS)), draw(st.integers(0, 11)),
-                     ApCoeff(terms))
+                     ApCoeff(terms, 5))
     sigma = draw(st.sampled_from([Fraction(5, 4), Fraction(4, 3), Fraction(3, 2)]))
     return f, sigma
 
 
 class TestSinglePassAudit:
-    SHORT = ApCoeff({0: (Fraction(5), 1)})  # 5 known mod 5: within the headroom of 0
+    SHORT = ApCoeff({0: (Fraction(5), 1)}, 5)  # 5 known mod 5: within the headroom of 0
     SIG = Fraction(3, 2)
 
     def _function(self, *coeffs):
@@ -354,20 +360,21 @@ class TestSinglePassAudit:
         return f
 
     def test_negative_bound_wins_over_headroom(self):
-        f = self._function((g0(1, (3,)), self.SHORT), (IDENTITY, ApCoeff.rational(Fraction(1, 5))))
+        f = self._function((g0(1, (3,)), self.SHORT),
+                           (IDENTITY, ApCoeff.rational(Fraction(1, 5), p=5)))
         new = _outcome(audit_valuations, f, self.SIG)
         assert new == _outcome(_two_pass_audit, f, self.SIG)
         assert new[0] == "report" and not new[1].integral and len(new[1].failures) == 1
 
     def test_tie_wins_over_headroom(self):
-        tie = ApCoeff.rational(Fraction(1, 5)) + ApCoeff.rational(Fraction(1, 5**4), 2)
+        tie = ApCoeff.rational(Fraction(1, 5), p=5) + ApCoeff.rational(Fraction(1, 5**4), 2, p=5)
         f = self._function((IDENTITY, self.SHORT), (g0(1, (0,)), tie))
         new = _outcome(audit_valuations, f, self.SIG)
         assert new == _outcome(_two_pass_audit, f, self.SIG)
         assert new[0] == "IndeterminateCancellation"
 
     def test_headroom_alone_raises_at_the_first_term(self):
-        later = ApCoeff({1: (Fraction(5), 0)})  # another term short of headroom
+        later = ApCoeff({1: (Fraction(5), 0)}, 5)  # another term short of headroom
         f = self._function((g0(1, (3,)), later), (IDENTITY, self.SHORT))
         new = _outcome(audit_valuations, f, self.SIG)
         assert new == _outcome(_two_pass_audit, f, self.SIG)
