@@ -57,6 +57,7 @@ def jh_label(s: int, t: int, p: int) -> JHLabel:
     return JHLabel(s, t % (p - 1))
 
 
+@functools.lru_cache(maxsize=None)
 def primitive_root(p: int) -> int:
     for g in range(2, p):
         seen, x = set(), 1
@@ -184,14 +185,14 @@ class SymPower:
     def act_vec(self, g, v: np.ndarray) -> np.ndarray:
         return self.action_matrix(g) @ (v % self.p) % self.p
 
-    def gamma_generators(self) -> list[tuple[int, int, int, int]]:
-        g = primitive_root(self.p)
-        return [(1, 1, 0, 1), (0, 1, 1, 0), (g, 0, 0, 1), (1, 0, 0, g)]
-
     def monoid_generators(self) -> list[tuple[int, int, int, int]]:
         gens = [(1, 1, 0, 1), (0, 1, 1, 0), (1, 0, 0, 0)]
         gens += [(u, 0, 0, 1) for u in range(2, self.p)]
         return gens
+
+
+def gamma_generators(p: int) -> list[tuple[int, int, int, int]]:
+    return [(1, 1, 0, 1), (0, 1, 1, 0), (primitive_root(p), 0, 0, 1), (1, 0, 0, primitive_root(p))]
 
 
 @functools.lru_cache(maxsize=8)
@@ -303,7 +304,7 @@ def span_closure(generators, group: str = "M", p: int | None = None, r: int | No
     if p is None or r is None:
         raise ValueError("p and r required for raw vectors")
     symp = sym_power(p, r)
-    gens = symp.monoid_generators() if group == "M" else symp.gamma_generators()
+    gens = symp.monoid_generators() if group == "M" else gamma_generators(p)
     mats = [symp.action_matrix(g) for g in gens]
     space = FpSpace(r + 1, p)
     work = [v for v in vecs if space.add(v)]
@@ -350,7 +351,7 @@ def build_X(p: int, r: int, which: str = "second") -> ClosedSubspace:
     pivots = linalg.eliminate(A, p, r + 1)
     B, T = A[: len(pivots), : r + 1], A[: len(pivots), r + 1 :]
     mats = {}
-    for name, g in zip(GEN_NAMES + ("e",), SymPower(p, r).gamma_generators() + [(1, 0, 0, 0)]):
+    for name, g in zip(GEN_NAMES + ("e",), gamma_generators(p) + [(1, 0, 0, 0)]):
         images = _orbit_vectors([mat_mul(g, h, p) for h in hs], r, j, p)
         coords = images[:, pivots]
         if ((images - coords @ B) % p).any():
@@ -374,14 +375,11 @@ def theta_multiple_space(p: int, r: int, k: int) -> FpSpace:
     tk = theta_vec(p)
     for _ in range(k - 1):
         tk = poly_mul_vec(tk, theta_vec(p), p)
-    # theta^k * X^(s-m) Y^m has leading index m + k and support above it,
-    # so the rows are already in echelon position
-    rows = []
-    base = np.zeros(s + 1, dtype=np.int64)
+    # theta^k * X^(s-m) Y^m is theta^k shifted by m: it has leading index
+    # m + k and support above it, so the rows are already in echelon position
+    rows = np.zeros((s + 1, r + 1), dtype=np.int64)
     for m in range(s + 1):
-        base[:] = 0
-        base[m] = 1
-        rows.append(poly_mul_vec(tk, base, p))
+        rows[m, m : m + len(tk)] = tk
     return FpSpace.from_echelon(rows, [m + k for m in range(s + 1)], r + 1, p)
 
 
@@ -390,6 +388,7 @@ def filtration_spaces(p: int, r: int) -> tuple[FpSpace, FpSpace]:
     return theta_multiple_space(p, r, 1), theta_multiple_space(p, r, 2)
 
 
+@functools.lru_cache(maxsize=4)
 def theta_normal_form(p: int, r: int, k: int) -> tuple[np.ndarray, list[int]]:
     """Reduction modulo the theta^k-divisible subspace, k in {1, 2}.
 
@@ -410,6 +409,7 @@ def theta_normal_form(p: int, r: int, k: int) -> tuple[np.ndarray, list[int]]:
         acc = sum(c * R[bot + i * step : hi + 1 + i * step] for i, c in enumerate(coef, 1))
         R[bot : hi + 1] = acc % p
         hi = bot - 1
+    R.flags.writeable = False  # cached for the several uses at one degree
     return R, cols
 
 
@@ -563,7 +563,7 @@ class SubquotientModule(GammaModule):
             self._comp = FpSpace.from_rows(self.U.reduce(W.matrix()), r + 1, p)
             basis = self._comp.matrix()
         mats = {name: self._project_vec(basis @ symp.action_matrix(g).T).T
-                for name, g in zip(GEN_NAMES, symp.gamma_generators())}
+                for name, g in zip(GEN_NAMES, gamma_generators(p))}
         super().__init__(p, mats)
 
     def _project_vec(self, v: np.ndarray) -> np.ndarray:
@@ -584,12 +584,8 @@ def weight_module(p: int, s: int, t: int) -> GammaModule:
     """Model of the irreducible with label (s, t) on degree-s polynomials,
     the determinant twist entering as a scalar."""
     symp = sym_power(p, s)
-    g = primitive_root(p)
-    dets = {"u": 1, "w": -1, "d1": g, "d2": g}
-    mats = {}
-    for name, gen in zip(GEN_NAMES, symp.gamma_generators()):
-        mats[name] = symp.action_matrix(gen) * pow(dets[name] % p, t, p) % p
-    return GammaModule(p, mats)
+    return GammaModule(p, {name: symp.action_matrix(g) * pow(g[0] * g[3] - g[1] * g[2], t, p) % p
+                           for name, g in zip(GEN_NAMES, gamma_generators(p))})
 
 
 # ---------------------------------------------------------------------------
@@ -602,36 +598,52 @@ def _weight_candidates(alpha: int, beta: int, p: int) -> list[JHLabel]:
     return [JHLabel(s, t) for s in (s0, s0 + p - 1) if s <= p - 1]
 
 
-def _hom_maps(src: GammaModule, src_gen: np.ndarray, dst: GammaModule,
-              C: np.ndarray) -> list[np.ndarray]:
-    """Basis of the equivariant maps src -> dst that send ``src_gen`` into
-    the column span of C, as matrices.  ``src_gen`` must generate src.
-
-    The pair (src_gen, C) is spun together: each new vector x of src is
-    recorded with the matrix Y whose column k is the image of x under the
-    map pinned by src_gen -> C e_k.  With the recorded x as the columns of
-    X, that map is T_k = (column k of each Y) X^-1, and sum theta_k T_k is
-    equivariant exactly when theta lies in the nullspace of the stacked
-    conditions T_k g - g T_k over the four generators."""
-    p = src.p
-    space = FpSpace(src.dim, p)
-    xs, ys = [], []
-    work = [(np.asarray(src_gen) % p, np.asarray(C).reshape(dst.dim, -1) % p)]
+def _spin_words(src: GammaModule, src_gen: np.ndarray) -> tuple[tuple, np.ndarray]:
+    """The spin of ``src_gen`` = x_0, which must generate src: the words
+    (parent, g) of x_1, x_2, ... = g x_parent in depth-first order, and the
+    inverse of the matrix X with columns x_i.  Only src enters."""
+    space = FpSpace(src.dim, src.p)
+    xs, words = [], []
+    work = [(-1, "", np.asarray(src_gen) % src.p)]
     while work:
-        x, Y = work.pop()
+        parent, name, x = work.pop()
         if space.add(x):
+            words.append((parent, name))
             xs.append(x)
-            ys.append(Y)
-            for name in GEN_NAMES:
-                work.append((src.act(name, x), dst.mats[name] @ Y % p))
+            work += [(len(xs) - 1, gen, src.act(gen, x)) for gen in GEN_NAMES]
     if space.dim != src.dim:
         raise ValueError("generator does not generate the source module")
-    Xinv = _inv_matrix(np.array(xs, dtype=np.int64).T, p)
+    return tuple(words[1:]), _inv_matrix(np.array(xs, dtype=np.int64).T, src.p)
+
+
+def _hom_maps(src: GammaModule, words: tuple, Xinv: np.ndarray, dst: GammaModule,
+              C: np.ndarray) -> list[np.ndarray]:
+    """Basis of the equivariant maps src -> dst sending src_gen into the column
+    span of C, as matrices; ``words, Xinv`` is ``_spin_words(src, src_gen)``.
+
+    Replayed on Y_0 = C as Y_i = g Y_parent, the words make column k of Y_i
+    the image of x_i under the map pinned by src_gen -> C e_k.  That map is
+    T_k = (column k of each Y) X^-1, and sum theta_k T_k is equivariant exactly
+    when theta is in the nullspace of T_k g - g T_k over the four generators."""
+    p = src.p
+    ys = [np.asarray(C).reshape(dst.dim, -1) % p]
+    for parent, name in words:
+        ys.append(dst.mats[name] @ ys[parent] % p)
     maps = np.einsum("nak,nm->kam", np.array(ys), Xinv) % p
     conds = np.hstack([(maps @ src.mats[name] - dst.mats[name] @ maps).reshape(len(maps), -1) % p
                        for name in GEN_NAMES]).T
     return [np.tensordot(theta, maps, axes=1) % p
             for theta in linalg.nullspace(conds[conds.any(axis=1)], p)]
+
+
+@functools.lru_cache(maxsize=512)
+def _label_model(p: int, s: int, t: int) -> tuple[GammaModule, tuple, np.ndarray]:
+    """Label (s, t)'s model and the spin of X^s, shared read-only by every socle search."""
+    model = weight_module(p, s, t)
+    words, Xinv = _spin_words(model, sym_power(p, s).monomial(0))
+    for arr in (*model.mats.values(), Xinv):
+        arr.flags.writeable = False
+    return model, words, Xinv
 
 
 def socle_simples(mod: GammaModule) -> list[tuple[JHLabel, FpSpace]]:
@@ -643,8 +655,8 @@ def socle_simples(mod: GammaModule) -> list[tuple[JHLabel, FpSpace]]:
     weight admits one or two labels; for each, Hom(L, mod) is computed by
     ``_hom_maps`` from the highest-weight vector of the model L, whose
     images lie in the fixed vectors of that weight.  Its dimension is the
-    multiplicity of L in the socle (End(L) = F_p), and the images of its
-    basis span the component."""
+    multiplicity of L in the socle (End(L) = F_p), and the columns of its
+    basis maps, the images of L's basis, span the component."""
     p = mod.p
     fixed = mod.unipotent_fixed()
     if fixed.dim == 0:
@@ -666,17 +678,15 @@ def socle_simples(mod: GammaModule) -> list[tuple[JHLabel, FpSpace]]:
     found: list[tuple[JHLabel, FpSpace]] = []
     for (alpha, beta), rows in spaces.items():
         for label in _weight_candidates(alpha, beta, p):
-            top = sym_power(p, label.s).monomial(0)
-            maps = _hom_maps(weight_module(p, *label), top, mod, np.array(rows).T)
+            maps = _hom_maps(*_label_model(p, *label), mod, np.array(rows).T)
             if not maps:
                 continue
-            component = mod.spin([T @ top % p for T in maps])
+            component = FpSpace.from_rows(np.hstack(maps).T, mod.dim, p)
             if component.dim != len(maps) * (label.s + 1):
                 raise ArithmeticError(f"{label.render()}-isotypic socle component has dim "
                                       f"{component.dim}, not {len(maps)} * {label.s + 1}")
             found.append((label, component))
-    found.sort(key=lambda pair: pair[0])
-    return found
+    return sorted(found, key=lambda pair: pair[0])
 
 
 def jh_decompose(mod: GammaModule, bound: int = JH_DIMENSION_BOUND) -> tuple[Counter, Counter]:
@@ -708,7 +718,7 @@ def gamma_iso(
     ``_hom_maps`` with the single column dst_gen, checked to be bijective."""
     if src.dim != dst.dim:
         raise ValueError("dimension mismatch")
-    maps = _hom_maps(src, src_gen, dst, dst_gen)
+    maps = _hom_maps(src, *_spin_words(src, src_gen), dst, dst_gen)
     if not maps:
         raise ValueError("constructed map is not equivariant")
     T = maps[0]

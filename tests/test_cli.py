@@ -1,8 +1,12 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -351,3 +355,15 @@ class TestExitCodes:
             except SystemExit as exc:  # argparse refuses the arguments
                 code = exc.code
         assert code in DOCUMENTED_EXITS, (argv, code, err.getvalue()[-400:])
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_returns_the_documented_codes(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        for argv, code in [(["classify", "--p", "5", "--k", "30", "--slope", "3/2"], 0),
+                           (["structure", "--p", "4", "--r", "20"], 2)]:
+            done = subprocess.run([sys.executable, "-m", "crysred", *argv], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert done.returncode == code, (argv, done.stderr[-400:])

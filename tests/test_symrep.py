@@ -683,6 +683,60 @@ class TestGradedSocle:
         with pytest.raises(ArithmeticError):
             socle_simples(m2)
 
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_components_match_the_spin_of_the_top_images(self, data):
+        # the components read off the Hom maps' columns are the spins of the
+        # images of the model's top vector, and the cached spin words give
+        # the maps a fresh spin gives
+        p = data.draw(st.sampled_from([3, 5, 7]), label="p")
+        r = data.draw(st.integers(1, 3 * p), label="r")
+        full = SubquotientModule(sym_power(p, r), None, None)
+
+        def weight_vectors(n):
+            out = []
+            for _ in range(n):
+                j = data.draw(st.integers(0, r))
+                v = np.zeros(r + 1, dtype=np.int64)
+                for i in range(j % (p - 1), r + 1, p - 1):
+                    v[i] = data.draw(st.integers(0, p - 1))
+                v[j] = 1
+                out.append(v)
+            return out
+
+        gens_u = weight_vectors(data.draw(st.integers(0, 2)))
+        gens_w = gens_u + weight_vectors(data.draw(st.integers(1, 2)))
+        mod = SubquotientModule(sym_power(p, r), full.spin(gens_w), full.spin(gens_u))
+        C = mod.unipotent_fixed().matrix().T
+        for label, component in socle_simples(mod):
+            model, words, Xinv = symrep._label_model(p, *label)
+            top = sym_power(p, label.s).monomial(0)
+            maps = symrep._hom_maps(model, words, Xinv, mod, C)
+            fresh = weight_module(p, *label)
+            again = symrep._hom_maps(fresh, *symrep._spin_words(fresh, top), mod, C)
+            assert len(maps) == len(again)
+            assert all(np.array_equal(a, b) for a, b in zip(maps, again))
+            assert component == mod.spin([T @ top % p for T in maps])
+
+
+class TestSharedCaches:
+    def test_label_cache_is_bounded_and_read_only(self):
+        assert symrep._label_model.cache_info().maxsize is not None
+        jh_decompose(build_X(5, 25).module)
+        assert symrep._label_model.cache_info().currsize > 0
+        model, words, Xinv = symrep._label_model(5, 1, 0)
+        assert isinstance(words, tuple)
+        for arr in (*model.mats.values(), Xinv):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1
+
+    def test_theta_normal_forms_are_bounded_and_read_only(self):
+        assert theta_normal_form.cache_info().maxsize is not None
+        R, _ = theta_normal_form(5, 40, 2)
+        assert theta_normal_form(5, 40, 2)[0] is R
+        with pytest.raises(ValueError):
+            R[0, 0] = 1
+
 
 class TestInt64Guard:
     def test_boundary(self):
