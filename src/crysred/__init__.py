@@ -9,12 +9,8 @@ from .arith import (
     choose_betas,
     choose_gammas_alphas2,
     class_sum_S,
-    class_sum_S_modp2,
-    class_sum_T,
     class_sum_table,
     digit_sum,
-    lucas_binom,
-    power_sum_lambda,
     teichmuller,
 )
 from .classify import (
@@ -30,15 +26,12 @@ from .classify import (
 )
 from .hecke import IndFunction, apply_T, apply_Tminus, apply_Tplus
 from .symrep import (
-    HomogPoly,
     JHLabel,
-    act,
     build_X,
     filtration_spaces,
     jh_decompose,
     quotient_Q,
     span_closure,
-    theta_divides,
 )
 from .witness import WitnessCase, build_witness, verify_witness
 
@@ -46,13 +39,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ApCoeff", "ResidueExpr", "choose_alphas", "choose_betas",
-    "choose_gammas_alphas2", "class_sum_S", "class_sum_S_modp2", "class_sum_T",
-    "class_sum_table", "digit_sum", "lucas_binom", "power_sum_lambda",
+    "choose_gammas_alphas2", "class_sum_S", "class_sum_table", "digit_sum",
     "teichmuller", "CaseDescriptor", "GaloisRep", "StructurePrediction",
     "case_descriptor", "classify_reduction", "llc_image", "predict_dim_X",
     "predict_Q_structure", "predict_X_structure", "IndFunction", "apply_T",
-    "apply_Tminus", "apply_Tplus", "HomogPoly", "JHLabel", "act", "build_X",
-    "filtration_spaces", "jh_decompose", "quotient_Q",
-    "span_closure", "theta_divides", "WitnessCase", "build_witness",
-    "verify_witness",
+    "apply_Tminus", "apply_Tplus", "JHLabel", "build_X", "filtration_spaces",
+    "jh_decompose", "quotient_Q", "span_closure", "WitnessCase",
+    "build_witness", "verify_witness",
 ]

@@ -1,11 +1,14 @@
 """Exact scalar arithmetic over F_p, Q and truncated Z_p.
 
 Everything is big-integer / rational arithmetic; no floats.  The module
-provides digitwise binomials, base-p digit sums, the closed-form class sums
-of binomial coefficients, Teichmuller lifts at finite precision, and the
-structured integer families (``choose_*``) consumed by the witness builder.
-Every ``choose_*`` constructor re-validates all of its advertised
-congruences with exact integers before returning.
+provides base-p digit sums, the class sum of binomial coefficients that the
+witness audit reads and the class-sum lemma sweep, Teichmuller lifts at
+finite precision, the structured integer families (``choose_*``) consumed
+by the witness builder, and the Hecke coefficients ``ApCoeff`` with their
+residues ``ResidueExpr``.  Every ``choose_*`` constructor re-validates all of
+its advertised congruences with exact integers before returning.  The
+big-integer class sums T and S mod p^2 are test oracles of the sweep and
+live in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -80,20 +83,6 @@ def digit_sum(s: int, p: int) -> int:
     return sum(digits(s, p))
 
 
-def lucas_binom(m: int, n: int, p: int) -> int:
-    """binom(m, n) mod p computed digit by digit (0 when n > m)."""
-    if m < 0 or n < 0:
-        raise ValueError("negative input")
-    out = 1
-    while n or m:
-        m, md = divmod(m, p)
-        n, nd = divmod(n, p)
-        if nd > md:
-            return 0
-        out = out * math.comb(md, nd) % p
-    return out
-
-
 # ---------------------------------------------------------------------------
 # class sums of binomial coefficients
 
@@ -116,27 +105,6 @@ def class_sum_S(r: int, a: int, p: int) -> tuple[int, int]:
     if S % p:
         raise ArithmeticError(f"class sum not divisible by p: r={r}, a={a}, p={p}")
     return (0, (S // p) % p)
-
-
-def class_sum_T(r: int, b: int, p: int) -> int:
-    """T mod p for T = sum of binom(r,j), 0 < j < r-1, j = b-1 (mod p-1).
-
-    Equals (b - r) mod p.
-    """
-    require_odd_prime(p)
-    if not (2 <= b <= p) or (r - b) % (p - 1):
-        raise HypothesisError(f"need r = b (mod p-1) with 2 <= b <= p; got r={r}, b={b}")
-    return sum(math.comb(r, j) for j in _class_range(1, r - 1, b - 1, p - 1)) % p
-
-
-def class_sum_S_modp2(r: int, p: int) -> int:
-    """S mod p^2 for S = sum of binom(r,j), 1 < j < r, j = 1 (mod p-1),
-    assuming p | r and r = 1 (mod p-1).  Equals (p - r) mod p^2.
-    """
-    require_odd_prime(p)
-    if r % p or (r - 1) % (p - 1):
-        raise HypothesisError(f"need p | r and r = 1 (mod p-1); got r={r}, p={p}")
-    return sum(math.comb(r, j) for j in _class_range(2, r, 1, p - 1)) % (p * p)
 
 
 def class_sum_table(r: int, p: int, k: int = 3) -> list[int]:
@@ -239,19 +207,6 @@ def teichmuller(c: int, p: int, precision: int = DEFAULT_PRECISION) -> int:
     return t
 
 
-def power_sum_lambda(i: int, p: int, precision: int = DEFAULT_PRECISION) -> int:
-    """sum of [lam]^i over lam in F_p, mod p^precision.
-
-    Closed form: p when i = 0; p - 1 when (p-1) | i, i >= 1; 0 otherwise.
-    """
-    if i < 0:
-        raise ValueError("negative exponent")
-    m = p**precision
-    if i == 0:
-        return p % m
-    return (p - 1) % m if i % (p - 1) == 0 else 0
-
-
 # ---------------------------------------------------------------------------
 # structured integer families for the witness constructions
 #
@@ -288,11 +243,6 @@ def _alpha_properties(fam: dict[int, int], r: int, a: int, p: int, row: list[int
     }
 
 
-def alpha_family_properties(fam: dict[int, int], r: int, a: int, p: int) -> dict[str, bool]:
-    """Exact big-integer checks for a linear-level alpha family."""
-    return _alpha_properties(fam, r, a, p, _binom_row(r))
-
-
 def choose_alphas(r: int, a: int, p: int) -> dict[int, int]:
     """Integers alpha_j = binom(r,j) mod p (j = a mod p-1, 0 < j < r) whose plain,
     j-weighted and binom(j,2)-weighted sums vanish mod p^3, p^2 and p.
@@ -323,10 +273,6 @@ def _beta_properties(fam: dict[int, int], p: int, row: list[int]) -> dict[str, b
         total = sum(math.comb(j, n) * x for j, x in fam.items() if j >= n)
         out[f"choose{n}_sum_mod_p{3 - n}"] = total % p ** (3 - n) == 0
     return out
-
-
-def beta_family_properties(fam: dict[int, int], r: int, b: int, p: int) -> dict[str, bool]:
-    return _beta_properties(fam, p, _binom_row(r))
 
 
 def choose_betas(r: int, b: int, p: int) -> dict[int, int]:
@@ -372,12 +318,6 @@ def _quad_properties(
         total = sum(math.comb(j, n) * x for j, x in fam.items() if j >= n)
         out[f"choose{n}_sum_mod_p{4 - n}"] = total % p ** (4 - n) == 0
     return out
-
-
-def quad_family_properties(
-    fam: dict[int, int], r: int, p: int, cubic_target: int
-) -> dict[str, bool]:
-    return _quad_properties(fam, p, cubic_target, _binom_row(r))
 
 
 def _require_quad_hypotheses(r: int, p: int) -> None:
@@ -462,11 +402,6 @@ class ApCoeff:
     @classmethod
     def rational(cls, q, d: int = 0, *, p: int):
         return cls({d: (q, INF)}, p)
-
-    @classmethod
-    def trunc(cls, n: int, precision: int, d: int = 0, *, p: int):
-        """An integer known modulo p^precision (e.g. a Teichmuller lift)."""
-        return cls({d: (n, precision)}, p)
 
     def exact_terms(self) -> dict:
         """{d: (c_d as a Fraction, err)}."""
@@ -641,13 +576,6 @@ class ResidueExpr:
 
     def __sub__(self, other):
         return self + (-other)
-
-    def __mul__(self, other):
-        out = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                out[e1 + e2] = (out.get(e1 + e2, 0) + c1 * c2) % self.p
-        return ResidueExpr(self.p, out)
 
     def __eq__(self, other):
         return isinstance(other, ResidueExpr) and self.p == other.p and self.coeffs == other.coeffs

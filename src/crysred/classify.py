@@ -245,25 +245,6 @@ class GaloisRep:
             return " + ".join(bits)
         return "undetermined{" + "; ".join(alt.render() for alt in self.alternatives) + "}"
 
-    def same_as(self, other: "GaloisRep") -> bool:
-        """Equality up to the standard identifications (conjugate exponent
-        for induced representations, order of the two characters)."""
-        if self.p != other.p or self.kind != other.kind:
-            return False
-        m = self.p**2 - 1
-        if self.kind == "induced":
-            orb = {self.induced_exp % m, self.induced_exp * self.p % m}
-            return (
-                other.induced_exp % m in orb and self.unramified_twist == other.unramified_twist
-            )
-        if self.kind == "reducible":
-            mine = sorted((s, e % (self.p - 1)) for s, e in self.characters)
-            theirs = sorted((s, e % (other.p - 1)) for s, e in other.characters)
-            return mine == theirs
-        if len(self.alternatives) != len(other.alternatives):
-            return False
-        return all(x.same_as(y) for x, y in zip(self.alternatives, other.alternatives))
-
 
 def induced(p: int, exp: int, twist: str = "1", notes: tuple[str, ...] = ()) -> GaloisRep:
     exp %= p * p - 1

@@ -5,13 +5,16 @@ Functions live on the standard tree cosets
     branch 0:  (p^m  mu; 0  1),   mu with Teichmuller digits (d_0, ..., d_{m-1})
     branch 1:  (1  0; p*mu  p^(m+1))
 
-and are finite sums of elementary terms [coset, polynomial]; polynomial
-coefficients are ``ApCoeff`` values, sums of n p^k A^d with n a p-adic unit
-and A the symbolic eigenvalue, Teichmuller truncation tracked.  ``apply_T``
-is the raising/lowering decomposition on branch-0 support.  Its oracle, the
+and are finite sums of terms [coset, polynomial], built with
+``IndFunction.add_term``; polynomials are dicts from monomial index to
+``ApCoeff`` values, sums of n p^k A^d with n a p-adic unit and A the
+symbolic eigenvalue, Teichmuller truncation tracked.  ``apply_T`` is the
+raising/lowering decomposition on branch-0 support.  Its oracle, the
 double-coset formula with generic coset normalization (``direct_T``), lives
-in ``tests/reference.py``.  A mod-p Hecke operator on irreducible weight
-models supports the factorization certificates of the witness audits.
+in ``tests/reference.py``.  Reduced mod p, a function's values are
+coefficient vectors (``ResidueFunction``), and a mod-p Hecke operator on
+irreducible weight models supports the factorization certificates of the
+witness audits.
 
 Capped absolute precision.  An ``IndFunction`` carries a cap N (the
 capped-absolute model of Caruso, Roe and Vaccon, "Tracking p-adic
@@ -183,13 +186,6 @@ class IndFunction:
 
     def support(self) -> list[Coset]:
         return sorted(self.data)
-
-
-def elementary(p: int, r: int, coset: Coset, terms: dict[int, ApCoeff],
-               precision: int = DEFAULT_PRECISION) -> IndFunction:
-    f = IndFunction(p, r, precision)
-    f.add_term(coset, terms)
-    return f.prune()
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from .classify import (
     predict_X_structure,
 )
 from .symrep import (
-    JHLabel,
     build_X,
     jh_decompose,
     quotient_Q,
@@ -33,20 +32,6 @@ def factors_to_str(factors: Counter) -> str:
     for (s, t), m in sorted(factors.items()):
         bits.append(f"{s}.{t}" + (f"^{m}" if m > 1 else ""))
     return "+".join(bits) if bits else "-"
-
-
-def factors_from_str(text: str) -> Counter:
-    out: Counter = Counter()
-    if text == "-":
-        return out
-    for bit in text.split("+"):
-        if "^" in bit:
-            head, mult = bit.split("^")
-        else:
-            head, mult = bit, "1"
-        s, t = head.split(".")
-        out[JHLabel(int(s), int(t))] += int(mult)
-    return out
 
 
 @dataclass

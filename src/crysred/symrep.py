@@ -2,8 +2,9 @@
 
 The model for the degree-r module is the space of homogeneous two-variable
 polynomials F = sum_j c_j X^(r-j) Y^j, stored as the coefficient vector
-(c_0, ..., c_r); a matrix (a b; c d) acts by substitution
-F -> F(aX + cY, bX + dY), a left action: act(g, act(h, F)) = act(g h, F).
+(c_0, ..., c_r), the one polynomial representation of the package; a
+matrix g = (a b; c d) acts by substitution F -> F(aX + cY, bX + dY), a left
+action applied by ``SymPower.act_vec(g, v)``.
 
 Provided here: the submodules generated by the top two monomials, built
 from their classical spanning sets and certified stable under the full
@@ -20,7 +21,8 @@ enumeration of vectors.  The factors are read one Loewy layer at a time,
 passing to the quotient by the whole socle.  Brute-force span closures
 under the full matrix monoid or the invertible group, and the r-row
 theta-multiple spaces and subquotients, remain as the reference the fast
-engine is tested against.
+engine is tested against; the brute-force theta-divisibility tests live
+with the other test oracles in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -71,66 +73,6 @@ def primitive_root(p: int) -> int:
 
 # ---------------------------------------------------------------------------
 # polynomials
-
-
-@dataclass(frozen=True)
-class HomogPoly:
-    """Homogeneous polynomial of degree r over F_p, coefficient c_j on X^(r-j) Y^j."""
-
-    p: int
-    r: int
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.coeffs) != self.r + 1:
-            raise ValueError("coefficient vector has wrong length")
-
-    @classmethod
-    def from_vec(cls, p: int, vec) -> "HomogPoly":
-        v = np.asarray(vec, dtype=np.int64) % p
-        return cls(p, len(v) - 1, tuple(int(x) for x in v))
-
-    @classmethod
-    def monomial(cls, p: int, r: int, j: int, c: int = 1) -> "HomogPoly":
-        v = [0] * (r + 1)
-        v[j] = c % p
-        return cls(p, r, tuple(v))
-
-    @classmethod
-    def from_terms(cls, p: int, r: int, terms: dict[int, int]) -> "HomogPoly":
-        v = [0] * (r + 1)
-        for j, c in terms.items():
-            v[j] = (v[j] + c) % p
-        return cls(p, r, tuple(v))
-
-    def vec(self) -> np.ndarray:
-        return np.asarray(self.coeffs, dtype=np.int64)
-
-    def __add__(self, other: "HomogPoly") -> "HomogPoly":
-        if (self.p, self.r) != (other.p, other.r):
-            raise ValueError("degree or characteristic mismatch")
-        return HomogPoly.from_vec(self.p, self.vec() + other.vec())
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def support_class(self) -> int | None:
-        """The common class of Y-degrees mod p-1 (in 1..p-1), or None."""
-        cls = None
-        for j, c in enumerate(self.coeffs):
-            if c:
-                a = j % (self.p - 1) or self.p - 1
-                if cls is None:
-                    cls = a
-                elif cls != a:
-                    return None
-        return cls
-
-
-def _as_vec(F, p: int) -> np.ndarray:
-    if isinstance(F, HomogPoly):
-        return F.vec()
-    return np.asarray(F, dtype=np.int64) % p
 
 
 def poly_mul_vec(u: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
@@ -199,11 +141,6 @@ def gamma_generators(p: int) -> list[tuple[int, int, int, int]]:
 def sym_power(p: int, r: int) -> SymPower:
     """Bounded cache of action machinery; sweeps touch each degree once."""
     return SymPower(p, r)
-
-
-def act(g, F: HomogPoly) -> HomogPoly:
-    """Substitution action of a 2x2 matrix (a, b, c, d) on a polynomial."""
-    return HomogPoly.from_vec(F.p, sym_power(F.p, F.r).act_vec(g, F.vec()))
 
 
 def mat_mul(g, h, p: int) -> tuple[int, int, int, int]:
@@ -282,27 +219,17 @@ class ClosedSubspace:
         return self.space.dim
 
 
-def span_closure(generators, group: str = "M", p: int | None = None, r: int | None = None) -> ClosedSubspace:
-    """Smallest subspace containing the generators and stable under the full
-    matrix monoid (group="M") or the invertible group (group="Gamma").
+def span_closure(generators, group: str = "M", *, p: int, r: int) -> ClosedSubspace:
+    """Smallest subspace containing the degree-r coefficient vectors
+    ``generators`` and stable under the full matrix monoid (group="M") or
+    the invertible group (group="Gamma").
 
     Closure is computed by repeatedly applying a finite generating set until
     the rank stabilizes.
     """
-    vecs = []
-    for F in generators:
-        if isinstance(F, HomogPoly):
-            p = p if p is not None else F.p
-            r = r if r is not None else F.r
-            if (F.p, F.r) != (p, r):
-                raise ValueError("mixed degrees in generator list")
-            vecs.append(F.vec())
-        else:
-            vecs.append(np.asarray(F, dtype=np.int64))
+    vecs = [linalg.as_vec(v, p) for v in generators]
     if not vecs:
         raise ValueError("empty generator list")
-    if p is None or r is None:
-        raise ValueError("p and r required for raw vectors")
     symp = sym_power(p, r)
     gens = symp.monoid_generators() if group == "M" else gamma_generators(p)
     mats = [symp.action_matrix(g) for g in gens]
@@ -327,14 +254,10 @@ def _spanning_matrices(p: int, which: str) -> list[tuple[int, int, int, int]]:
             + [(1, 0, l, 1) for l in range(p)])
 
 
-def standard_spanning_set(p: int, r: int, which: str) -> list[np.ndarray]:
-    """The classical spanning sets of the top- and second-monomial submodules."""
-    return list(_orbit_vectors(_spanning_matrices(p, which), r, 0 if which == "top" else 1, p))
-
-
 def build_X(p: int, r: int, which: str = "second") -> ClosedSubspace:
     """Submodule generated by X^r ("top") or X^(r-1)Y ("second") under the
-    full matrix monoid, as the span of ``standard_spanning_set``.
+    full matrix monoid, as the span of its classical spanning set, the
+    images h . X^r or h . X^(r-1)Y for h in ``_spanning_matrices``.
 
     The span is certified to be the closure: it contains the generator, and
     (g h) . v0 lies in it for every spanning image h . v0 and every g among
@@ -420,69 +343,6 @@ def theta_intersection_dims(X: ClosedSubspace) -> tuple[int, int]:
     return tuple(
         X.dim - linalg.rank(B @ theta_normal_form(X.p, X.r, k)[0] % X.p, X.p) for k in (1, 2)
     )
-
-
-def divide_theta(vec: np.ndarray, p: int) -> np.ndarray | None:
-    """Exact quotient by theta, or None when theta does not divide."""
-    r = len(vec) - 1
-    s = r - p - 1
-    if s < 0:
-        return None if vec.any() else np.zeros(0, dtype=np.int64)
-    rem = vec.copy() % p
-    if rem[0]:
-        return None
-    quo = np.zeros(s + 1, dtype=np.int64)
-    for m in range(s + 1):
-        c = rem[m + 1]
-        quo[m] = c
-        rem[m + 1] = 0
-        rem[m + p] = (rem[m + p] + c) % p
-    if rem.any():
-        return None
-    return quo
-
-
-def theta_divides_criterion(F, k: int, p: int | None = None) -> bool | None:
-    """Coefficient test for single-congruence-class polynomials; None when
-    the support does not sit in one class so the test does not apply."""
-    if isinstance(F, HomogPoly):
-        p = F.p
-    v = _as_vec(F, p)
-    r = len(v) - 1
-    poly = HomogPoly.from_vec(p, v)
-    if poly.is_zero():
-        return True
-    if poly.support_class() is None:
-        return None
-    total = int(v.sum() % p)
-    ok1 = v[0] == 0 and v[r] == 0 and total == 0
-    if k == 1:
-        return ok1
-    jsum = int((v * np.arange(r + 1)).sum() % p)
-    return ok1 and v[1] == 0 and v[r - 1] == 0 and jsum == 0
-
-
-def theta_divides(F, k: int = 1, p: int | None = None) -> bool:
-    """True when theta^k divides F.  Uses exact division; for polynomials
-    supported in a single congruence class the coefficient test is run as
-    well and the two answers are required to agree."""
-    if k not in (1, 2):
-        raise ValueError("k must be 1 or 2")
-    if isinstance(F, HomogPoly):
-        p = F.p
-    v = _as_vec(F, p)
-    cur = v
-    result = True
-    for _ in range(k):
-        nxt = divide_theta(cur, p)
-        if nxt is None:
-            result = False
-            break
-        cur = nxt
-    crit = theta_divides_criterion(v, k, p)
-    if crit is not None and crit != result:
-        raise ArithmeticError("theta-divisibility paths disagree")
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -575,9 +435,9 @@ class SubquotientModule(GammaModule):
             raise ValueError("vector not in the subquotient")
         return coeffs
 
-    def project(self, F) -> np.ndarray:
-        """Class of an ambient polynomial in module coordinates."""
-        return self._project_vec(_as_vec(F, self.p))
+    def project(self, vec) -> np.ndarray:
+        """Class of ambient coefficient vectors (rows) in module coordinates."""
+        return self._project_vec(linalg.as_vec(vec, self.p))
 
 
 def weight_module(p: int, s: int, t: int) -> GammaModule:
@@ -759,9 +619,10 @@ class QuotientModule(GammaModule):
         mod, self.project_coords = ambient.quotient(image)
         super().__init__(p, mod.mats)
 
-    def project(self, F) -> np.ndarray:
-        """Class of an ambient degree-r polynomial in module coordinates."""
-        return self.project_coords(_as_vec(F, self.p) @ self.normal_form % self.p)
+    def project(self, vec) -> np.ndarray:
+        """Class of ambient degree-r coefficient vectors (rows) in module
+        coordinates."""
+        return self.project_coords(linalg.as_vec(vec, self.p) @ self.normal_form % self.p)
 
     def star_image(self) -> FpSpace:
         """Image of the theta-divisible subspace inside the quotient: the

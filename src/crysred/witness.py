@@ -154,7 +154,7 @@ def _validate(case: WitnessCase) -> dict:
         if case.ubar % p == 0:
             raise DomainError(f"ubar = {case.ubar} is not a unit mod p = {p}")
     if not Fraction(1) < sig < Fraction(2):
-        raise HypothesisError(f"slope {sig} outside (1, 2)")
+        raise DomainError(f"slope {sig} outside the open interval (1, 2)")
     desc = case_descriptor(p, r)
     a, b = desc.a, desc.b
     tag = case.tag
@@ -521,12 +521,10 @@ def _identify_image(case: WitnessCase, info: dict, g: IndFunction, audit) -> Wit
             c_expr = ResidueExpr.const(3, p) - _residue_of(case, Fraction(3 * p**3), -2)
         else:
             c_expr = ResidueExpr.const(-3, p)
-        gen_vec = sym_power(p, r).monomial(2)
-        expected = ResidueFunction(env.p, env.module.dim)
-        q = env.cls(gen_vec)
-        for e, cc in c_expr.coeffs.items():
-            expected.accumulate(target, e, cc * q)
-        checks.append(("image equals c * [X^(r-2) Y^2]", rq == expected.prune()))
+        q = env.cls(sym_power(p, r).monomial(2))
+        gen = ResidueFunction(p, env.module.dim)
+        gen.accumulate(target, 0, q)
+        checks.append(("image equals c * [X^(r-2) Y^2]", rq == gen.scale_expr(c_expr)))
         nonzero = _expr_nonzero(c_expr, forbidden, case.ubar)
         checks.append(("generator class generates the singular image",
                        env.module.spin([q]) == env.star))
@@ -557,15 +555,14 @@ def _identify_image(case: WitnessCase, info: dict, g: IndFunction, audit) -> Wit
         target = g0(2, (0, 0))
         checks.append(("top-constituent image is a single coset", top.support() == [target]))
         # reference generator theta X^(r-2p+1) Y^(p-2), i.e. Y-exponent p-2
-        gen_top = proj(env.cls_theta(p - 2))
+        gen = ResidueFunction(p, qmod.dim)
+        gen.accumulate(target, 0, proj(env.cls_theta(p - 2)))
         c_expr = ResidueExpr.const(-1, p)
         if high:
             # 1 - (residue of A^2/p^3); a pure 1 for slopes above 3/2
             c_expr = ResidueExpr.const(1, p) - _residue_of(case, Fraction(1, p**3), 2)
-        expected = ResidueFunction(p, qmod.dim)
-        for e, cc in c_expr.coeffs.items():
-            expected.accumulate(target, e, cc * gen_top)
-        checks.append(("top image = c * [theta X^(r-2p+1) Y^(p-2)]", top == expected.prune()))
+        checks.append(("top image = c * [theta X^(r-2p+1) Y^(p-2)]",
+                       top == gen.scale_expr(c_expr)))
         nonzero = _expr_nonzero(c_expr, forbidden, case.ubar)
         return WitnessReport(case, True, audit.min_valuation, target.render(),
                              jh_label(1, 0, p), c_expr.render(), nonzero, None, checks, notes)

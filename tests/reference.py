@@ -3,10 +3,11 @@ they check.
 
 - The Hecke operator by its defining double-coset formula: ``direct_T``
   evaluates every pair with generic coset normalization (``normalize_pair``)
-  on exact ``Fraction`` arithmetic and drops no term, against the
-  raising/lowering decomposition ``apply_T``.  ``translate`` is the left
-  action of an integral matrix of unit determinant, for the equivariance
-  checks, and ``functions_agree`` compares two functions up to a valuation.
+  on exact rationals, held as integer numerators over a common power of p,
+  and drops no term, against the raising/lowering decomposition
+  ``apply_T``.  ``translate`` is the left action of an integral matrix of
+  unit determinant, for the equivariance checks, and ``functions_agree``
+  compares two functions up to a valuation.
 - ``certify_val_ge``: the per-coefficient valuation certificate, the second
   pass of the two-pass reference of ``hecke.audit_valuations``.
 - ``FractionCoeff``: the coefficient arithmetic of ``ApCoeff`` on exact
@@ -16,7 +17,16 @@ they check.
 - ``union``: the sum of two F_p subspaces.
 - ``classify_by_table``: the reduction table written out by congruence cell,
   with the exponents b+1 and b+p, against ``classify_reduction``, which
-  derives it from ``surviving_factor`` and ``llc_image``.
+  derives it from ``surviving_factor`` and ``llc_image``; ``same_rep``
+  compares two ``GaloisRep`` values up to the standard identifications.
+- On coefficient vectors: ``theta_divides`` by exact division
+  (``divide_theta``) cross-checked with the coefficient test
+  ``theta_divides_criterion``, and the classical spanning sets
+  ``standard_spanning_set`` of the top- and second-monomial submodules.
+- The big-integer class sums ``class_sum_T`` and ``class_sum_S_modp2``, the
+  oracles of the class-sum lemma sweep, and ``family_holds``, the
+  congruences of the ``choose_*`` families restated from their definitions.
+- ``elementary``: a function supported on one coset.
 """
 
 from __future__ import annotations
@@ -33,8 +43,10 @@ from crysred.arith import (
     PRECISION_HEADROOM,
     ApCoeff,
     ResidueExpr,
+    _class_range,
     inv_mod,
     padic_val,
+    require_odd_prime,
 )
 from crysred.classify import (
     GaloisRep,
@@ -43,12 +55,21 @@ from crysred.classify import (
     induced,
     reducible,
 )
-from crysred.errors import PrecisionError
+from crysred.errors import HypothesisError, PrecisionError
 from crysred.hecke import Coset, IndFunction, teich_table
 from crysred.linalg import FpSpace
+from crysred.symrep import _orbit_vectors, _spanning_matrices
 
 # ---------------------------------------------------------------------------
 # the Hecke operator by its defining formula
+
+
+def elementary(p: int, r: int, coset: Coset, terms: dict[int, ApCoeff],
+               precision: int = DEFAULT_PRECISION) -> IndFunction:
+    """The function [coset, sum_j terms[j] X^(r-j) Y^j]."""
+    f = IndFunction(p, r, precision)
+    f.add_term(coset, terms)
+    return f.prune()
 
 
 def digits_value(table, digits) -> int:
@@ -86,13 +107,18 @@ def _binomial_powers(x: int, y: int, n: int) -> list[list[int]]:
 
 def _substitute_poly(poly: dict[int, ApCoeff], mat, r: int, p: int, prec: int):
     """Exact substitution F(aX + cY, bX + dY) on ApCoeff polynomials; the
-    resulting integer weights are treated as carrying the given precision."""
+    resulting integer weights are treated as carrying the given precision.
+    The values are integer numerators over one common denominator p^D, D
+    the largest p-power of an input denominator, so the accumulation is
+    integer arithmetic; each output value is divided by p^D once."""
     a, b, c, d = mat
     first = _binomial_powers(a, c, max((r - i for i in poly), default=0))
     second = _binomial_powers(b, d, max(poly, default=0))
-    # raw accumulation: (j, degree) -> [rational sum, error bound]
+    terms = {i: coeff.exact_terms() for i, coeff in poly.items()}
+    den = max((cc.denominator for t in terms.values() for cc, _ in t.values()), default=1)
+    # raw accumulation: (j, degree) -> [numerator over den, error bound]
     acc: dict[int, dict[int, list]] = {}
-    for i, coeff in poly.items():
+    for i, coeff_terms in terms.items():
         # integer weight profile of (aX+cY)^(r-i) (bX+dY)^i
         f1, f2 = first[r - i], second[i]
         weights = [0] * (len(f1) + len(f2) - 1)
@@ -102,17 +128,19 @@ def _substitute_poly(poly: dict[int, ApCoeff], mat, r: int, p: int, prec: int):
             for m2, w2 in enumerate(f2):
                 if w2:
                     weights[m1 + m2] += w1 * w2
-        for dd, (cc, ee) in coeff.exact_terms().items():
+        for dd, (cc, ee) in coeff_terms.items():
             eps = min(ee, _val_capped(cc, p) + prec)
+            num = cc.numerator * (den // cc.denominator)
             for j, w in enumerate(weights):
                 if w == 0:
                     continue
-                cell = acc.setdefault(j, {}).setdefault(dd, [Fraction(0), math.inf])
-                cell[0] += cc * w
+                cell = acc.setdefault(j, {}).setdefault(dd, [0, math.inf])
+                cell[0] += num * w
                 cell[1] = min(cell[1], eps)
     out: dict[int, ApCoeff] = {}
     for j, cells in acc.items():
-        terms = {dd: (val, eps) for dd, (val, eps) in cells.items() if val != 0 or eps is not math.inf}
+        terms = {dd: (Fraction(val, den), eps) for dd, (val, eps) in cells.items()
+                 if val != 0 or eps is not math.inf}
         if terms:
             out[j] = ApCoeff(terms, p)
     return out
@@ -354,3 +382,132 @@ def classify_by_table(p: int, k: int, slope: Fraction, hyp_star: str = "unknown"
     if not desc.p2_div_r_minus_b:
         return induced(p, b + p, notes=notes)
     return reducible(p, (("i", 1), ("-i", 1)), notes=notes)
+
+
+def same_rep(x: GaloisRep, y: GaloisRep) -> bool:
+    """Equality up to the standard identifications (conjugate exponent
+    for induced representations, order of the two characters)."""
+    if x.p != y.p or x.kind != y.kind:
+        return False
+    m = x.p**2 - 1
+    if x.kind == "induced":
+        orb = {x.induced_exp % m, x.induced_exp * x.p % m}
+        return y.induced_exp % m in orb and x.unramified_twist == y.unramified_twist
+    if x.kind == "reducible":
+        mine = sorted((s, e % (x.p - 1)) for s, e in x.characters)
+        theirs = sorted((s, e % (y.p - 1)) for s, e in y.characters)
+        return mine == theirs
+    if len(x.alternatives) != len(y.alternatives):
+        return False
+    return all(same_rep(a, b) for a, b in zip(x.alternatives, y.alternatives))
+
+
+# ---------------------------------------------------------------------------
+# theta divisibility and spanning sets on coefficient vectors
+
+
+def divide_theta(vec: np.ndarray, p: int) -> np.ndarray | None:
+    """Exact quotient of a degree-r vector by theta = X^p Y - X Y^p, or None
+    when theta does not divide."""
+    r = len(vec) - 1
+    s = r - p - 1
+    if s < 0:
+        return None if vec.any() else np.zeros(0, dtype=np.int64)
+    rem = vec.copy() % p
+    if rem[0]:
+        return None
+    quo = np.zeros(s + 1, dtype=np.int64)
+    for m in range(s + 1):
+        c = rem[m + 1]
+        quo[m] = c
+        rem[m + 1] = 0
+        rem[m + p] = (rem[m + p] + c) % p
+    if rem.any():
+        return None
+    return quo
+
+
+def theta_divides_criterion(vec, k: int, p: int) -> bool | None:
+    """Coefficient test for vectors supported in one class of monomial
+    indices mod p-1; None when the support spans several classes, so the
+    test does not apply."""
+    v = np.asarray(vec, dtype=np.int64) % p
+    r = len(v) - 1
+    if not v.any():
+        return True
+    if len({j % (p - 1) for j in np.flatnonzero(v)}) > 1:
+        return None
+    total = int(v.sum() % p)
+    ok1 = v[0] == 0 and v[r] == 0 and total == 0
+    if k == 1:
+        return ok1
+    jsum = int((v * np.arange(r + 1)).sum() % p)
+    return ok1 and v[1] == 0 and v[r - 1] == 0 and jsum == 0
+
+
+def theta_divides(vec, k: int, p: int) -> bool:
+    """True when theta^k divides the vector, k in {1, 2}, by exact division;
+    for vectors supported in one class the coefficient test is run as well
+    and the two answers are required to agree."""
+    if k not in (1, 2):
+        raise ValueError("k must be 1 or 2")
+    v = np.asarray(vec, dtype=np.int64) % p
+    cur = v
+    result = True
+    for _ in range(k):
+        cur = divide_theta(cur, p)
+        if cur is None:
+            result = False
+            break
+    crit = theta_divides_criterion(v, k, p)
+    if crit is not None and crit != result:
+        raise ArithmeticError("theta-divisibility paths disagree")
+    return result
+
+
+def standard_spanning_set(p: int, r: int, which: str) -> list[np.ndarray]:
+    """The classical spanning sets of the top- and second-monomial submodules."""
+    return list(_orbit_vectors(_spanning_matrices(p, which), r, 0 if which == "top" else 1, p))
+
+
+# ---------------------------------------------------------------------------
+# class sums and integer families with big integers
+
+
+def class_sum_T(r: int, b: int, p: int) -> int:
+    """T mod p for T = sum of binom(r,j), 0 < j < r-1, j = b-1 (mod p-1).
+
+    Equals (b - r) mod p.
+    """
+    require_odd_prime(p)
+    if not (2 <= b <= p) or (r - b) % (p - 1):
+        raise HypothesisError(f"need r = b (mod p-1) with 2 <= b <= p; got r={r}, b={b}")
+    return sum(math.comb(r, j) for j in _class_range(1, r - 1, b - 1, p - 1)) % p
+
+
+def class_sum_S_modp2(r: int, p: int) -> int:
+    """S mod p^2 for S = sum of binom(r,j), 1 < j < r, j = 1 (mod p-1),
+    assuming p | r and r = 1 (mod p-1).  Equals (p - r) mod p^2.
+    """
+    require_odd_prime(p)
+    if r % p or (r - 1) % (p - 1):
+        raise HypothesisError(f"need p | r and r = 1 (mod p-1); got r={r}, p={p}")
+    return sum(math.comb(r, j) for j in _class_range(2, r, 1, p - 1)) % (p * p)
+
+
+def family_holds(fam: dict[int, int], r: int, p: int, level: int, target: int = 0) -> bool:
+    """The congruences of a ``choose_*`` family at level L = ``level``:
+    fam[j] = binom(r, j) mod p^L, and sum_j binom(j, n) fam[j] vanishes mod
+    p^(L+2-n) for n <= L, while at n = L+1 it is ``target`` mod p.  The
+    alpha and beta families have L = 1 (target binom(r, 2) for alpha at
+    a = 2), the quadratic ones L = 2 (target +-1 at p = 3).  An empty family
+    holds at the degrees where it has no index."""
+    if not fam:
+        return True
+    if any((x - math.comb(r, j)) % p**level for j, x in fam.items()):
+        return False
+    for n in range(level + 2):
+        total = sum(math.comb(j, n) * x for j, x in fam.items())
+        if (total - (target if n == level + 1 else 0)) % p ** (level + 2 - n):
+            return False
+    return True

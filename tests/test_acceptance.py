@@ -12,23 +12,27 @@ import numpy as np
 
 from crysred import arith
 from crysred.arith import (
-    alpha_family_properties,
-    beta_family_properties,
     choose_alphas,
     choose_alphas_modp2,
     choose_betas,
     choose_gammas_modp2,
     class_sum_S,
-    class_sum_S_modp2,
-    class_sum_T,
     inv_mod,
-    quad_family_properties,
 )
 from crysred.classify import classify_reduction, llc_image
-from crysred.hecke import apply_T, elementary, g0
-from crysred.symrep import HomogPoly, theta_divides, theta_divides_criterion
+from crysred.hecke import apply_T, g0
 from crysred.witness import WitnessCase, verify_witness
-from reference import direct_T, functions_agree, translate
+from reference import (
+    class_sum_S_modp2,
+    class_sum_T,
+    direct_T,
+    elementary,
+    family_holds,
+    functions_agree,
+    theta_divides,
+    theta_divides_criterion,
+    translate,
+)
 
 LEMMA_PRIMES = (3, 5, 7, 11, 13)
 LEMMA_R_MAX = 2000
@@ -123,20 +127,20 @@ class TestCriterion4:
                     if (r - a) % (p - 1):
                         continue
                     fam = choose_alphas(r, a, p)
-                    if not all(alpha_family_properties(fam, r, a, p).values()):
+                    if not family_holds(fam, r, p, 1, math.comb(r, 2) if a == 2 else 0):
                         failures.append(("alpha", p, r, a))
             for b in range(3, p + 1):
                 for r in (b, p * p - p + b, p * p - p + b + p * (p - 1)):
                     fam = choose_betas(r, b, p)
-                    if not all(beta_family_properties(fam, r, b, p).values()):
+                    if not family_holds(fam, r, p, 1):
                         failures.append(("beta", p, r, b))
         for p in (3, 5):
             for r in (p, p + p * p * (p - 1), p + 2 * p * p * (p - 1)):
                 fam = choose_alphas_modp2(r, p)
-                if not all(quad_family_properties(fam, r, p, 1 if p == 3 else 0).values()):
+                if not family_holds(fam, r, p, 2, 1 if p == 3 else 0):
                     failures.append(("alpha2", p, r))
                 fam = choose_gammas_modp2(r, p)
-                if not all(quad_family_properties(fam, r, p, -1 if p == 3 else 0).values()):
+                if not family_holds(fam, r, p, 2, -1 if p == 3 else 0):
                     failures.append(("gamma", p, r))
         report(4, "binomial class sums and constructed integer families",
                failures, f"r <= {LEMMA_R_MAX}, p in {LEMMA_PRIMES}")
@@ -154,10 +158,9 @@ class TestCriterion5:
                 js = range(a if a else p - 1, r + 1, p - 1)
                 for j in js:
                     vec[j] = rng.integers(0, p)
-                F = HomogPoly.from_vec(p, vec)
                 for k in (1, 2):
-                    crit = theta_divides_criterion(F, k)
-                    division = theta_divides(F, k)
+                    crit = theta_divides_criterion(vec, k, p)
+                    division = theta_divides(vec, k, p)
                     if crit is None or crit != division:
                         failures.append((p, r, k))
         report(5, "coefficient criterion vs polynomial division", failures,

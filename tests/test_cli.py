@@ -18,7 +18,6 @@ from crysred.errors import DomainError
 from crysred.report import (
     CSV_COLUMNS,
     ReportRecord,
-    factors_from_str,
     factors_to_str,
     structure_report,
 )
@@ -223,6 +222,11 @@ class TestWitnessCommand:
                            "--r", "23", "--slope", "3/2", "--ubar", "5")
         assert code == 2 and "unit" in err
 
+    def test_slope_outside_window_is_a_domain_error(self, capsys):
+        code, out, err = run(capsys, "witness", "--case", "T8.2", "--p", "5",
+                             "--r", "19", "--slope", "5/2")
+        assert code == 2 and "outside" in err and out == ""
+
     def test_ubar_with_p_zero_is_a_domain_error(self, capsys):
         code, out, err = run(capsys, "witness", "--case", "T8.2", "--p", "0",
                              "--r", "19", "--slope", "3/2", "--ubar", "0")
@@ -288,13 +292,13 @@ class TestRecordCodecs:
         again = ReportRecord.from_dict(json.loads(json.dumps(rec.to_dict())))
         assert again == rec
 
-    def test_factor_string_roundtrip(self):
-        for factors in [
-            Counter(),
-            Counter({JHLabel(3, 2): 1}),
-            Counter({JHLabel(1, 0): 2, JHLabel(3, 1): 1}),
+    def test_factor_string_form(self):
+        for factors, text in [
+            (Counter(), "-"),
+            (Counter({JHLabel(3, 2): 1}), "3.2"),
+            (Counter({JHLabel(3, 1): 1, JHLabel(1, 0): 2}), "1.0^2+3.1"),
         ]:
-            assert factors_from_str(factors_to_str(factors)) == factors
+            assert factors_to_str(factors) == text
 
 
 # ---------------------------------------------------------------------------

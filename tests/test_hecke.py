@@ -19,7 +19,6 @@ from crysred.hecke import (
     apply_Tminus,
     apply_Tplus,
     audit_valuations,
-    elementary,
     g0,
     modp_T,
     reduce_mod_p,
@@ -28,7 +27,14 @@ from crysred.hecke import (
 )
 from crysred.errors import IndeterminateCancellation, PrecisionError
 from crysred.symrep import sym_power
-from reference import certify_val_ge, direct_T, functions_agree, normalize_pair, translate
+from reference import (
+    certify_val_ge,
+    direct_T,
+    elementary,
+    functions_agree,
+    normalize_pair,
+    translate,
+)
 
 ONE = ApCoeff.rational(1, p=5)
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from crysred.arith import inv_mod
-from crysred.errors import HypothesisError
+from crysred.errors import DomainError, HypothesisError
 from crysred.hecke import audit_valuations, t_minus_ap
 from crysred.symrep import JHLabel
 from crysred.witness import WitnessCase, build_witness, verify_witness
@@ -38,7 +38,7 @@ class TestHypotheses:
             verify_witness(case("T9.1-high", 5, 19, "5/4"))
 
     def test_slope_window(self):
-        with pytest.raises(HypothesisError):
+        with pytest.raises(DomainError):
             verify_witness(case("T8.2", 5, 19, "1/2"))
 
 
