@@ -351,6 +351,13 @@ class ResidueFunction:
         self.n = n
         self.data: dict[Coset, dict[int, np.ndarray]] = {}
 
+    @classmethod
+    def single(cls, p: int, coset: Coset, vec: np.ndarray) -> "ResidueFunction":
+        """The function with the one value ``vec`` (no symbol part) at ``coset``."""
+        out = cls(p, len(vec))
+        out.accumulate(coset, 0, vec)
+        return out
+
     def accumulate(self, coset: Coset, e: int, vec: np.ndarray) -> None:
         vec = np.asarray(vec, dtype=np.int64) % self.p
         if not vec.any():

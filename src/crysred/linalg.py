@@ -35,8 +35,9 @@ class FpSpace:
     @classmethod
     def from_echelon(cls, rows, pivots, n: int, p: int) -> "FpSpace":
         """Trusted constructor for rows already in ascending-pivot echelon
-        form with unit pivots and support only at columns >= their pivot
-        (single-pass reduction stays correct without mutual reduction)."""
+        form with unit pivots and support only at columns >= their pivot.
+        The rows need not be reduced against each other: ``_eliminate``
+        then repeats its pass until every pivot entry is cleared."""
         sp = cls(n, p)
         sp.rows = [as_vec(row, p) for row in rows]
         sp.pivots = list(pivots)

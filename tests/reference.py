@@ -411,20 +411,21 @@ def divide_theta(vec: np.ndarray, p: int) -> np.ndarray | None:
     when theta does not divide."""
     r = len(vec) - 1
     s = r - p - 1
+    rem = (np.asarray(vec, dtype=np.int64) % p).tolist()
     if s < 0:
-        return None if vec.any() else np.zeros(0, dtype=np.int64)
-    rem = vec.copy() % p
+        return None if any(rem) else np.zeros(0, dtype=np.int64)
     if rem[0]:
         return None
-    quo = np.zeros(s + 1, dtype=np.int64)
+    # long division on Python ints: numpy scalar indexing dominates otherwise
+    quo = [0] * (s + 1)
     for m in range(s + 1):
         c = rem[m + 1]
         quo[m] = c
         rem[m + 1] = 0
         rem[m + p] = (rem[m + p] + c) % p
-    if rem.any():
+    if any(rem):
         return None
-    return quo
+    return np.array(quo, dtype=np.int64)
 
 
 def theta_divides_criterion(vec, k: int, p: int) -> bool | None:

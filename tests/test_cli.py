@@ -232,6 +232,16 @@ class TestWitnessCommand:
                              "--r", "19", "--slope", "3/2", "--ubar", "0")
         assert code == 2 and "p = 0 is not an odd prime" in err and out == ""
 
+    def test_non_integral_witness_exits_1(self, capsys, monkeypatch):
+        from crysred import witness
+
+        real = witness.build_witness
+        monkeypatch.setattr(witness, "build_witness",
+                            lambda c: real(c).scale(Fraction(1, c.p**2)))
+        code, out, _ = run(capsys, "witness", "--case", "T8.2", "--p", "5",
+                           "--r", "19", "--slope", "5/4")
+        assert code == 1 and "[FAIL] integral" in out and "verdict: FAILED" in out
+
     def test_json_precision_margin(self, capsys, monkeypatch):
         # eight carried digits leave three to spare over the abort at five
         monkeypatch.setenv("CRYSRED_PRECISION", "8")

@@ -162,15 +162,13 @@ class TestAudits:
 class TestModpOperator:
     def test_supersingular_column(self):
         p, s = 5, 3
-        fn = ResidueFunction(p, s + 1)
-        fn.accumulate(g0(1, (0,)), 0, sym_power(p, s).monomial(0))
+        fn = ResidueFunction.single(p, g0(1, (0,)), sym_power(p, s).monomial(0))
         out = modp_T(fn, s)
         assert set(out.data) == {Coset(0, 2, (0, lam)) for lam in range(p)}
 
     def test_square_plus_one_support(self):
         p, s = 5, 3
-        fn = ResidueFunction(p, s + 1)
-        fn.accumulate(IDENTITY, 0, sym_power(p, s).monomial(0))
+        fn = ResidueFunction.single(p, IDENTITY, sym_power(p, s).monomial(0))
         t2 = modp_T(modp_T(fn, s), s) + fn
         support = set(t2.data)
         assert IDENTITY in support
@@ -178,8 +176,7 @@ class TestModpOperator:
 
     def test_y_power_lowers(self):
         p, s = 5, 3
-        fn = ResidueFunction(p, s + 1)
-        fn.accumulate(g0(1, (2,)), 0, sym_power(p, s).monomial(s))
+        fn = ResidueFunction.single(p, g0(1, (2,)), sym_power(p, s).monomial(s))
         out = modp_T(fn, s)
         assert IDENTITY in out.data
         # the lowered value is (2X + Y)^s

@@ -180,6 +180,20 @@ class TestVerdicts:
         rep = verify_witness(case("T8.2", 5, 19, "5/4"))
         assert rep.ok and rep.precision_margin >= PRECISION_HEADROOM
 
+    def test_non_integral_witness_fails(self, monkeypatch):
+        # a witness scaled by 1/p^2 leaves (T - A)f non-integral; the audit
+        # reports that as the one failed check, with no image identified
+        from crysred import witness
+
+        real = witness.build_witness
+        monkeypatch.setattr(witness, "build_witness",
+                            lambda c: real(c).scale(Fraction(1, c.p**2)))
+        rep = verify_witness(case("T8.2", 5, 19, "5/4"))
+        assert (rep.integral, rep.ok) == (False, False)
+        assert rep.checks == [("integral", False)]
+        assert (rep.min_valuation, rep.precision_margin) == (-2, Fraction(11, 4))
+        assert (rep.image_factor, rep.constant, rep.constant_nonzero) == (None, "-", False)
+
     def test_minimal_degree_boundary(self):
         # at r = 2p+1 two monomial indices of the depth-2 polynomial coincide
         # and their coefficients must accumulate
