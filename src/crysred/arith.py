@@ -468,11 +468,14 @@ class ApCoeff:
         return self.audit_terms(sigma)[0]
 
     def audit_terms(self, sigma: Fraction):
-        """(bound, [degrees achieving it], short) over the stored terms, one
-        valuation per term.  ``short`` is (err, d) of the first truncated term
-        whose error sits within PRECISION_HEADROOM of valuation 0, else None:
-        when the bound is >= 0, such a term is exactly one whose stored
-        value cannot certify valuation >= 0 within the carried precision."""
+        """(bound, [degrees achieving it], short, exact) over the stored
+        terms, one valuation per term.  ``short`` is (err, d) of the first
+        truncated term whose error sits within PRECISION_HEADROOM of
+        valuation 0, else None: when the bound is >= 0, such a term is
+        exactly one whose stored value cannot certify valuation >= 0 within
+        the carried precision.  ``exact`` says the bound is the true
+        valuation: one degree attains it, with a unit part known beyond its
+        own valuation (n != 0 and k < err)."""
         a, b = sigma.numerator, sigma.denominator
         best, who, short = INF, [], None
         for d, (n, k, e) in self.terms.items():
@@ -483,7 +486,8 @@ class ApCoeff:
                 who.append(d)
             if short is None and b * e + a * d < b * PRECISION_HEADROOM:
                 short = (e, d)
-        return INF if best == INF else Fraction(best, b), who, short
+        n, k, e = self.terms[who[0]] if len(who) == 1 else (0, 0, 0)
+        return INF if best == INF else Fraction(best, b), who, short, n != 0 and k < e
 
     def residue(self, sigma: Fraction) -> "ResidueExpr":
         """Image mod the maximal ideal, as a polynomial in the residue symbol

@@ -83,7 +83,6 @@ class StructurePrediction:
     layers: tuple[tuple[JHLabel, ...], ...]
     socle_contains: frozenset = frozenset()
     socle_excludes: frozenset = frozenset()
-    note: str = ""
 
     @property
     def factors(self) -> Counter:
@@ -122,7 +121,6 @@ def predict_X_structure(desc: CaseDescriptor) -> StructurePrediction:
                 layers=(_second_top_factors(p),),
                 socle_contains=frozenset({jh_label(p - 2, 1, p)}),
                 socle_excludes=frozenset({jh_label(1, 0, p)}),
-                note="isomorphic to the full degree-(2p-1) module",
             )
         bottom = (jh_label(1, p - 1, p),)
         if desc.u == 1:
@@ -130,8 +128,6 @@ def predict_X_structure(desc: CaseDescriptor) -> StructurePrediction:
                 dimension=p + 3,
                 layers=(bottom, (jh_label(1, 0, p), jh_label(p - 2, 1, p))),
                 socle_contains=frozenset(bottom),
-                note="pure p-power: top is the quotient of the degree-(2p-1) module "
-                "by its singular part",
             )
         return StructurePrediction(
             dimension=2 * p + 2,
@@ -147,7 +143,6 @@ def predict_X_structure(desc: CaseDescriptor) -> StructurePrediction:
                 dimension=2 * a,
                 layers=(top,),
                 socle_contains=frozenset(top),
-                note="direct sum of two irreducibles",
             )
         return StructurePrediction(
             dimension=a + p + 2,
@@ -172,7 +167,6 @@ def predict_Q_structure(desc: CaseDescriptor) -> StructurePrediction:
             layers=((jh_label(p - 2, 1, p),), (jh_label(1, 0, p),)),
             socle_contains=frozenset({jh_label(p - 2, 1, p)}),
             socle_excludes=frozenset({jh_label(1, 0, p)}),
-            note="non-split extension",
         )
     if b == 2:
         J2 = jh_label(p - 3, 2, p)
@@ -184,7 +178,6 @@ def predict_Q_structure(desc: CaseDescriptor) -> StructurePrediction:
                 dimension=2 * p - 2,
                 layers=(both,),
                 socle_contains=frozenset(both),
-                note="direct sum",
             )
         return StructurePrediction(
             dimension=p - 1,
@@ -199,7 +192,6 @@ def predict_Q_structure(desc: CaseDescriptor) -> StructurePrediction:
             dimension=2 * p - 2 * b + 2,
             layers=((J1, J2),),
             socle_contains=frozenset({J1, J2}),
-            note="direct sum",
         )
     J0 = jh_label(b - 2, 1, p)
     return StructurePrediction(
@@ -207,7 +199,6 @@ def predict_Q_structure(desc: CaseDescriptor) -> StructurePrediction:
         layers=((J0,), (J1,), (J2,)),
         socle_contains=frozenset({J0}),
         socle_excludes=frozenset({J1}),
-        note="bottom two layers form a non-split extension",
     )
 
 
@@ -223,17 +214,13 @@ class GaloisRep:
     p: int
     kind: str  # "induced" | "reducible" | "undetermined"
     induced_exp: int | None = None  # exponent of the level-2 fundamental character
-    unramified_twist: str = "1"
     characters: tuple[tuple[str, int], ...] = ()  # (unramified scalar, omega exponent)
     alternatives: tuple["GaloisRep", ...] = ()
     notes: tuple[str, ...] = ()
 
     def render(self) -> str:
         if self.kind == "induced":
-            body = f"ind(w2^{self.induced_exp})"
-            if self.unramified_twist != "1":
-                body = f"{body}*unr({self.unramified_twist})"
-            return body
+            return f"ind(w2^{self.induced_exp})"
         if self.kind == "reducible":
             bits = []
             for scalar, e in self.characters:
@@ -246,11 +233,11 @@ class GaloisRep:
         return "undetermined{" + "; ".join(alt.render() for alt in self.alternatives) + "}"
 
 
-def induced(p: int, exp: int, twist: str = "1", notes: tuple[str, ...] = ()) -> GaloisRep:
+def induced(p: int, exp: int, notes: tuple[str, ...] = ()) -> GaloisRep:
     exp %= p * p - 1
     if exp % (p + 1) == 0:
         raise ValueError("exponent divisible by p+1 does not give an irreducible induction")
-    return GaloisRep(p, "induced", induced_exp=exp, unramified_twist=twist, notes=notes)
+    return GaloisRep(p, "induced", induced_exp=exp, notes=notes)
 
 
 def reducible(p: int, chars, notes: tuple[str, ...] = ()) -> GaloisRep:

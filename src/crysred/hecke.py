@@ -288,7 +288,7 @@ class ValuationReport(NamedTuple):
     integral: bool
     min_valuation: Fraction
     entries: list  # (coset, monomial index, bound, degrees at the bound)
-    failures: list  # entries with bound < 0
+    failures: list  # entries whose bound < 0 is the true valuation
 
 
 def _require_residue_cap(f: IndFunction) -> None:
@@ -313,17 +313,21 @@ def precision_margin(f: IndFunction, sigma: Fraction):
 def audit_valuations(f: IndFunction, sigma: Fraction) -> ValuationReport:
     """Certify a lower valuation bound for every coefficient, in one pass.
 
-    A negative bound achieved by a single symbol degree is an exact failure;
-    a tie between several degrees is reported as indeterminate.  Either wins
-    over a truncated term too close to valuation 0, which otherwise raises
+    A negative bound is a certified failure when the bound is the true
+    valuation (``ApCoeff.audit_terms``: one symbol degree with a unit part
+    known beyond its valuation); the report lists those.  A tie between
+    several degrees is reported as indeterminate, and negative bounds that
+    all rest on truncation errors raise PrecisionError.  Each wins over a
+    truncated term too close to valuation 0, which otherwise raises
     PrecisionError (the first such term in the function's own order)."""
     _require_residue_cap(f)
-    entries = []
-    short = None
+    entries, loose, short = [], set(), None
     for coset, poly in f.data.items():
         for j, c in poly.items():
-            bound, degs, s = c.audit_terms(sigma)
+            bound, degs, s, exact = c.audit_terms(sigma)
             entries.append((coset, j, bound, tuple(degs)))
+            if not exact:
+                loose.add((coset, j))
             if short is None:
                 short = s
     entries.sort(key=lambda entry: entry[:2])
@@ -335,7 +339,11 @@ def audit_valuations(f: IndFunction, sigma: Fraction) -> ValuationReport:
             raise IndeterminateCancellation(
                 f"minimal valuation tied between symbol degrees at {multi[0][:2]}"
             )
-        return ValuationReport(False, min_val, entries, failures)
+        certified = [e for e in failures if e[:2] not in loose]
+        if not certified:
+            coset, j, bound, (d,) = failures[0]
+            raise PrecisionError(f"bound {bound} at degree {d} rests on a truncation error")
+        return ValuationReport(False, min_val, entries, certified)
     if short is not None:
         err, d = short
         raise PrecisionError(f"bound 0 within headroom of precision {err} at degree {d}")

@@ -1,9 +1,9 @@
-"""Dense linear algebra over F_p on numpy int64 arrays.
+"""Dense linear algebra over F_p on numpy int64 arrays, entries reduced mod p.
 
-Row-echelon bookkeeping is incremental: an ``FpSpace`` keeps a reduced
-echelon basis and absorbs new vectors one at a time, which is what the
-span-closure and spinning loops need.  A whole matrix is reduced at once by
-``eliminate``, one pivot column per step.  Entries are always reduced mod p.
+An ``FpSpace`` holds a subspace as its reduced row-echelon basis, one k x n
+array: reducing or expressing vectors is one matrix product, and inserting a
+batch of rows eliminates the batch once and merges it by pivot.  ``eliminate``
+is the one Gauss-Jordan kernel, under ``rref`` and ``row_transform``.
 """
 
 from __future__ import annotations
@@ -12,65 +12,51 @@ import numpy as np
 
 
 def as_vec(v, p: int) -> np.ndarray:
-    a = np.asarray(v, dtype=np.int64) % p
-    return a
+    return np.asarray(v, dtype=np.int64) % p
 
 
 class FpSpace:
-    """A subspace of F_p^n held in reduced row-echelon form."""
+    """A subspace of F_p^n held in reduced row-echelon form: ``rows`` is a
+    k x n array whose row i has a unit at column ``pivots[i]`` and zeros at
+    every other pivot column, with the pivots ascending."""
 
     def __init__(self, n: int, p: int):
         self.n = n
         self.p = p
-        self.rows: list[np.ndarray] = []
+        self.rows = np.zeros((0, n), dtype=np.int64)
         self.pivots: list[int] = []
 
     @classmethod
     def from_rows(cls, rows, n: int, p: int) -> "FpSpace":
-        if not len(rows):
-            return cls(n, p)
-        R, pivots = rref(np.asarray(rows, dtype=np.int64).reshape(len(rows), n), p)
-        return cls.from_echelon(R, pivots, n, p)
+        sp = cls(n, p)
+        sp.add_rows(np.asarray(rows, dtype=np.int64).reshape(len(rows), n))
+        return sp
 
     @classmethod
     def from_echelon(cls, rows, pivots, n: int, p: int) -> "FpSpace":
-        """Trusted constructor for rows already in ascending-pivot echelon
-        form with unit pivots and support only at columns >= their pivot.
-        The rows need not be reduced against each other: ``_eliminate``
-        then repeats its pass until every pivot entry is cleared."""
+        """Trusted constructor for rows already in reduced row-echelon form
+        with the given ascending pivots."""
         sp = cls(n, p)
-        sp.rows = [as_vec(row, p) for row in rows]
+        sp.rows = as_vec(rows, p).reshape(len(pivots), n)
         sp.pivots = list(pivots)
         return sp
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
-
-    def _eliminate(self, v) -> tuple[np.ndarray, np.ndarray]:
-        # One pass clears the pivots of a reduced basis.  For a basis that is
-        # only echelon, each pass multiplies the pivot entries by the
-        # strictly triangular part of the pivot block, which is nilpotent.
-        w = as_vec(v, self.p)
-        coeffs = np.zeros(w.shape[:-1] + (len(self.rows),), dtype=np.int64)
-        R = self.matrix()
-        c = w[..., self.pivots]
-        while c.any():
-            coeffs = (coeffs + c) % self.p
-            w = (w - c @ R) % self.p
-            c = w[..., self.pivots]
-        return w, coeffs
+        return len(self.pivots)
 
     def reduce(self, v) -> np.ndarray:
         """Remainder of v (a vector, or the rows of a matrix) after
         elimination against the stored basis."""
-        return self._eliminate(v)[0]
+        w = as_vec(v, self.p)
+        return (w - w[..., self.pivots] @ self.rows) % self.p
 
     def express(self, v):
         """Coefficients of v (a vector, or the rows of a matrix) in the
         stored basis, or None if some vector is outside."""
-        w, coeffs = self._eliminate(v)
-        if w.any():
+        w = as_vec(v, self.p)
+        coeffs = w[..., self.pivots]
+        if ((w - coeffs @ self.rows) % self.p).any():
             return None
         return coeffs
 
@@ -79,24 +65,7 @@ class FpSpace:
 
     def add(self, v) -> bool:
         """Insert v; returns True if the dimension grew."""
-        w = self.reduce(v)
-        nz = np.flatnonzero(w)
-        if nz.size == 0:
-            return False
-        piv = int(nz[0])
-        w = (w * pow(int(w[piv]), -1, self.p)) % self.p
-        # back-eliminate the new pivot from the existing rows
-        for i, row in enumerate(self.rows):
-            c = row[piv]
-            if c:
-                self.rows[i] = (row - c * w) % self.p
-        # keep rows ordered by pivot
-        pos = 0
-        while pos < len(self.pivots) and self.pivots[pos] < piv:
-            pos += 1
-        self.rows.insert(pos, w)
-        self.pivots.insert(pos, piv)
-        return True
+        return len(self.add_rows(np.reshape(v, (1, self.n)))) > 0
 
     def add_rows(self, vecs) -> np.ndarray:
         """Insert the rows of a matrix at once; returns the echelon rows of
@@ -104,16 +73,15 @@ class FpSpace:
         new, new_pivots = rref(self.reduce(vecs), self.p)
         if new_pivots:
             # the new rows vanish at the old pivots; clear theirs from the old rows
-            old = [(row - row[new_pivots] @ new) % self.p for row in self.rows]
-            merged = sorted(zip(self.pivots + new_pivots, old + list(new)), key=lambda pr: pr[0])
-            self.pivots = [piv for piv, _ in merged]
-            self.rows = [row for _, row in merged]
+            old = (self.rows - self.rows[:, new_pivots] @ new) % self.p
+            pivots = self.pivots + new_pivots
+            order = np.argsort(pivots)
+            self.rows = np.vstack([old, new])[order]
+            self.pivots = sorted(pivots)
         return new
 
     def matrix(self) -> np.ndarray:
-        if not self.rows:
-            return np.zeros((0, self.n), dtype=np.int64)
-        return np.vstack(self.rows)
+        return self.rows
 
     def nonpivot_columns(self) -> list[int]:
         piv = set(self.pivots)
@@ -121,7 +89,7 @@ class FpSpace:
 
     def intersect(self, other: "FpSpace") -> "FpSpace":
         """Intersection of two row spaces via a kernel computation."""
-        A, B = self.matrix(), other.matrix()
+        A, B = self.rows, other.rows
         if not len(A) or not len(B):
             return FpSpace(self.n, self.p)
         kernel = nullspace(np.vstack([A, B]).T, self.p)
@@ -133,7 +101,7 @@ class FpSpace:
             and self.n == other.n
             and self.p == other.p
             and self.pivots == other.pivots
-            and all(np.array_equal(a, b) for a, b in zip(self.rows, other.rows))
+            and np.array_equal(self.rows, other.rows)
         )
 
 
@@ -163,12 +131,22 @@ def eliminate(A: np.ndarray, p: int, ncols: int) -> list[int]:
 
 
 def rref(mat, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row-echelon form of a matrix over F_p."""
-    if not len(mat):
-        return np.zeros((0, 0), dtype=np.int64), []
+    """Reduced row-echelon form of a k x n matrix over F_p: the nonzero
+    rows (a rank x n array) and their pivot columns."""
     A = np.array(mat, dtype=np.int64) % p
     pivots = eliminate(A, p, A.shape[1])
     return A[: len(pivots)], pivots
+
+
+def row_transform(S, p: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Gauss-Jordan elimination of [S | I] with pivots among the columns of
+    S: the reduced row-echelon basis B of the row space of S, a transform T
+    with B = T S mod p, and the pivots of B.  For an invertible S, T is its
+    inverse."""
+    k, n = S.shape
+    A = np.hstack([np.asarray(S, dtype=np.int64) % p, np.eye(k, dtype=np.int64)])
+    pivots = eliminate(A, p, n)
+    return A[: len(pivots), :n], A[: len(pivots), n:], pivots
 
 
 def rank(mat, p: int) -> int:

@@ -269,10 +269,7 @@ def build_X(p: int, r: int, which: str = "second") -> ClosedSubspace:
     j = 0 if which == "top" else 1
     hs = _spanning_matrices(p, which)
     S = _orbit_vectors(hs, r, j, p)
-    # eliminate [S | I]: the pivot rows are the echelon basis B = T S
-    A = np.hstack([S, np.eye(len(S), dtype=np.int64)])
-    pivots = linalg.eliminate(A, p, r + 1)
-    B, T = A[: len(pivots), : r + 1], A[: len(pivots), r + 1 :]
+    B, T, pivots = linalg.row_transform(S, p)  # echelon basis B = T S
     mats = {}
     for name, g in zip(GEN_NAMES + ("e",), gamma_generators(p) + [(1, 0, 0, 0)]):
         images = _orbit_vectors([mat_mul(g, h, p) for h in hs], r, j, p)
@@ -298,12 +295,11 @@ def theta_multiple_space(p: int, r: int, k: int) -> FpSpace:
     tk = theta_vec(p)
     for _ in range(k - 1):
         tk = poly_mul_vec(tk, theta_vec(p), p)
-    # theta^k * X^(s-m) Y^m is theta^k shifted by m: it has leading index
-    # m + k and support above it, so the rows are already in echelon position
+    # theta^k * X^(s-m) Y^m is theta^k shifted by m
     rows = np.zeros((s + 1, r + 1), dtype=np.int64)
     for m in range(s + 1):
         rows[m, m : m + len(tk)] = tk
-    return FpSpace.from_echelon(rows, [m + k for m in range(s + 1)], r + 1, p)
+    return FpSpace.from_rows(rows, r + 1, p)
 
 
 def filtration_spaces(p: int, r: int) -> tuple[FpSpace, FpSpace]:
@@ -473,7 +469,7 @@ def _spin_words(src: GammaModule, src_gen: np.ndarray) -> tuple[tuple, np.ndarra
             work += [(len(xs) - 1, gen, src.act(gen, x)) for gen in GEN_NAMES]
     if space.dim != src.dim:
         raise ValueError("generator does not generate the source module")
-    return tuple(words[1:]), _inv_matrix(np.array(xs, dtype=np.int64).T, src.p)
+    return tuple(words[1:]), linalg.row_transform(np.array(xs, dtype=np.int64).T, src.p)[1]
 
 
 def _hom_maps(src: GammaModule, words: tuple, Xinv: np.ndarray, dst: GammaModule,
@@ -585,15 +581,6 @@ def gamma_iso(
     if linalg.rank(T, src.p) != src.dim:
         raise ValueError("constructed map is not invertible")
     return T
-
-
-def _inv_matrix(A: np.ndarray, p: int) -> np.ndarray:
-    n = A.shape[0]
-    aug = np.hstack([A % p, np.eye(n, dtype=np.int64)])
-    R, pivots = linalg.rref(aug, p)
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix not invertible")
-    return R[:, n:]
 
 
 # ---------------------------------------------------------------------------

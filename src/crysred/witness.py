@@ -384,8 +384,11 @@ class QEnv:
 
     def kill_submodule(self, keep: JHLabel) -> FpSpace:
         """Span of the socle constituents whose label differs from ``keep``."""
-        rows = [row for label, sub in socle_simples(self.module) if label != keep for row in sub.rows]
-        return FpSpace.from_rows(rows, self.module.dim, self.p)
+        kill = FpSpace(self.module.dim, self.p)
+        for label, sub in socle_simples(self.module):
+            if label != keep:
+                kill.add_rows(sub.rows)
+        return kill
 
 
 def _expr_nonzero(expr: ResidueExpr, case: WitnessCase) -> bool:

@@ -14,7 +14,9 @@ they check.
   ``Fraction`` terms with ``padic_val`` valuations, against the (unit,
   p-exponent) terms of ``ApCoeff``; with it ``_val_capped`` and
   ``reduce_mod``, which the library no longer uses.
-- ``union``: the sum of two F_p subspaces.
+- ``union``: the sum of two F_p subspaces, and ``insert_vector``, the
+  vector-at-a-time insertion into a reduced echelon basis, against the batch
+  insertion ``FpSpace.add_rows``.
 - ``classify_by_table``: the reduction table written out by congruence cell,
   with the exponents b+1 and b+p, against ``classify_reduction``, which
   derives it from ``surviving_factor`` and ``llc_image``; ``same_rep``
@@ -31,6 +33,7 @@ they check.
 
 from __future__ import annotations
 
+import bisect
 import math
 from fractions import Fraction
 from itertools import product as _iter_product
@@ -351,6 +354,28 @@ def union(a: FpSpace, b: FpSpace) -> FpSpace:
     return FpSpace.from_rows(np.vstack([a.matrix(), b.matrix()]), a.n, a.p)
 
 
+def insert_vector(rows: list, pivots: list, v, p: int) -> bool:
+    """Insert v into the reduced row-echelon basis ``rows`` (a list of
+    vectors with ascending ``pivots``), both updated in place: reduce v one
+    row at a time, scale its leading entry to 1, clear that column from the
+    old rows and insert the new row by pivot.  Returns True if the span grew."""
+    w = np.asarray(v, dtype=np.int64) % p
+    for piv, row in zip(pivots, rows):
+        w = (w - w[piv] * row) % p
+    nz = np.flatnonzero(w)
+    if nz.size == 0:
+        return False
+    piv = int(nz[0])
+    w = w * pow(int(w[piv]), -1, p) % p
+    for i, row in enumerate(rows):
+        if row[piv]:
+            rows[i] = (row - row[piv] * w) % p
+    pos = bisect.bisect(pivots, piv)
+    rows.insert(pos, w)
+    pivots.insert(pos, piv)
+    return True
+
+
 # ---------------------------------------------------------------------------
 # the reduction table by congruence cell
 
@@ -392,7 +417,7 @@ def same_rep(x: GaloisRep, y: GaloisRep) -> bool:
     m = x.p**2 - 1
     if x.kind == "induced":
         orb = {x.induced_exp % m, x.induced_exp * x.p % m}
-        return y.induced_exp % m in orb and x.unramified_twist == y.unramified_twist
+        return y.induced_exp % m in orb
     if x.kind == "reducible":
         mine = sorted((s, e % (x.p - 1)) for s, e in x.characters)
         theirs = sorted((s, e % (y.p - 1)) for s, e in y.characters)

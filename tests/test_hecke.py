@@ -283,15 +283,19 @@ class TestAbsoluteCap:
 
 
 def _min_terms(c: ApCoeff, sigma, p):
-    """(bound, [degrees achieving it]) over the stored terms."""
+    """(bound, [degrees achieving it], exact) over the stored terms; exact
+    when one degree attains the bound with a nonzero value known beyond its
+    valuation."""
     best, who = math.inf, []
-    for d, (v, e) in c.exact_terms().items():
+    terms = c.exact_terms()
+    for d, (v, e) in terms.items():
         val = min(padic_val(v, p), e) + d * sigma
         if val < best:
             best, who = val, [d]
         elif val == best:
             who.append(d)
-    return best, who
+    v, e = terms[who[0]] if len(who) == 1 else (0, 0)
+    return best, who, v != 0 and padic_val(v, p) < e
 
 
 def _two_pass_audit(f, sigma):
@@ -302,10 +306,10 @@ def _two_pass_audit(f, sigma):
     entries, failures, min_val = [], [], math.inf
     for coset in sorted(f.data):
         for j in sorted(f.data[coset]):
-            bound, degs = _min_terms(f.data[coset][j], sigma, f.p)
+            bound, degs, exact = _min_terms(f.data[coset][j], sigma, f.p)
             entries.append((coset, j, bound, tuple(degs)))
             if bound < 0:
-                failures.append((coset, j, bound, tuple(degs)))
+                failures.append((coset, j, bound, tuple(degs), exact))
             if bound < min_val:
                 min_val = bound
     if failures:
@@ -314,7 +318,11 @@ def _two_pass_audit(f, sigma):
             raise IndeterminateCancellation(
                 f"minimal valuation tied between symbol degrees at {multi[0][:2]}"
             )
-        return ValuationReport(False, min_val, entries, failures)
+        certified = [e[:4] for e in failures if e[4]]
+        if not certified:
+            bound, (d,) = failures[0][2:4]
+            raise PrecisionError(f"bound {bound} at degree {d} rests on a truncation error")
+        return ValuationReport(False, min_val, entries, certified)
     for coset, poly in f.data.items():
         for j, c in poly.items():
             if not certify_val_ge(c, 0, sigma, f.p):
@@ -382,6 +390,26 @@ class TestSinglePassAudit:
         new = _outcome(audit_valuations, f, self.SIG)
         assert new == _outcome(_two_pass_audit, f, self.SIG)
         assert new == ("PrecisionError", "bound 0 within headroom of precision 0 at degree 1")
+
+    # 5^-1 A^-1 known only mod 5^1 (nothing, or 5): at slope 5/4 the bound
+    # -1/4 rests on the error, and the true value may be 0
+    LOOSE = [ApCoeff({-1: (Fraction(0), 1)}, 5), ApCoeff({-1: (Fraction(5), 1)}, 5)]
+
+    @pytest.mark.parametrize("loose", LOOSE)
+    def test_error_dominated_bound_is_refused(self, loose):
+        f = elementary(5, 11, IDENTITY, {0: loose})
+        new = _outcome(audit_valuations, f, Fraction(5, 4))
+        assert new == _outcome(_two_pass_audit, f, Fraction(5, 4))
+        assert new == ("PrecisionError", "bound -1/4 at degree -1 rests on a truncation error")
+
+    @pytest.mark.parametrize("loose", LOOSE)
+    def test_certified_failure_wins_over_error_dominated_bound(self, loose):
+        exact = ApCoeff.rational(Fraction(1, 5), p=5)
+        f = self._function((IDENTITY, loose), (g0(1, (0,)), exact))
+        new = _outcome(audit_valuations, f, Fraction(5, 4))
+        assert new == _outcome(_two_pass_audit, f, Fraction(5, 4))
+        assert new[0] == "report" and not new[1].integral
+        assert [e[:2] for e in new[1].failures] == [(g0(1, (0,)), 1)]
 
     @given(audit_inputs())
     @settings(max_examples=300, deadline=None)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from crysred import symrep
 from crysred.errors import DomainError
-from crysred.linalg import FpSpace, nullspace, rank, rref
+from crysred.linalg import FpSpace, nullspace, rank, row_transform, rref
 from crysred.report import structure_report
 from crysred.symrep import (
     JHLabel,
@@ -31,7 +31,13 @@ from crysred.symrep import (
     theta_vec,
     weight_module,
 )
-from reference import standard_spanning_set, theta_divides, theta_divides_criterion, union
+from reference import (
+    insert_vector,
+    standard_spanning_set,
+    theta_divides,
+    theta_divides_criterion,
+    union,
+)
 
 
 def frobenius_twist_check(p: int, u: int, n: int) -> bool:
@@ -60,7 +66,7 @@ def _conjugated_weight_module():
     p = 5
     m1 = weight_module(p, 3, 2)
     P = np.array([[1, 2, 0, 4], [0, 1, 0, 0], [3, 0, 1, 0], [0, 0, 0, 1]], dtype=np.int64)
-    Pinv = symrep._inv_matrix(P, p)
+    Pinv = row_transform(P, p)[1]
     m2 = symrep.GammaModule(p, {k: P @ v @ Pinv % p for k, v in m1.mats.items()})
     return m1, m2, P
 
@@ -263,6 +269,41 @@ class TestLinalg:
         # union with itself changes nothing
         assert union(sp, sp) == sp
 
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_insertion_paths_match_oracle(self, data):
+        # one row at a time, in random batches and all at once give the same
+        # reduced echelon basis as the vector-at-a-time oracle
+        p = data.draw(st.sampled_from([3, 5, 7]), label="p")
+        n = data.draw(st.integers(0, 8), label="n")
+        vec = st.lists(st.integers(0, p - 1), min_size=n, max_size=n)
+        base = data.draw(st.lists(vec, min_size=1, max_size=6), label="base") + [[0] * n]
+        rows = data.draw(st.lists(st.sampled_from(base), max_size=10), label="rows")
+        M = np.array(rows, dtype=np.int64).reshape(len(rows), n)
+
+        oracle_rows, oracle_pivots = [], []
+        grew = [insert_vector(oracle_rows, oracle_pivots, row, p) for row in rows]
+        oracle = np.array(oracle_rows, dtype=np.int64).reshape(len(oracle_rows), n)
+
+        one = FpSpace(n, p)
+        assert [one.add(row) for row in rows] == grew
+        batched = FpSpace(n, p)
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(rows)), max_size=4), label="cuts"))
+        for lo, hi in zip([0] + cuts, cuts + [len(rows)]):
+            before = batched.dim
+            assert len(batched.add_rows(M[lo:hi])) == batched.dim - before
+        whole = FpSpace.from_rows(rows, n, p)
+        for sp in (one, batched, whole):
+            assert sp.pivots == oracle_pivots
+            assert sp.rows.shape == (len(oracle_pivots), n)
+            assert np.array_equal(sp.rows, oracle)
+            coeffs = sp.express(M)
+            assert coeffs is not None and np.array_equal(coeffs @ sp.rows % p, M)
+            w = np.array(data.draw(vec, label="w"), dtype=np.int64)
+            rem = sp.reduce(np.vstack([M, w]))
+            assert not rem[:, sp.pivots].any() and not rem[: len(rows)].any()
+            assert (w - rem[-1]) % p in sp
+
 
 class TestAction:
     def test_identity(self):
@@ -395,13 +436,19 @@ class TestTheta:
                 assert vss.dim == (r - 2 * p - 1 if r >= 2 * p + 2 else 0)
 
     def test_echelon_fast_path_matches_generic(self):
+        # the theta^k-multiple space is the span of theta^k X^(s-m) Y^m,
+        # inserted one vector at a time by the oracle
         for p, r in [(5, 23), (3, 17), (7, 30)]:
             for k in (1, 2):
-                fast = symrep.theta_multiple_space(p, r, k)
-                slow = FpSpace.from_rows(fast.matrix(), r + 1, p)
-                assert slow.dim == fast.dim
-                assert all(row in fast for row in slow.matrix())
-                assert all(row in slow for row in fast.matrix())
+                space = symrep.theta_multiple_space(p, r, k)
+                tk = theta_vec(p) if k == 1 else symrep.poly_mul_vec(theta_vec(p), theta_vec(p), p)
+                rows, pivots = [], []
+                for m in range(r - k * (p + 1) + 1):
+                    multiple = np.zeros(r + 1, dtype=np.int64)
+                    multiple[m : m + len(tk)] = tk
+                    insert_vector(rows, pivots, multiple, p)
+                assert space.pivots == pivots
+                assert np.array_equal(space.rows, np.array(rows))
 
 
 class TestJordanHoelder:
