@@ -227,20 +227,29 @@ def _binom_row(r: int) -> list[int]:
     return row
 
 
-def _validate_family(name: str, checks: dict[str, bool]) -> None:
-    failed = [k for k, ok in checks.items() if not ok]
+def _check_family(name: str, fam: dict[int, int], row: list[int], p: int, level: int,
+                  target: int = 0) -> None:
+    """Raise ArithmeticError unless the family holds at level L = ``level``:
+    fam[j] = binom(r, j) mod p^L, and sum_j binom(j, n) fam[j] vanishes mod
+    p^(L+2-n) for n <= L and is ``target`` mod p at n = L+1."""
+    failed = [f"matches_binom_mod_p{level}"] if any(
+        (x - row[j]) % p**level for j, x in fam.items()) else []
+    for n in range(level + 2):
+        total = sum(math.comb(j, n) * x for j, x in fam.items())
+        if (total - (target if n == level + 1 else 0)) % p ** (level + 2 - n):
+            failed.append(f"choose{n}_sum_mod_p{level + 2 - n}")
     if failed:
         raise ArithmeticError(f"{name} family failed checks: {', '.join(failed)}")
 
 
-def _alpha_properties(fam: dict[int, int], r: int, a: int, p: int, row: list[int]) -> dict[str, bool]:
-    tgt = math.comb(r, 2) if a == 2 else 0
-    return {
-        "matches_binom_mod_p": all((fam[j] - row[j]) % p == 0 for j in fam),
-        "sum_mod_p3": sum(fam.values()) % p**3 == 0,
-        "weighted_sum_mod_p2": sum(j * x for j, x in fam.items()) % p**2 == 0,
-        "choose2_sum_mod_p": (sum(math.comb(j, 2) * x for j, x in fam.items()) - tgt) % p == 0,
-    }
+def _two_index_family(row: list[int], js: list[int], j0: int, p: int) -> dict[int, int]:
+    """binom(r, j) on the indices js, corrected at j0 so that the j-weighted
+    sum vanishes mod p^2 and at j0*p so that the plain sum vanishes."""
+    c0 = -inv_mod(j0, p * p) * sum(j * row[j] for j in js if j > j0)
+    fam = {j: row[j] for j in js}
+    fam[j0] = c0
+    fam[j0 * p] = -sum(row[j] for j in js if j not in (j0, j0 * p)) - c0
+    return fam
 
 
 def choose_alphas(r: int, a: int, p: int) -> dict[int, int]:
@@ -255,24 +264,9 @@ def choose_alphas(r: int, a: int, p: int) -> dict[int, int]:
         raise HypothesisError(f"need r = a (mod p-1) with 2 <= a <= p-1; got r={r}, a={a}")
     js = list(_class_range(1, r, a, p - 1))
     row = _binom_row(r)
-    if r <= a * p:
-        fam = {j: 0 for j in js}
-    else:
-        a_inv = inv_mod(a, p * p)
-        alpha_a = -a_inv * sum(j * row[j] for j in js if j > a)
-        fam = {j: row[j] for j in js}
-        fam[a] = alpha_a
-        fam[a * p] = -sum(row[j] for j in js if j not in (a, a * p)) - alpha_a
-    _validate_family("alpha", _alpha_properties(fam, r, a, p, row))
+    fam = {j: 0 for j in js} if r <= a * p else _two_index_family(row, js, a, p)
+    _check_family("alpha", fam, row, p, 1, math.comb(r, 2) if a == 2 else 0)
     return fam
-
-
-def _beta_properties(fam: dict[int, int], p: int, row: list[int]) -> dict[str, bool]:
-    out = {"matches_binom_mod_p": all((fam[j] - row[j]) % p == 0 for j in fam)}
-    for n in (0, 1, 2):
-        total = sum(math.comb(j, n) * x for j, x in fam.items() if j >= n)
-        out[f"choose{n}_sum_mod_p{3 - n}"] = total % p ** (3 - n) == 0
-    return out
 
 
 def choose_betas(r: int, b: int, p: int) -> dict[int, int]:
@@ -290,34 +284,9 @@ def choose_betas(r: int, b: int, p: int) -> dict[int, int]:
     if not js:
         return {}
     row = _binom_row(r)
-    j0, j1 = b - 1, (b - 1) * p
-    binv = inv_mod(b - 1, p * p)
-    beta0 = -binv * sum(j * row[j] for j in js if j > j0)
-    fam = {j: row[j] for j in js}
-    fam[j0] = beta0
-    fam[j1] = -sum(row[j] for j in js if j not in (j0, j1)) - beta0
-    _validate_family("beta", _beta_properties(fam, p, row))
+    fam = _two_index_family(row, js, b - 1, p)
+    _check_family("beta", fam, row, p, 1)
     return fam
-
-
-def _quad_properties(
-    fam: dict[int, int], p: int, cubic_target: int, row: list[int]
-) -> dict[str, bool]:
-    if not fam:
-        # degenerate degree: no indices, nothing to satisfy
-        return {"empty": True}
-    out = {
-        "matches_binom_mod_p2": all((fam[j] - row[j]) % (p * p) == 0 for j in fam),
-        "choose3_sum_mod_p": (
-            sum(math.comb(j, 3) * x for j, x in fam.items() if j >= 3) - cubic_target
-        )
-        % p
-        == 0,
-    }
-    for n in (0, 1, 2):
-        total = sum(math.comb(j, n) * x for j, x in fam.items() if j >= n)
-        out[f"choose{n}_sum_mod_p{4 - n}"] = total % p ** (4 - n) == 0
-    return out
 
 
 def _require_quad_hypotheses(r: int, p: int) -> None:
@@ -339,7 +308,7 @@ def choose_alphas_modp2(r: int, p: int) -> dict[int, int]:
     # a single correction at j = p makes the plain sum vanish exactly; the
     # higher-weight congruences then hold on their own
     fam[p] -= sum(row[j] for j in js)
-    _validate_family("alpha2", _quad_properties(fam, p, 1 if p == 3 else 0, row))
+    _check_family("alpha2", fam, row, p, 2, 1 if p == 3 else 0)
     return fam
 
 
@@ -365,7 +334,7 @@ def choose_gammas_modp2(r: int, p: int) -> dict[int, int]:
     fam = {j: row[j] for j in js}
     fam[j0] += p * p * eps0
     fam[j1] += p * p * eps1
-    _validate_family("gamma", _quad_properties(fam, p, -1 if p == 3 else 0, row))
+    _check_family("gamma", fam, row, p, 2, -1 if p == 3 else 0)
     return fam
 
 

@@ -233,15 +233,15 @@ class GaloisRep:
         return "undetermined{" + "; ".join(alt.render() for alt in self.alternatives) + "}"
 
 
-def induced(p: int, exp: int, notes: tuple[str, ...] = ()) -> GaloisRep:
+def induced(p: int, exp: int) -> GaloisRep:
     exp %= p * p - 1
     if exp % (p + 1) == 0:
         raise ValueError("exponent divisible by p+1 does not give an irreducible induction")
-    return GaloisRep(p, "induced", induced_exp=exp, notes=notes)
+    return GaloisRep(p, "induced", induced_exp=exp)
 
 
-def reducible(p: int, chars, notes: tuple[str, ...] = ()) -> GaloisRep:
-    return GaloisRep(p, "reducible", characters=tuple(chars), notes=notes)
+def reducible(p: int, chars) -> GaloisRep:
+    return GaloisRep(p, "reducible", characters=tuple(chars))
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,12 @@ and are finite sums of terms [coset, polynomial], built with
 symbolic eigenvalue, Teichmuller truncation tracked.  ``apply_T`` is the
 raising/lowering decomposition on branch-0 support.  Its oracle, the
 double-coset formula with generic coset normalization (``direct_T``), lives
-in ``tests/reference.py``.  Reduced mod p, a function's values are
-coefficient vectors (``ResidueFunction``), and a mod-p Hecke operator on
-irreducible weight models supports the factorization certificates of the
-witness audits.
+in ``tests/reference.py``.  Reduced mod p, a function is one map from
+(coset, power of the residue symbol) to a nonzero coefficient vector
+(``ResidueFunction``).  The mod-p Hecke operator on weight models
+(``modp_T``), which the factorization certificates of the witness audits
+read, is not written separately: it is ``apply_T`` on an integer lift,
+reduced mod p.
 
 Capped absolute precision.  An ``IndFunction`` carries a cap N (the
 capped-absolute model of Caruso, Roe and Vaccon, "Tracking p-adic
@@ -184,9 +186,6 @@ class IndFunction:
             out.data[coset] = {j: c.shift(k) for j, c in poly.items()}
         return out
 
-    def support(self) -> list[Coset]:
-        return sorted(self.data)
-
 
 # ---------------------------------------------------------------------------
 # the raising/lowering parts on branch-0 support
@@ -351,93 +350,66 @@ def audit_valuations(f: IndFunction, sigma: Fraction) -> ValuationReport:
 
 
 class ResidueFunction:
-    """Mod-p image of an integral induced function: per coset, a polynomial
-    in the residue symbol with vector coefficients."""
+    """Mod-p image of an integral induced function: one map from (coset,
+    power e of the residue symbol) to a nonzero coefficient vector."""
 
-    def __init__(self, p: int, n: int):
+    def __init__(self, p: int):
         self.p = p
-        self.n = n
-        self.data: dict[Coset, dict[int, np.ndarray]] = {}
+        self.data: dict[tuple[Coset, int], np.ndarray] = {}
 
     @classmethod
     def single(cls, p: int, coset: Coset, vec: np.ndarray) -> "ResidueFunction":
         """The function with the one value ``vec`` (no symbol part) at ``coset``."""
-        out = cls(p, len(vec))
+        out = cls(p)
         out.accumulate(coset, 0, vec)
         return out
 
     def accumulate(self, coset: Coset, e: int, vec: np.ndarray) -> None:
-        vec = np.asarray(vec, dtype=np.int64) % self.p
-        if not vec.any():
-            return
-        comp = self.data.setdefault(coset, {})
-        if e in comp:
-            comp[e] = (comp[e] + vec) % self.p
+        """Add ``vec`` at (coset, e); a value that sums to zero leaves no key."""
+        key = (coset, e)
+        total = np.asarray(vec, dtype=np.int64) + self.data.get(key, 0)
+        total %= self.p
+        if total.any():
+            self.data[key] = total
         else:
-            comp[e] = vec.copy()
+            self.data.pop(key, None)
 
-    def prune(self) -> "ResidueFunction":
-        for coset in list(self.data):
-            comp = {e: v for e, v in self.data[coset].items() if v.any()}
-            if comp:
-                self.data[coset] = comp
-            else:
-                del self.data[coset]
-        return self
+    def _collect(self, terms) -> "ResidueFunction":
+        out = ResidueFunction(self.p)
+        for coset, e, vec in terms:
+            out.accumulate(coset, e, vec)
+        return out
 
-    def map_vectors(self, fn, n_out: int) -> "ResidueFunction":
-        out = ResidueFunction(self.p, n_out)
-        for coset, comp in self.data.items():
-            for e, v in comp.items():
-                out.accumulate(coset, e, fn(v))
-        return out.prune()
+    def map_vectors(self, fn) -> "ResidueFunction":
+        return self._collect((c, e, fn(v)) for (c, e), v in self.data.items())
 
     def scale_expr(self, expr: ResidueExpr) -> "ResidueFunction":
-        out = ResidueFunction(self.p, self.n)
-        for coset, comp in self.data.items():
-            for e, v in comp.items():
-                for e2, c in expr.coeffs.items():
-                    out.accumulate(coset, e + e2, c * v)
-        return out.prune()
+        return self._collect((c, e + e2, k * v) for (c, e), v in self.data.items()
+                             for e2, k in expr.coeffs.items())
 
     def __add__(self, other: "ResidueFunction") -> "ResidueFunction":
-        out = ResidueFunction(self.p, self.n)
-        for part in (self, other):
-            for coset, comp in part.data.items():
-                for e, v in comp.items():
-                    out.accumulate(coset, e, v)
-        return out.prune()
+        return self._collect((c, e, v) for part in (self, other) for (c, e), v in part.data.items())
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, ResidueFunction) or self.p != other.p:
-            return False
-        a, b = self.prune().data, other.prune().data
-        if set(a) != set(b):
-            return False
-        for coset in a:
-            if set(a[coset]) != set(b[coset]):
-                return False
-            for e in a[coset]:
-                if not np.array_equal(a[coset][e], b[coset][e]):
-                    return False
-        return True
+        return (isinstance(other, ResidueFunction) and self.p == other.p
+                and self.data.keys() == other.data.keys()
+                and all(np.array_equal(v, other.data[key]) for key, v in self.data.items()))
 
     def support(self) -> list[Coset]:
-        return sorted(self.data)
+        return sorted({coset for coset, _ in self.data})
 
 
 def reduce_mod_p(f: IndFunction, sigma: Fraction) -> ResidueFunction:
     """Residue of a certified-integral function."""
     _require_residue_cap(f)
-    out = ResidueFunction(f.p, f.r + 1)
+    out = ResidueFunction(f.p)
     for coset, poly in f.data.items():
         for j, c in poly.items():
-            expr = c.residue(sigma)
-            for e, val in expr.coeffs.items():
+            for e, val in c.residue(sigma).coeffs.items():
                 vec = np.zeros(f.r + 1, dtype=np.int64)
                 vec[j] = val
                 out.accumulate(coset, e, vec)
-    return out.prune()
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -445,37 +417,19 @@ def reduce_mod_p(f: IndFunction, sigma: Fraction) -> ResidueFunction:
 
 
 def modp_T(fn: ResidueFunction, s: int) -> ResidueFunction:
-    """Hecke operator on functions valued in the degree-s weight model (the
-    determinant twist contributes trivially on the double coset)."""
-    p = fn.p
-    out = ResidueFunction(p, s + 1)
-    for coset, comp in fn.data.items():
-        if coset.branch != 0:
-            raise NotImplementedError("branch-1 support unsupported")
-        n, digits = coset.level, coset.digits
-        for e, vec in comp.items():
-            for lam in range(p):
-                child = Coset(0, n + 1, digits + (lam,))
-                total = 0
-                for i in range(s + 1):
-                    if vec[i]:
-                        total += vec[i] * pow(-lam % p, i, p)
-                if total % p:
-                    w = np.zeros(s + 1, dtype=np.int64)
-                    w[0] = total % p
-                    out.accumulate(child, e, w)
-            cs = int(vec[s])
-            if cs:
-                if n == 0:
-                    w = np.zeros(s + 1, dtype=np.int64)
-                    w[s] = cs
-                    out.accumulate(ALPHA, e, w)
-                else:
-                    parent = Coset(0, n - 1, digits[:-1])
-                    top = digits[-1]
-                    w = np.array(
-                        [cs * math.comb(s, i) * pow(top, s - i, p) for i in range(s + 1)],
-                        dtype=np.int64,
-                    )
-                    out.accumulate(parent, e, w)
-    return out.prune()
+    """Hecke operator on functions valued in the degree-s weight model, as
+    the reduction of ``apply_T``: each symbol component of ``fn`` is lifted
+    to exact integer coefficients, carried at the precision the residue
+    needs, and its image is reduced mod p (the determinant twist contributes
+    trivially on the double coset).  The lift has symbol degree 0 only, so
+    its residue does not depend on the slope passed to ``reduce_mod_p``."""
+    p, out = fn.p, ResidueFunction(fn.p)
+    for e in {e for _, e in fn.data}:
+        lift = IndFunction(p, s, 1 + PRECISION_HEADROOM)
+        for (coset, e2), vec in fn.data.items():
+            if e2 == e:
+                lift.add_term(coset, {i: ApCoeff.rational(int(x), p=p) for i, x in enumerate(vec)})
+        # the residue sits at symbol power 0 alone, so its keys move to e as they are
+        red = reduce_mod_p(apply_T(lift), Fraction(3, 2))
+        out.data.update(((coset, e), vec) for (coset, _), vec in red.data.items())
+    return out

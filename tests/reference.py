@@ -8,6 +8,8 @@ they check.
   ``apply_T``.  ``translate`` is the left action of an integral matrix of
   unit determinant, for the equivariance checks, and ``functions_agree``
   compares two functions up to a valuation.
+- ``modp_T_by_weights``: the mod-p Hecke operator on a weight model with
+  its weights written out, against ``modp_T``, which reduces ``apply_T``.
 - ``certify_val_ge``: the per-coefficient valuation certificate, the second
   pass of the two-pass reference of ``hecke.audit_valuations``.
 - ``FractionCoeff``: the coefficient arithmetic of ``ApCoeff`` on exact
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 import bisect
 import math
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product as _iter_product
 
@@ -59,7 +62,7 @@ from crysred.classify import (
     reducible,
 )
 from crysred.errors import HypothesisError, PrecisionError
-from crysred.hecke import Coset, IndFunction, teich_table
+from crysred.hecke import ALPHA, Coset, IndFunction, ResidueFunction, teich_table
 from crysred.linalg import FpSpace
 from crysred.symrep import _orbit_vectors, _spanning_matrices
 
@@ -229,6 +232,45 @@ def functions_agree(f: IndFunction, g: IndFunction, sigma: Fraction, min_val=3) 
             if c.val_lb(sigma, diff.p) < min_val:
                 return False
     return True
+
+
+def modp_T_by_weights(fn: ResidueFunction, s: int) -> ResidueFunction:
+    """The mod-p Hecke operator on the degree-s weight model with its weights
+    written out: the raising part sends the value v at a coset to
+    sum_i v_i (-lam)^i X^s at each child lam, and the lowering part sends
+    v_s Y^s to the parent at (top X + Y)^s, or to alpha at level zero.
+    Test oracle for ``modp_T``, the reduction of ``apply_T``."""
+    p = fn.p
+    out = ResidueFunction(p)
+    for (coset, e), vec in fn.data.items():
+        if coset.branch != 0:
+            raise NotImplementedError("branch-1 support unsupported")
+        n, digits = coset.level, coset.digits
+        for lam in range(p):
+            child = Coset(0, n + 1, digits + (lam,))
+            total = 0
+            for i in range(s + 1):
+                if vec[i]:
+                    total += vec[i] * pow(-lam % p, i, p)
+            if total % p:
+                w = np.zeros(s + 1, dtype=np.int64)
+                w[0] = total % p
+                out.accumulate(child, e, w)
+        cs = int(vec[s])
+        if cs:
+            if n == 0:
+                w = np.zeros(s + 1, dtype=np.int64)
+                w[s] = cs
+                out.accumulate(ALPHA, e, w)
+            else:
+                parent = Coset(0, n - 1, digits[:-1])
+                top = digits[-1]
+                w = np.array(
+                    [cs * math.comb(s, i) * pow(top, s - i, p) for i in range(s + 1)],
+                    dtype=np.int64,
+                )
+                out.accumulate(parent, e, w)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -401,12 +443,14 @@ def classify_by_table(p: int, k: int, slope: Fraction, hyp_star: str = "unknown"
             ),
         )
     if b == 2:
-        return induced(p, b + 1 if not (desc.p_div_r or desc.p_div_r_minus_1) else b + p, notes=notes)
-    if b < p:
-        return induced(p, b + p if not desc.p_div_r_minus_b else b + 1, notes=notes)
-    if not desc.p2_div_r_minus_b:
-        return induced(p, b + p, notes=notes)
-    return reducible(p, (("i", 1), ("-i", 1)), notes=notes)
+        rep = induced(p, b + 1 if not (desc.p_div_r or desc.p_div_r_minus_1) else b + p)
+    elif b < p:
+        rep = induced(p, b + p if not desc.p_div_r_minus_b else b + 1)
+    elif not desc.p2_div_r_minus_b:
+        rep = induced(p, b + p)
+    else:
+        rep = reducible(p, (("i", 1), ("-i", 1)))
+    return replace(rep, notes=notes)
 
 
 def same_rep(x: GaloisRep, y: GaloisRep) -> bool:

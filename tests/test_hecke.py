@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crysred.arith import PRECISION_HEADROOM, ApCoeff, padic_val
+from crysred.arith import PRECISION_HEADROOM, ApCoeff, ResidueExpr, padic_val
 from crysred.hecke import (
     ALPHA,
     Coset,
@@ -32,6 +32,7 @@ from reference import (
     direct_T,
     elementary,
     functions_agree,
+    modp_T_by_weights,
     normalize_pair,
     translate,
 )
@@ -151,7 +152,7 @@ class TestAudits:
         c = ApCoeff.rational(Fraction(7), p=5) + ApCoeff.rational(Fraction(5), p=5)
         f = elementary(5, 11, IDENTITY, {3: c})
         red = reduce_mod_p(f, Fraction(5, 4))
-        assert red.data[IDENTITY][0][3] == 2
+        assert red.data[IDENTITY, 0][3] == 2
 
     def test_t_minus_ap_shifts_degree(self):
         f = elementary(5, 11, IDENTITY, {0: ONE})
@@ -164,24 +165,69 @@ class TestModpOperator:
         p, s = 5, 3
         fn = ResidueFunction.single(p, g0(1, (0,)), sym_power(p, s).monomial(0))
         out = modp_T(fn, s)
-        assert set(out.data) == {Coset(0, 2, (0, lam)) for lam in range(p)}
+        assert set(out.data) == {(Coset(0, 2, (0, lam)), 0) for lam in range(p)}
 
     def test_square_plus_one_support(self):
         p, s = 5, 3
         fn = ResidueFunction.single(p, IDENTITY, sym_power(p, s).monomial(0))
         t2 = modp_T(modp_T(fn, s), s) + fn
-        support = set(t2.data)
-        assert IDENTITY in support
-        assert len(support) == p * p + 1
+        keys = set(t2.data)
+        assert (IDENTITY, 0) in keys
+        assert len(keys) == p * p + 1
 
     def test_y_power_lowers(self):
         p, s = 5, 3
         fn = ResidueFunction.single(p, g0(1, (2,)), sym_power(p, s).monomial(s))
         out = modp_T(fn, s)
-        assert IDENTITY in out.data
+        assert (IDENTITY, 0) in out.data
         # the lowered value is (2X + Y)^s
         want = np.array([math.comb(s, i) * pow(2, s - i, p) for i in range(s + 1)]) % p
-        assert np.array_equal(out.data[IDENTITY][0], want)
+        assert np.array_equal(out.data[IDENTITY, 0], want)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_matches_weights_written_out(self, data):
+        # branch-0 inputs at levels 0..2 with symbol powers -1..1, against
+        # the operator with its Hecke weights written out
+        p = data.draw(st.sampled_from([3, 5, 7, 11, 13]))
+        s = data.draw(st.integers(0, p - 1))
+        fn = ResidueFunction(p)
+        for _ in range(data.draw(st.integers(1, 4))):
+            m = data.draw(st.integers(0, 2))
+            digits = tuple(data.draw(st.lists(st.integers(0, p - 1), min_size=m, max_size=m)))
+            vec = data.draw(st.lists(st.integers(0, p - 1), min_size=s + 1, max_size=s + 1))
+            fn.accumulate(g0(m, digits), data.draw(st.integers(-1, 1)), np.array(vec))
+        assert modp_T(fn, s) == modp_T_by_weights(fn, s)
+
+    def test_branch1_support_refused(self):
+        fn = ResidueFunction.single(5, ALPHA, sym_power(5, 3).monomial(0))
+        with pytest.raises(NotImplementedError):
+            modp_T(fn, 3)
+
+
+class TestResidueFunction:
+    def test_cancelled_value_leaves_no_key(self):
+        p, v = 5, np.array([1, 2, 0, 4])
+        fn = ResidueFunction.single(p, IDENTITY, v)
+        fn.accumulate(IDENTITY, 0, -v)
+        assert fn.data == {}
+        assert fn + ResidueFunction.single(p, g0(1, (3,)), v) == ResidueFunction.single(
+            p, g0(1, (3,)), v)
+        assert ResidueFunction.single(p, IDENTITY, v).scale_expr(ResidueExpr.const(5, p)).data == {}
+
+    def test_equality_ignores_insertion_order(self):
+        p = 7
+        items = [(IDENTITY, 0, [1, 2]), (g0(1, (4,)), -1, [0, 3]), (ALPHA, 1, [6, 6]),
+                 (IDENTITY, 0, [2, 0])]
+        a, b = ResidueFunction(p), ResidueFunction(p)
+        for coset, e, vec in items:
+            a.accumulate(coset, e, np.array(vec))
+        for coset, e, vec in reversed(items):
+            b.accumulate(coset, e, np.array(vec))
+        assert list(a.data) != list(b.data)
+        assert a == b and b == a
+        b.accumulate(ALPHA, 1, np.array([1, 0]))
+        assert a != b
 
 
 # slopes near both ends of (1, 2): the cap's bound min(d, 2d) must hold at each
@@ -271,7 +317,7 @@ class TestAbsoluteCap:
         ok = ok.scale(Fraction(1, 5))
         assert ok.cap == 1 + PRECISION_HEADROOM
         assert audit_valuations(ok, Fraction(5, 4)).integral
-        assert reduce_mod_p(ok, Fraction(5, 4)).data[IDENTITY][0][0] == 1
+        assert reduce_mod_p(ok, Fraction(5, 4)).data[IDENTITY, 0][0] == 1
 
     def test_agreement_above_the_cap_refused(self):
         f = elementary(5, 11, IDENTITY, {0: ONE}, precision=8)
