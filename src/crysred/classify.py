@@ -17,6 +17,9 @@ from .arith import digit_sum, padic_val, require_odd_prime
 from .errors import DomainError
 from .symrep import JHLabel, jh_label
 
+#: the values of ``hyp_star``: whether the genericity hypothesis holds
+HYP_STAR = ("holds", "fails", "unknown")
+
 
 # ---------------------------------------------------------------------------
 # congruence-class bookkeeping
@@ -285,37 +288,37 @@ def llc_image(p: int, s: int, lam: str | int, eta_exp: int = 0) -> LLCEntry:
     return LLCEntry(p, galois, gl2)
 
 
-def hecke_quotient_image(p: int, label: JHLabel, refinement: str = "supersingular") -> GaloisRep:
+def hecke_quotient_image(p: int, label: JHLabel, refinement: str = "T") -> GaloisRep:
     """Galois side attached to a quotient of the induction from one weight:
     the ``llc_image`` of the label.
 
-    ``refinement`` records how the Hecke action on the surviving weight was
-    pinned down: "supersingular" (factors through the cokernel of T, lambda
-    = 0) or "t2plus1" (factors through the cokernel of T^2 + 1, lambda = +-i,
-    giving the pair of characters unr(i) w^t + unr(-i) w^t)."""
+    ``refinement`` names the Hecke polynomial whose cokernel the quotient
+    factors through, as a witness audit reports it: "T" (lambda = 0, the
+    supersingular case) or "T^2+1" (lambda = +-i, giving the pair of
+    characters unr(i) w^t + unr(-i) w^t)."""
     s, t = label
-    if refinement == "t2plus1" and s != p - 2:
+    if refinement == "T^2+1" and s != p - 2:
         raise ValueError("the T^2+1 refinement only arises at s = p-2")
-    return llc_image(p, s, "i" if refinement == "t2plus1" else 0, t).galois
+    return llc_image(p, s, "i" if refinement == "T^2+1" else 0, t).galois
 
 
 def surviving_factor(desc: CaseDescriptor) -> tuple[JHLabel, str]:
     """The constituent of the terminal quotient that survives elimination,
-    with the refinement used when it has dimension p-1."""
+    with the Hecke polynomial ("T" or "T^2+1") that pins down its quotient."""
     p, b = desc.p, desc.b
     if b == p:
         if desc.p2_div_r_minus_b:
-            return jh_label(p - 2, 1, p), "t2plus1"
-        return jh_label(1, 0, p), "supersingular"
+            return jh_label(p - 2, 1, p), "T^2+1"
+        return jh_label(1, 0, p), "T"
     if b == 2:
         if desc.p_div_r_minus_1:
-            return jh_label(p - 1, 1, p), "supersingular"
+            return jh_label(p - 1, 1, p), "T"
         if desc.p_div_r:
-            return jh_label(0, 1, p), "supersingular"
-        return jh_label(p - 3, 2, p), "supersingular"
+            return jh_label(0, 1, p), "T"
+        return jh_label(p - 3, 2, p), "T"
     if desc.p_div_r_minus_b:
-        return jh_label(p - b - 1, b, p), "supersingular"
-    return jh_label(p - b + 1, b - 1, p), "supersingular"
+        return jh_label(p - b - 1, b, p), "T"
+    return jh_label(p - b + 1, b - 1, p), "T"
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +379,7 @@ def classify_reduction(
     slope = Fraction(slope)
     if not Fraction(1) < slope < Fraction(2):
         raise DomainError(f"slope {slope} outside the open interval (1, 2)")
-    if hyp_star not in ("holds", "fails", "unknown"):
+    if hyp_star not in HYP_STAR:
         raise DomainError(f"bad hyp_star value: {hyp_star}")
     if k < 2 * p + 2:
         raise DomainError(

@@ -21,7 +21,7 @@ from multiprocessing import Pool
 
 from . import arith
 from .arith import DEFAULT_PRECISION
-from .classify import classify_reduction
+from .classify import HYP_STAR, classify_reduction
 from .errors import (
     DimensionBoundError,
     DomainError,
@@ -310,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--r", type=int, help="symmetric-power degree (k = r+2)")
     c.add_argument("--slope", required=True, help="exact fraction, e.g. 3/2")
     c.add_argument("--hyp-star", dest="hyp_star", default="unknown",
-                   choices=["holds", "fails", "unknown"])
+                   choices=HYP_STAR)
     c.add_argument("--format", default="text", choices=["text", "json"])
     c.set_defaults(fn=cmd_classify)
 
@@ -338,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--r", type=int, required=True)
     t.add_argument("--slope", required=True)
     t.add_argument("--hyp-star", dest="hyp_star", default="unknown",
-                   choices=["holds", "fails", "unknown"])
+                   choices=HYP_STAR)
     t.add_argument("--ubar", type=int, help="concrete residue of the unit symbol")
     t.add_argument("--format", default="text", choices=["text", "json"])
     t.set_defaults(fn=cmd_witness)

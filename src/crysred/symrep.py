@@ -4,7 +4,7 @@ The model for the degree-r module is the space of homogeneous two-variable
 polynomials F = sum_j c_j X^(r-j) Y^j, stored as the coefficient vector
 (c_0, ..., c_r), the one polynomial representation of the package; a
 matrix g = (a b; c d) acts by substitution F -> F(aX + cY, bX + dY), a left
-action applied by ``SymPower.act_vec(g, v)``.
+action whose matrix is ``SymPower.action_matrix(g)``.
 
 Provided here: the submodules generated by the top two monomials, built
 from their classical spanning sets and certified stable under the full
@@ -19,10 +19,10 @@ unipotent-fixed vectors name the candidate simple modules L, and
 Hom(L, M) is a nullspace whose dimension is the multiplicity of L, with no
 enumeration of vectors.  The factors are read one Loewy layer at a time,
 passing to the quotient by the whole socle.  Brute-force span closures
-under the full matrix monoid or the invertible group, and the r-row
-theta-multiple spaces and subquotients, remain as the reference the fast
-engine is tested against; the brute-force theta-divisibility tests live
-with the other test oracles in ``tests/reference.py``.
+under the full matrix monoid, and the r-row theta-multiple spaces and
+subquotients, remain as the reference the fast engine is tested against;
+the brute-force theta-divisibility tests live with the other test oracles
+in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -124,9 +124,6 @@ class SymPower:
             second.append(np.convolve(second[-1], np.array([b, d], dtype=np.int64)) % p)
         return np.array([np.convolve(first[r - j], second[j]) % p for j in range(r + 1)]).T
 
-    def act_vec(self, g, v: np.ndarray) -> np.ndarray:
-        return self.action_matrix(g) @ (v % self.p) % self.p
-
     def monoid_generators(self) -> list[tuple[int, int, int, int]]:
         gens = [(1, 1, 0, 1), (0, 1, 1, 0), (1, 0, 0, 0)]
         gens += [(u, 0, 0, 1) for u in range(2, self.p)]
@@ -219,10 +216,9 @@ class ClosedSubspace:
         return self.space.dim
 
 
-def span_closure(generators, group: str = "M", *, p: int, r: int) -> ClosedSubspace:
+def span_closure(generators, *, p: int, r: int) -> ClosedSubspace:
     """Smallest subspace containing the degree-r coefficient vectors
-    ``generators`` and stable under the full matrix monoid (group="M") or
-    the invertible group (group="Gamma").
+    ``generators`` and stable under the full matrix monoid.
 
     Closure is computed by repeatedly applying a finite generating set until
     the rank stabilizes.
@@ -231,8 +227,7 @@ def span_closure(generators, group: str = "M", *, p: int, r: int) -> ClosedSubsp
     if not vecs:
         raise ValueError("empty generator list")
     symp = sym_power(p, r)
-    gens = symp.monoid_generators() if group == "M" else gamma_generators(p)
-    mats = [symp.action_matrix(g) for g in gens]
+    mats = [symp.action_matrix(g) for g in symp.monoid_generators()]
     space = FpSpace(r + 1, p)
     work = [v for v in vecs if space.add(v)]
     while work:

@@ -5,15 +5,18 @@ Each scenario builds an explicit rational function f on the tree, certifies
 that (T - A) f is integral (A the symbolic eigenvalue), reduces it mod p,
 projects coset-by-coset into the terminal quotient, and identifies the image
 against the predicted generator, computed independently by the module
-engine.  Scenario ids follow the acceptance matrix: T8.2, T8.4, T8.6,
-T8.7-low/high, T8.8-i/ii, T9.1-low/high, T9.2.
+engine.  ``SCENARIOS`` holds each scenario family's hypotheses, function
+and slope branch; a tag in ``TAGS`` is a family, with a -low/-high suffix
+on T8.7 and T9.1 that must name the branch of the case's slope.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,9 +31,8 @@ from .arith import (
     class_sum_S,
     inv_mod,
     padic_val,
-    require_odd_prime,
 )
-from .classify import CaseDescriptor, case_descriptor
+from .classify import HYP_STAR, CaseDescriptor, case_descriptor
 from .errors import DomainError, HypothesisError
 from .hecke import (
     IDENTITY,
@@ -83,14 +85,6 @@ class WitnessCase:
         object.__setattr__(self, "sigma", Fraction(self.sigma))
 
 
-def _high(case: WitnessCase) -> bool:
-    """Whether the scenario's function is its low-branch function times
-    A^2/p^3: the -high tags, and T8.8-ii and T9.2 at p = 3 from slope 3/2 on."""
-    if case.tag.endswith("high"):
-        return True
-    return case.tag in ("T8.8-ii", "T9.2") and case.p == 3 and case.sigma >= Fraction(3, 2)
-
-
 @dataclass
 class WitnessReport:
     """Audit result; ``image_factor`` names the constituent the reduced image
@@ -118,97 +112,7 @@ class WitnessReport:
 
 
 # ---------------------------------------------------------------------------
-# hypotheses
-
-
-def _genericity_forbidden(case: WitnessCase) -> int | None:
-    """The residue value of the unit symbol that must be avoided, or None."""
-    p, r = case.p, case.r
-    half3 = case.sigma == Fraction(3, 2)
-    if case.tag.startswith("T8.7") and half3:
-        return 1
-    if case.tag.startswith("T9.1") and half3:
-        return math.comb(r - 1, 2) * (r - 2) % p
-    if case.tag in ("T8.8-i", "T8.8-ii", "T9.2") and p == 3 and half3:
-        return 1
-    return None
-
-
-def _check_genericity(case: WitnessCase) -> None:
-    forbidden = _genericity_forbidden(case)
-    if forbidden is None:
-        return
-    if case.ubar is not None:
-        if case.ubar % case.p == forbidden:
-            raise HypothesisError(
-                f"genericity fails: residue symbol equals the critical value {forbidden}"
-            )
-    elif case.hyp_star != "holds":
-        raise HypothesisError(
-            f"{case.tag} at slope 3/2 needs the genericity hypothesis "
-            f"(hyp_star = {case.hyp_star}); critical residue value is {forbidden}"
-        )
-
-
-def _validate(case: WitnessCase) -> CaseDescriptor:
-    """The case's descriptor, once every hypothesis of its scenario holds."""
-    p, r, sig = case.p, case.r, case.sigma
-    if case.tag not in TAGS:
-        raise HypothesisError(f"unknown scenario {case.tag}")
-    if case.ubar is not None:
-        require_odd_prime(p)  # a unit mod p needs p first
-        if case.ubar % p == 0:
-            raise DomainError(f"ubar = {case.ubar} is not a unit mod p = {p}")
-    if not Fraction(1) < sig < Fraction(2):
-        raise DomainError(f"slope {sig} outside the open interval (1, 2)")
-    desc = case_descriptor(p, r)
-    a, b = desc.a, desc.b
-    tag = case.tag
-    if tag in ("T8.2", "T8.4"):
-        if tag == "T8.2":
-            if p < 5 or not (3 <= a <= p - 1) or r <= 2 * p or desc.p_div_r_minus_b:
-                raise HypothesisError("need p >= 5, 3 <= a <= p-1, r > 2p, p coprime to r-a")
-        else:
-            if a != 2 or r <= 2 * p or not (desc.p_div_r or desc.p_div_r_minus_1):
-                raise HypothesisError("need a = 2, r > 2p, p | r(r-1)")
-    elif tag == "T8.6":
-        if p < 5 or not (4 <= b <= p - 1) or r <= 2 * p or not desc.p_div_r_minus_b:
-            raise HypothesisError("need p >= 5, 4 <= b <= p-1, r > 2p, p | r-b")
-    elif tag.startswith("T8.7"):
-        if p < 5 or b != 3 or r <= 2 * p or not desc.p_div_r_minus_b:
-            raise HypothesisError("need p >= 5, b = 3, r > 2p, p | r-3")
-        if tag.endswith("low") and sig > Fraction(3, 2):
-            raise HypothesisError("low branch needs slope <= 3/2")
-        if tag.endswith("high") and sig <= Fraction(3, 2):
-            raise HypothesisError("high branch needs slope > 3/2")
-    elif tag.startswith("T8.8"):
-        if b != p or r <= p or not desc.p_div_r:
-            raise HypothesisError("need b = p, r > p, p | r")
-        if tag == "T8.8-i" and desc.p2_div_r_minus_b:
-            raise HypothesisError("branch i needs p^2 coprime to r-p")
-        if tag == "T8.8-ii" and not desc.p2_div_r_minus_b:
-            raise HypothesisError("branch ii needs p^2 | r-p")
-    elif tag.startswith("T9.1"):
-        if b != 3 and not (p == 3 and b == p):
-            raise HypothesisError("need class 3")
-        lim = p * p if p == 3 else p
-        if r <= 2 * p or (r - 3) % lim == 0:
-            raise HypothesisError(f"need r > 2p and {lim} coprime to r-3")
-        v2 = padic_val(math.comb(r - 1, 2), p)
-        low = 2 * sig <= v2 + 3
-        if tag.endswith("low") != low:
-            raise HypothesisError(
-                f"slope {sig} is on the {'low' if low else 'high'} branch here"
-            )
-    elif tag == "T9.2":
-        if b != p or r <= 2 * p or not desc.p2_div_r_minus_b:
-            raise HypothesisError("need b = p, r > 2p, p^2 | r-p")
-    _check_genericity(case)
-    return desc
-
-
-# ---------------------------------------------------------------------------
-# builders
+# the scenarios' functions
 
 
 def _rat(p: int, num, den=1, d=0) -> ApCoeff:
@@ -221,25 +125,23 @@ def _teich_coeff(case: WitnessCase, base: ApCoeff, lam: int, k: int) -> ApCoeff:
     return base.scale_trunc(table.power(lam, k), case.precision)
 
 
-def _build_T82_family(case: WitnessCase, a: int) -> IndFunction:
-    p, r = case.p, case.r
+def _build_T82_family(case: WitnessCase, desc: CaseDescriptor) -> IndFunction:
+    p, r, a = case.p, case.r, desc.a
     f = IndFunction(p, r, case.precision)
     # two-level part: (1/p)(Y^r - X^(p-1) Y^(r-p+1)) over the depth-2 cosets
     for lam in range(p):
         f.add_term(g0(2, (0, lam)), {r: _rat(p, 1, p), r - p + 1: _rat(p, -1, p)})
     # depth-1 part: ((p-1)/p) A^-1 * sum alpha_j X^(r-j) Y^j
     alphas = choose_alphas(r, a, p)
-    f.add_term(
-        g0(1, (0,)),
-        {j: _rat(p, (p - 1) * alpha, p, d=-1) for j, alpha in alphas.items()},
-    )
+    f.add_term(g0(1, (0,)),
+               {j: _rat(p, (p - 1) * alpha, p, d=-1) for j, alpha in alphas.items()})
     if a == p - 1:
         f.add_term(IDENTITY, {0: _rat(p, 1 - p, p), p - 1: _rat(p, p - 1, p)})
     return f
 
 
-def _build_T86_family(case: WitnessCase, b: int) -> IndFunction:
-    p, r = case.p, case.r
+def _build_T86_family(case: WitnessCase, desc: CaseDescriptor) -> IndFunction:
+    p, r, b = case.p, case.r, desc.b
     f = IndFunction(p, r, case.precision)
     base = _rat(p, p, 1, d=-1)
     for lam in range(1, p):
@@ -248,14 +150,12 @@ def _build_T86_family(case: WitnessCase, b: int) -> IndFunction:
     c0 = _rat(p, r * (1 - p), 1, d=-1)
     f.add_term(g0(1, (0,)), {r - 1: c0, b - 1: c0.scale(-1)})
     betas = choose_betas(r, b, p)
-    f.add_term(
-        IDENTITY,
-        {j: _rat(p, p * (p - 1) * beta, 1, d=-2) for j, beta in betas.items()},
-    )
+    f.add_term(IDENTITY,
+               {j: _rat(p, p * (p - 1) * beta, 1, d=-2) for j, beta in betas.items()})
     return f
 
 
-def _build_T88_i(case: WitnessCase) -> IndFunction:
+def _build_T88_i(case: WitnessCase, desc: CaseDescriptor) -> IndFunction:
     p, r = case.p, case.r
     f = IndFunction(p, r, case.precision)
     base = _rat(p, 1, p)
@@ -263,15 +163,13 @@ def _build_T88_i(case: WitnessCase) -> IndFunction:
         c = _teich_coeff(case, base, lam, p - 2)
         f.add_term(g0(2, (0, lam)), {r: c, p: c.scale(-1)})
     betas = choose_betas(r, p, p)
-    f.add_term(
-        g0(1, (0,)),
-        {j: _rat(p, (p - 1) * beta, p, d=-1) for j, beta in betas.items()},
-    )
+    f.add_term(g0(1, (0,)),
+               {j: _rat(p, (p - 1) * beta, p, d=-1) for j, beta in betas.items()})
     f.add_term(IDENTITY, {0: _rat(p, 1 - p, p), r - p: _rat(p, p - 1, p)})
     return f
 
 
-def _build_T88_ii(case: WitnessCase) -> IndFunction:
+def _build_T88_ii(case: WitnessCase, desc: CaseDescriptor) -> IndFunction:
     p, r = case.p, case.r
     f = IndFunction(p, r, case.precision)
     base = _rat(p, 1, 1, d=-1)
@@ -281,10 +179,8 @@ def _build_T88_ii(case: WitnessCase) -> IndFunction:
     c0 = _rat(p, (1 - p) * r, p, d=-1)
     f.add_term(g0(2, (0, 0)), {r - 1: c0, p - 1: c0.scale(-1)})
     gammas = choose_gammas_modp2(r, p)
-    f.add_term(
-        g0(1, (0,)),
-        {j: _rat(p, (p - 1) * gamma, 1, d=-2) for j, gamma in gammas.items()},
-    )
+    f.add_term(g0(1, (0,)),
+               {j: _rat(p, (p - 1) * gamma, 1, d=-2) for j, gamma in gammas.items()})
     f.add_term(IDENTITY, {0: _rat(p, 1 - p, 1, d=-1), r - p: _rat(p, p - 1, 1, d=-1)})
     return f
 
@@ -299,7 +195,7 @@ def _theta_times(p: int, r: int, m: int) -> np.ndarray:
     return vec
 
 
-def _build_T91(case: WitnessCase) -> IndFunction:
+def _build_T91(case: WitnessCase, desc: CaseDescriptor) -> IndFunction:
     p, r = case.p, case.r
     f = IndFunction(p, r, case.precision)
     # theta * (X^(s-1) Y - Y^s), s = r - p - 1, with exact signed coefficients;
@@ -311,17 +207,15 @@ def _build_T91(case: WitnessCase) -> IndFunction:
     for lam in range(p):
         f.add_term(g0(2, (0, lam)), poly)
     alphas = choose_alphas(r - 1, 2, p)
-    f.add_term(
-        g0(1, (0,)),
-        {j: _rat(p, (p - 1) * p * alpha, 1, d=-2) for j, alpha in alphas.items()},
-    )
+    f.add_term(g0(1, (0,)),
+               {j: _rat(p, (p - 1) * p * alpha, 1, d=-2) for j, alpha in alphas.items()})
     if p == 3:
         f.add_term(IDENTITY, {0: _rat(p, (1 - p) * p, 1, d=-1),
                               p - 1: _rat(p, (p - 1) * p, 1, d=-1)})
     return f
 
 
-def _build_T92(case: WitnessCase) -> IndFunction:
+def _build_T92(case: WitnessCase, desc: CaseDescriptor) -> IndFunction:
     p, r = case.p, case.r
     f = IndFunction(p, r, case.precision)
     for lam in range(p):
@@ -337,23 +231,114 @@ def _build_T92(case: WitnessCase) -> IndFunction:
     return f
 
 
+# ---------------------------------------------------------------------------
+# the scenario table
+
+HALF3 = Fraction(3, 2)
+
+
+class Scenario(NamedTuple):
+    """One scenario family: its hypotheses on (p, r) and their statement,
+    its low-branch function, the slopes on its high branch (where the
+    function is the low-branch one times A^2/p^3), and the residue of the
+    unit symbol that the genericity hypothesis excludes at slope 3/2."""
+
+    admits: Callable[[int, int, CaseDescriptor], bool]
+    needs: str
+    build: Callable[[WitnessCase, CaseDescriptor], IndFunction]
+    high: Callable[[int, int, Fraction], bool] = lambda p, r, sig: False
+    critical: Callable[[int, int], int | None] = lambda p, r: None
+
+
+def _p3_high(p: int, r: int, sig: Fraction) -> bool:
+    return p == 3 and sig >= HALF3
+
+
+def _p3_critical(p: int, r: int) -> int | None:
+    return 1 if p == 3 else None
+
+
+SCENARIOS = {
+    "T8.2": Scenario(
+        lambda p, r, d: p >= 5 and 3 <= d.a <= p - 1 and r > 2 * p and not d.p_div_r_minus_b,
+        "p >= 5, 3 <= a <= p-1, r > 2p, p coprime to r-a", _build_T82_family),
+    "T8.4": Scenario(
+        lambda p, r, d: d.a == 2 and r > 2 * p and (d.p_div_r or d.p_div_r_minus_1),
+        "a = 2, r > 2p, p | r(r-1)", _build_T82_family),
+    "T8.6": Scenario(
+        lambda p, r, d: p >= 5 and 4 <= d.b <= p - 1 and r > 2 * p and d.p_div_r_minus_b,
+        "p >= 5, 4 <= b <= p-1, r > 2p, p | r-b", _build_T86_family),
+    "T8.7": Scenario(
+        lambda p, r, d: p >= 5 and d.b == 3 and r > 2 * p and d.p_div_r_minus_b,
+        "p >= 5, b = 3, r > 2p, p | r-3", _build_T86_family,
+        high=lambda p, r, sig: sig > HALF3, critical=lambda p, r: 1),
+    "T8.8-i": Scenario(
+        lambda p, r, d: d.b == p and r > p and d.p_div_r and not d.p2_div_r_minus_b,
+        "b = p, r > p, p | r, p^2 coprime to r-p", _build_T88_i, critical=_p3_critical),
+    "T8.8-ii": Scenario(
+        lambda p, r, d: d.b == p and r > p and d.p2_div_r_minus_b,
+        "b = p, r > p, p^2 | r-p", _build_T88_ii, high=_p3_high, critical=_p3_critical),
+    "T9.1": Scenario(
+        lambda p, r, d: d.b == 3 and r > 2 * p and (r - 3) % (9 if p == 3 else p) != 0,
+        "b = 3, r > 2p, p (9 at p = 3) coprime to r-3", _build_T91,
+        high=lambda p, r, sig: 2 * sig > padic_val(math.comb(r - 1, 2), p) + 3,
+        critical=lambda p, r: math.comb(r - 1, 2) * (r - 2) % p),
+    "T9.2": Scenario(
+        lambda p, r, d: d.b == p and r > 2 * p and d.p2_div_r_minus_b,
+        "b = p, r > 2p, p^2 | r-p", _build_T92, high=_p3_high, critical=_p3_critical),
+}
+
+
+def _family(tag: str) -> str:
+    """The scenario family of a tag: the tag without its slope-branch suffix."""
+    if tag not in TAGS:
+        raise HypothesisError(f"unknown scenario {tag}")
+    return tag.removesuffix("-low").removesuffix("-high")
+
+
+def _high(case: WitnessCase) -> bool:
+    """Whether the case's function is its low-branch function times A^2/p^3."""
+    return SCENARIOS[_family(case.tag)].high(case.p, case.r, case.sigma)
+
+
+def _critical(case: WitnessCase) -> int | None:
+    """At slope 3/2, the residue of the unit symbol that genericity excludes."""
+    if case.sigma != HALF3:
+        return None
+    return SCENARIOS[_family(case.tag)].critical(case.p, case.r)
+
+
+def _validate(case: WitnessCase) -> CaseDescriptor:
+    """The case's descriptor, once every hypothesis of its scenario holds."""
+    p, r, sig = case.p, case.r, case.sigma
+    fam = _family(case.tag)
+    if case.hyp_star not in HYP_STAR:
+        raise DomainError(f"bad hyp_star value: {case.hyp_star}")
+    if not 1 < sig < 2:
+        raise DomainError(f"slope {sig} outside the open interval (1, 2)")
+    desc = case_descriptor(p, r)
+    if case.ubar is not None and case.ubar % p == 0:
+        raise DomainError(f"ubar = {case.ubar} is not a unit mod p = {p}")
+    row = SCENARIOS[fam]
+    if not row.admits(p, r, desc):
+        raise HypothesisError(f"{fam} needs {row.needs}")
+    high = _high(case)
+    if case.tag != fam and case.tag.endswith("-high") != high:
+        raise HypothesisError(f"slope {sig} is on the {'high' if high else 'low'} branch here")
+    forbidden = _critical(case)
+    generic = case.hyp_star == "holds" if case.ubar is None else case.ubar % p != forbidden
+    if forbidden is not None and not generic:
+        raise HypothesisError(f"{case.tag} at slope 3/2 needs the genericity hypothesis, "
+                              f"ubar != {forbidden} (hyp_star = {case.hyp_star}, "
+                              f"ubar = {case.ubar})")
+    return desc
+
+
 def build_witness(case: WitnessCase) -> IndFunction:
     """The displayed function for the scenario, with its integer families
     embedded; deterministic in the case parameters."""
     desc = _validate(case)
-    tag = case.tag
-    if tag in ("T8.2", "T8.4"):
-        f = _build_T82_family(case, desc.a)
-    elif tag == "T8.6" or tag.startswith("T8.7"):
-        f = _build_T86_family(case, desc.b)
-    elif tag == "T8.8-i":
-        f = _build_T88_i(case)
-    elif tag == "T8.8-ii":
-        f = _build_T88_ii(case)
-    elif tag.startswith("T9.1"):
-        f = _build_T91(case)
-    else:
-        f = _build_T92(case)
+    f = SCENARIOS[_family(case.tag)].build(case, desc)
     if _high(case):
         f = f.shift_ap(2).scale(Fraction(1, case.p**3))
     return f
@@ -397,7 +382,7 @@ def _expr_nonzero(expr: ResidueExpr, case: WitnessCase) -> bool:
     if case.ubar is not None:
         return expr.eval_at(case.ubar) != 0
     crit = expr.vanishing_unit()
-    if crit is None or crit == _genericity_forbidden(case):
+    if crit is None or crit == _critical(case):
         return True
     raise HypothesisError(
         f"constant {expr.render()} vanishes at residue {crit}; no hypothesis excludes it"
@@ -436,17 +421,18 @@ def _identify_image(case: WitnessCase, g: IndFunction):
     quotient and check the scenario's claimed image.  Returns the image
     coset, the constituent it lands on, the constant, the Hecke
     factorization (or None) and the named checks."""
-    tag, p, r = case.tag, case.p, case.r
+    fam, p, r = _family(case.tag), case.p, case.r
+    desc = case_descriptor(p, r)
+    a, b = desc.a, desc.b
     env = QEnv(p, r)
     rq = reduce_mod_p(g, case.sigma).map_vectors(env.cls)
     high = _high(case)
     checks: list[tuple[str, bool]] = []
     target = g0(1, (0,))
-    if tag in ("T8.2", "T8.4", "T8.6", "T8.7-low", "T8.7-high", "T8.8-i"):
+    if fam in ("T8.2", "T8.4", "T8.6", "T8.7", "T8.8-i"):
         checks.append(("image supported on one depth-1 coset", rq.support() == [target]))
 
-    if tag in ("T8.2", "T8.4"):
-        a = case_descriptor(p, r).a
+    if fam in ("T8.2", "T8.4"):
         checks.append(("image has no symbol part", all(e == 0 for c, e in rq.data if c == target)))
         v = rq.data.get((target, 0), np.zeros(env.module.dim, dtype=np.int64))
         # the reduction carries an extra factor p-1, so the constant is
@@ -461,8 +447,7 @@ def _identify_image(case: WitnessCase, g: IndFunction):
         checks.append(("image is nonzero past the singular part", v not in env.star))
         return target.render(), jh_label(p - a - 1, a, p), ResidueExpr.const(c, p), None, checks
 
-    if tag == "T8.6":
-        b = case_descriptor(p, r).b
+    if fam == "T8.6":
         combo = ResidueFunction.single(p, target, env.cls_theta(r - p - 1) - env.cls_theta(b - 2))
         checks.append(("image equals the claimed theta combination",
                        rq == combo.scale_expr(ResidueExpr.const(b, p))))
@@ -476,11 +461,9 @@ def _identify_image(case: WitnessCase, g: IndFunction):
         )
         return target.render(), jh_label(p - b + 1, b - 1, p), ResidueExpr.const(-b, p), None, checks
 
-    if tag.startswith("T8.7"):
-        if high:
-            c_expr = ResidueExpr.const(-3, p)
-        else:
-            c_expr = ResidueExpr.const(3, p) - _residue_of(case, Fraction(3 * p**3), -2)
+    if fam == "T8.7":
+        c_expr = (ResidueExpr.const(-3, p) if high
+                  else ResidueExpr.const(3, p) - _residue_of(case, Fraction(3 * p**3), -2))
         q = env.cls(sym_power(p, r).monomial(2))
         checks.append(("image equals c * [X^(r-2) Y^2]",
                        rq == ResidueFunction.single(p, target, q).scale_expr(c_expr)))
@@ -488,7 +471,7 @@ def _identify_image(case: WitnessCase, g: IndFunction):
                        env.module.spin([q]) == env.star))
         return target.render(), jh_label(p - 2, 2, p), c_expr, None, checks
 
-    if tag == "T8.8-i":
+    if fam == "T8.8-i":
         c_expr = ResidueExpr.const((r - p) // p, p)
         gen = ResidueFunction.single(p, target, env.cls_theta(r - p - 1))
         checks.append(("image equals c * [theta Y^(r-p-1)]", rq == gen.scale_expr(c_expr)))
@@ -498,25 +481,23 @@ def _identify_image(case: WitnessCase, g: IndFunction):
         checks.append(("image generates the bottom constituent", env.module.spin([v]) == j0part))
         return target.render(), jh_label(p - 2, 1, p), c_expr, None, checks
 
-    if tag == "T8.8-ii":
+    if fam == "T8.8-ii":
         j0part = env.bottom()
         checks.append(("values sit inside the singular image", _in_space(env.star, rq)))
         _, proj = env.module.quotient(j0part)
         top = rq.map_vectors(proj)
         target = g0(2, (0, 0))
         checks.append(("top-constituent image is a single coset", top.support() == [target]))
-        if high:
-            # 1 - (residue of A^2/p^3); a pure 1 for slopes above 3/2
-            c_expr = ResidueExpr.const(1, p) - _residue_of(case, Fraction(1, p**3), 2)
-        else:
-            c_expr = ResidueExpr.const(-1, p)
+        # high: 1 - (residue of A^2/p^3), a pure 1 for slopes above 3/2
+        c_expr = (ResidueExpr.const(1, p) - _residue_of(case, Fraction(1, p**3), 2) if high
+                  else ResidueExpr.const(-1, p))
         # reference generator theta X^(r-2p+1) Y^(p-2), i.e. Y-exponent p-2
         gen = ResidueFunction.single(p, target, proj(env.cls_theta(p - 2)))
         checks.append(("top image = c * [theta X^(r-2p+1) Y^(p-2)]",
                        top == gen.scale_expr(c_expr)))
         return target.render(), jh_label(1, 0, p), c_expr, None, checks
 
-    if tag.startswith("T9.1"):
+    if fam == "T9.1":
         cosets = [g0(2, (0, lam)) for lam in range(p)]
         checks.append(("image spread over the p depth-2 cosets",
                        rq.support() == sorted(cosets)))
@@ -529,11 +510,9 @@ def _identify_image(case: WitnessCase, g: IndFunction):
         g_fn = rq.map_vectors(lambda v: iso @ proj(v) % p)
         h = modp_T(ResidueFunction.single(p, target, x0), p - 2)
         kappa = math.comb(r - 1, 2) * (r - 2)
-        if high:
-            c_expr = ResidueExpr.const(kappa, p)
-        else:
-            # c = (p^3/A^2) binom(r-1,2)(r-2) - 1
-            c_expr = ResidueExpr.const(-1, p) + _residue_of(case, Fraction(p**3 * kappa), -2)
+        # low: c = (p^3/A^2) binom(r-1,2)(r-2) - 1
+        c_expr = (ResidueExpr.const(kappa, p) if high
+                  else ResidueExpr.const(-1, p) + _residue_of(case, Fraction(p**3 * kappa), -2))
         checks.append(("image factors through T on the surviving weight",
                        g_fn == h.scale_expr(c_expr)))
         return "sum over depth-2 cosets", keep, c_expr, "T", checks
@@ -548,11 +527,9 @@ def _identify_image(case: WitnessCase, g: IndFunction):
     g_fn = rq.map_vectors(lambda v: iso @ j0part.express(v) % p)
     base = ResidueFunction.single(p, IDENTITY, -sym_power(p, p - 2).monomial(0))
     t2 = modp_T(modp_T(base, p - 2), p - 2) + base
-    if high:
-        # (residue of A^2/p^3) - 1, relative to the -X^(p-2) normalization
-        c_expr = _residue_of(case, Fraction(1, p**3), 2) - ResidueExpr.const(1, p)
-    else:
-        c_expr = ResidueExpr.const(1, p)
+    # high: (residue of A^2/p^3) - 1, relative to the -X^(p-2) normalization
+    c_expr = (_residue_of(case, Fraction(1, p**3), 2) - ResidueExpr.const(1, p) if high
+              else ResidueExpr.const(1, p))
     checks.append(("image equals c * (T^2 + 1)[Id, -X^(p-2)]",
                    g_fn == t2.scale_expr(c_expr)))
     return "depth-2 cosets plus identity", jh_label(p - 2, 1, p), c_expr, "T^2+1", checks

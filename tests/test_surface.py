@@ -4,9 +4,12 @@ The benchmark's tracer (``perfbench/spans.py``) wraps library functions by
 name and fails a traced run on a missing target; this test fails the same
 way, so a pinned function that is moved or renamed shows up in the ordinary
 test run.  The tracer's own lookup (``spans._resolve``) decides what
-resolves.
+resolves.  The names that the benchmark's scripts import from the library
+(``from crysred... import`` lines in ``perfbench/*.py``, read with ``ast``)
+must resolve too.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -15,7 +18,8 @@ import pytest
 
 import crysred
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SPANS_PATH = PERFBENCH / "spans.py"
 
 
 def _load_spans():
@@ -40,6 +44,29 @@ def test_span_target_resolves(target):
 def test_span_tables_are_read():
     # an empty parameter list would skip the check above, not fail it
     assert TARGETS
+
+
+def _perfbench_imports():
+    names = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "crysred":
+                names.update((node.module, alias.name) for alias in node.names)
+    return sorted(names)
+
+
+PERFBENCH_IMPORTS = _perfbench_imports()
+
+
+@pytest.mark.parametrize("module, name", PERFBENCH_IMPORTS)
+def test_perfbench_import_resolves(module, name):
+    # ``from module import name`` binds an attribute or a submodule
+    found = importlib.import_module(module)
+    assert hasattr(found, name) or importlib.util.find_spec(f"{module}.{name}"), (module, name)
+
+
+def test_perfbench_imports_are_read():
+    assert ("crysred.witness", "_validate") in PERFBENCH_IMPORTS
 
 
 @pytest.mark.parametrize("name", crysred.__all__)

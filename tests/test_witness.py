@@ -1,16 +1,44 @@
+import math
 from fractions import Fraction
 
 import pytest
 
-from crysred.arith import inv_mod
+from crysred.arith import inv_mod, padic_val
+from crysred.classify import case_descriptor, predict_Q_structure, surviving_factor
 from crysred.errors import DomainError, HypothesisError
 from crysred.hecke import audit_valuations, t_minus_ap
 from crysred.symrep import JHLabel
-from crysred.witness import WitnessCase, build_witness, verify_witness
+from crysred.witness import (
+    SCENARIOS,
+    TAGS,
+    WitnessCase,
+    _high,
+    _validate,
+    build_witness,
+    verify_witness,
+)
+
+# the slopes of the benchmark's witness pool
+POOL_SLOPES = ("5/4", "4/3", "3/2", "5/3", "7/4")
 
 
 def case(tag, p, r, sig, star="unknown", ubar=None):
     return WitnessCase(tag, p, r, Fraction(sig), star, ubar)
+
+
+def admitted(c):
+    try:
+        _validate(c)
+    except HypothesisError:
+        return False
+    return True
+
+
+def first_admissible(tag, p):
+    """The first (r, slope), r ascending, at which ``_validate`` admits the
+    tag under the genericity hypothesis, or None below r = 3p^3."""
+    return next((c for r in range(p + 1, 3 * p**3) for sig in POOL_SLOPES
+                 if admitted(c := case(tag, p, r, sig, "holds"))), None)
 
 
 class TestHypotheses:
@@ -37,9 +65,38 @@ class TestHypotheses:
         with pytest.raises(HypothesisError):
             verify_witness(case("T9.1-high", 5, 19, "5/4"))
 
+    def test_branch_rule(self):
+        # wherever its family's hypotheses hold, exactly one of -low/-high
+        # is admitted, the branch that _high names: above slope 3/2 for
+        # T8.7, where 2 sigma > v_p(binom(r-1, 2)) + 3 for T9.1
+        cells = 0
+        for fam in ("T8.7", "T9.1"):
+            for p in (3, 5, 7):
+                for r in range(2 * p + 1, 3 * p * p + 1):
+                    holds = SCENARIOS[fam].admits(p, r, case_descriptor(p, r))
+                    v2 = padic_val(math.comb(r - 1, 2), p)
+                    for sig in POOL_SLOPES:
+                        tags = [t for t in (f"{fam}-low", f"{fam}-high")
+                                if admitted(case(t, p, r, sig, "holds"))]
+                        if not holds:
+                            assert tags == [], (fam, p, r, sig)
+                            continue
+                        cells += 1
+                        high = (Fraction(sig) > Fraction(3, 2) if fam == "T8.7"
+                                else 2 * Fraction(sig) > v2 + 3)
+                        assert tags == [f"{fam}-{'high' if high else 'low'}"], (p, r, sig)
+                        assert _high(case(tags[0], p, r, sig, "holds")) == high
+        assert cells > 100
+
     def test_slope_window(self):
         with pytest.raises(DomainError):
             verify_witness(case("T8.2", 5, 19, "1/2"))
+
+    def test_bad_hyp_star_is_a_domain_error(self):
+        # as in classify_reduction, on and off the slope where it is read
+        for sig in ("5/4", "3/2"):
+            with pytest.raises(DomainError):
+                verify_witness(case("T8.7-low", 5, 23, sig, "Holds"))
 
 
 class TestBuilders:
@@ -120,36 +177,29 @@ class TestVerdicts:
     def test_eliminated_factor_complements_survivor(self):
         # the factor hit by each elimination image must differ from the
         # survivor the classifier table assigns, and both must be
-        # constituents of the predicted terminal quotient
-        from crysred.classify import case_descriptor, predict_Q_structure, surviving_factor
-
-        elimination_cases = [
-            ("T8.2", 5, 19, "5/4"),
-            ("T8.4", 5, 30, "5/4"),
-            ("T8.6", 5, 24, "4/3"),
-            ("T8.7-low", 5, 23, "5/4"),
-            ("T8.8-i", 5, 45, "4/3"),
-            ("T8.8-ii", 5, 105, "4/3"),
-        ]
-        for tag, p, r, sig in elimination_cases:
-            rep = verify_witness(case(tag, p, r, sig))
-            desc = case_descriptor(p, r)
-            survivor, _ = surviving_factor(desc)
-            factors = predict_Q_structure(desc).factors
-            assert rep.image_factor in factors, (tag, rep.image_factor)
-            assert survivor in factors
-            assert rep.image_factor != survivor, (tag, rep.image_factor)
-        # separation scenarios refine the Hecke action on the survivor itself
-        for tag, p, r, sig, fact in [
-            ("T9.1-low", 5, 19, "5/4", "T"),
-            ("T9.2", 5, 105, "4/3", "T^2+1"),
-        ]:
-            rep = verify_witness(case(tag, p, r, sig))
-            desc = case_descriptor(p, r)
+        # constituents of the predicted terminal quotient; the separation
+        # scenarios refine the Hecke action on the survivor itself.  The
+        # cases: eight picked by hand, and for each tag and prime the first
+        # one that _validate admits
+        first = [c for tag in TAGS for p in (3, 5, 7) if (c := first_admissible(tag, p))]
+        # T8.2, T8.6 and T8.7 need p >= 5
+        assert len(first) == 26
+        picked = [case(*c) for c in [
+            ("T8.2", 5, 19, "5/4"), ("T8.4", 5, 30, "5/4"), ("T8.6", 5, 24, "4/3"),
+            ("T8.7-low", 5, 23, "5/4"), ("T8.8-i", 5, 45, "4/3"), ("T8.8-ii", 5, 105, "4/3"),
+            ("T9.1-low", 5, 19, "5/4"), ("T9.2", 5, 105, "4/3"),
+        ]]
+        for c in picked + first:
+            rep = verify_witness(c)
+            desc = case_descriptor(c.p, c.r)
             survivor, refinement = surviving_factor(desc)
-            assert rep.image_factor == survivor
-            assert rep.factorization == fact
-            assert (refinement == "t2plus1") == (fact == "T^2+1")
+            factors = predict_Q_structure(desc).factors
+            assert rep.ok and rep.image_factor in factors and survivor in factors, c
+            if c.tag.startswith("T9"):
+                assert rep.image_factor == survivor, c
+                assert refinement == rep.factorization, c
+            else:
+                assert rep.image_factor != survivor and rep.factorization is None, c
 
     def test_low_precision_aborts(self):
         # the audit divides by p^3, so four carried digits leave too little
