@@ -53,7 +53,7 @@ def inv_mod(a: int, m: int) -> int:
 
 def padic_val(x, p: int):
     """Exact p-adic valuation of an int or Fraction; v(0) = +inf."""
-    if isinstance(x, Fraction):
+    if not isinstance(x, int) and isinstance(x, Fraction):  # int first: the cheap check
         if x == 0:
             return INF
         return padic_val(x.numerator, p) - padic_val(x.denominator, p)
@@ -366,7 +366,8 @@ class ApCoeff:
     def __init__(self, terms: dict, p: int):
         """``terms`` maps d to (rational c_d, err)."""
         self.p = p
-        self.terms = {d: (*_split(c, p), e) for d, (c, e) in terms.items() if c or e != INF}
+        self.terms = {d: (*_split(c, p), e) for d, (c, e) in terms.items()
+                      if c or e != INF} if terms else {}
 
     @classmethod
     def rational(cls, q, d: int = 0, *, p: int):
@@ -434,11 +435,14 @@ class ApCoeff:
         be the coefficient's own prime."""
         if p != self.p:
             raise ValueError(f"coefficient at p = {self.p} valued at p = {p}")
-        return self.audit_terms(sigma)[0]
+        bound = self.audit_terms(sigma)[0]
+        return bound if bound == INF else Fraction(bound, sigma.denominator)
 
     def audit_terms(self, sigma: Fraction):
         """(bound, [degrees achieving it], short, exact) over the stored
-        terms, one valuation per term.  ``short`` is (err, d) of the first
+        terms, one valuation per term; the bound is an integer count of 1/b
+        for sigma = a/b (INF without terms), so b*v is compared and no
+        Fraction is built.  ``short`` is (err, d) of the first
         truncated term whose error sits within PRECISION_HEADROOM of
         valuation 0, else None: when the bound is >= 0, such a term is
         exactly one whose stored value cannot certify valuation >= 0 within
@@ -456,7 +460,7 @@ class ApCoeff:
             if short is None and b * e + a * d < b * PRECISION_HEADROOM:
                 short = (e, d)
         n, k, e = self.terms[who[0]] if len(who) == 1 else (0, 0, 0)
-        return INF if best == INF else Fraction(best, b), who, short, n != 0 and k < e
+        return best, who, short, n != 0 and k < e
 
     def residue(self, sigma: Fraction) -> "ResidueExpr":
         """Image mod the maximal ideal, as a polynomial in the residue symbol

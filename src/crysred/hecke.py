@@ -34,11 +34,22 @@ such a term is sound because T preserves the integral lattice: the output
 is again known up to valuation N, and the audits only read valuations below
 1 + PRECISION_HEADROOM (integrality and the residue mod p).  So
 ``audit_valuations`` and ``reduce_mod_p`` refuse a cap below that.
+
+Raising by residue class.  In T+ the child lam enters the weight
+(-1)^(i-j) binom(i, j) p^j [lam]^(i-j) only through the unit (-[lam])^(i-j),
+which depends on i - j mod p-1 alone.  So ``apply_Tplus`` sums once per
+coset the exact diagonal part D_j (i = j) and, per class e, the part
+G_(j,e) of the indices i != j with i - j = e (mod p-1), each term carried
+at the Teichmuller table's relative precision; child lam != 0 gets
+D_j + sum_e (-[lam])^e G_(j,e) and child 0 gets D_j.  This regroups the
+per-term sum exactly, and every error bound is the same minimum: a term's
+bound does not depend on the unit that multiplies it, and multiplying by
+the one table entry (-[lam])^e adds none.  So every stored (n, k, err) is
+the per-term one (``tests/reference.apply_Tplus_by_terms``).
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -50,7 +61,7 @@ from .arith import (
     PRECISION_HEADROOM,
     ApCoeff,
     ResidueExpr,
-    padic_val,
+    _split,
     teichmuller,
 )
 from .errors import IndeterminateCancellation, PrecisionError
@@ -93,6 +104,7 @@ class TeichTable:
         self.p = p
         self.precision = precision
         self.rep = [teichmuller(c, p, precision) for c in range(p)]
+        self._signed: dict[tuple[int, int], tuple[int, ...]] = {}
 
     def power(self, c: int, k: int) -> int:
         """[c]^k, using multiplicativity (so the result is again a table entry)."""
@@ -102,6 +114,17 @@ class TeichTable:
         if c == 0:
             return 0
         return self.rep[pow(c, k % (self.p - 1) or (self.p - 1), self.p)]
+
+    def signed_powers(self, c: int, sign: int) -> tuple[int, ...]:
+        """(sign [c])^e by e mod p-1, for exponents e > 0 (so index 0 holds
+        [c]^(p-1)); p-1 is even, so the sign also depends on e mod p-1 only.
+        Memoized: every operator call asks for the same few rows."""
+        key = (c % self.p, sign)
+        row = self._signed.get(key)
+        if row is None:
+            row = self._signed[key] = tuple(sign**e * self.power(c, e or self.p - 1)
+                                            for e in range(self.p - 1))
+        return row
 
 
 _TABLES: dict[tuple[int, int], TeichTable] = {}
@@ -174,10 +197,17 @@ class IndFunction:
         return self + other.scale(-1)
 
     def scale(self, q) -> "IndFunction":
-        q = Fraction(q)
-        out = self._empty(self.cap + padic_val(q, self.p))
+        """Multiply by an exact rational with a p-power denominator, split
+        into its unit and p-power once for all coefficients."""
+        if not q:
+            return self._empty(self.cap + INF)
+        u, m = _split(q, self.p)  # v(q) = m
+        out = self._empty(self.cap + m)
         for coset, poly in self.data.items():
-            out.data[coset] = {j: c.scale(q) for j, c in poly.items()}
+            out.data[coset] = scaled = {}
+            for j, c in poly.items():
+                scaled[j] = ApCoeff({}, self.p)
+                c._mul_into(scaled[j], u, m)
         return out.prune()
 
     def shift_ap(self, k: int) -> "IndFunction":
@@ -210,19 +240,31 @@ def _binom_units(i: int, p: int, top: int) -> list[tuple[int, int]]:
     (none if top < 0), by binom(i, j+1) = binom(i, j) (i-j)/(j+1) on unit parts."""
     row, u, v = [(1, 0)] if top >= 0 else [], 1, 0
     for j in range(top):
-        va, vb = padic_val(i - j, p), padic_val(j + 1, p)
-        u, v = u * ((i - j) // p**va) // ((j + 1) // p**vb), v + va - vb
+        num, den = i - j, j + 1  # both positive: j < top <= i
+        while num % p == 0:
+            num, v = num // p, v + 1
+        while den % p == 0:
+            den, v = den // p, v - 1
+        u = u * num // den
         row.append((u, v))
     return row
 
 
-def _spread(out: IndFunction, coset: Coset, rows, table, t: int, sign: int, step: int) -> None:
-    """out[coset, j] += c * binom(i, j) (sign [t])^(i-j) p^(base + step j) for
-    each (i, c, base, row) in rows and each binom(i, j) = u p^v of the row.
+def _binom_row(binoms: dict, i: int, p: int, top: int) -> list[tuple[int, int]]:
+    """``_binom_units(i, p, top)`` or a longer row, kept in ``binoms`` for the
+    rest of the operator call."""
+    row = binoms.get(i)
+    if row is None or len(row) <= top:
+        row = binoms[i] = _binom_units(i, p, top)
+    return row
+
+
+def _spread(out: IndFunction, coset: Coset, rows, table, t: int) -> None:
+    """out[coset, j] += c * binom(i, j) [t]^(i-j) p^base for each
+    (i, c, base, row) in rows and each binom(i, j) = u p^v of the row.
     [t]^(i-j) is known to the table's precision, and is exactly 1 at j = i."""
     p, prec, poly = out.p, table.precision, out.data.setdefault(coset, {})
-    # (sign [t])^e for e > 0 depends only on e mod p-1, which is even
-    powers = [sign**e * table.power(t, e or p - 1) for e in range(p - 1)]
+    powers = table.signed_powers(t, 1)
     for i, c, base, row in rows:
         for j, (u, v) in enumerate(row):
             if i != j and not t:
@@ -231,23 +273,54 @@ def _spread(out: IndFunction, coset: Coset, rows, table, t: int, sign: int, step
             if acc is None:
                 acc = poly[j] = ApCoeff({}, p)
             if i == j:
-                c._mul_into(acc, u, base + v + step * j)
+                c._mul_into(acc, u, base + v)
             else:
-                c._mul_into(acc, u * powers[(i - j) % (p - 1)], base + v + step * j, prec)
+                c._mul_into(acc, u * powers[(i - j) % (p - 1)], base + v, prec)
 
 
 def apply_Tplus(f: IndFunction) -> IndFunction:
     """Level-raising part: spreads each coset over its p children, index i
     onto j <= i with weight (-1)^(i-j) binom(i, j) p^j [lam]^(i-j).  The
-    factor p^j stops j where it takes the term past the cap."""
+    factor p^j stops j where it takes the term past the cap.  The terms are
+    summed by residue class of i - j mod p-1 once per coset (see the module
+    docstring), with the children's coefficients built directly."""
     _require_branch0(f)
-    table, out = teich_table(f.p, f.precision), f._empty()
+    p, table, out = f.p, teich_table(f.p, f.precision), f._empty()
+    binoms = {}  # the binomial rows of this call, by index
     for coset, poly in f.data.items():
-        rows = [(i, c, 0, _binom_units(i, f.p, min(i, f.cap - 1 - _floor_val(c))))
-                for i, c in poly.items()]
-        for lam in range(f.p):
-            _spread(out, Coset(0, coset.level + 1, coset.digits + (lam,)), rows, table, lam, -1, 1)
-    return out.prune()
+        # order: each j as the per-term sum first meets it; the children keep that key order
+        diag, groups, order = {}, {}, {}
+        for i, c in poly.items():
+            top = min(i, f.cap - 1 - _floor_val(c))
+            row = _binom_row(binoms, i, p, top)
+            for j in range(top + 1):
+                order[j] = None
+                if i == j:
+                    diag[j] = ApCoeff({}, p)
+                    c._mul_into(diag[j], 1, j)
+                    continue
+                by_class, e = groups.setdefault(j, {}), (i - j) % (p - 1)
+                acc = by_class.get(e)
+                if acc is None:
+                    acc = by_class[e] = ApCoeff({}, p)
+                u, v = row[j]
+                c._mul_into(acc, u, v + j, table.precision)
+        for lam in range(p):
+            if lam:
+                powers, child = table.signed_powers(lam, -1), {}
+                for j in order:
+                    acc = ApCoeff({}, p)
+                    if j in diag:
+                        acc.terms = dict(diag[j].terms)
+                    for e, g in groups.get(j, {}).items():
+                        g._mul_into(acc, powers[e], 0)
+                    if not acc.is_exact_zero():
+                        child[j] = acc
+            else:  # [0]^(i-j) = 0 off the diagonal
+                child = {j: d for j, d in diag.items() if not d.is_exact_zero()}
+            if child:
+                out.data[Coset(0, coset.level + 1, coset.digits + (lam,))] = child
+    return out
 
 
 def apply_Tminus(f: IndFunction) -> IndFunction:
@@ -261,10 +334,10 @@ def apply_Tminus(f: IndFunction) -> IndFunction:
     for coset, poly in f.data.items():
         n, digits = coset.level, coset.digits
         parent, top = (ALPHA, 0) if n == 0 else (Coset(0, n - 1, digits[:-1]), digits[-1])
-        rows = [(i, c, r - i, binoms.get(i) or binoms.setdefault(i, _binom_units(i, p, i)))
+        rows = [(i, c, r - i, _binom_row(binoms, i, p, i))
                 for i, c in poly.items() if _floor_val(c) + r - i < f.cap]
         if rows:  # a parent enters the output where its first term does
-            _spread(out, parent, rows, table, top, 1, 0)
+            _spread(out, parent, rows, table, top)
     return out.prune()
 
 
@@ -330,8 +403,14 @@ def audit_valuations(f: IndFunction, sigma: Fraction) -> ValuationReport:
             if short is None:
                 short = s
     entries.sort(key=lambda entry: entry[:2])
-    min_val = min((entry[2] for entry in entries), default=math.inf)
+    min_val = min((entry[2] for entry in entries), default=INF)
     failures = [entry for entry in entries if entry[2] < 0]
+    # the bounds are integer counts of 1/b; the report gets one Fraction per value
+    fracs = {v: Fraction(v, sigma.denominator) for v in {entry[2] for entry in entries} - {INF}}
+    fracs[INF] = INF
+    entries = [(coset, j, fracs[bound], degs) for coset, j, bound, degs in entries]
+    failures = [(coset, j, fracs[bound], degs) for coset, j, bound, degs in failures]
+    min_val = fracs[min_val]
     if failures:
         multi = [e for e in failures if len(e[3]) > 1]
         if multi:
@@ -404,11 +483,15 @@ def reduce_mod_p(f: IndFunction, sigma: Fraction) -> ResidueFunction:
     _require_residue_cap(f)
     out = ResidueFunction(f.p)
     for coset, poly in f.data.items():
+        vecs = {}  # one vector per power of the residue symbol
         for j, c in poly.items():
             for e, val in c.residue(sigma).coeffs.items():
-                vec = np.zeros(f.r + 1, dtype=np.int64)
+                vec = vecs.get(e)
+                if vec is None:
+                    vec = vecs[e] = np.zeros(f.r + 1, dtype=np.int64)
                 vec[j] = val
-                out.accumulate(coset, e, vec)
+        for e, vec in vecs.items():
+            out.accumulate(coset, e, vec)
     return out
 
 

@@ -118,7 +118,7 @@ def structure_report(p: int, r: int, checks=("dim", "x", "q")) -> ReportRecord:
             build_X(p, r, "top"))
     if "q" in checks:
         pred = predict_Q_structure(desc)
-        q = quotient_Q(p, r, X=X)
+        q = quotient_Q(p, r)
         got, socle = jh_decompose(q)
         rec.q_factors_predicted = factors_to_str(pred.factors)
         rec.q_factors_computed = factors_to_str(got)

@@ -12,17 +12,25 @@ matrix monoid; the theta-divisibility filtration and the normal forms
 modulo theta and theta^2; the terminal quotient of the degree-r module by
 (second-monomial submodule + twice-theta-divisible part), computed in the
 2p+2 coordinates of the module modulo theta^2; and the socle and
-Jordan-Hoelder factors of a torus-graded module.  The socle comes from Hom
-spaces, the method of the MeatAxe (Parker, 1984; Holt and Rees, "Testing
-modules for irreducibility", 1994): the torus weights of the
-unipotent-fixed vectors name the candidate simple modules L, and
-Hom(L, M) is a nullspace whose dimension is the multiplicity of L, with no
-enumeration of vectors.  The factors are read one Loewy layer at a time,
-passing to the quotient by the whole socle.  Brute-force span closures
-under the full matrix monoid, and the r-row theta-multiple spaces and
-subquotients, remain as the reference the fast engine is tested against;
-the brute-force theta-divisibility tests live with the other test oracles
-in ``tests/reference.py``.
+Jordan-Hoelder factors of a torus-graded module.
+
+The terminal quotient needs no r-row basis of the submodule: g . theta =
+det(g) theta for every matrix g, so the twice-theta-divisible part V** is
+stable under the whole monoid, which therefore acts on V_r/V**, and the
+image of the submodule there is the spin of the class of X^(r-1) Y under
+the Gamma generators and diag(1, 0), which generate the monoid.
+
+The socle comes from Hom spaces, the method of the MeatAxe (Parker, 1984;
+Holt and Rees, "Testing modules for irreducibility", 1994): the torus
+weights of the unipotent-fixed vectors name the candidate simple modules
+L, and Hom(L, M) is a nullspace whose dimension is the multiplicity of L,
+with no enumeration of vectors; a twisted L_s tensor det^t is searched as
+Hom(L_s, M tensor det^-t), so one model serves every twist.  The factors
+are read one Loewy layer at a time, passing to the quotient by the whole
+socle.  Brute-force span closures under the full matrix monoid, and the
+r-row theta-multiple spaces and subquotients, remain as the reference the
+fast engine is tested against; the brute-force theta-divisibility tests
+live with the other test oracles in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -158,13 +166,31 @@ def check_int64_domain(p: int, r: int) -> None:
         raise DomainError(f"p*p*(r+2) >= 2^63 at p={p}, r={r}: int64 arithmetic could overflow")
 
 
-def _binomials(n, i, p: int) -> np.ndarray:
-    """binom(n, i) mod p elementwise over broadcast arrays with 0 <= n,
-    digit by digit (Lucas); zero where i > n."""
+@functools.lru_cache(maxsize=32)
+def _pascal(p: int) -> np.ndarray:
+    """binom(a, b) mod p for 0 <= a, b < p, read-only."""
     small = np.zeros((p, p), dtype=np.int64)
     small[:, 0] = 1
     for a in range(1, p):
         small[a, 1:] = (small[a - 1, 1:] + small[a - 1, :-1]) % p
+    small.flags.writeable = False
+    return small
+
+
+@functools.lru_cache(maxsize=32)
+def _power_cycles(p: int) -> np.ndarray:
+    """a^e mod p for 0 <= a < p and 0 <= e < p-1, read-only."""
+    cyc = np.ones((p, p - 1), dtype=np.int64)
+    for e in range(1, p - 1):
+        cyc[:, e] = cyc[:, e - 1] * np.arange(p) % p
+    cyc.flags.writeable = False
+    return cyc
+
+
+def _binomials(n, i, p: int) -> np.ndarray:
+    """binom(n, i) mod p elementwise over broadcast arrays with 0 <= n,
+    digit by digit (Lucas); zero where i > n."""
+    small = _pascal(p)
     n, i = np.broadcast_arrays(np.asarray(n, dtype=np.int64), np.asarray(i, dtype=np.int64))
     out = np.ones(n.shape, dtype=np.int64)
     while n.any() or i.any():
@@ -175,10 +201,7 @@ def _binomials(n, i, p: int) -> np.ndarray:
 
 def _power_table(a: np.ndarray, n: int, p: int) -> np.ndarray:
     """a_k^e mod p for e = 0..n, one row per entry a_k."""
-    cyc = np.ones((len(a), p - 1), dtype=np.int64)
-    for e in range(1, p - 1):
-        cyc[:, e] = cyc[:, e - 1] * a % p
-    out = cyc[:, np.arange(n + 1) % (p - 1)]
+    out = _power_cycles(p)[a % p][:, np.arange(n + 1) % (p - 1)]
     out[a % p == 0, 1:] = 0
     return out
 
@@ -257,23 +280,25 @@ def build_X(p: int, r: int, which: str = "second") -> ClosedSubspace:
     The span is certified to be the closure: it contains the generator, and
     (g h) . v0 lies in it for every spanning image h . v0 and every g among
     the Gamma generators and diag(1, 0), which generate the monoid.  The
-    same images give the Gamma action on the echelon basis."""
+    same images give the Gamma action on the echelon basis.  The spanning
+    set and the images of all five generators are one ``_orbit_vectors``
+    call, and their stability one check."""
     if r < 1:
         raise ValueError("need r >= 1")
     check_int64_domain(p, r)
     j = 0 if which == "top" else 1
     hs = _spanning_matrices(p, which)
-    S = _orbit_vectors(hs, r, j, p)
+    gens = gamma_generators(p) + [(1, 0, 0, 0)]
+    vecs = _orbit_vectors(hs + [mat_mul(g, h, p) for g in gens for h in hs], r, j, p)
+    S, images = vecs[: len(hs)], vecs[len(hs):]
     B, T, pivots = linalg.row_transform(S, p)  # echelon basis B = T S
-    mats = {}
-    for name, g in zip(GEN_NAMES + ("e",), gamma_generators(p) + [(1, 0, 0, 0)]):
-        images = _orbit_vectors([mat_mul(g, h, p) for h in hs], r, j, p)
-        coords = images[:, pivots]
-        if ((images - coords @ B) % p).any():
-            raise ArithmeticError(f"spanning set of the {which} submodule is not monoid-stable "
-                                  f"at p={p}, r={r}")
-        mats[name] = (T @ coords % p).T
-    del mats["e"]
+    coords = images[:, pivots]
+    if ((images - coords @ B) % p).any():
+        raise ArithmeticError(f"spanning set of the {which} submodule is not monoid-stable "
+                              f"at p={p}, r={r}")
+    # generator g's block of coords holds the images g . (h . v0); diag(1, 0) is last
+    blocks = np.split(coords, len(gens))
+    mats = {name: (T @ block % p).T for name, block in zip(GEN_NAMES, blocks)}
     space = FpSpace.from_echelon(B, pivots, r + 1, p)
     return ClosedSubspace(p, r, space, GammaModule(p, mats))
 
@@ -352,13 +377,14 @@ class GammaModule:
     def act(self, name: str, v: np.ndarray) -> np.ndarray:
         return self.mats[name] @ (v % self.p) % self.p
 
-    def spin(self, vecs) -> FpSpace:
-        """Smallest invariant subspace containing the given vectors: each
-        round applies every generator to the rows the last round added."""
+    def spin(self, vecs, names=GEN_NAMES) -> FpSpace:
+        """Smallest subspace containing the given vectors and stable under the
+        generators ``names``: each round applies every generator to the rows
+        the last round added."""
         space = FpSpace(self.dim, self.p)
         new = space.add_rows(np.asarray(vecs, dtype=np.int64).reshape(-1, self.dim))
         while len(new):
-            new = space.add_rows(np.vstack([new @ self.mats[name].T for name in GEN_NAMES]))
+            new = space.add_rows(np.vstack([new @ self.mats[name].T for name in names]))
         return space
 
     def restrict(self, sub: FpSpace) -> "GammaModule":
@@ -431,12 +457,21 @@ class SubquotientModule(GammaModule):
         return self._project_vec(linalg.as_vec(vec, self.p))
 
 
+def _twist(mod: GammaModule, t: int) -> GammaModule:
+    """mod tensor det^t (t may be negative): each generator's matrix times
+    its determinant to the t."""
+    if t % (mod.p - 1) == 0:
+        return mod
+    return GammaModule(mod.p, {name: mod.mats[name] * pow(g[0] * g[3] - g[1] * g[2], t, mod.p)
+                               for name, g in zip(GEN_NAMES, gamma_generators(mod.p))})
+
+
 def weight_module(p: int, s: int, t: int) -> GammaModule:
     """Model of the irreducible with label (s, t) on degree-s polynomials,
     the determinant twist entering as a scalar."""
     symp = sym_power(p, s)
-    return GammaModule(p, {name: symp.action_matrix(g) * pow(g[0] * g[3] - g[1] * g[2], t, p) % p
-                           for name, g in zip(GEN_NAMES, gamma_generators(p))})
+    return _twist(GammaModule(p, {name: symp.action_matrix(g)
+                                  for name, g in zip(GEN_NAMES, gamma_generators(p))}), t)
 
 
 # ---------------------------------------------------------------------------
@@ -488,9 +523,10 @@ def _hom_maps(src: GammaModule, words: tuple, Xinv: np.ndarray, dst: GammaModule
 
 
 @functools.lru_cache(maxsize=512)
-def _label_model(p: int, s: int, t: int) -> tuple[GammaModule, tuple, np.ndarray]:
-    """Label (s, t)'s model and the spin of X^s, shared read-only by every socle search."""
-    model = weight_module(p, s, t)
+def _label_model(p: int, s: int) -> tuple[GammaModule, tuple, np.ndarray]:
+    """The untwisted model of L_s and the spin of X^s, shared read-only by
+    every socle search; a twist det^t moves to the target (``_twist``)."""
+    model = weight_module(p, s, 0)
     words, Xinv = _spin_words(model, sym_power(p, s).monomial(0))
     for arr in (*model.mats.values(), Xinv):
         arr.flags.writeable = False
@@ -507,7 +543,9 @@ def socle_simples(mod: GammaModule) -> list[tuple[JHLabel, FpSpace]]:
     ``_hom_maps`` from the highest-weight vector of the model L, whose
     images lie in the fixed vectors of that weight.  Its dimension is the
     multiplicity of L in the socle (End(L) = F_p), and the columns of its
-    basis maps, the images of L's basis, span the component."""
+    basis maps, the images of L's basis, span the component.  For
+    L = L_s tensor det^t it is computed as Hom(L_s, mod tensor det^-t): the
+    same linear maps, from the one cached model of L_s."""
     p = mod.p
     fixed = mod.unipotent_fixed()
     if fixed.dim == 0:
@@ -529,7 +567,8 @@ def socle_simples(mod: GammaModule) -> list[tuple[JHLabel, FpSpace]]:
     found: list[tuple[JHLabel, FpSpace]] = []
     for (alpha, beta), rows in spaces.items():
         for label in _weight_candidates(alpha, beta, p):
-            maps = _hom_maps(*_label_model(p, *label), mod, np.array(rows).T)
+            maps = _hom_maps(*_label_model(p, label.s), _twist(mod, -label.t),
+                             np.array(rows).T)
             if not maps:
                 continue
             component = FpSpace.from_rows(np.hstack(maps).T, mod.dim, p)
@@ -583,10 +622,15 @@ def gamma_iso(
 
 
 class QuotientModule(GammaModule):
-    """V_r / (U + V**) for a submodule U, computed in the 2p+2 coordinates of
-    V_r/V**: the quotient of that module by the normal form of U."""
+    """V_r / (X + V**), X the second-monomial submodule, computed in the 2p+2
+    coordinates of V_r/V**.
 
-    def __init__(self, p: int, r: int, U: FpSpace):
+    V** is stable under the whole matrix monoid, since g . theta =
+    det(g) theta, so the monoid acts on V_r/V** and the image of X there is
+    the spin of the class of X^(r-1) Y under u, w, d1, d2 and e = diag(1, 0),
+    which generate the monoid.  No r-row basis of X is built."""
+
+    def __init__(self, p: int, r: int):
         self.r = r
         self.normal_form, self.cols = theta_normal_form(p, r, 2)
         # V_r/V**: column c of each generator is the normal form of g . X^(r-c) Y^c
@@ -596,8 +640,10 @@ class QuotientModule(GammaModule):
             "w": self.normal_form[r - c].T,
             "d1": np.diag([pow(g, r - j, p) for j in self.cols]),
             "d2": np.diag([pow(g, j, p) for j in self.cols]),
+            # e fixes X^r, a coordinate monomial, and kills every other monomial
+            "e": np.diag((c == 0).astype(np.int64)),
         })
-        image = FpSpace.from_rows(U.matrix() @ self.normal_form % p, len(self.cols), p)
+        image = ambient.spin([self.normal_form[1]], GEN_NAMES + ("e",))
         mod, self.project_coords = ambient.quotient(image)
         super().__init__(p, mod.mats)
 
@@ -614,11 +660,13 @@ class QuotientModule(GammaModule):
         return FpSpace.from_rows([self.project_coords(v) for v in kernel], self.dim, self.p)
 
 
-def quotient_Q(p: int, r: int, X: ClosedSubspace | None = None) -> QuotientModule:
-    """The terminal quotient; ``X`` is the second-monomial submodule when the
-    caller has already built it."""
+def quotient_Q(p: int, r: int) -> QuotientModule:
+    """The terminal quotient V_r/(X + V**), X the second-monomial submodule.
+    The image of X in V_r/V** is the monoid spin of the class of X^(r-1) Y
+    there (``QuotientModule``), so X itself is never built.  Refuses
+    r < 2p+1, and degrees where the int64 arithmetic of the (r+1)-row
+    normal form could overflow."""
     if r < 2 * p + 1:
         raise DomainError(f"need r >= 2p+1; got r={r}, p={p}")
-    if X is None:
-        X = build_X(p, r, "second")
-    return QuotientModule(p, r, X.space)
+    check_int64_domain(p, r)
+    return QuotientModule(p, r)

@@ -8,6 +8,9 @@ they check.
   ``apply_T``.  ``translate`` is the left action of an integral matrix of
   unit determinant, for the equivariance checks, and ``functions_agree``
   compares two functions up to a valuation.
+- ``apply_Tplus_by_terms``: the raising part with every term multiplied by
+  its own weight for every child, against ``apply_Tplus``, which sums by
+  residue class of i - j mod p-1; they must store the same (n, k, err).
 - ``modp_T_by_weights``: the mod-p Hecke operator on a weight model with
   its weights written out, against ``modp_T``, which reduces ``apply_T``.
 - ``certify_val_ge``: the per-coefficient valuation certificate, the second
@@ -62,7 +65,15 @@ from crysred.classify import (
     reducible,
 )
 from crysred.errors import HypothesisError, PrecisionError
-from crysred.hecke import ALPHA, Coset, IndFunction, ResidueFunction, teich_table
+from crysred.hecke import (
+    ALPHA,
+    Coset,
+    IndFunction,
+    ResidueFunction,
+    _binom_units,
+    _floor_val,
+    teich_table,
+)
 from crysred.linalg import FpSpace
 from crysred.symrep import _orbit_vectors, _spanning_matrices
 
@@ -207,6 +218,31 @@ def direct_T(f: IndFunction) -> IndFunction:
         transformed = _substitute_poly(poly, (p, 0, 0, 1), r, p, f.precision)
         c2, poly2 = normalize_pair(_mat_mul(g, (1, 0, 0, p)), transformed, p, r, f.precision)
         out.add_term(c2, poly2)
+    return out.prune()
+
+
+def apply_Tplus_by_terms(f: IndFunction) -> IndFunction:
+    """The level-raising part term by term: for each child lam, every index i
+    is multiplied onto j <= i by its own weight (-1)^(i-j) binom(i, j) p^j
+    [lam]^(i-j), the unit known to the table's relative precision off the
+    diagonal, with the same cap cut as ``hecke.apply_Tplus``.  Oracle for
+    its grouping by residue class, which must give the same (n, k, err)."""
+    p, table, out = f.p, teich_table(f.p, f.precision), f._empty()
+    for coset, poly in f.data.items():
+        rows = [(i, c, _binom_units(i, p, min(i, f.cap - 1 - _floor_val(c))))
+                for i, c in poly.items()]
+        for lam in range(p):
+            child = out.data.setdefault(Coset(0, coset.level + 1, coset.digits + (lam,)), {})
+            for i, c, row in rows:
+                for j, (u, v) in enumerate(row):
+                    if i != j and not lam:
+                        continue
+                    acc = child.setdefault(j, ApCoeff({}, p))
+                    if i == j:
+                        c._mul_into(acc, u, v + j)
+                    else:
+                        unit = (-1) ** (i - j) * table.power(lam, i - j)
+                        c._mul_into(acc, u * unit, v + j, table.precision)
     return out.prune()
 
 

@@ -340,6 +340,19 @@ class TestApCoeffAgainstFractions:
             theirs = _outcome(lambda: ref.residue(sigma))
             assert mine == theirs
 
+    @given(st.data(), st.sampled_from([3, 5, 7]))
+    @settings(max_examples=200, deadline=None)
+    def test_audit_bound_is_an_integer_count_of_one_over_b(self, data, p):
+        c = ApCoeff(data.draw(coeff_terms(p)), p)
+        for sigma in (Fraction(5, 4), Fraction(4, 3), Fraction(3, 2), Fraction(7, 4)):
+            bound = c.audit_terms(sigma)[0]
+            if c.is_exact_zero():
+                assert bound == arith.INF and c.val_lb(sigma, p) == arith.INF
+                continue
+            assert isinstance(bound, int)
+            assert Fraction(bound, sigma.denominator) == c.val_lb(sigma, p)
+            assert c.val_lb(sigma, p) == FractionCoeff(p, c.exact_terms()).val_lb(sigma)
+
     def test_scale_by_zero_and_unit_ladder(self):
         c = ApCoeff.rational(Fraction(2, 25), 1, p=5)
         assert c.scale(0).is_exact_zero()

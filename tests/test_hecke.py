@@ -28,6 +28,7 @@ from crysred.hecke import (
 from crysred.errors import IndeterminateCancellation, PrecisionError
 from crysred.symrep import sym_power
 from reference import (
+    apply_Tplus_by_terms,
     certify_val_ge,
     direct_T,
     elementary,
@@ -263,6 +264,56 @@ def witness_shaped(draw):
     f.prune()
     f.cap = draw(st.integers(1 + PRECISION_HEADROOM, 10))
     return f
+
+
+def _same_terms(got: IndFunction, want: IndFunction) -> bool:
+    """Same cap, cosets, indices (in order) and stored (n, k, err) terms."""
+    return (got.cap == want.cap and list(got.data) == list(want.data)
+            and all(list(got.data[c]) == list(poly) for c, poly in want.data.items())
+            and all(got.data[c][j].terms == x.terms
+                    for c, poly in want.data.items() for j, x in poly.items()))
+
+
+@st.composite
+def raising_inputs(draw):
+    """``witness_shaped`` functions, with terms that hold only an error
+    bound added at drawn cosets and indices, at the wide or the default
+    Teichmuller precision."""
+    f = draw(witness_shaped())
+    p, cosets = f.p, sorted(f.data)
+    for _ in range(draw(st.integers(0, 2))):
+        loose = ApCoeff({draw(st.integers(-2, 2)): (0, draw(st.integers(0, 6)))}, p)
+        f.accumulate(draw(st.sampled_from(cosets)), draw(st.integers(0, f.r)), loose)
+    if draw(st.booleans()):
+        f.precision = 8
+    return f
+
+
+class TestGroupedRaising:
+    @settings(max_examples=150, deadline=None)
+    @given(raising_inputs())
+    def test_matches_the_per_term_sum(self, f):
+        # indices in several classes mod p-1 per coset, truncated and
+        # error-only terms, and caps that cut the rows: grouping by class
+        # stores exactly the per-term (n, k, err) and keeps the cap
+        assert _same_terms(apply_Tplus(f), apply_Tplus_by_terms(f))
+
+    def test_several_classes_with_rows_cut_by_the_cap(self):
+        table = teich_table(5)
+        f = elementary(5, 30, g0(1, (3,)), {
+            30: ApCoeff.rational(Fraction(7, 25), 2, p=5),
+            29: ApCoeff.rational(3, p=5).scale_trunc(table.power(2, 3), 8),
+            27: ApCoeff({0: (Fraction(4), 5), -2: (0, 4)}, 5),
+            12: ApCoeff.rational(Fraction(1, 5), p=5),
+        })
+        f.cap = 6
+        assert len({i % 4 for i in f.data[g0(1, (3,))]}) == 4
+        got, want = apply_Tplus(f), apply_Tplus_by_terms(f)
+        assert _same_terms(got, want)
+        # the cap stops every row below the smallest index, so child 0,
+        # which only gets the diagonal terms, is empty
+        assert max(j for poly in got.data.values() for j in poly) < 12
+        assert sorted(got.data) == [g0(2, (3, lam)) for lam in range(1, 5)]
 
 
 class TestAbsoluteCap:

@@ -201,7 +201,7 @@ def _engine_vs_reference(job):
         if theta_intersection_dims(X) != ref_dims:
             bad.append(f"{which}: filtration dims")
     X = fast["second"]
-    q = quotient_Q(p, r, X=X)
+    q = quotient_Q(p, r)
     ref_q = SubquotientModule(symp, None, union(X.space, vss))
     if any(not np.array_equal(q.mats[n], ref_q.mats[n]) for n in symrep.GEN_NAMES):
         bad.append("Q: generator matrices")
@@ -727,8 +727,9 @@ class TestGradedSocle:
     @settings(max_examples=40, deadline=None)
     def test_components_match_the_spin_of_the_top_images(self, data):
         # the components read off the Hom maps' columns are the spins of the
-        # images of the model's top vector, and the cached spin words give
-        # the maps a fresh spin gives
+        # images of the model's top vector, and the cached untwisted spin
+        # words, replayed on the target twisted by det^-t, give the maps a
+        # fresh spin of the twisted model gives
         p = data.draw(st.sampled_from([3, 5, 7]), label="p")
         r = data.draw(st.integers(1, 3 * p), label="r")
         full = SubquotientModule(sym_power(p, r), None, None)
@@ -749,9 +750,9 @@ class TestGradedSocle:
         mod = SubquotientModule(sym_power(p, r), full.spin(gens_w), full.spin(gens_u))
         C = mod.unipotent_fixed().matrix().T
         for label, component in socle_simples(mod):
-            model, words, Xinv = symrep._label_model(p, *label)
+            model, words, Xinv = symrep._label_model(p, label.s)
             top = sym_power(p, label.s).monomial(0)
-            maps = symrep._hom_maps(model, words, Xinv, mod, C)
+            maps = symrep._hom_maps(model, words, Xinv, symrep._twist(mod, -label.t), C)
             fresh = weight_module(p, *label)
             again = symrep._hom_maps(fresh, *symrep._spin_words(fresh, top), mod, C)
             assert len(maps) == len(again)
@@ -764,7 +765,7 @@ class TestSharedCaches:
         assert symrep._label_model.cache_info().maxsize is not None
         jh_decompose(build_X(5, 25).module)
         assert symrep._label_model.cache_info().currsize > 0
-        model, words, Xinv = symrep._label_model(5, 1, 0)
+        model, words, Xinv = symrep._label_model(5, 1)
         assert isinstance(words, tuple)
         for arr in (*model.mats.values(), Xinv):
             with pytest.raises(ValueError):
