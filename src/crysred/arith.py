@@ -228,8 +228,8 @@ def _binom_row(r: int) -> list[int]:
 
 
 def _check_family(name: str, fam: dict[int, int], row: list[int], p: int, level: int,
-                  target: int = 0) -> None:
-    """Raise ArithmeticError unless the family holds at level L = ``level``:
+                  target: int = 0) -> dict[int, int]:
+    """``fam`` once it holds at level L = ``level``, else ArithmeticError:
     fam[j] = binom(r, j) mod p^L, and sum_j binom(j, n) fam[j] vanishes mod
     p^(L+2-n) for n <= L and is ``target`` mod p at n = L+1."""
     failed = [f"matches_binom_mod_p{level}"] if any(
@@ -240,16 +240,25 @@ def _check_family(name: str, fam: dict[int, int], row: list[int], p: int, level:
             failed.append(f"choose{n}_sum_mod_p{level + 2 - n}")
     if failed:
         raise ArithmeticError(f"{name} family failed checks: {', '.join(failed)}")
-
-
-def _two_index_family(row: list[int], js: list[int], j0: int, p: int) -> dict[int, int]:
-    """binom(r, j) on the indices js, corrected at j0 so that the j-weighted
-    sum vanishes mod p^2 and at j0*p so that the plain sum vanishes."""
-    c0 = -inv_mod(j0, p * p) * sum(j * row[j] for j in js if j > j0)
-    fam = {j: row[j] for j in js}
-    fam[j0] = c0
-    fam[j0 * p] = -sum(row[j] for j in js if j not in (j0, j0 * p)) - c0
     return fam
+
+
+def _corrected_family(name: str, row: list[int], js, p: int, level: int,
+                      unit: int | None, zero: int, target: int = 0) -> dict[int, int]:
+    """row[j] on the class js plus multiples of p^L (L = ``level``) at a unit
+    index (p not dividing it, or None) and a zero index (p dividing it),
+    checked; {} on an empty class.  A multiple of p^L moves only the plain sum
+    (checked mod p^(L+2)) and the j-weighted one (mod p^(L+1)): the unit index
+    clears the weighted sum, then the zero index takes the whole plain sum,
+    which the class-sum lemmas make divisible by p^L, so the weighted sum stays."""
+    if not js:
+        return {}
+    q = p**level
+    fam = {j: row[j] for j in js}
+    if unit is not None:
+        fam[unit] -= sum(j * x for j, x in fam.items()) // q * inv_mod(unit, p) % p * q
+    fam[zero] -= sum(fam.values())
+    return _check_family(name, fam, row, p, level, target)
 
 
 def choose_alphas(r: int, a: int, p: int) -> dict[int, int]:
@@ -257,16 +266,17 @@ def choose_alphas(r: int, a: int, p: int) -> dict[int, int]:
     j-weighted and binom(j,2)-weighted sums vanish mod p^3, p^2 and p.
 
     For a = 2 the binom(j,2)-weighted sum instead lands on binom(r,2) mod p.
-    The distinguished indices are a and ap.
+    The distinguished indices are a and ap; at r <= ap every alpha_j is 0.
     """
     require_odd_prime(p)
     if not (2 <= a <= p - 1) or (r - a) % (p - 1):
         raise HypothesisError(f"need r = a (mod p-1) with 2 <= a <= p-1; got r={r}, a={a}")
-    js = list(_class_range(1, r, a, p - 1))
+    js = _class_range(1, r, a, p - 1)
     row = _binom_row(r)
-    fam = {j: 0 for j in js} if r <= a * p else _two_index_family(row, js, a, p)
-    _check_family("alpha", fam, row, p, 1, math.comb(r, 2) if a == 2 else 0)
-    return fam
+    target = math.comb(r, 2) if a == 2 else 0
+    if r > a * p:
+        return _corrected_family("alpha", row, js, p, 1, a, a * p, target)
+    return _check_family("alpha", {j: 0 for j in js}, row, p, 1, target)
 
 
 def choose_betas(r: int, b: int, p: int) -> dict[int, int]:
@@ -280,67 +290,48 @@ def choose_betas(r: int, b: int, p: int) -> dict[int, int]:
         raise HypothesisError(f"need r = b (mod p-1) with 3 <= b <= p; got r={r}, b={b}")
     if (r - b) % p:
         raise HypothesisError(f"need p | r - b; got r={r}, b={b}, p={p}")
-    js = list(_class_range(b - 1, r - 1, b - 1, p - 1))
-    if not js:
-        return {}
-    row = _binom_row(r)
-    fam = _two_index_family(row, js, b - 1, p)
-    _check_family("beta", fam, row, p, 1)
-    return fam
+    js = _class_range(b - 1, r - 1, b - 1, p - 1)
+    return _corrected_family("beta", _binom_row(r), js, p, 1, b - 1, (b - 1) * p)
 
 
-def _require_quad_hypotheses(r: int, p: int) -> None:
+def _quad_row(r: int, p: int) -> list[int]:
+    """binom(r, 0..r) for the quadratic-level families, once their hypotheses hold."""
     require_odd_prime(p)
     if (r - 1) % (p - 1) or (r - p) % (p * p):
         raise HypothesisError(f"need r = 1 (mod p-1) and p^2 | r - p; got r={r}, p={p}")
+    return _binom_row(r)
+
+
+def _alphas_modp2(r: int, p: int, row: list[int]) -> dict[int, int]:
+    return _corrected_family("alpha2", row, _class_range(p, r, 1, p - 1), p, 2,
+                             None, p, 1 if p == 3 else 0)
+
+
+def _gammas_modp2(r: int, p: int, row: list[int]) -> dict[int, int]:
+    return _corrected_family("gamma", row, _class_range(p - 1, r - 1, 0, p - 1), p, 2,
+                             p - 1, (p - 1) * p, -1 if p == 3 else 0)
 
 
 def choose_alphas_modp2(r: int, p: int) -> dict[int, int]:
     """Integers alpha_j = binom(r,j) mod p^2 (j = 1 mod p-1, p <= j < r) with
     binom(j,n)-weighted sums vanishing mod p^(4-n) for n = 0, 1, 2 and
-    binom(j,3)-weighted sum 0 mod p (1 when p = 3)."""
-    _require_quad_hypotheses(r, p)
-    js = list(_class_range(p, r, 1, p - 1))
-    if not js:
-        return {}
-    row = _binom_row(r)
-    fam = {j: row[j] for j in js}
-    # a single correction at j = p makes the plain sum vanish exactly; the
-    # higher-weight congruences then hold on their own
-    fam[p] -= sum(row[j] for j in js)
-    _check_family("alpha2", fam, row, p, 2, 1 if p == 3 else 0)
-    return fam
+    binom(j,3)-weighted sum 0 mod p (1 when p = 3); distinguished index p."""
+    return _alphas_modp2(r, p, _quad_row(r, p))
 
 
 def choose_gammas_modp2(r: int, p: int) -> dict[int, int]:
     """Integers gamma_j = binom(r,j) mod p^2 (j = 0 mod p-1, p-1 <= j < r-1) with
     binom(j,n)-weighted sums vanishing mod p^(4-n) for n = 0, 1, 2 and
-    binom(j,3)-weighted sum 0 mod p (-1 when p = 3)."""
-    _require_quad_hypotheses(r, p)
-    js = list(_class_range(p - 1, r - 1, 0, p - 1))
-    if not js:
-        return {}
-    row = _binom_row(r)
-    j0, j1 = p - 1, (p - 1) * p
-    S = sum(row[j] for j in js)
-    T1 = sum(j * row[j] for j in js)
-    if S % (p * p) or T1 % (p * p):
-        raise ArithmeticError("plain/weighted class sums not divisible by p^2")
-    c0 = -(S // (p * p))
-    # two corrections of size p^2 pin the plain sum mod p^4 and the
-    # j-weighted sum mod p^3; their index gap p-1 is invertible mod p
-    eps1 = (-(T1 // (p * p)) - j0 * c0) * inv_mod(j1 - j0, p) % p
-    eps0 = c0 - eps1
-    fam = {j: row[j] for j in js}
-    fam[j0] += p * p * eps0
-    fam[j1] += p * p * eps1
-    _check_family("gamma", fam, row, p, 2, -1 if p == 3 else 0)
-    return fam
+    binom(j,3)-weighted sum 0 mod p (-1 when p = 3); distinguished indices
+    p-1 and (p-1)p."""
+    return _gammas_modp2(r, p, _quad_row(r, p))
 
 
 def choose_gammas_alphas2(r: int, p: int) -> tuple[dict[int, int], dict[int, int]]:
-    """Both quadratic-level families for the b = p witness constructions."""
-    return choose_alphas_modp2(r, p), choose_gammas_modp2(r, p)
+    """Both quadratic-level families for the b = p witness constructions,
+    read off one row of binomial coefficients."""
+    row = _quad_row(r, p)
+    return _alphas_modp2(r, p, row), _gammas_modp2(r, p, row)
 
 
 # ---------------------------------------------------------------------------

@@ -359,8 +359,9 @@ class ValuationReport(NamedTuple):
 
     integral: bool
     min_valuation: Fraction
-    entries: list  # (coset, monomial index, bound, degrees at the bound)
-    failures: list  # entries whose bound < 0 is the true valuation
+    #: (coset, monomial index, bound, degrees at the bound) of each coefficient
+    #: whose bound < 0 is the true valuation, in (coset, index) order
+    failures: list
 
 
 def _require_residue_cap(f: IndFunction) -> None:
@@ -393,39 +394,36 @@ def audit_valuations(f: IndFunction, sigma: Fraction) -> ValuationReport:
     truncated term too close to valuation 0, which otherwise raises
     PrecisionError (the first such term in the function's own order)."""
     _require_residue_cap(f)
-    entries, loose, short = [], set(), None
+    # the bounds are integer counts of 1/b, b the slope's denominator
+    b = sigma.denominator
+    failures, short, min_val = [], None, INF
     for coset, poly in f.data.items():
         for j, c in poly.items():
             bound, degs, s, exact = c.audit_terms(sigma)
-            entries.append((coset, j, bound, tuple(degs)))
-            if not exact:
-                loose.add((coset, j))
+            if bound < min_val:
+                min_val = bound
+            if bound < 0:
+                failures.append((coset, j, Fraction(bound, b), tuple(degs), exact))
             if short is None:
                 short = s
-    entries.sort(key=lambda entry: entry[:2])
-    min_val = min((entry[2] for entry in entries), default=INF)
-    failures = [entry for entry in entries if entry[2] < 0]
-    # the bounds are integer counts of 1/b; the report gets one Fraction per value
-    fracs = {v: Fraction(v, sigma.denominator) for v in {entry[2] for entry in entries} - {INF}}
-    fracs[INF] = INF
-    entries = [(coset, j, fracs[bound], degs) for coset, j, bound, degs in entries]
-    failures = [(coset, j, fracs[bound], degs) for coset, j, bound, degs in failures]
-    min_val = fracs[min_val]
+    if min_val != INF:
+        min_val = Fraction(min_val, b)
     if failures:
+        failures.sort(key=lambda e: e[:2])
         multi = [e for e in failures if len(e[3]) > 1]
         if multi:
             raise IndeterminateCancellation(
                 f"minimal valuation tied between symbol degrees at {multi[0][:2]}"
             )
-        certified = [e for e in failures if e[:2] not in loose]
+        certified = [e[:4] for e in failures if e[4]]
         if not certified:
-            coset, j, bound, (d,) = failures[0]
+            bound, (d,) = failures[0][2:4]
             raise PrecisionError(f"bound {bound} at degree {d} rests on a truncation error")
-        return ValuationReport(False, min_val, entries, certified)
+        return ValuationReport(False, min_val, certified)
     if short is not None:
         err, d = short
         raise PrecisionError(f"bound 0 within headroom of precision {err} at degree {d}")
-    return ValuationReport(True, min_val, entries, [])
+    return ValuationReport(True, min_val, [])
 
 
 class ResidueFunction:

@@ -315,11 +315,16 @@ def theta_multiple_space(p: int, r: int, k: int) -> FpSpace:
     tk = theta_vec(p)
     for _ in range(k - 1):
         tk = poly_mul_vec(tk, theta_vec(p), p)
-    # theta^k * X^(s-m) Y^m is theta^k shifted by m
+    # theta^k * X^(s-m) Y^m is theta^k shifted by m: already echelon, with a
+    # leading 1 at column m + k.  Back-substitution, bottom-up, reduces it;
+    # row m meets the pivots of the next kp rows only
     rows = np.zeros((s + 1, r + 1), dtype=np.int64)
     for m in range(s + 1):
         rows[m, m : m + len(tk)] = tk
-    return FpSpace.from_rows(rows, r + 1, p)
+    for m in range(s - 1, -1, -1):
+        top = min(m + k * p, s)
+        rows[m] = (rows[m] - rows[m, m + k + 1 : top + k + 1] @ rows[m + 1 : top + 1]) % p
+    return FpSpace.from_echelon(rows, range(k, s + k + 1), r + 1, p)
 
 
 def filtration_spaces(p: int, r: int) -> tuple[FpSpace, FpSpace]:

@@ -38,6 +38,26 @@ LEMMA_PRIMES = (3, 5, 7, 11, 13)
 LEMMA_R_MAX = 2000
 
 
+def criterion4_families():
+    """The constructed families of criterion 4, as (name, constructor,
+    arguments, level, target, distinguished indices); the degree r is the
+    first argument and p the last."""
+    for p in (3, 5, 7):
+        for a in range(2, p):
+            for r in (a + (p - 1), a * p + a * (p - 1), a + p * (p - 1), a + 2 * p * (p - 1)):
+                if (r - a) % (p - 1) == 0:
+                    yield ("alpha", choose_alphas, (r, a, p), 1,
+                           math.comb(r, 2) if a == 2 else 0, {a, a * p})
+        for b in range(3, p + 1):
+            for r in (b, p * p - p + b, p * p - p + b + p * (p - 1)):
+                yield "beta", choose_betas, (r, b, p), 1, 0, {b - 1, (b - 1) * p}
+    for p in (3, 5):
+        for r in (p, p + p * p * (p - 1), p + 2 * p * p * (p - 1)):
+            yield "alpha2", choose_alphas_modp2, (r, p), 2, 1 if p == 3 else 0, {p}
+            yield ("gamma", choose_gammas_modp2, (r, p), 2, -1 if p == 3 else 0,
+                   {p - 1, (p - 1) * p})
+
+
 def report(n, label, failures, extra=""):
     status = "PASS" if not failures else "FAIL"
     detail = f" ({extra})" if extra else ""
@@ -121,27 +141,9 @@ class TestCriterion4:
                 elif "s_sum_mod_p2" in row and row["s_sum_mod_p2"] != class_sum_S_modp2(r, p):
                     failures.append(("S2-row", p, r))
         # constructed families: every enumerated congruence, exact big integers
-        for p in (3, 5, 7):
-            for a in range(2, p):
-                for r in (a + (p - 1), a * p + a * (p - 1), a + p * (p - 1), a + 2 * p * (p - 1)):
-                    if (r - a) % (p - 1):
-                        continue
-                    fam = choose_alphas(r, a, p)
-                    if not family_holds(fam, r, p, 1, math.comb(r, 2) if a == 2 else 0):
-                        failures.append(("alpha", p, r, a))
-            for b in range(3, p + 1):
-                for r in (b, p * p - p + b, p * p - p + b + p * (p - 1)):
-                    fam = choose_betas(r, b, p)
-                    if not family_holds(fam, r, p, 1):
-                        failures.append(("beta", p, r, b))
-        for p in (3, 5):
-            for r in (p, p + p * p * (p - 1), p + 2 * p * p * (p - 1)):
-                fam = choose_alphas_modp2(r, p)
-                if not family_holds(fam, r, p, 2, 1 if p == 3 else 0):
-                    failures.append(("alpha2", p, r))
-                fam = choose_gammas_modp2(r, p)
-                if not family_holds(fam, r, p, 2, -1 if p == 3 else 0):
-                    failures.append(("gamma", p, r))
+        for name, choose, args, level, target, _ in criterion4_families():
+            if not family_holds(choose(*args), args[0], args[-1], level, target):
+                failures.append((name, *args))
         report(4, "binomial class sums and constructed integer families",
                failures, f"r <= {LEMMA_R_MAX}, p in {LEMMA_PRIMES}")
 

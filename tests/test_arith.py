@@ -30,7 +30,7 @@ from reference import (
     class_sum_T,
     family_holds,
 )
-from test_acceptance import LEMMA_PRIMES, LEMMA_R_MAX
+from test_acceptance import LEMMA_PRIMES, LEMMA_R_MAX, criterion4_families
 
 PRIMES = [3, 5, 7, 11, 13]
 
@@ -183,6 +183,26 @@ class TestFamilies:
     def test_quad_hypotheses(self):
         with pytest.raises(HypothesisError):
             choose_alphas_modp2(45, 5)  # 25 does not divide 40
+
+    def test_binomial_off_the_distinguished_indices(self):
+        # one correction rule: a family differs from binom(r, j) only at its
+        # unit and zero indices (alpha2 at p alone), and the alpha family at
+        # r <= ap is zero
+        for name, choose, args, _, _, marked in criterion4_families():
+            fam, r = choose(*args), args[0]
+            if name == "alpha" and r <= args[1] * args[2]:
+                assert not any(fam.values()), args
+                continue
+            assert not fam or marked <= fam.keys(), (name, args)
+            assert {j for j, x in fam.items() if x != math.comb(r, j)} <= marked, (name, args)
+
+    def test_quad_pair_reads_one_row(self, monkeypatch):
+        built = []
+        row_fn = arith._binom_row
+        monkeypatch.setattr(arith, "_binom_row", lambda r: built.append(r) or row_fn(r))
+        al, ga = choose_gammas_alphas2(105, 5)
+        assert built == [105]
+        assert (al, ga) == (choose_alphas_modp2(105, 5), choose_gammas_modp2(105, 5))
 
 
 class TestApCoeff:

@@ -400,11 +400,10 @@ def _two_pass_audit(f, sigma):
     one-pass ``audit_valuations``: bounds in sorted order first, then every
     coefficient re-certified through ``certify_val_ge``."""
     _require_residue_cap(f)
-    entries, failures, min_val = [], [], math.inf
+    failures, min_val = [], math.inf
     for coset in sorted(f.data):
         for j in sorted(f.data[coset]):
             bound, degs, exact = _min_terms(f.data[coset][j], sigma, f.p)
-            entries.append((coset, j, bound, tuple(degs)))
             if bound < 0:
                 failures.append((coset, j, bound, tuple(degs), exact))
             if bound < min_val:
@@ -419,12 +418,12 @@ def _two_pass_audit(f, sigma):
         if not certified:
             bound, (d,) = failures[0][2:4]
             raise PrecisionError(f"bound {bound} at degree {d} rests on a truncation error")
-        return ValuationReport(False, min_val, entries, certified)
+        return ValuationReport(False, min_val, certified)
     for coset, poly in f.data.items():
         for j, c in poly.items():
             if not certify_val_ge(c, 0, sigma, f.p):
-                return ValuationReport(False, min_val, entries, [(coset, j, c.val_lb(sigma, f.p), ())])
-    return ValuationReport(True, min_val, entries, [])
+                return ValuationReport(False, min_val, [(coset, j, c.val_lb(sigma, f.p), ())])
+    return ValuationReport(True, min_val, [])
 
 
 def _outcome(audit, f, sigma):

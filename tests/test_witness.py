@@ -1,8 +1,10 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
+from crysred import arith, witness
 from crysred.arith import inv_mod, padic_val
 from crysred.classify import case_descriptor, predict_Q_structure, surviving_factor
 from crysred.errors import DomainError, HypothesisError
@@ -17,6 +19,7 @@ from crysred.witness import (
     build_witness,
     verify_witness,
 )
+from reference import family_holds
 
 # the slopes of the benchmark's witness pool
 POOL_SLOPES = ("5/4", "4/3", "3/2", "5/3", "7/4")
@@ -270,3 +273,64 @@ class TestLargeAudits:
     def test_ok_with_margin(self, tag, p, r, sig, star, margin):
         rep = verify_witness(case(tag, p, r, sig, star))
         assert rep.ok and rep.precision_margin == margin
+
+
+def _plus_kernel(fam, r, p, level, unit, zero, target, rng):
+    """``fam`` plus p^L times random integers on its class, corrected at the
+    unit and zero indices by the constructors' own rule: another family with
+    every advertised congruence."""
+    assert {unit, zero} <= fam.keys()
+    base = [0] * (r + 1)
+    for j in fam:
+        base[j] = p**level * rng.randrange(-p**3, p**3)
+    kernel = arith._corrected_family("kernel", base, sorted(fam), p, level, unit, zero)
+    out = {j: x + kernel[j] for j, x in fam.items()}
+    assert out != fam and family_holds(out, r, p, level, target)
+    return out
+
+
+class TestFamilyInvariance:
+    """The audit's verdict cannot depend on which valid integer family the
+    witness uses: a random valid family in place of each ``choose_*`` output
+    must give the same report fields."""
+
+    #: constructor -> (level, unit index, zero index, target) from its arguments;
+    #: alpha2 has no unit index of its own, so its class member 2p-1 plays that part
+    FAMILIES = {
+        "choose_alphas": lambda r, a, p: (1, a, a * p, math.comb(r, 2) if a == 2 else 0),
+        "choose_betas": lambda r, b, p: (1, b - 1, (b - 1) * p, 0),
+        "choose_gammas_modp2": lambda r, p: (2, p - 1, (p - 1) * p, -1 if p == 3 else 0),
+        "choose_alphas_modp2": lambda r, p: (2, 2 * p - 1, p, 1 if p == 3 else 0),
+    }
+
+    @staticmethod
+    def fields(rep):
+        return (rep.ok, rep.constant, rep.image_factor, rep.factorization, rep.min_valuation)
+
+    @pytest.mark.parametrize("tag, p, r, sig, star", [
+        ("T8.2", 5, 19, "5/4", "unknown"), ("T8.2", 7, 41, "3/2", "holds"),
+        ("T8.4", 3, 12, "4/3", "unknown"), ("T8.4", 5, 26, "3/2", "holds"),
+        ("T8.6", 5, 24, "4/3", "unknown"), ("T8.6", 7, 47, "3/2", "holds"),
+        ("T8.7-low", 7, 45, "4/3", "unknown"), ("T8.7-high", 5, 23, "7/4", "unknown"),
+        ("T8.8-i", 3, 15, "5/4", "unknown"), ("T8.8-i", 5, 45, "3/2", "holds"),
+        ("T8.8-ii", 3, 21, "5/3", "unknown"), ("T8.8-ii", 5, 105, "3/2", "holds"),
+        ("T9.1-low", 3, 11, "4/3", "unknown"), ("T9.1-high", 5, 15, "7/4", "unknown"),
+        ("T9.2", 3, 21, "3/2", "holds"), ("T9.2", 5, 105, "5/4", "unknown"),
+    ])
+    def test_report_ignores_the_family(self, monkeypatch, tag, p, r, sig, star):
+        c = case(tag, p, r, sig, star)
+        want = self.fields(verify_witness(c))
+        for seed in range(2):
+            rng = random.Random(f"{tag}/{p}/{r}/{seed}")
+            calls = []
+
+            def perturbed(*args, name):
+                calls.append(name)
+                fam = getattr(arith, name)(*args)
+                return _plus_kernel(fam, args[0], args[-1], *self.FAMILIES[name](*args), rng)
+
+            for name in self.FAMILIES:
+                monkeypatch.setattr(witness, name,
+                                    lambda *args, name=name: perturbed(*args, name=name))
+            assert self.fields(verify_witness(c)) == want, seed
+            assert calls, "no family was replaced"
