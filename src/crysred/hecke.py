@@ -46,6 +46,18 @@ per-term sum exactly, and every error bound is the same minimum: a term's
 bound does not depend on the unit that multiplies it, and multiplying by
 the one table entry (-[lam])^e adds none.  So every stored (n, k, err) is
 the per-term one (``tests/reference.apply_Tplus_by_terms``).
+
+Lowering by residue class.  In T- the sibling cosets of one parent, with
+top digits t, send index i onto j <= i with weight binom(i, j) p^(r-i)
+[t]^(i-j), and [t]^(i-j) depends on i - j mod p-1 alone.  So
+``apply_Tminus`` first sums, per parent and index i, the exact diagonal
+D_i = sum_t c_(t,i) and, per class e, H_(i,e) = sum_(t != 0) c_(t,i) [t]^e,
+each term carried at the table's relative precision; then it spreads once:
+the parent gets p^(r-i) D_i at j = i and binom(i, j) p^(r-i) H_(i,e) with
+e = i - j mod p-1 at j < i.  The binomial and the p-power are exact, so
+each stored (n, k, err) is again the per-term one
+(``tests/reference.apply_Tminus_by_terms``), and each index i costs i + 1
+products per parent instead of per sibling.
 """
 
 from __future__ import annotations
@@ -259,25 +271,6 @@ def _binom_row(binoms: dict, i: int, p: int, top: int) -> list[tuple[int, int]]:
     return row
 
 
-def _spread(out: IndFunction, coset: Coset, rows, table, t: int) -> None:
-    """out[coset, j] += c * binom(i, j) [t]^(i-j) p^base for each
-    (i, c, base, row) in rows and each binom(i, j) = u p^v of the row.
-    [t]^(i-j) is known to the table's precision, and is exactly 1 at j = i."""
-    p, prec, poly = out.p, table.precision, out.data.setdefault(coset, {})
-    powers = table.signed_powers(t, 1)
-    for i, c, base, row in rows:
-        for j, (u, v) in enumerate(row):
-            if i != j and not t:
-                continue
-            acc = poly.get(j)
-            if acc is None:
-                acc = poly[j] = ApCoeff({}, p)
-            if i == j:
-                c._mul_into(acc, u, base + v)
-            else:
-                c._mul_into(acc, u * powers[(i - j) % (p - 1)], base + v, prec)
-
-
 def apply_Tplus(f: IndFunction) -> IndFunction:
     """Level-raising part: spreads each coset over its p children, index i
     onto j <= i with weight (-1)^(i-j) binom(i, j) p^j [lam]^(i-j).  The
@@ -326,19 +319,53 @@ def apply_Tplus(f: IndFunction) -> IndFunction:
 def apply_Tminus(f: IndFunction) -> IndFunction:
     """Level-lowering part: drops the leading digit t (to the other branch at
     level zero), index i onto j <= i with weight binom(i, j) p^(r-i) [t]^(i-j).
-    An index whose factor p^(r-i) takes it past the cap is skipped."""
+    An index whose factor p^(r-i) takes it past the cap is skipped.  The
+    siblings of one parent are summed by residue class once (see the module
+    docstring), with the parent's coefficients built directly."""
     _require_branch0(f)
     p, r = f.p, f.r
     table, out = teich_table(p, f.precision), f._empty()
     binoms = {}  # the binomial rows of this call, by index
+    # the parents in the order their first term meets them: (top digit, kept poly) per sibling
+    families: dict[Coset, list] = {}
     for coset, poly in f.data.items():
-        n, digits = coset.level, coset.digits
-        parent, top = (ALPHA, 0) if n == 0 else (Coset(0, n - 1, digits[:-1]), digits[-1])
-        rows = [(i, c, r - i, _binom_row(binoms, i, p, i))
-                for i, c in poly.items() if _floor_val(c) + r - i < f.cap]
-        if rows:  # a parent enters the output where its first term does
-            _spread(out, parent, rows, table, top)
-    return out.prune()
+        kept = {i: c for i, c in poly.items() if _floor_val(c) + r - i < f.cap}
+        if kept:
+            n, digits = coset.level, coset.digits
+            parent, top = (ALPHA, 0) if n == 0 else (Coset(0, n - 1, digits[:-1]), digits[-1])
+            families.setdefault(parent, []).append((top, kept))
+    for parent, siblings in families.items():
+        # order: each j as the per-term sum first meets it
+        diag, groups, order, filled = {}, {}, {}, -1
+        for top, kept in siblings:
+            powers = table.signed_powers(top, 1) if top else None
+            for i, c in kept.items():
+                acc = diag.get(i)
+                if acc is None:
+                    acc = diag[i] = ApCoeff({}, p)
+                c._mul_into(acc, 1, 0)
+                if top:
+                    for j in range(filled + 1, i + 1):
+                        order[j] = None
+                    filled = max(filled, i)
+                    by_class = groups.setdefault(i, {})
+                    for e in {k % (p - 1) for k in range(1, min(i, p - 1) + 1)}:  # i - j, j < i
+                        g = by_class.get(e)
+                        if g is None:
+                            g = by_class[e] = ApCoeff({}, p)
+                        c._mul_into(g, powers[e], 0, table.precision)
+                else:
+                    order[i] = None
+        poly = {j: ApCoeff({}, p) for j in order}
+        for i, d in diag.items():
+            d._mul_into(poly[i], 1, r - i)
+            by_class = groups.get(i, {})
+            for j, (u, v) in enumerate(_binom_row(binoms, i, p, i)[:i] if by_class else ()):
+                by_class[(i - j) % (p - 1)]._mul_into(poly[j], u, r - i + v)
+        poly = {j: c for j, c in poly.items() if not c.is_exact_zero()}
+        if poly:
+            out.data[parent] = poly
+    return out
 
 
 def apply_T(f: IndFunction) -> IndFunction:

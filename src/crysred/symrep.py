@@ -14,6 +14,24 @@ modulo theta and theta^2; the terminal quotient of the degree-r module by
 2p+2 coordinates of the module modulo theta^2; and the socle and
 Jordan-Hoelder factors of a torus-graded module.
 
+The submodules are read on column types, not on (r+1)-long rows.  Rank,
+monoid stability and the module action are row relations among the
+spanning images h . X^(r-j) Y^j (j = 0 for X_r, 1 for X_(r-1)) and their
+images under the generators, so any matrix with the same column space gives
+them exactly.  Entry i of h . X^(r-j) Y^j, h = (a b; c d), is
+sum_t binom(r-j, i-t) a^(r-j-i+t) c^(i-t) m_t, with m = (1) for j = 0 and
+m = (b, d) for j = 1.  For 2 <= i <= r-2 every exponent is >= 1, so the
+power factor V_(t,c) depends on i only through its class c mod p-1, and
+column i is sum_t binom(r-j, i-t) V_(t,c).  The columns of class c thus
+span the combinations sum_t beta_t V_(t,c), beta in a basis of the span of
+their coefficient vectors: at most j+1 columns per class.  With the edge
+columns 0, 1, r-1 and r, computed exactly with 0^0 = 1, that is at most
+4 + (j+1)(p-1) columns in place of r+1 (``_column_types``).  The module
+comes in the basis T S, S the spanning set and T the row transform of its
+column types; dim(X n V*) and dim(X n V**) read T S R for the normal form
+R, with S R from the edge rows of R and one pass of class sums
+sum_(i = c mod p-1) binom(r-j, i-t) R[i].
+
 The terminal quotient needs no r-row basis of the submodule: g . theta =
 det(g) theta for every matrix g, so the twice-theta-divisible part V** is
 stable under the whole monoid, which therefore acts on V_r/V**, and the
@@ -29,13 +47,15 @@ Hom(L_s, M tensor det^-t), so one model serves every twist.  The factors
 are read one Loewy layer at a time, passing to the quotient by the whole
 socle.  Brute-force span closures under the full matrix monoid, and the
 r-row theta-multiple spaces and subquotients, remain as the reference the
-fast engine is tested against; the brute-force theta-divisibility tests
-live with the other test oracles in ``tests/reference.py``.
+fast engine is tested against; the brute-force theta-divisibility tests,
+the (r+1)-long spanning images and the r-row build of the submodules live
+with the other test oracles in ``tests/reference.py``.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -160,8 +180,9 @@ def mat_mul(g, h, p: int) -> tuple[int, int, int, int]:
 
 
 def check_int64_domain(p: int, r: int) -> None:
-    """The fast engine multiplies (r+1)-long rows of residues in int64;
-    refuse degrees where such a product could wrap around."""
+    """The fast engine sums up to r+2 products of residues in int64 (the
+    class sums, the normal forms); refuse degrees where such a sum could
+    wrap around."""
     if p * p * (r + 2) >= 2**63:
         raise DomainError(f"p*p*(r+2) >= 2^63 at p={p}, r={r}: int64 arithmetic could overflow")
 
@@ -199,25 +220,77 @@ def _binomials(n, i, p: int) -> np.ndarray:
     return out
 
 
-def _power_table(a: np.ndarray, n: int, p: int) -> np.ndarray:
-    """a_k^e mod p for e = 0..n, one row per entry a_k."""
-    out = _power_cycles(p)[a % p][:, np.arange(n + 1) % (p - 1)]
-    out[a % p == 0, 1:] = 0
-    return out
+def _edges(r: int) -> list[int]:
+    """The monomial indices 0, 1, r-1, r (those in 0..r), the columns where
+    a power in a spanning image can have exponent 0."""
+    return sorted({0, 1, r - 1, r} & set(range(r + 1)))
 
 
-def _orbit_vectors(mats, r: int, j: int, p: int) -> np.ndarray:
-    """Rows h . X^(r-j) Y^j = (aX + cY)^(r-j) (bX + dY)^j for h = (a, b, c, d)
-    in ``mats`` and j in {0, 1}, in O(r) each."""
-    a, b, c, d = (np.array(col, dtype=np.int64) % p for col in zip(*mats))
-    n = r - j
-    F = _binomials(n, np.arange(n + 1), p) * _power_table(a, n, p)[:, ::-1] % p * _power_table(c, n, p) % p
-    if j == 0:
-        return F
-    out = np.zeros((len(F), r + 1), dtype=np.int64)
-    out[:, :r] = F * b[:, None]
-    out[:, 1:] += F * d[:, None]
-    return out % p
+def _image_parts(hs, r: int, j: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The images h . X^(r-j) Y^j for h = (a, b, c, d) in ``hs``, j in {0, 1},
+    in the parts of the module docstring: their entries at the ``_edges(r)``
+    columns, exactly (0^0 = 1), and V[t][:, m] = a^(r-j-i+t) c^(i-t) m_t for
+    the middle indices i of class 2 + m mod p-1."""
+    a, b, c, d = (np.array(col, dtype=np.int64)[:, None] % p for col in zip(*hs))
+    n, P, cyc = r - j, p - 1, _power_cycles(p)
+
+    def power(x, e):  # x^e for exponents e >= 0, one column per exponent
+        return cyc[x, e % P] * ((x != 0) | (e == 0))
+
+    edges, mid = np.array(_edges(r)), 2 + np.arange(P)
+    E, V = 0, []
+    for t, m in enumerate([np.ones_like(a)] if j == 0 else [b, d]):
+        s = edges - t  # the degree in Y taken from (aX + cY)^(r-j)
+        ok = (s >= 0) & (s <= n)
+        s = np.where(ok, s, 0)
+        binoms = np.array([math.comb(n, int(k)) % p for k in s]) * ok
+        E = E + binoms * power(a, n - s) % p * power(c, s) % p * m
+        # exponents >= 1 in the middle: the representatives in 1..p-1 of their classes
+        V.append(power(a, (n - mid + t - 1) % P + 1) * power(c, (mid - t - 1) % P + 1) % p * m % p)
+    return E % p, np.stack(V)
+
+
+@functools.lru_cache(maxsize=16)
+def _middle_binomials(p: int, r: int, j: int) -> np.ndarray:
+    """C[t, q, m] = binom(r-j, i-t) mod p for the middle index
+    i = 2 + q(p-1) + m <= r-2, zero past r-2 (one zero row when there is no
+    middle index), read-only: column m holds the coefficients of class 2 + m
+    mod p-1."""
+    P, i = p - 1, np.arange(2, r - 1)
+    rows = max(1, -(-len(i) // P))
+    C = np.zeros((j + 1, rows * P), dtype=np.int64)
+    for t in range(j + 1):
+        C[t, : len(i)] = _binomials(r - j, i - t, p)
+    C = C.reshape(j + 1, rows, P)
+    C.flags.writeable = False
+    return C
+
+
+@functools.lru_cache(maxsize=16)
+def _spanning_parts(p: int, r: int, which: str) -> tuple[np.ndarray, np.ndarray]:
+    """``_image_parts`` of the classical spanning set, read-only: ``build_X``
+    and ``theta_intersection_dims`` both read it."""
+    parts = _image_parts(_spanning_matrices(p, which), r, 0 if which == "top" else 1, p)
+    for arr in parts:
+        arr.flags.writeable = False
+    return parts
+
+
+def _column_types(E: np.ndarray, V: np.ndarray, p: int, r: int) -> np.ndarray:
+    """A matrix with the row relations of the images with parts E, V (see
+    ``_image_parts``): the edge columns E, then per class of middle indices
+    a basis of the combinations sum_t beta_t V[t] that its columns are (see
+    the module docstring), at most 4 + (j+1)(p-1) columns.  A class whose
+    coefficient vectors span F_p^(j+1) keeps every V[t]; one whose vectors
+    span a line keeps the combination by its first one."""
+    j = len(V) - 1
+    C = _middle_binomials(p, r, j)
+    nz = C.any(axis=0)
+    live = nz.any(axis=0)
+    first = C[:, nz.argmax(axis=0), np.arange(p - 1)]
+    full = ((first[0] * C[1] - first[1] * C[0]) % p).any(axis=0) if j else live
+    line = live & ~full
+    return np.hstack([E, *V[:, :, full], (first[:, None, line] * V[:, :, line]).sum(axis=0) % p])
 
 
 # ---------------------------------------------------------------------------
@@ -226,22 +299,25 @@ def _orbit_vectors(mats, r: int, j: int, p: int) -> np.ndarray:
 
 @dataclass
 class ClosedSubspace:
-    """An echelonized monoid-stable subspace; ``module`` is the action of the
-    Gamma generators on its echelon basis, when it was built alongside."""
+    """A monoid-stable subspace built from the classical spanning set S of
+    ``which`` ("top" or "second"): its basis is the rows of ``transform`` @ S,
+    on which ``module`` is the action of the Gamma generators."""
 
     p: int
     r: int
-    space: FpSpace
-    module: GammaModule | None = None
+    which: str
+    transform: np.ndarray
+    module: GammaModule
 
     @property
     def dim(self) -> int:
-        return self.space.dim
+        return len(self.transform)
 
 
-def span_closure(generators, *, p: int, r: int) -> ClosedSubspace:
+def span_closure(generators, *, p: int, r: int) -> FpSpace:
     """Smallest subspace containing the degree-r coefficient vectors
-    ``generators`` and stable under the full matrix monoid.
+    ``generators`` and stable under the full matrix monoid, as an echelon
+    ``FpSpace``.
 
     Closure is computed by repeatedly applying a finite generating set until
     the rank stabilizes.
@@ -259,7 +335,7 @@ def span_closure(generators, *, p: int, r: int) -> ClosedSubspace:
             w = M @ v % p
             if space.add(w):
                 work.append(w)
-    return ClosedSubspace(p, r, space)
+    return space
 
 
 def _spanning_matrices(p: int, which: str) -> list[tuple[int, int, int, int]]:
@@ -274,22 +350,25 @@ def _spanning_matrices(p: int, which: str) -> list[tuple[int, int, int, int]]:
 
 def build_X(p: int, r: int, which: str = "second") -> ClosedSubspace:
     """Submodule generated by X^r ("top") or X^(r-1)Y ("second") under the
-    full matrix monoid, as the span of its classical spanning set, the
+    full matrix monoid, as the span of its classical spanning set S, the
     images h . X^r or h . X^(r-1)Y for h in ``_spanning_matrices``.
 
     The span is certified to be the closure: it contains the generator, and
     (g h) . v0 lies in it for every spanning image h . v0 and every g among
     the Gamma generators and diag(1, 0), which generate the monoid.  The
-    same images give the Gamma action on the echelon basis.  The spanning
-    set and the images of all five generators are one ``_orbit_vectors``
-    call, and their stability one check."""
+    same images give the Gamma action on the basis T S, T the row transform
+    of S.  Rank, stability and action are row relations, read off the
+    spanning set and all five image sets on their ``_column_types``: no
+    (r+1)-long row is formed."""
     if r < 1:
         raise ValueError("need r >= 1")
     check_int64_domain(p, r)
     j = 0 if which == "top" else 1
     hs = _spanning_matrices(p, which)
     gens = gamma_generators(p) + [(1, 0, 0, 0)]
-    vecs = _orbit_vectors(hs + [mat_mul(g, h, p) for g in gens for h in hs], r, j, p)
+    E, V = _spanning_parts(p, r, which)
+    E_img, V_img = _image_parts([mat_mul(g, h, p) for g in gens for h in hs], r, j, p)
+    vecs = _column_types(np.vstack([E, E_img]), np.concatenate([V, V_img], axis=1), p, r)
     S, images = vecs[: len(hs)], vecs[len(hs):]
     B, T, pivots = linalg.row_transform(S, p)  # echelon basis B = T S
     coords = images[:, pivots]
@@ -299,8 +378,7 @@ def build_X(p: int, r: int, which: str = "second") -> ClosedSubspace:
     # generator g's block of coords holds the images g . (h . v0); diag(1, 0) is last
     blocks = np.split(coords, len(gens))
     mats = {name: (T @ block % p).T for name, block in zip(GEN_NAMES, blocks)}
-    space = FpSpace.from_echelon(B, pivots, r + 1, p)
-    return ClosedSubspace(p, r, space, GammaModule(p, mats))
+    return ClosedSubspace(p, r, which, T, GammaModule(p, mats))
 
 
 # ---------------------------------------------------------------------------
@@ -359,11 +437,23 @@ def theta_normal_form(p: int, r: int, k: int) -> tuple[np.ndarray, list[int]]:
 
 def theta_intersection_dims(X: ClosedSubspace) -> tuple[int, int]:
     """dim(X n V*) and dim(X n V**): X's dimension less the rank of its
-    basis under the normal forms modulo theta and theta^2."""
-    B = X.space.matrix()
-    return tuple(
-        X.dim - linalg.rank(B @ theta_normal_form(X.p, X.r, k)[0] % X.p, X.p) for k in (1, 2)
-    )
+    basis T S under the normal forms R1, R2 modulo theta and theta^2.  S R
+    is read off the edge rows of R and one pass of class sums
+    sum_(i = c mod p-1) binom(r-j, i-t) R[i] over the middle indices.
+    Since V** lies in V*, R1 = R2 R1[cols of R2], so the columns of T S R1
+    lie in the span of those of T S R2: one echelon form of [T S R1 | T S R2]
+    has rank(T S R1) pivots among its first columns and rank(T S R2) in all."""
+    p, r = X.p, X.r
+    E, V = _spanning_parts(p, r, X.which)
+    C = _middle_binomials(p, r, len(V) - 1)
+    R1 = theta_normal_form(p, r, 1)[0]
+    R = np.hstack([R1, theta_normal_form(p, r, 2)[0]])
+    mid = np.zeros((C.shape[1] * (p - 1), R.shape[1]), dtype=np.int64)
+    mid[: max(r - 3, 0)] = R[2 : r - 1]
+    sums = np.einsum("tqm,qmk->tmk", C, mid.reshape(C.shape[1], p - 1, R.shape[1])) % p
+    SR = (E @ R[_edges(r)] + sum(V[t] @ sums[t] for t in range(len(V)))) % p
+    pivots = linalg.rref(X.transform @ SR % p, p)[1]
+    return X.dim - sum(c < R1.shape[1] for c in pivots), X.dim - len(pivots)
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,15 @@ they check.
   on exact rationals, held as integer numerators over a common power of p,
   and drops no term, against the raising/lowering decomposition
   ``apply_T``.  ``translate`` is the left action of an integral matrix of
-  unit determinant, for the equivariance checks, and ``functions_agree``
-  compares two functions up to a valuation.
+  unit determinant, for the equivariance checks, ``functions_agree``
+  compares two functions up to a valuation, and ``same_terms`` compares
+  their stored terms, key order and cap exactly.
 - ``apply_Tplus_by_terms``: the raising part with every term multiplied by
   its own weight for every child, against ``apply_Tplus``, which sums by
   residue class of i - j mod p-1; they must store the same (n, k, err).
+  ``apply_Tminus_by_terms``: the lowering part spread one sibling coset and
+  one term at a time, against ``apply_Tminus``, which sums the siblings of
+  a parent by residue class first; the same (n, k, err) again.
 - ``modp_T_by_weights``: the mod-p Hecke operator on a weight model with
   its weights written out, against ``modp_T``, which reduces ``apply_T``.
 - ``certify_val_ge``: the per-coefficient valuation certificate, the second
@@ -28,8 +32,11 @@ they check.
   compares two ``GaloisRep`` values up to the standard identifications.
 - On coefficient vectors: ``theta_divides`` by exact division
   (``divide_theta``) cross-checked with the coefficient test
-  ``theta_divides_criterion``, and the classical spanning sets
-  ``standard_spanning_set`` of the top- and second-monomial submodules.
+  ``theta_divides_criterion``; the spanning images as (r+1)-long rows
+  (``orbit_vectors``), the classical spanning sets
+  ``standard_spanning_set`` of the top- and second-monomial submodules, and
+  ``build_X_rows``, the r-row build of those submodules, against the
+  column-type ``symrep.build_X``.
 - The big-integer class sums ``class_sum_T`` and ``class_sum_S_modp2``, the
   oracles of the class-sum lemma sweep, and ``family_holds``, the
   congruences of the ``choose_*`` families restated from their definitions.
@@ -74,8 +81,17 @@ from crysred.hecke import (
     _floor_val,
     teich_table,
 )
+from crysred import linalg
 from crysred.linalg import FpSpace
-from crysred.symrep import _orbit_vectors, _spanning_matrices
+from crysred.symrep import (
+    GEN_NAMES,
+    GammaModule,
+    _binomials,
+    _power_cycles,
+    _spanning_matrices,
+    gamma_generators,
+    mat_mul,
+)
 
 # ---------------------------------------------------------------------------
 # the Hecke operator by its defining formula
@@ -108,18 +124,37 @@ def _mat_mul(A, B):
     return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
 
-def _binomial_powers(x: int, y: int, n: int) -> list[list[int]]:
-    """Coefficient lists of (xX + yY)^k for k = 0..n."""
-    table = [[1]]
-    for _ in range(n):
-        prev = table[-1]
-        table.append(
-            [
-                (prev[m] if m < len(prev) else 0) * x + (prev[m - 1] * y if m > 0 else 0)
-                for m in range(len(prev) + 1)
-            ]
-        )
-    return table
+def _weight_profiles(mat, r: int, indices) -> dict[int, list[int]]:
+    """The integer weights of X^(r-j) Y^j in (aX + cY)^(r-i) (bX + dY)^i,
+    j = 0..r, for each i in ``indices``.  Ascending, a profile is stepped
+    from the last one, P_(i+1) = P_i (bX + dY) / (aX + cY), an exact
+    division, when that is cheaper than the product written out."""
+    a, b, c, d = mat
+    out, prev = {}, None
+    for i in sorted(indices):
+        if prev is not None and (a or c) and 3 * (r + 2) * (i - prev[0]) < (r - i + 1) * (i + 1):
+            k, P = prev
+            for _ in range(i - k):
+                # Q = P (bX + dY) = P' (aX + cY), so Q[j] = a P'[j] + c P'[j-1]
+                Q = [b * x + d * y for x, y in zip(P + [0], [0] + P)]
+                if a:
+                    P = []
+                    for j in range(r + 1):
+                        P.append((Q[j] - c * P[j - 1] if j else Q[0]) // a)
+                else:
+                    P = [q // c for q in Q[1:]]
+        else:
+            f1 = [math.comb(r - i, m) * a ** (r - i - m) * c**m for m in range(r - i + 1)]
+            f2 = [(m, math.comb(i, m) * b ** (i - m) * d**m) for m in range(i + 1)]
+            f2 = [(m, w) for m, w in f2 if w]
+            P = [0] * (r + 1)
+            for m1, w1 in enumerate(f1):
+                if w1:
+                    for m2, w2 in f2:
+                        P[m1 + m2] += w1 * w2
+        out[i] = P
+        prev = (i, P)
+    return out
 
 
 def _substitute_poly(poly: dict[int, ApCoeff], mat, r: int, p: int, prec: int):
@@ -128,23 +163,13 @@ def _substitute_poly(poly: dict[int, ApCoeff], mat, r: int, p: int, prec: int):
     The values are integer numerators over one common denominator p^D, D
     the largest p-power of an input denominator, so the accumulation is
     integer arithmetic; each output value is divided by p^D once."""
-    a, b, c, d = mat
-    first = _binomial_powers(a, c, max((r - i for i in poly), default=0))
-    second = _binomial_powers(b, d, max(poly, default=0))
+    profiles = _weight_profiles(mat, r, poly)
     terms = {i: coeff.exact_terms() for i, coeff in poly.items()}
     den = max((cc.denominator for t in terms.values() for cc, _ in t.values()), default=1)
     # raw accumulation: (j, degree) -> [numerator over den, error bound]
     acc: dict[int, dict[int, list]] = {}
     for i, coeff_terms in terms.items():
-        # integer weight profile of (aX+cY)^(r-i) (bX+dY)^i
-        f1, f2 = first[r - i], second[i]
-        weights = [0] * (len(f1) + len(f2) - 1)
-        for m1, w1 in enumerate(f1):
-            if w1 == 0:
-                continue
-            for m2, w2 in enumerate(f2):
-                if w2:
-                    weights[m1 + m2] += w1 * w2
+        weights = profiles[i]
         for dd, (cc, ee) in coeff_terms.items():
             eps = min(ee, _val_capped(cc, p) + prec)
             num = cc.numerator * (den // cc.denominator)
@@ -246,6 +271,39 @@ def apply_Tplus_by_terms(f: IndFunction) -> IndFunction:
     return out.prune()
 
 
+def apply_Tminus_by_terms(f: IndFunction) -> IndFunction:
+    """The level-lowering part term by term: each coset with top digit t
+    sends every index i that clears the cap onto each j <= i of its parent
+    with its own weight binom(i, j) p^(r-i) [t]^(i-j), the unit known to the
+    table's relative precision off the diagonal.  Oracle for the grouping of
+    ``hecke.apply_Tminus`` by parent and residue class, which must give the
+    same (n, k, err), key order and cap."""
+    p, r = f.p, f.r
+    table, out, binoms = teich_table(p, f.precision), f._empty(), {}
+    for coset, poly in f.data.items():
+        n, digits = coset.level, coset.digits
+        parent, t = (ALPHA, 0) if n == 0 else (Coset(0, n - 1, digits[:-1]), digits[-1])
+        rows = []
+        for i, c in poly.items():
+            if _floor_val(c) + r - i < f.cap:
+                if i not in binoms:
+                    binoms[i] = _binom_units(i, p, i)
+                rows.append((i, c, binoms[i]))
+        if not rows:
+            continue
+        acc_poly, powers = out.data.setdefault(parent, {}), table.signed_powers(t, 1)
+        for i, c, row in rows:
+            for j, (u, v) in enumerate(row):
+                if i != j and not t:
+                    continue
+                acc = acc_poly.setdefault(j, ApCoeff({}, p))
+                if i == j:
+                    c._mul_into(acc, u, r - i + v)
+                else:  # [t]^(i-j), by i-j mod p-1
+                    c._mul_into(acc, u * powers[(i - j) % (p - 1)], r - i + v, table.precision)
+    return out.prune()
+
+
 def translate(k_mat, f: IndFunction) -> IndFunction:
     """Left translation of f by an integral matrix of unit determinant."""
     out = f._empty()
@@ -268,6 +326,14 @@ def functions_agree(f: IndFunction, g: IndFunction, sigma: Fraction, min_val=3) 
             if c.val_lb(sigma, diff.p) < min_val:
                 return False
     return True
+
+
+def same_terms(got: IndFunction, want: IndFunction) -> bool:
+    """Same cap, cosets, indices (in order) and stored (n, k, err) terms."""
+    return (got.cap == want.cap and list(got.data) == list(want.data)
+            and all(list(got.data[c]) == list(poly) for c, poly in want.data.items())
+            and all(got.data[c][j].terms == x.terms
+                    for c, poly in want.data.items() for j, x in poly.items()))
 
 
 def modp_T_by_weights(fn: ResidueFunction, s: int) -> ResidueFunction:
@@ -571,9 +637,52 @@ def theta_divides(vec, k: int, p: int) -> bool:
     return result
 
 
+def _power_table(a: np.ndarray, n: int, p: int) -> np.ndarray:
+    """a_k^e mod p for e = 0..n, one row per entry a_k."""
+    out = _power_cycles(p)[a % p][:, np.arange(n + 1) % (p - 1)]
+    out[a % p == 0, 1:] = 0
+    return out
+
+
+def orbit_vectors(mats, r: int, j: int, p: int) -> np.ndarray:
+    """Rows h . X^(r-j) Y^j = (aX + cY)^(r-j) (bX + dY)^j for h = (a, b, c, d)
+    in ``mats`` and j in {0, 1}, as (r+1)-long coefficient vectors."""
+    a, b, c, d = (np.array(col, dtype=np.int64) % p for col in zip(*mats))
+    n = r - j
+    F = _binomials(n, np.arange(n + 1), p) * _power_table(a, n, p)[:, ::-1] % p * _power_table(c, n, p) % p
+    if j == 0:
+        return F
+    out = np.zeros((len(F), r + 1), dtype=np.int64)
+    out[:, :r] = F * b[:, None]
+    out[:, 1:] += F * d[:, None]
+    return out % p
+
+
 def standard_spanning_set(p: int, r: int, which: str) -> list[np.ndarray]:
-    """The classical spanning sets of the top- and second-monomial submodules."""
-    return list(_orbit_vectors(_spanning_matrices(p, which), r, 0 if which == "top" else 1, p))
+    """The classical spanning sets of the top- and second-monomial submodules,
+    in the order of ``symrep._spanning_matrices`` (the order that
+    ``ClosedSubspace.transform`` refers to)."""
+    return list(orbit_vectors(_spanning_matrices(p, which), r, 0 if which == "top" else 1, p))
+
+
+def build_X_rows(p: int, r: int, which: str = "second") -> tuple[FpSpace, GammaModule]:
+    """The submodule of ``symrep.build_X`` on (r+1)-long rows: the echelon
+    space of its spanning set, certified monoid-stable by the images of the
+    spanning set under the Gamma generators and diag(1, 0), and the Gamma
+    action on the echelon basis.  Oracle for the column-type build."""
+    j = 0 if which == "top" else 1
+    hs = _spanning_matrices(p, which)
+    gens = gamma_generators(p) + [(1, 0, 0, 0)]
+    vecs = orbit_vectors(hs + [mat_mul(g, h, p) for g in gens for h in hs], r, j, p)
+    S, images = vecs[: len(hs)], vecs[len(hs):]
+    B, T, pivots = linalg.row_transform(S, p)
+    coords = images[:, pivots]
+    if ((images - coords @ B) % p).any():
+        raise ArithmeticError(f"spanning set of the {which} submodule is not monoid-stable "
+                              f"at p={p}, r={r}")
+    blocks = np.split(coords, len(gens))
+    mats = {name: (T @ block % p).T for name, block in zip(GEN_NAMES, blocks)}
+    return FpSpace.from_echelon(B, pivots, r + 1, p), GammaModule(p, mats)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from crysred.hecke import (
 from crysred.errors import IndeterminateCancellation, PrecisionError
 from crysred.symrep import sym_power
 from reference import (
+    apply_Tminus_by_terms,
     apply_Tplus_by_terms,
     certify_val_ge,
     direct_T,
@@ -35,6 +36,7 @@ from reference import (
     functions_agree,
     modp_T_by_weights,
     normalize_pair,
+    same_terms,
     translate,
 )
 
@@ -266,14 +268,6 @@ def witness_shaped(draw):
     return f
 
 
-def _same_terms(got: IndFunction, want: IndFunction) -> bool:
-    """Same cap, cosets, indices (in order) and stored (n, k, err) terms."""
-    return (got.cap == want.cap and list(got.data) == list(want.data)
-            and all(list(got.data[c]) == list(poly) for c, poly in want.data.items())
-            and all(got.data[c][j].terms == x.terms
-                    for c, poly in want.data.items() for j, x in poly.items()))
-
-
 @st.composite
 def raising_inputs(draw):
     """``witness_shaped`` functions, with terms that hold only an error
@@ -296,7 +290,7 @@ class TestGroupedRaising:
         # indices in several classes mod p-1 per coset, truncated and
         # error-only terms, and caps that cut the rows: grouping by class
         # stores exactly the per-term (n, k, err) and keeps the cap
-        assert _same_terms(apply_Tplus(f), apply_Tplus_by_terms(f))
+        assert same_terms(apply_Tplus(f), apply_Tplus_by_terms(f))
 
     def test_several_classes_with_rows_cut_by_the_cap(self):
         table = teich_table(5)
@@ -309,11 +303,53 @@ class TestGroupedRaising:
         f.cap = 6
         assert len({i % 4 for i in f.data[g0(1, (3,))]}) == 4
         got, want = apply_Tplus(f), apply_Tplus_by_terms(f)
-        assert _same_terms(got, want)
+        assert same_terms(got, want)
         # the cap stops every row below the smallest index, so child 0,
         # which only gets the diagonal terms, is empty
         assert max(j for poly in got.data.values() for j in poly) < 12
         assert sorted(got.data) == [g0(2, (3, lam)) for lam in range(1, 5)]
+
+
+@st.composite
+def lowering_inputs(draw):
+    """``raising_inputs`` with terms added at siblings of a drawn coset (the
+    same parent, other top digits, zero among them), so that a parent
+    gathers several cosets with indices that overlap."""
+    f = draw(raising_inputs())
+    p, table = f.p, teich_table(f.p, f.precision)
+    base = draw(st.sampled_from(sorted(f.data)), label="base")
+    digits = base.digits[:-1] if base.level else ()
+    for t in draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=p, unique=True)):
+        for _ in range(draw(st.integers(1, 3))):
+            num = draw(st.integers(-p * p, p * p).filter(bool))
+            c = ApCoeff.rational(Fraction(num, p ** draw(st.integers(0, 2))),
+                                 draw(st.integers(-2, 2)), p=p)
+            if draw(st.booleans()):
+                c = c.scale_trunc(table.power(draw(st.integers(1, p - 1)), 1), f.precision)
+            f.accumulate(g0(len(digits) + 1, digits + (t,)), draw(st.integers(0, f.r)), c)
+    return f.prune()
+
+
+class TestGroupedLowering:
+    @settings(max_examples=150, deadline=None)
+    @given(lowering_inputs())
+    def test_matches_the_per_term_sum(self, f):
+        # siblings with zero and nonzero top digits, shared and distinct
+        # indices, truncated and error-only terms, and caps that skip
+        # indices: summing a parent's siblings by class stores exactly the
+        # per-term (n, k, err), in the same key order, and keeps the cap
+        assert same_terms(apply_Tminus(f), apply_Tminus_by_terms(f))
+
+    def test_siblings_with_the_same_index(self):
+        table = teich_table(5)
+        f = IndFunction(5, 30)
+        for t in range(5):
+            f.add_term(g0(2, (1, t)), {
+                30: ApCoeff.rational(Fraction(t + 1, 25), 2, p=5),
+                29 - t: ApCoeff.rational(3, p=5).scale_trunc(table.power(2, t + 1), 8),
+            })
+        got, want = apply_Tminus(f), apply_Tminus_by_terms(f)
+        assert list(got.data) == [g0(1, (1,))] and same_terms(got, want)
 
 
 class TestAbsoluteCap:

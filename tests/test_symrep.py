@@ -9,15 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crysred import symrep
+from crysred.classify import case_descriptor, predict_dim_X
 from crysred.errors import DomainError
 from crysred.linalg import FpSpace, nullspace, rank, row_transform, rref
 from crysred.report import structure_report
 from crysred.symrep import (
+    GEN_NAMES,
     JHLabel,
     SubquotientModule,
     build_X,
     check_int64_domain,
     filtration_spaces,
+    gamma_generators,
     gamma_iso,
     jh_decompose,
     jh_label,
@@ -32,12 +35,40 @@ from crysred.symrep import (
     weight_module,
 )
 from reference import (
+    build_X_rows,
     insert_vector,
     standard_spanning_set,
     theta_divides,
     theta_divides_criterion,
     union,
 )
+
+
+def x_rows(X) -> np.ndarray:
+    """X's basis T S as (r+1)-long rows: its transform times the classical
+    spanning set."""
+    return X.transform @ np.array(standard_spanning_set(X.p, X.r, X.which)) % X.p
+
+
+def x_space(X) -> FpSpace:
+    return FpSpace.from_rows(x_rows(X), X.r + 1, X.p)
+
+
+def module_on_rows(rows: np.ndarray, p: int, r: int) -> dict[str, np.ndarray] | None:
+    """The Gamma generators on the independent rows ``rows``: column i of
+    each matrix holds the coordinates of g . rows[i] in the rows, or None
+    when an image leaves their span."""
+    B, T, pivots = row_transform(rows, p)  # B = T rows
+    if len(pivots) != len(rows):
+        return None
+    symp, mats = sym_power(p, r), {}
+    for name, g in zip(GEN_NAMES, gamma_generators(p)):
+        images = rows @ symp.action_matrix(g).T % p
+        coords = images[:, pivots]
+        if ((images - coords @ B) % p).any():
+            return None
+        mats[name] = (coords @ T % p).T
+    return mats
 
 
 def frobenius_twist_check(p: int, u: int, n: int) -> bool:
@@ -50,11 +81,11 @@ def frobenius_twist_check(p: int, u: int, n: int) -> bool:
     Xr = build_X(p, r, "top")
     if Xu.dim != Xr.dim:
         return False
-    stretched = FpSpace(r + 1, p)
-    for row in Xu.space.matrix():
+    stretched, target = FpSpace(r + 1, p), x_space(Xr)
+    for row in x_rows(Xu):
         img = np.zeros(r + 1, dtype=np.int64)
         img[np.arange(u + 1) * p**n] = row
-        if img not in Xr.space:
+        if img not in target:
             return False
         stretched.add(img)
     return stretched.dim == Xu.dim
@@ -178,31 +209,41 @@ def _socle_by_weight_search(mod):
 
 def _engine_vs_reference(job):
     """Mismatches at (p, r) between the fixed-size engine and the r-row
-    reference: span closure, intersections with the theta-multiple spaces,
-    and the quotient-mode SubquotientModule by X + V**."""
+    reference.  X's rows are T S, its transform times the classical
+    spanning set: they must span the span closure, be independent, carry
+    ``module`` as the generators' action in their own coordinates, and
+    agree with the r-row build ``build_X_rows`` up to its echelon basis.
+    Then the intersections with the theta-multiple spaces, and the
+    quotient-mode SubquotientModule by X + V**."""
     p, r = job
     symp = sym_power(p, r)
-    bad, fast = [], {}
+    bad, spaces = [], {}
     for which, j in (("top", 0), ("second", 1)):
         X = build_X(p, r, which)
+        rows = x_rows(X)
         ref = span_closure([symp.monomial(j)], p=p, r=r)
-        if X.space != ref.space:
+        if FpSpace.from_rows(rows, r + 1, p) != ref:
             bad.append(f"{which}: span")
             continue
-        ref_mod = SubquotientModule(symp, ref.space, None)
-        if any(not np.array_equal(X.module.mats[n], ref_mod.mats[n]) for n in symrep.GEN_NAMES):
+        mats = module_on_rows(rows, p, r)
+        if mats is None or any(not np.array_equal(X.module.mats[n], mats[n]) for n in GEN_NAMES):
             bad.append(f"{which}: module matrices")
-        fast[which] = X
+        # the r-row oracle's module is X's in its echelon basis E, rows = C E
+        space, oracle = build_X_rows(p, r, which)
+        C = rows[:, space.pivots]
+        if space != ref or any(((X.module.mats[n].T @ C - C @ oracle.mats[n].T) % p).any()
+                               for n in GEN_NAMES):
+            bad.append(f"{which}: r-row oracle")
+        spaces[which] = (X, ref)
     if r < 2 * p + 1 or bad:
         return [(p, r, b) for b in bad]
     vs, vss = filtration_spaces(p, r)
-    for which, X in fast.items():
-        ref_dims = (X.space.intersect(vs).dim, X.space.intersect(vss).dim)
+    for which, (X, space) in spaces.items():
+        ref_dims = (space.intersect(vs).dim, space.intersect(vss).dim)
         if theta_intersection_dims(X) != ref_dims:
             bad.append(f"{which}: filtration dims")
-    X = fast["second"]
     q = quotient_Q(p, r)
-    ref_q = SubquotientModule(symp, None, union(X.space, vss))
+    ref_q = SubquotientModule(symp, None, union(spaces["second"][1], vss))
     if any(not np.array_equal(q.mats[n], ref_q.mats[n]) for n in symrep.GEN_NAMES):
         bad.append("Q: generator matrices")
     vecs = np.random.default_rng(p * 10000 + r).integers(0, p, size=(8, r + 1))
@@ -216,12 +257,12 @@ def _engine_vs_reference(job):
 def verify_stability(sub, samples: int = 20, seed: int = 0) -> bool:
     """Re-check stability on random elements of the full matrix monoid."""
     rng = np.random.default_rng(seed)
-    symp = sym_power(sub.p, sub.r)
+    symp, space = sym_power(sub.p, sub.r), x_space(sub)
     mats = rng.integers(0, sub.p, size=(samples, 4))
     for g in mats:
         M = symp.action_matrix(tuple(int(x) for x in g))
-        for row in sub.space.rows:
-            if M @ row % sub.p not in sub.space:
+        for row in space.rows:
+            if M @ row % sub.p not in space:
                 return False
     return True
 
@@ -350,26 +391,30 @@ class TestSpanClosure:
         assert build_X(3, 11, "second").dim == 6
 
     def test_standard_spanning_sets(self):
+        # T S is a basis of the span of the spanning set, which is the span
+        # closure and the r-row oracle's space
         for p, r in [(5, 11), (5, 19), (5, 30), (3, 13), (7, 23)]:
-            for which in ("top", "second"):
+            for which, j in (("top", 0), ("second", 1)):
                 X = build_X(p, r, which)
                 S = FpSpace.from_rows(standard_spanning_set(p, r, which), r + 1, p)
-                assert S == X.space, (p, r, which)
+                assert rank(x_rows(X), p) == X.dim == S.dim, (p, r, which)
+                assert x_space(X) == S == build_X_rows(p, r, which)[0], (p, r, which)
+                assert S == span_closure([sym_power(p, r).monomial(j)], p=p, r=r)
 
     def test_closure_is_stable(self):
         X = build_X(5, 19, "second")
-        symp = sym_power(5, 19)
+        symp, space = sym_power(5, 19), x_space(X)
         for g in symp.monoid_generators():
             M = symp.action_matrix(g)
-            for row in X.space.rows:
-                assert M @ row % 5 in X.space
+            for row in space.rows:
+                assert M @ row % 5 in space
         assert verify_stability(X, samples=25)
 
     def test_top_contained_in_second_strictly(self):
         for p, r in [(3, 5), (5, 11), (5, 25), (7, 15)]:
             top = build_X(p, r, "top")
-            second = build_X(p, r, "second")
-            assert all(row in second.space for row in top.space.matrix())
+            second = x_space(build_X(p, r, "second"))
+            assert all(row in second for row in x_rows(top))
             if r >= p:
                 assert top.dim < second.dim
 
@@ -382,12 +427,51 @@ class TestSpanClosure:
                 if second.dim == 2 * p + 2:
                     assert top.dim == p + 1
                 # containment is always strict from degree p on
-                assert all(row in second.space for row in top.space.matrix())
+                space = x_space(second)
+                assert all(row in space for row in x_rows(top))
                 assert top.dim < second.dim, (p, r)
 
     def test_empty_generators_rejected(self):
         with pytest.raises(ValueError):
             span_closure([], p=5, r=10)
+
+
+class TestColumnTypes:
+    """build_X reads X on at most 4 + (j+1)(p-1) column types, never on
+    (r+1)-long rows: the matrices it eliminates are recorded."""
+
+    @staticmethod
+    def _widths(monkeypatch, degrees):
+        seen = []
+
+        def recording(S, p):
+            seen.append(S.shape[1])
+            return row_transform(S, p)
+
+        monkeypatch.setattr(symrep.linalg, "row_transform", recording)
+        out = {}
+        for p, r in degrees:
+            for which in ("top", "second"):
+                seen.clear()
+                build_X(p, r, which)
+                out[p, r, which] = max(seen)
+        return out
+
+    def test_width_bound(self, monkeypatch):
+        degrees = [(p, r) for p in (3, 5, 7, 11) for r in range(1, 3 * p * p + 1)]
+        degrees += [(p, r) for p in (13, 17, 19, 23, 29, 31) for r in range(1, 2 * p + 1)]
+        widths = self._widths(monkeypatch, degrees)
+        assert len(widths) == 2 * len(degrees)
+        for (p, r, which), width in widths.items():
+            assert width <= (p - 1) * (2 if which == "second" else 1) + 4, (p, r, which, width)
+
+    def test_reports_far_outside_the_grid(self):
+        # degrees up to 3^8 + 2 against the closed forms; the compressed
+        # engine's dimension is the digit-sum formula's
+        for p, r in [(3, 3**8 + 2), (7, 7**4 + 3), (5, 5**5 + 7), (31, 2000)]:
+            rec = structure_report(p, r)
+            assert rec.passed, (p, r, rec.discrepancies)
+            assert rec.dim_computed == predict_dim_X(case_descriptor(p, r)), (p, r)
 
 
 class TestTheta:
@@ -589,14 +673,14 @@ class TestQuotient:
 
 
 def _x_filtration_dims(p, r):
-    X = build_X(p, r, "second")
-    xt = build_X(p, r, "top")
+    X = x_space(build_X(p, r, "second"))
+    xt = x_space(build_X(p, r, "top"))
     vs, vss = filtration_spaces(p, r)
     return (
-        X.space.intersect(vs).dim,
-        X.space.intersect(vss).dim,
-        xt.space.intersect(vs).dim,
-        xt.space.intersect(vss).dim,
+        X.intersect(vs).dim,
+        X.intersect(vss).dim,
+        xt.intersect(vs).dim,
+        xt.intersect(vss).dim,
     )
 
 

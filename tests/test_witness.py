@@ -1,10 +1,12 @@
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from crysred import arith, witness
+from crysred import arith, hecke, witness
 from crysred.arith import inv_mod, padic_val
 from crysred.classify import case_descriptor, predict_Q_structure, surviving_factor
 from crysred.errors import DomainError, HypothesisError
@@ -19,7 +21,7 @@ from crysred.witness import (
     build_witness,
     verify_witness,
 )
-from reference import family_holds
+from reference import apply_Tminus_by_terms, family_holds, same_terms
 
 # the slopes of the benchmark's witness pool
 POOL_SLOPES = ("5/4", "4/3", "3/2", "5/3", "7/4")
@@ -259,20 +261,54 @@ class TestVerdicts:
 """Heavier instances (r around one hundred) run in the acceptance suite."""
 
 
-class TestLargeAudits:
-    """Audits at large r: the smallest admissible T9.2 degrees at p = 11 and
-    13, and the two T9.2/T8.2 audits that once took 40 s each.  The margins
-    are the ones the Fraction-based coefficients computed."""
+LARGE_AUDITS = [
+    ("T9.2", 11, 1221, "3/2", "holds", 4),
+    ("T9.2", 13, 2041, "3/2", "holds", 4),
+    ("T9.2", 7, 301, "5/4", "unknown", Fraction(9, 2)),
+    ("T8.2", 13, 400, "5/4", "unknown", Fraction(19, 4)),
+    ("T9.2", 17, 4641, "3/2", "holds", 4),
+]
 
-    @pytest.mark.parametrize("tag, p, r, sig, star, margin", [
-        ("T9.2", 11, 1221, "3/2", "holds", 4),
-        ("T9.2", 13, 2041, "3/2", "holds", 4),
-        ("T9.2", 7, 301, "5/4", "unknown", Fraction(9, 2)),
-        ("T8.2", 13, 400, "5/4", "unknown", Fraction(19, 4)),
-    ])
+
+class TestLargeAudits:
+    """Audits at large r: the smallest admissible T9.2 degrees at p = 11, 13
+    and 17, and the two T9.2/T8.2 audits that once took 40 s each.  The
+    margins are the ones the Fraction-based coefficients (p = 11, 13 and
+    the 40 s audits) and the per-term lowering operator (p = 17) computed."""
+
+    @pytest.mark.parametrize("tag, p, r, sig, star, margin", LARGE_AUDITS)
     def test_ok_with_margin(self, tag, p, r, sig, star, margin):
         rep = verify_witness(case(tag, p, r, sig, star))
         assert rep.ok and rep.precision_margin == margin
+
+
+class TestGroupedLoweringOnAudits:
+    """The lowering part summed by parent and residue class stores exactly
+    the per-term (n, k, err), key order and cap of ``apply_Tminus_by_terms``
+    on the functions the audits apply it to."""
+
+    @pytest.mark.parametrize("tag, p, r, sig, star", [row[:5] for row in LARGE_AUDITS])
+    def test_large_witnesses(self, tag, p, r, sig, star):
+        f = build_witness(case(tag, p, r, sig, star))
+        assert same_terms(hecke.apply_Tminus(f), apply_Tminus_by_terms(f))
+
+    def test_every_call_of_the_benchmark_pool(self, monkeypatch):
+        # every witness item of perfbench/pool.json, each T- call of its
+        # audit (the witness and the lifts that modp_T reduces) checked
+        pool = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "pool.json").read_text())
+        items = [e["args"] for stratum in pool["witness"] for slot in stratum["slots"]
+                 for e in slot]
+        grouped, calls = hecke.apply_Tminus, []
+
+        def checked(f):
+            got = grouped(f)
+            calls.append(same_terms(got, apply_Tminus_by_terms(f)))
+            return got
+
+        monkeypatch.setattr(hecke, "apply_Tminus", checked)
+        for args in items:
+            assert verify_witness(case(*args)).ok, args
+        assert items and len(calls) >= len(items) and all(calls)
 
 
 def _plus_kernel(fam, r, p, level, unit, zero, target, rng):
