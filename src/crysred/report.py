@@ -13,12 +13,7 @@ from .classify import (
     predict_Q_structure,
     predict_X_structure,
 )
-from .symrep import (
-    build_X,
-    jh_decompose,
-    quotient_Q,
-    theta_intersection_dims,
-)
+from .symrep import build_X, jh_decompose, quotient_Q
 
 CSV_COLUMNS = [
     "p", "r", "k", "a", "b", "n", "u", "sigma_digits", "delta",
@@ -94,7 +89,7 @@ def structure_report(p: int, r: int, checks=("dim", "x", "q")) -> ReportRecord:
         p=p, r=r, k=desc.k, a=desc.a, b=desc.b, n=desc.n, u=desc.u,
         sigma_digits=desc.sigma_digits, delta=desc.delta,
     )
-    X = build_X(p, r, "second")
+    X = build_X(p, r)
     if "dim" in checks:
         rec.dim_predicted = predict_dim_X(desc)
         rec.dim_computed = X.dim
@@ -114,8 +109,7 @@ def structure_report(p: int, r: int, checks=("dim", "x", "q")) -> ReportRecord:
         if pred.dimension != X.dim:
             rec.discrepancies.append("x-structure dimension mismatch")
         _check_socle("x", socle, pred, rec.discrepancies)
-        rec.filtration_dims = theta_intersection_dims(X) + theta_intersection_dims(
-            build_X(p, r, "top"))
+        rec.filtration_dims = X.filtration_dims
     if "q" in checks:
         pred = predict_Q_structure(desc)
         q = quotient_Q(p, r)

@@ -6,31 +6,37 @@ polynomials F = sum_j c_j X^(r-j) Y^j, stored as the coefficient vector
 matrix g = (a b; c d) acts by substitution F -> F(aX + cY, bX + dY), a left
 action whose matrix is ``SymPower.action_matrix(g)``.
 
-Provided here: the submodules generated by the top two monomials, built
-from their classical spanning sets and certified stable under the full
-matrix monoid; the theta-divisibility filtration and the normal forms
-modulo theta and theta^2; the terminal quotient of the degree-r module by
-(second-monomial submodule + twice-theta-divisible part), computed in the
-2p+2 coordinates of the module modulo theta^2; and the socle and
-Jordan-Hoelder factors of a torus-graded module.
+Provided here: the submodule X_(r-1) generated by the second monomial,
+built from its classical spanning set and certified stable under the full
+matrix monoid, with the submodule X_r generated by X^r read inside it; the
+theta-divisibility filtration and the normal forms modulo theta and
+theta^2; the terminal quotient of the degree-r module by (X_(r-1) +
+twice-theta-divisible part), computed in the 2p+2 coordinates of the module
+modulo theta^2; and the socle and Jordan-Hoelder factors of a torus-graded
+module.
 
-The submodules are read on column types, not on (r+1)-long rows.  Rank,
-monoid stability and the module action are row relations among the
-spanning images h . X^(r-j) Y^j (j = 0 for X_r, 1 for X_(r-1)) and their
-images under the generators, so any matrix with the same column space gives
-them exactly.  Entry i of h . X^(r-j) Y^j, h = (a b; c d), is
-sum_t binom(r-j, i-t) a^(r-j-i+t) c^(i-t) m_t, with m = (1) for j = 0 and
-m = (b, d) for j = 1.  For 2 <= i <= r-2 every exponent is >= 1, so the
+X_(r-1) is read on column types, not on (r+1)-long rows.  Rank, monoid
+stability and the module action are row relations among the spanning
+images h . X^(r-1) Y and their images under the generators, so any matrix
+with the same column space gives them exactly.  Entry i of h . X^(r-1) Y,
+h = (a b; c d), is sum_t binom(r-1, i-t) a^(r-1-i+t) c^(i-t) m_t, t in
+{0, 1}, with m = (b, d).  For 2 <= i <= r-2 every exponent is >= 1, so the
 power factor V_(t,c) depends on i only through its class c mod p-1, and
-column i is sum_t binom(r-j, i-t) V_(t,c).  The columns of class c thus
+column i is sum_t binom(r-1, i-t) V_(t,c).  The columns of class c thus
 span the combinations sum_t beta_t V_(t,c), beta in a basis of the span of
-their coefficient vectors: at most j+1 columns per class.  With the edge
+their coefficient vectors: at most two columns per class.  With the edge
 columns 0, 1, r-1 and r, computed exactly with 0^0 = 1, that is at most
-4 + (j+1)(p-1) columns in place of r+1 (``_column_types``).  The module
-comes in the basis T S, S the spanning set and T the row transform of its
-column types; dim(X n V*) and dim(X n V**) read T S R for the normal form
-R, with S R from the edge rows of R and one pass of class sums
-sum_(i = c mod p-1) binom(r-j, i-t) R[i].
+4 + 2(p-1) columns in place of r+1 (``_column_types``).  The module comes
+in the basis T S, S the spanning set and T the row transform of its column
+types.
+
+X_r lies in X_(r-1), since X^r = (1 1; 0 0) . X^(r-1) Y, and it is the
+span of the (aX + cY)^r = g . X^r, g invertible with first column (a, c):
+the Gamma-span of X^r.  X^r is the first spanning image, S[0], so X_r is
+the spin of S[0] at the pivot columns in X_(r-1)'s module.  For either
+submodule, with basis M S, dim(X n V*) and dim(X n V**) read M S R for the
+normal form R, with S R from the edge rows of R and one pass of class sums
+sum_(i = c mod p-1) binom(r-1, i-t) R[i].
 
 The terminal quotient needs no r-row basis of the submodule: g . theta =
 det(g) theta for every matrix g, so the twice-theta-divisible part V** is
@@ -153,9 +159,9 @@ class SymPower:
         return np.array([np.convolve(first[r - j], second[j]) % p for j in range(r + 1)]).T
 
     def monoid_generators(self) -> list[tuple[int, int, int, int]]:
-        gens = [(1, 1, 0, 1), (0, 1, 1, 0), (1, 0, 0, 0)]
-        gens += [(u, 0, 0, 1) for u in range(2, self.p)]
-        return gens
+        """u, w, diag(1, 0) and diag(g, 1), g a primitive root: every
+        diag(c, 1) is a power of the last."""
+        return [(1, 1, 0, 1), (0, 1, 1, 0), (1, 0, 0, 0), (primitive_root(self.p), 0, 0, 1)]
 
 
 def gamma_generators(p: int) -> list[tuple[int, int, int, int]]:
@@ -226,21 +232,21 @@ def _edges(r: int) -> list[int]:
     return sorted({0, 1, r - 1, r} & set(range(r + 1)))
 
 
-def _image_parts(hs, r: int, j: int, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """The images h . X^(r-j) Y^j for h = (a, b, c, d) in ``hs``, j in {0, 1},
-    in the parts of the module docstring: their entries at the ``_edges(r)``
-    columns, exactly (0^0 = 1), and V[t][:, m] = a^(r-j-i+t) c^(i-t) m_t for
-    the middle indices i of class 2 + m mod p-1."""
+def _image_parts(hs, r: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The images h . X^(r-1) Y for h = (a, b, c, d) in ``hs``, in the parts
+    of the module docstring: their entries at the ``_edges(r)`` columns,
+    exactly (0^0 = 1), and V[t][:, m] = a^(r-1-i+t) c^(i-t) m_t for the
+    middle indices i of class 2 + m mod p-1."""
     a, b, c, d = (np.array(col, dtype=np.int64)[:, None] % p for col in zip(*hs))
-    n, P, cyc = r - j, p - 1, _power_cycles(p)
+    n, P, cyc = r - 1, p - 1, _power_cycles(p)
 
     def power(x, e):  # x^e for exponents e >= 0, one column per exponent
         return cyc[x, e % P] * ((x != 0) | (e == 0))
 
     edges, mid = np.array(_edges(r)), 2 + np.arange(P)
     E, V = 0, []
-    for t, m in enumerate([np.ones_like(a)] if j == 0 else [b, d]):
-        s = edges - t  # the degree in Y taken from (aX + cY)^(r-j)
+    for t, m in enumerate([b, d]):
+        s = edges - t  # the degree in Y taken from (aX + cY)^(r-1)
         ok = (s >= 0) & (s <= n)
         s = np.where(ok, s, 0)
         binoms = np.array([math.comb(n, int(k)) % p for k in s]) * ok
@@ -250,46 +256,28 @@ def _image_parts(hs, r: int, j: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     return E % p, np.stack(V)
 
 
-@functools.lru_cache(maxsize=16)
-def _middle_binomials(p: int, r: int, j: int) -> np.ndarray:
-    """C[t, q, m] = binom(r-j, i-t) mod p for the middle index
+def _middle_binomials(p: int, r: int) -> np.ndarray:
+    """C[t, q, m] = binom(r-1, i-t) mod p for the middle index
     i = 2 + q(p-1) + m <= r-2, zero past r-2 (one zero row when there is no
-    middle index), read-only: column m holds the coefficients of class 2 + m
-    mod p-1."""
+    middle index): column m holds the coefficients of class 2 + m mod p-1."""
     P, i = p - 1, np.arange(2, r - 1)
     rows = max(1, -(-len(i) // P))
-    C = np.zeros((j + 1, rows * P), dtype=np.int64)
-    for t in range(j + 1):
-        C[t, : len(i)] = _binomials(r - j, i - t, p)
-    C = C.reshape(j + 1, rows, P)
-    C.flags.writeable = False
-    return C
+    C = np.zeros((2, rows * P), dtype=np.int64)
+    C[:, : len(i)] = _binomials(r - 1, i - np.arange(2)[:, None], p)
+    return C.reshape(2, rows, P)
 
 
-@functools.lru_cache(maxsize=16)
-def _spanning_parts(p: int, r: int, which: str) -> tuple[np.ndarray, np.ndarray]:
-    """``_image_parts`` of the classical spanning set, read-only: ``build_X``
-    and ``theta_intersection_dims`` both read it."""
-    parts = _image_parts(_spanning_matrices(p, which), r, 0 if which == "top" else 1, p)
-    for arr in parts:
-        arr.flags.writeable = False
-    return parts
-
-
-def _column_types(E: np.ndarray, V: np.ndarray, p: int, r: int) -> np.ndarray:
+def _column_types(E: np.ndarray, V: np.ndarray, C: np.ndarray, p: int) -> np.ndarray:
     """A matrix with the row relations of the images with parts E, V (see
-    ``_image_parts``): the edge columns E, then per class of middle indices
-    a basis of the combinations sum_t beta_t V[t] that its columns are (see
-    the module docstring), at most 4 + (j+1)(p-1) columns.  A class whose
-    coefficient vectors span F_p^(j+1) keeps every V[t]; one whose vectors
-    span a line keeps the combination by its first one."""
-    j = len(V) - 1
-    C = _middle_binomials(p, r, j)
+    ``_image_parts``), C the ``_middle_binomials``: the edge columns E, then
+    per class of middle indices a basis of the combinations sum_t beta_t V[t]
+    that its columns are (see the module docstring), at most 4 + 2(p-1)
+    columns.  A class whose coefficient vectors span F_p^2 keeps both V[t];
+    one whose vectors span a line keeps the combination by its first one."""
     nz = C.any(axis=0)
-    live = nz.any(axis=0)
     first = C[:, nz.argmax(axis=0), np.arange(p - 1)]
-    full = ((first[0] * C[1] - first[1] * C[0]) % p).any(axis=0) if j else live
-    line = live & ~full
+    full = ((first[0] * C[1] - first[1] * C[0]) % p).any(axis=0)
+    line = nz.any(axis=0) & ~full
     return np.hstack([E, *V[:, :, full], (first[:, None, line] * V[:, :, line]).sum(axis=0) % p])
 
 
@@ -299,15 +287,18 @@ def _column_types(E: np.ndarray, V: np.ndarray, p: int, r: int) -> np.ndarray:
 
 @dataclass
 class ClosedSubspace:
-    """A monoid-stable subspace built from the classical spanning set S of
-    ``which`` ("top" or "second"): its basis is the rows of ``transform`` @ S,
-    on which ``module`` is the action of the Gamma generators."""
+    """X_(r-1), built from its classical spanning set S: its basis is the
+    rows of ``transform`` @ S, on which ``module`` is the action of the Gamma
+    generators.  ``top`` is X_r in those coordinates, and
+    ``filtration_dims`` the dimensions of X_(r-1) n V*, X_(r-1) n V**,
+    X_r n V* and X_r n V**."""
 
     p: int
     r: int
-    which: str
     transform: np.ndarray
     module: GammaModule
+    top: FpSpace
+    filtration_dims: tuple[int, int, int, int]
 
     @property
     def dim(self) -> int:
@@ -338,47 +329,47 @@ def span_closure(generators, *, p: int, r: int) -> FpSpace:
     return space
 
 
-def _spanning_matrices(p: int, which: str) -> list[tuple[int, int, int, int]]:
-    """Matrices h whose images h . X^r ("top") or h . X^(r-1)Y ("second") are
-    the classical spanning set: X^r and (kX + Y)^r; or X^r, Y^r,
-    X (kX + Y)^(r-1) and (X + lY)^(r-1) Y."""
-    if which == "top":
-        return [(1, 0, 0, 1)] + [(k, 0, 1, 1) for k in range(p)]
+def _spanning_matrices(p: int) -> list[tuple[int, int, int, int]]:
+    """Matrices h whose images h . X^(r-1)Y are the classical spanning set
+    X^r, Y^r, X (kX + Y)^(r-1) and (X + lY)^(r-1) Y, X^r first."""
     return ([(1, 1, 0, 0), (0, 0, 1, 1)] + [(k, 1, 1, 0) for k in range(p)]
             + [(1, 0, l, 1) for l in range(p)])
 
 
-def build_X(p: int, r: int, which: str = "second") -> ClosedSubspace:
-    """Submodule generated by X^r ("top") or X^(r-1)Y ("second") under the
-    full matrix monoid, as the span of its classical spanning set S, the
-    images h . X^r or h . X^(r-1)Y for h in ``_spanning_matrices``.
+def build_X(p: int, r: int) -> ClosedSubspace:
+    """Submodule X_(r-1) generated by X^(r-1)Y under the full matrix monoid,
+    as the span of its classical spanning set S, the images h . X^(r-1)Y for
+    h in ``_spanning_matrices``, with X_r and the theta filtration read
+    inside it.
 
     The span is certified to be the closure: it contains the generator, and
-    (g h) . v0 lies in it for every spanning image h . v0 and every g among
+    (g h) . X^(r-1)Y lies in it for every spanning image and every g among
     the Gamma generators and diag(1, 0), which generate the monoid.  The
     same images give the Gamma action on the basis T S, T the row transform
     of S.  Rank, stability and action are row relations, read off the
     spanning set and all five image sets on their ``_column_types``: no
-    (r+1)-long row is formed."""
+    (r+1)-long row is formed.  X_r is the Gamma-spin of X^r = S[0] (see the
+    module docstring)."""
     if r < 1:
         raise ValueError("need r >= 1")
     check_int64_domain(p, r)
-    j = 0 if which == "top" else 1
-    hs = _spanning_matrices(p, which)
+    hs = _spanning_matrices(p)
     gens = gamma_generators(p) + [(1, 0, 0, 0)]
-    E, V = _spanning_parts(p, r, which)
-    E_img, V_img = _image_parts([mat_mul(g, h, p) for g in gens for h in hs], r, j, p)
-    vecs = _column_types(np.vstack([E, E_img]), np.concatenate([V, V_img], axis=1), p, r)
+    E, V = _image_parts(hs + [mat_mul(g, h, p) for g in gens for h in hs], r, p)
+    C = _middle_binomials(p, r)
+    vecs = _column_types(E, V, C, p)
     S, images = vecs[: len(hs)], vecs[len(hs):]
     B, T, pivots = linalg.row_transform(S, p)  # echelon basis B = T S
     coords = images[:, pivots]
     if ((images - coords @ B) % p).any():
-        raise ArithmeticError(f"spanning set of the {which} submodule is not monoid-stable "
-                              f"at p={p}, r={r}")
+        raise ArithmeticError(f"spanning set of X_(r-1) is not monoid-stable at p={p}, r={r}")
     # generator g's block of coords holds the images g . (h . v0); diag(1, 0) is last
     blocks = np.split(coords, len(gens))
-    mats = {name: (T @ block % p).T for name, block in zip(GEN_NAMES, blocks)}
-    return ClosedSubspace(p, r, which, T, GammaModule(p, mats))
+    module = GammaModule(p, {name: (T @ block % p).T for name, block in zip(GEN_NAMES, blocks)})
+    top = module.spin([S[0, pivots]])
+    # X_(r-1) has basis T S, and X_r the rows of top times it
+    dims = _filtration_dims(E[: len(hs)], V[:, : len(hs)], C, (T, top.matrix() @ T % p), p, r)
+    return ClosedSubspace(p, r, T, module, top, dims)
 
 
 # ---------------------------------------------------------------------------
@@ -435,25 +426,26 @@ def theta_normal_form(p: int, r: int, k: int) -> tuple[np.ndarray, list[int]]:
     return R, cols
 
 
-def theta_intersection_dims(X: ClosedSubspace) -> tuple[int, int]:
-    """dim(X n V*) and dim(X n V**): X's dimension less the rank of its
-    basis T S under the normal forms R1, R2 modulo theta and theta^2.  S R
-    is read off the edge rows of R and one pass of class sums
-    sum_(i = c mod p-1) binom(r-j, i-t) R[i] over the middle indices.
-    Since V** lies in V*, R1 = R2 R1[cols of R2], so the columns of T S R1
-    lie in the span of those of T S R2: one echelon form of [T S R1 | T S R2]
-    has rank(T S R1) pivots among its first columns and rank(T S R2) in all."""
-    p, r = X.p, X.r
-    E, V = _spanning_parts(p, r, X.which)
-    C = _middle_binomials(p, r, len(V) - 1)
+def _filtration_dims(E, V, C, bases, p: int, r: int) -> tuple[int, ...]:
+    """dim(X n V*) and dim(X n V**) for each submodule X with basis M S in
+    ``bases``, S the spanning set with parts E, V, C: X's dimension less the
+    rank of M S R under the normal forms R1, R2 modulo theta and theta^2.
+    S R is read off the edge rows of R and one pass of class sums
+    sum_(i = c mod p-1) binom(r-1, i-t) R[i] over the middle indices.  Since
+    V** lies in V*, R1 = R2 R1[cols of R2], so the columns of M S R1 lie in
+    the span of those of M S R2: one echelon form of [M S R1 | M S R2] has
+    rank(M S R1) pivots among its first columns and rank(M S R2) in all."""
     R1 = theta_normal_form(p, r, 1)[0]
     R = np.hstack([R1, theta_normal_form(p, r, 2)[0]])
     mid = np.zeros((C.shape[1] * (p - 1), R.shape[1]), dtype=np.int64)
     mid[: max(r - 3, 0)] = R[2 : r - 1]
     sums = np.einsum("tqm,qmk->tmk", C, mid.reshape(C.shape[1], p - 1, R.shape[1])) % p
-    SR = (E @ R[_edges(r)] + sum(V[t] @ sums[t] for t in range(len(V)))) % p
-    pivots = linalg.rref(X.transform @ SR % p, p)[1]
-    return X.dim - sum(c < R1.shape[1] for c in pivots), X.dim - len(pivots)
+    SR = (E @ R[_edges(r)] + V[0] @ sums[0] + V[1] @ sums[1]) % p
+    dims = ()
+    for M in bases:
+        pivots = linalg.rref(M @ SR % p, p)[1]
+        dims += (len(M) - sum(c < R1.shape[1] for c in pivots), len(M) - len(pivots))
+    return dims
 
 
 # ---------------------------------------------------------------------------
@@ -472,14 +464,14 @@ class GammaModule:
     def act(self, name: str, v: np.ndarray) -> np.ndarray:
         return self.mats[name] @ (v % self.p) % self.p
 
-    def spin(self, vecs, names=GEN_NAMES) -> FpSpace:
+    def spin(self, vecs) -> FpSpace:
         """Smallest subspace containing the given vectors and stable under the
-        generators ``names``: each round applies every generator to the rows
-        the last round added."""
+        module's matrices: each round applies every one to the rows the last
+        round added."""
         space = FpSpace(self.dim, self.p)
         new = space.add_rows(np.asarray(vecs, dtype=np.int64).reshape(-1, self.dim))
         while len(new):
-            new = space.add_rows(np.vstack([new @ self.mats[name].T for name in names]))
+            new = space.add_rows(np.vstack([new @ M.T for M in self.mats.values()]))
         return space
 
     def restrict(self, sub: FpSpace) -> "GammaModule":
@@ -674,12 +666,13 @@ def socle_simples(mod: GammaModule) -> list[tuple[JHLabel, FpSpace]]:
     return sorted(found, key=lambda pair: pair[0])
 
 
-def jh_decompose(mod: GammaModule, bound: int = JH_DIMENSION_BOUND) -> tuple[Counter, Counter]:
+def jh_decompose(mod: GammaModule) -> tuple[Counter, Counter]:
     """The multisets of irreducible labels of a module's Jordan-Hoelder
     factors and of its socle.  Each step passes to the quotient by the whole
-    socle, so there is one socle search per Loewy layer."""
-    if mod.dim > bound:
-        raise DimensionBoundError(f"module dimension {mod.dim} exceeds bound {bound}")
+    socle, so there is one socle search per Loewy layer.  Refuses a module
+    of dimension above ``JH_DIMENSION_BOUND``."""
+    if mod.dim > JH_DIMENSION_BOUND:
+        raise DimensionBoundError(f"module dimension {mod.dim} exceeds bound {JH_DIMENSION_BOUND}")
     layers: list[Counter] = []
     current = mod
     while current.dim > 0:
@@ -738,7 +731,7 @@ class QuotientModule(GammaModule):
             # e fixes X^r, a coordinate monomial, and kills every other monomial
             "e": np.diag((c == 0).astype(np.int64)),
         })
-        image = ambient.spin([self.normal_form[1]], GEN_NAMES + ("e",))
+        image = ambient.spin([self.normal_form[1]])
         mod, self.project_coords = ambient.quotient(image)
         super().__init__(p, mod.mats)
 

@@ -21,8 +21,8 @@ they check.
   pass of the two-pass reference of ``hecke.audit_valuations``.
 - ``FractionCoeff``: the coefficient arithmetic of ``ApCoeff`` on exact
   ``Fraction`` terms with ``padic_val`` valuations, against the (unit,
-  p-exponent) terms of ``ApCoeff``; with it ``_val_capped`` and
-  ``reduce_mod``, which the library no longer uses.
+  p-exponent) terms of ``ApCoeff``; with it ``reduce_mod``, which the
+  library no longer uses.
 - ``union``: the sum of two F_p subspaces, and ``insert_vector``, the
   vector-at-a-time insertion into a reduced echelon basis, against the batch
   insertion ``FpSpace.add_rows``.
@@ -34,9 +34,10 @@ they check.
   (``divide_theta``) cross-checked with the coefficient test
   ``theta_divides_criterion``; the spanning images as (r+1)-long rows
   (``orbit_vectors``), the classical spanning sets
-  ``standard_spanning_set`` of the top- and second-monomial submodules, and
-  ``build_X_rows``, the r-row build of those submodules, against the
-  column-type ``symrep.build_X``.
+  ``standard_spanning_set`` of the top- and second-monomial submodules
+  (``spanning_matrices``), and ``build_X_rows``, the r-row build of those
+  submodules, against the column-type ``symrep.build_X`` and the spin of
+  X^r inside it.
 - The big-integer class sums ``class_sum_T`` and ``class_sum_S_modp2``, the
   oracles of the class-sum lemma sweep, and ``family_holds``, the
   congruences of the ``choose_*`` families restated from their definitions.
@@ -160,19 +161,19 @@ def _weight_profiles(mat, r: int, indices) -> dict[int, list[int]]:
 def _substitute_poly(poly: dict[int, ApCoeff], mat, r: int, p: int, prec: int):
     """Exact substitution F(aX + cY, bX + dY) on ApCoeff polynomials; the
     resulting integer weights are treated as carrying the given precision.
-    The values are integer numerators over one common denominator p^D, D
-    the largest p-power of an input denominator, so the accumulation is
-    integer arithmetic; each output value is divided by p^D once."""
+    Every stored term n p^k is an integer numerator n p^(k+D) over one
+    common denominator p^D, D the largest p-power of an input denominator,
+    so the accumulation is integer arithmetic; each output value is
+    stripped of its factors p once and stored as its (n, k, err) triple."""
     profiles = _weight_profiles(mat, r, poly)
-    terms = {i: coeff.exact_terms() for i, coeff in poly.items()}
-    den = max((cc.denominator for t in terms.values() for cc, _ in t.values()), default=1)
-    # raw accumulation: (j, degree) -> [numerator over den, error bound]
+    D = max([0] + [-k for coeff in poly.values() for n, k, _ in coeff.terms.values() if n])
+    # raw accumulation: (j, degree) -> [numerator over p^D, error bound]
     acc: dict[int, dict[int, list]] = {}
-    for i, coeff_terms in terms.items():
+    for i, coeff in poly.items():
         weights = profiles[i]
-        for dd, (cc, ee) in coeff_terms.items():
-            eps = min(ee, _val_capped(cc, p) + prec)
-            num = cc.numerator * (den // cc.denominator)
+        for dd, (n, k, ee) in coeff.terms.items():
+            eps = min(ee, k + prec) if n else ee
+            num = n * p ** (k + D) if n else 0
             for j, w in enumerate(weights):
                 if w == 0:
                     continue
@@ -181,10 +182,16 @@ def _substitute_poly(poly: dict[int, ApCoeff], mat, r: int, p: int, prec: int):
                 cell[1] = min(cell[1], eps)
     out: dict[int, ApCoeff] = {}
     for j, cells in acc.items():
-        terms = {dd: (Fraction(val, den), eps) for dd, (val, eps) in cells.items()
-                 if val != 0 or eps is not math.inf}
-        if terms:
-            out[j] = ApCoeff(terms, p)
+        coeff = ApCoeff({}, p)
+        for dd, (val, eps) in cells.items():
+            k = -D
+            while val and val % p == 0:
+                val //= p
+                k += 1
+            if val or eps != INF:
+                coeff.terms[dd] = (val, k if val else 0, eps)
+        if coeff.terms:
+            out[j] = coeff
     return out
 
 
@@ -377,22 +384,6 @@ def modp_T_by_weights(fn: ResidueFunction, s: int) -> ResidueFunction:
 
 # ---------------------------------------------------------------------------
 # coefficients on Fractions
-
-
-def _val_capped(x, p: int, cap: int = 40):
-    """Lower-bound-safe valuation, capped to avoid factoring huge integers."""
-    if isinstance(x, Fraction):
-        if x == 0:
-            return INF
-        return _val_capped(x.numerator, p, cap) - padic_val(x.denominator, p)
-    if x == 0:
-        return INF
-    x = abs(x)
-    v = 0
-    while v < cap and x % p == 0:
-        x //= p
-        v += 1
-    return v
 
 
 def reduce_mod(x, p: int) -> int:
@@ -658,20 +649,29 @@ def orbit_vectors(mats, r: int, j: int, p: int) -> np.ndarray:
     return out % p
 
 
+def spanning_matrices(p: int, which: str) -> list[tuple[int, int, int, int]]:
+    """Matrices h whose images h . X^r ("top") or h . X^(r-1)Y ("second") are
+    the classical spanning set: X^r and (kX + Y)^r; or the spanning set of
+    ``symrep.build_X``, in its order."""
+    if which == "top":
+        return [(1, 0, 0, 1)] + [(k, 0, 1, 1) for k in range(p)]
+    return _spanning_matrices(p)
+
+
 def standard_spanning_set(p: int, r: int, which: str) -> list[np.ndarray]:
-    """The classical spanning sets of the top- and second-monomial submodules,
-    in the order of ``symrep._spanning_matrices`` (the order that
-    ``ClosedSubspace.transform`` refers to)."""
-    return list(orbit_vectors(_spanning_matrices(p, which), r, 0 if which == "top" else 1, p))
+    """The classical spanning sets of the top- and second-monomial submodules;
+    the second in the order that ``ClosedSubspace.transform`` refers to."""
+    return list(orbit_vectors(spanning_matrices(p, which), r, 0 if which == "top" else 1, p))
 
 
 def build_X_rows(p: int, r: int, which: str = "second") -> tuple[FpSpace, GammaModule]:
     """The submodule of ``symrep.build_X`` on (r+1)-long rows: the echelon
     space of its spanning set, certified monoid-stable by the images of the
     spanning set under the Gamma generators and diag(1, 0), and the Gamma
-    action on the echelon basis.  Oracle for the column-type build."""
+    action on the echelon basis.  Oracle for the column-type build and for
+    X_r read inside it."""
     j = 0 if which == "top" else 1
-    hs = _spanning_matrices(p, which)
+    hs = spanning_matrices(p, which)
     gens = gamma_generators(p) + [(1, 0, 0, 0)]
     vecs = orbit_vectors(hs + [mat_mul(g, h, p) for g in gens for h in hs], r, j, p)
     S, images = vecs[: len(hs)], vecs[len(hs):]

@@ -47,7 +47,7 @@ class TestDimFormula:
 
     def test_matches_brute_force_spot(self):
         for p, r in [(3, 7), (3, 22), (5, 19), (5, 45), (7, 52), (11, 40)]:
-            assert predict_dim_X(case_descriptor(p, r)) == build_X(p, r, "second").dim
+            assert predict_dim_X(case_descriptor(p, r)) == build_X(p, r).dim
 
 
 class TestStructurePredictions:

@@ -29,7 +29,6 @@ from crysred.symrep import (
     socle_simples,
     span_closure,
     sym_power,
-    theta_intersection_dims,
     theta_normal_form,
     theta_vec,
     weight_module,
@@ -45,13 +44,22 @@ from reference import (
 
 
 def x_rows(X) -> np.ndarray:
-    """X's basis T S as (r+1)-long rows: its transform times the classical
-    spanning set."""
-    return X.transform @ np.array(standard_spanning_set(X.p, X.r, X.which)) % X.p
+    """X_(r-1)'s basis T S as (r+1)-long rows: its transform times the
+    classical spanning set."""
+    return X.transform @ np.array(standard_spanning_set(X.p, X.r, "second")) % X.p
+
+
+def top_rows(X) -> np.ndarray:
+    """X_r's echelon basis in X's coordinates, as (r+1)-long rows."""
+    return X.top.matrix() @ x_rows(X) % X.p
 
 
 def x_space(X) -> FpSpace:
     return FpSpace.from_rows(x_rows(X), X.r + 1, X.p)
+
+
+def top_space(X) -> FpSpace:
+    return FpSpace.from_rows(top_rows(X), X.r + 1, X.p)
 
 
 def module_on_rows(rows: np.ndarray, p: int, r: int) -> dict[str, np.ndarray] | None:
@@ -77,18 +85,18 @@ def frobenius_twist_check(p: int, u: int, n: int) -> bool:
     if u % p == 0 or n < 1:
         raise ValueError("need p coprime to u and n >= 1")
     r = p**n * u
-    Xu = build_X(p, u, "top")
-    Xr = build_X(p, r, "top")
-    if Xu.dim != Xr.dim:
+    Xu = build_X(p, u)
+    Xr = build_X(p, r)
+    if Xu.top.dim != Xr.top.dim:
         return False
-    stretched, target = FpSpace(r + 1, p), x_space(Xr)
-    for row in x_rows(Xu):
+    stretched, target = FpSpace(r + 1, p), top_space(Xr)
+    for row in top_rows(Xu):
         img = np.zeros(r + 1, dtype=np.int64)
         img[np.arange(u + 1) * p**n] = row
         if img not in target:
             return False
         stretched.add(img)
-    return stretched.dim == Xu.dim
+    return stretched.dim == Xu.top.dim
 
 
 def _conjugated_weight_module():
@@ -209,41 +217,43 @@ def _socle_by_weight_search(mod):
 
 def _engine_vs_reference(job):
     """Mismatches at (p, r) between the fixed-size engine and the r-row
-    reference.  X's rows are T S, its transform times the classical
-    spanning set: they must span the span closure, be independent, carry
-    ``module`` as the generators' action in their own coordinates, and
-    agree with the r-row build ``build_X_rows`` up to its echelon basis.
-    Then the intersections with the theta-multiple spaces, and the
-    quotient-mode SubquotientModule by X + V**."""
+    reference.  X_(r-1)'s rows are T S, its transform times the classical
+    spanning set, and X_r's rows are ``top`` in that basis: each must span
+    the span closure of its monomial, be independent, carry its module (for
+    X_r, X's module restricted to ``top``) as the generators' action in its
+    own coordinates, and agree with the r-row build ``build_X_rows`` up to
+    its echelon basis.  Then the four filtration dims against the
+    intersections with the theta-multiple spaces, and the quotient-mode
+    SubquotientModule by X + V**."""
     p, r = job
     symp = sym_power(p, r)
+    X = build_X(p, r)
     bad, spaces = [], {}
-    for which, j in (("top", 0), ("second", 1)):
-        X = build_X(p, r, which)
-        rows = x_rows(X)
+    for which, j, rows, module in (("top", 0, top_rows(X), X.module.restrict(X.top)),
+                                   ("second", 1, x_rows(X), X.module)):
         ref = span_closure([symp.monomial(j)], p=p, r=r)
         if FpSpace.from_rows(rows, r + 1, p) != ref:
             bad.append(f"{which}: span")
             continue
         mats = module_on_rows(rows, p, r)
-        if mats is None or any(not np.array_equal(X.module.mats[n], mats[n]) for n in GEN_NAMES):
+        if mats is None or any(not np.array_equal(module.mats[n], mats[n]) for n in GEN_NAMES):
             bad.append(f"{which}: module matrices")
         # the r-row oracle's module is X's in its echelon basis E, rows = C E
         space, oracle = build_X_rows(p, r, which)
         C = rows[:, space.pivots]
-        if space != ref or any(((X.module.mats[n].T @ C - C @ oracle.mats[n].T) % p).any()
+        if space != ref or any(((module.mats[n].T @ C - C @ oracle.mats[n].T) % p).any()
                                for n in GEN_NAMES):
             bad.append(f"{which}: r-row oracle")
-        spaces[which] = (X, ref)
+        spaces[which] = ref
     if r < 2 * p + 1 or bad:
         return [(p, r, b) for b in bad]
     vs, vss = filtration_spaces(p, r)
-    for which, (X, space) in spaces.items():
-        ref_dims = (space.intersect(vs).dim, space.intersect(vss).dim)
-        if theta_intersection_dims(X) != ref_dims:
-            bad.append(f"{which}: filtration dims")
+    ref_dims = tuple(spaces[which].intersect(v).dim for which in ("second", "top")
+                     for v in (vs, vss))
+    if X.filtration_dims != ref_dims:
+        bad.append("filtration dims")
     q = quotient_Q(p, r)
-    ref_q = SubquotientModule(symp, None, union(spaces["second"][1], vss))
+    ref_q = SubquotientModule(symp, None, union(spaces["second"], vss))
     if any(not np.array_equal(q.mats[n], ref_q.mats[n]) for n in symrep.GEN_NAMES):
         bad.append("Q: generator matrices")
     vecs = np.random.default_rng(p * 10000 + r).integers(0, p, size=(8, r + 1))
@@ -380,29 +390,30 @@ class TestSpanClosure:
     def test_small_degree_is_irreducible(self):
         # X^r generates everything when r <= p-1
         for p, r in [(5, 3), (7, 6), (3, 2)]:
-            X = build_X(p, r, "top")
-            assert X.dim == r + 1
+            X = build_X(p, r)
+            assert X.top.dim == r + 1
 
     def test_second_monomial_dims(self):
-        assert build_X(5, 11, "second").dim == 6
-        assert build_X(5, 25, "second").dim == 8  # p + 3
-        assert build_X(5, 19, "second").dim == 12  # 2p + 2
-        assert build_X(5, 30, "second").dim == 9  # a + p + 2
-        assert build_X(3, 11, "second").dim == 6
+        assert build_X(5, 11).dim == 6
+        assert build_X(5, 25).dim == 8  # p + 3
+        assert build_X(5, 19).dim == 12  # 2p + 2
+        assert build_X(5, 30).dim == 9  # a + p + 2
+        assert build_X(3, 11).dim == 6
 
     def test_standard_spanning_sets(self):
-        # T S is a basis of the span of the spanning set, which is the span
-        # closure and the r-row oracle's space
+        # T S is a basis of the span of X_(r-1)'s spanning set, and X_r's
+        # rows one of the span of X^r and the (kX + Y)^r; each span is the
+        # span closure and the r-row oracle's space
         for p, r in [(5, 11), (5, 19), (5, 30), (3, 13), (7, 23)]:
-            for which, j in (("top", 0), ("second", 1)):
-                X = build_X(p, r, which)
+            X = build_X(p, r)
+            for which, j, rows in (("top", 0, top_rows(X)), ("second", 1, x_rows(X))):
                 S = FpSpace.from_rows(standard_spanning_set(p, r, which), r + 1, p)
-                assert rank(x_rows(X), p) == X.dim == S.dim, (p, r, which)
-                assert x_space(X) == S == build_X_rows(p, r, which)[0], (p, r, which)
+                assert rank(rows, p) == len(rows) == S.dim, (p, r, which)
+                assert FpSpace.from_rows(rows, r + 1, p) == S == build_X_rows(p, r, which)[0]
                 assert S == span_closure([sym_power(p, r).monomial(j)], p=p, r=r)
 
     def test_closure_is_stable(self):
-        X = build_X(5, 19, "second")
+        X = build_X(5, 19)
         symp, space = sym_power(5, 19), x_space(X)
         for g in symp.monoid_generators():
             M = symp.action_matrix(g)
@@ -412,32 +423,74 @@ class TestSpanClosure:
 
     def test_top_contained_in_second_strictly(self):
         for p, r in [(3, 5), (5, 11), (5, 25), (7, 15)]:
-            top = build_X(p, r, "top")
-            second = x_space(build_X(p, r, "second"))
-            assert all(row in second for row in x_rows(top))
+            X = build_X(p, r)
+            second = x_space(X)
+            assert all(row in second for row in top_rows(X))
             if r >= p:
-                assert top.dim < second.dim
+                assert X.top.dim < second.dim
 
     def test_dim_bounds_coupling_and_strict_containment(self):
         for p in (3, 5):
             for r in range(p, 3 * p * p + 1):
-                top = build_X(p, r, "top")
-                second = build_X(p, r, "second")
+                second = build_X(p, r)
+                top = second.top
                 assert top.dim <= p + 1 and second.dim <= 2 * p + 2
                 if second.dim == 2 * p + 2:
                     assert top.dim == p + 1
                 # containment is always strict from degree p on
                 space = x_space(second)
-                assert all(row in space for row in x_rows(top))
+                assert all(row in space for row in top_rows(second))
                 assert top.dim < second.dim, (p, r)
 
     def test_empty_generators_rejected(self):
         with pytest.raises(ValueError):
             span_closure([], p=5, r=10)
 
+    def test_four_monoid_generators_close_like_p_plus_one(self):
+        # u, w, diag(1, 0) and diag(g, 1) generate the monoid that u, w,
+        # diag(1, 0) and every diag(c, 1) do: the closures agree, for the
+        # two monomials and for random vectors
+        rng = np.random.default_rng(11)
+        for p in (3, 5, 7):
+            for r in range(1, p * p + 1, 1 if p < 7 else 3):
+                symp = sym_power(p, r)
+                old = [(1, 1, 0, 1), (0, 1, 1, 0), (1, 0, 0, 0)] + [(c, 0, 0, 1) for c in range(2, p)]
+                assert len(symp.monoid_generators()) == 4
+                for vecs in ([symp.monomial(0)], [symp.monomial(1)],
+                             list(rng.integers(0, p, size=(2, r + 1)))):
+                    space = FpSpace(r + 1, p)
+                    work = [v for v in vecs if space.add(v)]
+                    while work:
+                        v = work.pop()
+                        for g in old:
+                            w = symp.action_matrix(g) @ v % p
+                            if space.add(w):
+                                work.append(w)
+                    assert span_closure(vecs, p=p, r=r) == space, (p, r)
+
+    def test_top_is_the_span_closure_of_x_to_the_r(self):
+        # X_r, read as the spin of X^r inside X_(r-1), is the closure of X^r
+        # past the tier-1 grid's primes
+        for p in (13, 17, 19, 23, 29, 31):
+            for r in range(1, 2 * p + 1):
+                X = build_X(p, r)
+                assert top_space(X) == span_closure([sym_power(p, r).monomial(0)], p=p, r=r), (p, r)
+                assert rank(top_rows(X), p) == X.top.dim, (p, r)
+
+    def test_top_filtration_dims_far_outside_the_grid(self):
+        # the four filtration dims against the r-row intersections, X_r from
+        # its own classical spanning set
+        for p, r in [(3, 731), (5, 632), (7, 346)]:
+            X = build_X(p, r)
+            vs, vss = filtration_spaces(p, r)
+            top = FpSpace.from_rows(standard_spanning_set(p, r, "top"), r + 1, p)
+            assert top_space(X) == top, (p, r)
+            want = tuple(space.intersect(v).dim for space in (x_space(X), top) for v in (vs, vss))
+            assert X.filtration_dims == want, (p, r, X.filtration_dims, want)
+
 
 class TestColumnTypes:
-    """build_X reads X on at most 4 + (j+1)(p-1) column types, never on
+    """build_X reads X_(r-1) on at most 4 + 2(p-1) column types, never on
     (r+1)-long rows: the matrices it eliminates are recorded."""
 
     @staticmethod
@@ -451,19 +504,18 @@ class TestColumnTypes:
         monkeypatch.setattr(symrep.linalg, "row_transform", recording)
         out = {}
         for p, r in degrees:
-            for which in ("top", "second"):
-                seen.clear()
-                build_X(p, r, which)
-                out[p, r, which] = max(seen)
+            seen.clear()
+            build_X(p, r)
+            out[p, r] = max(seen)
         return out
 
     def test_width_bound(self, monkeypatch):
         degrees = [(p, r) for p in (3, 5, 7, 11) for r in range(1, 3 * p * p + 1)]
         degrees += [(p, r) for p in (13, 17, 19, 23, 29, 31) for r in range(1, 2 * p + 1)]
         widths = self._widths(monkeypatch, degrees)
-        assert len(widths) == 2 * len(degrees)
-        for (p, r, which), width in widths.items():
-            assert width <= (p - 1) * (2 if which == "second" else 1) + 4, (p, r, which, width)
+        assert len(widths) == len(degrees)
+        for (p, r), width in widths.items():
+            assert width <= 2 * (p - 1) + 4, (p, r, width)
 
     def test_reports_far_outside_the_grid(self):
         # degrees up to 3^8 + 2 against the closed forms; the compressed
@@ -606,12 +658,13 @@ class TestJordanHoelder:
             )
             assert jh_decompose(mod)[0] == want
 
-    def test_dimension_bound(self):
+    def test_dimension_bound(self, monkeypatch):
         from crysred.errors import DimensionBoundError
 
         mod = weight_module(5, 4, 0)
+        monkeypatch.setattr(symrep, "JH_DIMENSION_BOUND", 3)
         with pytest.raises(DimensionBoundError):
-            jh_decompose(mod, bound=3)
+            jh_decompose(mod)
 
     def test_gamma_iso_roundtrip(self):
         p = 5
@@ -673,8 +726,8 @@ class TestQuotient:
 
 
 def _x_filtration_dims(p, r):
-    X = x_space(build_X(p, r, "second"))
-    xt = x_space(build_X(p, r, "top"))
+    X = build_X(p, r)
+    X, xt = x_space(X), top_space(X)
     vs, vss = filtration_spaces(p, r)
     return (
         X.intersect(vs).dim,
@@ -720,7 +773,7 @@ class TestFrobeniusTwist:
         assert frobenius_twist_check(5, 7, 1)
         assert frobenius_twist_check(3, 5, 2)
         assert frobenius_twist_check(5, 1, 2)
-        assert build_X(5, 25, "top").dim == build_X(5, 1, "top").dim == 2
+        assert build_X(5, 25).top.dim == build_X(5, 1).top.dim == 2
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -729,7 +782,7 @@ class TestFrobeniusTwist:
 
 class TestEngineAgainstReference:
     def test_full_grid(self):
-        # fast build_X (top and second) equals the span closure for
+        # fast build_X (X_(r-1) and X_r in it) equals the span closure for
         # 1 <= r <= 3p^2; from r = 2p+1 on, the filtration dims, the Q
         # generator matrices, its projection and the image of V* equal the
         # r-row reference as well
@@ -870,7 +923,7 @@ class TestInt64Guard:
         for p in (3, 5, 53):
             r = -(-(2**63) // (p * p)) - 2
             check_int64_domain(p, r - 1)
-            for call in (lambda: build_X(p, r, "top"), lambda: build_X(p, r),
-                         lambda: quotient_Q(p, r), lambda: structure_report(p, r)):
+            for call in (lambda: build_X(p, r), lambda: quotient_Q(p, r),
+                         lambda: structure_report(p, r)):
                 with pytest.raises(DomainError):
                     call()
