@@ -89,7 +89,7 @@ def structure_report(p: int, r: int, checks=("dim", "x", "q")) -> ReportRecord:
         p=p, r=r, k=desc.k, a=desc.a, b=desc.b, n=desc.n, u=desc.u,
         sigma_digits=desc.sigma_digits, delta=desc.delta,
     )
-    X = build_X(p, r)
+    X = build_X(p, r) if {"dim", "x"} & set(checks) else None  # "q" reads no X
     if "dim" in checks:
         rec.dim_predicted = predict_dim_X(desc)
         rec.dim_computed = X.dim

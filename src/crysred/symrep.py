@@ -9,8 +9,8 @@ action whose matrix is ``SymPower.action_matrix(g)``.
 Provided here: the submodule X_(r-1) generated by the second monomial,
 built from its classical spanning set and certified stable under the full
 matrix monoid, with the submodule X_r generated by X^r read inside it; the
-theta-divisibility filtration and the normal forms modulo theta and
-theta^2; the terminal quotient of the degree-r module by (X_(r-1) +
+theta-divisibility filtration and the classes modulo theta and theta^2;
+the terminal quotient of the degree-r module by (X_(r-1) +
 twice-theta-divisible part), computed in the 2p+2 coordinates of the module
 modulo theta^2; and the socle and Jordan-Hoelder factors of a torus-graded
 module.
@@ -34,9 +34,9 @@ X_r lies in X_(r-1), since X^r = (1 1; 0 0) . X^(r-1) Y, and it is the
 span of the (aX + cY)^r = g . X^r, g invertible with first column (a, c):
 the Gamma-span of X^r.  X^r is the first spanning image, S[0], so X_r is
 the spin of S[0] at the pivot columns in X_(r-1)'s module.  For either
-submodule, with basis M S, dim(X n V*) and dim(X n V**) read M S R for the
-normal form R, with S R from the edge rows of R and one pass of class sums
-sum_(i = c mod p-1) binom(r-1, i-t) R[i].
+submodule, with basis M S, dim(X n V*) and dim(X n V**) read the classes
+of M S modulo theta and theta^2, those of S from the edge monomials and
+the 2(p-1) vectors sum_(i = c mod p-1) binom(r-1, i-t) X^(r-i) Y^i.
 
 The terminal quotient needs no r-row basis of the submodule: g . theta =
 det(g) theta for every matrix g, so the twice-theta-divisible part V** is
@@ -187,8 +187,8 @@ def mat_mul(g, h, p: int) -> tuple[int, int, int, int]:
 
 def check_int64_domain(p: int, r: int) -> None:
     """The fast engine sums up to r+2 products of residues in int64 (the
-    class sums, the normal forms); refuse degrees where such a sum could
-    wrap around."""
+    class sums of ``build_X`` and ``theta_classes``); refuse degrees where
+    such a sum could wrap around."""
     if p * p * (r + 2) >= 2**63:
         raise DomainError(f"p*p*(r+2) >= 2^63 at p={p}, r={r}: int64 arithmetic could overflow")
 
@@ -229,7 +229,7 @@ def _binomials(n, i, p: int) -> np.ndarray:
 def _edges(r: int) -> list[int]:
     """The monomial indices 0, 1, r-1, r (those in 0..r), the columns where
     a power in a spanning image can have exponent 0."""
-    return sorted({0, 1, r - 1, r} & set(range(r + 1)))
+    return sorted(i for i in {0, 1, r - 1, r} if 0 <= i <= r)
 
 
 def _image_parts(hs, r: int, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -257,14 +257,13 @@ def _image_parts(hs, r: int, p: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _middle_binomials(p: int, r: int) -> np.ndarray:
-    """C[t, q, m] = binom(r-1, i-t) mod p for the middle index
-    i = 2 + q(p-1) + m <= r-2, zero past r-2 (one zero row when there is no
-    middle index): column m holds the coefficients of class 2 + m mod p-1."""
-    P, i = p - 1, np.arange(2, r - 1)
-    rows = max(1, -(-len(i) // P))
-    C = np.zeros((2, rows * P), dtype=np.int64)
-    C[:, : len(i)] = _binomials(r - 1, i - np.arange(2)[:, None], p)
-    return C.reshape(2, rows, P)
+    """C[t, m, i] = binom(r-1, i-t) mod p for the middle indices
+    2 <= i <= r-2 of class 2 + m mod p-1, zero elsewhere: C[:, m] holds
+    the coefficient vectors of class 2 + m as degree-r vectors."""
+    i = np.arange(2, r - 1)
+    C = np.zeros((2, p - 1, r + 1), dtype=np.int64)
+    C[:, (i - 2) % (p - 1), i] = _binomials(r - 1, i - np.arange(2)[:, None], p)
+    return C
 
 
 def _column_types(E: np.ndarray, V: np.ndarray, C: np.ndarray, p: int) -> np.ndarray:
@@ -275,9 +274,9 @@ def _column_types(E: np.ndarray, V: np.ndarray, C: np.ndarray, p: int) -> np.nda
     columns.  A class whose coefficient vectors span F_p^2 keeps both V[t];
     one whose vectors span a line keeps the combination by its first one."""
     nz = C.any(axis=0)
-    first = C[:, nz.argmax(axis=0), np.arange(p - 1)]
-    full = ((first[0] * C[1] - first[1] * C[0]) % p).any(axis=0)
-    line = nz.any(axis=0) & ~full
+    first = C[:, np.arange(p - 1), nz.argmax(axis=1)]
+    full = ((first[0, :, None] * C[1] - first[1, :, None] * C[0]) % p).any(axis=1)
+    line = nz.any(axis=1) & ~full
     return np.hstack([E, *V[:, :, full], (first[:, None, line] * V[:, :, line]).sum(axis=0) % p])
 
 
@@ -401,50 +400,51 @@ def filtration_spaces(p: int, r: int) -> tuple[FpSpace, FpSpace]:
     return theta_multiple_space(p, r, 1), theta_multiple_space(p, r, 2)
 
 
-@functools.lru_cache(maxsize=4)
-def theta_normal_form(p: int, r: int, k: int) -> tuple[np.ndarray, list[int]]:
-    """Reduction modulo the theta^k-divisible subspace, k in {1, 2}.
+def _theta_coordinates(p: int, r: int, k: int) -> np.ndarray:
+    """The monomials outside k..r-kp, coordinates modulo theta^k, since
+    theta^k X^(s-m) Y^m leads at index m + k: (p+1)k of them once r >= kp+k-1."""
+    return np.concatenate([np.arange(min(k, r + 1)), np.arange(max(k, r - k * p + 1), r + 1)])
 
-    The multiples theta^k X^(s-m) Y^m lead at monomial index m + k, so the
-    monomials outside k..r-kp are coordinates on the quotient (p+1 of them
-    for k = 1, 2p+2 for k = 2, once r >= kp + k - 1).  Returns the matrix
-    whose row j is the class of X^(r-j) Y^j in those coordinates, and the
-    coordinate monomials.  Its rows follow from e_j = e_(j+p-1) (k = 1) and
-    e_j = 2 e_(j+p-1) - e_(j+2p-2) (k = 2), a block of p-1 rows at a time."""
-    lo, hi = k, r - k * p
-    cols = [j for j in range(r + 1) if not lo <= j <= hi]
-    R = np.zeros((r + 1, len(cols)), dtype=np.int64)
-    R[cols, np.arange(len(cols))] = 1
-    coef = [1] if k == 1 else [2, p - 1]
-    step = p - 1
-    while hi >= lo:
-        bot = max(lo, hi - step + 1)
-        acc = sum(c * R[bot + i * step : hi + 1 + i * step] for i, c in enumerate(coef, 1))
-        R[bot : hi + 1] = acc % p
-        hi = bot - 1
-    R.flags.writeable = False  # cached for the several uses at one degree
-    return R, cols
+
+def theta_classes(vecs, p: int, k: int) -> np.ndarray:
+    """Classes of degree-r coefficient vectors (last axis r+1, entries in
+    0..p-1) modulo theta^k, k in {1, 2}, in the ``_theta_coordinates``.
+
+    By e_i = e_(i+p-1) (k = 1) and e_i = 2 e_(i+p-1) - e_(i+2p-2) (k = 2), a
+    middle monomial i = j - m(p-1), j the coordinate in r-kp+1..r-kp+p-1 of
+    its class mod p-1, has class e_j (k = 1) or (1+m) e_j - m e_(j+p-1)
+    (k = 2): a class is the coordinate entries plus, per class mod p-1, the
+    sum of the middle entries and their sum weighted by m mod p (< p^2 (r+1))."""
+    vecs = np.asarray(vecs, dtype=np.int64)
+    r, P, n = vecs.shape[-1] - 1, p - 1, vecs.shape[-1] - k * (p + 1)
+    out = vecs[..., _theta_coordinates(p, r, k)]
+    if n > 0:
+        # the n middle entries k..r-kp in blocks of p-1: block m from the top is row -m
+        mid = np.zeros(vecs.shape[:-1] + (-(-n // P) * P,), dtype=np.int64)
+        mid[..., -n:] = vecs[..., k : k + n]
+        mid = mid.reshape(vecs.shape[:-1] + (-1, P))
+        weighted = np.arange(mid.shape[-2], 0, -1) % p @ mid if k == 2 else 0
+        out[..., k : k + P] += mid.sum(axis=-2) + weighted
+        out[..., k + P : k + 2 * P] -= weighted
+    return out % p
 
 
 def _filtration_dims(E, V, C, bases, p: int, r: int) -> tuple[int, ...]:
     """dim(X n V*) and dim(X n V**) for each submodule X with basis M S in
     ``bases``, S the spanning set with parts E, V, C: X's dimension less the
-    rank of M S R under the normal forms R1, R2 modulo theta and theta^2.
-    S R is read off the edge rows of R and one pass of class sums
-    sum_(i = c mod p-1) binom(r-1, i-t) R[i] over the middle indices.  Since
-    V** lies in V*, R1 = R2 R1[cols of R2], so the columns of M S R1 lie in
-    the span of those of M S R2: one echelon form of [M S R1 | M S R2] has
-    rank(M S R1) pivots among its first columns and rank(M S R2) in all."""
-    R1 = theta_normal_form(p, r, 1)[0]
-    R = np.hstack([R1, theta_normal_form(p, r, 2)[0]])
-    mid = np.zeros((C.shape[1] * (p - 1), R.shape[1]), dtype=np.int64)
-    mid[: max(r - 3, 0)] = R[2 : r - 1]
-    sums = np.einsum("tqm,qmk->tmk", C, mid.reshape(C.shape[1], p - 1, R.shape[1])) % p
-    SR = (E @ R[_edges(r)] + V[0] @ sums[0] + V[1] @ sums[1]) % p
+    rank of M S's classes modulo theta and theta^2, S's being E and V times
+    those of the edge monomials and of the rows C[t, m].  Since V** lies in
+    V*, the classes modulo theta are a linear image of those modulo theta^2,
+    so one echelon form of both side by side has the first rank in its
+    first columns and the second in all."""
+    ends, mid = (np.concatenate([theta_classes(x, p, k) for k in (1, 2)], axis=-1)
+                 for x in (np.arange(r + 1) == np.array(_edges(r))[:, None], C))
+    SR = (E @ ends + V[0] @ mid[0] + V[1] @ mid[1]) % p
+    width = len(_theta_coordinates(p, r, 1))
     dims = ()
     for M in bases:
         pivots = linalg.rref(M @ SR % p, p)[1]
-        dims += (len(M) - sum(c < R1.shape[1] for c in pivots), len(M) - len(pivots))
+        dims += (len(M) - sum(c < width for c in pivots), len(M) - len(pivots))
     return dims
 
 
@@ -720,31 +720,31 @@ class QuotientModule(GammaModule):
 
     def __init__(self, p: int, r: int):
         self.r = r
-        self.normal_form, self.cols = theta_normal_form(p, r, 2)
-        # V_r/V**: column c of each generator is the normal form of g . X^(r-c) Y^c
-        g, c = primitive_root(p), np.array(self.cols)
+        self.cols = c = _theta_coordinates(p, r, 2)
+        # V_r/V**: column j of each generator is the class of g . X^(r-c_j) Y^(c_j)
+        g = primitive_root(p)
         ambient = GammaModule(p, {
-            "u": (_binomials(c[:, None], np.arange(r + 1), p) @ self.normal_form % p).T,
-            "w": self.normal_form[r - c].T,
-            "d1": np.diag([pow(g, r - j, p) for j in self.cols]),
-            "d2": np.diag([pow(g, j, p) for j in self.cols]),
+            "u": theta_classes(_binomials(c[:, None], np.arange(r + 1), p), p, 2).T,
+            "w": theta_classes(np.arange(r + 1) == (r - c)[:, None], p, 2).T,
+            "d1": np.diag([pow(g, r - j, p) for j in c.tolist()]),
+            "d2": np.diag([pow(g, j, p) for j in c.tolist()]),
             # e fixes X^r, a coordinate monomial, and kills every other monomial
             "e": np.diag((c == 0).astype(np.int64)),
         })
-        image = ambient.spin([self.normal_form[1]])
+        image = ambient.spin([np.eye(len(c), dtype=np.int64)[1]])  # X^(r-1) Y: c_1 = 1
         mod, self.project_coords = ambient.quotient(image)
         super().__init__(p, mod.mats)
 
     def project(self, vec) -> np.ndarray:
         """Class of ambient degree-r coefficient vectors (rows) in module
         coordinates."""
-        return self.project_coords(linalg.as_vec(vec, self.p) @ self.normal_form % self.p)
+        return self.project_coords(theta_classes(linalg.as_vec(vec, self.p), self.p, 2))
 
     def star_image(self) -> FpSpace:
         """Image of the theta-divisible subspace inside the quotient: the
-        kernel of the normal form modulo theta on V_r/V**, projected."""
-        R1, _ = theta_normal_form(self.p, self.r, 1)
-        kernel = linalg.nullspace(R1[self.cols].T, self.p)
+        kernel of the classes modulo theta on V_r/V**, projected."""
+        R1 = theta_classes(np.arange(self.r + 1) == self.cols[:, None], self.p, 1)
+        kernel = linalg.nullspace(R1.T, self.p)
         return FpSpace.from_rows([self.project_coords(v) for v in kernel], self.dim, self.p)
 
 
@@ -752,8 +752,8 @@ def quotient_Q(p: int, r: int) -> QuotientModule:
     """The terminal quotient V_r/(X + V**), X the second-monomial submodule.
     The image of X in V_r/V** is the monoid spin of the class of X^(r-1) Y
     there (``QuotientModule``), so X itself is never built.  Refuses
-    r < 2p+1, and degrees where the int64 arithmetic of the (r+1)-row
-    normal form could overflow."""
+    r < 2p+1, and degrees where the int64 class sums modulo theta^2 could
+    overflow."""
     if r < 2 * p + 1:
         raise DomainError(f"need r >= 2p+1; got r={r}, p={p}")
     check_int64_domain(p, r)

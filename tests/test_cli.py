@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crysred import cli
+from crysred import cli, report
 from crysred.cli import main, parse_slope
 from crysred.errors import DomainError
 from crysred.report import (
@@ -172,6 +172,19 @@ class TestSweep:
         monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
         assert run(capsys, *sweep, "--r-to", "20", "--jobs", "64")[0] == 0
         assert sizes == [3, 4, 2]  # cpu count unknown: serial
+
+    def test_q_factors_check_builds_no_X(self, capsys, monkeypatch):
+        # the "q" check reads only the terminal quotient, so X is not built
+        args = ["sweep", "--p", "5", "--r-from", "11", "--r-to", "30",
+                "--check", "q-factors", "--format", "csv"]
+        code, before, _ = run(capsys, *args)
+
+        def refuse(p, r):
+            raise AssertionError("build_X called for a q-only check")
+
+        monkeypatch.setattr(report, "build_X", refuse)
+        assert structure_report(5, 23, ("q",)).passed
+        assert code == 0 and run(capsys, *args) == (0, before, "")
 
     def test_lemma_sweep(self, capsys):
         code, out, _ = run(capsys, "sweep", "--p", "11", "--check", "lemmas",

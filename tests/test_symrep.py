@@ -29,7 +29,7 @@ from crysred.symrep import (
     socle_simples,
     span_closure,
     sym_power,
-    theta_normal_form,
+    theta_classes,
     theta_vec,
     weight_module,
 )
@@ -801,19 +801,30 @@ class TestEngineAgainstReference:
 
 class TestThetaNormalForms:
     def test_match_echelon_reduction(self):
-        # every monomial's normal form equals its remainder against the
+        # every monomial's class equals its remainder against the
         # theta^k-multiple echelon space, read on the non-pivot columns
         for p in (3, 5, 7):
             for r in range(0, 3 * p * p + 1):
                 for k in (1, 2):
-                    R, cols = theta_normal_form(p, r, k)
                     space = symrep.theta_multiple_space(p, r, k)
+                    cols = list(symrep._theta_coordinates(p, r, k))
                     assert cols == space.nonpivot_columns()
                     if r >= k * p + k - 1:
                         assert len(cols) == (p + 1) * k
-                    rem = space.reduce(np.eye(r + 1, dtype=np.int64))
-                    assert np.array_equal(R, rem[:, cols]), (p, r, k)
+                    eye = np.eye(r + 1, dtype=np.int64)
+                    rem = space.reduce(eye)
+                    assert np.array_equal(theta_classes(eye, p, k), rem[:, cols]), (p, r, k)
                     assert not rem[:, space.pivots].any()
+
+    def test_random_batches_far_outside_the_grid(self):
+        rng = np.random.default_rng(7)
+        for p in (3, 31):
+            for r in (2000, 2001):
+                for k in (1, 2):
+                    space = symrep.theta_multiple_space(p, r, k)
+                    vecs = rng.integers(0, p, size=(8, r + 1))
+                    want = space.reduce(vecs)[:, space.nonpivot_columns()]
+                    assert np.array_equal(theta_classes(vecs, p, k), want), (p, r, k)
 
 
 class TestGradedSocle:
@@ -907,13 +918,6 @@ class TestSharedCaches:
         for arr in (*model.mats.values(), Xinv):
             with pytest.raises(ValueError):
                 arr[0, 0] = 1
-
-    def test_theta_normal_forms_are_bounded_and_read_only(self):
-        assert theta_normal_form.cache_info().maxsize is not None
-        R, _ = theta_normal_form(5, 40, 2)
-        assert theta_normal_form(5, 40, 2)[0] is R
-        with pytest.raises(ValueError):
-            R[0, 0] = 1
 
 
 class TestInt64Guard:
