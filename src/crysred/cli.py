@@ -145,6 +145,8 @@ def cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise DomainError(f"--jobs must be at least 1, got {args.jobs}")
     if args.check == "lemmas":
+        if args.r_from is not None:
+            raise DomainError("--r-from does not apply to --check lemmas: its rows start at r = 1")
         rows = arith.lemma_rows(args.p, args.r_to)
         bad = [row for row in rows if not row["pass"]]
         if args.format == "json":

@@ -31,9 +31,10 @@ in the basis T S, S the spanning set and T the row transform of its column
 types.
 
 X_r lies in X_(r-1), since X^r = (1 1; 0 0) . X^(r-1) Y, and it is the
-span of the (aX + cY)^r = g . X^r, g invertible with first column (a, c):
-the Gamma-span of X^r.  X^r is the first spanning image, S[0], so X_r is
-the spin of S[0] at the pivot columns in X_(r-1)'s module.  For either
+span of the g . X^r = (aX + cY)^r: c^r (kX + Y)^r with k = a/c if c != 0,
+a^r X^r if c = 0.  So X_r is the span of X^r, the first spanning image
+S[0], and the p powers (kX + Y)^r = (k k; 1 1) . X^(r-1) Y, read as images
+beside the others and monoid-stable by construction.  For either
 submodule, with basis M S, dim(X n V*) and dim(X n V**) read the classes
 of M S modulo theta and theta^2, those of S from the edge monomials and
 the 2(p-1) vectors sum_(i = c mod p-1) binom(r-1, i-t) X^(r-i) Y^i.
@@ -46,16 +47,19 @@ the Gamma generators and diag(1, 0), which generate the monoid.
 
 The socle comes from Hom spaces, the method of the MeatAxe (Parker, 1984;
 Holt and Rees, "Testing modules for irreducibility", 1994): the torus
-weights of the unipotent-fixed vectors name the candidate simple modules
-L, and Hom(L, M) is a nullspace whose dimension is the multiplicity of L,
-with no enumeration of vectors; a twisted L_s tensor det^t is searched as
-Hom(L_s, M tensor det^-t), so one model serves every twist.  The factors
-are read one Loewy layer at a time, passing to the quotient by the whole
-socle.  Brute-force span closures under the full matrix monoid, and the
-r-row theta-multiple spaces and subquotients, remain as the reference the
-fast engine is tested against; the brute-force theta-divisibility tests,
-the (r+1)-long spanning images and the r-row build of the submodules live
-with the other test oracles in ``tests/reference.py``.
+weights of the unipotent-fixed vectors, read off the kernel basis of
+u - 1, name the candidate simple modules L, and Hom(L, M) is a nullspace
+whose dimension is the multiplicity of L, with no enumeration of vectors;
+a twisted L_s tensor det^t is searched as Hom(L_s, M tensor det^-t), so
+one model serves every twist.  The images of the Hom maps are echelonized
+once, as the socle, which also certifies that they are independent.  The
+factors are read one Loewy layer at a time, passing to the quotient by the
+whole socle.  Brute-force span closures under the full matrix monoid, and
+the r-row theta-multiple spaces and subquotients, remain as the reference
+the fast engine is tested against; the brute-force theta-divisibility
+tests, the (r+1)-long spanning images, the r-row build of the submodules
+and the echelon space of the unipotent-fixed vectors live with the other
+test oracles in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -347,14 +351,16 @@ def build_X(p: int, r: int) -> ClosedSubspace:
     same images give the Gamma action on the basis T S, T the row transform
     of S.  Rank, stability and action are row relations, read off the
     spanning set and all five image sets on their ``_column_types``: no
-    (r+1)-long row is formed.  X_r is the Gamma-spin of X^r = S[0] (see the
-    module docstring)."""
+    (r+1)-long row is formed.  X_r is the span of X^r = S[0] and the p
+    powers (kX + Y)^r, read as further images under the same residual
+    check (see the module docstring)."""
     if r < 1:
         raise ValueError("need r >= 1")
     check_int64_domain(p, r)
     hs = _spanning_matrices(p)
     gens = gamma_generators(p) + [(1, 0, 0, 0)]
-    E, V = _image_parts(hs + [mat_mul(g, h, p) for g in gens for h in hs], r, p)
+    powers = [(k, k, 1, 1) for k in range(p)]  # (k k; 1 1) . X^(r-1) Y = (kX + Y)^r
+    E, V = _image_parts(hs + [mat_mul(g, h, p) for g in gens for h in hs] + powers, r, p)
     C = _middle_binomials(p, r)
     vecs = _column_types(E, V, C, p)
     S, images = vecs[: len(hs)], vecs[len(hs):]
@@ -363,9 +369,9 @@ def build_X(p: int, r: int) -> ClosedSubspace:
     if ((images - coords @ B) % p).any():
         raise ArithmeticError(f"spanning set of X_(r-1) is not monoid-stable at p={p}, r={r}")
     # generator g's block of coords holds the images g . (h . v0); diag(1, 0) is last
-    blocks = np.split(coords, len(gens))
+    blocks = np.split(coords[: -len(powers)], len(gens))
     module = GammaModule(p, {name: (T @ block % p).T for name, block in zip(GEN_NAMES, blocks)})
-    top = module.spin([S[0, pivots]])
+    top = FpSpace.from_rows(np.vstack([S[:1, pivots], coords[-len(powers):]]), len(pivots), p)
     # X_(r-1) has basis T S, and X_r the rows of top times it
     dims = _filtration_dims(E[: len(hs)], V[:, : len(hs)], C, (T, top.matrix() @ T % p), p, r)
     return ClosedSubspace(p, r, T, module, top, dims)
@@ -495,10 +501,6 @@ class GammaModule:
         mats = {name: project(self.mats[name][:, nonpiv].T).T for name in GEN_NAMES}
         return GammaModule(self.p, mats), project
 
-    def unipotent_fixed(self) -> FpSpace:
-        U = self.mats["u"] - np.eye(self.dim, dtype=np.int64)
-        return FpSpace.from_rows(linalg.nullspace(U, self.p), self.dim, self.p)
-
     def torus_weights(self) -> tuple[np.ndarray, np.ndarray]:
         """Diagonals of d1 and d2.  Raises ArithmeticError unless both act
         diagonally, i.e. unless the coordinates are torus weight vectors."""
@@ -620,73 +622,66 @@ def _label_model(p: int, s: int) -> tuple[GammaModule, tuple, np.ndarray]:
     return model, words, Xinv
 
 
-def socle_simples(mod: GammaModule) -> list[tuple[JHLabel, FpSpace]]:
-    """The socle as one (label, isotypic component) pair per label, sorted.
+def socle_simples(mod: GammaModule) -> tuple[FpSpace, list[tuple[JHLabel, np.ndarray]]]:
+    """The socle of a torus-graded module (see ``GammaModule.torus_weights``)
+    as one echelon form, and per label, sorted, the rows spanning its
+    isotypic component: the images of L's basis under a basis of
+    Hom(L, mod), so L's multiplicity is len(rows) // (s+1).
 
-    The module must be torus-graded (see ``GammaModule.torus_weights``).  Its
-    unipotent-fixed space is torus-stable, so each echelon row of it is a
-    weight vector whose weight is read off the diagonal at its pivot.  A
-    weight admits one or two labels; for each, Hom(L, mod) is computed by
-    ``_hom_maps`` from the highest-weight vector of the model L, whose
-    images lie in the fixed vectors of that weight.  Its dimension is the
-    multiplicity of L in the socle (End(L) = F_p), and the columns of its
-    basis maps, the images of L's basis, span the component.  For
-    L = L_s tensor det^t it is computed as Hom(L_s, mod tensor det^-t): the
-    same linear maps, from the one cached model of L_s."""
+    The nullspace basis of u - 1 consists of weight vectors (the kernel is
+    torus-stable, with one vector per choice of free-column entries), so a
+    row's weight is read at its first nonzero entry.  Each weight names one
+    or two labels; Hom(L, mod) is ``_hom_maps`` from the cached model of
+    L_s into mod tensor det^-t, pinned on the fixed vectors of that weight.
+    Raises ArithmeticError unless the rows are independent."""
     p = mod.p
-    fixed = mod.unipotent_fixed()
-    if fixed.dim == 0:
+    fixed = linalg.nullspace(mod.mats["u"] - np.eye(mod.dim, dtype=np.int64), p)
+    if not fixed:
         if mod.dim:
             raise ArithmeticError("nonzero module without unipotent-fixed vectors")
-        return []
-    B = fixed.matrix()
-    weights = []
-    for diag in mod.torus_weights():
-        w = diag[fixed.pivots]
-        if ((B * diag - w[:, None] * B) % p).any():
-            raise ArithmeticError("torus is not diagonal on the unipotent-fixed space")
-        weights.append(w)
+        return FpSpace(0, p), []
+    B = np.array(fixed)
+    diags = np.array(mod.torus_weights())
+    weights = diags[:, (B != 0).argmax(axis=1)]  # on d1 and d2, at each row's first nonzero
+    if ((B * diags[:, None] - weights[..., None] * B) % p).any():
+        raise ArithmeticError("torus is not diagonal on the unipotent-fixed space")
     g = primitive_root(p)
     dlog = {pow(g, e, p): e for e in range(p - 1)}
     spaces: dict[tuple[int, int], list[np.ndarray]] = {}
     for row, e1, e2 in zip(B, *weights):
         spaces.setdefault((dlog[int(e1)], dlog[int(e2)]), []).append(row)
-    found: list[tuple[JHLabel, FpSpace]] = []
+    found: list[tuple[JHLabel, np.ndarray]] = []
     for (alpha, beta), rows in spaces.items():
         for label in _weight_candidates(alpha, beta, p):
             maps = _hom_maps(*_label_model(p, label.s), _twist(mod, -label.t),
                              np.array(rows).T)
-            if not maps:
-                continue
-            component = FpSpace.from_rows(np.hstack(maps).T, mod.dim, p)
-            if component.dim != len(maps) * (label.s + 1):
-                raise ArithmeticError(f"{label.render()}-isotypic socle component has dim "
-                                      f"{component.dim}, not {len(maps)} * {label.s + 1}")
-            found.append((label, component))
-    return sorted(found, key=lambda pair: pair[0])
+            if maps:
+                found.append((label, np.hstack(maps).T))
+    found.sort(key=lambda pair: pair[0])
+    images = np.vstack([B[:0], *(rows for _, rows in found)])
+    socle = FpSpace.from_rows(images, mod.dim, p)
+    if socle.dim != len(images):
+        raise ArithmeticError(f"the {len(images)} images of the socle's Hom maps "
+                              f"span only {socle.dim} dimensions")
+    return socle, found
 
 
 def jh_decompose(mod: GammaModule) -> tuple[Counter, Counter]:
     """The multisets of irreducible labels of a module's Jordan-Hoelder
-    factors and of its socle.  Each step passes to the quotient by the whole
-    socle, so there is one socle search per Loewy layer.  Refuses a module
-    of dimension above ``JH_DIMENSION_BOUND``."""
+    factors and of its socle.  Each step passes to the quotient by the
+    socle that ``socle_simples`` returns, so there is one socle search per
+    Loewy layer.  Refuses a module of dimension above ``JH_DIMENSION_BOUND``."""
     if mod.dim > JH_DIMENSION_BOUND:
         raise DimensionBoundError(f"module dimension {mod.dim} exceeds bound {JH_DIMENSION_BOUND}")
     layers: list[Counter] = []
     current = mod
     while current.dim > 0:
-        socle = socle_simples(current)
-        if not socle:
+        socle, simples = socle_simples(current)
+        if not simples:
             raise ArithmeticError("no simple submodule found")
-        layers.append(Counter({label: comp.dim // (label.s + 1) for label, comp in socle}))
-        rows = np.vstack([comp.matrix() for _, comp in socle])
-        current, _ = current.quotient(FpSpace.from_rows(rows, current.dim, mod.p))
-    factors = sum(layers, Counter())
-    # overlapping components would make the quotients fall short
-    if sum((label.s + 1) * m for label, m in factors.items()) != mod.dim:
-        raise ArithmeticError("factor dimensions do not add up")
-    return factors, layers[0] if layers else Counter()
+        layers.append(Counter({label: len(rows) // (label.s + 1) for label, rows in simples}))
+        current, _ = current.quotient(socle)
+    return sum(layers, Counter()), layers[0] if layers else Counter()
 
 
 def gamma_iso(

@@ -368,11 +368,12 @@ class QEnv:
         return self.module.spin([self.cls_theta(self.r - self.p - 1)])
 
     def kill_submodule(self, keep: JHLabel) -> FpSpace:
-        """Span of the socle constituents whose label differs from ``keep``."""
+        """Span of the socle constituents whose label differs from ``keep``:
+        the rows ``socle_simples`` gives for each such label."""
         kill = FpSpace(self.module.dim, self.p)
-        for label, sub in socle_simples(self.module):
+        for label, rows in socle_simples(self.module)[1]:
             if label != keep:
-                kill.add_rows(sub.rows)
+                kill.add_rows(rows)
         return kill
 
 

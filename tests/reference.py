@@ -25,7 +25,10 @@ they check.
   library no longer uses.
 - ``union``: the sum of two F_p subspaces, and ``insert_vector``, the
   vector-at-a-time insertion into a reduced echelon basis, against the batch
-  insertion ``FpSpace.add_rows``.
+  insertion ``FpSpace.add_rows``.  ``unipotent_fixed``: the echelon space
+  of a module's u-fixed vectors, for the socle oracles that
+  ``symrep.socle_simples``, which reads the kernel basis as it comes, is
+  tested against.
 - ``classify_by_table``: the reduction table written out by congruence cell,
   with the exponents b+1 and b+p, against ``classify_reduction``, which
   derives it from ``surviving_factor`` and ``llc_image``; ``same_rep``
@@ -482,6 +485,12 @@ def certify_val_ge(c: ApCoeff, bound, sigma: Fraction, p: int) -> bool:
         if min(v_stored, e + d * sigma) < bound:
             return False
     return True
+
+
+def unipotent_fixed(mod: GammaModule) -> FpSpace:
+    """The vectors of a module fixed by u, as an echelon space."""
+    U = mod.mats["u"] - np.eye(mod.dim, dtype=np.int64)
+    return FpSpace.from_rows(linalg.nullspace(U, mod.p), mod.dim, mod.p)
 
 
 def union(a: FpSpace, b: FpSpace) -> FpSpace:

@@ -207,6 +207,14 @@ class TestSweep:
         code, out, err = run(capsys, "verify-lemmas", "--p", "5", "--r-to", "0")
         assert code == 2 and "empty" in err and out == ""
 
+    def test_lemma_sweep_refuses_r_from(self, capsys):
+        # the lemma rows always start at r = 1, so a start degree, even one
+        # above --r-to, is refused rather than ignored
+        for r_from in ("1", "20"):
+            code, out, err = run(capsys, "sweep", "--p", "5", "--r-from", r_from,
+                                 "--r-to", "12", "--check", "lemmas")
+            assert code == 2 and "--r-from" in err and out == ""
+
 
 class TestWitnessCommand:
     def test_ok_case(self, capsys):

@@ -39,6 +39,7 @@ from reference import (
     standard_spanning_set,
     theta_divides,
     theta_divides_criterion,
+    unipotent_fixed,
     union,
 )
 
@@ -147,7 +148,7 @@ def _socle_by_line_enumeration(mod):
     for the Hom-space ``socle_simples``, with weights read off the torus
     diagonal."""
     p = mod.p
-    fixed = mod.unipotent_fixed()
+    fixed = unipotent_fixed(mod)
     if fixed.dim == 0:
         if mod.dim:
             raise ArithmeticError("nonzero module without unipotent-fixed vectors")
@@ -169,7 +170,7 @@ def _socle_by_line_enumeration(mod):
         cands = symrep._weight_candidates(alpha, beta, p)
         for line in _lines(ambient, p):
             span = mod.spin([line])
-            if mod.restrict(span).unipotent_fixed().dim != 1:
+            if unipotent_fixed(mod.restrict(span)).dim != 1:
                 continue
             match = [c for c in cands if c.s + 1 == span.dim]
             if not match:
@@ -190,7 +191,7 @@ def _socle_by_weight_search(mod):
     enumeration replaced by reading weights off the torus diagonal; the
     second reference."""
     p = mod.p
-    fixed = mod.unipotent_fixed()
+    fixed = unipotent_fixed(mod)
     if fixed.dim == 0:
         return []
     g = symrep.primitive_root(p)
@@ -205,7 +206,7 @@ def _socle_by_weight_search(mod):
             cands = symrep._weight_candidates(alpha, beta, p)
             for line in (_lines([c @ B % p for c in ker], p) if ker else []):
                 span = mod.spin([line])
-                if mod.restrict(span).unipotent_fixed().dim != 1:
+                if unipotent_fixed(mod.restrict(span)).dim != 1:
                     continue
                 key = span.matrix().tobytes()
                 if key not in seen:
@@ -701,8 +702,9 @@ class TestJordanHoelder:
                                      for k, v in m.mats.items()})
         factors, socle = jh_decompose(mod)
         assert factors == socle == Counter({jh_label(1, 0, 3): 10})
-        [(label, component)] = socle_simples(mod)
-        assert label == jh_label(1, 0, 3) and component.dim == 20
+        space, [(label, rows)] = socle_simples(mod)
+        assert label == jh_label(1, 0, 3) and len(rows) == space.dim == 20
+        assert FpSpace.from_rows(rows, mod.dim, 3) == space
 
 
 class TestQuotient:
@@ -855,21 +857,38 @@ class TestGradedSocle:
         by_lines, by_weights = _socle_by_line_enumeration(mod), _socle_by_weight_search(mod)
         assert [label for label, _ in by_lines] == [label for label, _ in by_weights]
         assert all(a == b for (_, a), (_, b) in zip(by_lines, by_weights))
-        # per label: the isotypic component is the span of the reference's
-        # simple submodules with that label, and its multiplicity dim/(s+1)
-        got, socle = socle_simples(mod), jh_decompose(mod)[1]
+        # per label: the rows span the span of the reference's simple
+        # submodules with that label, independently, so the multiplicity is
+        # len(rows)/(s+1); the socle is the span of all the rows
+        (space, got), socle = socle_simples(mod), jh_decompose(mod)[1]
         assert [label for label, _ in got] == sorted({label for label, _ in by_lines})
         assert set(socle) == {label for label, _ in got}
-        for label, component in got:
+        for label, rows in got:
             simples = np.vstack([span.matrix() for lab, span in by_lines if lab == label])
-            assert component == FpSpace.from_rows(simples, mod.dim, p)
-            assert socle[label] * (label.s + 1) == component.dim
+            assert FpSpace.from_rows(rows, mod.dim, p) == FpSpace.from_rows(simples, mod.dim, p)
+            assert socle[label] * (label.s + 1) == len(rows) == rank(rows, p)
+        want = FpSpace(mod.dim, p)
+        for _, span in by_lines:
+            want.add_rows(span.matrix())
+        assert space == want
 
     def test_rejects_a_module_not_graded_by_the_torus(self):
         m1, m2, _ = _conjugated_weight_module()
         assert jh_decompose(m1)[1] == Counter({jh_label(3, 2, 5): 1})
         with pytest.raises(ArithmeticError):
             socle_simples(m2)
+
+    def test_refuses_overlapping_hom_images(self, monkeypatch):
+        # Hom maps whose images are dependent would count a simple twice:
+        # with _hom_maps giving its first map twice, the socle's one echelon
+        # form falls short of its rows and the module is refused
+        hom_maps = symrep._hom_maps
+        monkeypatch.setattr(symrep, "_hom_maps", lambda *args: hom_maps(*args)[:1] * 2)
+        for mod in (weight_module(5, 3, 2), build_X(5, 25).module):
+            with pytest.raises(ArithmeticError, match="span only"):
+                socle_simples(mod)
+            with pytest.raises(ArithmeticError, match="span only"):
+                jh_decompose(mod)
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)
@@ -896,8 +915,8 @@ class TestGradedSocle:
         gens_u = weight_vectors(data.draw(st.integers(0, 2)))
         gens_w = gens_u + weight_vectors(data.draw(st.integers(1, 2)))
         mod = SubquotientModule(sym_power(p, r), full.spin(gens_w), full.spin(gens_u))
-        C = mod.unipotent_fixed().matrix().T
-        for label, component in socle_simples(mod):
+        C = unipotent_fixed(mod).matrix().T
+        for label, rows in socle_simples(mod)[1]:
             model, words, Xinv = symrep._label_model(p, label.s)
             top = sym_power(p, label.s).monomial(0)
             maps = symrep._hom_maps(model, words, Xinv, symrep._twist(mod, -label.t), C)
@@ -905,7 +924,7 @@ class TestGradedSocle:
             again = symrep._hom_maps(fresh, *symrep._spin_words(fresh, top), mod, C)
             assert len(maps) == len(again)
             assert all(np.array_equal(a, b) for a, b in zip(maps, again))
-            assert component == mod.spin([T @ top % p for T in maps])
+            assert FpSpace.from_rows(rows, mod.dim, p) == mod.spin([T @ top % p for T in maps])
 
 
 class TestSharedCaches:
