@@ -45,21 +45,15 @@ stable under the whole monoid, which therefore acts on V_r/V**, and the
 image of the submodule there is the spin of the class of X^(r-1) Y under
 the Gamma generators and diag(1, 0), which generate the monoid.
 
-The socle comes from Hom spaces, the method of the MeatAxe (Parker, 1984;
-Holt and Rees, "Testing modules for irreducibility", 1994): the torus
-weights of the unipotent-fixed vectors, read off the kernel basis of
-u - 1, name the candidate simple modules L, and Hom(L, M) is a nullspace
-whose dimension is the multiplicity of L, with no enumeration of vectors;
-a twisted L_s tensor det^t is searched as Hom(L_s, M tensor det^-t), so
-one model serves every twist.  The images of the Hom maps are echelonized
-once, as the socle, which also certifies that they are independent.  The
-factors are read one Loewy layer at a time, passing to the quotient by the
-whole socle.  Brute-force span closures under the full matrix monoid, and
-the r-row theta-multiple spaces and subquotients, remain as the reference
-the fast engine is tested against; the brute-force theta-divisibility
-tests, the (r+1)-long spanning images, the r-row build of the submodules
-and the echelon space of the unipotent-fixed vectors live with the other
-test oracles in ``tests/reference.py``.
+The socle comes from Hom spaces, as in the MeatAxe (Holt and Rees,
+"Testing modules for irreducibility", 1994), read by Frobenius reciprocity
+for the Borel subgroup (``socle_simples``): the torus weights of the
+unipotent-fixed vectors name the candidate simple modules L, and Hom(L, M)
+is the nullspace of L's coset relations on the fixed vectors of L's
+weight.  The factors are read one Loewy layer at a time.  Span closures
+under the full matrix monoid, the r-row theta-multiple spaces and
+subquotients remain as the reference the fast engine is tested against;
+the other oracles live in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -546,21 +540,12 @@ class SubquotientModule(GammaModule):
         return self._project_vec(linalg.as_vec(vec, self.p))
 
 
-def _twist(mod: GammaModule, t: int) -> GammaModule:
-    """mod tensor det^t (t may be negative): each generator's matrix times
-    its determinant to the t."""
-    if t % (mod.p - 1) == 0:
-        return mod
-    return GammaModule(mod.p, {name: mod.mats[name] * pow(g[0] * g[3] - g[1] * g[2], t, mod.p)
-                               for name, g in zip(GEN_NAMES, gamma_generators(mod.p))})
-
-
 def weight_module(p: int, s: int, t: int) -> GammaModule:
     """Model of the irreducible with label (s, t) on degree-s polynomials,
     the determinant twist entering as a scalar."""
     symp = sym_power(p, s)
-    return _twist(GammaModule(p, {name: symp.action_matrix(g)
-                                  for name, g in zip(GEN_NAMES, gamma_generators(p))}), t)
+    return GammaModule(p, {name: symp.action_matrix(g) * pow(g[0] * g[3] - g[1] * g[2], t, p)
+                           for name, g in zip(GEN_NAMES, gamma_generators(p))})
 
 
 # ---------------------------------------------------------------------------
@@ -573,67 +558,58 @@ def _weight_candidates(alpha: int, beta: int, p: int) -> list[JHLabel]:
     return [JHLabel(s, t) for s in (s0, s0 + p - 1) if s <= p - 1]
 
 
-def _spin_words(src: GammaModule, src_gen: np.ndarray) -> tuple[tuple, np.ndarray]:
-    """The spin of ``src_gen`` = x_0, which must generate src: the words
-    (parent, g) of x_1, x_2, ... = g x_parent in depth-first order, and the
-    inverse of the matrix X with columns x_i.  Only src enters."""
-    space = FpSpace(src.dim, src.p)
-    xs, words = [], []
-    work = [(-1, "", np.asarray(src_gen) % src.p)]
-    while work:
-        parent, name, x = work.pop()
-        if space.add(x):
-            words.append((parent, name))
-            xs.append(x)
-            work += [(len(xs) - 1, gen, src.act(gen, x)) for gen in GEN_NAMES]
-    if space.dim != src.dim:
-        raise ValueError("generator does not generate the source module")
-    return tuple(words[1:]), linalg.row_transform(np.array(xs, dtype=np.int64).T, src.p)[1]
+def _coset_relations(p: int, s: int) -> np.ndarray:
+    """The p-s relations of L_s (see ``socle_simples``) as the rows of a
+    (p-s) x (p+1) matrix, on x = X^s and the u^lambda w x, lambda = 0..p-1:
+    row k is [k = p-1-s], then lambda^k (0^0 = 1)."""
+    R = np.zeros((p - s, p + 1), dtype=np.int64)
+    R[:, 1:] = _power_cycles(p)[:, np.arange(p - s) % (p - 1)].T
+    R[1:, 1] = 0  # 0^k = 0 for k >= 1; the cycle reads 0^(p-1) as 0^0 = 1
+    R[-1, 0] = 1
+    return R
 
 
-def _hom_maps(src: GammaModule, words: tuple, Xinv: np.ndarray, dst: GammaModule,
-              C: np.ndarray) -> list[np.ndarray]:
-    """Basis of the equivariant maps src -> dst sending src_gen into the column
-    span of C, as matrices; ``words, Xinv`` is ``_spin_words(src, src_gen)``.
-
-    Replayed on Y_0 = C as Y_i = g Y_parent, the words make column k of Y_i
-    the image of x_i under the map pinned by src_gen -> C e_k.  That map is
-    T_k = (column k of each Y) X^-1, and sum theta_k T_k is equivariant exactly
-    when theta is in the nullspace of T_k g - g T_k over the four generators."""
-    p = src.p
-    ys = [np.asarray(C).reshape(dst.dim, -1) % p]
-    for parent, name in words:
-        ys.append(dst.mats[name] @ ys[parent] % p)
-    maps = np.einsum("nak,nm->kam", np.array(ys), Xinv) % p
-    conds = np.hstack([(maps @ src.mats[name] - dst.mats[name] @ maps).reshape(len(maps), -1) % p
-                       for name in GEN_NAMES]).T
-    return [np.tensordot(theta, maps, axes=1) % p
-            for theta in linalg.nullspace(conds[conds.any(axis=1)], p)]
-
-
-@functools.lru_cache(maxsize=512)
-def _label_model(p: int, s: int) -> tuple[GammaModule, tuple, np.ndarray]:
-    """The untwisted model of L_s and the spin of X^s, shared read-only by
-    every socle search; a twist det^t moves to the target (``_twist``)."""
-    model = weight_module(p, s, 0)
-    words, Xinv = _spin_words(model, sym_power(p, s).monomial(0))
-    for arr in (*model.mats.values(), Xinv):
-        arr.flags.writeable = False
-    return model, words, Xinv
+def _hom_images(Z: np.ndarray, s: int, p: int) -> np.ndarray:
+    """Z = [C, u^lambda w C for lambda in F_p] for the U-fixed vectors C of
+    L_s's weight: the images u^lambda w v, lambda = 0..s, of L_s's basis
+    (lambda X + Y)^s, v over a basis of the combinations of C's columns on
+    which the relations hold, i.e. of Hom(L_s, M)."""
+    conds = (_coset_relations(p, s) @ Z.reshape(p + 1, -1) % p).reshape(-1, Z.shape[2])
+    theta = np.array(linalg.nullspace(conds[conds.any(axis=1)], p)).reshape(-1, Z.shape[2])
+    return (np.tensordot(theta, Z[1 : s + 2], axes=(1, 2)) % p).reshape(-1, Z.shape[1])
 
 
 def socle_simples(mod: GammaModule) -> tuple[FpSpace, list[tuple[JHLabel, np.ndarray]]]:
-    """The socle of a torus-graded module (see ``GammaModule.torus_weights``)
+    """The socle of a torus-graded module M (see ``GammaModule.torus_weights``)
     as one echelon form, and per label, sorted, the rows spanning its
     isotypic component: the images of L's basis under a basis of
-    Hom(L, mod), so L's multiplicity is len(rows) // (s+1).
+    Hom(L, M), so L's multiplicity is len(rows) // (s+1).
+
+    Hom(L, M) comes from Frobenius reciprocity for the Borel subgroup B,
+    generated by u, d1 and d2 (Alperin, Local Representation Theory, 1986,
+    section 8).  G = GL2(F_p) is B and the p cosets u^lambda w B.  L = L_s
+    tensor det^t is a quotient of Ind_B^G chi, chi the character of B on
+    its U-fixed vector x = X^s, and Hom_G(Ind_B^G chi, M) = M^U_chi; so v in
+    M^U_chi is the image of x under a map L -> M exactly when the relations
+    among x and the u^lambda w x = (lambda X + Y)^s hold for v and the
+    u^lambda w v.  As sum_lambda lambda^m is -1 if (p-1) | m and m > 0, else
+    0 (0^0 = 1), the relations are, for k = 0..p-1-s,
+
+        sum_lambda lambda^k (lambda X + Y)^s + [k = p-1-s] X^s = 0:
+
+    p-s independent ones (Vandermonde), dim Ind - dim L, so all of them
+    (``_coset_relations``).  The twist moves to M, Hom(L, M) = Hom(L_s, M
+    tensor det^-t), which changes only w, by (-1)^t (det u = 1, det w = -1).
+    A basis vector v of their nullspace (``_hom_images``) gives the rows
+    u^lambda w v, lambda = 0..s, the images of L's basis (lambda X + Y)^s
+    (Vandermonde, and binom(s, i) != 0 for s <= p-1).  No model of L is built.
 
     The nullspace basis of u - 1 consists of weight vectors (the kernel is
     torus-stable, with one vector per choice of free-column entries), so a
-    row's weight is read at its first nonzero entry.  Each weight names one
-    or two labels; Hom(L, mod) is ``_hom_maps`` from the cached model of
-    L_s into mod tensor det^-t, pinned on the fixed vectors of that weight.
-    Raises ArithmeticError unless the rows are independent."""
+    row's weight is read at its first nonzero entry, and each weight names
+    one or two labels.  Raises ArithmeticError unless the rows are
+    independent and each label's rows span a submodule, as the argument
+    above guarantees."""
     p = mod.p
     fixed = linalg.nullspace(mod.mats["u"] - np.eye(mod.dim, dtype=np.int64), p)
     if not fixed:
@@ -652,17 +628,27 @@ def socle_simples(mod: GammaModule) -> tuple[FpSpace, list[tuple[JHLabel, np.nda
         spaces.setdefault((dlog[int(e1)], dlog[int(e2)]), []).append(row)
     found: list[tuple[JHLabel, np.ndarray]] = []
     for (alpha, beta), rows in spaces.items():
+        C = np.array(rows).T  # then u^lambda w C in M tensor det^-t, t = beta
+        Z = [C, (-1) ** beta * mod.mats["w"] @ C % p]
+        for _ in range(p - 1):
+            Z.append(mod.mats["u"] @ Z[-1] % p)
         for label in _weight_candidates(alpha, beta, p):
-            maps = _hom_maps(*_label_model(p, label.s), _twist(mod, -label.t),
-                             np.array(rows).T)
-            if maps:
-                found.append((label, np.hstack(maps).T))
+            images = _hom_images(np.array(Z), label.s, p)
+            if len(images):
+                found.append((label, images))
     found.sort(key=lambda pair: pair[0])
     images = np.vstack([B[:0], *(rows for _, rows in found)])
-    socle = FpSpace.from_rows(images, mod.dim, p)
-    if socle.dim != len(images):
+    basis, T, pivots = linalg.row_transform(images, p)  # basis = T images
+    if len(pivots) != len(images):
         raise ArithmeticError(f"the {len(images)} images of the socle's Hom maps "
-                              f"span only {socle.dim} dimensions")
+                              f"span only {len(pivots)} dimensions")
+    socle = FpSpace.from_echelon(basis, pivots, mod.dim, p)
+    # each g . image must lie in the socle, on the images of its own label
+    moved = np.stack([images @ mod.mats[name].T % p for name in GEN_NAMES])
+    labels = np.repeat(np.arange(len(found)), [len(rows) for _, rows in found])
+    if (socle.reduce(moved).any()
+            or (moved[..., pivots] @ T % p * (labels[:, None] != labels)).any()):
+        raise ArithmeticError("an isotypic component of the socle is not a submodule")
     return socle, found
 
 
@@ -687,15 +673,28 @@ def jh_decompose(mod: GammaModule) -> tuple[Counter, Counter]:
 def gamma_iso(
     src: GammaModule, src_gen: np.ndarray, dst: GammaModule, dst_gen: np.ndarray
 ) -> np.ndarray:
-    """Matrix of the equivariant isomorphism pinned by src_gen -> dst_gen:
-    ``_hom_maps`` with the single column dst_gen, checked to be bijective."""
+    """Matrix T of the equivariant isomorphism pinned by src_gen -> dst_gen.
+    src_gen is spun in src, one ``FpSpace.add`` per vector x_i = g x_parent,
+    and each step is replayed on dst_gen as y_i = g y_parent, so T = Y X^-1;
+    T is then checked against the four generators and to be bijective."""
     if src.dim != dst.dim:
         raise ValueError("dimension mismatch")
-    maps = _hom_maps(src, *_spin_words(src, src_gen), dst, dst_gen)
-    if not maps:
+    p = src.p
+    space = FpSpace(src.dim, p)
+    xs, ys = [], []
+    work = [(np.asarray(src_gen) % p, np.asarray(dst_gen) % p)]
+    while work:
+        x, y = work.pop()
+        if space.add(x):
+            xs.append(x)
+            ys.append(y)
+            work += [(src.act(name, x), dst.act(name, y)) for name in GEN_NAMES]
+    if space.dim != src.dim:
+        raise ValueError("generator does not generate the source module")
+    T = np.array(ys).T @ linalg.row_transform(np.array(xs).T, p)[1] % p
+    if any(((T @ src.mats[name] - dst.mats[name] @ T) % p).any() for name in GEN_NAMES):
         raise ValueError("constructed map is not equivariant")
-    T = maps[0]
-    if linalg.rank(T, src.p) != src.dim:
+    if linalg.rank(T, p) != src.dim:
         raise ValueError("constructed map is not invertible")
     return T
 

@@ -28,7 +28,9 @@ they check.
   insertion ``FpSpace.add_rows``.  ``unipotent_fixed``: the echelon space
   of a module's u-fixed vectors, for the socle oracles that
   ``symrep.socle_simples``, which reads the kernel basis as it comes, is
-  tested against.
+  tested against.  ``hom_maps_by_spin``: Hom spaces by spinning a
+  generator of the source and solving the equivariance conditions, against
+  the Frobenius-reciprocity Hom spaces of ``socle_simples``.
 - ``classify_by_table``: the reduction table written out by congruence cell,
   with the exponents b+1 and b+p, against ``classify_reduction``, which
   derives it from ``surviving_factor`` and ``llc_image``; ``same_rep``
@@ -491,6 +493,39 @@ def unipotent_fixed(mod: GammaModule) -> FpSpace:
     """The vectors of a module fixed by u, as an echelon space."""
     U = mod.mats["u"] - np.eye(mod.dim, dtype=np.int64)
     return FpSpace.from_rows(linalg.nullspace(U, mod.p), mod.dim, mod.p)
+
+
+def hom_maps_by_spin(src: GammaModule, src_gen, dst: GammaModule, C) -> list[np.ndarray]:
+    """Basis of the equivariant maps src -> dst sending ``src_gen`` into the
+    column span of C, as matrices.
+
+    src_gen = x_0, which must generate src, is spun one vector at a time,
+    x_i = g x_parent, and the words are replayed on Y_0 = C as Y_i =
+    g Y_parent, so column k of Y_i is the image of x_i under the map pinned
+    by src_gen -> C e_k.  That map is T_k = (column k of each Y) X^-1, X the
+    matrix with columns x_i, and sum theta_k T_k is equivariant exactly when
+    theta is in the nullspace of T_k g - g T_k over the four generators."""
+    p = src.p
+    space = FpSpace(src.dim, p)
+    xs, words = [], []
+    work = [(-1, "", np.asarray(src_gen) % p)]
+    while work:
+        parent, name, x = work.pop()
+        if space.add(x):
+            words.append((parent, name))
+            xs.append(x)
+            work += [(len(xs) - 1, gen, src.act(gen, x)) for gen in GEN_NAMES]
+    if space.dim != src.dim:
+        raise ValueError("generator does not generate the source module")
+    Xinv = linalg.row_transform(np.array(xs, dtype=np.int64).T, p)[1]
+    ys = [np.asarray(C).reshape(dst.dim, -1) % p]
+    for parent, name in words[1:]:
+        ys.append(dst.mats[name] @ ys[parent] % p)
+    maps = np.einsum("nak,nm->kam", np.array(ys), Xinv) % p
+    conds = np.hstack([(maps @ src.mats[name] - dst.mats[name] @ maps).reshape(len(maps), -1) % p
+                       for name in GEN_NAMES]).T
+    return [np.tensordot(theta, maps, axes=1) % p
+            for theta in linalg.nullspace(conds[conds.any(axis=1)], p)]
 
 
 def union(a: FpSpace, b: FpSpace) -> FpSpace:

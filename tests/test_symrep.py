@@ -35,6 +35,7 @@ from crysred.symrep import (
 )
 from reference import (
     build_X_rows,
+    hom_maps_by_spin,
     insert_vector,
     standard_spanning_set,
     theta_divides,
@@ -879,24 +880,40 @@ class TestGradedSocle:
             socle_simples(m2)
 
     def test_refuses_overlapping_hom_images(self, monkeypatch):
-        # Hom maps whose images are dependent would count a simple twice:
-        # with _hom_maps giving its first map twice, the socle's one echelon
+        # Hom images that are dependent would count a simple twice: with
+        # _hom_images giving its first copy twice, the socle's one echelon
         # form falls short of its rows and the module is refused
-        hom_maps = symrep._hom_maps
-        monkeypatch.setattr(symrep, "_hom_maps", lambda *args: hom_maps(*args)[:1] * 2)
+        hom_images = symrep._hom_images
+        monkeypatch.setattr(symrep, "_hom_images",
+                            lambda Z, s, p: np.tile(hom_images(Z, s, p)[: s + 1], (2, 1)))
         for mod in (weight_module(5, 3, 2), build_X(5, 25).module):
             with pytest.raises(ArithmeticError, match="span only"):
                 socle_simples(mod)
             with pytest.raises(ArithmeticError, match="span only"):
                 jh_decompose(mod)
 
+    def test_refuses_a_component_that_is_not_a_submodule(self, monkeypatch):
+        # at these modules a U-fixed vector outside the socle has the weight
+        # of a socle label; taken without the coset relations, its images
+        # are independent of the others but span no submodule, and the
+        # per-component stability check refuses them
+        cases = [(build_X(3, 7).module, 1), (quotient_Q(5, 23), 1)]
+        for mod, mult in cases:
+            fixed = nullspace(mod.mats["u"] - np.eye(mod.dim, dtype=np.int64), mod.p)
+            assert sum(jh_decompose(mod)[1].values()) == mult < len(fixed)
+        monkeypatch.setattr(symrep, "_hom_images", lambda Z, s, p:
+                            np.moveaxis(Z[1 : s + 2], 2, 0).reshape(-1, Z.shape[1]))
+        for mod, _ in cases:
+            with pytest.raises(ArithmeticError, match="not a submodule"):
+                socle_simples(mod)
+
     @given(st.data())
     @settings(max_examples=40, deadline=None)
     def test_components_match_the_spin_of_the_top_images(self, data):
-        # the components read off the Hom maps' columns are the spins of the
-        # images of the model's top vector, and the cached untwisted spin
-        # words, replayed on the target twisted by det^-t, give the maps a
-        # fresh spin of the twisted model gives
+        # per label, the rows span what the maps of the spin oracle give,
+        # from the model of L_s into the target twisted by det^-t, with one
+        # copy of L's basis per map; and each component is the spin of the
+        # images of the model's top vector under those maps
         p = data.draw(st.sampled_from([3, 5, 7]), label="p")
         r = data.draw(st.integers(1, 3 * p), label="r")
         full = SubquotientModule(sym_power(p, r), None, None)
@@ -917,26 +934,32 @@ class TestGradedSocle:
         mod = SubquotientModule(sym_power(p, r), full.spin(gens_w), full.spin(gens_u))
         C = unipotent_fixed(mod).matrix().T
         for label, rows in socle_simples(mod)[1]:
-            model, words, Xinv = symrep._label_model(p, label.s)
             top = sym_power(p, label.s).monomial(0)
-            maps = symrep._hom_maps(model, words, Xinv, symrep._twist(mod, -label.t), C)
-            fresh = weight_module(p, *label)
-            again = symrep._hom_maps(fresh, *symrep._spin_words(fresh, top), mod, C)
-            assert len(maps) == len(again)
-            assert all(np.array_equal(a, b) for a, b in zip(maps, again))
-            assert FpSpace.from_rows(rows, mod.dim, p) == mod.spin([T @ top % p for T in maps])
+            dets = [pow(a * d - b * c, -label.t, p) for a, b, c, d in gamma_generators(p)]
+            twisted = symrep.GammaModule(p, {name: mod.mats[name] * det
+                                             for name, det in zip(GEN_NAMES, dets)})
+            maps = hom_maps_by_spin(weight_module(p, label.s, 0), top, twisted, C)
+            assert len(rows) == len(maps) * (label.s + 1)
+            span = FpSpace.from_rows(rows, mod.dim, p)
+            assert span == FpSpace.from_rows(np.hstack(maps).T, mod.dim, p)
+            assert span == mod.spin([T @ top % p for T in maps])
 
 
-class TestSharedCaches:
-    def test_label_cache_is_bounded_and_read_only(self):
-        assert symrep._label_model.cache_info().maxsize is not None
-        jh_decompose(build_X(5, 25).module)
-        assert symrep._label_model.cache_info().currsize > 0
-        model, words, Xinv = symrep._label_model(5, 1)
-        assert isinstance(words, tuple)
-        for arr in (*model.mats.values(), Xinv):
-            with pytest.raises(ValueError):
-                arr[0, 0] = 1
+class TestCosetRelations:
+    def test_span_the_relations_of_each_simple(self):
+        # the p-s relations are independent and span every relation among
+        # x = X^s and the u^lambda w x in weight_module(p, s, 0)
+        for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+            for s in range(p):
+                m, x = weight_module(p, s, 0), sym_power(p, s).monomial(0)
+                cols = [x, m.act("w", x)]
+                for _ in range(p - 1):
+                    cols.append(m.act("u", cols[-1]))
+                A = np.array(cols).T  # (s+1) x (p+1): x, then u^lambda w x
+                R = symrep._coset_relations(p, s)
+                assert R.shape == (p - s, p + 1) and rank(R, p) == p - s, (p, s)
+                assert not (A @ R.T % p).any(), (p, s)
+                assert len(nullspace(A, p)) == p - s, (p, s)
 
 
 class TestInt64Guard:
