@@ -1,20 +1,22 @@
 """Exact scalar arithmetic over F_p, Q and truncated Z_p.
 
-Everything is big-integer / rational arithmetic; no floats.  The module
-provides base-p digit sums, the class sum of binomial coefficients that the
-witness audit reads and the class-sum lemma sweep, Teichmuller lifts at
-finite precision, the structured integer families (``choose_*``) consumed
-by the witness builder, and the Hecke coefficients ``ApCoeff`` with their
-residues ``ResidueExpr``.  Every ``choose_*`` constructor re-validates all of
-its advertised congruences with exact integers before returning.  The
-big-integer class sums T and S mod p^2 are test oracles of the sweep and
-live in ``tests/reference.py``.
+Everything is exact integer / rational arithmetic; no floats.  The module
+provides base-p digit sums, the class sums of binomial coefficients that the
+witness audit reads and the lemma sweep (for all degrees at once, in numpy
+blocks), Teichmuller lifts at finite precision, the structured integer
+families (``choose_*``) consumed by the witness builder, and the Hecke
+coefficients ``ApCoeff`` with their residues ``ResidueExpr``.  Every
+``choose_*`` constructor re-validates its congruences on residues before
+returning its exact family.  The big-integer class sums T and S mod p^2 are
+test oracles of the sweep and live in ``tests/reference.py``.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import DomainError, HypothesisError, PrecisionError
 
@@ -111,8 +113,9 @@ def class_sum_table(r: int, p: int, k: int = 3) -> list[int]:
     """sum of binom(r, j) mod p^k over 0 <= j <= r, per class j mod (p-1).
 
     One incremental pass carrying binom(r, j) as p^e * unit with the unit
-    held mod p^k; exact residues without full-size integers.  It is the
-    per-degree reference for the degree sweep ``_class_sum_tables``.
+    held mod p^k; exact residues without full-size integers.  It seeds the
+    block step of the degree sweep ``_class_sum_tables`` and is its per-degree
+    reference in the tests.
     """
     require_odd_prime(p)
     pk = p**k
@@ -142,52 +145,64 @@ def class_sum_table(r: int, p: int, k: int = 3) -> list[int]:
         j += 1
 
 
-def _class_sum_tables(r_to: int, p: int, k: int):
-    """Yield class_sum_table(r, p, k) for r = 0, 1, ..., r_to.
+def _class_sum_tables(r_to: int, p: int, k: int) -> np.ndarray:
+    """The (r_to+1) x (p-1) array whose row r is class_sum_table(r, p, k).
 
-    Pascal's rule summed over a class, t_(r+1)[c] = t_r[c] + t_r[c-1] with c-1
-    taken mod p-1, steps from t_0 = e_0 in p-1 additions per degree."""
-    pk = p**k
-    tab = [1] + [0] * (p - 2)
-    yield tab
-    for _ in range(r_to):
-        tab = [(tab[c] + tab[c - 1]) % pk for c in range(p - 1)]
-        yield tab
+    Row r is t_r = (1+x)^r in (Z/p^k)[x]/(x^(p-1) - 1), so t_(r+B) is t_r
+    times the circulant of t_B (cyclic convolution over Z/(p-1)), cut to the
+    at most B+1 nonzero entries of t_B.  Those products step t_0, t_B, t_2B,
+    ... (B = isqrt(r_to)+1), and Pascal's rule on classes, t_(r+1)[c] =
+    t_r[c] + t_r[c-1], fills the B-1 rows after each of them at once.  A
+    product sums at most p-1 terms below p^(2k): int64 while (p-1)(p^k-1)^2
+    < 2^63 (p <= 509 at k = 3), else Python ints (dtype object).  Pascal's
+    sums stay below 2p^k."""
+    pk, n, B = p**k, p - 1, math.isqrt(r_to) + 1
+    t_B = np.array(class_sum_table(B, p, k), np.int64 if n * (pk - 1) ** 2 < 2**63 else object)
+    nz = np.flatnonzero(t_B)
+    shifts = (np.arange(n) - nz[:, None]) % n  # t_B[i] * t[c-i] for i in nz
+    tab = np.zeros((r_to // B + 1, B, n), np.int64 if 2 * pk < 2**63 else object)
+    tab[0, 0, 0] = 1  # tab[q, s] is row qB + s
+    for q in range(1, len(tab)):
+        tab[q, 0] = t_B[nz] @ tab[q - 1, 0, shifts] % pk
+    back = np.arange(n) - 1  # column c - 1, wrapping at c = 0
+    for s in range(1, B):
+        tab[:, s] = (tab[:, s - 1] + tab[:, s - 1, back]) % pk
+    return tab.reshape(-1, n)[:r_to + 1]
 
 
 def lemma_rows(p: int, r_to: int) -> list[dict]:
     """The three class-sum lemmas at every degree 1 <= r <= r_to, one row per
-    degree, checked on residue tables mod p^3 (the big-integer class sums
-    are their oracle in the test-suite)."""
+    degree, checked on residue tables mod p^3 as arrays over r (the
+    big-integer class sums are their oracle in the test-suite)."""
     if r_to < 1:
         raise DomainError(f"empty lemma range: --r-to {r_to} is below 1")
     require_odd_prime(p)
+    n, p2, p3 = p - 1, p * p, p**3
+    tab = _class_sum_tables(r_to, p, 3)
+    r = np.arange(1, r_to + 1)
+    a = (r - 1) % n + 1
+    b = np.where(a == 1, p, a)
+    inv = np.array([0] + [inv_mod(x, p) for x in range(1, p)])
+    want = (a - r) * inv[a] % p
+    # sum over 0 < j < r in class a: drop j = r, and j = 0 when a = p-1
+    S = (tab[r, a % n] - 1 - (a == n)) % p3
+    quotient = np.where(S % p == 0, S % p2 // p, -1)
+    # below b the sum is empty and the closed form does not apply; over
+    # 0 < j < r-1 in class b-1: drop j = r-1, and j = 0 when b = p
+    has_t, tr = r >= b, (tab[r, (b - 1) % n] - r - (b == p)) % p
+    # sum over 1 < j < r in class 1 when p | r = 1 mod p-1: drop j = 1 and j = r
+    has_s2, s2 = (r % p == 0) & ((r - 1) % n == 0), (tab[r, 1 % n] - r - 1) % p2
+    ok = (quotient == want) & (~has_t | (tr == (b - r) % p)) & (~has_s2 | (s2 == (p - r) % p2))
     rows = []
-    p2, p3 = p * p, p**3
-    tables = _class_sum_tables(r_to, p, 3)
-    next(tables)  # r = 0
-    for r, tab in enumerate(tables, start=1):
-        a = r % (p - 1) or p - 1
-        b = a if a != 1 else p
-        row = {"p": p, "r": r, "a": a, "b": b}
-        # sum over 0 < j < r in class a: drop j = r, and j = 0 when a = p-1
-        S = (tab[a % (p - 1)] - 1 - (1 if a == p - 1 else 0)) % p3
-        want = (a - r) * inv_mod(a, p) % p
-        quotient = (S % p2) // p if S % p == 0 else -1
-        ok = quotient == want
-        row["class_sum_quotient"] = quotient
-        row["class_sum_expected"] = want
-        if r >= b:  # below b the sum is empty and the closed form does not apply
-            # sum over 0 < j < r-1 in class b-1: drop j = r-1, and j = 0 when b = p
-            tr = (tab[(b - 1) % (p - 1)] - r - (1 if b == p else 0)) % p
-            ok &= tr == (b - r) % p
-            row["t_sum"] = tr
-        if r % p == 0 and (r - 1) % (p - 1) == 0:
-            # sum over 1 < j < r in class 1: drop j = 1 and j = r
-            s2 = (tab[1 % (p - 1)] - r - 1) % p2
-            ok &= s2 == (p - r) % p2
-            row["s_sum_mod_p2"] = s2
-        row["pass"] = bool(ok)
+    for ri, ai, bi, qi, wi, t, ti, s, si, oki in zip(
+            *(x.tolist() for x in (r, a, b, quotient, want, has_t, tr, has_s2, s2, ok))):
+        row = {"p": p, "r": ri, "a": ai, "b": bi,
+               "class_sum_quotient": qi, "class_sum_expected": wi}
+        if t:
+            row["t_sum"] = ti
+        if s:
+            row["s_sum_mod_p2"] = si
+        row["pass"] = oki
         rows.append(row)
     return rows
 
@@ -218,12 +233,12 @@ def teichmuller(c: int, p: int, precision: int = DEFAULT_PRECISION) -> int:
 
 def _binom_row(r: int) -> list[int]:
     """The exact row binom(r, 0), ..., binom(r, r), by
-    binom(r, j+1) = binom(r, j) * (r-j) / (j+1)."""
+    binom(r, j+1) = binom(r, j) * (r-j) / (j+1) for j < r/2, mirrored."""
     row = [1] * (r + 1)
     c = 1
-    for j in range(r):
+    for j in range(r // 2):
         c = c * (r - j) // (j + 1)
-        row[j + 1] = c
+        row[j + 1] = row[r - j - 1] = c
     return row
 
 
@@ -231,11 +246,13 @@ def _check_family(name: str, fam: dict[int, int], row: list[int], p: int, level:
                   target: int = 0) -> dict[int, int]:
     """``fam`` once it holds at level L = ``level``, else ArithmeticError:
     fam[j] = binom(r, j) mod p^L, and sum_j binom(j, n) fam[j] vanishes mod
-    p^(L+2-n) for n <= L and is ``target`` mod p at n = L+1."""
+    p^(L+2-n) for n <= L and is ``target`` mod p at n = L+1; all read mod p^(L+2)."""
+    q = p ** (level + 2)
+    res = {j: x % q for j, x in fam.items()}
     failed = [f"matches_binom_mod_p{level}"] if any(
-        (x - row[j]) % p**level for j, x in fam.items()) else []
+        (x - row[j]) % p**level for j, x in res.items()) else []
     for n in range(level + 2):
-        total = sum(math.comb(j, n) * x for j, x in fam.items())
+        total = sum(math.comb(j, n) * x for j, x in res.items())
         if (total - (target if n == level + 1 else 0)) % p ** (level + 2 - n):
             failed.append(f"choose{n}_sum_mod_p{level + 2 - n}")
     if failed:

@@ -13,6 +13,7 @@ stderr).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -298,6 +299,7 @@ def cmd_verify_lemmas(args) -> int:
 # argument parsing
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="crysred",
@@ -354,9 +356,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command, with the ``cmd_*`` this module binds now (the parser is cached)."""
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        return globals()[args.fn.__name__](args)
     except Exception as exc:
         for kind, code in EXIT_CODES.items():
             if isinstance(exc, kind):

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -435,14 +436,29 @@ def _lemma_rows_per_degree(p: int, r_to: int) -> list[dict]:
 class TestDegreeSweep:
     def test_tables_match_per_degree_table(self):
         for p in LEMMA_PRIMES:
-            tables = arith._class_sum_tables(LEMMA_R_MAX, p, 3)
+            tables = arith._class_sum_tables(LEMMA_R_MAX, p, 3).tolist()
             for r, tab in enumerate(tables):
                 assert tab == arith.class_sum_table(r, p, 3), (p, r)
             assert r == LEMMA_R_MAX
 
+    @pytest.mark.parametrize("p", [509, 521, 1009])
+    def test_tables_across_the_int64_bound(self, p):
+        # 509 is the last prime with (p-1)(p^3-1)^2 < 2^63; past it the
+        # circulant products may wrap in int64 (at p = 1009 and r <= 2000 they
+        # do: without the bound, 958 lemma rows fail)
+        tables = arith._class_sum_tables(LEMMA_R_MAX, p, 3)
+        assert tables.shape == (LEMMA_R_MAX + 1, p - 1)
+        for r in [0, 1, LEMMA_R_MAX] + random.Random(p).sample(range(2, LEMMA_R_MAX), 25):
+            assert tables[r].tolist() == arith.class_sum_table(r, p, 3), (p, r)
+        assert all(row["pass"] for row in arith.lemma_rows(p, LEMMA_R_MAX)), p
+
     def test_lemma_rows_match_per_degree_rows(self):
-        for p in LEMMA_PRIMES:
+        for p in LEMMA_PRIMES + (521, 1009):
             assert arith.lemma_rows(p, 600) == _lemma_rows_per_degree(p, 600), p
+        # every block edge: the sweep steps isqrt(r_to)+1 degrees at a time
+        for p in (3, 5, 7):
+            for r_to in range(1, 41):
+                assert arith.lemma_rows(p, r_to) == _lemma_rows_per_degree(p, r_to), (p, r_to)
 
     def test_lemma_rows_refuse_bad_input(self):
         with pytest.raises(DomainError, match="empty"):
@@ -466,5 +482,43 @@ class TestDegreeSweep:
             assert cli.main(["verify-lemmas", "--p", str(p), "--r-to", str(LEMMA_R_MAX)]) == 0
         capsys.readouterr()
         assert {2041, 4069} <= seen
-        for r in sorted(seen):
+        # and every small degree, odd and even, for the mirrored half-row
+        for r in sorted(seen | set(range(41))):
             assert row_fn(r) == [math.comb(r, j) for j in range(r + 1)], r
+
+    def test_check_family_agrees_with_reference(self, monkeypatch, capsys):
+        # every family that verify-lemmas checks for p <= 13, and seeded
+        # perturbations of it by +-p^m, m = 0..L+2: the residue check raises
+        # exactly when the exact big-integer check fails
+        checked = []
+        check_fn = arith._check_family
+
+        def recording(name, fam, row, p, level, target=0):
+            checked.append((name, dict(fam), row, p, level, target))
+            return check_fn(name, fam, row, p, level, target)
+
+        monkeypatch.setattr(arith, "_check_family", recording)
+        for p in (3, 5, 7, 11, 13):
+            assert cli.main(["verify-lemmas", "--p", str(p), "--r-to", str(LEMMA_R_MAX)]) == 0
+        capsys.readouterr()
+        assert {len(row) - 1 for _, _, row, q, _, _ in checked if q == 13} >= {2041, 4069}
+        rng = random.Random(29)
+        refused = 0
+        for name, fam, row, p, level, target in checked:
+            r = len(row) - 1
+            assert family_holds(fam, r, p, level, target), (name, r, p)
+            if not fam:
+                continue
+            for m in range(level + 3):
+                for sign in (1, -1):
+                    bent = dict(fam)
+                    bent[rng.choice(sorted(fam))] += sign * p**m
+                    holds = family_holds(bent, r, p, level, target)
+                    try:
+                        check_fn(name, bent, row, p, level, target)
+                    except ArithmeticError:
+                        assert not holds, (name, r, p, m, sign)
+                        refused += 1
+                    else:
+                        assert holds, (name, r, p, m, sign)
+        assert refused
