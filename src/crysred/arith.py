@@ -170,10 +170,10 @@ def _class_sum_tables(r_to: int, p: int, k: int) -> np.ndarray:
     return tab.reshape(-1, n)[:r_to + 1]
 
 
-def lemma_rows(p: int, r_to: int) -> list[dict]:
-    """The three class-sum lemmas at every degree 1 <= r <= r_to, one row per
-    degree, checked on residue tables mod p^3 as arrays over r (the
-    big-integer class sums are their oracle in the test-suite)."""
+def _lemma_columns(p: int, r_to: int) -> dict[str, np.ndarray]:
+    """The columns of ``lemma_rows`` as arrays over r = 1..r_to, keyed by
+    its row keys; ``t_sum`` and ``s_sum_mod_p2`` belong to a row only where
+    ``has_t`` and ``has_s2`` hold."""
     if r_to < 1:
         raise DomainError(f"empty lemma range: --r-to {r_to} is below 1")
     require_odd_prime(p)
@@ -193,9 +193,18 @@ def lemma_rows(p: int, r_to: int) -> list[dict]:
     # sum over 1 < j < r in class 1 when p | r = 1 mod p-1: drop j = 1 and j = r
     has_s2, s2 = (r % p == 0) & ((r - 1) % n == 0), (tab[r, 1 % n] - r - 1) % p2
     ok = (quotient == want) & (~has_t | (tr == (b - r) % p)) & (~has_s2 | (s2 == (p - r) % p2))
+    return {"r": r, "a": a, "b": b, "class_sum_quotient": quotient,
+            "class_sum_expected": want, "has_t": has_t, "t_sum": tr,
+            "has_s2": has_s2, "s_sum_mod_p2": s2, "pass": ok}
+
+
+def lemma_rows(p: int, r_to: int) -> list[dict]:
+    """The three class-sum lemmas at every degree 1 <= r <= r_to, one row per
+    degree, checked on residue tables mod p^3 as arrays over r (the
+    big-integer class sums are their oracle in the test-suite)."""
+    cols = _lemma_columns(p, r_to)
     rows = []
-    for ri, ai, bi, qi, wi, t, ti, s, si, oki in zip(
-            *(x.tolist() for x in (r, a, b, quotient, want, has_t, tr, has_s2, s2, ok))):
+    for ri, ai, bi, qi, wi, t, ti, s, si, oki in zip(*(x.tolist() for x in cols.values())):
         row = {"p": p, "r": ri, "a": ai, "b": bi,
                "class_sum_quotient": qi, "class_sum_expected": wi}
         if t:

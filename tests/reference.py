@@ -25,12 +25,16 @@ they check.
   library no longer uses.
 - ``union``: the sum of two F_p subspaces, and ``insert_vector``, the
   vector-at-a-time insertion into a reduced echelon basis, against the batch
-  insertion ``FpSpace.add_rows``.  ``unipotent_fixed``: the echelon space
-  of a module's u-fixed vectors, for the socle oracles that
-  ``symrep.socle_simples``, which reads the kernel basis as it comes, is
-  tested against.  ``hom_maps_by_spin``: Hom spaces by spinning a
-  generator of the source and solving the equivariance conditions, against
-  the Frobenius-reciprocity Hom spaces of ``socle_simples``.
+  insertion ``FpSpace.add_rows``.  ``eliminate_by_hit_rows``: Gauss-Jordan
+  elimination with a live-column search and an update of the hit rows at
+  every pivot, against ``linalg.eliminate``, which updates the whole array
+  of a small matrix; they must leave the same array and pivots.
+  ``unipotent_fixed``: the echelon space of a module's u-fixed vectors, for
+  the socle oracles that ``symrep.socle_simples``, which reads the kernel
+  basis as it comes, is tested against.  ``hom_maps_by_spin``: Hom spaces
+  by spinning a generator of the source and solving the equivariance
+  conditions, against the Frobenius-reciprocity Hom spaces of
+  ``socle_simples``.
 - ``classify_by_table``: the reduction table written out by congruence cell,
   with the exponents b+1 and b+p, against ``classify_reduction``, which
   derives it from ``surviving_factor`` and ``llc_image``; ``same_rep``
@@ -531,6 +535,32 @@ def hom_maps_by_spin(src: GammaModule, src_gen, dst: GammaModule, C) -> list[np.
 def union(a: FpSpace, b: FpSpace) -> FpSpace:
     """The sum of two subspaces of the same F_p^n."""
     return FpSpace.from_rows(np.vstack([a.matrix(), b.matrix()]), a.n, a.p)
+
+
+def eliminate_by_hit_rows(A: np.ndarray, p: int, ncols: int) -> list[int]:
+    """Gauss-Jordan elimination of A in place, with pivots taken only among
+    its first ``ncols`` columns, as ``linalg.eliminate`` specifies: at each
+    step the first live column at or below the current row, its first
+    nonzero row swapped up and scaled, and the multiple of it taken off every
+    other row that has a nonzero entry in the pivot column."""
+    pivots: list[int] = []
+    col = 0
+    for row in range(A.shape[0]):
+        live = np.flatnonzero(A[row:, col:ncols].any(axis=0))
+        if not live.size:
+            break
+        col += int(live[0])
+        k = row + int(np.flatnonzero(A[row:, col])[0])
+        if k != row:
+            A[[row, k]] = A[[k, row]]
+        A[row] = A[row] * pow(int(A[row, col]), -1, p) % p
+        f = A[:, col].copy()
+        f[row] = 0
+        hit = np.flatnonzero(f)
+        A[hit] = (A[hit] - np.outer(f[hit], A[row])) % p
+        pivots.append(col)
+        col += 1
+    return pivots
 
 
 def insert_vector(rows: list, pivots: list, v, p: int) -> bool:

@@ -8,6 +8,7 @@ from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -315,6 +316,24 @@ class TestVerifyLemmas:
         betas = [row for row in doc["families"] if row["family"] == "beta"]
         assert code == 1 and betas and doc["failed"] == len(betas)
         assert all(not row["pass"] and "sum_mod_p3" in row["error"] for row in betas)
+
+    def test_lemma_failures_counted_as_the_sweep_counts_them(self, capsys, monkeypatch):
+        # a class-sum table off by one at every third degree fails lemma
+        # rows; verify-lemmas counts them on arrays, sweep on its rows
+        tables = cli.arith._class_sum_tables
+
+        def corrupted(r_to, p, k):
+            return tables(r_to, p, k) + (np.arange(r_to + 1) % 3 == 0)[:, None]
+
+        monkeypatch.setattr(cli.arith, "_class_sum_tables", corrupted)
+        code, out, _ = run(capsys, "verify-lemmas", "--p", "5", "--r-to", "60", "--format", "json")
+        sweep_code, sweep_out, _ = run(capsys, "sweep", "--p", "5", "--check", "lemmas",
+                                       "--r-to", "60", "--format", "json")
+        doc, sweep = json.loads(out), json.loads(sweep_out)
+        assert code == sweep_code == 1
+        assert doc["lemma_rows"] == len(sweep["rows"]) == 60
+        assert all(row["pass"] for row in doc["families"])
+        assert doc["failed"] == sweep["failed"] == sum(not row["pass"] for row in sweep["rows"]) > 0
 
 
 class TestRecordCodecs:

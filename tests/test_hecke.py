@@ -274,7 +274,8 @@ def raising_inputs(draw):
     bound added at drawn cosets and indices, at the wide or the default
     Teichmuller precision."""
     f = draw(witness_shaped())
-    p, cosets = f.p, sorted(f.data)
+    # drawn terms can cancel and leave f empty: then add at the root coset
+    p, cosets = f.p, sorted(f.data) or [g0(0, ())]
     for _ in range(draw(st.integers(0, 2))):
         loose = ApCoeff({draw(st.integers(-2, 2)): (0, draw(st.integers(0, 6)))}, p)
         f.accumulate(draw(st.sampled_from(cosets)), draw(st.integers(0, f.r)), loose)
@@ -317,7 +318,7 @@ def lowering_inputs(draw):
     gathers several cosets with indices that overlap."""
     f = draw(raising_inputs())
     p, table = f.p, teich_table(f.p, f.precision)
-    base = draw(st.sampled_from(sorted(f.data)), label="base")
+    base = draw(st.sampled_from(sorted(f.data) or [g0(0, ())]), label="base")
     digits = base.digits[:-1] if base.level else ()
     for t in draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=p, unique=True)):
         for _ in range(draw(st.integers(1, 3))):

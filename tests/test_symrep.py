@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from crysred import symrep
 from crysred.classify import case_descriptor, predict_dim_X
 from crysred.errors import DomainError
-from crysred.linalg import FpSpace, nullspace, rank, row_transform, rref
+from crysred.linalg import FpSpace, eliminate, nullspace, rank, row_transform, rref
 from crysred.report import structure_report
 from crysred.symrep import (
     GEN_NAMES,
@@ -35,6 +35,7 @@ from crysred.symrep import (
 )
 from reference import (
     build_X_rows,
+    eliminate_by_hit_rows,
     hom_maps_by_spin,
     insert_vector,
     standard_spanning_set,
@@ -321,6 +322,40 @@ class TestLinalg:
             assert np.array_equal(coeffs @ sp.matrix() % p, np.array(row) % p)
         # union with itself changes nothing
         assert union(sp, sp) == sp
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_eliminate_matches_hit_row_oracle(self, data):
+        # the same array and pivots as the hit-row oracle: on small matrices
+        # (at most 12 x 24 entries, the whole-array update) and on large ones
+        # (more than 2^12 entries, the hit-row update); with pivots among all
+        # columns, among the first ncols, or among those of S in [S | I] (the
+        # shape of row_transform); with zero, repeated and sparse rows and
+        # columns and empty shapes.  At p = 2^31 - 1 a pivot row left
+        # unreduced before the update would overflow int64 (p^3 > 2^63).
+        p = data.draw(st.sampled_from([3, 23, 1009, 2**31 - 1]), label="p")
+        large = data.draw(st.booleans(), label="large")
+        if large:
+            k = data.draw(st.integers(40, 80), label="k")
+            n = data.draw(st.integers(2**12 // k + 1, 130), label="n")
+        else:
+            k = data.draw(st.integers(0, 12), label="k")
+            n = data.draw(st.integers(0, 12), label="n")
+        density = data.draw(st.sampled_from([0.03, 0.3, 1.0]), label="density")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        S = rng.integers(0, p, size=(k, n)) * (rng.random((k, n)) < density)
+        S[rng.random(k) < 0.2] = 0
+        S[:, rng.random(n) < 0.2] = 0
+        if k:
+            S[rng.integers(0, k, size=k // 3)] = S[rng.integers(0, k, size=k // 3)]
+        if data.draw(st.booleans(), label="transform"):
+            A, ncols = np.hstack([S, np.eye(k, dtype=np.int64)]), n
+        else:
+            A, ncols = S, data.draw(st.integers(0, n), label="ncols")
+        want = A.copy()
+        want_pivots = eliminate_by_hit_rows(want, p, ncols)
+        assert eliminate(A, p, ncols) == want_pivots
+        assert np.array_equal(A, want)
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)
