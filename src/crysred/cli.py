@@ -17,6 +17,7 @@ import functools
 import json
 import os
 import sys
+import traceback
 from fractions import Fraction
 from multiprocessing import Pool
 
@@ -365,11 +366,15 @@ def main(argv=None) -> int:
             if isinstance(exc, kind):
                 print(f"error: {exc}", file=sys.stderr)
                 return code
-        # a bug, not a verdict: never report it as a mismatch
-        import traceback  # only a failing run pays for this import
-
-        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
-        traceback.print_exc(file=sys.stderr)
+        # a bug, not a verdict: never report it as a mismatch.  Out of memory,
+        # formatting can run out again: the message is fixed, and the
+        # traceback printed only if it can be
+        print("error: internal: MemoryError" if isinstance(exc, MemoryError)
+              else f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        try:
+            traceback.print_exc(file=sys.stderr)
+        except MemoryError:
+            pass
         return EXIT_INTERNAL
 
 

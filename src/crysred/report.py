@@ -72,13 +72,23 @@ class ReportRecord:
         ]
 
 
-def _check_socle(tag: str, socle: Counter, pred, discrepancies: list[str]) -> None:
+def _check_module(tag: str, pred, mod, discrepancies: list[str]) -> tuple[str, str]:
+    """Compare a module's Jordan-Hoelder factors, dimension and socle with
+    the prediction ``pred``; returns the predicted and computed factors as
+    strings."""
+    got, socle = jh_decompose(mod)
+    want_str, got_str = factors_to_str(pred.factors), factors_to_str(got)
+    if pred.factors != got:
+        discrepancies.append(f"{tag}-factors: predicted {want_str}, got {got_str}")
+    if pred.dimension != mod.dim:
+        discrepancies.append(f"{tag}-dimension: predicted {pred.dimension}, computed {mod.dim}")
     for lab in pred.socle_contains:
         if socle[lab] == 0:
             discrepancies.append(f"{tag}: expected socle constituent {lab} missing")
     for lab in pred.socle_excludes:
         if socle[lab] > 0:
             discrepancies.append(f"{tag}: socle contains excluded constituent {lab}")
+    return want_str, got_str
 
 
 def structure_report(p: int, r: int, checks=("dim", "x", "q")) -> ReportRecord:
@@ -98,31 +108,12 @@ def structure_report(p: int, r: int, checks=("dim", "x", "q")) -> ReportRecord:
                 f"dim: predicted {rec.dim_predicted}, computed {rec.dim_computed}"
             )
     if "x" in checks:
-        pred = predict_X_structure(desc)
-        got, socle = jh_decompose(X.module)
-        rec.x_factors_predicted = factors_to_str(pred.factors)
-        rec.x_factors_computed = factors_to_str(got)
-        if pred.factors != got:
-            rec.discrepancies.append(
-                f"x-factors: predicted {rec.x_factors_predicted}, got {rec.x_factors_computed}"
-            )
-        if pred.dimension != X.dim:
-            rec.discrepancies.append("x-structure dimension mismatch")
-        _check_socle("x", socle, pred, rec.discrepancies)
+        rec.x_factors_predicted, rec.x_factors_computed = _check_module(
+            "x", predict_X_structure(desc), X.module, rec.discrepancies)
         rec.filtration_dims = X.filtration_dims
     if "q" in checks:
-        pred = predict_Q_structure(desc)
-        q = quotient_Q(p, r)
-        got, socle = jh_decompose(q)
-        rec.q_factors_predicted = factors_to_str(pred.factors)
-        rec.q_factors_computed = factors_to_str(got)
-        if pred.factors != got:
-            rec.discrepancies.append(
-                f"q-factors: predicted {rec.q_factors_predicted}, got {rec.q_factors_computed}"
-            )
-        if pred.dimension != q.dim:
-            rec.discrepancies.append("q dimension mismatch")
-        _check_socle("q", socle, pred, rec.discrepancies)
+        rec.q_factors_predicted, rec.q_factors_computed = _check_module(
+            "q", predict_Q_structure(desc), quotient_Q(p, r), rec.discrepancies)
     rec.passed = not rec.discrepancies
     rec.seconds = round(time.perf_counter() - t0, 4)
     return rec

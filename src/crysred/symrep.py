@@ -51,7 +51,8 @@ for the Borel subgroup (``socle_simples``): the torus weights of the
 unipotent-fixed vectors name the candidate simple modules L, and Hom(L, M)
 is the nullspace of L's coset relations on the fixed vectors of L's
 weight.  The factors are read one Loewy layer at a time.  Span closures
-under the full matrix monoid, the r-row theta-multiple spaces and
+under the full matrix monoid, spun by ``GammaModule.spin`` on the
+(r+1)-square action matrices, the r-row theta-multiple spaces and
 subquotients remain as the reference the fast engine is tested against;
 the other oracles live in ``tests/reference.py``.
 """
@@ -305,25 +306,15 @@ class ClosedSubspace:
 def span_closure(generators, *, p: int, r: int) -> FpSpace:
     """Smallest subspace containing the degree-r coefficient vectors
     ``generators`` and stable under the full matrix monoid, as an echelon
-    ``FpSpace``.
-
-    Closure is computed by repeatedly applying a finite generating set until
-    the rank stabilizes.
-    """
+    ``FpSpace``: their ``GammaModule.spin`` under the (r+1)-square action
+    matrices of ``SymPower.monoid_generators``."""
     vecs = [linalg.as_vec(v, p) for v in generators]
     if not vecs:
         raise ValueError("empty generator list")
     symp = sym_power(p, r)
-    mats = [symp.action_matrix(g) for g in symp.monoid_generators()]
-    space = FpSpace(r + 1, p)
-    work = [v for v in vecs if space.add(v)]
-    while work:
-        v = work.pop()
-        for M in mats:
-            w = M @ v % p
-            if space.add(w):
-                work.append(w)
-    return space
+    # u, w, e = diag(1, 0) and d1 = diag(g, 1), in the order of monoid_generators
+    mats = dict(zip(("u", "w", "e", "d1"), map(symp.action_matrix, symp.monoid_generators())))
+    return GammaModule(p, mats).spin(vecs)
 
 
 def _spanning_matrices(p: int) -> list[tuple[int, int, int, int]]:
@@ -461,13 +452,12 @@ class GammaModule:
         self.mats = {k: np.asarray(m, dtype=np.int64) % p for k, m in mats.items()}
         self.dim = self.mats["u"].shape[0] if self.mats["u"].size else 0
 
-    def act(self, name: str, v: np.ndarray) -> np.ndarray:
-        return self.mats[name] @ (v % self.p) % self.p
-
     def spin(self, vecs) -> FpSpace:
         """Smallest subspace containing the given vectors and stable under the
         module's matrices: each round applies every one to the rows the last
-        round added."""
+        round added.  The package's one closure routine: span closures, the
+        image of X in ``QuotientModule`` and the graph of ``gamma_iso`` are
+        spins."""
         space = FpSpace(self.dim, self.p)
         new = space.add_rows(np.asarray(vecs, dtype=np.int64).reshape(-1, self.dim))
         while len(new):
@@ -674,27 +664,28 @@ def gamma_iso(
     src: GammaModule, src_gen: np.ndarray, dst: GammaModule, dst_gen: np.ndarray
 ) -> np.ndarray:
     """Matrix T of the equivariant isomorphism pinned by src_gen -> dst_gen.
-    src_gen is spun in src, one ``FpSpace.add`` per vector x_i = g x_parent,
-    and each step is replayed on dst_gen as y_i = g y_parent, so T = Y X^-1;
-    T is then checked against the four generators and to be bijective."""
+    (src_gen, dst_gen) is spun in src + dst, on block-diagonal generator
+    matrices.  If src_gen generates src and the assignment extends to a map
+    T, the spin is T's graph {(x, T x)}, of dimension n = dim src, with
+    echelon rows [I | T^T].  So its first n pivots are 0..n-1 exactly when
+    src_gen generates src, and a larger dimension means that no map extends
+    the assignment.  T is then checked against the four generators and to be
+    bijective."""
     if src.dim != dst.dim:
         raise ValueError("dimension mismatch")
-    p = src.p
-    space = FpSpace(src.dim, p)
-    xs, ys = [], []
-    work = [(np.asarray(src_gen) % p, np.asarray(dst_gen) % p)]
-    while work:
-        x, y = work.pop()
-        if space.add(x):
-            xs.append(x)
-            ys.append(y)
-            work += [(src.act(name, x), dst.act(name, y)) for name in GEN_NAMES]
-    if space.dim != src.dim:
+    p, n = src.p, src.dim
+    zero = np.zeros((n, n), dtype=np.int64)
+    pair = GammaModule(p, {name: np.block([[src.mats[name], zero], [zero, dst.mats[name]]])
+                           for name in GEN_NAMES})
+    graph = pair.spin([np.concatenate([src_gen, dst_gen])])
+    if graph.pivots[:n] != list(range(n)):
         raise ValueError("generator does not generate the source module")
-    T = np.array(ys).T @ linalg.row_transform(np.array(xs).T, p)[1] % p
+    if graph.dim > n:
+        raise ValueError("constructed map is not equivariant")
+    T = graph.matrix()[:, n:].T
     if any(((T @ src.mats[name] - dst.mats[name] @ T) % p).any() for name in GEN_NAMES):
         raise ValueError("constructed map is not equivariant")
-    if linalg.rank(T, p) != src.dim:
+    if linalg.rank(T, p) != n:
         raise ValueError("constructed map is not invertible")
     return T
 

@@ -34,7 +34,10 @@ they check.
   basis as it comes, is tested against.  ``hom_maps_by_spin``: Hom spaces
   by spinning a generator of the source and solving the equivariance
   conditions, against the Frobenius-reciprocity Hom spaces of
-  ``socle_simples``.
+  ``socle_simples``.  ``gamma_iso_by_replay``: the isomorphism pinned by a
+  generator, by spinning it one vector at a time and replaying each word on
+  the target, against ``symrep.gamma_iso``, which spins the pair in the
+  direct sum and reads the graph.
 - ``classify_by_table``: the reduction table written out by congruence cell,
   with the exponents b+1 and b+p, against ``classify_reduction``, which
   derives it from ``surviving_factor`` and ``llc_image``; ``same_rep``
@@ -518,7 +521,7 @@ def hom_maps_by_spin(src: GammaModule, src_gen, dst: GammaModule, C) -> list[np.
         if space.add(x):
             words.append((parent, name))
             xs.append(x)
-            work += [(len(xs) - 1, gen, src.act(gen, x)) for gen in GEN_NAMES]
+            work += [(len(xs) - 1, gen, src.mats[gen] @ x % p) for gen in GEN_NAMES]
     if space.dim != src.dim:
         raise ValueError("generator does not generate the source module")
     Xinv = linalg.row_transform(np.array(xs, dtype=np.int64).T, p)[1]
@@ -530,6 +533,34 @@ def hom_maps_by_spin(src: GammaModule, src_gen, dst: GammaModule, C) -> list[np.
                        for name in GEN_NAMES]).T
     return [np.tensordot(theta, maps, axes=1) % p
             for theta in linalg.nullspace(conds[conds.any(axis=1)], p)]
+
+
+def gamma_iso_by_replay(src: GammaModule, src_gen, dst: GammaModule, dst_gen) -> np.ndarray:
+    """Matrix T of the equivariant isomorphism pinned by src_gen -> dst_gen,
+    by replay: src_gen is spun in src one vector at a time, x_i =
+    g x_parent, and each step is replayed on dst_gen as y_i = g y_parent, so
+    T = Y X^-1; T is then checked against the four generators and to be
+    bijective."""
+    if src.dim != dst.dim:
+        raise ValueError("dimension mismatch")
+    p = src.p
+    space = FpSpace(src.dim, p)
+    xs, ys = [], []
+    work = [(np.asarray(src_gen) % p, np.asarray(dst_gen) % p)]
+    while work:
+        x, y = work.pop()
+        if space.add(x):
+            xs.append(x)
+            ys.append(y)
+            work += [(src.mats[name] @ x % p, dst.mats[name] @ y % p) for name in GEN_NAMES]
+    if space.dim != src.dim:
+        raise ValueError("generator does not generate the source module")
+    T = np.array(ys).T @ linalg.row_transform(np.array(xs).T, p)[1] % p
+    if any(((T @ src.mats[name] - dst.mats[name] @ T) % p).any() for name in GEN_NAMES):
+        raise ValueError("constructed map is not equivariant")
+    if linalg.rank(T, p) != src.dim:
+        raise ValueError("constructed map is not invertible")
+    return T
 
 
 def union(a: FpSpace, b: FpSpace) -> FpSpace:

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crysred import cli, report
+from crysred.classify import StructurePrediction
 from crysred.cli import main, parse_slope
 from crysred.errors import DomainError
 from crysred.report import (
@@ -112,6 +113,41 @@ class TestStructure:
         assert code == cli.EXIT_INTERNAL == 6 and out == ""
         assert err.startswith("error: internal: ArithmeticError: spanning set")
         assert "Traceback" in err
+
+    def test_x_and_q_mismatches_read_alike(self, monkeypatch):
+        # one comparison for both modules: wrong factors, a wrong dimension
+        # and wrong socle constituents are reported the same way
+        wrong = StructurePrediction(dimension=0, layers=(),
+                                    socle_contains=frozenset({JHLabel(4, 3)}),
+                                    socle_excludes=frozenset({JHLabel(1, 0), JHLabel(3, 1)}))
+        monkeypatch.setattr(report, "predict_X_structure", lambda desc: wrong)
+        monkeypatch.setattr(report, "predict_Q_structure", lambda desc: wrong)
+        rec = report.structure_report(5, 25)
+        assert not rec.passed and rec.x_factors_predicted == rec.q_factors_predicted == "-"
+        assert rec.discrepancies == [
+            "x-factors: predicted -, got 1.0^2+3.1",
+            "x-dimension: predicted 0, computed 8",
+            "x: expected socle constituent JHLabel(s=4, t=3) missing",
+            "x: socle contains excluded constituent JHLabel(s=1, t=0)",
+            "q-factors: predicted -, got 1.0+3.1",
+            "q-dimension: predicted 0, computed 6",
+            "q: expected socle constituent JHLabel(s=4, t=3) missing",
+            "q: socle contains excluded constituent JHLabel(s=3, t=1)",
+        ]
+
+    def test_memory_error_exits_6_when_its_traceback_runs_out_too(self, capsys, monkeypatch):
+        # out of memory, printing the traceback can raise MemoryError again
+        def exhausted(args):
+            raise MemoryError
+
+        def print_exc(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "cmd_verify_lemmas", exhausted)
+        monkeypatch.setattr(cli.traceback, "print_exc", print_exc)
+        code, out, err = run(capsys, "verify-lemmas", "--p", "5", "--r-to", "20")
+        assert code == cli.EXIT_INTERNAL == 6 and out == ""
+        assert err == "error: internal: MemoryError\n"
 
 
 class TestSweep:

@@ -36,6 +36,7 @@ from crysred.symrep import (
 from reference import (
     build_X_rows,
     eliminate_by_hit_rows,
+    gamma_iso_by_replay,
     hom_maps_by_spin,
     insert_vector,
     standard_spanning_set,
@@ -120,7 +121,7 @@ def _spin_by_worklist(mod, vecs) -> FpSpace:
     while work:
         v = work.pop()
         for name in symrep.GEN_NAMES:
-            w = mod.act(name, v)
+            w = mod.mats[name] @ v % mod.p
             if space.add(w):
                 work.append(w)
     return space
@@ -198,7 +199,7 @@ def _socle_by_weight_search(mod):
         return []
     g = symrep.primitive_root(p)
     B = fixed.matrix()
-    D = {name: np.array([fixed.express(mod.act(name, row)) for row in B]).T for name in ("d1", "d2")}
+    D = {name: np.array([fixed.express(mod.mats[name] @ row % p) for row in B]).T for name in ("d1", "d2")}
     eye = np.eye(fixed.dim, dtype=np.int64)
     found, seen = [], set()
     for alpha in range(p - 1):
@@ -710,6 +711,16 @@ class TestJordanHoelder:
         T = gamma_iso(m1, gen, m2, P @ gen % p)
         assert np.array_equal(T @ gen % p, P @ gen % p)
 
+    def test_gamma_iso_matches_the_replay_oracle(self):
+        # the generator pins the isomorphism, here c P, for both constructions
+        p = 5
+        m1, m2, P = _conjugated_weight_module()
+        gens = [sym_power(p, 3).monomial(j) for j in range(4)] + [np.array([1, 2, 3, 4])]
+        for gen, c in itertools.product(gens, range(1, p)):
+            T = gamma_iso(m1, gen, m2, c * P @ gen % p)
+            assert np.array_equal(T, c * P % p), (gen, c)
+            assert np.array_equal(T, gamma_iso_by_replay(m1, gen, m2, c * P @ gen % p)), (gen, c)
+
     def test_gamma_iso_refusals(self):
         p = 5
         m1, _, _ = _conjugated_weight_module()
@@ -987,9 +998,9 @@ class TestCosetRelations:
         for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
             for s in range(p):
                 m, x = weight_module(p, s, 0), sym_power(p, s).monomial(0)
-                cols = [x, m.act("w", x)]
+                cols = [x, m.mats["w"] @ x % p]
                 for _ in range(p - 1):
-                    cols.append(m.act("u", cols[-1]))
+                    cols.append(m.mats["u"] @ cols[-1] % p)
                 A = np.array(cols).T  # (s+1) x (p+1): x, then u^lambda w x
                 R = symrep._coset_relations(p, s)
                 assert R.shape == (p - s, p + 1) and rank(R, p) == p - s, (p, s)
