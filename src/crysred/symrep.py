@@ -445,7 +445,10 @@ def _filtration_dims(E, V, C, bases, p: int, r: int) -> tuple[int, ...]:
 
 class GammaModule:
     """A finite-dimensional module given by matrices for the generators
-    u = (1 1; 0 1), w = (0 1; 1 0), d1 = diag(g, 1), d2 = diag(1, g)."""
+    u = (1 1; 0 1), w = (0 1; 1 0), d1 = diag(g, 1), d2 = diag(1, g).
+    ``dim`` and ``spin`` read only square matrices keyed with 'u' among any
+    others, so ``span_closure`` spins a monoid with them; the other methods
+    need the four generators."""
 
     def __init__(self, p: int, mats: dict[str, np.ndarray]):
         self.p = p
@@ -455,9 +458,8 @@ class GammaModule:
     def spin(self, vecs) -> FpSpace:
         """Smallest subspace containing the given vectors and stable under the
         module's matrices: each round applies every one to the rows the last
-        round added.  The package's one closure routine: span closures, the
-        image of X in ``QuotientModule`` and the graph of ``gamma_iso`` are
-        spins."""
+        round added.  Span closures and the image of X in
+        ``QuotientModule`` are spins."""
         space = FpSpace(self.dim, self.p)
         new = space.add_rows(np.asarray(vecs, dtype=np.int64).reshape(-1, self.dim))
         while len(new):
@@ -664,28 +666,27 @@ def gamma_iso(
     src: GammaModule, src_gen: np.ndarray, dst: GammaModule, dst_gen: np.ndarray
 ) -> np.ndarray:
     """Matrix T of the equivariant isomorphism pinned by src_gen -> dst_gen.
-    (src_gen, dst_gen) is spun in src + dst, on block-diagonal generator
-    matrices.  If src_gen generates src and the assignment extends to a map
-    T, the spin is T's graph {(x, T x)}, of dimension n = dim src, with
-    echelon rows [I | T^T].  So its first n pivots are 0..n-1 exactly when
-    src_gen generates src, and a larger dimension means that no map extends
-    the assignment.  T is then checked against the four generators and to be
-    bijective."""
+    src_gen is spun in src, one ``FpSpace.add`` per vector x_i = g x_parent,
+    and each step is replayed on dst_gen as y_i = g y_parent, so T = Y X^-1;
+    T is then checked against the four generators and to be bijective."""
     if src.dim != dst.dim:
         raise ValueError("dimension mismatch")
-    p, n = src.p, src.dim
-    zero = np.zeros((n, n), dtype=np.int64)
-    pair = GammaModule(p, {name: np.block([[src.mats[name], zero], [zero, dst.mats[name]]])
-                           for name in GEN_NAMES})
-    graph = pair.spin([np.concatenate([src_gen, dst_gen])])
-    if graph.pivots[:n] != list(range(n)):
+    p = src.p
+    space = FpSpace(src.dim, p)
+    xs, ys = [], []
+    work = [(np.asarray(src_gen) % p, np.asarray(dst_gen) % p)]
+    while work:
+        x, y = work.pop()
+        if space.add(x):
+            xs.append(x)
+            ys.append(y)
+            work += [(src.mats[name] @ x % p, dst.mats[name] @ y % p) for name in GEN_NAMES]
+    if space.dim != src.dim:
         raise ValueError("generator does not generate the source module")
-    if graph.dim > n:
-        raise ValueError("constructed map is not equivariant")
-    T = graph.matrix()[:, n:].T
+    T = np.array(ys).T @ linalg.row_transform(np.array(xs).T, p)[1] % p
     if any(((T @ src.mats[name] - dst.mats[name] @ T) % p).any() for name in GEN_NAMES):
         raise ValueError("constructed map is not equivariant")
-    if linalg.rank(T, p) != n:
+    if linalg.rank(T, p) != src.dim:
         raise ValueError("constructed map is not invertible")
     return T
 

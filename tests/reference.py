@@ -34,10 +34,10 @@ they check.
   basis as it comes, is tested against.  ``hom_maps_by_spin``: Hom spaces
   by spinning a generator of the source and solving the equivariance
   conditions, against the Frobenius-reciprocity Hom spaces of
-  ``socle_simples``.  ``gamma_iso_by_replay``: the isomorphism pinned by a
-  generator, by spinning it one vector at a time and replaying each word on
-  the target, against ``symrep.gamma_iso``, which spins the pair in the
-  direct sum and reads the graph.
+  ``socle_simples``.  ``gamma_iso_by_graph_spin``: the isomorphism pinned by
+  a generator, read off the graph that the pair (generator, image) spins in
+  the direct sum, against ``symrep.gamma_iso``, which spins the generator
+  one vector at a time and replays each word on the target.
 - ``classify_by_table``: the reduction table written out by congruence cell,
   with the exponents b+1 and b+p, against ``classify_reduction``, which
   derives it from ``surviving_factor`` and ``llc_image``; ``same_rep``
@@ -535,30 +535,30 @@ def hom_maps_by_spin(src: GammaModule, src_gen, dst: GammaModule, C) -> list[np.
             for theta in linalg.nullspace(conds[conds.any(axis=1)], p)]
 
 
-def gamma_iso_by_replay(src: GammaModule, src_gen, dst: GammaModule, dst_gen) -> np.ndarray:
+def gamma_iso_by_graph_spin(src: GammaModule, src_gen, dst: GammaModule, dst_gen) -> np.ndarray:
     """Matrix T of the equivariant isomorphism pinned by src_gen -> dst_gen,
-    by replay: src_gen is spun in src one vector at a time, x_i =
-    g x_parent, and each step is replayed on dst_gen as y_i = g y_parent, so
-    T = Y X^-1; T is then checked against the four generators and to be
-    bijective."""
+    read off a graph: (src_gen, dst_gen) is spun in src + dst on
+    block-diagonal generator matrices.  If src_gen generates src and the
+    assignment extends to a map T, the spin is T's graph {(x, T x)}, of
+    dimension n = dim src, with echelon rows [I | T^T]; so its first n pivots
+    are 0..n-1 exactly when src_gen generates src, and a larger dimension
+    means that no map extends the assignment.  T is then checked against the
+    four generators and to be bijective."""
     if src.dim != dst.dim:
         raise ValueError("dimension mismatch")
-    p = src.p
-    space = FpSpace(src.dim, p)
-    xs, ys = [], []
-    work = [(np.asarray(src_gen) % p, np.asarray(dst_gen) % p)]
-    while work:
-        x, y = work.pop()
-        if space.add(x):
-            xs.append(x)
-            ys.append(y)
-            work += [(src.mats[name] @ x % p, dst.mats[name] @ y % p) for name in GEN_NAMES]
-    if space.dim != src.dim:
+    p, n = src.p, src.dim
+    zero = np.zeros((n, n), dtype=np.int64)
+    pair = GammaModule(p, {name: np.block([[src.mats[name], zero], [zero, dst.mats[name]]])
+                           for name in GEN_NAMES})
+    graph = pair.spin([np.concatenate([src_gen, dst_gen])])
+    if graph.pivots[:n] != list(range(n)):
         raise ValueError("generator does not generate the source module")
-    T = np.array(ys).T @ linalg.row_transform(np.array(xs).T, p)[1] % p
+    if graph.dim > n:
+        raise ValueError("constructed map is not equivariant")
+    T = graph.matrix()[:, n:].T
     if any(((T @ src.mats[name] - dst.mats[name] @ T) % p).any() for name in GEN_NAMES):
         raise ValueError("constructed map is not equivariant")
-    if linalg.rank(T, p) != src.dim:
+    if linalg.rank(T, p) != n:
         raise ValueError("constructed map is not invertible")
     return T
 
