@@ -6,14 +6,16 @@ witness audit reads and the lemma sweep (for all degrees at once, in numpy
 blocks), Teichmuller lifts at finite precision, the structured integer
 families (``choose_*``) consumed by the witness builder, and the Hecke
 coefficients ``ApCoeff`` with their residues ``ResidueExpr``.  Every
-``choose_*`` constructor re-validates its congruences on residues before
-returning its exact family.  The big-integer class sums T and S mod p^2 are
-test oracles of the sweep and live in ``tests/reference.py``.
+``choose_*`` constructor certifies its congruences from class sums, p-1
+powers at any degree, and builds its binomial row only when read.  The
+big-integer class sums and the families built on binomial rows are test
+oracles in ``tests/reference.py``.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from fractions import Fraction
 
 import numpy as np
@@ -95,18 +97,36 @@ def _class_range(lo: int, hi: int, residue: int, mod: int):
     return range(start, hi, mod)
 
 
+def _class_sums(N: int, c: int, p: int, k: int, count: int = 1) -> list[int]:
+    """T(N - n, c - n) mod p^k for n < count <= N + 1, T(N, c) the sum of
+    binom(N, i) over i = c (mod p-1).  (p-1) T(N, c) is the sum of
+    zeta^(-c) (1 + zeta)^N over zeta in mu_(p-1), exactly mod p^k for the
+    Teichmuller lifts: one power per zeta, then steps by zeta^(-1) (1 + zeta)."""
+    pk, rep = p**k, teich_table(p, k).rep
+    out = [0] * count
+    for x in range(1, p):
+        t = rep[pow(x, (count - 1 - c) % (p - 1), p)] * pow(1 + rep[x], N - count + 1, pk)
+        step = rep[pow(x, -1, p)] * (1 + rep[x]) % pk
+        for n in reversed(range(count)):
+            out[n] += t
+            t = t * step % pk
+    inv = inv_mod(p - 1, pk)
+    return [s * inv % pk for s in out]
+
+
 def class_sum_S(r: int, a: int, p: int) -> tuple[int, int]:
     """(S mod p, (S/p) mod p) for S = sum of binom(r,j), 0 < j < r, j = a (mod p-1).
 
     The first component is always 0, and the second equals (a-r)/a mod p.
+    S is T(r, a) (``_class_sums``) less j = r, and j = 0 when a = p-1.
     """
     require_odd_prime(p)
     if not (1 <= a <= p - 1) or r <= 0 or (r - a) % (p - 1):
         raise HypothesisError(f"need r = a (mod p-1) with 1 <= a <= p-1; got r={r}, a={a}")
-    S = sum(math.comb(r, j) for j in _class_range(1, r, a, p - 1))
+    S = (_class_sums(r, a, p, 2)[0] - 1 - (a == p - 1)) % (p * p)
     if S % p:
         raise ArithmeticError(f"class sum not divisible by p: r={r}, a={a}, p={p}")
-    return (0, (S // p) % p)
+    return (0, S // p)
 
 
 def class_sum_table(r: int, p: int, k: int = 3) -> list[int]:
@@ -231,13 +251,54 @@ def teichmuller(c: int, p: int, precision: int = DEFAULT_PRECISION) -> int:
     return t
 
 
+class TeichTable:
+    """Cached Teichmuller representatives at a fixed precision."""
+
+    def __init__(self, p: int, precision: int = DEFAULT_PRECISION):
+        self.p = p
+        self.precision = precision
+        self.rep = [teichmuller(c, p, precision) for c in range(p)]
+        self._signed: dict[tuple[int, int], tuple[int, ...]] = {}
+
+    def power(self, c: int, k: int) -> int:
+        """[c]^k, using multiplicativity (so the result is again a table entry)."""
+        c %= self.p
+        if k == 0:
+            return 1
+        if c == 0:
+            return 0
+        return self.rep[pow(c, k % (self.p - 1) or (self.p - 1), self.p)]
+
+    def signed_powers(self, c: int, sign: int) -> tuple[int, ...]:
+        """(sign [c])^e by e mod p-1, for exponents e > 0 (so index 0 holds
+        [c]^(p-1)); p-1 is even, so the sign also depends on e mod p-1 only.
+        Memoized: every operator call asks for the same few rows."""
+        key = (c % self.p, sign)
+        row = self._signed.get(key)
+        if row is None:
+            row = self._signed[key] = tuple(sign**e * self.power(c, e or self.p - 1)
+                                            for e in range(self.p - 1))
+        return row
+
+
+_TABLES: dict[tuple[int, int], TeichTable] = {}
+
+
+def teich_table(p: int, precision: int = DEFAULT_PRECISION) -> TeichTable:
+    key = (p, precision)
+    if key not in _TABLES:
+        _TABLES[key] = TeichTable(p, precision)
+    return _TABLES[key]
+
+
 # ---------------------------------------------------------------------------
 # structured integer families for the witness constructions
 #
 # Each family agrees with binomial coefficients to the stated modulus and has
 # weighted sums vanishing to one extra power of p per weight.  The proofs of
 # several of these congruences are routine but fiddly, so the constructors
-# never trust the construction: every property is re-checked exactly.
+# never trust the construction: every property is certified mod p^(L+2)
+# from class sums, at a cost that does not grow with r.
 
 
 def _binom_row(r: int) -> list[int]:
@@ -251,43 +312,79 @@ def _binom_row(r: int) -> list[int]:
     return row
 
 
-def _check_family(name: str, fam: dict[int, int], row: list[int], p: int, level: int,
-                  target: int = 0) -> dict[int, int]:
-    """``fam`` once it holds at level L = ``level``, else ArithmeticError:
+class _Family(Mapping):
+    """A certified family on the indices ``js``, read-only; ``exact()``
+    builds its exact values on the first read."""
+
+    def __init__(self, js, exact):
+        self._js, self._exact = js, exact
+
+    def __getitem__(self, j):
+        if self._exact:
+            self._values, self._exact = self._exact(), None
+        return self._values[j]
+
+    def __iter__(self):
+        return iter(self._js)
+
+    def __len__(self):
+        return len(self._js)
+
+
+def _class_weights(r: int, js, p: int, k: int) -> list[int]:
+    """sum_(j in js) binom(j, n) binom(r, j) mod p^k for n < k, js consecutive
+    members of a class c mod p-1: binom(r, n) T(r-n, c-n), as binom(j, n)
+    binom(r, j) = binom(r, n) binom(r-n, j-n), less the members outside js."""
+    if not js:
+        return [0] * k
+    c = js[0] % (p - 1)
+    W = [math.comb(r, n) * t for n, t in enumerate(_class_sums(r, c, p, k, k))]
+    for m in (*_class_range(0, js[0], c, p - 1), *_class_range(js[-1] + 1, r + 1, c, p - 1)):
+        W = [w - math.comb(m, n) * math.comb(r, m) for n, w in enumerate(W)]
+    return [w % p**k for w in W]
+
+
+def _certify(name: str, W: list[int], delta: dict[int, int], p: int, level: int,
+             target: int = 0) -> None:
+    """ArithmeticError unless fam = binom(r, j) + delta[j] on a class, whose
+    binomial part has the weighted sums W, holds at level L = ``level``:
     fam[j] = binom(r, j) mod p^L, and sum_j binom(j, n) fam[j] vanishes mod
-    p^(L+2-n) for n <= L and is ``target`` mod p at n = L+1; all read mod p^(L+2)."""
-    q = p ** (level + 2)
-    res = {j: x % q for j, x in fam.items()}
-    failed = [f"matches_binom_mod_p{level}"] if any(
-        (x - row[j]) % p**level for j, x in res.items()) else []
-    for n in range(level + 2):
-        total = sum(math.comb(j, n) * x for j, x in res.items())
+    p^(L+2-n) for n <= L and is ``target`` mod p at n = L+1."""
+    failed = [f"matches_binom_mod_p{level}"] if any(d % p**level for d in delta.values()) else []
+    for n, w in enumerate(W):
+        total = w + sum(math.comb(j, n) * d for j, d in delta.items())
         if (total - (target if n == level + 1 else 0)) % p ** (level + 2 - n):
             failed.append(f"choose{n}_sum_mod_p{level + 2 - n}")
     if failed:
         raise ArithmeticError(f"{name} family failed checks: {', '.join(failed)}")
-    return fam
 
 
-def _corrected_family(name: str, row: list[int], js, p: int, level: int,
-                      unit: int | None, zero: int, target: int = 0) -> dict[int, int]:
-    """row[j] on the class js plus multiples of p^L (L = ``level``) at a unit
-    index (p not dividing it, or None) and a zero index (p dividing it),
-    checked; {} on an empty class.  A multiple of p^L moves only the plain sum
-    (checked mod p^(L+2)) and the j-weighted one (mod p^(L+1)): the unit index
-    clears the weighted sum, then the zero index takes the whole plain sum,
-    which the class-sum lemmas make divisible by p^L, so the weighted sum stays."""
+def _corrected_family(name: str, r: int, js, p: int, level: int, unit: int | None,
+                      zero: int, target: int = 0) -> _Family:
+    """binom(r, j) on the class js plus multiples of p^L (L = ``level``) at a
+    unit index (p not dividing it, or None) and a zero index (p dividing it),
+    certified; empty on an empty class.  A multiple of p^L moves only the
+    plain sum (mod p^(L+2)) and the j-weighted one (mod p^(L+1)): the unit
+    index clears the weighted sum, then the zero index takes the plain sum,
+    which the lemmas make divisible by p^L."""
     if not js:
-        return {}
+        return _Family(js, dict)
     q = p**level
-    fam = {j: row[j] for j in js}
-    if unit is not None:
-        fam[unit] -= sum(j * x for j, x in fam.items()) // q * inv_mod(unit, p) % p * q
-    fam[zero] -= sum(fam.values())
-    return _check_family(name, fam, row, p, level, target)
+    W = _class_weights(r, js, p, level + 2)
+    du = 0 if unit is None else -(W[1] % (p * q) // q * inv_mod(unit, p) % p * q)
+    delta = {zero: -(W[0] + du)} if unit is None else {unit: du, zero: -(W[0] + du)}
+    _certify(name, W, delta, p, level, target)
+
+    def exact():
+        full = _binom_row(r)
+        fam = {j: full[j] + (j == unit) * du for j in js}
+        fam[zero] -= sum(fam.values())
+        return fam
+
+    return _Family(js, exact)
 
 
-def choose_alphas(r: int, a: int, p: int) -> dict[int, int]:
+def choose_alphas(r: int, a: int, p: int) -> Mapping[int, int]:
     """Integers alpha_j = binom(r,j) mod p (j = a mod p-1, 0 < j < r) whose plain,
     j-weighted and binom(j,2)-weighted sums vanish mod p^3, p^2 and p.
 
@@ -298,14 +395,15 @@ def choose_alphas(r: int, a: int, p: int) -> dict[int, int]:
     if not (2 <= a <= p - 1) or (r - a) % (p - 1):
         raise HypothesisError(f"need r = a (mod p-1) with 2 <= a <= p-1; got r={r}, a={a}")
     js = _class_range(1, r, a, p - 1)
-    row = _binom_row(r)
     target = math.comb(r, 2) if a == 2 else 0
     if r > a * p:
-        return _corrected_family("alpha", row, js, p, 1, a, a * p, target)
-    return _check_family("alpha", {j: 0 for j in js}, row, p, 1, target)
+        return _corrected_family("alpha", r, js, p, 1, a, a * p, target)
+    _certify("alpha", _class_weights(r, js, p, 3), {j: -math.comb(r, j) for j in js},
+             p, 1, target)
+    return _Family(js, lambda: dict.fromkeys(js, 0))
 
 
-def choose_betas(r: int, b: int, p: int) -> dict[int, int]:
+def choose_betas(r: int, b: int, p: int) -> Mapping[int, int]:
     """Integers beta_j = binom(r,j) mod p (j = b-1 mod p-1, b-1 <= j < r-1) with
     binom(j,n)-weighted sums vanishing mod p^(3-n) for n = 0, 1, 2.
 
@@ -317,47 +415,37 @@ def choose_betas(r: int, b: int, p: int) -> dict[int, int]:
     if (r - b) % p:
         raise HypothesisError(f"need p | r - b; got r={r}, b={b}, p={p}")
     js = _class_range(b - 1, r - 1, b - 1, p - 1)
-    return _corrected_family("beta", _binom_row(r), js, p, 1, b - 1, (b - 1) * p)
+    return _corrected_family("beta", r, js, p, 1, b - 1, (b - 1) * p)
 
 
-def _quad_row(r: int, p: int) -> list[int]:
-    """binom(r, 0..r) for the quadratic-level families, once their hypotheses hold."""
+def _require_quad(r: int, p: int) -> None:
     require_odd_prime(p)
     if (r - 1) % (p - 1) or (r - p) % (p * p):
         raise HypothesisError(f"need r = 1 (mod p-1) and p^2 | r - p; got r={r}, p={p}")
-    return _binom_row(r)
 
 
-def _alphas_modp2(r: int, p: int, row: list[int]) -> dict[int, int]:
-    return _corrected_family("alpha2", row, _class_range(p, r, 1, p - 1), p, 2,
-                             None, p, 1 if p == 3 else 0)
-
-
-def _gammas_modp2(r: int, p: int, row: list[int]) -> dict[int, int]:
-    return _corrected_family("gamma", row, _class_range(p - 1, r - 1, 0, p - 1), p, 2,
-                             p - 1, (p - 1) * p, -1 if p == 3 else 0)
-
-
-def choose_alphas_modp2(r: int, p: int) -> dict[int, int]:
+def choose_alphas_modp2(r: int, p: int) -> Mapping[int, int]:
     """Integers alpha_j = binom(r,j) mod p^2 (j = 1 mod p-1, p <= j < r) with
     binom(j,n)-weighted sums vanishing mod p^(4-n) for n = 0, 1, 2 and
     binom(j,3)-weighted sum 0 mod p (1 when p = 3); distinguished index p."""
-    return _alphas_modp2(r, p, _quad_row(r, p))
+    _require_quad(r, p)
+    return _corrected_family("alpha2", r, _class_range(p, r, 1, p - 1), p, 2,
+                             None, p, 1 if p == 3 else 0)
 
 
-def choose_gammas_modp2(r: int, p: int) -> dict[int, int]:
+def choose_gammas_modp2(r: int, p: int) -> Mapping[int, int]:
     """Integers gamma_j = binom(r,j) mod p^2 (j = 0 mod p-1, p-1 <= j < r-1) with
     binom(j,n)-weighted sums vanishing mod p^(4-n) for n = 0, 1, 2 and
     binom(j,3)-weighted sum 0 mod p (-1 when p = 3); distinguished indices
     p-1 and (p-1)p."""
-    return _gammas_modp2(r, p, _quad_row(r, p))
+    _require_quad(r, p)
+    return _corrected_family("gamma", r, _class_range(p - 1, r - 1, 0, p - 1), p, 2,
+                             p - 1, (p - 1) * p, -1 if p == 3 else 0)
 
 
-def choose_gammas_alphas2(r: int, p: int) -> tuple[dict[int, int], dict[int, int]]:
-    """Both quadratic-level families for the b = p witness constructions,
-    read off one row of binomial coefficients."""
-    row = _quad_row(r, p)
-    return _alphas_modp2(r, p, row), _gammas_modp2(r, p, row)
+def choose_gammas_alphas2(r: int, p: int) -> tuple[Mapping[int, int], Mapping[int, int]]:
+    """Both quadratic-level families for the b = p witness constructions."""
+    return choose_alphas_modp2(r, p), choose_gammas_modp2(r, p)
 
 
 # ---------------------------------------------------------------------------

@@ -74,7 +74,7 @@ from .arith import (
     ApCoeff,
     ResidueExpr,
     _split,
-    teichmuller,
+    teich_table,
 )
 from .errors import IndeterminateCancellation, PrecisionError
 
@@ -107,46 +107,6 @@ def g0(level: int, digits: tuple[int, ...]) -> Coset:
     if len(digits) != level:
         raise ValueError("digit tuple does not match level")
     return Coset(0, level, tuple(int(d) for d in digits))
-
-
-class TeichTable:
-    """Cached Teichmuller representatives at a fixed precision."""
-
-    def __init__(self, p: int, precision: int = DEFAULT_PRECISION):
-        self.p = p
-        self.precision = precision
-        self.rep = [teichmuller(c, p, precision) for c in range(p)]
-        self._signed: dict[tuple[int, int], tuple[int, ...]] = {}
-
-    def power(self, c: int, k: int) -> int:
-        """[c]^k, using multiplicativity (so the result is again a table entry)."""
-        c %= self.p
-        if k == 0:
-            return 1
-        if c == 0:
-            return 0
-        return self.rep[pow(c, k % (self.p - 1) or (self.p - 1), self.p)]
-
-    def signed_powers(self, c: int, sign: int) -> tuple[int, ...]:
-        """(sign [c])^e by e mod p-1, for exponents e > 0 (so index 0 holds
-        [c]^(p-1)); p-1 is even, so the sign also depends on e mod p-1 only.
-        Memoized: every operator call asks for the same few rows."""
-        key = (c % self.p, sign)
-        row = self._signed.get(key)
-        if row is None:
-            row = self._signed[key] = tuple(sign**e * self.power(c, e or self.p - 1)
-                                            for e in range(self.p - 1))
-        return row
-
-
-_TABLES: dict[tuple[int, int], TeichTable] = {}
-
-
-def teich_table(p: int, precision: int = DEFAULT_PRECISION) -> TeichTable:
-    key = (p, precision)
-    if key not in _TABLES:
-        _TABLES[key] = TeichTable(p, precision)
-    return _TABLES[key]
 
 
 # ---------------------------------------------------------------------------

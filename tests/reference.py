@@ -51,8 +51,16 @@ they check.
   submodules, against the column-type ``symrep.build_X`` and the spin of
   X^r inside it.
 - The big-integer class sums ``class_sum_T`` and ``class_sum_S_modp2``, the
-  oracles of the class-sum lemma sweep, and ``family_holds``, the
-  congruences of the ``choose_*`` families restated from their definitions.
+  oracles of the class-sum lemma sweep, ``class_sum_S_exact``, the oracle of
+  ``arith.class_sum_S``, which reads S mod p^2 from characters, and
+  ``family_holds``, the congruences of the ``choose_*`` families restated
+  from their definitions.
+- The ``choose_*`` families built on exact binomial rows: ``check_family``
+  checks a family against its row and ``corrected_family`` applies the
+  correction rule to any row; ``choose_alphas_by_row``,
+  ``choose_betas_by_row`` and ``choose_gammas_alphas2_by_row`` are the
+  constructors on them, against the library's, which certify from class
+  sums and build no row.
 - ``elementary``: a function supported on one coset.
 """
 
@@ -72,6 +80,7 @@ from crysred.arith import (
     PRECISION_HEADROOM,
     ApCoeff,
     ResidueExpr,
+    _binom_row,
     _class_range,
     inv_mod,
     padic_val,
@@ -805,6 +814,18 @@ def class_sum_T(r: int, b: int, p: int) -> int:
     return sum(math.comb(r, j) for j in _class_range(1, r - 1, b - 1, p - 1)) % p
 
 
+def class_sum_S_exact(r: int, a: int, p: int) -> tuple[int, int]:
+    """``arith.class_sum_S`` on the exact sum of binom(r, j), 0 < j < r,
+    j = a (mod p-1)."""
+    require_odd_prime(p)
+    if not (1 <= a <= p - 1) or r <= 0 or (r - a) % (p - 1):
+        raise HypothesisError(f"need r = a (mod p-1) with 1 <= a <= p-1; got r={r}, a={a}")
+    S = sum(math.comb(r, j) for j in _class_range(1, r, a, p - 1))
+    if S % p:
+        raise ArithmeticError(f"class sum not divisible by p: r={r}, a={a}, p={p}")
+    return (0, (S // p) % p)
+
+
 def class_sum_S_modp2(r: int, p: int) -> int:
     """S mod p^2 for S = sum of binom(r,j), 1 < j < r, j = 1 (mod p-1),
     assuming p | r and r = 1 (mod p-1).  Equals (p - r) mod p^2.
@@ -831,3 +852,75 @@ def family_holds(fam: dict[int, int], r: int, p: int, level: int, target: int = 
         if (total - (target if n == level + 1 else 0)) % p ** (level + 2 - n):
             return False
     return True
+
+
+def check_family(name: str, fam: dict[int, int], row: list[int], p: int, level: int,
+                 target: int = 0) -> dict[int, int]:
+    """``fam`` once it holds at level L = ``level``, else ArithmeticError:
+    fam[j] = binom(r, j) mod p^L, and sum_j binom(j, n) fam[j] vanishes mod
+    p^(L+2-n) for n <= L and is ``target`` mod p at n = L+1; all read mod p^(L+2)."""
+    q = p ** (level + 2)
+    res = {j: x % q for j, x in fam.items()}
+    failed = [f"matches_binom_mod_p{level}"] if any(
+        (x - row[j]) % p**level for j, x in res.items()) else []
+    for n in range(level + 2):
+        total = sum(math.comb(j, n) * x for j, x in res.items())
+        if (total - (target if n == level + 1 else 0)) % p ** (level + 2 - n):
+            failed.append(f"choose{n}_sum_mod_p{level + 2 - n}")
+    if failed:
+        raise ArithmeticError(f"{name} family failed checks: {', '.join(failed)}")
+    return fam
+
+
+def corrected_family(name: str, row: list[int], js, p: int, level: int,
+                     unit: int | None, zero: int, target: int = 0) -> dict[int, int]:
+    """row[j] on the class js plus multiples of p^L (L = ``level``) at a unit
+    index (p not dividing it, or None) and a zero index (p dividing it),
+    checked; {} on an empty class.  A multiple of p^L moves only the plain sum
+    (checked mod p^(L+2)) and the j-weighted one (mod p^(L+1)): the unit index
+    clears the weighted sum, then the zero index takes the whole plain sum,
+    which the class-sum lemmas make divisible by p^L, so the weighted sum stays."""
+    if not js:
+        return {}
+    q = p**level
+    fam = {j: row[j] for j in js}
+    if unit is not None:
+        fam[unit] -= sum(j * x for j, x in fam.items()) // q * inv_mod(unit, p) % p * q
+    fam[zero] -= sum(fam.values())
+    return check_family(name, fam, row, p, level, target)
+
+
+def choose_alphas_by_row(r: int, a: int, p: int) -> dict[int, int]:
+    """``arith.choose_alphas`` on the exact row binom(r, 0..r)."""
+    require_odd_prime(p)
+    if not (2 <= a <= p - 1) or (r - a) % (p - 1):
+        raise HypothesisError(f"need r = a (mod p-1) with 2 <= a <= p-1; got r={r}, a={a}")
+    js = _class_range(1, r, a, p - 1)
+    row = _binom_row(r)
+    target = math.comb(r, 2) if a == 2 else 0
+    if r > a * p:
+        return corrected_family("alpha", row, js, p, 1, a, a * p, target)
+    return check_family("alpha", {j: 0 for j in js}, row, p, 1, target)
+
+
+def choose_betas_by_row(r: int, b: int, p: int) -> dict[int, int]:
+    """``arith.choose_betas`` on the exact row binom(r, 0..r)."""
+    require_odd_prime(p)
+    if not (3 <= b <= p) or (r - b) % (p - 1):
+        raise HypothesisError(f"need r = b (mod p-1) with 3 <= b <= p; got r={r}, b={b}")
+    if (r - b) % p:
+        raise HypothesisError(f"need p | r - b; got r={r}, b={b}, p={p}")
+    js = _class_range(b - 1, r - 1, b - 1, p - 1)
+    return corrected_family("beta", _binom_row(r), js, p, 1, b - 1, (b - 1) * p)
+
+
+def choose_gammas_alphas2_by_row(r: int, p: int) -> tuple[dict[int, int], dict[int, int]]:
+    """``arith.choose_gammas_alphas2`` on one exact row binom(r, 0..r)."""
+    require_odd_prime(p)
+    if (r - 1) % (p - 1) or (r - p) % (p * p):
+        raise HypothesisError(f"need r = 1 (mod p-1) and p^2 | r - p; got r={r}, p={p}")
+    row = _binom_row(r)
+    return (corrected_family("alpha2", row, _class_range(p, r, 1, p - 1), p, 2,
+                             None, p, 1 if p == 3 else 0),
+            corrected_family("gamma", row, _class_range(p - 1, r - 1, 0, p - 1), p, 2,
+                             p - 1, (p - 1) * p, -1 if p == 3 else 0))

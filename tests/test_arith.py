@@ -27,6 +27,11 @@ from crysred.symrep import _binomials
 from reference import (
     FractionCoeff,
     certify_val_ge,
+    check_family,
+    choose_alphas_by_row,
+    choose_betas_by_row,
+    choose_gammas_alphas2_by_row,
+    class_sum_S_exact,
     class_sum_S_modp2,
     class_sum_T,
     family_holds,
@@ -106,6 +111,37 @@ class TestClassSums:
                     assert class_sum_T(r, b, p) == (b - r) % p
                 if r % p == 0 and (r - 1) % (p - 1) == 0:
                     assert class_sum_S_modp2(r, p) == (p - r) % (p * p)
+
+    def test_S_matches_the_exact_sum(self):
+        # class_sum_S reads S mod p^2 from characters; the oracle sums the
+        # exact binomials, and both refuse the same inputs
+        for p in PRIMES + [31]:
+            for a in range(1, p):
+                for r in range(a, 700, p - 1):
+                    assert class_sum_S(r, a, p) == class_sum_S_exact(r, a, p), (r, a, p)
+
+    def test_characters_match_the_class_sum_table(self):
+        # (p-1) T(N, c) = sum over zeta of zeta^(-c) (1+zeta)^N mod p^k: one
+        # call with count = N+1 walks T(N-n, c-n) down to N-n = 0, so the
+        # p-1 calls at N = 2000 cover every class at every degree up to 2000
+        for p in PRIMES:
+            for k in (2, 3, 4):
+                tables = arith._class_sum_tables(LEMMA_R_MAX, p, k).tolist()
+                for c in range(p - 1):
+                    sums = arith._class_sums(LEMMA_R_MAX, c, p, k, LEMMA_R_MAX + 1)
+                    for n, t in enumerate(sums):
+                        assert t == tables[LEMMA_R_MAX - n][(c - n) % (p - 1)], (p, k, c, n)
+
+    @pytest.mark.parametrize("p", [31, 1009])
+    def test_characters_at_far_degrees(self, p):
+        # seeded degrees past the grid, against the per-degree table
+        rng = random.Random(p)
+        for N in rng.sample(range(LEMMA_R_MAX, 20_000), 3):
+            for k in (2, 3, 4):
+                tables = [arith.class_sum_table(N - n, p, k) for n in range(3)]
+                for c in rng.sample(range(p - 1), 3):
+                    want = [tables[n][(c - n) % (p - 1)] for n in range(3)]
+                    assert arith._class_sums(N, c, p, k, 3) == want, (p, N, k, c)
 
     def test_congruence_mismatch_rejected(self):
         with pytest.raises(HypothesisError):
@@ -197,13 +233,34 @@ class TestFamilies:
             assert not fam or marked <= fam.keys(), (name, args)
             assert {j for j, x in fam.items() if x != math.comb(r, j)} <= marked, (name, args)
 
-    def test_quad_pair_reads_one_row(self, monkeypatch):
+    def test_quad_pair_builds_no_row(self, monkeypatch):
+        # certified without a row; each family builds its row on its first read
         built = []
         row_fn = arith._binom_row
         monkeypatch.setattr(arith, "_binom_row", lambda r: built.append(r) or row_fn(r))
         al, ga = choose_gammas_alphas2(105, 5)
-        assert built == [105]
+        assert built == []
+        assert dict(al) == dict(al) and built == [105]  # kept after the first read
+        assert dict(ga) and built == [105, 105]
         assert (al, ga) == (choose_alphas_modp2(105, 5), choose_gammas_modp2(105, 5))
+
+    def test_families_read_only(self):
+        fam = choose_betas(5 * 5 - 5 + 3, 3, 5)
+        with pytest.raises(TypeError):
+            fam[2] = 0
+
+    def test_exact_values_match_the_row_constructors(self):
+        # criterion 4's degrees and the verify-lemmas degrees at p <= 7:
+        # the same exact integers as the constructors on binomial rows
+        by_row = {choose_alphas: choose_alphas_by_row, choose_betas: choose_betas_by_row,
+                  choose_alphas_modp2: lambda r, p: choose_gammas_alphas2_by_row(r, p)[0],
+                  choose_gammas_modp2: lambda r, p: choose_gammas_alphas2_by_row(r, p)[1]}
+        for _, choose, args, _, _, _ in criterion4_families():
+            assert dict(choose(*args)) == by_row[choose](*args), args
+        for p in (3, 5, 7):
+            for r in (p, p + p * p * (p - 1), p + 2 * p * p * (p - 1)):
+                assert tuple(map(dict, choose_gammas_alphas2(r, p))) == \
+                    choose_gammas_alphas2_by_row(r, p), (r, p)
 
 
 class TestApCoeff:
@@ -468,57 +525,94 @@ class TestDegreeSweep:
                 arith.lemma_rows(p, 5)
 
     def test_binom_row_at_every_family_degree(self, monkeypatch, capsys):
-        # every row that verify-lemmas builds, for each odd prime p <= 13,
-        # against math.comb
-        seen = set()
+        # the exact rows that the witness builders read, at the quad degrees
+        # of p = 13 and at every small degree, odd and even, for the
+        # mirrored half-row, against math.comb
         row_fn = arith._binom_row
-
-        def recording(r):
-            seen.add(r)
-            return row_fn(r)
-
-        monkeypatch.setattr(arith, "_binom_row", recording)
-        for p in (3, 5, 7, 11, 13):
-            assert cli.main(["verify-lemmas", "--p", str(p), "--r-to", str(LEMMA_R_MAX)]) == 0
-        capsys.readouterr()
-        assert {2041, 4069} <= seen
-        # and every small degree, odd and even, for the mirrored half-row
-        for r in sorted(seen | set(range(41))):
+        for r in [2041, 4069, *range(41)]:
             assert row_fn(r) == [math.comb(r, j) for j in range(r + 1)], r
 
+        # verify-lemmas certifies every family without building a row
+        def refused(r):
+            raise AssertionError(f"binomial row built at r = {r}")
+
+        monkeypatch.setattr(arith, "_binom_row", refused)
+        for p in (3, 5, 7, 11, 13, 1009):
+            assert cli.main(["verify-lemmas", "--p", str(p), "--r-to", str(LEMMA_R_MAX)]) == 0
+        capsys.readouterr()
+
     def test_check_family_agrees_with_reference(self, monkeypatch, capsys):
-        # every family that verify-lemmas checks for p <= 13, and seeded
-        # perturbations of it by +-p^m, m = 0..L+2: the residue check raises
-        # exactly when the exact big-integer check fails
+        # every family that verify-lemmas certifies for p <= 13, and seeded
+        # perturbations of it by +-p^m at a class member, m = 0..L+2: the
+        # certificate from class sums refuses exactly when the exact
+        # big-integer congruences fail, with the messages of the row check
         checked = []
-        check_fn = arith._check_family
+        # family name -> (level, target) from the constructor's arguments
+        levels = {"alpha": lambda r, a, p: (1, math.comb(r, 2) if a == 2 else 0),
+                  "beta": lambda r, b, p: (1, 0),
+                  "alpha2": lambda r, p: (2, 1 if p == 3 else 0),
+                  "gamma": lambda r, p: (2, -1 if p == 3 else 0)}
 
-        def recording(name, fam, row, p, level, target=0):
-            checked.append((name, dict(fam), row, p, level, target))
-            return check_fn(name, fam, row, p, level, target)
+        def recording(choose, names):
+            def call(*args):
+                fams = choose(*args)
+                for name, fam in zip(names, fams if len(names) == 2 else (fams,)):
+                    checked.append((name, fam, args[0], args[-1], *levels[name](*args)))
+                return fams
+            return call
 
-        monkeypatch.setattr(arith, "_check_family", recording)
+        for attr, names in [("choose_alphas", ("alpha",)), ("choose_betas", ("beta",)),
+                            ("choose_gammas_alphas2", ("alpha2", "gamma"))]:
+            monkeypatch.setattr(arith, attr, recording(getattr(arith, attr), names))
         for p in (3, 5, 7, 11, 13):
             assert cli.main(["verify-lemmas", "--p", str(p), "--r-to", str(LEMMA_R_MAX)]) == 0
         capsys.readouterr()
-        assert {len(row) - 1 for _, _, row, q, _, _ in checked if q == 13} >= {2041, 4069}
+        assert {r for _, fam, r, q, _, _ in checked if q == 13 and fam} >= {2041, 4069}
         rng = random.Random(29)
         refused = 0
-        for name, fam, row, p, level, target in checked:
-            r = len(row) - 1
-            assert family_holds(fam, r, p, level, target), (name, r, p)
+        for name, fam, r, p, level, target in checked:
+            values = dict(fam)
+            assert family_holds(values, r, p, level, target), (name, r, p)
             if not fam:
                 continue
+            js = list(fam)
+            W = arith._class_weights(r, js, p, level + 2)
+            row = arith._binom_row(r)
+            delta = {j: x - row[j] for j, x in values.items() if x != row[j]}
+            arith._certify(name, W, delta, p, level, target)
             for m in range(level + 3):
                 for sign in (1, -1):
-                    bent = dict(fam)
-                    bent[rng.choice(sorted(fam))] += sign * p**m
+                    j = rng.choice(js)
+                    bent = {**values, j: values[j] + sign * p**m}
                     holds = family_holds(bent, r, p, level, target)
                     try:
-                        check_fn(name, bent, row, p, level, target)
-                    except ArithmeticError:
-                        assert not holds, (name, r, p, m, sign)
+                        check_family(name, bent, row, p, level, target)
+                    except ArithmeticError as exc:
+                        want = str(exc)
+                    else:
+                        want = None
+                    try:
+                        arith._certify(name, W, {**delta, j: delta.get(j, 0) + sign * p**m},
+                                       p, level, target)
+                    except ArithmeticError as exc:
+                        assert not holds and str(exc) == want, (name, r, p, m, sign)
                         refused += 1
                     else:
-                        assert holds, (name, r, p, m, sign)
+                        assert holds and want is None, (name, r, p, m, sign)
         assert refused
+
+    @pytest.mark.parametrize("p", LEMMA_PRIMES)
+    def test_verify_lemmas_json_matches_the_row_constructors(self, monkeypatch, capsys, p):
+        # the constructors on exact binomial rows swapped in, the same output
+        def lemmas_json(r_to):
+            assert cli.main(["verify-lemmas", "--p", str(p), "--r-to", str(r_to),
+                             "--format", "json"]) == 0
+            return capsys.readouterr().out
+
+        for r_to in (1, 50, LEMMA_R_MAX):
+            want = lemmas_json(r_to)
+            with monkeypatch.context() as m:
+                m.setattr(arith, "choose_alphas", choose_alphas_by_row)
+                m.setattr(arith, "choose_betas", choose_betas_by_row)
+                m.setattr(arith, "choose_gammas_alphas2", choose_gammas_alphas2_by_row)
+                assert lemmas_json(r_to) == want, r_to

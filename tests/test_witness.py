@@ -21,7 +21,7 @@ from crysred.witness import (
     build_witness,
     verify_witness,
 )
-from reference import apply_Tminus_by_terms, family_holds, same_terms
+from reference import apply_Tminus_by_terms, corrected_family, family_holds, same_terms
 
 # the slopes of the benchmark's witness pool
 POOL_SLOPES = ("5/4", "4/3", "3/2", "5/3", "7/4")
@@ -319,7 +319,7 @@ def _plus_kernel(fam, r, p, level, unit, zero, target, rng):
     base = [0] * (r + 1)
     for j in fam:
         base[j] = p**level * rng.randrange(-p**3, p**3)
-    kernel = arith._corrected_family("kernel", base, sorted(fam), p, level, unit, zero)
+    kernel = corrected_family("kernel", base, sorted(fam), p, level, unit, zero)
     out = {j: x + kernel[j] for j, x in fam.items()}
     assert out != fam and family_holds(out, r, p, level, target)
     return out
