@@ -1,15 +1,15 @@
 """Exact scalar arithmetic over F_p, Q and truncated Z_p.
 
 Everything is exact integer / rational arithmetic; no floats.  The module
-provides base-p digit sums, the class sums of binomial coefficients that the
-witness audit reads and the lemma sweep (for all degrees at once, in numpy
-blocks), Teichmuller lifts at finite precision, the structured integer
-families (``choose_*``) consumed by the witness builder, and the Hecke
-coefficients ``ApCoeff`` with their residues ``ResidueExpr``.  Every
-``choose_*`` constructor certifies its congruences from class sums, p-1
-powers at any degree, and builds its binomial row only when read.  The
-big-integer class sums and the families built on binomial rows are test
-oracles in ``tests/reference.py``.
+provides base-p digit sums, the class sums of binomial coefficients, read
+off one character sum over the Teichmuller lifts by the witness audit, the
+families and the lemma sweep (all degrees at once, in numpy), Teichmuller
+lifts at finite precision, the structured integer families (``choose_*``)
+consumed by the witness builder, and the Hecke coefficients ``ApCoeff`` with
+their residues ``ResidueExpr``.  Every ``choose_*`` constructor certifies
+its congruences from class sums and builds its binomial row only when read.
+The big-integer class sums, the walk along a binomial row and the families
+built on binomial rows are test oracles in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -102,11 +102,10 @@ def _class_sums(N: int, c: int, p: int, k: int, count: int = 1) -> list[int]:
     binom(N, i) over i = c (mod p-1).  (p-1) T(N, c) is the sum of
     zeta^(-c) (1 + zeta)^N over zeta in mu_(p-1), exactly mod p^k for the
     Teichmuller lifts: one power per zeta, then steps by zeta^(-1) (1 + zeta)."""
-    pk, rep = p**k, teich_table(p, k).rep
+    pk, tt = p**k, teich_table(p, k)
     out = [0] * count
-    for x in range(1, p):
-        t = rep[pow(x, (count - 1 - c) % (p - 1), p)] * pow(1 + rep[x], N - count + 1, pk)
-        step = rep[pow(x, -1, p)] * (1 + rep[x]) % pk
+    for x, step in enumerate(tt.steps, 1):
+        t = tt.rep[pow(x, (count - 1 - c) % (p - 1), p)] * pow(1 + tt.rep[x], N - count + 1, pk)
         for n in reversed(range(count)):
             out[n] += t
             t = t * step % pk
@@ -130,88 +129,55 @@ def class_sum_S(r: int, a: int, p: int) -> tuple[int, int]:
 
 
 def class_sum_table(r: int, p: int, k: int = 3) -> list[int]:
-    """sum of binom(r, j) mod p^k over 0 <= j <= r, per class j mod (p-1).
-
-    One incremental pass carrying binom(r, j) as p^e * unit with the unit
-    held mod p^k; exact residues without full-size integers.  It seeds the
-    block step of the degree sweep ``_class_sum_tables`` and is its per-degree
-    reference in the tests.
-    """
+    """T(r, c) mod p^k for c = 0..p-2, T as in ``_class_sums``: the sum of
+    binom(r, j), 0 <= j <= r, over j = c (mod p-1), in (p-1)^2 powers at any r."""
     require_odd_prime(p)
-    pk = p**k
-    acc = [0] * (p - 1)
-    powers = [p**i for i in range(k)]
-    inv_cache: dict[int, int] = {}
-    e, u, j = 0, 1, 0
-    while True:
-        if e < k:
-            cls = j % (p - 1)
-            acc[cls] = (acc[cls] + u * powers[e]) % pk
-        if j == r:
-            return acc
-        num, den = r - j, j + 1
-        while num % p == 0:
-            num //= p
-            e += 1
-        while den % p == 0:
-            den //= p
-            e -= 1
-        den %= pk
-        inv = inv_cache.get(den)
-        if inv is None:
-            inv = pow(den, -1, pk)
-            inv_cache[den] = inv
-        u = u * (num % pk) % pk * inv % pk
-        j += 1
+    return [_class_sums(r, c, p, k)[0] for c in range(p - 1)]
 
 
-def _class_sum_tables(r_to: int, p: int, k: int) -> np.ndarray:
-    """The (r_to+1) x (p-1) array whose row r is class_sum_table(r, p, k).
+def _diagonal_class_sums(r_to: int, p: int, k: int) -> np.ndarray:
+    """T(r, r) and T(r, r-1) mod p^k for r = 0..r_to, as an (r_to+1) x 2 array.
 
-    Row r is t_r = (1+x)^r in (Z/p^k)[x]/(x^(p-1) - 1), so t_(r+B) is t_r
-    times the circulant of t_B (cyclic convolution over Z/(p-1)), cut to the
-    at most B+1 nonzero entries of t_B.  Those products step t_0, t_B, t_2B,
-    ... (B = isqrt(r_to)+1), and Pascal's rule on classes, t_(r+1)[c] =
-    t_r[c] + t_r[c-1], fills the B-1 rows after each of them at once.  A
-    product sums at most p-1 terms below p^(2k): int64 while (p-1)(p^k-1)^2
-    < 2^63 (p <= 509 at k = 3), else Python ints (dtype object).  Pascal's
-    sums stay below 2p^k."""
-    pk, n, B = p**k, p - 1, math.isqrt(r_to) + 1
-    t_B = np.array(class_sum_table(B, p, k), np.int64 if n * (pk - 1) ** 2 < 2**63 else object)
-    nz = np.flatnonzero(t_B)
-    shifts = (np.arange(n) - nz[:, None]) % n  # t_B[i] * t[c-i] for i in nz
-    tab = np.zeros((r_to // B + 1, B, n), np.int64 if 2 * pk < 2**63 else object)
-    tab[0, 0, 0] = 1  # tab[q, s] is row qB + s
-    for q in range(1, len(tab)):
-        tab[q, 0] = t_B[nz] @ tab[q - 1, 0, shifts] % pk
-    back = np.arange(n) - 1  # column c - 1, wrapping at c = 0
-    for s in range(1, B):
-        tab[:, s] = (tab[:, s - 1] + tab[:, s - 1, back]) % pk
-    return tab.reshape(-1, n)[:r_to + 1]
+    (p-1) T(r, r-s) is the sum of zeta^s step^r over zeta, step = zeta^(-1)
+    (1 + zeta).  step^r fills a table by doubling, 64 lifts at a time so that
+    memory is O(r_to).  Products stay below p^(2k): int64 while
+    p^(2k) < 2^63 (p <= 1447 at k = 3), else Python ints (dtype object)."""
+    pk, tt = p**k, teich_table(p, k)
+    dtype = np.int64 if p ** (2 * k) < 2**63 else object
+    sums = np.zeros((r_to + 1, 2), dtype)
+    for lo in range(0, p - 1, 64):
+        step, zeta = (np.array(x[lo:lo + 64], dtype) for x in (tt.steps, tt.rep[1:]))
+        pw, L = np.ones((r_to + 1, len(step)), dtype), 1
+        while L <= r_to:  # rows L..2L-1 are rows 0..L-1 times step^L
+            pw[L:2 * L] = pw[:min(L, r_to + 1 - L)] * step % pk
+            step, L = step * step % pk, 2 * L
+        sums += np.stack([pw.sum(axis=1), (pw * zeta % pk).sum(axis=1)], axis=1)
+    return (sums % pk * inv_mod(p - 1, pk) % pk).astype(np.int64)
 
 
 def _lemma_columns(p: int, r_to: int) -> dict[str, np.ndarray]:
     """The columns of ``lemma_rows`` as arrays over r = 1..r_to, keyed by
     its row keys; ``t_sum`` and ``s_sum_mod_p2`` belong to a row only where
-    ``has_t`` and ``has_s2`` hold."""
+    ``has_t`` and ``has_s2`` hold.  S and S2 read T(r, a) = T(r, r), and T
+    reads T(r, b-1) = T(r, r-1)."""
     if r_to < 1:
         raise DomainError(f"empty lemma range: --r-to {r_to} is below 1")
     require_odd_prime(p)
     n, p2, p3 = p - 1, p * p, p**3
-    tab = _class_sum_tables(r_to, p, 3)
+    T = _diagonal_class_sums(r_to, p, 3)[1:]  # T(r, r) and T(r, r-1)
     r = np.arange(1, r_to + 1)
     a = (r - 1) % n + 1
     b = np.where(a == 1, p, a)
     inv = np.array([0] + [inv_mod(x, p) for x in range(1, p)])
     want = (a - r) * inv[a] % p
     # sum over 0 < j < r in class a: drop j = r, and j = 0 when a = p-1
-    S = (tab[r, a % n] - 1 - (a == n)) % p3
+    S = (T[:, 0] - 1 - (a == n)) % p3
     quotient = np.where(S % p == 0, S % p2 // p, -1)
     # below b the sum is empty and the closed form does not apply; over
     # 0 < j < r-1 in class b-1: drop j = r-1, and j = 0 when b = p
-    has_t, tr = r >= b, (tab[r, (b - 1) % n] - r - (b == p)) % p
-    # sum over 1 < j < r in class 1 when p | r = 1 mod p-1: drop j = 1 and j = r
-    has_s2, s2 = (r % p == 0) & ((r - 1) % n == 0), (tab[r, 1 % n] - r - 1) % p2
+    has_t, tr = r >= b, (T[:, 1] - r - (b == p)) % p
+    # sum over 1 < j < r in class 1 (= a) when p | r = 1 mod p-1: drop j = 1, r
+    has_s2, s2 = (r % p == 0) & ((r - 1) % n == 0), (T[:, 0] - r - 1) % p2
     ok = (quotient == want) & (~has_t | (tr == (b - r) % p)) & (~has_s2 | (s2 == (p - r) % p2))
     return {"r": r, "a": a, "b": b, "class_sum_quotient": quotient,
             "class_sum_expected": want, "has_t": has_t, "t_sum": tr,
@@ -220,8 +186,9 @@ def _lemma_columns(p: int, r_to: int) -> dict[str, np.ndarray]:
 
 def lemma_rows(p: int, r_to: int) -> list[dict]:
     """The three class-sum lemmas at every degree 1 <= r <= r_to, one row per
-    degree, checked on residue tables mod p^3 as arrays over r (the
-    big-integer class sums are their oracle in the test-suite)."""
+    degree, checked mod p^3 as arrays over r on class sums read off
+    characters (the walk along binom(r, .) and the big-integer class sums
+    are their oracles in the test-suite)."""
     cols = _lemma_columns(p, r_to)
     rows = []
     for ri, ai, bi, qi, wi, t, ti, s, si, oki in zip(*(x.tolist() for x in cols.values())):
@@ -259,6 +226,9 @@ class TeichTable:
         self.precision = precision
         self.rep = [teichmuller(c, p, precision) for c in range(p)]
         self._signed: dict[tuple[int, int], tuple[int, ...]] = {}
+        # zeta^(-1) (1 + zeta) at zeta = [x], index x-1: T(N, c) to T(N+1, c+1)
+        self.steps = [self.rep[pow(x, -1, p)] * (1 + self.rep[x]) % p**precision
+                      for x in range(1, p)]
 
     def power(self, c: int, k: int) -> int:
         """[c]^k, using multiplicativity (so the result is again a table entry)."""

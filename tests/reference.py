@@ -50,9 +50,12 @@ they check.
   (``spanning_matrices``), and ``build_X_rows``, the r-row build of those
   submodules, against the column-type ``symrep.build_X`` and the spin of
   X^r inside it.
-- The big-integer class sums ``class_sum_T`` and ``class_sum_S_modp2``, the
-  oracles of the class-sum lemma sweep, ``class_sum_S_exact``, the oracle of
-  ``arith.class_sum_S``, which reads S mod p^2 from characters, and
+- ``class_sum_table_by_walk``: the class sums of one degree by a walk along
+  binom(r, 0..r) as p-adic units, against ``arith.class_sum_table`` and the
+  lemma sweep, which read them off characters.  The big-integer class sums
+  ``class_sum_T`` and ``class_sum_S_modp2``, the oracles of the class-sum
+  lemma sweep, ``class_sum_S_exact``, the oracle of ``arith.class_sum_S``,
+  which reads S mod p^2 from characters, and
   ``family_holds``, the congruences of the ``choose_*`` families restated
   from their definitions.
 - The ``choose_*`` families built on exact binomial rows: ``check_family``
@@ -801,6 +804,42 @@ def build_X_rows(p: int, r: int, which: str = "second") -> tuple[FpSpace, GammaM
 
 # ---------------------------------------------------------------------------
 # class sums and integer families with big integers
+
+
+def class_sum_table_by_walk(r: int, p: int, k: int = 3) -> list[int]:
+    """sum of binom(r, j) mod p^k over 0 <= j <= r, per class j mod (p-1),
+    against ``arith.class_sum_table`` and the degree sweep, which read the
+    class sums off characters.
+
+    One incremental pass carrying binom(r, j) as p^e * unit with the unit
+    held mod p^k; exact residues without full-size integers.
+    """
+    require_odd_prime(p)
+    pk = p**k
+    acc = [0] * (p - 1)
+    powers = [p**i for i in range(k)]
+    inv_cache: dict[int, int] = {}
+    e, u, j = 0, 1, 0
+    while True:
+        if e < k:
+            cls = j % (p - 1)
+            acc[cls] = (acc[cls] + u * powers[e]) % pk
+        if j == r:
+            return acc
+        num, den = r - j, j + 1
+        while num % p == 0:
+            num //= p
+            e += 1
+        while den % p == 0:
+            den //= p
+            e -= 1
+        den %= pk
+        inv = inv_cache.get(den)
+        if inv is None:
+            inv = pow(den, -1, pk)
+            inv_cache[den] = inv
+        u = u * (num % pk) % pk * inv % pk
+        j += 1
 
 
 def class_sum_T(r: int, b: int, p: int) -> int:

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from fractions import Fraction
@@ -34,11 +35,19 @@ from reference import (
     class_sum_S_exact,
     class_sum_S_modp2,
     class_sum_T,
+    class_sum_table_by_walk,
     family_holds,
 )
 from test_acceptance import LEMMA_PRIMES, LEMMA_R_MAX, criterion4_families
 
 PRIMES = [3, 5, 7, 11, 13]
+
+
+@functools.lru_cache(maxsize=None)
+def _walk_tables(p: int, k: int) -> tuple[list[int], ...]:
+    """``class_sum_table_by_walk`` at every degree r <= LEMMA_R_MAX, shared by
+    the tests that read it at the same (p, k)."""
+    return tuple(class_sum_table_by_walk(r, p, k) for r in range(LEMMA_R_MAX + 1))
 
 
 def lucas(m: int, n: int, p: int) -> int:
@@ -122,11 +131,11 @@ class TestClassSums:
 
     def test_characters_match_the_class_sum_table(self):
         # (p-1) T(N, c) = sum over zeta of zeta^(-c) (1+zeta)^N mod p^k: one
-        # call with count = N+1 walks T(N-n, c-n) down to N-n = 0, so the
+        # call with count = N+1 steps T(N-n, c-n) down to N-n = 0, so the
         # p-1 calls at N = 2000 cover every class at every degree up to 2000
         for p in PRIMES:
             for k in (2, 3, 4):
-                tables = arith._class_sum_tables(LEMMA_R_MAX, p, k).tolist()
+                tables = _walk_tables(p, k)
                 for c in range(p - 1):
                     sums = arith._class_sums(LEMMA_R_MAX, c, p, k, LEMMA_R_MAX + 1)
                     for n, t in enumerate(sums):
@@ -134,11 +143,11 @@ class TestClassSums:
 
     @pytest.mark.parametrize("p", [31, 1009])
     def test_characters_at_far_degrees(self, p):
-        # seeded degrees past the grid, against the per-degree table
+        # seeded degrees past the grid, against the walk along binom(N, .)
         rng = random.Random(p)
         for N in rng.sample(range(LEMMA_R_MAX, 20_000), 3):
             for k in (2, 3, 4):
-                tables = [arith.class_sum_table(N - n, p, k) for n in range(3)]
+                tables = [class_sum_table_by_walk(N - n, p, k) for n in range(3)]
                 for c in rng.sample(range(p - 1), 3):
                     want = [tables[n][(c - n) % (p - 1)] for n in range(3)]
                     assert arith._class_sums(N, c, p, k, 3) == want, (p, N, k, c)
@@ -460,9 +469,9 @@ class TestResidueExpr:
 
 
 def _lemma_rows_per_degree(p: int, r_to: int) -> list[dict]:
-    """The lemma rows built from one ``class_sum_table`` per degree: the
-    reference for ``arith.lemma_rows``, which steps its tables across
-    degrees."""
+    """The lemma rows built from one walk along binom(r, .) per degree: the
+    reference for ``arith.lemma_rows``, which reads two class sums per
+    degree off characters."""
     rows = []
     p2, p3 = p * p, p**3
     for r in range(1, r_to + 1):
@@ -470,7 +479,7 @@ def _lemma_rows_per_degree(p: int, r_to: int) -> list[dict]:
         b = a if a != 1 else p
         row = {"p": p, "r": r, "a": a, "b": b}
         ok = True
-        tab = arith.class_sum_table(r, p, 3)
+        tab = class_sum_table_by_walk(r, p, 3)
         S = (tab[a % (p - 1)] - 1 - (1 if a == p - 1 else 0)) % p3
         want = (a - r) * inv_mod(a, p) % p
         quotient = (S % p2) // p if S % p == 0 else -1
@@ -492,27 +501,31 @@ def _lemma_rows_per_degree(p: int, r_to: int) -> list[dict]:
 
 class TestDegreeSweep:
     def test_tables_match_per_degree_table(self):
+        # the sweep's T(r, r) and T(r, r-1), and every class of
+        # class_sum_table, against the walk at every degree
         for p in LEMMA_PRIMES:
-            tables = arith._class_sum_tables(LEMMA_R_MAX, p, 3).tolist()
-            for r, tab in enumerate(tables):
-                assert tab == arith.class_sum_table(r, p, 3), (p, r)
+            sweep = arith._diagonal_class_sums(LEMMA_R_MAX, p, 3).tolist()
+            for r, tab in enumerate(_walk_tables(p, 3)):
+                assert sweep[r] == [tab[r % (p - 1)], tab[(r - 1) % (p - 1)]], (p, r)
+                assert arith.class_sum_table(r, p, 3) == tab, (p, r)
             assert r == LEMMA_R_MAX
 
-    @pytest.mark.parametrize("p", [509, 521, 1009])
+    @pytest.mark.parametrize("p", [509, 521, 1009, 1447, 1451])
     def test_tables_across_the_int64_bound(self, p):
-        # 509 is the last prime with (p-1)(p^3-1)^2 < 2^63; past it the
-        # circulant products may wrap in int64 (at p = 1009 and r <= 2000 they
-        # do: without the bound, 958 lemma rows fail)
-        tables = arith._class_sum_tables(LEMMA_R_MAX, p, 3)
-        assert tables.shape == (LEMMA_R_MAX + 1, p - 1)
+        # 1447 is the last prime with p^6 < 2^63, where the products of the
+        # sweep stay in int64, and 1451 the first on Python ints; 509, 521
+        # and 1009 straddled the bound of the former circulant sweep
+        sweep = arith._diagonal_class_sums(LEMMA_R_MAX, p, 3)
+        assert sweep.shape == (LEMMA_R_MAX + 1, 2)
         for r in [0, 1, LEMMA_R_MAX] + random.Random(p).sample(range(2, LEMMA_R_MAX), 25):
-            assert tables[r].tolist() == arith.class_sum_table(r, p, 3), (p, r)
+            tab = class_sum_table_by_walk(r, p, 3)
+            assert sweep[r].tolist() == [tab[r % (p - 1)], tab[(r - 1) % (p - 1)]], (p, r)
         assert all(row["pass"] for row in arith.lemma_rows(p, LEMMA_R_MAX)), p
 
     def test_lemma_rows_match_per_degree_rows(self):
         for p in LEMMA_PRIMES + (521, 1009):
             assert arith.lemma_rows(p, 600) == _lemma_rows_per_degree(p, 600), p
-        # every block edge: the sweep steps isqrt(r_to)+1 degrees at a time
+        # every doubling edge: the sweep fills rows L..2L-1 from rows 0..L-1
         for p in (3, 5, 7):
             for r_to in range(1, 41):
                 assert arith.lemma_rows(p, r_to) == _lemma_rows_per_degree(p, r_to), (p, r_to)

@@ -354,14 +354,14 @@ class TestVerifyLemmas:
         assert all(not row["pass"] and "sum_mod_p3" in row["error"] for row in betas)
 
     def test_lemma_failures_counted_as_the_sweep_counts_them(self, capsys, monkeypatch):
-        # a class-sum table off by one at every third degree fails lemma
-        # rows; verify-lemmas counts them on arrays, sweep on its rows
-        tables = cli.arith._class_sum_tables
+        # class sums off by one at every third degree fail lemma rows;
+        # verify-lemmas counts them on arrays, sweep on its rows
+        sums = cli.arith._diagonal_class_sums
 
         def corrupted(r_to, p, k):
-            return tables(r_to, p, k) + (np.arange(r_to + 1) % 3 == 0)[:, None]
+            return sums(r_to, p, k) + (np.arange(r_to + 1) % 3 == 0)[:, None]
 
-        monkeypatch.setattr(cli.arith, "_class_sum_tables", corrupted)
+        monkeypatch.setattr(cli.arith, "_diagonal_class_sums", corrupted)
         code, out, _ = run(capsys, "verify-lemmas", "--p", "5", "--r-to", "60", "--format", "json")
         sweep_code, sweep_out, _ = run(capsys, "sweep", "--p", "5", "--check", "lemmas",
                                        "--r-to", "60", "--format", "json")
