@@ -149,6 +149,8 @@ def cmd_sweep(args) -> int:
     if args.check == "lemmas":
         if args.r_from is not None:
             raise DomainError("--r-from does not apply to --check lemmas: its rows start at r = 1")
+        if args.format == "csv":
+            raise DomainError("--format csv does not apply to --check lemmas: use text or json")
         rows = arith.lemma_rows(args.p, args.r_to)
         bad = [row for row in rows if not row["pass"]]
         if args.format == "json":
@@ -178,8 +180,6 @@ def cmd_sweep(args) -> int:
             dicts = pool.map(_sweep_worker, jobs)
     else:
         dicts = [_sweep_worker(job) for job in jobs]
-    # deterministic ordered merge regardless of worker scheduling
-    dicts.sort(key=lambda d: d["r"])
     records = [ReportRecord.from_dict(d) for d in dicts]
     failed = [rec for rec in records if not rec.passed]
     if args.format == "csv":
@@ -273,9 +273,7 @@ def cmd_verify_lemmas(args) -> int:
     p = args.p
     for a in range(2, p):
         for r in (a + (p - 1), a * p + (p - 1) * p, a + 2 * p * (p - 1)):
-            if r <= a or r > args.r_to * 2:
-                continue
-            if (r - a) % (p - 1):
+            if r > args.r_to * 2:
                 continue
             fam_rows.append(_family_row("alpha", arith.choose_alphas, (r, a, p), r=r, a=a))
     for b in range(3, p + 1):

@@ -241,13 +241,14 @@ def apply_Tplus(f: IndFunction) -> IndFunction:
     p, table, out = f.p, teich_table(f.p, f.precision), f._empty()
     binoms = {}  # the binomial rows of this call, by index
     for coset, poly in f.data.items():
-        # order: each j as the per-term sum first meets it; the children keep that key order
-        diag, groups, order = {}, {}, {}
+        # each index i meets j = 0..top, so the per-term sum meets j in
+        # the order 0..hi, the largest top; the children keep that key order
+        diag, groups, hi = {}, {}, -1
         for i, c in poly.items():
             top = min(i, f.cap - 1 - _floor_val(c))
+            hi = max(hi, top)
             row = _binom_row(binoms, i, p, top)
             for j in range(top + 1):
-                order[j] = None
                 if i == j:
                     diag[j] = ApCoeff({}, p)
                     c._mul_into(diag[j], 1, j)
@@ -261,7 +262,7 @@ def apply_Tplus(f: IndFunction) -> IndFunction:
         for lam in range(p):
             if lam:
                 powers, child = table.signed_powers(lam, -1), {}
-                for j in order:
+                for j in range(hi + 1):
                     acc = ApCoeff({}, p)
                     if j in diag:
                         acc.terms = dict(diag[j].terms)
@@ -349,6 +350,11 @@ class ValuationReport(NamedTuple):
     #: (coset, monomial index, bound, degrees at the bound) of each coefficient
     #: whose bound < 0 is the true valuation, in (coset, index) order
     failures: list
+    #: smallest err + d*sigma - 1 over the truncated terms, the absolute cap
+    #: counted as one more term (cap - 1); ``reduce_mod_p`` raises
+    #: PrecisionError exactly when this is below PRECISION_HEADROOM, and each
+    #: carried digit more adds one
+    margin: Fraction
 
 
 def _require_residue_cap(f: IndFunction) -> None:
@@ -356,18 +362,6 @@ def _require_residue_cap(f: IndFunction) -> None:
         raise PrecisionError(
             f"absolute cap {f.cap} is within headroom {PRECISION_HEADROOM} of the residue"
         )
-
-
-def precision_margin(f: IndFunction, sigma: Fraction):
-    """Smallest err + d*sigma - 1 over the truncated terms of f, with the cap
-    counted as one more such term (cap - 1).  ``reduce_mod_p`` raises
-    PrecisionError exactly when this is below PRECISION_HEADROOM, and each
-    carried digit more raises it by one."""
-    a, b = sigma.numerator, sigma.denominator
-    truncated = {(e, d) for poly in f.data.values() for c in poly.values()
-                 for d, (_, _, e) in c.terms.items() if e != INF}
-    least = min([b * f.cap] + [b * e + a * d for e, d in truncated])
-    return Fraction(least, b) - 1
 
 
 def audit_valuations(f: IndFunction, sigma: Fraction) -> ValuationReport:
@@ -379,22 +373,26 @@ def audit_valuations(f: IndFunction, sigma: Fraction) -> ValuationReport:
     several degrees is reported as indeterminate, and negative bounds that
     all rest on truncation errors raise PrecisionError.  Each wins over a
     truncated term too close to valuation 0, which otherwise raises
-    PrecisionError (the first such term in the function's own order)."""
+    PrecisionError (the first such term in the function's own order).
+    The same walk gives the precision margin."""
     _require_residue_cap(f)
     # the bounds are integer counts of 1/b, b the slope's denominator
     b = sigma.denominator
-    failures, short, min_val = [], None, INF
+    failures, short, min_val, least = [], None, INF, b * f.cap
     for coset, poly in f.data.items():
         for j, c in poly.items():
-            bound, degs, s, exact = c.audit_terms(sigma)
+            bound, degs, s, exact, w = c.audit_terms(sigma)
             if bound < min_val:
                 min_val = bound
+            if w < least:
+                least = w
             if bound < 0:
                 failures.append((coset, j, Fraction(bound, b), tuple(degs), exact))
             if short is None:
                 short = s
     if min_val != INF:
         min_val = Fraction(min_val, b)
+    margin = Fraction(least, b) - 1
     if failures:
         failures.sort(key=lambda e: e[:2])
         multi = [e for e in failures if len(e[3]) > 1]
@@ -406,11 +404,11 @@ def audit_valuations(f: IndFunction, sigma: Fraction) -> ValuationReport:
         if not certified:
             bound, (d,) = failures[0][2:4]
             raise PrecisionError(f"bound {bound} at degree {d} rests on a truncation error")
-        return ValuationReport(False, min_val, certified)
+        return ValuationReport(False, min_val, certified, margin)
     if short is not None:
         err, d = short
         raise PrecisionError(f"bound 0 within headroom of precision {err} at degree {d}")
-    return ValuationReport(True, min_val, [])
+    return ValuationReport(True, min_val, [], margin)
 
 
 class ResidueFunction:

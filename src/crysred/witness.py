@@ -41,7 +41,6 @@ from .hecke import (
     audit_valuations,
     g0,
     modp_T,
-    precision_margin,
     reduce_mod_p,
     t_minus_ap,
     teich_table,
@@ -100,10 +99,7 @@ class WitnessReport:
     constant_nonzero: bool
     factorization: str | None
     checks: list[tuple[str, bool]] = field(default_factory=list)
-    #: smallest err + d*sigma - 1 over the truncated terms of (T - A)f, the
-    #: absolute cap counted as one more term; the audit aborts below
-    #: PRECISION_HEADROOM, and each carried digit more adds one.  Not part
-    #: of the verdict.
+    #: ``ValuationReport.margin`` of (T - A)f; not part of the verdict
     precision_margin: Fraction | None = None
 
     @property
@@ -408,13 +404,12 @@ def verify_witness(case: WitnessCase) -> WitnessReport:
     terminal quotient, and the surviving-constituent certificate."""
     g = t_minus_ap(build_witness(case))
     audit = audit_valuations(g, case.sigma)
-    margin = precision_margin(g, case.sigma)
     if not audit.integral:
         return WitnessReport(case, False, audit.min_valuation, "-", None, "-", False, None,
-                             [("integral", False)], margin)
+                             [("integral", False)], audit.margin)
     coset, label, c_expr, factorization, checks = _identify_image(case, g)
     return WitnessReport(case, True, audit.min_valuation, coset, label, c_expr.render(),
-                         _expr_nonzero(c_expr, case), factorization, checks, margin)
+                         _expr_nonzero(c_expr, case), factorization, checks, audit.margin)
 
 
 def _identify_image(case: WitnessCase, g: IndFunction):

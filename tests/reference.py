@@ -18,7 +18,10 @@ they check.
 - ``modp_T_by_weights``: the mod-p Hecke operator on a weight model with
   its weights written out, against ``modp_T``, which reduces ``apply_T``.
 - ``certify_val_ge``: the per-coefficient valuation certificate, the second
-  pass of the two-pass reference of ``hecke.audit_valuations``.
+  pass of the two-pass reference of ``hecke.audit_valuations``, and
+  ``precision_margin``, the margin as a separate walk over the truncated
+  terms, against ``ValuationReport.margin``, which the audit reads in its
+  own walk.
 - ``FractionCoeff``: the coefficient arithmetic of ``ApCoeff`` on exact
   ``Fraction`` terms with ``padic_val`` valuations, against the (unit,
   p-exponent) terms of ``ApCoeff``; with it ``reduce_mod``, which the
@@ -506,6 +509,18 @@ def certify_val_ge(c: ApCoeff, bound, sigma: Fraction, p: int) -> bool:
         if min(v_stored, e + d * sigma) < bound:
             return False
     return True
+
+
+def precision_margin(f: IndFunction, sigma: Fraction):
+    """Smallest err + d*sigma - 1 over the truncated terms of f, with the cap
+    counted as one more such term (cap - 1).  ``reduce_mod_p`` raises
+    PrecisionError exactly when this is below PRECISION_HEADROOM, and each
+    carried digit more raises it by one."""
+    a, b = sigma.numerator, sigma.denominator
+    truncated = {(e, d) for poly in f.data.values() for c in poly.values()
+                 for d, (_, _, e) in c.terms.items() if e != INF}
+    least = min([b * f.cap] + [b * e + a * d for e, d in truncated])
+    return Fraction(least, b) - 1
 
 
 def unipotent_fixed(mod: GammaModule) -> FpSpace:

@@ -252,6 +252,12 @@ class TestSweep:
                                  "--r-to", "12", "--check", "lemmas")
             assert code == 2 and "--r-from" in err and out == ""
 
+    def test_lemma_sweep_refuses_csv(self, capsys):
+        # the lemma rows have no csv form: refused rather than printed as text
+        code, out, err = run(capsys, "sweep", "--p", "5", "--r-to", "6",
+                             "--check", "lemmas", "--format", "csv")
+        assert code == 2 and "error:" in err and "--format csv" in err and out == ""
+
 
 class TestWitnessCommand:
     def test_ok_case(self, capsys):

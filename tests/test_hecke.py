@@ -36,6 +36,7 @@ from reference import (
     functions_agree,
     modp_T_by_weights,
     normalize_pair,
+    precision_margin,
     same_terms,
     translate,
 )
@@ -373,13 +374,11 @@ class TestAbsoluteCap:
     def test_truncation_error_survives_the_cap(self):
         # a coefficient known only to valuation 3 (stored value 0): its
         # error, not the stored value, decides whether a term is dropped
-        from crysred.hecke import precision_margin
-
         unknown = ApCoeff({0: (Fraction(0), 3)}, 5)
         f = elementary(5, 11, g0(1, (2,)), {11: unknown, 4: unknown}, precision=8)
         out = apply_T(f)
         assert out.data
-        assert precision_margin(out, Fraction(5, 4)) == 3 - 1
+        assert audit_valuations(out, Fraction(5, 4)).margin == 3 - 1
 
     def test_cap_follows_the_arithmetic(self):
         f = elementary(5, 11, IDENTITY, {0: ONE}, precision=8)
@@ -435,9 +434,10 @@ def _min_terms(c: ApCoeff, sigma, p):
 def _two_pass_audit(f, sigma):
     """The valuation audit as two passes, kept as the reference of the
     one-pass ``audit_valuations``: bounds in sorted order first, then every
-    coefficient re-certified through ``certify_val_ge``."""
+    coefficient re-certified through ``certify_val_ge``; the margin is the
+    separate walk ``precision_margin``."""
     _require_residue_cap(f)
-    failures, min_val = [], math.inf
+    failures, min_val, margin = [], math.inf, precision_margin(f, sigma)
     for coset in sorted(f.data):
         for j in sorted(f.data[coset]):
             bound, degs, exact = _min_terms(f.data[coset][j], sigma, f.p)
@@ -455,12 +455,13 @@ def _two_pass_audit(f, sigma):
         if not certified:
             bound, (d,) = failures[0][2:4]
             raise PrecisionError(f"bound {bound} at degree {d} rests on a truncation error")
-        return ValuationReport(False, min_val, certified)
+        return ValuationReport(False, min_val, certified, margin)
     for coset, poly in f.data.items():
         for j, c in poly.items():
             if not certify_val_ge(c, 0, sigma, f.p):
-                return ValuationReport(False, min_val, [(coset, j, c.val_lb(sigma, f.p), ())])
-    return ValuationReport(True, min_val, [])
+                return ValuationReport(False, min_val, [(coset, j, c.val_lb(sigma, f.p), ())],
+                                       margin)
+    return ValuationReport(True, min_val, [], margin)
 
 
 def _outcome(audit, f, sigma):

@@ -21,7 +21,13 @@ from crysred.witness import (
     build_witness,
     verify_witness,
 )
-from reference import apply_Tminus_by_terms, corrected_family, family_holds, same_terms
+from reference import (
+    apply_Tminus_by_terms,
+    corrected_family,
+    family_holds,
+    precision_margin,
+    same_terms,
+)
 
 # the slopes of the benchmark's witness pool
 POOL_SLOPES = ("5/4", "4/3", "3/2", "5/3", "7/4")
@@ -270,6 +276,12 @@ LARGE_AUDITS = [
 ]
 
 
+def _pool_witness_items():
+    """The arguments of every witness item of perfbench/pool.json."""
+    pool = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "pool.json").read_text())
+    return [e["args"] for stratum in pool["witness"] for slot in stratum["slots"] for e in slot]
+
+
 class TestLargeAudits:
     """Audits at large r: the smallest admissible T9.2 degrees at p = 11, 13
     and 17, and the two T9.2/T8.2 audits that once took 40 s each.  The
@@ -295,9 +307,7 @@ class TestGroupedLoweringOnAudits:
     def test_every_call_of_the_benchmark_pool(self, monkeypatch):
         # every witness item of perfbench/pool.json, each T- call of its
         # audit (the witness and the lifts that modp_T reduces) checked
-        pool = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "pool.json").read_text())
-        items = [e["args"] for stratum in pool["witness"] for slot in stratum["slots"]
-                 for e in slot]
+        items = _pool_witness_items()
         grouped, calls = hecke.apply_Tminus, []
 
         def checked(f):
@@ -309,6 +319,19 @@ class TestGroupedLoweringOnAudits:
         for args in items:
             assert verify_witness(case(*args)).ok, args
         assert items and len(calls) >= len(items) and all(calls)
+
+
+class TestMarginFromTheAudit:
+    """The precision margin that the audit reads in its own walk equals the
+    separate walk ``reference.precision_margin`` on (T - A)f."""
+
+    def test_pool_and_large_witnesses(self):
+        items = _pool_witness_items()
+        assert items
+        for args in items + [row[:5] for row in LARGE_AUDITS]:
+            c = case(*args)
+            g = t_minus_ap(build_witness(c))
+            assert audit_valuations(g, c.sigma).margin == precision_margin(g, c.sigma), args
 
 
 def _plus_kernel(fam, r, p, level, unit, zero, target, rng):
