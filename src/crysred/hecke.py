@@ -23,10 +23,10 @@ capped-absolute model of Caruso, Roe and Vaccon, "Tracking p-adic
 precision", 2014): every coefficient of the true function differs from the
 stored one by a value of valuation >= N, and a coefficient that is not
 stored at all has valuation >= N.  The cap starts at the function's
-``precision`` and moves with the arithmetic: ``+`` and ``-`` take the
-smaller cap, ``scale(q)`` adds v(q), ``shift_ap(k)`` adds min(k, 2k).  The
-raising and lowering parts do not compute an output term whose valuation is
-certified >= N.  The certificate is min(k, err) + min(d, 2d) for each
+``precision`` and moves with the arithmetic: ``scale(q)`` adds v(q),
+``shift_ap(k)`` adds min(k, 2k), and the sums inside ``apply_T`` and
+``t_minus_ap`` take the smaller cap.  The raising and lowering parts do
+not compute an output term whose valuation is certified >= N.  The certificate is min(k, err) + min(d, 2d) for each
 term n p^k A^d of the input coefficient, plus the valuation of the p^j
 factor of T+ or of the p^(r-i) factor of T-.  Since 1 < sigma < 2, min(d, 2d) <=
 d * sigma, so the bound holds at every slope the audits accept.  Dropping
@@ -37,15 +37,20 @@ is again known up to valuation N, and the audits only read valuations below
 
 Raising by residue class.  In T+ the child lam enters the weight
 (-1)^(i-j) binom(i, j) p^j [lam]^(i-j) only through the unit (-[lam])^(i-j),
-which depends on i - j mod p-1 alone.  So ``apply_Tplus`` sums once per
-coset the exact diagonal part D_j (i = j) and, per class e, the part
-G_(j,e) of the indices i != j with i - j = e (mod p-1), each term carried
-at the Teichmuller table's relative precision; child lam != 0 gets
-D_j + sum_e (-[lam])^e G_(j,e) and child 0 gets D_j.  This regroups the
-per-term sum exactly, and every error bound is the same minimum: a term's
-bound does not depend on the unit that multiplies it, and multiplying by
-the one table entry (-[lam])^e adds none.  So every stored (n, k, err) is
-the per-term one (``tests/reference.apply_Tplus_by_terms``).
+which depends on i - j mod p-1 alone.  So ``apply_Tplus`` sums each coset
+once into slots keyed by (j, class e of i - j, symbol degree d): exact
+integers over p^(K+j), K the coset's least p-exponent, the diagonal i = j
+apart, with the least error bound of the terms that meet (j, d) beside
+them (a term known to the Teichmuller table's relative precision off the
+diagonal).  Child lam != 0 gets, at (j, d), the diagonal integer plus the
+integer dot product of its signed row (-[lam])^e with the class slots, and
+child 0 the diagonal alone.  This is the per-term sum regrouped, in exact
+integers, and the error bound is the same minimum: a term's bound does not
+depend on the unit that multiplies it, and multiplying by one table entry
+adds none.  A stored (n, k, err) is the normal form of the exact sum (p
+stripped from n once) with that least bound, a zero sum keeping only its
+bound, so it cannot depend on the grouping: every stored term is the
+per-term one (``tests/reference.apply_Tplus_by_terms``).
 
 Lowering by residue class.  In T- the sibling cosets of one parent, with
 top digits t, send index i onto j <= i with weight binom(i, j) p^(r-i)
@@ -58,6 +63,14 @@ e = i - j mod p-1 at j < i.  The binomial and the p-power are exact, so
 each stored (n, k, err) is again the per-term one
 (``tests/reference.apply_Tminus_by_terms``), and each index i costs i + 1
 products per parent instead of per sibling.
+
+Summing in place.  ``apply_T`` adds T- f into the output of T+ f, and
+``t_minus_ap`` adds -A f into T f, each term n p^k A^d of f entering as
+-n p^k A^(d+1); nothing is copied.  An index whose sum cancels to an exact
+zero is dropped at once, and so is a coset left empty, so a later
+term re-enters at the end as it would after pruning: the terms, key order
+and cap are those of the sums of whole pruned functions
+(``tests/reference.t_minus_ap_by_parts``).
 """
 
 from __future__ import annotations
@@ -73,6 +86,7 @@ from .arith import (
     PRECISION_HEADROOM,
     ApCoeff,
     ResidueExpr,
+    _accum,
     _split,
     teich_table,
 )
@@ -130,11 +144,6 @@ class IndFunction:
         out.cap = self.cap if cap is None else cap
         return out
 
-    def copy(self) -> "IndFunction":
-        out = self._empty()
-        out.data = {c: dict(poly) for c, poly in self.data.items()}
-        return out
-
     def accumulate(self, coset: Coset, j: int, coeff: ApCoeff) -> None:
         if coeff.p != self.p:
             raise ValueError(f"coefficient at p = {coeff.p} used at p = {self.p}")
@@ -156,17 +165,6 @@ class IndFunction:
             else:
                 del self.data[coset]
         return self
-
-    def __add__(self, other: "IndFunction") -> "IndFunction":
-        out = self.copy()
-        out.cap = min(self.cap, other.cap)
-        for coset, poly in other.data.items():
-            for j, c in poly.items():
-                out.accumulate(coset, j, c)
-        return out.prune()
-
-    def __sub__(self, other: "IndFunction") -> "IndFunction":
-        return self + other.scale(-1)
 
     def scale(self, q) -> "IndFunction":
         """Multiply by an exact rational with a p-power denominator, split
@@ -207,6 +205,48 @@ def _floor_val(c: ApCoeff) -> int:
     return min(min(k if n else INF, e) + min(d, 2 * d) for d, (n, k, e) in c.terms.items())
 
 
+def _coeff(terms: dict, p: int) -> ApCoeff:
+    """The coefficient with these (n, k, err) terms, taken as they are."""
+    out = ApCoeff({}, p)
+    out.terms = terms
+    return out
+
+
+def _normal_terms(vals: dict, k0: int, errs: dict, p: int) -> dict:
+    """{d: (n, k, err)} for the exact values x p^k0 in ``vals``, each with
+    its error bound in ``errs``: n is x with p stripped once, and a zero
+    value keeps only its bound (no term when the bound is INF)."""
+    terms = {}
+    for d, x in vals.items():
+        k, e = k0, errs.get(d, INF)
+        if x:
+            while x % p == 0:
+                x //= p
+                k += 1
+            terms[d] = (x, k, e)
+        elif e != INF:
+            terms[d] = (0, 0, e)
+    return terms
+
+
+def _add_into(out: IndFunction, coset: Coset, items) -> None:
+    """out[coset] += the (index, {d: (n, k, err)}) pairs of ``items``, in
+    place (see "Summing in place" in the module docstring); a new index
+    takes its terms dict as it is."""
+    p, poly = out.p, out.data.setdefault(coset, {})
+    for j, terms in items:
+        cur = poly.get(j)
+        if cur is None:
+            poly[j] = _coeff(terms, p)
+            continue
+        for d, t in terms.items():
+            _accum(cur.terms, p, d, *t)
+        if not cur.terms:
+            del poly[j]
+    if not poly:
+        del out.data[coset]
+
+
 def _binom_units(i: int, p: int, top: int) -> list[tuple[int, int]]:
     """[(u, v)] with binom(i, j) = u * p^v, p not dividing u, for j = 0..top
     (none if top < 0), by binom(i, j+1) = binom(i, j) (i-j)/(j+1) on unit parts."""
@@ -234,46 +274,55 @@ def _binom_row(binoms: dict, i: int, p: int, top: int) -> list[tuple[int, int]]:
 def apply_Tplus(f: IndFunction) -> IndFunction:
     """Level-raising part: spreads each coset over its p children, index i
     onto j <= i with weight (-1)^(i-j) binom(i, j) p^j [lam]^(i-j).  The
-    factor p^j stops j where it takes the term past the cap.  The terms are
-    summed by residue class of i - j mod p-1 once per coset (see the module
-    docstring), with the children's coefficients built directly."""
+    factor p^j stops j where it takes the term past the cap.  Each coset is
+    summed once into exact-integer slots by residue class of i - j mod p-1,
+    and each child reads its values off them (see the module docstring)."""
     _require_branch0(f)
-    p, table, out = f.p, teich_table(f.p, f.precision), f._empty()
-    binoms = {}  # the binomial rows of this call, by index
+    p, rel, out = f.p, f.precision, f._empty()
+    table, binoms = teich_table(p, rel), {}  # the binomial rows of this call, by index
     for coset, poly in f.data.items():
-        # each index i meets j = 0..top, so the per-term sum meets j in
-        # the order 0..hi, the largest top; the children keep that key order
-        diag, groups, hi = {}, {}, -1
+        # at index j every value is an integer over p^(K+j), K the least exponent in poly
+        K = min((k for c in poly.values() for n, k, _ in c.terms.values() if n), default=0)
+        # per j: the diagonal {d: integer}, the class slots {e: {d: integer}}
+        # and the least error bound {d: err} of the terms that meet j
+        diag, slots, errs, hi = {}, [], [], -1
         for i, c in poly.items():
             top = min(i, f.cap - 1 - _floor_val(c))
             hi = max(hi, top)
+            while len(slots) <= top:
+                slots.append({})
+                errs.append({})
+            terms = [(d, n * p ** (k - K), min(e, k + rel)) if n else (d, 0, e)
+                     for d, (n, k, e) in c.terms.items()]
+            if top == i:  # the diagonal, weight p^i exactly
+                diag[i] = {d: x for d, x, _ in terms}
+                for d, (_, _, e) in c.terms.items():
+                    errs[i][d] = min(errs[i].get(d, INF), e + i)
             row = _binom_row(binoms, i, p, top)
-            for j in range(top + 1):
-                if i == j:
-                    diag[j] = ApCoeff({}, p)
-                    c._mul_into(diag[j], 1, j)
-                    continue
-                by_class, e = groups.setdefault(j, {}), (i - j) % (p - 1)
-                acc = by_class.get(e)
-                if acc is None:
-                    acc = by_class[e] = ApCoeff({}, p)
+            for j in range(min(top + 1, i)):
                 u, v = row[j]
-                c._mul_into(acc, u, v + j, table.precision)
-        for lam in range(p):
-            if lam:
-                powers, child = table.signed_powers(lam, -1), {}
-                for j in range(hi + 1):
-                    acc = ApCoeff({}, p)
-                    if j in diag:
-                        acc.terms = dict(diag[j].terms)
-                    for e, g in groups.get(j, {}).items():
-                        g._mul_into(acc, powers[e], 0)
-                    if not acc.is_exact_zero():
-                        child[j] = acc
-            else:  # [0]^(i-j) = 0 off the diagonal
-                child = {j: d for j, d in diag.items() if not d.is_exact_zero()}
+                b, m, err = u * p**v, v + j, errs[j]
+                slot = slots[j].setdefault((i - j) % (p - 1), {})
+                for d, x, e in terms:
+                    slot[d] = slot.get(d, 0) + x * b
+                    if e + m < err.get(d, INF):
+                        err[d] = e + m
+        # child 0: [0]^(i-j) = 0 off the diagonal, which keeps the order of i in f
+        children = [{j: {d: (n, k + j if n else 0, e + j) for d, (n, k, e) in poly[j].terms.items()}
+                     for j in diag}]
+        for lam in range(1, p):
+            powers, child = table.signed_powers(lam, -1), {}
+            for j in range(hi + 1):
+                vals = dict(diag.get(j, ()))
+                for e, slot in slots[j].items():
+                    for d, x in slot.items():
+                        vals[d] = vals.get(d, 0) + powers[e] * x
+                child[j] = _normal_terms(vals, K + j, errs[j], p)
+            children.append(child)
+        for lam, child in enumerate(children):
             if child:
-                out.data[Coset(0, coset.level + 1, coset.digits + (lam,))] = child
+                out.data[Coset(0, coset.level + 1, coset.digits + (lam,))] = {
+                    j: _coeff(terms, p) for j, terms in child.items()}
     return out
 
 
@@ -330,12 +379,23 @@ def apply_Tminus(f: IndFunction) -> IndFunction:
 
 
 def apply_T(f: IndFunction) -> IndFunction:
-    """The Hecke operator as the sum of its raising and lowering parts."""
-    return apply_Tplus(f) + apply_Tminus(f)
+    """The Hecke operator: the lowering part added into the raising part
+    in place (both keep the cap of f)."""
+    out = apply_Tplus(f)
+    for coset, poly in apply_Tminus(f).data.items():
+        _add_into(out, coset, ((j, c.terms) for j, c in poly.items()))
+    return out
 
 
 def t_minus_ap(f: IndFunction) -> IndFunction:
-    return apply_T(f) - f.shift_ap(1)
+    """(T - A) f: -A f added into T f in place, each term n p^k A^d of f
+    entering as -n p^k A^(d+1).  The cap stays that of f and of T f, since
+    A f is known to one digit more."""
+    out = apply_T(f)
+    for coset, poly in f.data.items():
+        _add_into(out, coset, ((j, {d + 1: (-n, k, e) for d, (n, k, e) in c.terms.items()})
+                               for j, c in poly.items() if c.terms))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +503,12 @@ class ResidueFunction:
         return out
 
     def map_vectors(self, fn) -> "ResidueFunction":
-        return self._collect((c, e, fn(v)) for (c, e), v in self.data.items())
+        """The function with values ``fn`` of these, which ``fn`` receives
+        at once as the rows of one matrix and returns as rows."""
+        if not self.data:
+            return ResidueFunction(self.p)
+        rows = fn(np.array(list(self.data.values())))
+        return self._collect((c, e, v) for (c, e), v in zip(self.data, rows))
 
     def scale_expr(self, expr: ResidueExpr) -> "ResidueFunction":
         return self._collect((c, e + e2, k * v) for (c, e), v in self.data.items()

@@ -730,8 +730,8 @@ class QuotientModule(GammaModule):
         """Image of the theta-divisible subspace inside the quotient: the
         kernel of the classes modulo theta on V_r/V**, projected."""
         R1 = theta_classes(np.arange(self.r + 1) == self.cols[:, None], self.p, 1)
-        kernel = linalg.nullspace(R1.T, self.p)
-        return FpSpace.from_rows([self.project_coords(v) for v in kernel], self.dim, self.p)
+        kernel = np.reshape(linalg.nullspace(R1.T, self.p), (-1, len(self.cols)))
+        return FpSpace.from_rows(self.project_coords(kernel), self.dim, self.p)
 
 
 def quotient_Q(p: int, r: int) -> QuotientModule:

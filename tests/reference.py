@@ -15,6 +15,10 @@ they check.
   ``apply_Tminus_by_terms``: the lowering part spread one sibling coset and
   one term at a time, against ``apply_Tminus``, which sums the siblings of
   a parent by residue class first; the same (n, k, err) again.
+- ``ind_sum`` and ``ind_difference``: the sums of whole functions, each on
+  a copy and pruned, and ``t_minus_ap_by_parts``, (T+ f + T- f) - A f
+  composed of them, against ``hecke.t_minus_ap``, which adds the parts in
+  place; the same terms, key order and cap.
 - ``modp_T_by_weights``: the mod-p Hecke operator on a weight model with
   its weights written out, against ``modp_T``, which reduces ``apply_T``.
 - ``certify_val_ge``: the per-coefficient valuation certificate, the second
@@ -107,6 +111,8 @@ from crysred.hecke import (
     ResidueFunction,
     _binom_units,
     _floor_val,
+    apply_Tminus,
+    apply_Tplus,
     teich_table,
 )
 from crysred import linalg
@@ -338,6 +344,28 @@ def apply_Tminus_by_terms(f: IndFunction) -> IndFunction:
     return out.prune()
 
 
+def ind_sum(f: IndFunction, g: IndFunction) -> IndFunction:
+    """f + g on a copy of f, at the smaller cap: each coefficient of g is
+    accumulated, then the exact zeros and the cosets left empty are pruned."""
+    out = f._empty(min(f.cap, g.cap))
+    out.data = {c: dict(poly) for c, poly in f.data.items()}
+    for coset, poly in g.data.items():
+        for j, c in poly.items():
+            out.accumulate(coset, j, c)
+    return out.prune()
+
+
+def ind_difference(f: IndFunction, g: IndFunction) -> IndFunction:
+    return ind_sum(f, g.scale(-1))
+
+
+def t_minus_ap_by_parts(f: IndFunction) -> IndFunction:
+    """(T+ f + T- f) - A f composed of whole functions, each sum on a copy
+    and pruned: the oracle of ``hecke.t_minus_ap``, which adds the parts
+    into T+ f in place and must store the same terms, key order and cap."""
+    return ind_difference(ind_sum(apply_Tplus(f), apply_Tminus(f)), f.shift_ap(1))
+
+
 def translate(k_mat, f: IndFunction) -> IndFunction:
     """Left translation of f by an integral matrix of unit determinant."""
     out = f._empty()
@@ -352,7 +380,7 @@ def functions_agree(f: IndFunction, g: IndFunction, sigma: Fraction, min_val=3) 
     """True when every coefficient of f - g has valuation at least min_val
     (equality up to the carried Teichmuller precision).  A min_val above the
     cap of f - g cannot be decided and raises PrecisionError."""
-    diff = f - g
+    diff = ind_difference(f, g)
     if min_val > diff.cap:
         raise PrecisionError(f"min_val {min_val} exceeds the absolute cap {diff.cap}")
     for poly in diff.data.values():

@@ -306,6 +306,41 @@ class TestWitnessCommand:
                            "--r", "19", "--slope", "5/4")
         assert code == 1 and "[FAIL] integral" in out and "verdict: FAILED" in out
 
+    @staticmethod
+    def _moved(red):
+        # the image moved from the depth-1 coset g0(1, (0,)) to g0(1, (1,))
+        from crysred.hecke import ResidueFunction, g0
+
+        out = ResidueFunction(red.p)
+        for (coset, e), v in red.data.items():
+            out.accumulate(g0(1, (1,)) if coset == g0(1, (0,)) else coset, e, v)
+        return out
+
+    @staticmethod
+    def _bumped(red):
+        # 1 added at monomial index 9 of the first value: its class leaves the bottom constituent
+        key = next(iter(red.data))
+        red.data[key] = red.data[key].copy()
+        red.data[key][9] = (red.data[key][9] + 1) % red.p
+        return red
+
+    @pytest.mark.parametrize("tag, p, r, slope, perturb", [
+        ("T8.6", "7", "88", "5/3", "_moved"),
+        ("T8.8-i", "3", "123", "5/4", "_moved"),
+        ("T9.2", "5", "105", "4/3", "_bumped"),
+    ])
+    def test_failed_image_check_exits_1(self, capsys, monkeypatch, tag, p, r, slope, perturb):
+        # a reduced image that fails a check ends in a report with ok False,
+        # not in an exception from reading the image the check refused
+        from crysred import witness
+
+        real, change = witness.reduce_mod_p, getattr(self, perturb)
+        monkeypatch.setattr(witness, "reduce_mod_p", lambda g, sigma: change(real(g, sigma)))
+        rep = witness.verify_witness(witness.WitnessCase(tag, int(p), int(r), Fraction(slope)))
+        assert rep.integral and rep.ok is False
+        code, out, _ = run(capsys, "witness", "--case", tag, "--p", p, "--r", r, "--slope", slope)
+        assert code == 1 and "[FAIL]" in out and "verdict: FAILED" in out
+
     def test_json_precision_margin(self, capsys, monkeypatch):
         # eight carried digits leave three to spare over the abort at five
         monkeypatch.setenv("CRYSRED_PRECISION", "8")

@@ -34,10 +34,13 @@ from reference import (
     direct_T,
     elementary,
     functions_agree,
+    ind_difference,
+    ind_sum,
     modp_T_by_weights,
     normalize_pair,
     precision_margin,
     same_terms,
+    t_minus_ap_by_parts,
     translate,
 )
 
@@ -354,6 +357,37 @@ class TestGroupedLowering:
         assert list(got.data) == [g0(1, (1,))] and same_terms(got, want)
 
 
+class TestInPlaceSum:
+    @settings(max_examples=150, deadline=None)
+    @given(lowering_inputs())
+    def test_matches_the_sums_of_whole_functions(self, f):
+        # T- f added into T+ f and -A f into T f in place store the terms,
+        # key order and cap of the sums of whole pruned functions
+        assert same_terms(t_minus_ap(f), t_minus_ap_by_parts(f))
+
+    # at g0(1, (0,)), index 6: T+ brings 5^6 from [Id, X^5 Y^6] (child 0
+    # keeps the diagonal) and T- brings 5^5 * (-5) from the zero top digit
+    # below, an exact zero; -A f brings the index back
+    @pytest.mark.parametrize("top, low, precision, summed, final", [
+        ({6: 1, 3: 1}, {6: -5}, 8, [3], [3, 6]),  # the index leaves, its coset stays
+        ({6: 1}, {6: -5}, 8, None, [6]),  # the coset leaves and comes back last
+        ({6: 1}, {6: -5, 2: 1}, 12, [2], [2, 6]),  # the coset empties and refills in one sum
+    ])
+    def test_cancelled_index_comes_back_at_the_end(self, top, low, precision, summed, final):
+        p, r, node = 5, 11, g0(1, (0,))
+        f = IndFunction(p, r, precision)
+        f.add_term(IDENTITY, {i: ApCoeff.rational(c, p=p) for i, c in top.items()})
+        f.add_term(g0(2, (0, 0)), {i: ApCoeff.rational(c, p=p) for i, c in low.items()})
+        f.add_term(node, {6: ONE})
+        raised = apply_Tplus(f)
+        both = ind_sum(raised, apply_Tminus(f))
+        assert list(raised.data[node]) == list(top) and list(both.data.get(node, [])) == (summed or [])
+        got = t_minus_ap(f)
+        assert list(got.data[node]) == final and (list(got.data)[-1] == node) == (summed is None)
+        assert got.data[node][6].exact_terms() == {1: (Fraction(-1), math.inf)}
+        assert same_terms(got, t_minus_ap_by_parts(f))
+
+
 class TestAbsoluteCap:
     @settings(max_examples=60, deadline=None)
     @given(witness_shaped(), st.sampled_from(SLOPES))
@@ -386,8 +420,9 @@ class TestAbsoluteCap:
         assert f.scale(Fraction(1, 25)).cap == 6
         assert f.scale(10).cap == 9
         assert f.shift_ap(1).cap == 9 and f.shift_ap(-1).cap == 6
-        assert (f + f.scale(Fraction(1, 5))).cap == 7
-        assert (f - f.shift_ap(2)).cap == 8
+        # the sums of whole functions live on as the oracle composition
+        assert ind_sum(f, f.scale(Fraction(1, 5))).cap == 7
+        assert ind_difference(f, f.shift_ap(2)).cap == 8
         assert t_minus_ap(f).cap == 8
 
     def test_low_cap_refused_by_audit_and_reduction(self):

@@ -23,10 +23,12 @@ from crysred.witness import (
 )
 from reference import (
     apply_Tminus_by_terms,
+    apply_Tplus_by_terms,
     corrected_family,
     family_holds,
     precision_margin,
     same_terms,
+    t_minus_ap_by_parts,
 )
 
 # the slopes of the benchmark's witness pool
@@ -295,30 +297,49 @@ class TestLargeAudits:
 
 
 class TestGroupedLoweringOnAudits:
-    """The lowering part summed by parent and residue class stores exactly
-    the per-term (n, k, err), key order and cap of ``apply_Tminus_by_terms``
-    on the functions the audits apply it to."""
+    """The raising part summed into class slots and the lowering part summed
+    by parent and residue class store exactly the per-term (n, k, err), key
+    order and cap of ``apply_Tplus_by_terms`` and ``apply_Tminus_by_terms``
+    on the functions the audits apply them to."""
 
     @pytest.mark.parametrize("tag, p, r, sig, star", [row[:5] for row in LARGE_AUDITS])
     def test_large_witnesses(self, tag, p, r, sig, star):
         f = build_witness(case(tag, p, r, sig, star))
         assert same_terms(hecke.apply_Tminus(f), apply_Tminus_by_terms(f))
+        assert same_terms(hecke.apply_Tplus(f), apply_Tplus_by_terms(f))
 
     def test_every_call_of_the_benchmark_pool(self, monkeypatch):
-        # every witness item of perfbench/pool.json, each T- call of its
-        # audit (the witness and the lifts that modp_T reduces) checked
+        # every witness item of perfbench/pool.json, each T+ and T- call of
+        # its audit (the witness and the lifts that modp_T reduces) checked
         items = _pool_witness_items()
-        grouped, calls = hecke.apply_Tminus, []
+        calls = {"apply_Tplus": [], "apply_Tminus": []}
 
-        def checked(f):
-            got = grouped(f)
-            calls.append(same_terms(got, apply_Tminus_by_terms(f)))
-            return got
+        def checked(name, oracle):
+            grouped = getattr(hecke, name)
 
-        monkeypatch.setattr(hecke, "apply_Tminus", checked)
+            def run(f):
+                got = grouped(f)
+                calls[name].append(same_terms(got, oracle(f)))
+                return got
+            return run
+
+        monkeypatch.setattr(hecke, "apply_Tplus", checked("apply_Tplus", apply_Tplus_by_terms))
+        monkeypatch.setattr(hecke, "apply_Tminus", checked("apply_Tminus", apply_Tminus_by_terms))
         for args in items:
             assert verify_witness(case(*args)).ok, args
-        assert items and len(calls) >= len(items) and all(calls)
+        assert items and all(len(got) >= len(items) and all(got) for got in calls.values())
+
+
+class TestInPlaceSumOnAudits:
+    """(T - A)f summed in place stores the terms, key order and cap of the
+    sums of whole pruned functions, ``reference.t_minus_ap_by_parts``."""
+
+    def test_pool_and_large_witnesses(self):
+        items = _pool_witness_items()
+        assert items
+        for args in items + [row[:5] for row in LARGE_AUDITS]:
+            f = build_witness(case(*args))
+            assert same_terms(t_minus_ap(f), t_minus_ap_by_parts(f)), args
 
 
 class TestMarginFromTheAudit:
