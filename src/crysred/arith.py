@@ -514,10 +514,10 @@ class ApCoeff:
         return bound if bound == INF else Fraction(bound, sigma.denominator)
 
     def audit_terms(self, sigma: Fraction):
-        """(bound, [degrees achieving it], short, exact, least) over the
-        stored terms, one valuation per term; the bound is an integer count
-        of 1/b for sigma = a/b (INF without terms), so b*v is compared and
-        no Fraction is built.  ``short`` is (err, d) of the first
+        """(bound, [degrees achieving it], short, exact, least, units) over
+        the stored terms, one valuation per term; the bound is an integer
+        count of 1/b for sigma = a/b (INF without terms), so b*v is compared
+        and no Fraction is built.  ``short`` is (err, d) of the first
         truncated term whose error sits within PRECISION_HEADROOM of
         valuation 0, else None: when the bound is >= 0, such a term is
         exactly one whose stored value cannot certify valuation >= 0 within
@@ -525,22 +525,31 @@ class ApCoeff:
         valuation: one degree attains it, with a unit part known beyond its
         own valuation (n != 0 and k < err).  ``least`` is the least
         b*(err + d*sigma), the valuation of a term's error, in the same
-        count (INF when every term is exact)."""
+        count (INF when every term is exact).  ``units`` lists (d, n) for
+        the terms n p^k A^d with n != 0 and b*k + a*d = 0, the unit terms a
+        residue mod p reads, or is None when there are none."""
         a, b = sigma.numerator, sigma.denominator
-        best, who, short, least = INF, [], None, INF
+        best, who, short, least, units = INF, [], None, INF, None
         for d, (n, k, e) in self.terms.items():
-            v = b * (min(k, e) if n else e) + a * d
+            w = b * e + a * d
+            v = w
+            if n:
+                u = b * k + a * d
+                if u < w:
+                    v = u
+                if not u:
+                    units = units or []
+                    units.append((d, n))
             if v < best:
                 best, who = v, [d]
             elif v == best:
                 who.append(d)
-            w = b * e + a * d
             if w < least:
                 least = w
             if short is None and w < b * PRECISION_HEADROOM:
                 short = (e, d)
         n, k, e = self.terms[who[0]] if len(who) == 1 else (0, 0, 0)
-        return best, who, short, n != 0 and k < e, least
+        return best, who, short, n != 0 and k < e, least, units
 
     def residue(self, sigma: Fraction) -> "ResidueExpr":
         """Image mod the maximal ideal, as a polynomial in the residue symbol

@@ -25,15 +25,20 @@ stored one by a value of valuation >= N, and a coefficient that is not
 stored at all has valuation >= N.  The cap starts at the function's
 ``precision`` and moves with the arithmetic: ``scale(q)`` adds v(q),
 ``shift_ap(k)`` adds min(k, 2k), and the sums inside ``apply_T`` and
-``t_minus_ap`` take the smaller cap.  The raising and lowering parts do
-not compute an output term whose valuation is certified >= N.  The certificate is min(k, err) + min(d, 2d) for each
-term n p^k A^d of the input coefficient, plus the valuation of the p^j
-factor of T+ or of the p^(r-i) factor of T-.  Since 1 < sigma < 2, min(d, 2d) <=
-d * sigma, so the bound holds at every slope the audits accept.  Dropping
-such a term is sound because T preserves the integral lattice: the output
-is again known up to valuation N, and the audits only read valuations below
-1 + PRECISION_HEADROOM (integrality and the residue mod p).  So
-``audit_valuations`` and ``reduce_mod_p`` refuse a cap below that.
+``t_minus_ap`` take the smaller cap.  A term n p^k A^d with error bound err
+is past the cap when min(k, err) + min(d, 2d) >= N (k read as INF when
+n = 0).  Since 1 < sigma < 2, min(d, 2d) <= d * sigma, so its value lies
+inside the error the cap allows at every slope the audits accept, and the
+operators do not store it.  T+ and T- skip a product whose certificate
+reaches N: the least min(k, err) + min(d, 2d) over the terms of the input
+coefficient, plus the valuation of the p^j factor of T+ or of the p^(r-i)
+factor of T-, and of binom(i, j).  The normal forms and the sums in place
+drop a term that cancellation takes past the cap, and -A f enters no term
+that the shift to degree d+1 takes past it.  Dropping is sound because T
+preserves the integral lattice: the output is again known up to valuation
+N, and the audits only read valuations below 1 + PRECISION_HEADROOM
+(integrality and the residue mod p).  So ``audit_valuations`` and
+``reduce_mod_p`` refuse a cap below that.
 
 Raising by residue class.  In T+ the child lam enters the weight
 (-1)^(i-j) binom(i, j) p^j [lam]^(i-j) only through the unit (-[lam])^(i-j),
@@ -49,8 +54,9 @@ integers, and the error bound is the same minimum: a term's bound does not
 depend on the unit that multiplies it, and multiplying by one table entry
 adds none.  A stored (n, k, err) is the normal form of the exact sum (p
 stripped from n once) with that least bound, a zero sum keeping only its
-bound, so it cannot depend on the grouping: every stored term is the
-per-term one (``tests/reference.apply_Tplus_by_terms``).
+bound, so it cannot depend on the grouping: below the cap every stored
+term is the per-term one (``tests/reference.apply_Tplus_by_terms``, both
+read at the cap by ``tests/reference.cut_past_cap``).
 
 Lowering by residue class.  In T- the sibling cosets of one parent, with
 top digits t, send index i onto j <= i with weight binom(i, j) p^(r-i)
@@ -60,17 +66,18 @@ D_i = sum_t c_(t,i) and, per class e, H_(i,e) = sum_(t != 0) c_(t,i) [t]^e,
 each term carried at the table's relative precision; then it spreads once:
 the parent gets p^(r-i) D_i at j = i and binom(i, j) p^(r-i) H_(i,e) with
 e = i - j mod p-1 at j < i.  The binomial and the p-power are exact, so
-each stored (n, k, err) is again the per-term one
-(``tests/reference.apply_Tminus_by_terms``), and each index i costs i + 1
-products per parent instead of per sibling.
+below the cap each stored (n, k, err) is again the per-term one
+(``tests/reference.apply_Tminus_by_terms``), and each index i costs at
+most i + 1 products per parent instead of per sibling.  ``apply_T`` builds
+the binomial rows once for both parts.
 
 Summing in place.  ``apply_T`` adds T- f into the output of T+ f, and
 ``t_minus_ap`` adds -A f into T f, each term n p^k A^d of f entering as
--n p^k A^(d+1); nothing is copied.  An index whose sum cancels to an exact
-zero is dropped at once, and so is a coset left empty, so a later
-term re-enters at the end as it would after pruning: the terms, key order
-and cap are those of the sums of whole pruned functions
-(``tests/reference.t_minus_ap_by_parts``).
+-n p^k A^(d+1); nothing is copied.  A term that a sum takes past the cap
+is dropped at once, and so is an index left without terms and a coset left
+empty, so a later term re-enters at the end as it would after cutting: the
+terms, key order and cap are those of the sums of whole functions, each
+cut at the cap (``tests/reference.t_minus_ap_by_parts``).
 """
 
 from __future__ import annotations
@@ -201,8 +208,20 @@ def _require_branch0(f: IndFunction) -> None:
 
 def _floor_val(c: ApCoeff) -> int:
     """A valuation bound for c that holds at every slope in (1, 2):
-    v(A^d) = d * sigma >= min(d, 2d)."""
-    return min(min(k if n else INF, e) + min(d, 2 * d) for d, (n, k, e) in c.terms.items())
+    v(A^d) = d * sigma >= min(d, 2d) (INF for an exact zero)."""
+    return min((min(k if n else INF, e) + min(d, 2 * d) for d, (n, k, e) in c.terms.items()),
+               default=INF)
+
+
+def _past_cap(d: int, term: tuple, cap) -> bool:
+    """Whether the term (n, k, err) at degree d is past the cap (module docstring)."""
+    n, k, e = term
+    return min(k if n else INF, e) + min(d, 2 * d) >= cap
+
+
+def _below_cap(terms: dict, cap) -> dict:
+    """The terms {d: (n, k, err)} that are not past the cap."""
+    return {d: t for d, t in terms.items() if not _past_cap(d, t, cap)}
 
 
 def _coeff(terms: dict, p: int) -> ApCoeff:
@@ -212,36 +231,41 @@ def _coeff(terms: dict, p: int) -> ApCoeff:
     return out
 
 
-def _normal_terms(vals: dict, k0: int, errs: dict, p: int) -> dict:
+def _normal_terms(vals: dict, k0: int, errs: dict, p: int, cap) -> dict:
     """{d: (n, k, err)} for the exact values x p^k0 in ``vals``, each with
     its error bound in ``errs``: n is x with p stripped once, and a zero
-    value keeps only its bound (no term when the bound is INF)."""
+    value keeps only its bound; no term past the cap."""
     terms = {}
     for d, x in vals.items():
-        k, e = k0, errs.get(d, INF)
+        k, e, lo = k0, errs.get(d, INF), cap - min(d, 2 * d)
         if x:
             while x % p == 0:
                 x //= p
                 k += 1
-            terms[d] = (x, k, e)
-        elif e != INF:
+            if k < lo or e < lo:
+                terms[d] = (x, k, e)
+        elif e < lo:
             terms[d] = (0, 0, e)
     return terms
 
 
 def _add_into(out: IndFunction, coset: Coset, items) -> None:
-    """out[coset] += the (index, {d: (n, k, err)}) pairs of ``items``, in
-    place (see "Summing in place" in the module docstring); a new index
-    takes its terms dict as it is."""
-    p, poly = out.p, out.data.setdefault(coset, {})
+    """out[coset] += the (index, {d: (n, k, err)}) pairs of ``items``, none
+    past the cap, in place (see "Summing in place" in the module
+    docstring); a new index takes its terms dict as it is."""
+    p, cap, poly = out.p, out.cap, out.data.setdefault(coset, {})
     for j, terms in items:
         cur = poly.get(j)
         if cur is None:
-            poly[j] = _coeff(terms, p)
+            if terms:
+                poly[j] = _coeff(terms, p)
             continue
+        acc = cur.terms
         for d, t in terms.items():
-            _accum(cur.terms, p, d, *t)
-        if not cur.terms:
+            _accum(acc, p, d, *t)
+            if d in acc and _past_cap(d, acc[d], cap):
+                del acc[d]
+        if not acc:
             del poly[j]
     if not poly:
         del out.data[coset]
@@ -271,15 +295,16 @@ def _binom_row(binoms: dict, i: int, p: int, top: int) -> list[tuple[int, int]]:
     return row
 
 
-def apply_Tplus(f: IndFunction) -> IndFunction:
+def apply_Tplus(f: IndFunction, *, _binoms: dict | None = None) -> IndFunction:
     """Level-raising part: spreads each coset over its p children, index i
-    onto j <= i with weight (-1)^(i-j) binom(i, j) p^j [lam]^(i-j).  The
-    factor p^j stops j where it takes the term past the cap.  Each coset is
-    summed once into exact-integer slots by residue class of i - j mod p-1,
-    and each child reads its values off them (see the module docstring)."""
+    onto j <= i with weight (-1)^(i-j) binom(i, j) p^j [lam]^(i-j).  A pair
+    (i, j) whose factor p^j binom(i, j) takes it past the cap is skipped.
+    Each coset is summed once into exact-integer slots by residue class of
+    i - j mod p-1, and each child reads its values off them (see the module
+    docstring).  ``apply_T`` passes the binomial rows it shares with T-."""
     _require_branch0(f)
-    p, rel, out = f.p, f.precision, f._empty()
-    table, binoms = teich_table(p, rel), {}  # the binomial rows of this call, by index
+    p, rel, cap, out = f.p, f.precision, f.cap, f._empty()
+    table, binoms = teich_table(p, rel), {} if _binoms is None else _binoms
     for coset, poly in f.data.items():
         # at index j every value is an integer over p^(K+j), K the least exponent in poly
         K = min((k for c in poly.values() for n, k, _ in c.terms.values() if n), default=0)
@@ -287,7 +312,8 @@ def apply_Tplus(f: IndFunction) -> IndFunction:
         # and the least error bound {d: err} of the terms that meet j
         diag, slots, errs, hi = {}, [], [], -1
         for i, c in poly.items():
-            top = min(i, f.cap - 1 - _floor_val(c))
+            floor = _floor_val(c)
+            top = min(i, cap - 1 - floor)
             hi = max(hi, top)
             while len(slots) <= top:
                 slots.append({})
@@ -301,23 +327,35 @@ def apply_Tplus(f: IndFunction) -> IndFunction:
             row = _binom_row(binoms, i, p, top)
             for j in range(min(top + 1, i)):
                 u, v = row[j]
-                b, m, err = u * p**v, v + j, errs[j]
+                m = v + j
+                if floor + m >= cap:
+                    continue
+                b, err = u * p**v, errs[j]
                 slot = slots[j].setdefault((i - j) % (p - 1), {})
                 for d, x, e in terms:
                     slot[d] = slot.get(d, 0) + x * b
                     if e + m < err.get(d, INF):
                         err[d] = e + m
         # child 0: [0]^(i-j) = 0 off the diagonal, which keeps the order of i in f
-        children = [{j: {d: (n, k + j if n else 0, e + j) for d, (n, k, e) in poly[j].terms.items()}
-                     for j in diag}]
+        child = {}
+        for j in diag:
+            terms = _below_cap({d: (n, k + j if n else 0, e + j)
+                                for d, (n, k, e) in poly[j].terms.items()}, cap)
+            if terms:
+                child[j] = terms
+        children = [child]
+        # per j, the slot entries (class, degree, integer) every child reads
+        entries = [[(e, d, x) for e, slot in slots[j].items() for d, x in slot.items()]
+                   for j in range(hi + 1)]
         for lam in range(1, p):
             powers, child = table.signed_powers(lam, -1), {}
-            for j in range(hi + 1):
+            for j, row in enumerate(entries):
                 vals = dict(diag.get(j, ()))
-                for e, slot in slots[j].items():
-                    for d, x in slot.items():
-                        vals[d] = vals.get(d, 0) + powers[e] * x
-                child[j] = _normal_terms(vals, K + j, errs[j], p)
+                for e, d, x in row:
+                    vals[d] = vals.get(d, 0) + powers[e] * x
+                terms = _normal_terms(vals, K + j, errs[j], p, cap)
+                if terms:
+                    child[j] = terms
             children.append(child)
         for lam, child in enumerate(children):
             if child:
@@ -326,20 +364,22 @@ def apply_Tplus(f: IndFunction) -> IndFunction:
     return out
 
 
-def apply_Tminus(f: IndFunction) -> IndFunction:
+def apply_Tminus(f: IndFunction, *, _binoms: dict | None = None) -> IndFunction:
     """Level-lowering part: drops the leading digit t (to the other branch at
     level zero), index i onto j <= i with weight binom(i, j) p^(r-i) [t]^(i-j).
-    An index whose factor p^(r-i) takes it past the cap is skipped.  The
-    siblings of one parent are summed by residue class once (see the module
-    docstring), with the parent's coefficients built directly."""
+    An index whose factor p^(r-i) takes it past the cap is skipped, and so is
+    a product that binom(i, j) takes past it.  The siblings of one parent
+    are summed by residue class once (see the module docstring), with the
+    parent's coefficients built directly.  ``apply_T`` passes the binomial
+    rows it shares with T+."""
     _require_branch0(f)
-    p, r = f.p, f.r
+    p, r, cap = f.p, f.r, f.cap
     table, out = teich_table(p, f.precision), f._empty()
-    binoms = {}  # the binomial rows of this call, by index
+    binoms = {} if _binoms is None else _binoms
     # the parents in the order their first term meets them: (top digit, kept poly) per sibling
     families: dict[Coset, list] = {}
     for coset, poly in f.data.items():
-        kept = {i: c for i, c in poly.items() if _floor_val(c) + r - i < f.cap}
+        kept = {i: c for i, c in poly.items() if _floor_val(c) + r - i < cap}
         if kept:
             n, digits = coset.level, coset.digits
             parent, top = (ALPHA, 0) if n == 0 else (Coset(0, n - 1, digits[:-1]), digits[-1])
@@ -366,13 +406,30 @@ def apply_Tminus(f: IndFunction) -> IndFunction:
                         c._mul_into(g, powers[e], 0, table.precision)
                 else:
                     order[i] = None
-        poly = {j: ApCoeff({}, p) for j in order}
+        # j -> coefficient, made when the first product below the cap lands on j
+        poly = dict.fromkeys(order)
         for i, d in diag.items():
-            d._mul_into(poly[i], 1, r - i)
-            by_class = groups.get(i, {})
-            for j, (u, v) in enumerate(_binom_row(binoms, i, p, i)[:i] if by_class else ()):
-                by_class[(i - j) % (p - 1)]._mul_into(poly[j], u, r - i + v)
-        poly = {j: c for j, c in poly.items() if not c.is_exact_zero()}
+            if _floor_val(d) + r - i < cap:
+                acc = poly[i]
+                if acc is None:
+                    acc = poly[i] = ApCoeff({}, p)
+                d._mul_into(acc, 1, r - i)
+            by_class = groups.get(i)
+            if not by_class:
+                continue
+            # per class: the cap less the certificate of H_(i,e) p^(r-i)
+            room = {e: cap - _floor_val(g) - r + i for e, g in by_class.items()}
+            row = _binom_row(binoms, i, p, i)
+            for j in range(i):
+                u, v = row[j]
+                e = (i - j) % (p - 1)
+                if v < room[e]:
+                    acc = poly[j]
+                    if acc is None:
+                        acc = poly[j] = ApCoeff({}, p)
+                    by_class[e]._mul_into(acc, u, r - i + v)
+        poly = {j: _coeff(terms, p) for j, c in poly.items()
+                if c is not None and (terms := _below_cap(c.terms, cap))}
         if poly:
             out.data[parent] = poly
     return out
@@ -380,21 +437,25 @@ def apply_Tminus(f: IndFunction) -> IndFunction:
 
 def apply_T(f: IndFunction) -> IndFunction:
     """The Hecke operator: the lowering part added into the raising part
-    in place (both keep the cap of f)."""
-    out = apply_Tplus(f)
-    for coset, poly in apply_Tminus(f).data.items():
+    in place (both keep the cap of f).  The lowering part runs first, so
+    the raising part reads the prefixes of its binomial rows."""
+    binoms: dict = {}
+    lowered = apply_Tminus(f, _binoms=binoms)
+    out = apply_Tplus(f, _binoms=binoms)
+    for coset, poly in lowered.data.items():
         _add_into(out, coset, ((j, c.terms) for j, c in poly.items()))
     return out
 
 
 def t_minus_ap(f: IndFunction) -> IndFunction:
     """(T - A) f: -A f added into T f in place, each term n p^k A^d of f
-    entering as -n p^k A^(d+1).  The cap stays that of f and of T f, since
-    A f is known to one digit more."""
+    entering as -n p^k A^(d+1) unless that takes it past the cap.  The cap
+    stays that of f and of T f, since A f is known to one digit more."""
     out = apply_T(f)
     for coset, poly in f.data.items():
-        _add_into(out, coset, ((j, {d + 1: (-n, k, e) for d, (n, k, e) in c.terms.items()})
-                               for j, c in poly.items() if c.terms))
+        shifted = ((j, {d + 1: (-n, k, e) for d, (n, k, e) in c.terms.items()})
+                   for j, c in poly.items())
+        _add_into(out, coset, ((j, _below_cap(terms, out.cap)) for j, terms in shifted))
     return out
 
 
@@ -406,15 +467,22 @@ class ValuationReport(NamedTuple):
     """Per-term audit of an induced function."""
 
     integral: bool
+    #: the least bound over the stored terms, INF when no term is stored; a
+    #: value at or above the cap certifies only the cap
     min_valuation: Fraction
     #: (coset, monomial index, bound, degrees at the bound) of each coefficient
     #: whose bound < 0 is the true valuation, in (coset, index) order
     failures: list
     #: smallest err + d*sigma - 1 over the truncated terms, the absolute cap
-    #: counted as one more term (cap - 1); ``reduce_mod_p`` raises
-    #: PrecisionError exactly when this is below PRECISION_HEADROOM, and each
-    #: carried digit more adds one
+    #: counted as one more term (cap - 1); ``residue_terms`` and
+    #: ``reduce_mod_p`` raise PrecisionError exactly when this is below
+    #: PRECISION_HEADROOM, and each carried digit more adds one
     margin: Fraction
+    #: {(coset, e): {monomial index: n mod p}} over the unit terms n p^k A^d
+    #: of valuation 0 (b*k + a*d = 0), e = d/2 the power of the residue
+    #: symbol, in the walk's order; None when such a term has no power of
+    #: the symbol (d != 0 away from slope 3/2, or d odd)
+    residue: dict | None
 
 
 def _require_residue_cap(f: IndFunction) -> None:
@@ -434,14 +502,18 @@ def audit_valuations(f: IndFunction, sigma: Fraction) -> ValuationReport:
     all rest on truncation errors raise PrecisionError.  Each wins over a
     truncated term too close to valuation 0, which otherwise raises
     PrecisionError (the first such term in the function's own order).
-    The same walk gives the precision margin."""
+    The same walk gives the precision margin and collects the residue mod
+    p, whose own refusals wait for ``residue_terms``, so a non-integral
+    function still gets its report.  A function with no stored term is
+    integral, with min_valuation INF, margin cap - 1 and an empty residue."""
     _require_residue_cap(f)
     # the bounds are integer counts of 1/b, b the slope's denominator
-    b = sigma.denominator
-    failures, short, min_val, least = [], None, INF, b * f.cap
+    b, p = sigma.denominator, f.p
+    half = sigma == Fraction(3, 2)  # the one slope whose residue symbol is nonconstant
+    failures, short, min_val, least, residue = [], None, INF, b * f.cap, {}
     for coset, poly in f.data.items():
         for j, c in poly.items():
-            bound, degs, s, exact, w = c.audit_terms(sigma)
+            bound, degs, s, exact, w, units = c.audit_terms(sigma)
             if bound < min_val:
                 min_val = bound
             if w < least:
@@ -450,6 +522,12 @@ def audit_valuations(f: IndFunction, sigma: Fraction) -> ValuationReport:
                 failures.append((coset, j, Fraction(bound, b), tuple(degs), exact))
             if short is None:
                 short = s
+            if units and residue is not None:
+                for d, n in units:
+                    if d and (not half or d % 2):
+                        residue = None
+                        break
+                    residue.setdefault((coset, d // 2), {})[j] = n % p
     if min_val != INF:
         min_val = Fraction(min_val, b)
     margin = Fraction(least, b) - 1
@@ -464,11 +542,28 @@ def audit_valuations(f: IndFunction, sigma: Fraction) -> ValuationReport:
         if not certified:
             bound, (d,) = failures[0][2:4]
             raise PrecisionError(f"bound {bound} at degree {d} rests on a truncation error")
-        return ValuationReport(False, min_val, certified, margin)
+        return ValuationReport(False, min_val, certified, margin, residue)
     if short is not None:
         err, d = short
         raise PrecisionError(f"bound 0 within headroom of precision {err} at degree {d}")
-    return ValuationReport(True, min_val, [], margin)
+    return ValuationReport(True, min_val, [], margin, residue)
+
+
+def residue_terms(report: ValuationReport) -> dict:
+    """The residue mod p that the audit read, ``report.residue``, once the
+    refusals of a reduction are cleared, in this order whatever the order
+    of the terms: PrecisionError when a term's error sits within the
+    headroom of the residue (margin below PRECISION_HEADROOM), then
+    ArithmeticError for a non-integral function or a unit part that the
+    residue symbol cannot express.  ``reduce_mod_p`` is the same residue as
+    one dense vector per (coset, e)."""
+    if report.margin < PRECISION_HEADROOM:
+        raise PrecisionError("residue requested beyond carried precision")
+    if not report.integral:
+        raise ArithmeticError("residue of a non-integral value")
+    if report.residue is None:
+        raise ArithmeticError("unit part is not expressible in the residue symbol")
+    return report.residue
 
 
 class ResidueFunction:
@@ -527,7 +622,9 @@ class ResidueFunction:
 
 
 def reduce_mod_p(f: IndFunction, sigma: Fraction) -> ResidueFunction:
-    """Residue of a certified-integral function."""
+    """Residue of a certified-integral function, one (r+1)-vector per
+    (coset, power of the residue symbol): ``modp_T`` reads it on weight
+    models of degree below p."""
     _require_residue_cap(f)
     out = ResidueFunction(f.p)
     for coset, poly in f.data.items():

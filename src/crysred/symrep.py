@@ -420,6 +420,27 @@ def theta_classes(vecs, p: int, k: int) -> np.ndarray:
     return out % p
 
 
+def theta_index_classes(idx, p: int, r: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The classes of the monomials e_i, i in ``idx``, modulo theta^k (k in
+    {1, 2}), by ``theta_classes``' own rule in O(1) each: (cols, weights),
+    both of shape (len(idx), 2), the class being the sum over t of
+    weights[:, t] e_(cols[:, t]) in the ``_theta_coordinates``.  A coordinate
+    monomial is its own class; a middle one i = j - m(p-1), j its class's
+    coordinate, is e_j (k = 1) or (1+m) e_j - m e_(j+p-1) (k = 2).  Needs
+    r >= kp + k - 1, where the coordinates do not overlap."""
+    idx = np.asarray(idx, dtype=np.int64)
+    P, lo = p - 1, r - k * p + 1  # lo: the first upper coordinate
+    m = np.where(idx < k, 0, np.maximum(0, (lo - idx + P - 1) // P))
+    pos = np.where(idx < k, idx, idx + m * P - lo + k)
+    weights = np.zeros(idx.shape + (2,), dtype=np.int64)
+    if k == 1:
+        weights[..., 0] = 1
+        return np.stack([pos, pos], axis=-1), weights
+    weights[..., 0] = (1 + m) % p
+    weights[..., 1] = -m % p
+    return np.stack([pos, np.where(m > 0, pos + P, pos)], axis=-1), weights
+
+
 def _filtration_dims(E, V, C, bases, p: int, r: int) -> tuple[int, ...]:
     """dim(X n V*) and dim(X n V**) for each submodule X with basis M S in
     ``bases``, S the spanning set with parts E, V, C: X's dimension less the
@@ -725,6 +746,21 @@ class QuotientModule(GammaModule):
         """Class of ambient degree-r coefficient vectors (rows) in module
         coordinates."""
         return self.project_coords(theta_classes(linalg.as_vec(vec, self.p), self.p, 2))
+
+    def project_entries(self, rows, idx, vals, n: int) -> np.ndarray:
+        """Classes of n ambient degree-r rows, given by their entries (row,
+        monomial index, value), in module coordinates.  Each distinct
+        monomial goes to its class modulo theta^2 by
+        ``theta_index_classes`` and is projected once, and each row sums its
+        entries' images, so no (r+1)-long row is built."""
+        uniq, where = np.unique(idx, return_inverse=True)
+        cols, weights = theta_index_classes(uniq, self.p, self.r, 2)
+        classes = np.zeros((len(uniq), len(self.cols)), dtype=np.int64)
+        np.add.at(classes, (np.arange(len(uniq))[:, None], cols), weights)
+        images = self.project_coords(classes % self.p)
+        out = np.zeros((n, self.dim), dtype=np.int64)
+        np.add.at(out, np.asarray(rows), images[where] * (np.asarray(vals) % self.p)[:, None])
+        return out % self.p
 
     def star_image(self) -> FpSpace:
         """Image of the theta-divisible subspace inside the quotient: the

@@ -2,12 +2,14 @@
 survives.
 
 Each scenario builds an explicit rational function f on the tree, certifies
-that (T - A) f is integral (A the symbolic eigenvalue), reduces it mod p,
-projects coset-by-coset into the terminal quotient, and identifies the image
-against the predicted generator, computed independently by the module
-engine.  ``SCENARIOS`` holds each scenario family's hypotheses, function
-and slope branch; a tag in ``TAGS`` is a family, with a -low/-high suffix
-on T8.7 and T9.1 that must name the branch of the case's slope.
+that (T - A) f is integral (A the symbolic eigenvalue), reads its residue
+mod p in the same walk as sparse monomial entries, sends each monomial
+straight to its class in V_r/V** and projects all values into the terminal
+quotient as one matrix, and identifies the image against the predicted
+generator, computed independently by the module engine.  ``SCENARIOS``
+holds each scenario family's hypotheses, function and slope branch; a tag
+in ``TAGS`` is a family, with a -low/-high suffix on T8.7 and T9.1 that
+must name the branch of the case's slope.
 """
 
 from __future__ import annotations
@@ -38,10 +40,11 @@ from .hecke import (
     IDENTITY,
     IndFunction,
     ResidueFunction,
+    ValuationReport,
     audit_valuations,
     g0,
     modp_T,
-    reduce_mod_p,
+    residue_terms,
     t_minus_ap,
     teich_table,
 )
@@ -391,6 +394,21 @@ def _residue_of(case: WitnessCase, num: Fraction, d: int) -> ResidueExpr:
     return ApCoeff.rational(num, d, p=case.p).residue(case.sigma)
 
 
+def _residue_in_Q(env: QEnv, residue: dict) -> ResidueFunction:
+    """The residue {(coset, e): {monomial index: value}} with its values
+    projected into Q, as one matrix of classes built entry by entry."""
+    out = ResidueFunction(env.p)
+    if residue:
+        rows = np.repeat(np.arange(len(residue)), [len(v) for v in residue.values()])
+        idx = np.fromiter((j for v in residue.values() for j in v), np.int64, len(rows))
+        vals = np.fromiter((x for v in residue.values() for x in v.values()), np.int64, len(rows))
+        classes = env.module.project_entries(rows, idx, vals, len(residue))
+        # one value per key, already reduced: a zero class leaves no key
+        out.data = {key: vec for key, vec, live in zip(residue, classes, classes.any(axis=1))
+                    if live}
+    return out
+
+
 def _in_space(space: FpSpace, fn: ResidueFunction) -> bool:
     """Whether every value of ``fn`` lies in ``space``, reduced as one matrix."""
     return not fn.data or not space.reduce(np.array(list(fn.data.values()))).any()
@@ -403,26 +421,25 @@ def _in_space(space: FpSpace, fn: ResidueFunction) -> bool:
 def verify_witness(case: WitnessCase) -> WitnessReport:
     """Full audit: integrality of (T - A) f, image identification in the
     terminal quotient, and the surviving-constituent certificate."""
-    g = t_minus_ap(build_witness(case))
-    audit = audit_valuations(g, case.sigma)
+    audit = audit_valuations(t_minus_ap(build_witness(case)), case.sigma)
     if not audit.integral:
         return WitnessReport(case, False, audit.min_valuation, "-", None, "-", False, None,
                              [("integral", False)], audit.margin)
-    coset, label, c_expr, factorization, checks = _identify_image(case, g)
+    coset, label, c_expr, factorization, checks = _identify_image(case, audit)
     return WitnessReport(case, True, audit.min_valuation, coset, label, c_expr.render(),
                          _expr_nonzero(c_expr, case), factorization, checks, audit.margin)
 
 
-def _identify_image(case: WitnessCase, g: IndFunction):
-    """Reduce the integral (T - A)f mod p, project it into the terminal
-    quotient and check the scenario's claimed image.  Returns the image
-    coset, the constituent it lands on, the constant, the Hecke
-    factorization (or None) and the named checks."""
+def _identify_image(case: WitnessCase, audit: ValuationReport):
+    """Project the residue of the integral (T - A)f, as its audit read it,
+    into the terminal quotient and check the scenario's claimed image.
+    Returns the image coset, the constituent it lands on, the constant, the
+    Hecke factorization (or None) and the named checks."""
     fam, p, r = _family(case.tag), case.p, case.r
     desc = case_descriptor(p, r)
     a, b = desc.a, desc.b
     env = QEnv(p, r)
-    rq = reduce_mod_p(g, case.sigma).map_vectors(env.cls)
+    rq = _residue_in_Q(env, residue_terms(audit))
     high = _high(case)
     checks: list[tuple[str, bool]] = []
     target = g0(1, (0,))

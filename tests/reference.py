@@ -15,10 +15,21 @@ they check.
   ``apply_Tminus_by_terms``: the lowering part spread one sibling coset and
   one term at a time, against ``apply_Tminus``, which sums the siblings of
   a parent by residue class first; the same (n, k, err) again.
+- ``cut_past_cap``: a function read at its cap, with no term past it and
+  each kept term in its capped form, the canonical form in which an
+  operator that stores no term past the cap is compared with its exact
+  oracle (``same_below_cap``).
 - ``ind_sum`` and ``ind_difference``: the sums of whole functions, each on
   a copy and pruned, and ``t_minus_ap_by_parts``, (T+ f + T- f) - A f
-  composed of them, against ``hecke.t_minus_ap``, which adds the parts in
-  place; the same terms, key order and cap.
+  composed of them and cut at the cap after each sum, against
+  ``hecke.t_minus_ap``, which adds the parts in place; the same terms, key
+  order and cap.  ``t_minus_ap_uncut``: the same composition of the
+  per-term oracles with no cut, which must give the same audit and residue.
+- ``project_dense``: the residue as one (r+1)-vector per (coset, e) from
+  ``hecke.reduce_mod_p``, each projected into Q by ``QEnv.cls``, against
+  the witness audit's sparse residue sent straight into V_r/V** classes;
+  ``audit_reading``, the report and projected residue that an audit reads
+  off a function, or the errors it raises.
 - ``modp_T_by_weights``: the mod-p Hecke operator on a weight model with
   its weights written out, against ``modp_T``, which reduces ``apply_T``.
 - ``certify_val_ge``: the per-coefficient valuation certificate, the second
@@ -113,6 +124,9 @@ from crysred.hecke import (
     _floor_val,
     apply_Tminus,
     apply_Tplus,
+    audit_valuations,
+    reduce_mod_p,
+    residue_terms,
     teich_table,
 )
 from crysred import linalg
@@ -126,6 +140,7 @@ from crysred.symrep import (
     gamma_generators,
     mat_mul,
 )
+from crysred.witness import _residue_in_Q
 
 # ---------------------------------------------------------------------------
 # the Hecke operator by its defining formula
@@ -360,10 +375,75 @@ def ind_difference(f: IndFunction, g: IndFunction) -> IndFunction:
 
 
 def t_minus_ap_by_parts(f: IndFunction) -> IndFunction:
-    """(T+ f + T- f) - A f composed of whole functions, each sum on a copy
-    and pruned: the oracle of ``hecke.t_minus_ap``, which adds the parts
-    into T+ f in place and must store the same terms, key order and cap."""
-    return ind_difference(ind_sum(apply_Tplus(f), apply_Tminus(f)), f.shift_ap(1))
+    """(T+ f + T- f) - A f composed of whole functions, each sum on a copy,
+    pruned and cut at the cap: the oracle of ``hecke.t_minus_ap``, which
+    adds the parts into T+ f in place and must store the same terms, key
+    order and cap."""
+    both = cut_past_cap(ind_sum(apply_Tplus(f), apply_Tminus(f)))
+    return cut_past_cap(ind_difference(both, f.shift_ap(1)))
+
+
+def t_minus_ap_uncut(f: IndFunction) -> IndFunction:
+    """(T - A) f from the per-term oracles, with no term past the cap
+    dropped beyond their own p^j and p^(r-i) cuts."""
+    both = ind_sum(apply_Tplus_by_terms(f), apply_Tminus_by_terms(f))
+    return ind_difference(both, f.shift_ap(1))
+
+
+def cut_past_cap(f: IndFunction) -> IndFunction:
+    """f read at its cap N, keys in their order: a term n p^k A^d with error
+    bound err is dropped when min(k, err) + min(d, 2d) >= N (k read as INF
+    when n = 0), then an index left without terms and a coset left empty.
+    A kept term, with lo = N - min(d, 2d), becomes (n mod p^(lo - k), k,
+    min(err, lo)) when k < lo and (0, 0, err) otherwise: two functions that
+    differ by terms past the cap have the same form."""
+    p, out = f.p, f._empty()
+    for coset, poly in f.data.items():
+        kept = {}
+        for j, c in poly.items():
+            terms = {}
+            for d, (n, k, e) in c.terms.items():
+                lo = f.cap - min(d, 2 * d)
+                if n and k < lo:
+                    terms[d] = (n % p ** (lo - k), k, min(e, lo))
+                elif e < lo:
+                    terms[d] = (0, 0, e)
+            if terms:
+                kept[j] = ApCoeff({}, p)
+                kept[j].terms = terms
+        if kept:
+            out.data[coset] = kept
+    return out
+
+
+def same_below_cap(got: IndFunction, want: IndFunction) -> bool:
+    """``got`` stores no term past its cap, and it and ``want`` have the same
+    ``cut_past_cap`` form (``same_terms``)."""
+    cut = cut_past_cap(got)
+    count = lambda g: sum(len(c.terms) for poly in g.data.values() for c in poly.values())
+    return count(cut) == count(got) and same_terms(cut, cut_past_cap(want))
+
+
+def project_dense(g: IndFunction, sigma: Fraction, env) -> ResidueFunction:
+    """The residue of g as dense (r+1)-vectors, each projected into the
+    terminal quotient of ``env`` (a ``witness.QEnv``)."""
+    return reduce_mod_p(g, sigma).map_vectors(env.cls)
+
+
+def audit_reading(g: IndFunction, sigma: Fraction, env):
+    """What a witness audit reads off g: its ``ValuationReport``, with
+    ``min_valuation`` read at the cap, and the residue projected into the
+    terminal quotient of ``env``; the type name of the error raised in place
+    of the report, or of the residue."""
+    try:
+        rep = audit_valuations(g, sigma)
+    except ArithmeticError as exc:
+        return type(exc).__name__, None
+    rep = rep._replace(min_valuation=min(rep.min_valuation, g.cap))
+    try:
+        return rep, _residue_in_Q(env, residue_terms(rep))
+    except ArithmeticError as exc:
+        return rep, type(exc).__name__
 
 
 def translate(k_mat, f: IndFunction) -> IndFunction:

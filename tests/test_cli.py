@@ -307,22 +307,20 @@ class TestWitnessCommand:
         assert code == 1 and "[FAIL] integral" in out and "verdict: FAILED" in out
 
     @staticmethod
-    def _moved(red):
+    def _moved(red, p):
         # the image moved from the depth-1 coset g0(1, (0,)) to g0(1, (1,))
-        from crysred.hecke import ResidueFunction, g0
+        from crysred.hecke import g0
 
-        out = ResidueFunction(red.p)
-        for (coset, e), v in red.data.items():
-            out.accumulate(g0(1, (1,)) if coset == g0(1, (0,)) else coset, e, v)
-        return out
+        return {(g0(1, (1,)) if coset == g0(1, (0,)) else coset, e): v
+                for (coset, e), v in red.items()}
 
     @staticmethod
-    def _bumped(red):
+    def _bumped(red, p):
         # 1 added at monomial index 9 of the first value: its class leaves the bottom constituent
-        key = next(iter(red.data))
-        red.data[key] = red.data[key].copy()
-        red.data[key][9] = (red.data[key][9] + 1) % red.p
-        return red
+        key = next(iter(red))
+        value = dict(red[key])
+        value[9] = (value.get(9, 0) + 1) % p
+        return {**red, key: value}
 
     @pytest.mark.parametrize("tag, p, r, slope, perturb", [
         ("T8.6", "7", "88", "5/3", "_moved"),
@@ -334,8 +332,8 @@ class TestWitnessCommand:
         # not in an exception from reading the image the check refused
         from crysred import witness
 
-        real, change = witness.reduce_mod_p, getattr(self, perturb)
-        monkeypatch.setattr(witness, "reduce_mod_p", lambda g, sigma: change(real(g, sigma)))
+        real, change = witness.residue_terms, getattr(self, perturb)
+        monkeypatch.setattr(witness, "residue_terms", lambda audit: change(real(audit), int(p)))
         rep = witness.verify_witness(witness.WitnessCase(tag, int(p), int(r), Fraction(slope)))
         assert rep.integral and rep.ok is False
         code, out, _ = run(capsys, "witness", "--case", tag, "--p", p, "--r", r, "--slope", slope)

@@ -22,14 +22,17 @@ from crysred.hecke import (
     g0,
     modp_T,
     reduce_mod_p,
+    residue_terms,
     t_minus_ap,
     teich_table,
 )
 from crysred.errors import IndeterminateCancellation, PrecisionError
 from crysred.symrep import sym_power
+from crysred.witness import QEnv, _residue_in_Q
 from reference import (
     apply_Tminus_by_terms,
     apply_Tplus_by_terms,
+    audit_reading,
     certify_val_ge,
     direct_T,
     elementary,
@@ -39,8 +42,10 @@ from reference import (
     modp_T_by_weights,
     normalize_pair,
     precision_margin,
-    same_terms,
+    project_dense,
+    same_below_cap,
     t_minus_ap_by_parts,
+    t_minus_ap_uncut,
     translate,
 )
 
@@ -294,8 +299,8 @@ class TestGroupedRaising:
     def test_matches_the_per_term_sum(self, f):
         # indices in several classes mod p-1 per coset, truncated and
         # error-only terms, and caps that cut the rows: grouping by class
-        # stores exactly the per-term (n, k, err) and keeps the cap
-        assert same_terms(apply_Tplus(f), apply_Tplus_by_terms(f))
+        # stores the per-term (n, k, err) below the cap and keeps the cap
+        assert same_below_cap(apply_Tplus(f), apply_Tplus_by_terms(f))
 
     def test_several_classes_with_rows_cut_by_the_cap(self):
         table = teich_table(5)
@@ -308,7 +313,7 @@ class TestGroupedRaising:
         f.cap = 6
         assert len({i % 4 for i in f.data[g0(1, (3,))]}) == 4
         got, want = apply_Tplus(f), apply_Tplus_by_terms(f)
-        assert same_terms(got, want)
+        assert same_below_cap(got, want)
         # the cap stops every row below the smallest index, so child 0,
         # which only gets the diagonal terms, is empty
         assert max(j for poly in got.data.values() for j in poly) < 12
@@ -341,9 +346,9 @@ class TestGroupedLowering:
     def test_matches_the_per_term_sum(self, f):
         # siblings with zero and nonzero top digits, shared and distinct
         # indices, truncated and error-only terms, and caps that skip
-        # indices: summing a parent's siblings by class stores exactly the
-        # per-term (n, k, err), in the same key order, and keeps the cap
-        assert same_terms(apply_Tminus(f), apply_Tminus_by_terms(f))
+        # indices: summing a parent's siblings by class stores the per-term
+        # (n, k, err) below the cap, in the same key order, and keeps the cap
+        assert same_below_cap(apply_Tminus(f), apply_Tminus_by_terms(f))
 
     def test_siblings_with_the_same_index(self):
         table = teich_table(5)
@@ -354,7 +359,7 @@ class TestGroupedLowering:
                 29 - t: ApCoeff.rational(3, p=5).scale_trunc(table.power(2, t + 1), 8),
             })
         got, want = apply_Tminus(f), apply_Tminus_by_terms(f)
-        assert list(got.data) == [g0(1, (1,))] and same_terms(got, want)
+        assert list(got.data) == [g0(1, (1,))] and same_below_cap(got, want)
 
 
 class TestInPlaceSum:
@@ -362,8 +367,8 @@ class TestInPlaceSum:
     @given(lowering_inputs())
     def test_matches_the_sums_of_whole_functions(self, f):
         # T- f added into T+ f and -A f into T f in place store the terms,
-        # key order and cap of the sums of whole pruned functions
-        assert same_terms(t_minus_ap(f), t_minus_ap_by_parts(f))
+        # key order and cap of the sums of whole functions, each cut at the cap
+        assert same_below_cap(t_minus_ap(f), t_minus_ap_by_parts(f))
 
     # at g0(1, (0,)), index 6: T+ brings 5^6 from [Id, X^5 Y^6] (child 0
     # keeps the diagonal) and T- brings 5^5 * (-5) from the zero top digit
@@ -385,7 +390,7 @@ class TestInPlaceSum:
         got = t_minus_ap(f)
         assert list(got.data[node]) == final and (list(got.data)[-1] == node) == (summed is None)
         assert got.data[node][6].exact_terms() == {1: (Fraction(-1), math.inf)}
-        assert same_terms(got, t_minus_ap_by_parts(f))
+        assert same_below_cap(got, t_minus_ap_by_parts(f))
 
 
 class TestAbsoluteCap:
@@ -450,6 +455,115 @@ class TestAbsoluteCap:
             functions_agree(f, f.scale(Fraction(1, 5)), Fraction(5, 4), min_val=8)
 
 
+class TestResidueFromTheAudit:
+    """The audit's walk collects the residue mod p as sparse entries;
+    ``residue_terms`` raises a reduction's refusals once the report is made,
+    and ``reduce_mod_p`` is the same residue as dense vectors."""
+
+    def test_same_values_as_the_dense_reduction(self):
+        c = ApCoeff.rational(Fraction(7), p=5) + ApCoeff.rational(Fraction(5), p=5)
+        # 5^-3 A^2 has valuation 0 at slope 3/2: one power of the residue symbol
+        f = elementary(5, 11, IDENTITY, {3: c, 4: ApCoeff.rational(Fraction(1, 5**3), 2, p=5)})
+        sig = Fraction(3, 2)
+        assert residue_terms(audit_valuations(f, sig)) == {(IDENTITY, 0): {3: 2}, (IDENTITY, 1): {4: 1}}
+        red = reduce_mod_p(f, sig)
+        assert red.data[IDENTITY, 0][3] == 2 and red.data[IDENTITY, 1][4] == 1
+
+    def test_non_integral_function_keeps_its_report(self):
+        f = elementary(5, 11, IDENTITY, {0: ApCoeff.rational(Fraction(1, 5), p=5), 1: ONE})
+        rep = audit_valuations(f, Fraction(5, 4))
+        assert not rep.integral and rep.residue == {(IDENTITY, 0): {1: 1}}
+        with pytest.raises(ArithmeticError, match="non-integral"):
+            residue_terms(rep)
+        with pytest.raises(ArithmeticError, match="non-integral"):
+            reduce_mod_p(f, Fraction(5, 4))
+
+    def test_unit_part_without_a_power_of_the_symbol(self):
+        # 5^-4 A^3 has valuation 0 at slope 4/3, where the symbol is constant
+        f = elementary(5, 11, IDENTITY, {2: ApCoeff.rational(Fraction(1, 5**4), 3, p=5)})
+        rep = audit_valuations(f, Fraction(4, 3))
+        assert rep.integral and rep.residue is None
+        for refused in (lambda: residue_terms(rep), lambda: reduce_mod_p(f, Fraction(4, 3))):
+            with pytest.raises(ArithmeticError, match="not expressible"):
+                refused()
+
+    def test_precision_refusal_waits_for_the_residue(self):
+        # 1 known mod 5^2: valuation 0 is certified, its residue is within the headroom
+        f = elementary(5, 11, IDENTITY, {0: ApCoeff({0: (Fraction(1), 2)}, 5)})
+        rep = audit_valuations(f, Fraction(5, 4))
+        assert rep.integral and rep.margin == 1 < PRECISION_HEADROOM
+        for refused in (lambda: residue_terms(rep), lambda: reduce_mod_p(f, Fraction(5, 4))):
+            with pytest.raises(PrecisionError, match="beyond carried precision"):
+                refused()
+
+    def test_function_with_every_term_dropped(self):
+        # 5^8 at cap 8: every term of T f and of A f is past the cap, which
+        # the per-term oracles keep
+        f = elementary(5, 11, IDENTITY, {0: ApCoeff.rational(5**8, p=5)}, precision=8)
+        g = t_minus_ap(f)
+        assert not g.data and t_minus_ap_uncut(f).data
+        rep = audit_valuations(g, Fraction(5, 4))
+        assert rep == ValuationReport(True, math.inf, [], Fraction(8 - 1), {})
+        assert residue_terms(rep) == {}
+        assert _residue_in_Q(QEnv(5, 11), {}) == ResidueFunction(5)
+
+
+@st.composite
+def integral_inputs(draw):
+    """Exact coefficients n p^k A^d with k, d >= 0 at cosets of levels 0..2,
+    so that (T - A)f is integral and its residue is read."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    f = IndFunction(p, draw(st.integers(2 * p + 2, 40)))
+    for _ in range(draw(st.integers(1, 6))):
+        m = draw(st.integers(0, 2))
+        coset = g0(m, tuple(draw(st.lists(st.integers(0, p - 1), min_size=m, max_size=m))))
+        num = draw(st.integers(-p * p, p * p).filter(bool)) * p ** draw(st.integers(0, 3))
+        f.accumulate(coset, draw(st.integers(0, f.r)),
+                     ApCoeff.rational(num, draw(st.integers(0, 2)), p=p))
+    return f.prune()
+
+
+@st.composite
+def straddling_inputs(draw):
+    """``lowering_inputs`` or ``integral_inputs`` at a cap of 3..6, so that
+    the terms of (T - A)f fall on both sides of it, with a slope near
+    either end of (1, 2) or at 3/2."""
+    f = draw(st.one_of(lowering_inputs(), integral_inputs()))
+    f.cap = draw(st.integers(1 + PRECISION_HEADROOM, 6))
+    return f, draw(st.sampled_from(SLOPES))
+
+
+class TestCutAgainstUncut:
+    """(T - A)f with no term past the cap stored and (T - A)f from the
+    per-term oracles, which keep such terms, must read the same: report,
+    projected residue (also against the dense reduction) and refusals."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(straddling_inputs())
+    def test_same_audit_and_residue(self, inputs):
+        f, sigma = inputs
+        env = QEnv(f.p, f.r)
+        uncut = t_minus_ap_uncut(f)
+        want = audit_reading(uncut, sigma, env)
+        assert audit_reading(t_minus_ap(f), sigma, env) == want
+        if isinstance(want[1], ResidueFunction):
+            assert project_dense(uncut, sigma, env) == want[1]
+
+    def test_dropped_terms_do_not_show(self):
+        f = IndFunction(5, 30, precision=4)
+        for t in range(5):
+            f.add_term(g0(1, (t,)), {30 - t: ApCoeff.rational(Fraction(t + 1, 5), p=5),
+                                     12 + t: ApCoeff.rational(t + 2, -1, p=5)})
+        count = lambda g: sum(len(c.terms) for poly in g.data.values() for c in poly.values())
+        uncut, cut = t_minus_ap_uncut(f), t_minus_ap(f)
+        assert count(cut) < count(uncut)
+        env = QEnv(5, 30)
+        got = audit_reading(cut, Fraction(5, 4), env)
+        assert got == audit_reading(uncut, Fraction(5, 4), env)
+        # a non-integral function keeps its report; its residue is refused
+        assert not got[0].integral and got[0].residue and got[1] == "PrecisionError"
+
+
 def _min_terms(c: ApCoeff, sigma, p):
     """(bound, [degrees achieving it], exact) over the stored terms; exact
     when one degree attains the bound with a nonzero value known beyond its
@@ -466,13 +580,32 @@ def _min_terms(c: ApCoeff, sigma, p):
     return best, who, v != 0 and padic_val(v, p) < e
 
 
+def _residue_by_fractions(f, sigma):
+    """{(coset, e): {j: unit mod p}} over the terms of valuation 0, read on
+    exact ``Fraction`` values, or None when one has no power e of the
+    residue symbol (A^2/p^3, so d = 2e at slope 3/2 alone)."""
+    residue = {}
+    for coset, poly in f.data.items():
+        for j, c in poly.items():
+            for d, (x, _) in c.exact_terms().items():
+                if not x or padic_val(x, f.p) + d * sigma != 0:
+                    continue
+                if d and (sigma != Fraction(3, 2) or d % 2):
+                    return None
+                unit = x / Fraction(f.p) ** padic_val(x, f.p)
+                residue.setdefault((coset, d // 2), {})[j] = unit.numerator % f.p
+    return residue
+
+
 def _two_pass_audit(f, sigma):
     """The valuation audit as two passes, kept as the reference of the
     one-pass ``audit_valuations``: bounds in sorted order first, then every
     coefficient re-certified through ``certify_val_ge``; the margin is the
-    separate walk ``precision_margin``."""
+    separate walk ``precision_margin`` and the residue the separate walk
+    ``_residue_by_fractions``."""
     _require_residue_cap(f)
     failures, min_val, margin = [], math.inf, precision_margin(f, sigma)
+    residue = _residue_by_fractions(f, sigma)
     for coset in sorted(f.data):
         for j in sorted(f.data[coset]):
             bound, degs, exact = _min_terms(f.data[coset][j], sigma, f.p)
@@ -490,13 +623,13 @@ def _two_pass_audit(f, sigma):
         if not certified:
             bound, (d,) = failures[0][2:4]
             raise PrecisionError(f"bound {bound} at degree {d} rests on a truncation error")
-        return ValuationReport(False, min_val, certified, margin)
+        return ValuationReport(False, min_val, certified, margin, residue)
     for coset, poly in f.data.items():
         for j, c in poly.items():
             if not certify_val_ge(c, 0, sigma, f.p):
                 return ValuationReport(False, min_val, [(coset, j, c.val_lb(sigma, f.p), ())],
-                                       margin)
-    return ValuationReport(True, min_val, [], margin)
+                                       margin, residue)
+    return ValuationReport(True, min_val, [], margin, residue)
 
 
 def _outcome(audit, f, sigma):

@@ -30,6 +30,7 @@ from crysred.symrep import (
     span_closure,
     sym_power,
     theta_classes,
+    theta_index_classes,
     theta_vec,
     weight_module,
 )
@@ -874,6 +875,37 @@ class TestThetaNormalForms:
                     vecs = rng.integers(0, p, size=(8, r + 1))
                     want = space.reduce(vecs)[:, space.nonpivot_columns()]
                     assert np.array_equal(theta_classes(vecs, p, k), want), (p, r, k)
+
+
+def _index_class_rows(p, r, k, idx):
+    """The classes that ``theta_index_classes`` gives for ``idx``, written out
+    as rows in the theta coordinates."""
+    cols, weights = theta_index_classes(idx, p, r, k)
+    rows = np.zeros((len(idx), (p + 1) * k), dtype=np.int64)
+    np.add.at(rows, (np.arange(len(idx))[:, None], cols), weights)
+    return rows % p
+
+
+class TestIndexClasses:
+    """``theta_index_classes`` reads the class of one monomial in O(1) by
+    ``theta_classes``' rule; on unit rows the two must agree."""
+
+    def test_unit_rows_on_the_grid(self):
+        for p in (3, 5, 7, 11):
+            for r in range(2 * p + 1, 3 * p * p + 1):
+                idx = np.arange(r + 1)
+                eye = np.eye(r + 1, dtype=np.int64)
+                for k in (1, 2):
+                    want = theta_classes(eye, p, k)
+                    assert np.array_equal(_index_class_rows(p, r, k, idx), want), (p, r, k)
+
+    @pytest.mark.parametrize("p, r", [(7, 10_003), (17, 4_641), (101, 5_000)])
+    def test_unit_rows_at_large_degree(self, p, r):
+        # in blocks of unit rows, so no (r+1)-square matrix is built
+        for start in range(0, r + 1, 512):
+            idx = np.arange(start, min(start + 512, r + 1))
+            eye = (idx[:, None] == np.arange(r + 1)).astype(np.int64)
+            assert np.array_equal(_index_class_rows(p, r, 2, idx), theta_classes(eye, p, 2)), start
 
 
 class TestGradedSocle:

@@ -10,13 +10,15 @@ from crysred import arith, hecke, witness
 from crysred.arith import inv_mod, padic_val
 from crysred.classify import case_descriptor, predict_Q_structure, surviving_factor
 from crysred.errors import DomainError, HypothesisError
-from crysred.hecke import audit_valuations, t_minus_ap
+from crysred.hecke import ResidueFunction, audit_valuations, residue_terms, t_minus_ap
 from crysred.symrep import JHLabel
 from crysred.witness import (
     SCENARIOS,
     TAGS,
+    QEnv,
     WitnessCase,
     _high,
+    _residue_in_Q,
     _validate,
     build_witness,
     verify_witness,
@@ -24,11 +26,14 @@ from crysred.witness import (
 from reference import (
     apply_Tminus_by_terms,
     apply_Tplus_by_terms,
+    audit_reading,
     corrected_family,
     family_holds,
     precision_margin,
-    same_terms,
+    project_dense,
+    same_below_cap,
     t_minus_ap_by_parts,
+    t_minus_ap_uncut,
 )
 
 # the slopes of the benchmark's witness pool
@@ -298,15 +303,16 @@ class TestLargeAudits:
 
 class TestGroupedLoweringOnAudits:
     """The raising part summed into class slots and the lowering part summed
-    by parent and residue class store exactly the per-term (n, k, err), key
-    order and cap of ``apply_Tplus_by_terms`` and ``apply_Tminus_by_terms``
-    on the functions the audits apply them to."""
+    by parent and residue class store no term past the cap, and below it
+    the per-term (n, k, err), key order and cap of ``apply_Tplus_by_terms``
+    and ``apply_Tminus_by_terms`` (``same_below_cap``) on the functions the
+    audits apply them to."""
 
     @pytest.mark.parametrize("tag, p, r, sig, star", [row[:5] for row in LARGE_AUDITS])
     def test_large_witnesses(self, tag, p, r, sig, star):
         f = build_witness(case(tag, p, r, sig, star))
-        assert same_terms(hecke.apply_Tminus(f), apply_Tminus_by_terms(f))
-        assert same_terms(hecke.apply_Tplus(f), apply_Tplus_by_terms(f))
+        assert same_below_cap(hecke.apply_Tminus(f), apply_Tminus_by_terms(f))
+        assert same_below_cap(hecke.apply_Tplus(f), apply_Tplus_by_terms(f))
 
     def test_every_call_of_the_benchmark_pool(self, monkeypatch):
         # every witness item of perfbench/pool.json, each T+ and T- call of
@@ -317,9 +323,9 @@ class TestGroupedLoweringOnAudits:
         def checked(name, oracle):
             grouped = getattr(hecke, name)
 
-            def run(f):
-                got = grouped(f)
-                calls[name].append(same_terms(got, oracle(f)))
+            def run(f, **shared):  # apply_T shares its binomial rows
+                got = grouped(f, **shared)
+                calls[name].append(same_below_cap(got, oracle(f)))
                 return got
             return run
 
@@ -332,14 +338,15 @@ class TestGroupedLoweringOnAudits:
 
 class TestInPlaceSumOnAudits:
     """(T - A)f summed in place stores the terms, key order and cap of the
-    sums of whole pruned functions, ``reference.t_minus_ap_by_parts``."""
+    sums of whole functions, each cut at the cap,
+    ``reference.t_minus_ap_by_parts``."""
 
     def test_pool_and_large_witnesses(self):
         items = _pool_witness_items()
         assert items
         for args in items + [row[:5] for row in LARGE_AUDITS]:
             f = build_witness(case(*args))
-            assert same_terms(t_minus_ap(f), t_minus_ap_by_parts(f)), args
+            assert same_below_cap(t_minus_ap(f), t_minus_ap_by_parts(f)), args
 
 
 class TestMarginFromTheAudit:
@@ -353,6 +360,30 @@ class TestMarginFromTheAudit:
             c = case(*args)
             g = t_minus_ap(build_witness(c))
             assert audit_valuations(g, c.sigma).margin == precision_margin(g, c.sigma), args
+
+
+class TestCutAgainstUncut:
+    """(T - A)f with no term past the cap stored reads as (T - A)f from the
+    per-term oracles, which keep those terms: the same report, the same
+    residue projected into Q, equal to the dense reduction's, on every
+    witness of the benchmark pool and on the large audits."""
+
+    def test_pool_and_large_witnesses(self):
+        items = _pool_witness_items()
+        assert items
+        for args in items + [row[:5] for row in LARGE_AUDITS]:
+            c = case(*args)
+            f, env = build_witness(c), QEnv(c.p, c.r)
+            uncut = t_minus_ap_uncut(f)
+            want = audit_reading(uncut, c.sigma, env)
+            assert isinstance(want[1], ResidueFunction), args
+            assert audit_reading(t_minus_ap(f), c.sigma, env) == want, args
+            assert project_dense(uncut, c.sigma, env) == want[1], args
+
+    def test_no_term_left_is_an_empty_residue(self):
+        audit = audit_valuations(hecke.IndFunction(5, 19), Fraction(5, 4))
+        assert residue_terms(audit) == {} and audit.min_valuation == math.inf
+        assert _residue_in_Q(QEnv(5, 19), residue_terms(audit)) == ResidueFunction(5)
 
 
 def _plus_kernel(fam, r, p, level, unit, zero, target, rng):
