@@ -140,10 +140,10 @@ def _diagonal_class_sums(r_to: int, p: int, k: int) -> np.ndarray:
 
     (p-1) T(r, r-s) is the sum of zeta^s step^r over zeta, step = zeta^(-1)
     (1 + zeta).  step^r fills a table by doubling, 64 lifts at a time so that
-    memory is O(r_to).  Products stay below p^(2k): int64 while
-    p^(2k) < 2^63 (p <= 1447 at k = 3), else Python ints (dtype object)."""
+    memory is O(r_to).  Products stay below p^(2k): uint64 while
+    p^(2k) < 2^64 (p <= 1621 at k = 3), else Python ints (dtype object)."""
     pk, tt = p**k, teich_table(p, k)
-    dtype = np.int64 if p ** (2 * k) < 2**63 else object
+    dtype = np.uint64 if p ** (2 * k) < 2**64 else object
     sums = np.zeros((r_to + 1, 2), dtype)
     for lo in range(0, p - 1, 64):
         step, zeta = (np.array(x[lo:lo + 64], dtype) for x in (tt.steps, tt.rep[1:]))
@@ -499,9 +499,6 @@ class ApCoeff:
         out = ApCoeff({}, self.p)
         out.terms = {d + k: t for d, t in self.terms.items()}
         return out
-
-    def is_exact_zero(self) -> bool:
-        return not self.terms
 
     # -- audits --------------------------------------------------------------
 

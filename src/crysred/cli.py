@@ -153,12 +153,13 @@ def cmd_sweep(args) -> int:
             raise DomainError("--format csv does not apply to --check lemmas: use text or json")
         rows = arith.lemma_rows(args.p, args.r_to)
         bad = [row for row in rows if not row["pass"]]
-        if args.format == "json":
-            print(json.dumps({"rows": rows, "failed": len(bad)}, indent=2, sort_keys=True))
-        else:
+
+        def text():
             for row in bad:
                 print(f"FAIL {row}")
             print(f"{len(rows)} rows, {len(bad)} failures")
+
+        _emit({"rows": rows, "failed": len(bad)}, args.format, text)
         return EXIT_MISMATCH if bad else EXIT_OK
 
     checks = {
@@ -186,10 +187,9 @@ def cmd_sweep(args) -> int:
         print(",".join(CSV_COLUMNS))
         for rec in records:
             print(",".join(rec.csv_row()))
-    elif args.format == "json":
-        out = {"rows": [dict(d, seconds=0.0) for d in dicts], "failed": len(failed)}
-        print(json.dumps(out, indent=2, sort_keys=True))
-    else:
+        return EXIT_MISMATCH if failed else EXIT_OK
+
+    def text():
         for rec in records:
             mark = "ok " if rec.passed else "FAIL"
             print(
@@ -197,6 +197,9 @@ def cmd_sweep(args) -> int:
                 f"q {rec.q_factors_predicted}/{rec.q_factors_computed}"
             )
         print(f"{len(records)} rows, {len(failed)} failures")
+
+    _emit({"rows": [dict(d, seconds=0.0) for d in dicts], "failed": len(failed)},
+          args.format, text)
     return EXIT_MISMATCH if failed else EXIT_OK
 
 
@@ -282,15 +285,16 @@ def cmd_verify_lemmas(args) -> int:
     for r in (p, p + p * p * (p - 1), p + 2 * p * p * (p - 1)):
         fam_rows.append(_family_row("quad", arith.choose_gammas_alphas2, (r, p), r=r))
     failures = int((~lemmas_ok).sum()) + sum(not row["pass"] for row in fam_rows)
-    if args.format == "json":
-        print(json.dumps({"lemma_rows": len(lemmas_ok), "families": fam_rows,
-                          "failed": failures}, indent=2, sort_keys=True))
-    else:
+
+    def text():
         print(f"class-sum rows checked: {len(lemmas_ok)}")
         for row in fam_rows:
             mark = "ok " if row["pass"] else "FAIL"
             print(f"{mark} {row}")
         print(f"failures: {failures}")
+
+    _emit({"lemma_rows": len(lemmas_ok), "families": fam_rows, "failed": failures},
+          args.format, text)
     return EXIT_MISMATCH if failures else EXIT_OK
 
 

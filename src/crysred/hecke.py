@@ -71,13 +71,18 @@ below the cap each stored (n, k, err) is again the per-term one
 most i + 1 products per parent instead of per sibling.  ``apply_T`` builds
 the binomial rows once for both parts.
 
-Summing in place.  ``apply_T`` adds T- f into the output of T+ f, and
-``t_minus_ap`` adds -A f into T f, each term n p^k A^d of f entering as
--n p^k A^(d+1); nothing is copied.  A term that a sum takes past the cap
-is dropped at once, and so is an index left without terms and a coset left
-empty, so a later term re-enters at the end as it would after cutting: the
-terms, key order and cap are those of the sums of whole functions, each
-cut at the cap (``tests/reference.t_minus_ap_by_parts``).
+Summing in place.  One rule (``_add_into``) sums every function from its
+construction on: ``IndFunction.add_term`` adds a polynomial at a coset,
+``apply_T`` adds T- f into the output of T+ f, and ``t_minus_ap`` adds -A f
+into T f, each term n p^k A^d of f entering as -n p^k A^(d+1).  Only the
+terms a caller passes to ``add_term`` are copied.  A term past the cap is
+dropped, as it arrives or once a sum takes it there, and so is an index
+left without terms and a coset left empty, so a later term re-enters at the
+end as it would after cutting: the terms, key order and cap are those of
+the sums of whole functions, each cut at the cap
+(``tests/reference.t_minus_ap_by_parts``).  So what ``add_term`` and the
+operators build stores no term past its cap, no index without terms and no
+empty coset.
 """
 
 from __future__ import annotations
@@ -151,27 +156,15 @@ class IndFunction:
         out.cap = self.cap if cap is None else cap
         return out
 
-    def accumulate(self, coset: Coset, j: int, coeff: ApCoeff) -> None:
-        if coeff.p != self.p:
-            raise ValueError(f"coefficient at p = {coeff.p} used at p = {self.p}")
-        if coeff.is_exact_zero():
-            return
-        poly = self.data.setdefault(coset, {})
-        cur = poly.get(j)
-        poly[j] = coeff if cur is None else cur + coeff
-
     def add_term(self, coset: Coset, terms: dict[int, ApCoeff]) -> None:
-        for j, c in terms.items():
-            self.accumulate(coset, j, c)
-
-    def prune(self) -> "IndFunction":
-        for coset in list(self.data):
-            poly = {j: c for j, c in self.data[coset].items() if not c.is_exact_zero()}
-            if poly:
-                self.data[coset] = poly
-            else:
-                del self.data[coset]
-        return self
+        """self[coset] += the polynomial ``terms``, summed in place as the
+        operators sum (see "Summing in place" in the module docstring); each
+        term dict is copied, so a polynomial can be added at several cosets.
+        ValueError, before any sum, for a coefficient at another prime."""
+        for c in terms.values():
+            if c.p != self.p:
+                raise ValueError(f"coefficient at p = {c.p} used at p = {self.p}")
+        _add_into(self, coset, ((j, _below_cap(c.terms, self.cap)) for j, c in terms.items()))
 
     def scale(self, q) -> "IndFunction":
         """Multiply by an exact rational with a p-power denominator, split
@@ -185,7 +178,7 @@ class IndFunction:
             for j, c in poly.items():
                 scaled[j] = ApCoeff({}, self.p)
                 c._mul_into(scaled[j], u, m)
-        return out.prune()
+        return out
 
     def shift_ap(self, k: int) -> "IndFunction":
         out = self._empty(self.cap + min(k, 2 * k))

@@ -420,25 +420,23 @@ def theta_classes(vecs, p: int, k: int) -> np.ndarray:
     return out % p
 
 
-def theta_index_classes(idx, p: int, r: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The classes of the monomials e_i, i in ``idx``, modulo theta^k (k in
-    {1, 2}), by ``theta_classes``' own rule in O(1) each: (cols, weights),
-    both of shape (len(idx), 2), the class being the sum over t of
-    weights[:, t] e_(cols[:, t]) in the ``_theta_coordinates``.  A coordinate
-    monomial is its own class; a middle one i = j - m(p-1), j its class's
-    coordinate, is e_j (k = 1) or (1+m) e_j - m e_(j+p-1) (k = 2).  Needs
-    r >= kp + k - 1, where the coordinates do not overlap."""
+def theta_index_classes(idx, p: int, r: int, k: int) -> np.ndarray:
+    """The classes of the monomials e_i, i in the 1-d array ``idx``, modulo
+    theta^k (k in {1, 2}), as rows in the ``_theta_coordinates``, by
+    ``theta_classes``' own rule in O(1) each, so no (r+1)-long row is built.
+    A coordinate monomial is its own class; a middle one i = j - m(p-1), j
+    its class's coordinate, is e_j (k = 1) or (1+m) e_j - m e_(j+p-1)
+    (k = 2).  Needs r >= kp + k - 1, where the coordinates do not overlap."""
     idx = np.asarray(idx, dtype=np.int64)
     P, lo = p - 1, r - k * p + 1  # lo: the first upper coordinate
     m = np.where(idx < k, 0, np.maximum(0, (lo - idx + P - 1) // P))
     pos = np.where(idx < k, idx, idx + m * P - lo + k)
-    weights = np.zeros(idx.shape + (2,), dtype=np.int64)
-    if k == 1:
-        weights[..., 0] = 1
-        return np.stack([pos, pos], axis=-1), weights
-    weights[..., 0] = (1 + m) % p
-    weights[..., 1] = -m % p
-    return np.stack([pos, np.where(m > 0, pos + P, pos)], axis=-1), weights
+    rows, at = np.zeros((len(idx), (p + 1) * k), dtype=np.int64), np.arange(len(idx))
+    rows[at, pos] = 1 if k == 1 else (1 + m) % p
+    if k == 2:
+        up = m > 0
+        rows[at[up], pos[up] + P] = -m[up] % p
+    return rows
 
 
 def _filtration_dims(E, V, C, bases, p: int, r: int) -> tuple[int, ...]:
@@ -732,7 +730,7 @@ class QuotientModule(GammaModule):
         g = primitive_root(p)
         ambient = GammaModule(p, {
             "u": theta_classes(_binomials(c[:, None], np.arange(r + 1), p), p, 2).T,
-            "w": theta_classes(np.arange(r + 1) == (r - c)[:, None], p, 2).T,
+            "w": theta_index_classes(r - c, p, r, 2).T,
             "d1": np.diag([pow(g, r - j, p) for j in c.tolist()]),
             "d2": np.diag([pow(g, j, p) for j in c.tolist()]),
             # e fixes X^r, a coordinate monomial, and kills every other monomial
@@ -742,11 +740,6 @@ class QuotientModule(GammaModule):
         mod, self.project_coords = ambient.quotient(image)
         super().__init__(p, mod.mats)
 
-    def project(self, vec) -> np.ndarray:
-        """Class of ambient degree-r coefficient vectors (rows) in module
-        coordinates."""
-        return self.project_coords(theta_classes(linalg.as_vec(vec, self.p), self.p, 2))
-
     def project_entries(self, rows, idx, vals, n: int) -> np.ndarray:
         """Classes of n ambient degree-r rows, given by their entries (row,
         monomial index, value), in module coordinates.  Each distinct
@@ -754,10 +747,7 @@ class QuotientModule(GammaModule):
         ``theta_index_classes`` and is projected once, and each row sums its
         entries' images, so no (r+1)-long row is built."""
         uniq, where = np.unique(idx, return_inverse=True)
-        cols, weights = theta_index_classes(uniq, self.p, self.r, 2)
-        classes = np.zeros((len(uniq), len(self.cols)), dtype=np.int64)
-        np.add.at(classes, (np.arange(len(uniq))[:, None], cols), weights)
-        images = self.project_coords(classes % self.p)
+        images = self.project_coords(theta_index_classes(uniq, self.p, self.r, 2))
         out = np.zeros((n, self.dim), dtype=np.int64)
         np.add.at(out, np.asarray(rows), images[where] * (np.asarray(vals) % self.p)[:, None])
         return out % self.p
@@ -765,7 +755,7 @@ class QuotientModule(GammaModule):
     def star_image(self) -> FpSpace:
         """Image of the theta-divisible subspace inside the quotient: the
         kernel of the classes modulo theta on V_r/V**, projected."""
-        R1 = theta_classes(np.arange(self.r + 1) == self.cols[:, None], self.p, 1)
+        R1 = theta_index_classes(self.cols, self.p, self.r, 1)
         kernel = np.reshape(linalg.nullspace(R1.T, self.p), (-1, len(self.cols)))
         return FpSpace.from_rows(self.project_coords(kernel), self.dim, self.p)
 

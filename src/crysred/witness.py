@@ -6,7 +6,9 @@ that (T - A) f is integral (A the symbolic eigenvalue), reads its residue
 mod p in the same walk as sparse monomial entries, sends each monomial
 straight to its class in V_r/V** and projects all values into the terminal
 quotient as one matrix, and identifies the image against the predicted
-generator, computed independently by the module engine.  ``SCENARIOS``
+generator, computed independently by the module engine; the classes of
+the monomials and theta multiples that the checks name are read by index
+too.  ``SCENARIOS``
 holds each scenario family's hypotheses, function and slope branch; a tag
 in ``TAGS`` is a family, with a -low/-high suffix on T8.7 and T9.1 that
 must name the branch of the case's slope.
@@ -56,6 +58,7 @@ from .symrep import (
     quotient_Q,
     socle_simples,
     sym_power,
+    theta_index_classes,
     weight_module,
 )
 
@@ -182,16 +185,6 @@ def _build_T88_ii(case: WitnessCase, desc: CaseDescriptor) -> IndFunction:
                {j: _rat(p, (p - 1) * gamma, 1, d=-2) for j, gamma in gammas.items()})
     f.add_term(IDENTITY, {0: _rat(p, 1 - p, 1, d=-1), r - p: _rat(p, p - 1, 1, d=-1)})
     return f
-
-
-def _theta_times(p: int, r: int, m: int) -> np.ndarray:
-    """theta * X^(s-m) Y^m as an ambient degree-r vector (s = r - p - 1)."""
-    if not 0 <= m <= r - p - 1:
-        raise ValueError("monomial exponent out of range")
-    vec = np.zeros(r + 1, dtype=np.int64)
-    vec[m + 1] = 1
-    vec[m + p] = p - 1
-    return vec
 
 
 def _build_T91(case: WitnessCase, desc: CaseDescriptor) -> IndFunction:
@@ -356,11 +349,18 @@ class QEnv:
         self.module = quotient_Q(p, r)
         self.star = self.module.star_image()
 
-    def cls(self, vec) -> np.ndarray:
-        return self.module.project(vec)
+    def cls(self, entries: dict[int, int]) -> np.ndarray:
+        """The class in Q of sum_j entries[j] X^(r-j) Y^j: the values times
+        their monomials' classes modulo theta^2, read by index, projected."""
+        vals = np.fromiter(entries.values(), np.int64, len(entries))
+        classes = theta_index_classes(list(entries), self.p, self.r, 2)
+        return self.module.project_coords(vals @ classes % self.p)
 
     def cls_theta(self, m: int) -> np.ndarray:
-        return self.cls(_theta_times(self.p, self.r, m))
+        """The class of theta * X^(s-m) Y^m, s = r - p - 1."""
+        if not 0 <= m <= self.r - self.p - 1:
+            raise ValueError("monomial exponent out of range")
+        return self.cls({m + 1: 1, m + self.p: self.p - 1})
 
     def bottom(self) -> FpSpace:
         """The bottom constituent, spun from [theta Y^(r-p-1)]."""
@@ -454,7 +454,7 @@ def _identify_image(case: WitnessCase, audit: ValuationReport):
         c = (r - a) * inv_mod(a, p) % p
         checks.append(("constant matches the class-sum closed form",
                        c == (-class_sum_S(r, a, p)[1]) % p))
-        gen = env.cls(sym_power(p, r).monomial(a))
+        gen = env.cls({a: 1})
         checks.append(("image = c * generator modulo the singular part",
                        (v - c * gen) % p in env.star))
         checks.append(("generator survives the singular part", gen not in env.star))
@@ -478,7 +478,7 @@ def _identify_image(case: WitnessCase, audit: ValuationReport):
     if fam == "T8.7":
         c_expr = (ResidueExpr.const(-3, p) if high
                   else ResidueExpr.const(3, p) - _residue_of(case, Fraction(3 * p**3), -2))
-        q = env.cls(sym_power(p, r).monomial(2))
+        q = env.cls({2: 1})
         checks.append(("image equals c * [X^(r-2) Y^2]",
                        rq == ResidueFunction.single(p, target, q).scale_expr(c_expr)))
         checks.append(("generator class generates the singular image",

@@ -1,6 +1,11 @@
 """Reference paths kept as test oracles, independent of the library paths
 they check.
 
+- ``exact_sum``: a function plus (coset, index, coefficient) triples with
+  every term kept, where ``IndFunction.add_term`` drops a term past the
+  cap.  ``elementary``, ``direct_T``, ``translate``, the per-term parts
+  and the sums of whole functions below are built by it, and so are the
+  test inputs that must keep every term.
 - The Hecke operator by its defining double-coset formula: ``direct_T``
   evaluates every pair with generic coset normalization (``normalize_pair``)
   on exact rationals, held as integer numerators over a common power of p,
@@ -20,14 +25,18 @@ they check.
   operator that stores no term past the cap is compared with its exact
   oracle (``same_below_cap``).
 - ``ind_sum`` and ``ind_difference``: the sums of whole functions, each on
-  a copy and pruned, and ``t_minus_ap_by_parts``, (T+ f + T- f) - A f
-  composed of them and cut at the cap after each sum, against
-  ``hecke.t_minus_ap``, which adds the parts in place; the same terms, key
-  order and cap.  ``t_minus_ap_uncut``: the same composition of the
+  a copy with every term kept, and ``t_minus_ap_by_parts``,
+  (T+ f + T- f) - A f composed of them and cut at the cap after each sum,
+  against ``hecke.t_minus_ap``, which adds the parts in place; the same
+  terms, key order and cap.  ``t_minus_ap_uncut``: the same composition of the
   per-term oracles with no cut, which must give the same audit and residue.
-- ``project_dense``: the residue as one (r+1)-vector per (coset, e) from
-  ``hecke.reduce_mod_p``, each projected into Q by ``QEnv.cls``, against
-  the witness audit's sparse residue sent straight into V_r/V** classes;
+- ``dense_classes``: classes in Q read off the classes modulo theta^2 of
+  whole (r+1)-long rows, against ``QuotientModule.project_entries`` and
+  ``witness.QEnv.cls``, which read each monomial's class by its index.
+  ``project_dense``: the residue as one (r+1)-vector per (coset, e) from
+  ``hecke.reduce_mod_p``, each projected into Q by ``dense_classes``,
+  against the witness audit's sparse residue sent straight into V_r/V**
+  classes;
   ``audit_reading``, the report and projected residue that an audit reads
   off a function, or the errors it raises.
 - ``modp_T_by_weights``: the mod-p Hecke operator on a weight model with
@@ -91,6 +100,7 @@ import bisect
 import math
 from dataclasses import replace
 from fractions import Fraction
+from itertools import chain
 from itertools import product as _iter_product
 
 import numpy as np
@@ -101,6 +111,7 @@ from crysred.arith import (
     PRECISION_HEADROOM,
     ApCoeff,
     ResidueExpr,
+    _accum,
     _binom_row,
     _class_range,
     inv_mod,
@@ -121,6 +132,7 @@ from crysred.hecke import (
     IndFunction,
     ResidueFunction,
     _binom_units,
+    _coeff,
     _floor_val,
     apply_Tminus,
     apply_Tplus,
@@ -134,11 +146,13 @@ from crysred.linalg import FpSpace
 from crysred.symrep import (
     GEN_NAMES,
     GammaModule,
+    QuotientModule,
     _binomials,
     _power_cycles,
     _spanning_matrices,
     gamma_generators,
     mat_mul,
+    theta_classes,
 )
 from crysred.witness import _residue_in_Q
 
@@ -146,12 +160,42 @@ from crysred.witness import _residue_in_Q
 # the Hecke operator by its defining formula
 
 
+def terms_of(f: IndFunction):
+    """The (coset, index, coefficient) triples of f, in its key order."""
+    return ((coset, j, c) for coset, poly in f.data.items() for j, c in poly.items())
+
+
+def exact_sum(f: IndFunction, items=(), cap=None) -> IndFunction:
+    """f plus the (coset, index, coefficient) triples of ``items`` with every
+    term kept, on a copy at f's cap or at ``cap`` (``IndFunction.add_term``
+    drops a term past the cap).  Keys come in the order the sum first meets
+    them, and an index that sums to zero, or a coset left without one,
+    leaves no key.  ValueError for a coefficient at another prime."""
+    p, data = f.p, {}
+    for coset, j, c in chain(terms_of(f), items):
+        if c.p != p:
+            raise ValueError(f"coefficient at p = {c.p} used at p = {p}")
+        if c.terms:
+            poly = data.get(coset)
+            if poly is None:
+                poly = data[coset] = {}
+            acc = poly.get(j)
+            if acc is None:
+                poly[j] = dict(c.terms)
+            else:
+                for d, t in c.terms.items():
+                    _accum(acc, p, d, *t)
+    out = f._empty(cap)
+    for coset, poly in data.items():
+        if poly := {j: _coeff(terms, p) for j, terms in poly.items() if terms}:
+            out.data[coset] = poly
+    return out
+
+
 def elementary(p: int, r: int, coset: Coset, terms: dict[int, ApCoeff],
                precision: int = DEFAULT_PRECISION) -> IndFunction:
-    """The function [coset, sum_j terms[j] X^(r-j) Y^j]."""
-    f = IndFunction(p, r, precision)
-    f.add_term(coset, terms)
-    return f.prune()
+    """The function [coset, sum_j terms[j] X^(r-j) Y^j], every term kept."""
+    return exact_sum(IndFunction(p, r, precision), ((coset, j, c) for j, c in terms.items()))
 
 
 def digits_value(table, digits) -> int:
@@ -286,19 +330,24 @@ def direct_T(f: IndFunction) -> IndFunction:
     normalization; works on either branch.  Test oracle for apply_T."""
     p, r = f.p, f.r
     table = teich_table(p, f.precision)
-    out = f._empty()
+    pairs = []
     for coset, poly in f.data.items():
         g = coset_matrix(coset, p, f.precision)
         for lam in range(p):
             t = table.rep[lam]
             h = (p, t, 0, 1)
             transformed = _substitute_poly(poly, (1, -t, 0, p), r, p, f.precision)
-            c2, poly2 = normalize_pair(_mat_mul(g, h), transformed, p, r, f.precision)
-            out.add_term(c2, poly2)
+            pairs.append(normalize_pair(_mat_mul(g, h), transformed, p, r, f.precision))
         transformed = _substitute_poly(poly, (p, 0, 0, 1), r, p, f.precision)
-        c2, poly2 = normalize_pair(_mat_mul(g, (1, 0, 0, p)), transformed, p, r, f.precision)
-        out.add_term(c2, poly2)
-    return out.prune()
+        pairs.append(normalize_pair(_mat_mul(g, (1, 0, 0, p)), transformed, p, r, f.precision))
+    return exact_sum(f._empty(), ((c2, j, c) for c2, poly2 in pairs for j, c in poly2.items()))
+
+
+def _times(c: ApCoeff, u: int, m: int, rel=INF) -> ApCoeff:
+    """c * u * p^m, the unit u known to relative precision rel."""
+    out = ApCoeff({}, c.p)
+    c._mul_into(out, u, m, rel)
+    return out
 
 
 def apply_Tplus_by_terms(f: IndFunction) -> IndFunction:
@@ -307,23 +356,22 @@ def apply_Tplus_by_terms(f: IndFunction) -> IndFunction:
     [lam]^(i-j), the unit known to the table's relative precision off the
     diagonal, with the same cap cut as ``hecke.apply_Tplus``.  Oracle for
     its grouping by residue class, which must give the same (n, k, err)."""
-    p, table, out = f.p, teich_table(f.p, f.precision), f._empty()
-    for coset, poly in f.data.items():
-        rows = [(i, c, _binom_units(i, p, min(i, f.cap - 1 - _floor_val(c))))
-                for i, c in poly.items()]
-        for lam in range(p):
-            child = out.data.setdefault(Coset(0, coset.level + 1, coset.digits + (lam,)), {})
-            for i, c, row in rows:
-                for j, (u, v) in enumerate(row):
-                    if i != j and not lam:
-                        continue
-                    acc = child.setdefault(j, ApCoeff({}, p))
-                    if i == j:
-                        c._mul_into(acc, u, v + j)
-                    else:
-                        unit = (-1) ** (i - j) * table.power(lam, i - j)
-                        c._mul_into(acc, u * unit, v + j, table.precision)
-    return out.prune()
+    p, table = f.p, teich_table(f.p, f.precision)
+
+    def products():
+        for coset, poly in f.data.items():
+            rows = [(i, c, _binom_units(i, p, min(i, f.cap - 1 - _floor_val(c))))
+                    for i, c in poly.items()]
+            for lam in range(p):
+                child = Coset(0, coset.level + 1, coset.digits + (lam,))
+                for i, c, row in rows:
+                    for j, (u, v) in enumerate(row):
+                        if i == j:
+                            yield child, j, _times(c, u, v + j)
+                        elif lam:
+                            unit = (-1) ** (i - j) * table.power(lam, i - j)
+                            yield child, j, _times(c, u * unit, v + j, table.precision)
+    return exact_sum(f._empty(), products())
 
 
 def apply_Tminus_by_terms(f: IndFunction) -> IndFunction:
@@ -334,40 +382,30 @@ def apply_Tminus_by_terms(f: IndFunction) -> IndFunction:
     ``hecke.apply_Tminus`` by parent and residue class, which must give the
     same (n, k, err), key order and cap."""
     p, r = f.p, f.r
-    table, out, binoms = teich_table(p, f.precision), f._empty(), {}
-    for coset, poly in f.data.items():
-        n, digits = coset.level, coset.digits
-        parent, t = (ALPHA, 0) if n == 0 else (Coset(0, n - 1, digits[:-1]), digits[-1])
-        rows = []
-        for i, c in poly.items():
-            if _floor_val(c) + r - i < f.cap:
+    table, binoms = teich_table(p, f.precision), {}
+
+    def products():
+        for coset, poly in f.data.items():
+            n, digits = coset.level, coset.digits
+            parent, t = (ALPHA, 0) if n == 0 else (Coset(0, n - 1, digits[:-1]), digits[-1])
+            powers = table.signed_powers(t, 1)
+            for i, c in poly.items():
+                if _floor_val(c) + r - i >= f.cap:
+                    continue
                 if i not in binoms:
                     binoms[i] = _binom_units(i, p, i)
-                rows.append((i, c, binoms[i]))
-        if not rows:
-            continue
-        acc_poly, powers = out.data.setdefault(parent, {}), table.signed_powers(t, 1)
-        for i, c, row in rows:
-            for j, (u, v) in enumerate(row):
-                if i != j and not t:
-                    continue
-                acc = acc_poly.setdefault(j, ApCoeff({}, p))
-                if i == j:
-                    c._mul_into(acc, u, r - i + v)
-                else:  # [t]^(i-j), by i-j mod p-1
-                    c._mul_into(acc, u * powers[(i - j) % (p - 1)], r - i + v, table.precision)
-    return out.prune()
+                for j, (u, v) in enumerate(binoms[i]):
+                    if i == j:
+                        yield parent, j, _times(c, u, r - i + v)
+                    elif t:  # [t]^(i-j), by i-j mod p-1
+                        yield parent, j, _times(c, u * powers[(i - j) % (p - 1)], r - i + v,
+                                                table.precision)
+    return exact_sum(f._empty(), products())
 
 
 def ind_sum(f: IndFunction, g: IndFunction) -> IndFunction:
-    """f + g on a copy of f, at the smaller cap: each coefficient of g is
-    accumulated, then the exact zeros and the cosets left empty are pruned."""
-    out = f._empty(min(f.cap, g.cap))
-    out.data = {c: dict(poly) for c, poly in f.data.items()}
-    for coset, poly in g.data.items():
-        for j, c in poly.items():
-            out.accumulate(coset, j, c)
-    return out.prune()
+    """f + g on a copy of f, at the smaller cap, every term kept."""
+    return exact_sum(f, terms_of(g), min(f.cap, g.cap))
 
 
 def ind_difference(f: IndFunction, g: IndFunction) -> IndFunction:
@@ -375,8 +413,8 @@ def ind_difference(f: IndFunction, g: IndFunction) -> IndFunction:
 
 
 def t_minus_ap_by_parts(f: IndFunction) -> IndFunction:
-    """(T+ f + T- f) - A f composed of whole functions, each sum on a copy,
-    pruned and cut at the cap: the oracle of ``hecke.t_minus_ap``, which
+    """(T+ f + T- f) - A f composed of whole functions, each sum on a copy
+    and cut at the cap: the oracle of ``hecke.t_minus_ap``, which
     adds the parts into T+ f in place and must store the same terms, key
     order and cap."""
     both = cut_past_cap(ind_sum(apply_Tplus(f), apply_Tminus(f)))
@@ -424,10 +462,18 @@ def same_below_cap(got: IndFunction, want: IndFunction) -> bool:
     return count(cut) == count(got) and same_terms(cut, cut_past_cap(want))
 
 
+def dense_classes(q: QuotientModule, vecs) -> np.ndarray:
+    """Classes of ambient degree-r coefficient vectors (rows) in the
+    coordinates of the terminal quotient q, read off their classes modulo
+    theta^2 as whole (r+1)-long rows: the dense lookup that q's
+    ``project_entries`` and ``witness.QEnv.cls`` read by monomial index."""
+    return q.project_coords(theta_classes(linalg.as_vec(vecs, q.p), q.p, 2))
+
+
 def project_dense(g: IndFunction, sigma: Fraction, env) -> ResidueFunction:
     """The residue of g as dense (r+1)-vectors, each projected into the
-    terminal quotient of ``env`` (a ``witness.QEnv``)."""
-    return reduce_mod_p(g, sigma).map_vectors(env.cls)
+    terminal quotient of ``env`` (a ``witness.QEnv``) by ``dense_classes``."""
+    return reduce_mod_p(g, sigma).map_vectors(lambda rows: dense_classes(env.module, rows))
 
 
 def audit_reading(g: IndFunction, sigma: Fraction, env):
@@ -448,12 +494,9 @@ def audit_reading(g: IndFunction, sigma: Fraction, env):
 
 def translate(k_mat, f: IndFunction) -> IndFunction:
     """Left translation of f by an integral matrix of unit determinant."""
-    out = f._empty()
-    for coset, poly in f.data.items():
-        g = coset_matrix(coset, f.p, f.precision)
-        c2, poly2 = normalize_pair(_mat_mul(k_mat, g), poly, f.p, f.r, f.precision)
-        out.add_term(c2, poly2)
-    return out.prune()
+    pairs = (normalize_pair(_mat_mul(k_mat, coset_matrix(coset, f.p, f.precision)), poly,
+                            f.p, f.r, f.precision) for coset, poly in f.data.items())
+    return exact_sum(f._empty(), ((c2, j, c) for c2, poly2 in pairs for j, c in poly2.items()))
 
 
 def functions_agree(f: IndFunction, g: IndFunction, sigma: Fraction, min_val=3) -> bool:

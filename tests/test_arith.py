@@ -359,7 +359,7 @@ class TestApCoeffProperties:
     def test_scaling_shifts_valuation(self, data, k, d):
         sig = Fraction(4, 3)
         a = self._random_coeff(data)
-        if a.is_exact_zero():
+        if not a.terms:
             return
         scaled = a.scale(Fraction(5) ** k).shift(d)
         assert scaled.val_lb(sig, 5) == a.val_lb(sig, 5) + k + d * sig
@@ -433,7 +433,7 @@ class TestApCoeffAgainstFractions:
         c = ApCoeff(data.draw(coeff_terms(p)), p)
         for sigma in (Fraction(5, 4), Fraction(4, 3), Fraction(3, 2), Fraction(7, 4)):
             bound = c.audit_terms(sigma)[0]
-            if c.is_exact_zero():
+            if not c.terms:
                 assert bound == arith.INF and c.val_lb(sigma, p) == arith.INF
                 continue
             assert isinstance(bound, int)
@@ -442,7 +442,7 @@ class TestApCoeffAgainstFractions:
 
     def test_scale_by_zero_and_unit_ladder(self):
         c = ApCoeff.rational(Fraction(2, 25), 1, p=5)
-        assert c.scale(0).is_exact_zero()
+        assert not c.scale(0).terms
         # n * p^k with p not dividing n after a sum of equal exponents
         s = c + ApCoeff.rational(Fraction(3, 25), 1, p=5)
         assert s.terms == {1: (1, -1, arith.INF)}
@@ -510,11 +510,12 @@ class TestDegreeSweep:
                 assert arith.class_sum_table(r, p, 3) == tab, (p, r)
             assert r == LEMMA_R_MAX
 
-    @pytest.mark.parametrize("p", [509, 521, 1009, 1447, 1451])
+    @pytest.mark.parametrize("p", [509, 521, 1009, 1447, 1451, 1621, 1627])
     def test_tables_across_the_int64_bound(self, p):
-        # 1447 is the last prime with p^6 < 2^63, where the products of the
-        # sweep stay in int64, and 1451 the first on Python ints; 509, 521
-        # and 1009 straddled the bound of the former circulant sweep
+        # 1621 is the last prime with p^6 < 2^64, where the products of the
+        # sweep stay in uint64, and 1627 the first on Python ints; 1447 and
+        # 1451 straddled the int64 bound of the former sweep, and 509, 521
+        # and 1009 that of the circulant sweep before it
         sweep = arith._diagonal_class_sums(LEMMA_R_MAX, p, 3)
         assert sweep.shape == (LEMMA_R_MAX + 1, 2)
         for r in [0, 1, LEMMA_R_MAX] + random.Random(p).sample(range(2, LEMMA_R_MAX), 25):

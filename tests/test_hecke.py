@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crysred.arith import PRECISION_HEADROOM, ApCoeff, ResidueExpr, padic_val
+from crysred.arith import INF, PRECISION_HEADROOM, ApCoeff, ResidueExpr, padic_val
 from crysred.hecke import (
     ALPHA,
     Coset,
@@ -36,6 +36,7 @@ from reference import (
     certify_val_ge,
     direct_T,
     elementary,
+    exact_sum,
     functions_agree,
     ind_difference,
     ind_sum,
@@ -44,6 +45,7 @@ from reference import (
     precision_margin,
     project_dense,
     same_below_cap,
+    same_terms,
     t_minus_ap_by_parts,
     t_minus_ap_uncut,
     translate,
@@ -88,7 +90,32 @@ class TestBasics:
     def test_coefficient_at_another_prime_is_refused(self):
         f = elementary(5, 11, IDENTITY, {0: ONE})
         with pytest.raises(ValueError):
-            f.accumulate(IDENTITY, 1, ApCoeff.rational(1, p=7))
+            f.add_term(IDENTITY, {2: ONE, 1: ApCoeff.rational(1, p=7)})
+        # checked before any term is summed
+        assert list(f.data[IDENTITY]) == [0]
+
+    def test_cancelled_index_leaves_no_key(self):
+        # add_term sums as the operators do: an index that cancels, and a
+        # coset left without one, leave no key for T+ and T- to meet
+        f, want = IndFunction(5, 11), elementary(5, 11, IDENTITY, {4: ONE})
+        f.add_term(IDENTITY, {3: ONE})
+        f.add_term(IDENTITY, {3: ONE.scale(-1), 4: ONE})
+        assert same_terms(apply_T(f), apply_T(want))
+        assert same_terms(t_minus_ap(f), t_minus_ap(want))
+        assert list(f.data[IDENTITY]) == [4]
+        f.add_term(IDENTITY, {4: ONE.scale(-1)})
+        assert f.data == {}
+
+    def test_term_past_the_cap_is_not_stored(self):
+        # at cap 3 the term 5^3 is past it, 5^2 A^-1 (valuation >= 0) is
+        # not; a polynomial added at several cosets is copied, not shared
+        f, poly = IndFunction(5, 11, 3), {0: ApCoeff.rational(125, p=5),
+                                          1: ApCoeff.rational(25, -1, p=5)}
+        for t in range(2):
+            f.add_term(g0(1, (t,)), poly)
+        assert [list(f.data[g0(1, (t,))]) for t in range(2)] == [[1], [1]]
+        f.add_term(g0(1, (0,)), {1: ApCoeff.rational(-25, -1, p=5)})
+        assert list(f.data) == [g0(1, (1,))] and 0 in poly and poly[1].terms == {-1: (1, 2, INF)}
 
 
 class TestAgainstDirectFormula:
@@ -100,10 +127,10 @@ class TestAgainstDirectFormula:
             r = int(rng.integers(2 * p + 2, 60))
             m = int(rng.integers(0, 3))
             digs = tuple(int(x) for x in rng.integers(0, p, m))
-            f = IndFunction(p, r)
-            for _ in range(int(rng.integers(1, 4))):
-                f.accumulate(g0(m, digs), int(rng.integers(0, r + 1)),
-                             ApCoeff.rational(int(rng.integers(1, p)), p=p))
+            f = exact_sum(IndFunction(p, r), [
+                (g0(m, digs), int(rng.integers(0, r + 1)),
+                 ApCoeff.rational(int(rng.integers(1, p)), p=p))
+                for _ in range(int(rng.integers(1, 4)))])
             assert functions_agree(apply_T(f), direct_T(f), sig, min_val=4)
 
     def test_equivariance_random(self):
@@ -257,7 +284,7 @@ def witness_shaped(draw):
     p = draw(st.sampled_from([3, 5, 7]))
     r = draw(st.integers(2 * p + 2, 40))
     table = teich_table(p, WIDE_PRECISION)
-    f = IndFunction(p, r, WIDE_PRECISION)
+    items = []
     for _ in range(draw(st.integers(1, 3))):
         m = draw(st.integers(0, 2))
         coset = g0(m, tuple(draw(st.lists(st.integers(0, p - 1), min_size=m, max_size=m))))
@@ -271,8 +298,8 @@ def witness_shaped(draw):
                     lam, k = draw(st.integers(1, p - 1)), draw(st.integers(1, p - 1))
                     term = term.scale_trunc(table.power(lam, k), WIDE_PRECISION)
                 c = c + term
-            f.accumulate(coset, draw(st.integers(0, r)), c)
-    f.prune()
+            items.append((coset, draw(st.integers(0, r)), c))
+    f = exact_sum(IndFunction(p, r, WIDE_PRECISION), items)
     f.cap = draw(st.integers(1 + PRECISION_HEADROOM, 10))
     return f
 
@@ -284,10 +311,11 @@ def raising_inputs(draw):
     Teichmuller precision."""
     f = draw(witness_shaped())
     # drawn terms can cancel and leave f empty: then add at the root coset
-    p, cosets = f.p, sorted(f.data) or [g0(0, ())]
+    p, cosets, items = f.p, sorted(f.data) or [g0(0, ())], []
     for _ in range(draw(st.integers(0, 2))):
         loose = ApCoeff({draw(st.integers(-2, 2)): (0, draw(st.integers(0, 6)))}, p)
-        f.accumulate(draw(st.sampled_from(cosets)), draw(st.integers(0, f.r)), loose)
+        items.append((draw(st.sampled_from(cosets)), draw(st.integers(0, f.r)), loose))
+    f = exact_sum(f, items)
     if draw(st.booleans()):
         f.precision = 8
     return f
@@ -328,7 +356,7 @@ def lowering_inputs(draw):
     f = draw(raising_inputs())
     p, table = f.p, teich_table(f.p, f.precision)
     base = draw(st.sampled_from(sorted(f.data) or [g0(0, ())]), label="base")
-    digits = base.digits[:-1] if base.level else ()
+    digits, items = base.digits[:-1] if base.level else (), []
     for t in draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=p, unique=True)):
         for _ in range(draw(st.integers(1, 3))):
             num = draw(st.integers(-p * p, p * p).filter(bool))
@@ -336,8 +364,8 @@ def lowering_inputs(draw):
                                  draw(st.integers(-2, 2)), p=p)
             if draw(st.booleans()):
                 c = c.scale_trunc(table.power(draw(st.integers(1, p - 1)), 1), f.precision)
-            f.accumulate(g0(len(digits) + 1, digits + (t,)), draw(st.integers(0, f.r)), c)
-    return f.prune()
+            items.append((g0(len(digits) + 1, digits + (t,)), draw(st.integers(0, f.r)), c))
+    return exact_sum(f, items)
 
 
 class TestGroupedLowering:
@@ -513,14 +541,14 @@ def integral_inputs(draw):
     """Exact coefficients n p^k A^d with k, d >= 0 at cosets of levels 0..2,
     so that (T - A)f is integral and its residue is read."""
     p = draw(st.sampled_from([3, 5, 7]))
-    f = IndFunction(p, draw(st.integers(2 * p + 2, 40)))
+    f, items = IndFunction(p, draw(st.integers(2 * p + 2, 40))), []
     for _ in range(draw(st.integers(1, 6))):
         m = draw(st.integers(0, 2))
         coset = g0(m, tuple(draw(st.lists(st.integers(0, p - 1), min_size=m, max_size=m))))
         num = draw(st.integers(-p * p, p * p).filter(bool)) * p ** draw(st.integers(0, 3))
-        f.accumulate(coset, draw(st.integers(0, f.r)),
-                     ApCoeff.rational(num, draw(st.integers(0, 2)), p=p))
-    return f.prune()
+        items.append((coset, draw(st.integers(0, f.r)),
+                      ApCoeff.rational(num, draw(st.integers(0, 2)), p=p)))
+    return exact_sum(f, items)
 
 
 @st.composite
@@ -647,7 +675,7 @@ def audit_inputs(draw):
     """Functions at p = 5, r = 11 whose coefficients mix exact and truncated
     terms, inserted in a drawn (unsorted) order, so bounds below 0, ties
     and truncated terms within the headroom all occur, alone and together."""
-    f = IndFunction(5, 11, precision=8)
+    items = []
     for _ in range(draw(st.integers(1, 5))):
         terms = {}
         for _ in range(draw(st.integers(1, 2))):
@@ -656,10 +684,10 @@ def audit_inputs(draw):
             den = 5 ** draw(st.sampled_from([0, 0, 0, 0, 0, 0, 1, 2]))
             err = draw(st.one_of(st.just(math.inf), st.integers(0, 6)))
             terms[d] = (Fraction(num, den), err)
-        f.accumulate(draw(st.sampled_from(AUDIT_COSETS)), draw(st.integers(0, 11)),
-                     ApCoeff(terms, 5))
+        items.append((draw(st.sampled_from(AUDIT_COSETS)), draw(st.integers(0, 11)),
+                      ApCoeff(terms, 5)))
     sigma = draw(st.sampled_from([Fraction(5, 4), Fraction(4, 3), Fraction(3, 2)]))
-    return f, sigma
+    return exact_sum(IndFunction(5, 11, precision=8), items), sigma
 
 
 class TestSinglePassAudit:
@@ -667,10 +695,8 @@ class TestSinglePassAudit:
     SIG = Fraction(3, 2)
 
     def _function(self, *coeffs):
-        f = IndFunction(5, 11, precision=8)
-        for j, (coset, c) in enumerate(coeffs):
-            f.accumulate(coset, j, c)
-        return f
+        return exact_sum(IndFunction(5, 11, precision=8),
+                         [(coset, j, c) for j, (coset, c) in enumerate(coeffs)])
 
     def test_negative_bound_wins_over_headroom(self):
         f = self._function((g0(1, (3,)), self.SHORT),

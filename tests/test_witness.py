@@ -4,9 +4,10 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from crysred import arith, hecke, witness
+from crysred import arith, hecke, symrep, witness
 from crysred.arith import inv_mod, padic_val
 from crysred.classify import case_descriptor, predict_Q_structure, surviving_factor
 from crysred.errors import DomainError, HypothesisError
@@ -28,6 +29,8 @@ from reference import (
     apply_Tplus_by_terms,
     audit_reading,
     corrected_family,
+    dense_classes,
+    exact_sum,
     family_holds,
     precision_margin,
     project_dense,
@@ -384,6 +387,72 @@ class TestCutAgainstUncut:
         audit = audit_valuations(hecke.IndFunction(5, 19), Fraction(5, 4))
         assert residue_terms(audit) == {} and audit.min_valuation == math.inf
         assert _residue_in_Q(QEnv(5, 19), residue_terms(audit)) == ResidueFunction(5)
+
+
+class TestClassesByIndex:
+    """``QEnv.cls`` and ``QEnv.cls_theta`` read each monomial's class in Q by
+    its index, and Q's w matrix and image of V* are read by index too; the
+    dense lookup through whole (r+1)-long rows (``reference.dense_classes``,
+    and ``symrep.theta_classes`` on unit rows) must give the same."""
+
+    @staticmethod
+    def _check(p, r, monkeypatch):
+        # the multiples and monomials the checks name, and a seeded sample
+        env, n, rng, d = QEnv(p, r), r + 1, random.Random(r), case_descriptor(p, r)
+        ms = sorted({0, 1, p - 2, d.b - 2, r - p - 1, *rng.sample(range(r - p), min(r - p, 12))})
+        js = sorted({0, 1, 2, d.a, r - 1, r, *rng.sample(range(n), min(n, 12))})
+        theta = np.zeros((len(ms), n), dtype=np.int64)
+        theta[np.arange(len(ms)), np.add(ms, 1)] = 1
+        theta[np.arange(len(ms)), np.add(ms, p)] = p - 1
+        assert np.array_equal([env.cls_theta(m) for m in ms], dense_classes(env.module, theta))
+        units = np.equal.outer(js, np.arange(n)).astype(np.int64)
+        assert np.array_equal([env.cls({j: 1}) for j in js], dense_classes(env.module, units))
+        with pytest.raises(ValueError):
+            env.cls_theta(r - p)
+        with monkeypatch.context() as m:
+            m.setattr(symrep, "theta_index_classes", lambda idx, p, r, k: symrep.theta_classes(
+                np.equal.outer(idx, np.arange(r + 1)).astype(np.int64), p, k))
+            dense = symrep.quotient_Q(p, r)
+        assert all(np.array_equal(env.module.mats[g], dense.mats[g]) for g in symrep.GEN_NAMES)
+        assert env.star == dense.star_image()
+        return env
+
+    def test_tier1_grid(self, monkeypatch):
+        for p in (3, 5, 7, 11):
+            for r in range(2 * p + 1, 3 * p * p + 1):
+                env = self._check(p, r, monkeypatch)
+                # every monomial in one batch, by the index rule that cls reads
+                every = np.arange(r + 1)
+                got = env.module.project_entries(every, every, np.ones(r + 1, np.int64), r + 1)
+                assert np.array_equal(got, dense_classes(env.module, np.eye(r + 1))), (p, r)
+
+    @pytest.mark.parametrize("p, r", [(7, 10_003), (17, 4_641), (101, 5_000)])
+    def test_large_degrees(self, p, r, monkeypatch):
+        self._check(p, r, monkeypatch)
+
+
+class TestBuildersAtTheCap:
+    """The builders sum through ``IndFunction.add_term``, which stores no
+    term past the cap; built with every term kept (``reference.exact_sum``),
+    each witness of the benchmark pool and of the large audits has the same
+    form at the cap, (T - A)f too, and its audit reads the same."""
+
+    def test_pool_and_large_witnesses(self, monkeypatch):
+        items = _pool_witness_items()
+        assert items
+        built = {tuple(args): build_witness(case(*args))
+                 for args in items + [row[:5] for row in LARGE_AUDITS]}
+
+        def add_exact(f, coset, terms):
+            f.data = exact_sum(f, ((coset, j, c) for j, c in terms.items())).data
+
+        monkeypatch.setattr(hecke.IndFunction, "add_term", add_exact)
+        for args, f in built.items():
+            c = case(*args)
+            exact = build_witness(c)
+            g, g_exact, env = t_minus_ap(f), t_minus_ap(exact), QEnv(c.p, c.r)
+            assert same_below_cap(f, exact) and same_below_cap(g, g_exact), args
+            assert audit_reading(g, c.sigma, env) == audit_reading(g_exact, c.sigma, env), args
 
 
 def _plus_kernel(fam, r, p, level, unit, zero, target, rng):
