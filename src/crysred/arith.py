@@ -2,14 +2,17 @@
 
 Everything is exact integer / rational arithmetic; no floats.  The module
 provides base-p digit sums, the class sums of binomial coefficients, read
-off one character sum over the Teichmuller lifts by the witness audit, the
-families and the lemma sweep (all degrees at once, in numpy), Teichmuller
-lifts at finite precision, the structured integer families (``choose_*``)
-consumed by the witness builder, and the Hecke coefficients ``ApCoeff`` with
-their residues ``ResidueExpr``.  Every ``choose_*`` constructor certifies
-its congruences from class sums and builds its binomial row only when read.
-The big-integer class sums, the walk along a binomial row and the families
-built on binomial rows are test oracles in ``tests/reference.py``.
+off one character sum over the Teichmuller lifts (one kernel,
+``_step_class_sums``, for any batch of degrees: the witness audit, the
+``choose_*`` families and the ``verify-lemmas`` batch of them; the lemma
+sweep fills its dense range of degrees by doubling), Teichmuller lifts at
+finite precision, the structured integer families (``choose_*``) consumed by
+the witness builder, and the Hecke coefficients ``ApCoeff`` with their
+residues ``ResidueExpr``.  Every ``choose_*`` constructor certifies its
+congruences from class sums and builds its binomial row only when read.
+The class sums of one class by p-1 modular powers, the big-integer class
+sums, the walk along a binomial row and the families built on binomial rows
+are test oracles in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -97,42 +101,76 @@ def _class_range(lo: int, hi: int, residue: int, mod: int):
     return range(start, hi, mod)
 
 
-def _class_sums(N: int, c: int, p: int, k: int, count: int = 1) -> list[int]:
-    """T(N - n, c - n) mod p^k for n < count <= N + 1, T(N, c) the sum of
-    binom(N, i) over i = c (mod p-1).  (p-1) T(N, c) is the sum of
-    zeta^(-c) (1 + zeta)^N over zeta in mu_(p-1), exactly mod p^k for the
-    Teichmuller lifts: one power per zeta, then steps by zeta^(-1) (1 + zeta)."""
-    pk, tt = p**k, teich_table(p, k)
-    out = [0] * count
-    for x, step in enumerate(tt.steps, 1):
-        t = tt.rep[pow(x, (count - 1 - c) % (p - 1), p)] * pow(1 + tt.rep[x], N - count + 1, pk)
-        for n in reversed(range(count)):
-            out[n] += t
-            t = t * step % pk
-    inv = inv_mod(p - 1, pk)
-    return [s * inv % pk for s in out]
+def _mod_dtype(p: int, k: int):
+    """uint64 while a product of two residues mod p^k stays below 2^64
+    (p^(2k) < 2^64: p <= 1621 at k = 3, p <= 251 at k = 4), else Python
+    ints (dtype object)."""
+    return np.uint64 if p ** (2 * k) < 2**64 else object
+
+
+#: entries of one (degrees x lifts) block of ``_step_class_sums``
+_BLOCK = 1 << 16
+
+
+def _step_class_sums(N, s, p: int, k: int, count: int = 1) -> list[list[int]]:
+    """T(N - n, N - s - n) mod p^k for n < count at every pair (N, s) of the
+    sequences N and s, one row per pair; T(N, c) is the sum of binom(N, i)
+    over i = c (mod p-1).
+
+    (p-1) T(N, N-s) is the sum of zeta^s step^N over zeta in mu_(p-1), step
+    = zeta^(-1) (1 + zeta), exactly mod p^k for the Teichmuller lifts.  The
+    powers step^(N-count+1) are read off ``TeichTable.step_digits``, one
+    base-64 digit of the exponent at a time, and times step^i, i < count,
+    off its first level give the lower n.  Products stay below p^(2k), in
+    the dtype of ``_mod_dtype``.  The pairs go through in blocks of about
+    ``_BLOCK`` entries, so memory is bounded whatever their number.
+    ValueError when N < count-1 (step is 0 at zeta = -1, so no lower power
+    exists)."""
+    N, s = list(N), list(s)
+    if N and min(N) < count - 1:
+        raise ValueError(f"class sums T(N - n, .) for n < {count} need N >= {count - 1}; "
+                         f"got N = {min(N)}")
+    pk, tt, dtype = p**k, teich_table(p, k), _mod_dtype(p, k)
+    # zeta^s / (p-1), one row per class of s
+    classes, inv = sorted({e % (p - 1) for e in s}), inv_mod(p - 1, pk)
+    lifts = np.array([[tt.power(x, e) * inv % pk for x in range(1, p)] for e in classes], dtype)
+    at = {e: i for i, e in enumerate(classes)}
+    rows, out = max(1, _BLOCK // ((p - 1) * min(count, 64))), []
+    for lo in range(0, len(N), rows):
+        e = [n - count + 1 for n in N[lo:lo + rows]]
+        t = lifts[[at[x % (p - 1)] for x in s[lo:lo + rows]]]
+        for level in range((max(e).bit_length() + 5) // 6):  # times step^(d 64^level)
+            t = t * tt.step_digits(level)[[x >> 6 * level & 63 for x in e]] % pk
+        sums = []  # t step^i for i < count, 64 at a time off the rows of digit level 0
+        for i in range(0, count, 64):
+            if i:
+                t = t * tt.step_digits(1)[1] % pk
+            sums.append((t[:, None, :] * tt.step_digits(0)[:count - i] % pk).sum(axis=2))
+        out.append(np.concatenate(sums, axis=1)[:, ::-1] % pk)  # column n: i = count-1-n
+    return [row for block in out for row in block.tolist()]
 
 
 def class_sum_S(r: int, a: int, p: int) -> tuple[int, int]:
     """(S mod p, (S/p) mod p) for S = sum of binom(r,j), 0 < j < r, j = a (mod p-1).
 
     The first component is always 0, and the second equals (a-r)/a mod p.
-    S is T(r, a) (``_class_sums``) less j = r, and j = 0 when a = p-1.
+    S is T(r, a) (``_step_class_sums`` at s = 0) less j = r, and j = 0 when
+    a = p-1.
     """
     require_odd_prime(p)
     if not (1 <= a <= p - 1) or r <= 0 or (r - a) % (p - 1):
         raise HypothesisError(f"need r = a (mod p-1) with 1 <= a <= p-1; got r={r}, a={a}")
-    S = (_class_sums(r, a, p, 2)[0] - 1 - (a == p - 1)) % (p * p)
+    S = (_step_class_sums([r], [0], p, 2)[0][0] - 1 - (a == p - 1)) % (p * p)
     if S % p:
         raise ArithmeticError(f"class sum not divisible by p: r={r}, a={a}, p={p}")
     return (0, S // p)
 
 
 def class_sum_table(r: int, p: int, k: int = 3) -> list[int]:
-    """T(r, c) mod p^k for c = 0..p-2, T as in ``_class_sums``: the sum of
-    binom(r, j), 0 <= j <= r, over j = c (mod p-1), in (p-1)^2 powers at any r."""
+    """T(r, c) mod p^k for c = 0..p-2, T as in ``_step_class_sums``: the sum
+    of binom(r, j), 0 <= j <= r, over j = c (mod p-1), one degree at s = r - c."""
     require_odd_prime(p)
-    return [_class_sums(r, c, p, k)[0] for c in range(p - 1)]
+    return [row[0] for row in _step_class_sums([r] * (p - 1), [r - c for c in range(p - 1)], p, k)]
 
 
 def _diagonal_class_sums(r_to: int, p: int, k: int) -> np.ndarray:
@@ -140,10 +178,9 @@ def _diagonal_class_sums(r_to: int, p: int, k: int) -> np.ndarray:
 
     (p-1) T(r, r-s) is the sum of zeta^s step^r over zeta, step = zeta^(-1)
     (1 + zeta).  step^r fills a table by doubling, 64 lifts at a time so that
-    memory is O(r_to).  Products stay below p^(2k): uint64 while
-    p^(2k) < 2^64 (p <= 1621 at k = 3), else Python ints (dtype object)."""
-    pk, tt = p**k, teich_table(p, k)
-    dtype = np.uint64 if p ** (2 * k) < 2**64 else object
+    memory is O(r_to).  Products stay below p^(2k), in the dtype of
+    ``_mod_dtype``."""
+    pk, tt, dtype = p**k, teich_table(p, k), _mod_dtype(p, k)
     sums = np.zeros((r_to + 1, 2), dtype)
     for lo in range(0, p - 1, 64):
         step, zeta = (np.array(x[lo:lo + 64], dtype) for x in (tt.steps, tt.rep[1:]))
@@ -229,6 +266,24 @@ class TeichTable:
         # zeta^(-1) (1 + zeta) at zeta = [x], index x-1: T(N, c) to T(N+1, c+1)
         self.steps = [self.rep[pow(x, -1, p)] * (1 + self.rep[x]) % p**precision
                       for x in range(1, p)]
+        self._digits: list[np.ndarray] = []
+
+    def step_digits(self, level: int) -> np.ndarray:
+        """The 64 x (p-1) array of step^(d 64^level) mod p^precision, digit d
+        by row and the lifts in the order of ``steps`` by column, in the
+        dtype of ``_mod_dtype``; each level is built on its first read."""
+        pk = self.p**self.precision
+        while len(self._digits) <= level:
+            if self._digits:  # step^(64^L) = step^(63 64^(L-1)) step^(64^(L-1))
+                base = self._digits[-1][63] * self._digits[-1][1] % pk
+            else:
+                base = np.array(self.steps, _mod_dtype(self.p, self.precision))
+            rows, L = np.empty((64, self.p - 1), base.dtype), 1
+            rows[0] = 1
+            while L < 64:  # rows L..2L-1 are rows 0..L-1 times base^L
+                rows[L:2 * L], base, L = rows[:L] * base % pk, base * base % pk, 2 * L
+            self._digits.append(rows)
+        return self._digits[level]
 
     def power(self, c: int, k: int) -> int:
         """[c]^k, using multiplicativity (so the result is again a table entry)."""
@@ -301,17 +356,30 @@ class _Family(Mapping):
         return len(self._js)
 
 
-def _class_weights(r: int, js, p: int, k: int) -> list[int]:
-    """sum_(j in js) binom(j, n) binom(r, j) mod p^k for n < k, js consecutive
-    members of a class c mod p-1: binom(r, n) T(r-n, c-n), as binom(j, n)
-    binom(r, j) = binom(r, n) binom(r-n, j-n), less the members outside js."""
-    if not js:
-        return [0] * k
-    c = js[0] % (p - 1)
-    W = [math.comb(r, n) * t for n, t in enumerate(_class_sums(r, c, p, k, k))]
+class _Spec(NamedTuple):
+    """A family to certify at level L = ``level``: binom(r, j) on the class
+    ``js`` plus multiples of p^L at a unit index (p not dividing it, or None)
+    and a zero index (p dividing it), or the zero family when ``zero`` is
+    None; ``target`` is its binom(j, L+1)-weighted sum mod p."""
+    name: str
+    r: int
+    js: range
+    level: int
+    unit: int | None
+    zero: int | None
+    target: int = 0
+
+
+def _class_weights(r: int, js, p: int, T: list[int]) -> list[int]:
+    """sum_(j in js) binom(j, n) binom(r, j) mod p^k for n < k = len(T), js
+    consecutive members of a class c mod p-1 and T[n] = T(r-n, c-n) mod p^k:
+    binom(r, n) T[n], as binom(j, n) binom(r, j) = binom(r, n) binom(r-n,
+    j-n), less the members outside js."""
+    c, W = js[0] % (p - 1), [math.comb(r, n) * t for n, t in enumerate(T)]
     for m in (*_class_range(0, js[0], c, p - 1), *_class_range(js[-1] + 1, r + 1, c, p - 1)):
-        W = [w - math.comb(m, n) * math.comb(r, m) for n, w in enumerate(W)]
-    return [w % p**k for w in W]
+        b = math.comb(r, m)
+        W = [w - math.comb(m, n) * b for n, w in enumerate(W)]
+    return [w % p ** len(T) for w in W]
 
 
 def _certify(name: str, W: list[int], delta: dict[int, int], p: int, level: int,
@@ -321,26 +389,31 @@ def _certify(name: str, W: list[int], delta: dict[int, int], p: int, level: int,
     fam[j] = binom(r, j) mod p^L, and sum_j binom(j, n) fam[j] vanishes mod
     p^(L+2-n) for n <= L and is ``target`` mod p at n = L+1."""
     failed = [f"matches_binom_mod_p{level}"] if any(d % p**level for d in delta.values()) else []
-    for n, w in enumerate(W):
-        total = w + sum(math.comb(j, n) * d for j, d in delta.items())
+    for n, total in enumerate(W):
+        for j, d in delta.items():
+            total += math.comb(j, n) * d
         if (total - (target if n == level + 1 else 0)) % p ** (level + 2 - n):
             failed.append(f"choose{n}_sum_mod_p{level + 2 - n}")
     if failed:
         raise ArithmeticError(f"{name} family failed checks: {', '.join(failed)}")
 
 
-def _corrected_family(name: str, r: int, js, p: int, level: int, unit: int | None,
-                      zero: int, target: int = 0) -> _Family:
-    """binom(r, j) on the class js plus multiples of p^L (L = ``level``) at a
-    unit index (p not dividing it, or None) and a zero index (p dividing it),
-    certified; empty on an empty class.  A multiple of p^L moves only the
-    plain sum (mod p^(L+2)) and the j-weighted one (mod p^(L+1)): the unit
-    index clears the weighted sum, then the zero index takes the plain sum,
-    which the lemmas make divisible by p^L."""
+def _family(spec: _Spec, p: int, T: list[int] | None) -> _Family:
+    """The family of ``spec``, certified from the class sums T(r-n, c-n) mod
+    p^(L+2), n < L+2 (``T``; None on an empty class, whose sums are 0).  A
+    multiple of p^L moves only the plain sum (mod p^(L+2)) and the
+    j-weighted one (mod p^(L+1)): the unit index clears the weighted sum,
+    then the zero index takes the plain sum, which the lemmas make divisible
+    by p^L.  An empty class has nothing to correct, but the zero family
+    still meets its target."""
+    name, r, js, level, unit, zero, target = spec
+    W = _class_weights(r, js, p, T) if js else [0] * (level + 2)
+    if zero is None:
+        _certify(name, W, {j: -math.comb(r, j) for j in js}, p, level, target)
+        return _Family(js, lambda: dict.fromkeys(js, 0))
     if not js:
         return _Family(js, dict)
     q = p**level
-    W = _class_weights(r, js, p, level + 2)
     du = 0 if unit is None else -(W[1] % (p * q) // q * inv_mod(unit, p) % p * q)
     delta = {zero: -(W[0] + du)} if unit is None else {unit: du, zero: -(W[0] + du)}
     _certify(name, W, delta, p, level, target)
@@ -354,6 +427,46 @@ def _corrected_family(name: str, r: int, js, p: int, level: int, unit: int | Non
     return _Family(js, exact)
 
 
+def _certify_families(specs: list[_Spec], p: int) -> list:
+    """Each spec's certified family, or the ArithmeticError that its check
+    raised, in order.  The class sums of all specs at one level are one
+    ``_step_class_sums`` call, at s = r - c for the class c of js."""
+    sums = {}
+    for level in {spec.level for spec in specs if spec.js}:
+        at = [i for i, spec in enumerate(specs) if spec.js and spec.level == level]
+        sums.update(zip(at, _step_class_sums([specs[i].r for i in at],
+                                             [specs[i].r - specs[i].js[0] for i in at],
+                                             p, level + 2, level + 2)))
+    out = []
+    for i, spec in enumerate(specs):
+        try:
+            out.append(_family(spec, p, sums.get(i)))
+        except ArithmeticError as exc:
+            if type(exc) is not ArithmeticError:
+                raise
+            out.append(exc)
+    return out
+
+
+def _certified(p: int, *specs: _Spec) -> tuple[_Family, ...]:
+    """The families of ``specs``, or the first failed check raised."""
+    fams = _certify_families(list(specs), p)
+    for fam in fams:
+        if isinstance(fam, ArithmeticError):
+            raise fam
+    return tuple(fams)
+
+
+def _alpha_spec(r: int, a: int, p: int) -> _Spec:
+    """The spec of ``choose_alphas``; HypothesisError off its hypotheses."""
+    require_odd_prime(p)
+    if not (2 <= a <= p - 1) or (r - a) % (p - 1):
+        raise HypothesisError(f"need r = a (mod p-1) with 2 <= a <= p-1; got r={r}, a={a}")
+    unit, zero = (a, a * p) if r > a * p else (None, None)  # zero at r <= ap
+    return _Spec("alpha", r, _class_range(1, r, a, p - 1), 1, unit, zero,
+                 math.comb(r, 2) if a == 2 else 0)
+
+
 def choose_alphas(r: int, a: int, p: int) -> Mapping[int, int]:
     """Integers alpha_j = binom(r,j) mod p (j = a mod p-1, 0 < j < r) whose plain,
     j-weighted and binom(j,2)-weighted sums vanish mod p^3, p^2 and p.
@@ -361,16 +474,17 @@ def choose_alphas(r: int, a: int, p: int) -> Mapping[int, int]:
     For a = 2 the binom(j,2)-weighted sum instead lands on binom(r,2) mod p.
     The distinguished indices are a and ap; at r <= ap every alpha_j is 0.
     """
+    return _certified(p, _alpha_spec(r, a, p))[0]
+
+
+def _beta_spec(r: int, b: int, p: int) -> _Spec:
+    """The spec of ``choose_betas``; HypothesisError off its hypotheses."""
     require_odd_prime(p)
-    if not (2 <= a <= p - 1) or (r - a) % (p - 1):
-        raise HypothesisError(f"need r = a (mod p-1) with 2 <= a <= p-1; got r={r}, a={a}")
-    js = _class_range(1, r, a, p - 1)
-    target = math.comb(r, 2) if a == 2 else 0
-    if r > a * p:
-        return _corrected_family("alpha", r, js, p, 1, a, a * p, target)
-    _certify("alpha", _class_weights(r, js, p, 3), {j: -math.comb(r, j) for j in js},
-             p, 1, target)
-    return _Family(js, lambda: dict.fromkeys(js, 0))
+    if not (3 <= b <= p) or (r - b) % (p - 1):
+        raise HypothesisError(f"need r = b (mod p-1) with 3 <= b <= p; got r={r}, b={b}")
+    if (r - b) % p:
+        raise HypothesisError(f"need p | r - b; got r={r}, b={b}, p={p}")
+    return _Spec("beta", r, _class_range(b - 1, r - 1, b - 1, p - 1), 1, b - 1, (b - 1) * p)
 
 
 def choose_betas(r: int, b: int, p: int) -> Mapping[int, int]:
@@ -379,28 +493,25 @@ def choose_betas(r: int, b: int, p: int) -> Mapping[int, int]:
 
     Requires p | r - b; the distinguished indices are b-1 and (b-1)p.
     """
-    require_odd_prime(p)
-    if not (3 <= b <= p) or (r - b) % (p - 1):
-        raise HypothesisError(f"need r = b (mod p-1) with 3 <= b <= p; got r={r}, b={b}")
-    if (r - b) % p:
-        raise HypothesisError(f"need p | r - b; got r={r}, b={b}, p={p}")
-    js = _class_range(b - 1, r - 1, b - 1, p - 1)
-    return _corrected_family("beta", r, js, p, 1, b - 1, (b - 1) * p)
+    return _certified(p, _beta_spec(r, b, p))[0]
 
 
-def _require_quad(r: int, p: int) -> None:
+def _quad_specs(r: int, p: int) -> tuple[_Spec, _Spec]:
+    """The specs of ``choose_alphas_modp2`` and ``choose_gammas_modp2``;
+    HypothesisError off their hypotheses."""
     require_odd_prime(p)
     if (r - 1) % (p - 1) or (r - p) % (p * p):
         raise HypothesisError(f"need r = 1 (mod p-1) and p^2 | r - p; got r={r}, p={p}")
+    return (_Spec("alpha2", r, _class_range(p, r, 1, p - 1), 2, None, p, 1 if p == 3 else 0),
+            _Spec("gamma", r, _class_range(p - 1, r - 1, 0, p - 1), 2, p - 1, (p - 1) * p,
+                  -1 if p == 3 else 0))
 
 
 def choose_alphas_modp2(r: int, p: int) -> Mapping[int, int]:
     """Integers alpha_j = binom(r,j) mod p^2 (j = 1 mod p-1, p <= j < r) with
     binom(j,n)-weighted sums vanishing mod p^(4-n) for n = 0, 1, 2 and
     binom(j,3)-weighted sum 0 mod p (1 when p = 3); distinguished index p."""
-    _require_quad(r, p)
-    return _corrected_family("alpha2", r, _class_range(p, r, 1, p - 1), p, 2,
-                             None, p, 1 if p == 3 else 0)
+    return _certified(p, _quad_specs(r, p)[0])[0]
 
 
 def choose_gammas_modp2(r: int, p: int) -> Mapping[int, int]:
@@ -408,14 +519,12 @@ def choose_gammas_modp2(r: int, p: int) -> Mapping[int, int]:
     binom(j,n)-weighted sums vanishing mod p^(4-n) for n = 0, 1, 2 and
     binom(j,3)-weighted sum 0 mod p (-1 when p = 3); distinguished indices
     p-1 and (p-1)p."""
-    _require_quad(r, p)
-    return _corrected_family("gamma", r, _class_range(p - 1, r - 1, 0, p - 1), p, 2,
-                             p - 1, (p - 1) * p, -1 if p == 3 else 0)
+    return _certified(p, _quad_specs(r, p)[1])[0]
 
 
 def choose_gammas_alphas2(r: int, p: int) -> tuple[Mapping[int, int], Mapping[int, int]]:
     """Both quadratic-level families for the b = p witness constructions."""
-    return choose_alphas_modp2(r, p), choose_gammas_modp2(r, p)
+    return _certified(p, *_quad_specs(r, p))
 
 
 # ---------------------------------------------------------------------------

@@ -256,34 +256,34 @@ def cmd_witness(args) -> int:
 # verify-lemmas (family constructors included)
 
 
-def _family_row(family: str, choose, args, **labels) -> dict:
-    """One family row: ``choose(*args)`` validates its own output.  A failed
-    check raises a plain ArithmeticError and is a real failure; any other
-    exception, ZeroDivisionError included, is an error of the run for ``main``."""
-    row = {"family": family, **labels}
-    try:
-        choose(*args)
-    except ArithmeticError as exc:
-        if type(exc) is not ArithmeticError:
-            raise
-        return {**row, "pass": False, "error": str(exc)}
-    return {**row, "pass": True}
+def _family_specs(p: int, r_to: int) -> list[tuple[dict, tuple]]:
+    """The family rows of ``verify-lemmas``, as (labels, specs): one alpha
+    or beta family a row, and the quad row's alpha2 and gamma families."""
+    rows = []
+    for a in range(2, p):
+        for r in (a + (p - 1), a * p + (p - 1) * p, a + 2 * p * (p - 1)):
+            if r <= r_to * 2:
+                rows.append(({"family": "alpha", "r": r, "a": a}, (arith._alpha_spec(r, a, p),)))
+    for b in range(3, p + 1):
+        for r in (b, p * p - p + b, p * p - p + b + p * (p - 1)):
+            rows.append(({"family": "beta", "r": r, "b": b}, (arith._beta_spec(r, b, p),)))
+    for r in (p, p + p * p * (p - 1), p + 2 * p * p * (p - 1)):
+        rows.append(({"family": "quad", "r": r}, arith._quad_specs(r, p)))
+    return rows
 
 
 def cmd_verify_lemmas(args) -> int:
+    """The lemma sweep, then every family certified in one batch: a failed
+    check (a plain ArithmeticError) fails its row, the first failure of the
+    quad row naming it; any other exception is an error of the run."""
     lemmas_ok = arith._lemma_columns(args.p, args.r_to)["pass"]
+    rows = _family_specs(args.p, args.r_to)
+    fams = iter(arith._certify_families([spec for _, specs in rows for spec in specs], args.p))
     fam_rows = []
-    p = args.p
-    for a in range(2, p):
-        for r in (a + (p - 1), a * p + (p - 1) * p, a + 2 * p * (p - 1)):
-            if r > args.r_to * 2:
-                continue
-            fam_rows.append(_family_row("alpha", arith.choose_alphas, (r, a, p), r=r, a=a))
-    for b in range(3, p + 1):
-        for r in (b, p * p - p + b, p * p - p + b + p * (p - 1)):
-            fam_rows.append(_family_row("beta", arith.choose_betas, (r, b, p), r=r, b=b))
-    for r in (p, p + p * p * (p - 1), p + 2 * p * p * (p - 1)):
-        fam_rows.append(_family_row("quad", arith.choose_gammas_alphas2, (r, p), r=r))
+    for labels, specs in rows:
+        failed = [f for f in (next(fams) for _ in specs) if isinstance(f, ArithmeticError)]
+        fam_rows.append({**labels, "pass": False, "error": str(failed[0])} if failed
+                        else {**labels, "pass": True})
     failures = int((~lemmas_ok).sum()) + sum(not row["pass"] for row in fam_rows)
 
     def text():

@@ -24,7 +24,8 @@ precision", 2014): every coefficient of the true function differs from the
 stored one by a value of valuation >= N, and a coefficient that is not
 stored at all has valuation >= N.  The cap starts at the function's
 ``precision`` and moves with the arithmetic: ``scale(q)`` adds v(q),
-``shift_ap(k)`` adds min(k, 2k), and the sums inside ``apply_T`` and
+``shift_ap(k)`` adds min(k, 2k) (and drops a term that the shift takes past
+the new cap), and the sums inside ``apply_T`` and
 ``t_minus_ap`` take the smaller cap.  A term n p^k A^d with error bound err
 is past the cap when min(k, err) + min(d, 2d) >= N (k read as INF when
 n = 0).  Since 1 < sigma < 2, min(d, 2d) <= d * sigma, so its value lies
@@ -181,9 +182,19 @@ class IndFunction:
         return out
 
     def shift_ap(self, k: int) -> "IndFunction":
+        """Multiply by A^k.  The cap gains min(k, 2k), but min(d, 2d) gains
+        more at a degree d of the other sign, so a term that the shift takes
+        past the new cap is dropped, as ``add_term`` drops it."""
         out = self._empty(self.cap + min(k, 2 * k))
         for coset, poly in self.data.items():
-            out.data[coset] = {j: c.shift(k) for j, c in poly.items()}
+            shifted = {}
+            for j, c in poly.items():
+                c = c.shift(k)
+                c.terms = _below_cap(c.terms, out.cap)
+                if c.terms:
+                    shifted[j] = c
+            if shifted:
+                out.data[coset] = shifted
         return out
 
 

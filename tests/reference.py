@@ -29,7 +29,9 @@ they check.
   (T+ f + T- f) - A f composed of them and cut at the cap after each sum,
   against ``hecke.t_minus_ap``, which adds the parts in place; the same
   terms, key order and cap.  ``t_minus_ap_uncut``: the same composition of the
-  per-term oracles with no cut, which must give the same audit and residue.
+  per-term oracles with no cut (A f by ``shift_uncut``, which keeps the
+  terms that ``IndFunction.shift_ap`` drops), which must give the same
+  audit and residue.
 - ``dense_classes``: classes in Q read off the classes modulo theta^2 of
   whole (r+1)-long rows, against ``QuotientModule.project_entries`` and
   ``witness.QEnv.cls``, which read each monomial's class by its index.
@@ -77,9 +79,13 @@ they check.
   (``spanning_matrices``), and ``build_X_rows``, the r-row build of those
   submodules, against the column-type ``symrep.build_X`` and the spin of
   X^r inside it.
-- ``class_sum_table_by_walk``: the class sums of one degree by a walk along
-  binom(r, 0..r) as p-adic units, against ``arith.class_sum_table`` and the
-  lemma sweep, which read them off characters.  The big-integer class sums
+- ``_class_sums``: the class sums T(N - n, c - n) of one class by p-1
+  modular powers of (1 + zeta), against ``arith._step_class_sums``, which
+  reads the powers of zeta^(-1) (1 + zeta) off a table by base-64 digit for
+  many degrees at once.  ``class_sum_table_by_walk``: the class sums of one
+  degree by a walk along binom(r, 0..r) as p-adic units, against
+  ``arith.class_sum_table``, ``_class_sums`` and the lemma sweep, which read
+  them off characters.  The big-integer class sums
   ``class_sum_T`` and ``class_sum_S_modp2``, the oracles of the class-sum
   lemma sweep, ``class_sum_S_exact``, the oracle of ``arith.class_sum_S``,
   which reads S mod p^2 from characters, and
@@ -421,11 +427,20 @@ def t_minus_ap_by_parts(f: IndFunction) -> IndFunction:
     return cut_past_cap(ind_difference(both, f.shift_ap(1)))
 
 
+def shift_uncut(f: IndFunction, k: int) -> IndFunction:
+    """f times A^k at the cap of ``IndFunction.shift_ap``, every term kept,
+    where ``shift_ap`` drops a term that the shift takes past the new cap."""
+    out = f._empty(f.cap + min(k, 2 * k))
+    for coset, poly in f.data.items():
+        out.data[coset] = {j: c.shift(k) for j, c in poly.items()}
+    return out
+
+
 def t_minus_ap_uncut(f: IndFunction) -> IndFunction:
     """(T - A) f from the per-term oracles, with no term past the cap
     dropped beyond their own p^j and p^(r-i) cuts."""
     both = ind_sum(apply_Tplus_by_terms(f), apply_Tminus_by_terms(f))
-    return ind_difference(both, f.shift_ap(1))
+    return ind_difference(both, shift_uncut(f, 1))
 
 
 def cut_past_cap(f: IndFunction) -> IndFunction:
@@ -970,6 +985,22 @@ def build_X_rows(p: int, r: int, which: str = "second") -> tuple[FpSpace, GammaM
 
 # ---------------------------------------------------------------------------
 # class sums and integer families with big integers
+
+
+def _class_sums(N: int, c: int, p: int, k: int, count: int = 1) -> list[int]:
+    """T(N - n, c - n) mod p^k for n < count <= N + 1, T(N, c) the sum of
+    binom(N, i) over i = c (mod p-1).  (p-1) T(N, c) is the sum of
+    zeta^(-c) (1 + zeta)^N over zeta in mu_(p-1), exactly mod p^k for the
+    Teichmuller lifts: one power per zeta, then steps by zeta^(-1) (1 + zeta)."""
+    pk, tt = p**k, teich_table(p, k)
+    out = [0] * count
+    for x, step in enumerate(tt.steps, 1):
+        t = tt.rep[pow(x, (count - 1 - c) % (p - 1), p)] * pow(1 + tt.rep[x], N - count + 1, pk)
+        for n in reversed(range(count)):
+            out[n] += t
+            t = t * step % pk
+    inv = inv_mod(p - 1, pk)
+    return [s * inv % pk for s in out]
 
 
 def class_sum_table_by_walk(r: int, p: int, k: int = 3) -> list[int]:

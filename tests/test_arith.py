@@ -1,8 +1,10 @@
 import functools
+import json
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,6 +29,7 @@ from crysred.hecke import teich_table
 from crysred.symrep import _binomials
 from reference import (
     FractionCoeff,
+    _class_sums,
     certify_val_ge,
     check_family,
     choose_alphas_by_row,
@@ -36,6 +39,7 @@ from reference import (
     class_sum_S_modp2,
     class_sum_T,
     class_sum_table_by_walk,
+    corrected_family,
     family_holds,
 )
 from test_acceptance import LEMMA_PRIMES, LEMMA_R_MAX, criterion4_families
@@ -132,14 +136,19 @@ class TestClassSums:
     def test_characters_match_the_class_sum_table(self):
         # (p-1) T(N, c) = sum over zeta of zeta^(-c) (1+zeta)^N mod p^k: one
         # call with count = N+1 steps T(N-n, c-n) down to N-n = 0, so the
-        # p-1 calls at N = 2000 cover every class at every degree up to 2000
+        # p-1 classes at N = 2000 cover every class at every degree up to
+        # 2000, for the kernel (all classes in one call, at s = N - c) and
+        # for its scalar oracle
+        N = LEMMA_R_MAX
         for p in PRIMES:
             for k in (2, 3, 4):
                 tables = _walk_tables(p, k)
+                batch = arith._step_class_sums([N] * (p - 1), [N - c for c in range(p - 1)],
+                                               p, k, N + 1)
                 for c in range(p - 1):
-                    sums = arith._class_sums(LEMMA_R_MAX, c, p, k, LEMMA_R_MAX + 1)
-                    for n, t in enumerate(sums):
-                        assert t == tables[LEMMA_R_MAX - n][(c - n) % (p - 1)], (p, k, c, n)
+                    assert batch[c] == _class_sums(N, c, p, k, N + 1), (p, k, c)
+                    for n, t in enumerate(batch[c]):
+                        assert t == tables[N - n][(c - n) % (p - 1)], (p, k, c, n)
 
     @pytest.mark.parametrize("p", [31, 1009])
     def test_characters_at_far_degrees(self, p):
@@ -148,9 +157,56 @@ class TestClassSums:
         for N in rng.sample(range(LEMMA_R_MAX, 20_000), 3):
             for k in (2, 3, 4):
                 tables = [class_sum_table_by_walk(N - n, p, k) for n in range(3)]
-                for c in rng.sample(range(p - 1), 3):
+                cs = rng.sample(range(p - 1), 3)
+                batch = arith._step_class_sums([N] * 3, [N - c for c in cs], p, k, 3)
+                for c, got in zip(cs, batch):
                     want = [tables[n][(c - n) % (p - 1)] for n in range(3)]
-                    assert arith._class_sums(N, c, p, k, 3) == want, (p, N, k, c)
+                    assert got == _class_sums(N, c, p, k, 3) == want, (p, N, k, c)
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+    def test_kernel_at_every_family_degree(self, p):
+        # the class sums of every family that verify-lemmas --r-to 2000
+        # certifies, one kernel call per level, against the scalar oracle
+        specs = [spec for _, specs in cli._family_specs(p, LEMMA_R_MAX) for spec in specs
+                 if spec.js]
+        for level in (1, 2):
+            at = [spec for spec in specs if spec.level == level]
+            got = arith._step_class_sums([spec.r for spec in at],
+                                         [spec.r - spec.js[0] for spec in at],
+                                         p, level + 2, level + 2)
+            assert len(got) == len(at) > 0
+            for spec, sums in zip(at, got):
+                c = spec.js[0] % (p - 1)
+                assert sums == _class_sums(spec.r, c, p, level + 2, level + 2), spec
+
+    def test_kernel_on_random_pairs(self, monkeypatch):
+        # seeded (N, s) batches at k <= 4 and count <= 4, N = count-1
+        # included, through blocks of a few rows, against the scalar oracle
+        rng = random.Random(38)
+        monkeypatch.setattr(arith, "_BLOCK", 100)
+        for _ in range(40):
+            p, k, count = rng.choice(PRIMES + [31, 97]), rng.randint(1, 4), rng.randint(1, 4)
+            pairs = [(count - 1, rng.randrange(3 * p))] + [
+                (rng.choice([rng.randrange(count - 1, 200), rng.randrange(10**12)]),
+                 rng.randrange(-p, 3 * p)) for _ in range(rng.randint(1, 25))]
+            got = arith._step_class_sums(*zip(*pairs), p, k, count)
+            for (N, s), sums in zip(pairs, got):
+                assert sums == _class_sums(N, (N - s) % (p - 1), p, k, count), (p, k, count, N, s)
+        assert arith._step_class_sums([], [], 5, 3, 2) == []
+        with pytest.raises(ValueError, match="need N >= 2"):
+            arith._step_class_sums([7, 1], [0, 0], 5, 3, 3)
+
+    @pytest.mark.parametrize("p, k", [(251, 4), (257, 4), (1621, 3), (1627, 3)])
+    def test_kernel_at_the_dtype_edges(self, p, k):
+        # the last primes with p^(2k) < 2^64, where the kernel multiplies in
+        # uint64, and the first on Python ints, at degrees of up to six
+        # base-64 digits
+        assert (arith._mod_dtype(p, k) is np.uint64) == (p < 256 or p == 1621)
+        rng = random.Random(p)
+        pairs = [(N, rng.randrange(p - 1)) for N in
+                 (3, p, 2 * p * p + 5, p + 2 * p * p * (p - 1), rng.randrange(2**36))]
+        for (N, s), sums in zip(pairs, arith._step_class_sums(*zip(*pairs), p, k, 4)):
+            assert sums == _class_sums(N, (N - s) % (p - 1), p, k, 4), (p, k, N, s)
 
     def test_congruence_mismatch_rejected(self):
         with pytest.raises(HypothesisError):
@@ -555,32 +611,16 @@ class TestDegreeSweep:
             assert cli.main(["verify-lemmas", "--p", str(p), "--r-to", str(LEMMA_R_MAX)]) == 0
         capsys.readouterr()
 
-    def test_check_family_agrees_with_reference(self, monkeypatch, capsys):
+    def test_check_family_agrees_with_reference(self):
         # every family that verify-lemmas certifies for p <= 13, and seeded
         # perturbations of it by +-p^m at a class member, m = 0..L+2: the
         # certificate from class sums refuses exactly when the exact
         # big-integer congruences fail, with the messages of the row check
         checked = []
-        # family name -> (level, target) from the constructor's arguments
-        levels = {"alpha": lambda r, a, p: (1, math.comb(r, 2) if a == 2 else 0),
-                  "beta": lambda r, b, p: (1, 0),
-                  "alpha2": lambda r, p: (2, 1 if p == 3 else 0),
-                  "gamma": lambda r, p: (2, -1 if p == 3 else 0)}
-
-        def recording(choose, names):
-            def call(*args):
-                fams = choose(*args)
-                for name, fam in zip(names, fams if len(names) == 2 else (fams,)):
-                    checked.append((name, fam, args[0], args[-1], *levels[name](*args)))
-                return fams
-            return call
-
-        for attr, names in [("choose_alphas", ("alpha",)), ("choose_betas", ("beta",)),
-                            ("choose_gammas_alphas2", ("alpha2", "gamma"))]:
-            monkeypatch.setattr(arith, attr, recording(getattr(arith, attr), names))
         for p in (3, 5, 7, 11, 13):
-            assert cli.main(["verify-lemmas", "--p", str(p), "--r-to", str(LEMMA_R_MAX)]) == 0
-        capsys.readouterr()
+            specs = [spec for _, specs in cli._family_specs(p, LEMMA_R_MAX) for spec in specs]
+            for spec, fam in zip(specs, arith._certify_families(specs, p)):
+                checked.append((spec.name, fam, spec.r, p, spec.level, spec.target))
         assert {r for _, fam, r, q, _, _ in checked if q == 13 and fam} >= {2041, 4069}
         rng = random.Random(29)
         refused = 0
@@ -590,7 +630,8 @@ class TestDegreeSweep:
             if not fam:
                 continue
             js = list(fam)
-            W = arith._class_weights(r, js, p, level + 2)
+            W = arith._class_weights(r, js, p, _class_sums(r, js[0] % (p - 1), p, level + 2,
+                                                           level + 2))
             row = arith._binom_row(r)
             delta = {j: x - row[j] for j, x in values.items() if x != row[j]}
             arith._certify(name, W, delta, p, level, target)
@@ -616,17 +657,64 @@ class TestDegreeSweep:
         assert refused
 
     @pytest.mark.parametrize("p", LEMMA_PRIMES)
-    def test_verify_lemmas_json_matches_the_row_constructors(self, monkeypatch, capsys, p):
-        # the constructors on exact binomial rows swapped in, the same output
-        def lemmas_json(r_to):
-            assert cli.main(["verify-lemmas", "--p", str(p), "--r-to", str(r_to),
-                             "--format", "json"]) == 0
-            return capsys.readouterr().out
-
+    def test_verify_lemmas_json_matches_the_row_constructors(self, capsys, p):
+        # the batched family rows are the rows of the one-family constructors
+        # and of the constructors on exact binomial rows, verdicts, errors
+        # and order alike
         for r_to in (1, 50, LEMMA_R_MAX):
-            want = lemmas_json(r_to)
-            with monkeypatch.context() as m:
-                m.setattr(arith, "choose_alphas", choose_alphas_by_row)
-                m.setattr(arith, "choose_betas", choose_betas_by_row)
-                m.setattr(arith, "choose_gammas_alphas2", choose_gammas_alphas2_by_row)
-                assert lemmas_json(r_to) == want, r_to
+            families = _verify_lemmas_json(capsys, p, r_to)["families"]
+            assert families == _rows_by(LIBRARY, p, families) == _rows_by(BY_ROW, p, families)
+
+    @pytest.mark.parametrize("p", (5, 7, 11))
+    def test_batched_failure_matches_the_scalar_one(self, monkeypatch, capsys, p):
+        # a family bent in its spec fails in the verify-lemmas batch, in its
+        # constructor and in the row check with one message: the alpha
+        # target off by one, the beta unit correction dropped (which no
+        # beta family needs at p = 3)
+        alpha, beta = arith._alpha_spec, arith._beta_spec
+        monkeypatch.setattr(arith, "_alpha_spec",
+                            lambda *args: alpha(*args)._replace(target=alpha(*args).target + 1))
+        monkeypatch.setattr(arith, "_beta_spec", lambda *args: beta(*args)._replace(unit=None))
+        doc = _verify_lemmas_json(capsys, p, LEMMA_R_MAX, code=1)
+        failed = [row for row in doc["families"] if not row["pass"]]
+        assert doc["failed"] == len(failed)
+        assert {row["family"] for row in failed} == {"alpha", "beta"}
+        assert doc["families"] == _rows_by(LIBRARY, p, doc["families"])
+        for row in failed:
+            r, binoms = row["r"], arith._binom_row(row["r"])
+            with pytest.raises(ArithmeticError) as exc:
+                if row["family"] == "alpha":
+                    values = choose_alphas_by_row(r, row["a"], p)
+                    check_family("alpha", values, binoms, p, 1, alpha(r, row["a"], p).target + 1)
+                else:
+                    spec = beta(r, row["b"], p)
+                    corrected_family("beta", binoms, spec.js, p, 1, None, spec.zero)
+            assert str(exc.value) == row["error"], row
+
+
+def _verify_lemmas_json(capsys, p: int, r_to: int, code: int = 0) -> dict:
+    assert cli.main(["verify-lemmas", "--p", str(p), "--r-to", str(r_to),
+                     "--format", "json"]) == code
+    return json.loads(capsys.readouterr().out)
+
+
+#: family row name -> constructor of that row, from the library and on exact rows
+LIBRARY = {"alpha": choose_alphas, "beta": choose_betas, "quad": choose_gammas_alphas2}
+BY_ROW = {"alpha": choose_alphas_by_row, "beta": choose_betas_by_row,
+          "quad": choose_gammas_alphas2_by_row}
+
+
+def _rows_by(constructors: dict, p: int, families: list[dict]) -> list[dict]:
+    """The verify-lemmas family rows with these labels, each built by one
+    call of its constructor: pass, or the message of its ArithmeticError."""
+    rows = []
+    for row in families:
+        labels = {key: x for key, x in row.items() if key not in ("pass", "error")}
+        args = (row["r"], *(row[key] for key in ("a", "b") if key in row), p)
+        try:
+            constructors[row["family"]](*args)
+        except ArithmeticError as exc:
+            rows.append({**labels, "pass": False, "error": str(exc)})
+        else:
+            rows.append({**labels, "pass": True})
+    return rows

@@ -377,20 +377,20 @@ class TestVerifyLemmas:
         def broken(r, b, p):
             raise IndexError("list index out of range")
 
-        monkeypatch.setattr(cli.arith, "choose_betas", broken)
+        monkeypatch.setattr(cli.arith, "_beta_spec", broken)
         code, out, err = run(capsys, "verify-lemmas", "--p", "5", "--r-to", "10")
         assert code == 6 and "internal: IndexError" in err and "failures:" not in out
 
     def test_failed_family_check_is_a_mismatch(self, capsys, monkeypatch):
-        def failing(r, b, p):
-            raise ArithmeticError("beta family failed checks: sum_mod_p3")
-
-        monkeypatch.setattr(cli.arith, "choose_betas", failing)
+        # beta families asked to land on 1 mod p at the binom(j, 2) weight
+        spec = cli.arith._beta_spec
+        monkeypatch.setattr(cli.arith, "_beta_spec", lambda *args: spec(*args)._replace(target=1))
         code, out, _ = run(capsys, "verify-lemmas", "--p", "5", "--r-to", "10", "--format", "json")
         doc = json.loads(out)
-        betas = [row for row in doc["families"] if row["family"] == "beta"]
+        betas = [row for row in doc["families"] if row["family"] == "beta" and row["r"] > row["b"]]
         assert code == 1 and betas and doc["failed"] == len(betas)
-        assert all(not row["pass"] and "sum_mod_p3" in row["error"] for row in betas)
+        assert all(not row["pass"] for row in betas)
+        assert {row["error"] for row in betas} == {"beta family failed checks: choose2_sum_mod_p1"}
 
     def test_lemma_failures_counted_as_the_sweep_counts_them(self, capsys, monkeypatch):
         # class sums off by one at every third degree fail lemma rows;

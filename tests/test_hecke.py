@@ -458,6 +458,23 @@ class TestAbsoluteCap:
         assert ind_difference(f, f.shift_ap(2)).cap == 8
         assert t_minus_ap(f).cap == 8
 
+    def test_shift_stores_no_term_past_the_new_cap(self):
+        # 5^9 A^-1 is below cap 8 (9 - 2 = 7), but times A^2 it is 5^9 A at
+        # cap 10 (9 + 1 = 10, past it): the shift drops it as add_term would,
+        # and the coset that it leaves empty; a term still below the cap stays
+        f = IndFunction(5, 11, precision=8)
+        f.add_term(IDENTITY, {0: ApCoeff({-1: (5**9, INF)}, 5), 3: ONE})
+        f.add_term(g0(1, (2,)), {0: ApCoeff({-1: (5**9, INF)}, 5)})
+        assert f.data[IDENTITY][0].terms == {-1: (1, 9, INF)}
+        out = f.shift_ap(2)
+        assert out.cap == 10 and list(out.data) == [IDENTITY]
+        assert list(out.data[IDENTITY]) == [3] and out.data[IDENTITY][3].terms == {2: (1, 0, INF)}
+        # the function that add_term builds from the shifted terms at cap 10
+        want = IndFunction(5, 11, precision=10)
+        want.add_term(IDENTITY, {0: ApCoeff({1: (5**9, INF)}, 5), 3: ONE.shift(2)})
+        want.add_term(g0(1, (2,)), {0: ApCoeff({1: (5**9, INF)}, 5)})
+        assert same_terms(out, want)
+
     def test_low_cap_refused_by_audit_and_reduction(self):
         # an integral function whose cap sits within the headroom of the
         # residue: neither integrality nor the residue can be certified
