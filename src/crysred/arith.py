@@ -7,8 +7,10 @@ off one character sum over the Teichmuller lifts (one kernel,
 ``choose_*`` families and the ``verify-lemmas`` batch of them; the lemma
 sweep fills its dense range of degrees by doubling), Teichmuller lifts at
 finite precision, the structured integer families (``choose_*``) consumed by
-the witness builder, and the Hecke coefficients ``ApCoeff`` with their
-residues ``ResidueExpr``.  Every ``choose_*`` constructor certifies its
+the witness builder, the Hecke coefficients ``ApCoeff`` with the one
+walk over their terms (``audit_terms``) from which ``hecke`` reads
+valuations and residues mod p, and the ring ``ResidueExpr`` those residues
+live in.  Every ``choose_*`` constructor certifies its
 congruences from class sums and builds its binomial row only when read.
 The class sums of one class by p-1 modular powers, the big-integer class
 sums, the walk along a binomial row and the families built on binomial rows
@@ -24,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, HypothesisError, PrecisionError
+from .errors import DomainError, HypothesisError
 
 INF = math.inf
 
@@ -656,24 +658,6 @@ class ApCoeff:
                 short = (e, d)
         n, k, e = self.terms[who[0]] if len(who) == 1 else (0, 0, 0)
         return best, who, short, n != 0 and k < e, least, units
-
-    def residue(self, sigma: Fraction) -> "ResidueExpr":
-        """Image mod the maximal ideal, as a polynomial in the residue symbol
-        u of A^2/p^3 (only slope 3/2 produces nonconstant output).  A unit
-        term n p^k A^d has k = -3d/2 there, so it contributes n u^(d/2)."""
-        a, b = sigma.numerator, sigma.denominator
-        out = {}
-        for d, (n, k, e) in self.terms.items():
-            if b * e + a * d < b * (1 + PRECISION_HEADROOM):
-                raise PrecisionError("residue requested beyond carried precision")
-            if not n or b * k + a * d > 0:
-                continue
-            if b * k + a * d < 0:
-                raise ArithmeticError("residue of a non-integral value")
-            if d and ((a, b) != (3, 2) or d % 2):
-                raise ArithmeticError("unit part is not expressible in the residue symbol")
-            out[d // 2] = n
-        return ResidueExpr(self.p, out)
 
     def __repr__(self):
         if not self.terms:

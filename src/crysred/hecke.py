@@ -13,10 +13,10 @@ raising/lowering decomposition on branch-0 support.  Its oracle, the
 double-coset formula with generic coset normalization (``direct_T``), lives
 in ``tests/reference.py``.  Reduced mod p, a function is one map from
 (coset, power of the residue symbol) to a nonzero coefficient vector
-(``ResidueFunction``).  The mod-p Hecke operator on weight models
-(``modp_T``), which the factorization certificates of the witness audits
-read, is not written separately: it is ``apply_T`` on an integer lift,
-reduced mod p.
+(``ResidueFunction``), read off the one walk of ``audit_valuations``.  The
+mod-p Hecke operator on weight models (``modp_T``), which the
+factorization certificates of the witness audits read, is not written
+separately: it is ``apply_T`` on an integer lift, reduced mod p.
 
 Capped absolute precision.  An ``IndFunction`` carries a cap N (the
 capped-absolute model of Caruso, Roe and Vaccon, "Tracking p-adic
@@ -38,8 +38,8 @@ drop a term that cancellation takes past the cap, and -A f enters no term
 that the shift to degree d+1 takes past it.  Dropping is sound because T
 preserves the integral lattice: the output is again known up to valuation
 N, and the audits only read valuations below 1 + PRECISION_HEADROOM
-(integrality and the residue mod p).  So ``audit_valuations`` and
-``reduce_mod_p`` refuse a cap below that.
+(integrality and the residue mod p).  So ``audit_valuations``, which every
+residue mod p reads, refuses a cap below that.
 
 Raising by residue class.  In T+ the child lam enters the weight
 (-1)^(i-j) binom(i, j) p^j [lam]^(i-j) only through the unit (-[lam])^(i-j),
@@ -478,8 +478,8 @@ class ValuationReport(NamedTuple):
     #: whose bound < 0 is the true valuation, in (coset, index) order
     failures: list
     #: smallest err + d*sigma - 1 over the truncated terms, the absolute cap
-    #: counted as one more term (cap - 1); ``residue_terms`` and
-    #: ``reduce_mod_p`` raise PrecisionError exactly when this is below
+    #: counted as one more term (cap - 1; INF when both are INF);
+    #: ``residue_terms`` raises PrecisionError exactly when this is below
     #: PRECISION_HEADROOM, and each carried digit more adds one
     margin: Fraction
     #: {(coset, e): {monomial index: n mod p}} over the unit terms n p^k A^d
@@ -509,7 +509,8 @@ def audit_valuations(f: IndFunction, sigma: Fraction) -> ValuationReport:
     The same walk gives the precision margin and collects the residue mod
     p, whose own refusals wait for ``residue_terms``, so a non-integral
     function still gets its report.  A function with no stored term is
-    integral, with min_valuation INF, margin cap - 1 and an empty residue."""
+    integral, with min_valuation INF, margin cap - 1 (INF at cap INF) and an
+    empty residue."""
     _require_residue_cap(f)
     # the bounds are integer counts of 1/b, b the slope's denominator
     b, p = sigma.denominator, f.p
@@ -534,7 +535,7 @@ def audit_valuations(f: IndFunction, sigma: Fraction) -> ValuationReport:
                     residue.setdefault((coset, d // 2), {})[j] = n % p
     if min_val != INF:
         min_val = Fraction(min_val, b)
-    margin = Fraction(least, b) - 1
+    margin = least if least == INF else Fraction(least, b) - 1
     if failures:
         failures.sort(key=lambda e: e[:2])
         multi = [e for e in failures if len(e[3]) > 1]
@@ -559,8 +560,8 @@ def residue_terms(report: ValuationReport) -> dict:
     of the terms: PrecisionError when a term's error sits within the
     headroom of the residue (margin below PRECISION_HEADROOM), then
     ArithmeticError for a non-integral function or a unit part that the
-    residue symbol cannot express.  ``reduce_mod_p`` is the same residue as
-    one dense vector per (coset, e)."""
+    residue symbol cannot express.  This is the library's one residue rule:
+    the witness verdicts, their constants and ``reduce_mod_p`` read it."""
     if report.margin < PRECISION_HEADROOM:
         raise PrecisionError("residue requested beyond carried precision")
     if not report.integral:
@@ -626,21 +627,14 @@ class ResidueFunction:
 
 
 def reduce_mod_p(f: IndFunction, sigma: Fraction) -> ResidueFunction:
-    """Residue of a certified-integral function, one (r+1)-vector per
-    (coset, power of the residue symbol): ``modp_T`` reads it on weight
-    models of degree below p."""
-    _require_residue_cap(f)
+    """``residue_terms`` of the audit of f, with its refusals, as one dense
+    (r+1)-vector per (coset, power of the residue symbol): ``modp_T`` reads
+    it on weight models of degree below p."""
     out = ResidueFunction(f.p)
-    for coset, poly in f.data.items():
-        vecs = {}  # one vector per power of the residue symbol
-        for j, c in poly.items():
-            for e, val in c.residue(sigma).coeffs.items():
-                vec = vecs.get(e)
-                if vec is None:
-                    vec = vecs[e] = np.zeros(f.r + 1, dtype=np.int64)
-                vec[j] = val
-        for e, vec in vecs.items():
-            out.accumulate(coset, e, vec)
+    # one vector per key, its entries already units mod p
+    for key, entries in residue_terms(audit_valuations(f, sigma)).items():
+        out.data[key] = vec = np.zeros(f.r + 1, dtype=np.int64)
+        vec[list(entries)] = list(entries.values())
     return out
 
 
@@ -652,9 +646,10 @@ def modp_T(fn: ResidueFunction, s: int) -> ResidueFunction:
     """Hecke operator on functions valued in the degree-s weight model, as
     the reduction of ``apply_T``: each symbol component of ``fn`` is lifted
     to exact integer coefficients, carried at the precision the residue
-    needs, and its image is reduced mod p (the determinant twist contributes
-    trivially on the double coset).  The lift has symbol degree 0 only, so
-    its residue does not depend on the slope passed to ``reduce_mod_p``."""
+    needs, and its image is reduced mod p by the audit's residue rule
+    (``reduce_mod_p``; the determinant twist contributes trivially on the
+    double coset).  The lift has symbol degree 0 only, so its residue does
+    not depend on the slope the audit reads it at."""
     p, out = fn.p, ResidueFunction(fn.p)
     for e in {e for _, e in fn.data}:
         lift = IndFunction(p, s, 1 + PRECISION_HEADROOM)

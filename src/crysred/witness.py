@@ -390,8 +390,12 @@ def _expr_nonzero(expr: ResidueExpr, case: WitnessCase) -> bool:
 
 
 def _residue_of(case: WitnessCase, num: Fraction, d: int) -> ResidueExpr:
-    """Residue of num * A^d under the case slope (zero if positive valuation)."""
-    return ApCoeff.rational(num, d, p=case.p).residue(case.sigma)
+    """Residue of num * A^d under the case slope (zero if positive valuation),
+    read by the audit's rule on the constant function num * A^d at IDENTITY."""
+    f = IndFunction(case.p, case.r)
+    f.add_term(IDENTITY, {0: ApCoeff.rational(num, d, p=case.p)})
+    residue = residue_terms(audit_valuations(f, case.sigma))
+    return ResidueExpr(case.p, {e: entries[0] for (_, e), entries in residue.items()})
 
 
 def _residue_in_Q(env: QEnv, residue: dict) -> ResidueFunction:

@@ -36,7 +36,7 @@ they check.
   whole (r+1)-long rows, against ``QuotientModule.project_entries`` and
   ``witness.QEnv.cls``, which read each monomial's class by its index.
   ``project_dense``: the residue as one (r+1)-vector per (coset, e) from
-  ``hecke.reduce_mod_p``, each projected into Q by ``dense_classes``,
+  ``reduce_by_terms``, each projected into Q by ``dense_classes``,
   against the witness audit's sparse residue sent straight into V_r/V**
   classes;
   ``audit_reading``, the report and projected residue that an audit reads
@@ -51,7 +51,15 @@ they check.
 - ``FractionCoeff``: the coefficient arithmetic of ``ApCoeff`` on exact
   ``Fraction`` terms with ``padic_val`` valuations, against the (unit,
   p-exponent) terms of ``ApCoeff``; with it ``reduce_mod``, which the
-  library no longer uses.
+  library no longer uses.  ``FractionCoeff.residue`` reads one
+  coefficient's residue term by term, against ``coefficient_residue``, the
+  audit's residue rule (``hecke.audit_valuations`` and ``residue_terms``)
+  on that coefficient alone, and ``reduce_by_terms`` is the dense walk of
+  it over a function, against ``hecke.reduce_mod_p``.  The walk stops at
+  the first bad term in term order and knows no ties, so
+  ``audit_order_refusal`` names the refusal that the audit's rule raises
+  where it refuses, and ``reductions_agree`` compares the two reductions
+  under that mapping.
 - ``union``: the sum of two F_p subspaces, and ``insert_vector``, the
   vector-at-a-time insertion into a reduced echelon basis, against the batch
   insertion ``FpSpace.add_rows``.  ``eliminate_by_hit_rows``: Gauss-Jordan
@@ -486,9 +494,10 @@ def dense_classes(q: QuotientModule, vecs) -> np.ndarray:
 
 
 def project_dense(g: IndFunction, sigma: Fraction, env) -> ResidueFunction:
-    """The residue of g as dense (r+1)-vectors, each projected into the
-    terminal quotient of ``env`` (a ``witness.QEnv``) by ``dense_classes``."""
-    return reduce_mod_p(g, sigma).map_vectors(lambda rows: dense_classes(env.module, rows))
+    """The residue of g as dense (r+1)-vectors (``reduce_by_terms``), each
+    projected into the terminal quotient of ``env`` (a ``witness.QEnv``) by
+    ``dense_classes``."""
+    return reduce_by_terms(g, sigma).map_vectors(lambda rows: dense_classes(env.module, rows))
 
 
 def audit_reading(g: IndFunction, sigma: Fraction, env):
@@ -653,6 +662,73 @@ class FractionCoeff:
                 raise ArithmeticError("unit part is not expressible in the residue symbol")
             out = out + ResidueExpr(p, {d // 2: reduce_mod(c * Fraction(p) ** (3 * d // 2), p)})
         return out
+
+
+def coefficient_residue(c: ApCoeff, sigma: Fraction) -> ResidueExpr:
+    """The residue of the one coefficient c, read by the audit's residue rule
+    (``audit_valuations`` and ``residue_terms``) on the function c at the
+    identity, at cap INF so that every term is read."""
+    f = IndFunction(c.p, 0, precision=INF)
+    f.add_term(Coset(0, 0, ()), {0: c})
+    residue = residue_terms(audit_valuations(f, sigma))
+    return ResidueExpr(c.p, {e: entries[0] for (_, e), entries in residue.items()})
+
+
+def reduce_by_terms(f: IndFunction, sigma: Fraction) -> ResidueFunction:
+    """The residue of f as one dense (r+1)-vector per (coset, e), read one
+    coefficient at a time by ``FractionCoeff.residue``: its refusals come
+    in term order, the cap's first."""
+    if f.cap < 1 + PRECISION_HEADROOM:
+        raise PrecisionError(f"absolute cap {f.cap} is within the headroom of the residue")
+    out = ResidueFunction(f.p)
+    for coset, poly in f.data.items():
+        vecs = {}  # one vector per power of the residue symbol
+        for j, c in poly.items():
+            for e, val in FractionCoeff(f.p, c.exact_terms()).residue(sigma).coeffs.items():
+                vec = vecs.get(e)
+                if vec is None:
+                    vec = vecs[e] = np.zeros(f.r + 1, dtype=np.int64)
+                vec[j] = val
+        for e, vec in vecs.items():
+            out.accumulate(coset, e, vec)
+    return out
+
+
+def audit_order_refusal(coeffs, sigma: Fraction, cap=INF) -> str:
+    """The refusal that the audit's residue rule raises on these
+    ``FractionCoeff`` values, known up to ``cap``, where a per-coefficient
+    walk refuses: whatever the order of the terms, PrecisionError for a cap
+    within the headroom, then IndeterminateCancellation when two degrees of
+    a coefficient tie at a negative least valuation, then PrecisionError
+    when a term has err + d*sigma < 1 + PRECISION_HEADROOM, and
+    ArithmeticError otherwise."""
+    if cap < 1 + PRECISION_HEADROOM:
+        return "PrecisionError"
+    for c in coeffs:
+        vals = [min(padic_val(x, c.p), e) + d * sigma for d, (x, e) in c.terms.items()]
+        if vals and min(vals) < 0 and vals.count(min(vals)) > 1:
+            return "IndeterminateCancellation"
+    if any(e + d * sigma < 1 + PRECISION_HEADROOM
+           for c in coeffs for d, (_, e) in c.terms.items()):
+        return "PrecisionError"
+    return "ArithmeticError"
+
+
+def reductions_agree(f: IndFunction, sigma: Fraction) -> bool:
+    """``hecke.reduce_mod_p`` and ``reduce_by_terms`` give f the same
+    residue, or the same refusal once the walk's is put in the audit's
+    order (``audit_order_refusal``)."""
+    try:
+        got = reduce_mod_p(f, sigma)
+    except ArithmeticError as exc:
+        got = type(exc).__name__
+    try:
+        want = reduce_by_terms(f, sigma)
+    except ArithmeticError:
+        coeffs = [FractionCoeff(f.p, c.exact_terms()) for poly in f.data.values()
+                  for c in poly.values()]
+        want = audit_order_refusal(coeffs, sigma, f.cap)
+    return got == want
 
 
 # ---------------------------------------------------------------------------

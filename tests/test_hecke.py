@@ -44,6 +44,7 @@ from reference import (
     normalize_pair,
     precision_margin,
     project_dense,
+    reductions_agree,
     same_below_cap,
     same_terms,
     t_minus_ap_by_parts,
@@ -552,6 +553,26 @@ class TestResidueFromTheAudit:
         assert residue_terms(rep) == {}
         assert _residue_in_Q(QEnv(5, 11), {}) == ResidueFunction(5)
 
+    def test_function_scaled_by_zero(self):
+        # scale(0) leaves no term and cap INF, so the margin is INF as well
+        f = elementary(5, 11, IDENTITY, {0: ApCoeff.rational(3, p=5)}).scale(0)
+        assert not f.data and f.cap == INF
+        rep = audit_valuations(f, Fraction(5, 4))
+        assert rep == ValuationReport(True, INF, [], INF, {})
+        assert residue_terms(rep) == {} and reduce_mod_p(f, Fraction(5, 4)) == ResidueFunction(5)
+        g = t_minus_ap(f)
+        assert not g.data and g.cap == INF
+
+    def test_tie_refused_alike_by_the_audit_and_the_reduction(self):
+        # 5^-1 and 5^-6 A^4 both have valuation -1 at slope 5/4
+        c = ApCoeff.rational(Fraction(1, 5), p=5) + ApCoeff.rational(Fraction(1, 5**6), 4, p=5)
+        f = elementary(5, 11, IDENTITY, {0: c})
+        for refused in (lambda: audit_valuations(f, Fraction(5, 4)),
+                        lambda: reduce_mod_p(f, Fraction(5, 4))):
+            with pytest.raises(IndeterminateCancellation):
+                refused()
+        assert reductions_agree(f, Fraction(5, 4))
+
 
 @st.composite
 def integral_inputs(draw):
@@ -607,6 +628,27 @@ class TestCutAgainstUncut:
         assert got == audit_reading(uncut, Fraction(5, 4), env)
         # a non-integral function keeps its report; its residue is refused
         assert not got[0].integral and got[0].residue and got[1] == "PrecisionError"
+
+
+class TestReductionAgainstTheTermWalk:
+    """``reduce_mod_p``, the audit's residue rule written densely, against
+    ``reference.reduce_by_terms``, which reads each coefficient by
+    ``FractionCoeff.residue``: the same residue, or the same refusal once
+    the walk's is put in the audit's order."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(integral_inputs())
+    def test_integral_inputs(self, f):
+        for g in (f, t_minus_ap(f)):
+            for sigma in SLOPES:
+                assert reductions_agree(g, sigma), sigma
+
+    @settings(max_examples=100, deadline=None)
+    @given(straddling_inputs())
+    def test_straddling_inputs(self, inputs):
+        # low caps and non-integral functions: the refusals meet the mapping
+        f, sigma = inputs
+        assert reductions_agree(t_minus_ap(f), sigma)
 
 
 def _min_terms(c: ApCoeff, sigma, p):

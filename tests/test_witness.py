@@ -20,11 +20,13 @@ from crysred.witness import (
     WitnessCase,
     _high,
     _residue_in_Q,
+    _residue_of,
     _validate,
     build_witness,
     verify_witness,
 )
 from reference import (
+    FractionCoeff,
     apply_Tminus_by_terms,
     apply_Tplus_by_terms,
     audit_reading,
@@ -34,6 +36,7 @@ from reference import (
     family_holds,
     precision_margin,
     project_dense,
+    reductions_agree,
     same_below_cap,
     t_minus_ap_by_parts,
     t_minus_ap_uncut,
@@ -337,6 +340,42 @@ class TestGroupedLoweringOnAudits:
         for args in items:
             assert verify_witness(case(*args)).ok, args
         assert items and all(len(got) >= len(items) and all(got) for got in calls.values())
+
+
+class TestReductionOnModpLifts:
+    """Every lift that ``modp_T`` reduces in the T9.1 and T9.2 items of the
+    benchmark pool reads by the audit's residue rule as by the per-term walk
+    ``reference.reduce_by_terms`` (``reductions_agree``), and the constants
+    that ``_residue_of`` reads by that rule are ``FractionCoeff.residue``'s."""
+
+    def test_every_lift_of_the_benchmark_pool(self, monkeypatch):
+        items = [args for args in _pool_witness_items() if args[0].startswith(("T9.1", "T9.2"))]
+        reduce, calls = hecke.reduce_mod_p, []
+
+        def checked(f, sigma):
+            calls.append(reductions_agree(f, sigma))
+            return reduce(f, sigma)
+
+        monkeypatch.setattr(hecke, "reduce_mod_p", checked)
+        for args in items:
+            assert verify_witness(case(*args)).ok, args
+        assert items and len(calls) >= len(items) and all(calls)
+
+    @pytest.mark.parametrize("sig", ["5/4", "3/2", "7/4"])
+    def test_witness_constants(self, sig):
+        # the low branches read p^3 A^-2 multiples, the high ones p^-3 A^2;
+        # each read on the other side of 3/2 is refused as non-integral
+        def outcome(read):
+            try:
+                return read()
+            except ArithmeticError as exc:
+                return str(exc)
+
+        for p in (3, 5, 7):
+            c = case("T8.7-low", p, 4 * p + 1, sig)
+            for num, d in ((Fraction(3 * p**3), -2), (Fraction(2 * p**3), -2), (Fraction(1, p**3), 2)):
+                want = outcome(lambda: FractionCoeff(p, {d: (num, math.inf)}).residue(c.sigma))
+                assert outcome(lambda: _residue_of(c, num, d)) == want, (p, num, d)
 
 
 class TestInPlaceSumOnAudits:
