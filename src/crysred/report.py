@@ -112,8 +112,10 @@ def structure_report(p: int, r: int, checks=("dim", "x", "q")) -> ReportRecord:
             "x", predict_X_structure(desc), X.module, rec.discrepancies)
         rec.filtration_dims = X.filtration_dims
     if "q" in checks:
+        # Q modulo the image of X that build_X formed and certified, if it did
+        Q = quotient_Q(p, r) if X is None or X.quotient is None else X.quotient
         rec.q_factors_predicted, rec.q_factors_computed = _check_module(
-            "q", predict_Q_structure(desc), quotient_Q(p, r), rec.discrepancies)
+            "q", predict_Q_structure(desc), Q, rec.discrepancies)
     rec.passed = not rec.discrepancies
     rec.seconds = round(time.perf_counter() - t0, 4)
     return rec

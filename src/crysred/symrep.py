@@ -34,16 +34,18 @@ X_r lies in X_(r-1), since X^r = (1 1; 0 0) . X^(r-1) Y, and it is the
 span of the g . X^r = (aX + cY)^r: c^r (kX + Y)^r with k = a/c if c != 0,
 a^r X^r if c = 0.  So X_r is the span of X^r, the first spanning image
 S[0], and the p powers (kX + Y)^r = (k k; 1 1) . X^(r-1) Y, read as images
-beside the others and monoid-stable by construction.  For either
-submodule, with basis M S, dim(X n V*) and dim(X n V**) read the classes
-of M S modulo theta and theta^2, those of S from the edge monomials and
-the 2(p-1) vectors sum_(i = c mod p-1) binom(r-1, i-t) X^(r-i) Y^i.
+beside the others and monoid-stable by construction.
 
-The terminal quotient needs no r-row basis of the submodule: g . theta =
-det(g) theta for every matrix g, so the twice-theta-divisible part V** is
-stable under the whole monoid, which therefore acts on V_r/V**, and the
-image of the submodule there is the spin of the class of X^(r-1) Y under
-the Gamma generators and diag(1, 0), which generate the monoid.
+The theta filtration and the terminal quotient need no r-row basis of the
+submodule: g . theta = det(g) theta for every matrix g, so the
+twice-theta-divisible part V** is stable under the whole monoid, which
+therefore acts on V_r/V**, a module of dimension 2p+2 from r = 2p+1 on
+(``_residue_module``).  Its u comes from class sums of binomials read off
+characters mod p, and the classes of the spanning images are p products
+with u (``_spanning_classes``).  For either submodule, with basis M S,
+dim(X n V*) and dim(X n V**) read the ranks of M S's classes there and
+modulo theta; the image of X_(r-1) in V_r/V** is their span, and the
+terminal quotient is V_r/V** modulo it.
 
 The socle comes from Hom spaces, as in the MeatAxe (Holt and Rees,
 "Testing modules for irreducibility", 1994), read by Frobenius reciprocity
@@ -185,9 +187,10 @@ def mat_mul(g, h, p: int) -> tuple[int, int, int, int]:
 
 
 def check_int64_domain(p: int, r: int) -> None:
-    """The fast engine sums up to r+2 products of residues in int64 (the
-    class sums of ``build_X`` and ``theta_classes``); refuse degrees where
-    such a sum could wrap around."""
+    """Projections into V_r/V** sum up to r+2 products of residues in int64
+    (``QuotientModule.project_entries`` of a residue, ``witness.QEnv.cls``);
+    refuse degrees where such a sum could wrap around.  The classes of
+    V_r/V** itself sum p-1 products per entry at any r."""
     if p * p * (r + 2) >= 2**63:
         raise DomainError(f"p*p*(r+2) >= 2^63 at p={p}, r={r}: int64 arithmetic could overflow")
 
@@ -287,9 +290,10 @@ def _column_types(E: np.ndarray, V: np.ndarray, C: np.ndarray, p: int) -> np.nda
 class ClosedSubspace:
     """X_(r-1), built from its classical spanning set S: its basis is the
     rows of ``transform`` @ S, on which ``module`` is the action of the Gamma
-    generators.  ``top`` is X_r in those coordinates, and
+    generators.  ``top`` is X_r in those coordinates,
     ``filtration_dims`` the dimensions of X_(r-1) n V*, X_(r-1) n V**,
-    X_r n V* and X_r n V**."""
+    X_r n V* and X_r n V**, and ``quotient`` the terminal quotient
+    V_r/(X_(r-1) + V**) from r = 2p+1 on (None below)."""
 
     p: int
     r: int
@@ -297,6 +301,7 @@ class ClosedSubspace:
     module: GammaModule
     top: FpSpace
     filtration_dims: tuple[int, int, int, int]
+    quotient: QuotientModule | None
 
     @property
     def dim(self) -> int:
@@ -338,10 +343,25 @@ def build_X(p: int, r: int) -> ClosedSubspace:
     spanning set and all five image sets on their ``_column_types``: no
     (r+1)-long row is formed.  X_r is the span of X^r = S[0] and the p
     powers (kX + Y)^r, read as further images under the same residual
-    check (see the module docstring)."""
+    check (see the module docstring).  The theta filtration and the
+    terminal quotient read S's classes in V_r/V** (``_spanning_classes``):
+    the echelon basis of X_(r-1)'s image there, formed for the filtration,
+    is the submodule Q is taken modulo, certified by the check above."""
     if r < 1:
         raise ValueError("need r >= 1")
     check_int64_domain(p, r)
+    T, module, top = _closure_on_column_types(p, r)
+    # X_(r-1) has basis T S, and X_r the rows of top times it
+    ambient = _residue_module(p, r)
+    dims, image = _filtration_dims(_spanning_classes(ambient), (T, top.matrix() @ T % p), p, r)
+    quotient = QuotientModule(r, ambient, image) if r > 2 * p else None
+    return ClosedSubspace(p, r, T, module, top, dims, quotient)
+
+
+def _closure_on_column_types(p: int, r: int) -> tuple[np.ndarray, GammaModule, FpSpace]:
+    """``build_X``'s certified closure on column types: the row transform T
+    of S, the Gamma action on T S, and X_r in those coordinates.  Its arrays
+    of images are freed before V_r/V** is built."""
     hs = _spanning_matrices(p)
     gens = gamma_generators(p) + [(1, 0, 0, 0)]
     powers = [(k, k, 1, 1) for k in range(p)]  # (k k; 1 1) . X^(r-1) Y = (kX + Y)^r
@@ -357,9 +377,7 @@ def build_X(p: int, r: int) -> ClosedSubspace:
     blocks = np.split(coords[: -len(powers)], len(gens))
     module = GammaModule(p, {name: (T @ block % p).T for name, block in zip(GEN_NAMES, blocks)})
     top = FpSpace.from_rows(np.vstack([S[:1, pivots], coords[-len(powers):]]), len(pivots), p)
-    # X_(r-1) has basis T S, and X_r the rows of top times it
-    dims = _filtration_dims(E[: len(hs)], V[:, : len(hs)], C, (T, top.matrix() @ T % p), p, r)
-    return ClosedSubspace(p, r, T, module, top, dims)
+    return T, module, top
 
 
 # ---------------------------------------------------------------------------
@@ -397,37 +415,18 @@ def _theta_coordinates(p: int, r: int, k: int) -> np.ndarray:
     return np.concatenate([np.arange(min(k, r + 1)), np.arange(max(k, r - k * p + 1), r + 1)])
 
 
-def theta_classes(vecs, p: int, k: int) -> np.ndarray:
-    """Classes of degree-r coefficient vectors (last axis r+1, entries in
-    0..p-1) modulo theta^k, k in {1, 2}, in the ``_theta_coordinates``.
-
-    By e_i = e_(i+p-1) (k = 1) and e_i = 2 e_(i+p-1) - e_(i+2p-2) (k = 2), a
-    middle monomial i = j - m(p-1), j the coordinate in r-kp+1..r-kp+p-1 of
-    its class mod p-1, has class e_j (k = 1) or (1+m) e_j - m e_(j+p-1)
-    (k = 2): a class is the coordinate entries plus, per class mod p-1, the
-    sum of the middle entries and their sum weighted by m mod p (< p^2 (r+1))."""
-    vecs = np.asarray(vecs, dtype=np.int64)
-    r, P, n = vecs.shape[-1] - 1, p - 1, vecs.shape[-1] - k * (p + 1)
-    out = vecs[..., _theta_coordinates(p, r, k)]
-    if n > 0:
-        # the n middle entries k..r-kp in blocks of p-1: block m from the top is row -m
-        mid = np.zeros(vecs.shape[:-1] + (-(-n // P) * P,), dtype=np.int64)
-        mid[..., -n:] = vecs[..., k : k + n]
-        mid = mid.reshape(vecs.shape[:-1] + (-1, P))
-        weighted = np.arange(mid.shape[-2], 0, -1) % p @ mid if k == 2 else 0
-        out[..., k : k + P] += mid.sum(axis=-2) + weighted
-        out[..., k + P : k + 2 * P] -= weighted
-    return out % p
-
-
 def theta_index_classes(idx, p: int, r: int, k: int) -> np.ndarray:
     """The classes of the monomials e_i, i in the 1-d array ``idx``, modulo
-    theta^k (k in {1, 2}), as rows in the ``_theta_coordinates``, by
-    ``theta_classes``' own rule in O(1) each, so no (r+1)-long row is built.
-    A coordinate monomial is its own class; a middle one i = j - m(p-1), j
-    its class's coordinate, is e_j (k = 1) or (1+m) e_j - m e_(j+p-1)
-    (k = 2).  Needs r >= kp + k - 1, where the coordinates do not overlap."""
+    theta^k (k in {1, 2}), as rows in the ``_theta_coordinates``, in O(1)
+    each, so no (r+1)-long row is built.  A coordinate monomial is its own
+    class; by e_i = e_(i+p-1) (k = 1) and e_i = 2 e_(i+p-1) - e_(i+2p-2)
+    (k = 2), a middle one i = j - m(p-1), j the coordinate in
+    r-kp+1..r-kp+p-1 of its class mod p-1, is e_j (k = 1) or
+    (1+m) e_j - m e_(j+p-1) (k = 2).  Below degree k(p+1) - 1 theta^k
+    divides nothing, and every monomial is its own class."""
     idx = np.asarray(idx, dtype=np.int64)
+    if r < k * (p + 1) - 1:
+        return np.eye(r + 1, dtype=np.int64)[idx]
     P, lo = p - 1, r - k * p + 1  # lo: the first upper coordinate
     m = np.where(idx < k, 0, np.maximum(0, (lo - idx + P - 1) // P))
     pos = np.where(idx < k, idx, idx + m * P - lo + k)
@@ -439,23 +438,21 @@ def theta_index_classes(idx, p: int, r: int, k: int) -> np.ndarray:
     return rows
 
 
-def _filtration_dims(E, V, C, bases, p: int, r: int) -> tuple[int, ...]:
+def _filtration_dims(classes, bases, p: int, r: int) -> tuple[tuple[int, ...], FpSpace]:
     """dim(X n V*) and dim(X n V**) for each submodule X with basis M S in
-    ``bases``, S the spanning set with parts E, V, C: X's dimension less the
-    rank of M S's classes modulo theta and theta^2, S's being E and V times
-    those of the edge monomials and of the rows C[t, m].  Since V** lies in
-    V*, the classes modulo theta are a linear image of those modulo theta^2,
-    so one echelon form of both side by side has the first rank in its
-    first columns and the second in all."""
-    ends, mid = (np.concatenate([theta_classes(x, p, k) for k in (1, 2)], axis=-1)
-                 for x in (np.arange(r + 1) == np.array(_edges(r))[:, None], C))
-    SR = (E @ ends + V[0] @ mid[0] + V[1] @ mid[1]) % p
-    width = len(_theta_coordinates(p, r, 1))
-    dims = ()
+    ``bases``, S the spanning set with ``classes`` in V_r/V**: X's dimension
+    less the rank of M S's classes modulo theta and theta^2.  Since V** lies
+    in V*, the classes modulo theta are those modulo theta^2 times the
+    classes modulo theta of the coordinates of V_r/V**, so the rank modulo
+    theta is that of the echelon basis modulo theta^2 times them.  Also the
+    first submodule's image in V_r/V**, that echelon basis."""
+    R1 = theta_index_classes(_theta_coordinates(p, r, 2), p, r, 1)
+    dims, images = (), []
     for M in bases:
-        pivots = linalg.rref(M @ SR % p, p)[1]
-        dims += (len(M) - sum(c < width for c in pivots), len(M) - len(pivots))
-    return dims
+        B, pivots = linalg.rref(M @ classes % p, p)
+        dims += (len(M) - linalg.rank(B @ R1 % p, p), len(M) - len(pivots))
+        images.append(FpSpace.from_echelon(B, pivots, classes.shape[1], p))
+    return dims, images[0]
 
 
 # ---------------------------------------------------------------------------
@@ -477,8 +474,7 @@ class GammaModule:
     def spin(self, vecs) -> FpSpace:
         """Smallest subspace containing the given vectors and stable under the
         module's matrices: each round applies every one to the rows the last
-        round added.  Span closures and the image of X in
-        ``QuotientModule`` are spins."""
+        round added.  Span closures are spins."""
         space = FpSpace(self.dim, self.p)
         new = space.add_rows(np.asarray(vecs, dtype=np.int64).reshape(-1, self.dim))
         while len(new):
@@ -667,7 +663,8 @@ def jh_decompose(mod: GammaModule) -> tuple[Counter, Counter]:
     """The multisets of irreducible labels of a module's Jordan-Hoelder
     factors and of its socle.  Each step passes to the quotient by the
     socle that ``socle_simples`` returns, so there is one socle search per
-    Loewy layer.  Refuses a module of dimension above ``JH_DIMENSION_BOUND``."""
+    Loewy layer, and the last layer, a socle that is the whole module, forms
+    no quotient.  Refuses a module of dimension above ``JH_DIMENSION_BOUND``."""
     if mod.dim > JH_DIMENSION_BOUND:
         raise DimensionBoundError(f"module dimension {mod.dim} exceeds bound {JH_DIMENSION_BOUND}")
     layers: list[Counter] = []
@@ -677,6 +674,8 @@ def jh_decompose(mod: GammaModule) -> tuple[Counter, Counter]:
         if not simples:
             raise ArithmeticError("no simple submodule found")
         layers.append(Counter({label: len(rows) // (label.s + 1) for label, rows in simples}))
+        if socle.dim == current.dim:
+            break
         current, _ = current.quotient(socle)
     return sum(layers, Counter()), layers[0] if layers else Counter()
 
@@ -714,31 +713,86 @@ def gamma_iso(
 # the terminal quotient
 
 
+def _class_sums_mod_p(N: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sums of binom(N, i) and of i binom(N, i) over i = rho mod p-1,
+    mod p, row rho and one column per N >= 0 in ``N``: the characters
+    -sum_lambda lambda^(-rho) (1 + lambda)^N and -sum_lambda lambda^(-rho)
+    N lambda (1 + lambda)^(N-1), lambda in F_p^*, since sum_lambda lambda^m
+    is -1 if (p-1) | m, else 0.  ``arith._step_class_sums`` reads the first
+    mod p^k."""
+    P, cyc, lam = p - 1, _power_cycles(p), np.arange(1, p)
+    base = (1 + lam[:, None]) % p  # 0 at lambda = -1, where only 0^0 = 1 survives
+
+    def power(e):
+        return cyc[base, e % P] * ((base != 0) | (e == 0))
+
+    chars = cyc[lam, -np.arange(P)[:, None] % P]  # lambda^(-rho)
+    sums = -(chars @ np.hstack([power(N), N % p * lam[:, None] * power(N - 1) % p])) % p
+    return sums[:, : len(N)], sums[:, len(N):]
+
+
+def _residue_u(p: int, r: int, c: np.ndarray) -> np.ndarray:
+    """u on V_r/V**, c its coordinates: column j is the class of
+    X^(r-c_j) (X + Y)^(c_j) = sum_i binom(c_j, i) e_i, with no (r+1)-long row.
+    Its entries at the coordinates are binomials by Lucas.  A middle index i
+    of class rho mod p-1 has the class (1+m) e_J - m e_(J+p-1), J the
+    coordinate in r-2p+1..r-p-1 of class rho and m = (J - i)/(p-1) = i - J
+    mod p, so the middle indices of class rho add e_J (S0 + W) - e_(J+p-1) W,
+    W = S1 - J S0, for S0 and S1 the sums of binom(c_j, i) and
+    i binom(c_j, i) over them: the ``_class_sums_mod_p`` less the
+    coordinate indices."""
+    K = _binomials(c, c[:, None], p)
+    if r < 2 * p + 2:  # every monomial is a coordinate
+        return K
+    P, lo = p - 1, r - 2 * p + 1
+    T0, T1 = _class_sums_mod_p(c, p)
+    at = c % P == np.arange(P)[:, None]  # the coordinates of each class
+    S0, S1 = (T0 - at @ K) % p, (T1 - at @ (c[:, None] % p * K)) % p
+    shift = (np.arange(P) - lo) % P  # J = lo + shift, at coordinate 2 + shift
+    W = (S1 - (lo + shift)[:, None] % p * S0) % p
+    u = K.copy()
+    u[2 + shift] += S0 + W
+    u[2 + P + shift] -= W
+    return u % p
+
+
+def _residue_module(p: int, r: int) -> GammaModule:
+    """V_r/V**, on which the whole matrix monoid acts (g . theta = det(g)
+    theta), in the coordinates ``_theta_coordinates(p, r, 2)``: u, w, d1,
+    d2 and e = diag(1, 0), column j of each the class of g . X^(r-c_j) Y^(c_j)."""
+    c, g = _theta_coordinates(p, r, 2), primitive_root(p)
+    return GammaModule(p, {
+        "u": _residue_u(p, r, c),
+        "w": theta_index_classes(r - c, p, r, 2).T,
+        "d1": np.diag([pow(g, r - j, p) for j in c.tolist()]),
+        "d2": np.diag([pow(g, j, p) for j in c.tolist()]),
+        # e fixes X^r, a coordinate monomial, and kills every other monomial
+        "e": np.diag((c == 0).astype(np.int64)),
+    })
+
+
+def _spanning_classes(ambient: GammaModule) -> np.ndarray:
+    """The classes in V_r/V** (``_residue_module``) of the images of
+    ``_spanning_matrices``, in its order: X^r = e_0, Y^r = w e_0,
+    X (kX + Y)^(r-1) = u^k w e_1 and (X + kY)^(r-1) Y = w u^k w e_1."""
+    p, u, w = ambient.p, ambient.mats["u"], ambient.mats["w"]
+    rows = [w[:, 1]]
+    for _ in range(p - 1):
+        rows.append(u @ rows[-1] % p)
+    Y = np.array(rows)
+    return np.vstack([np.eye(1, len(u), dtype=np.int64), w[:, :1].T, Y, Y @ w.T % p])
+
+
 class QuotientModule(GammaModule):
-    """V_r / (X + V**), X the second-monomial submodule, computed in the 2p+2
-    coordinates of V_r/V**.
+    """V_r / (X + V**), X the second-monomial submodule: the module
+    ``ambient``, V_r/V** (``_residue_module``), modulo ``image``, an echelon
+    basis of X's image there.  No r-row basis of X is built."""
 
-    V** is stable under the whole matrix monoid, since g . theta =
-    det(g) theta, so the monoid acts on V_r/V** and the image of X there is
-    the spin of the class of X^(r-1) Y under u, w, d1, d2 and e = diag(1, 0),
-    which generate the monoid.  No r-row basis of X is built."""
-
-    def __init__(self, p: int, r: int):
+    def __init__(self, r: int, ambient: GammaModule, image: FpSpace):
         self.r = r
-        self.cols = c = _theta_coordinates(p, r, 2)
-        # V_r/V**: column j of each generator is the class of g . X^(r-c_j) Y^(c_j)
-        g = primitive_root(p)
-        ambient = GammaModule(p, {
-            "u": theta_classes(_binomials(c[:, None], np.arange(r + 1), p), p, 2).T,
-            "w": theta_index_classes(r - c, p, r, 2).T,
-            "d1": np.diag([pow(g, r - j, p) for j in c.tolist()]),
-            "d2": np.diag([pow(g, j, p) for j in c.tolist()]),
-            # e fixes X^r, a coordinate monomial, and kills every other monomial
-            "e": np.diag((c == 0).astype(np.int64)),
-        })
-        image = ambient.spin([np.eye(len(c), dtype=np.int64)[1]])  # X^(r-1) Y: c_1 = 1
+        self.cols = _theta_coordinates(ambient.p, r, 2)
         mod, self.project_coords = ambient.quotient(image)
-        super().__init__(p, mod.mats)
+        super().__init__(ambient.p, mod.mats)
 
     def project_entries(self, rows, idx, vals, n: int) -> np.ndarray:
         """Classes of n ambient degree-r rows, given by their entries (row,
@@ -762,11 +816,20 @@ class QuotientModule(GammaModule):
 
 def quotient_Q(p: int, r: int) -> QuotientModule:
     """The terminal quotient V_r/(X + V**), X the second-monomial submodule.
-    The image of X in V_r/V** is the monoid spin of the class of X^(r-1) Y
-    there (``QuotientModule``), so X itself is never built.  Refuses
-    r < 2p+1, and degrees where the int64 class sums modulo theta^2 could
-    overflow."""
+    X's image in V_r/V** is the span of the classes of its spanning set
+    (``_spanning_classes``): that span contains the class of X^(r-1) Y,
+    lies in the image, and is certified stable under u, w, d1, d2 and
+    e = diag(1, 0), which generate the monoid, by one reduce; so it is the
+    whole image, and X itself is never built.  Refuses r < 2p+1, and
+    degrees where the int64 class sums of a projection could overflow."""
     if r < 2 * p + 1:
         raise DomainError(f"need r >= 2p+1; got r={r}, p={p}")
     check_int64_domain(p, r)
-    return QuotientModule(p, r)
+    ambient = _residue_module(p, r)
+    image = FpSpace.from_rows(_spanning_classes(ambient), len(ambient.mats["u"]), p)
+    moved = np.vstack([np.eye(1, image.n, 1, dtype=np.int64)]  # X^(r-1) Y
+                      + [image.rows @ M.T % p for M in ambient.mats.values()])
+    if image.reduce(moved).any():
+        raise ArithmeticError(f"the spanning classes of X's image in V_r/V** are not "
+                              f"monoid-stable at p={p}, r={r}")
+    return QuotientModule(r, ambient, image)

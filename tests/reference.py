@@ -32,6 +32,17 @@ they check.
   per-term oracles with no cut (A f by ``shift_uncut``, which keeps the
   terms that ``IndFunction.shift_ap`` drops), which must give the same
   audit and residue.
+- ``theta_classes``: classes modulo theta and theta^2 of whole (r+1)-long
+  rows, against ``symrep.theta_index_classes``, which reads one monomial's
+  class by its index.  On it: ``residue_module_by_rows``, V_r/V** with u's
+  columns the classes of the binomial rows binom(c, 0..r), against
+  ``symrep._residue_module``, which reads u off class sums of characters;
+  ``quotient_by_spin``, the terminal quotient modulo the spin of the class
+  of X^(r-1) Y there, against ``symrep.quotient_Q`` and ``build_X``'s
+  quotient, which take the span of the classes of X's spanning set; and
+  ``filtration_dims_by_columns``, the theta-filtration dims from the
+  classes of the (r+1)-long rows ``symrep._middle_binomials``, against
+  ``build_X``, which reads them in V_r/V**.
 - ``dense_classes``: classes in Q read off the classes modulo theta^2 of
   whole (r+1)-long rows, against ``QuotientModule.project_entries`` and
   ``witness.QEnv.cls``, which read each monomial's class by its index.
@@ -162,11 +173,15 @@ from crysred.symrep import (
     GammaModule,
     QuotientModule,
     _binomials,
+    _edges,
+    _image_parts,
+    _middle_binomials,
     _power_cycles,
     _spanning_matrices,
+    _theta_coordinates,
     gamma_generators,
     mat_mul,
-    theta_classes,
+    primitive_root,
 )
 from crysred.witness import _residue_in_Q
 
@@ -1057,6 +1072,78 @@ def build_X_rows(p: int, r: int, which: str = "second") -> tuple[FpSpace, GammaM
     blocks = np.split(coords, len(gens))
     mats = {name: (T @ block % p).T for name, block in zip(GEN_NAMES, blocks)}
     return FpSpace.from_echelon(B, pivots, r + 1, p), GammaModule(p, mats)
+
+
+# ---------------------------------------------------------------------------
+# V_r/V** on whole rows
+
+
+def theta_classes(vecs, p: int, k: int) -> np.ndarray:
+    """Classes of degree-r coefficient vectors (last axis r+1, entries in
+    0..p-1) modulo theta^k, k in {1, 2}, in the ``_theta_coordinates``,
+    against ``symrep.theta_index_classes``, which reads one monomial's.
+
+    By e_i = e_(i+p-1) (k = 1) and e_i = 2 e_(i+p-1) - e_(i+2p-2) (k = 2), a
+    middle monomial i = j - m(p-1), j the coordinate in r-kp+1..r-kp+p-1 of
+    its class mod p-1, has class e_j (k = 1) or (1+m) e_j - m e_(j+p-1)
+    (k = 2): a class is the coordinate entries plus, per class mod p-1, the
+    sum of the middle entries and their sum weighted by m mod p (< p^2 (r+1))."""
+    vecs = np.asarray(vecs, dtype=np.int64)
+    r, P, n = vecs.shape[-1] - 1, p - 1, vecs.shape[-1] - k * (p + 1)
+    out = vecs[..., _theta_coordinates(p, r, k)]
+    if n > 0:
+        # the n middle entries k..r-kp in blocks of p-1: block m from the top is row -m
+        mid = np.zeros(vecs.shape[:-1] + (-(-n // P) * P,), dtype=np.int64)
+        mid[..., -n:] = vecs[..., k : k + n]
+        mid = mid.reshape(vecs.shape[:-1] + (-1, P))
+        weighted = np.arange(mid.shape[-2], 0, -1) % p @ mid if k == 2 else 0
+        out[..., k : k + P] += mid.sum(axis=-2) + weighted
+        out[..., k + P : k + 2 * P] -= weighted
+    return out % p
+
+
+def residue_module_by_rows(p: int, r: int) -> GammaModule:
+    """V_r/V** with each generator's columns the classes (``theta_classes``)
+    of whole (r+1)-long rows: u's the binomial rows binom(c_j, 0..r) by
+    Lucas, w's the unit rows at r - c_j, for the coordinates c; against
+    ``symrep._residue_module``, which reads u off class sums and w by
+    index."""
+    c, g = _theta_coordinates(p, r, 2), primitive_root(p)
+    return GammaModule(p, {
+        "u": theta_classes(_binomials(c[:, None], np.arange(r + 1), p), p, 2).T,
+        "w": theta_classes(np.equal.outer(r - c, np.arange(r + 1)).astype(np.int64), p, 2).T,
+        "d1": np.diag([pow(g, r - j, p) for j in c.tolist()]),
+        "d2": np.diag([pow(g, j, p) for j in c.tolist()]),
+        "e": np.diag((c == 0).astype(np.int64)),
+    })
+
+
+def quotient_by_spin(p: int, r: int) -> QuotientModule:
+    """The terminal quotient modulo the spin of the class of X^(r-1) Y in
+    ``residue_module_by_rows``, against ``symrep.quotient_Q`` and
+    ``build_X``'s quotient, which take it modulo the span of the classes of
+    X's spanning set."""
+    ambient = residue_module_by_rows(p, r)
+    return QuotientModule(r, ambient, ambient.spin([np.eye(1, len(ambient.mats["u"]), 1)]))
+
+
+def filtration_dims_by_columns(X) -> tuple[int, ...]:
+    """The four theta-filtration dims of ``symrep.build_X``'s X from the
+    classes of its spanning set read off the edge monomials and the
+    (r+1)-long rows of ``_middle_binomials``, times the parts of
+    ``_image_parts``; against ``build_X``, which reads them in V_r/V**."""
+    p, r = X.p, X.r
+    E, V = _image_parts(_spanning_matrices(p), r, p)
+    edges = np.arange(r + 1) == np.array(_edges(r))[:, None]
+    ends, mid = (np.concatenate([theta_classes(x, p, k) for k in (1, 2)], axis=-1)
+                 for x in (edges, _middle_binomials(p, r)))
+    SR = (E @ ends + V[0] @ mid[0] + V[1] @ mid[1]) % p
+    width = len(_theta_coordinates(p, r, 1))
+    dims = ()
+    for M in (X.transform, X.top.matrix() @ X.transform % p):
+        pivots = linalg.rref(M @ SR % p, p)[1]
+        dims += (len(M) - sum(c < width for c in pivots), len(M) - len(pivots))
+    return dims
 
 
 # ---------------------------------------------------------------------------

@@ -575,17 +575,26 @@ class TestResidueFromTheAudit:
 
 
 @st.composite
-def integral_inputs(draw):
-    """Exact coefficients n p^k A^d with k, d >= 0 at cosets of levels 0..2,
-    so that (T - A)f is integral and its residue is read."""
+def integral_inputs(draw, sigma=None):
+    """Exact coefficients at cosets of levels 0..2 with valuation >= 0 at the
+    slope ``sigma`` (at every slope when None), so that (T - A)f is integral
+    and its residue is read, and mostly nonempty: two in three are units n
+    (k = d = 0), the others n p^k A^d with k, d >= 0, or at slope 3/2 n A^2/p^3,
+    of valuation 0 there."""
     p = draw(st.sampled_from([3, 5, 7]))
     f, items = IndFunction(p, draw(st.integers(2 * p + 2, 40))), []
+    kinds = ["unit", "unit", "any"] + (["A^2/p^3"] if sigma == Fraction(3, 2) else [])
     for _ in range(draw(st.integers(1, 6))):
         m = draw(st.integers(0, 2))
         coset = g0(m, tuple(draw(st.lists(st.integers(0, p - 1), min_size=m, max_size=m))))
-        num = draw(st.integers(-p * p, p * p).filter(bool)) * p ** draw(st.integers(0, 3))
-        items.append((coset, draw(st.integers(0, f.r)),
-                      ApCoeff.rational(num, draw(st.integers(0, 2)), p=p)))
+        num, kind = draw(st.integers(-p * p, p * p).filter(bool)), draw(st.sampled_from(kinds))
+        if kind == "unit":
+            c = ApCoeff.rational(num if num % p else num + 1, 0, p=p)
+        elif kind == "any":
+            c = ApCoeff.rational(num * p ** draw(st.integers(0, 3)), draw(st.integers(0, 2)), p=p)
+        else:
+            c = ApCoeff.rational(Fraction(num, p**3), 2, p=p)
+        items.append((coset, draw(st.integers(0, f.r)), c))
     return exact_sum(f, items)
 
 
@@ -594,9 +603,10 @@ def straddling_inputs(draw):
     """``lowering_inputs`` or ``integral_inputs`` at a cap of 3..6, so that
     the terms of (T - A)f fall on both sides of it, with a slope near
     either end of (1, 2) or at 3/2."""
-    f = draw(st.one_of(lowering_inputs(), integral_inputs()))
+    sigma = draw(st.sampled_from(SLOPES))
+    f = draw(st.one_of(lowering_inputs(), integral_inputs(sigma)))
     f.cap = draw(st.integers(1 + PRECISION_HEADROOM, 6))
-    return f, draw(st.sampled_from(SLOPES))
+    return f, sigma
 
 
 class TestCutAgainstUncut:
@@ -637,10 +647,12 @@ class TestReductionAgainstTheTermWalk:
     the walk's is put in the audit's order."""
 
     @settings(max_examples=100, deadline=None)
-    @given(integral_inputs())
-    def test_integral_inputs(self, f):
-        for g in (f, t_minus_ap(f)):
-            for sigma in SLOPES:
+    @given(st.data())
+    def test_integral_inputs(self, data):
+        # one function per slope, integral there
+        for sigma in SLOPES:
+            f = data.draw(integral_inputs(sigma), label=str(sigma))
+            for g in (f, t_minus_ap(f)):
                 assert reductions_agree(g, sigma), sigma
 
     @settings(max_examples=100, deadline=None)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crysred import symrep
+from crysred.arith import _step_class_sums
 from crysred.classify import case_descriptor, predict_dim_X
 from crysred.errors import DomainError
 from crysred.linalg import FpSpace, eliminate, nullspace, rank, row_transform, rref
@@ -29,7 +30,6 @@ from crysred.symrep import (
     socle_simples,
     span_closure,
     sym_power,
-    theta_classes,
     theta_index_classes,
     theta_vec,
     weight_module,
@@ -38,10 +38,14 @@ from reference import (
     build_X_rows,
     dense_classes,
     eliminate_by_hit_rows,
+    filtration_dims_by_columns,
     gamma_iso_by_graph_spin,
     hom_maps_by_spin,
     insert_vector,
+    quotient_by_spin,
+    residue_module_by_rows,
     standard_spanning_set,
+    theta_classes,
     theta_divides,
     theta_divides_criterion,
     unipotent_fixed,
@@ -757,6 +761,132 @@ class TestJordanHoelder:
         space, [(label, rows)] = socle_simples(mod)
         assert label == jh_label(1, 0, 3) and len(rows) == space.dim == 20
         assert FpSpace.from_rows(rows, mod.dim, 3) == space
+
+
+def _u_matches(p, r) -> bool:
+    """u on V_r/V** from class sums equals the classes of the binomial rows."""
+    return np.array_equal(symrep._residue_module(p, r).mats["u"],
+                          residue_module_by_rows(p, r).mats["u"])
+
+
+def _model_vs_oracles(p, r):
+    """Mismatches at (p, r) between V_r/V** read off characters (its
+    generators, the Q of build_X and of quotient_Q, build_X's filtration
+    dims) and the whole-row oracles: generators on the classes of whole rows,
+    Q modulo the spin of X^(r-1) Y there, and the dims from the rows
+    ``_middle_binomials``."""
+    bad = []
+    ambient, ref = symrep._residue_module(p, r), residue_module_by_rows(p, r)
+    bad += [f"V_r/V** {n}" for n in ref.mats if not np.array_equal(ambient.mats[n], ref.mats[n])]
+    X = build_X(p, r)
+    if X.filtration_dims != filtration_dims_by_columns(X):
+        bad.append("filtration dims")
+    want = quotient_by_spin(p, r)
+    vecs = np.random.default_rng(r).integers(0, p, size=(4, len(ambient.mats["u"])))
+    for tag, q in (("build_X", X.quotient), ("quotient_Q", quotient_Q(p, r))):
+        if any(not np.array_equal(q.mats[n], want.mats[n]) for n in GEN_NAMES):
+            bad.append(f"{tag}: Q matrices")
+        if not np.array_equal(q.project_coords(vecs), want.project_coords(vecs)):
+            bad.append(f"{tag}: Q projection")
+    return [(p, r, b) for b in bad]
+
+
+GRID = [(p, r) for p in (3, 5, 7, 11) for r in range(2 * p + 1, 3 * p * p + 1)]
+
+
+class TestResidueModel:
+    """V_r/V** from class sums of characters, with the theta filtration and Q
+    read off the classes of X's spanning set there, against whole rows."""
+
+    def test_tier1_grid(self):
+        assert len(GRID) == 560
+        mismatches = [m for p, r in GRID for m in _model_vs_oracles(p, r)]
+        assert not mismatches, mismatches[:10]
+
+    @pytest.mark.parametrize("p, r", [(3, 3**9 + 2), (7, 7**5 + 3), (31, 20_000)])
+    def test_far_points(self, p, r):
+        assert not _model_vs_oracles(p, r)
+
+    def test_filtration_dims_below_2p_plus_1(self):
+        # V_r/V** is V_r itself there, and V_r/V* too below p+1
+        for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+            for r in range(1, 2 * p + 1):
+                X = build_X(p, r)
+                assert X.quotient is None
+                assert X.filtration_dims == filtration_dims_by_columns(X), (p, r)
+
+    def test_generators_repeat_with_period_p_times_p_minus_1(self):
+        # the character sums depend on N mod p-1, the theta^2 weight and
+        # the coordinate binomials on N mod p
+        for p, r in GRID:
+            a, b = symrep._residue_module(p, r), symrep._residue_module(p, r + p * (p - 1))
+            assert all(np.array_equal(a.mats[n], b.mats[n]) for n in GEN_NAMES), (p, r)
+
+    def test_class_sums_against_the_kernel(self):
+        # the sums of binom(N, i) and i binom(N, i) over a class, mod p,
+        # against arith's kernel at k = 1: T(N, rho) and N T(N-1, rho-1)
+        for p in (3, 5, 7, 11, 13, 31):
+            N = np.array([0, 1, 2, p - 1, p, p * p + 1, 3 * p * p, 10**9 + 7])
+            N = np.concatenate([N, np.arange(2 * p, 4 * p)])
+            sums, weighted = symrep._class_sums_mod_p(N, p)
+            for j, n in enumerate(N.tolist()):
+                if n == 0:
+                    want = [[int(rho == 0), 0] for rho in range(p - 1)]
+                else:
+                    rows = _step_class_sums([n] * (p - 1), [n - rho for rho in range(p - 1)], p, 1, 2)
+                    want = [[t0, n * t1 % p] for t0, t1 in rows]
+                assert np.array_equal(np.stack([sums[:, j], weighted[:, j]], axis=1), want), (p, n)
+
+    def test_a_class_sum_off_by_one_fails_the_u_check(self, monkeypatch):
+        class_sums = symrep._class_sums_mod_p
+
+        def off_by_one(N, p):
+            sums, weighted = class_sums(N, p)
+            sums[0, -1] += 1  # class 0 at the top coordinate, X^0 Y^r
+            return sums, weighted
+
+        degrees = [(p, r) for p, r in GRID if r >= 2 * p + 2]
+        assert all(_u_matches(p, r) for p, r in degrees)
+        monkeypatch.setattr(symrep, "_class_sums_mod_p", off_by_one)
+        assert not any(_u_matches(p, r) for p, r in degrees)
+
+    def test_a_short_span_fails_the_certificate(self, monkeypatch):
+        # without the classes of (X + kY)^(r-1) Y, quotient_Q's one reduce
+        # refuses the span wherever it falls short of X's image, and
+        # returns the oracle's Q wherever it does not
+        spanning = symrep._spanning_classes
+        monkeypatch.setattr(symrep, "_spanning_classes", lambda amb: spanning(amb)[: -amb.p])
+        refused = Counter()
+        for p, r in GRID:
+            classes = spanning(symrep._residue_module(p, r))
+            short = rank(classes[: -p], p) < rank(classes, p)
+            try:
+                q = quotient_Q(p, r)
+            except ArithmeticError:
+                assert short, (p, r)
+                refused[p] += 1
+                continue
+            assert not short, (p, r)
+            want = quotient_by_spin(p, r)
+            assert all(np.array_equal(q.mats[n], want.mats[n]) for n in GEN_NAMES), (p, r)
+        assert all(refused[p] > 0 for p in (3, 5, 7, 11)), refused
+
+    def test_jh_forms_no_empty_quotient(self, monkeypatch):
+        # the last Loewy layer is the whole module: no quotient is formed
+        # by it, and each quotient formed is nonzero
+        quotient, dims = symrep.GammaModule.quotient, []
+
+        def recording(self, sub):
+            dims.append(self.dim - sub.dim)
+            return quotient(self, sub)
+
+        monkeypatch.setattr(symrep.GammaModule, "quotient", recording)
+        assert jh_decompose(weight_module(5, 3, 2))[0] == Counter({jh_label(3, 2, 5): 1})
+        assert not dims
+        for p, r in [(5, 23), (5, 25), (7, 49)]:
+            jh_decompose(build_X(p, r).module)
+            jh_decompose(quotient_Q(p, r))
+        assert dims and min(dims) > 0
 
 
 class TestQuotient:

@@ -40,6 +40,7 @@ from reference import (
     same_below_cap,
     t_minus_ap_by_parts,
     t_minus_ap_uncut,
+    theta_classes,
 )
 
 # the slopes of the benchmark's witness pool
@@ -432,7 +433,7 @@ class TestClassesByIndex:
     """``QEnv.cls`` and ``QEnv.cls_theta`` read each monomial's class in Q by
     its index, and Q's w matrix and image of V* are read by index too; the
     dense lookup through whole (r+1)-long rows (``reference.dense_classes``,
-    and ``symrep.theta_classes`` on unit rows) must give the same."""
+    and ``reference.theta_classes`` on unit rows) must give the same."""
 
     @staticmethod
     def _check(p, r, monkeypatch):
@@ -449,7 +450,7 @@ class TestClassesByIndex:
         with pytest.raises(ValueError):
             env.cls_theta(r - p)
         with monkeypatch.context() as m:
-            m.setattr(symrep, "theta_index_classes", lambda idx, p, r, k: symrep.theta_classes(
+            m.setattr(symrep, "theta_index_classes", lambda idx, p, r, k: theta_classes(
                 np.equal.outer(idx, np.arange(r + 1)).astype(np.int64), p, k))
             dense = symrep.quotient_Q(p, r)
         assert all(np.array_equal(env.module.mats[g], dense.mats[g]) for g in symrep.GEN_NAMES)
