@@ -1,20 +1,19 @@
 """Exact scalar arithmetic over F_p, Q and truncated Z_p.
 
 Everything is exact integer / rational arithmetic; no floats.  The module
-provides base-p digit sums, the class sums of binomial coefficients, read
-off one character sum over the Teichmuller lifts (one kernel,
-``_step_class_sums``, for any batch of degrees: the witness audit, the
-``choose_*`` families and the ``verify-lemmas`` batch of them; the lemma
-sweep fills its dense range of degrees by doubling), Teichmuller lifts at
-finite precision, the structured integer families (``choose_*``) consumed by
-the witness builder, the Hecke coefficients ``ApCoeff`` with the one
-walk over their terms (``audit_terms``) from which ``hecke`` reads
-valuations and residues mod p, and the ring ``ResidueExpr`` those residues
-live in.  Every ``choose_*`` constructor certifies its
-congruences from class sums and builds its binomial row only when read.
-The class sums of one class by p-1 modular powers, the big-integer class
-sums, the walk along a binomial row and the families built on binomial rows
-are test oracles in ``tests/reference.py``.
+provides base-p digit sums; the class sums of binomial coefficients, read
+off one character sum over the Teichmuller lifts by one kernel,
+``_step_class_sums``, for every caller (the witness audit, the ``choose_*``
+families, the ``verify-lemmas`` batch of them, and the lemma sweep, whose
+degrees up to R are one call); Teichmuller lifts at finite precision; the
+structured integer families (``choose_*``) consumed by the witness builder;
+the Hecke coefficients ``ApCoeff`` with the one walk over their terms
+(``audit_terms``) from which ``hecke`` reads valuations and residues mod p;
+and the ring ``ResidueExpr`` those residues live in.  Every ``choose_*``
+constructor certifies its congruences from class sums and builds its
+binomial row only when read.  The class sums of one class by p-1 modular
+powers, the big-integer class sums, the walk along a binomial row and the
+families built on binomial rows are test oracles in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -110,8 +109,18 @@ def _mod_dtype(p: int, k: int):
     return np.uint64 if p ** (2 * k) < 2**64 else object
 
 
-#: entries of one (degrees x lifts) block of ``_step_class_sums``
+#: entries of one block of ``_step_class_sums``: table of step powers, pairs by lifts
 _BLOCK = 1 << 16
+
+
+def _power_rows(base: np.ndarray, count: int, pk: int) -> np.ndarray:
+    """base^i mod pk for i < count, row i, by doubling: rows L..2L-1 are rows
+    0..L-1 times base^L."""
+    rows, L = np.ones((count, len(base)), base.dtype), 1
+    while L < count:
+        rows[L:2 * L] = rows[:min(L, count - L)] * base % pk
+        base, L = base * base % pk, 2 * L
+    return rows
 
 
 def _step_class_sums(N, s, p: int, k: int, count: int = 1) -> list[list[int]]:
@@ -120,36 +129,44 @@ def _step_class_sums(N, s, p: int, k: int, count: int = 1) -> list[list[int]]:
     over i = c (mod p-1).
 
     (p-1) T(N, N-s) is the sum of zeta^s step^N over zeta in mu_(p-1), step
-    = zeta^(-1) (1 + zeta), exactly mod p^k for the Teichmuller lifts.  The
-    powers step^(N-count+1) are read off ``TeichTable.step_digits``, one
-    base-64 digit of the exponent at a time, and times step^i, i < count,
-    off its first level give the lower n.  Products stay below p^(2k), in
-    the dtype of ``_mod_dtype``.  The pairs go through in blocks of about
-    ``_BLOCK`` entries, so memory is bounded whatever their number.
-    ValueError when N < count-1 (step is 0 at zeta = -1, so no lower power
-    exists)."""
-    N, s = list(N), list(s)
+    = zeta^(-1) (1 + zeta), exactly mod p^k for the Teichmuller lifts.
+    step^(N-count+1) is read off ``TeichTable.step_digits`` by base-64
+    digit, and its sums times step^i, i < count, are a dot product with the
+    table of ``_power_rows``, a block of lifts at a time.  Residues below
+    p^k are in the dtype of ``_mod_dtype``; on uint64 a block sums as many
+    products as stay below 2^64, and where that is under 4 (p^(2k) > 2^62:
+    p > 1290 at k = 3) each product is reduced first.  Blocks hold about
+    ``_BLOCK`` entries, so memory is bounded.  ValueError when N < count-1
+    (step is 0 at zeta = -1, so no lower power exists)."""
     if N and min(N) < count - 1:
         raise ValueError(f"class sums T(N - n, .) for n < {count} need N >= {count - 1}; "
                          f"got N = {min(N)}")
     pk, tt, dtype = p**k, teich_table(p, k), _mod_dtype(p, k)
     # zeta^s / (p-1), one row per class of s
-    classes, inv = sorted({e % (p - 1) for e in s}), inv_mod(p - 1, pk)
-    lifts = np.array([[tt.power(x, e) * inv % pk for x in range(1, p)] for e in classes], dtype)
-    at = {e: i for i, e in enumerate(classes)}
-    rows, out = max(1, _BLOCK // ((p - 1) * min(count, 64))), []
-    for lo in range(0, len(N), rows):
-        e = [n - count + 1 for n in N[lo:lo + rows]]
-        t = lifts[[at[x % (p - 1)] for x in s[lo:lo + rows]]]
-        for level in range((max(e).bit_length() + 5) // 6):  # times step^(d 64^level)
-            t = t * tt.step_digits(level)[[x >> 6 * level & 63 for x in e]] % pk
-        sums = []  # t step^i for i < count, 64 at a time off the rows of digit level 0
-        for i in range(0, count, 64):
-            if i:
-                t = t * tt.step_digits(1)[1] % pk
-            sums.append((t[:, None, :] * tt.step_digits(0)[:count - i] % pk).sum(axis=2))
-        out.append(np.concatenate(sums, axis=1)[:, ::-1] % pk)  # column n: i = count-1-n
-    return [row for block in out for row in block.tolist()]
+    classes, inv = sorted({x % (p - 1) for x in s}), inv_mod(p - 1, pk)
+    lifts = np.array([[tt.power(x, c) * inv % pk for x in range(1, p)] for c in classes], dtype)
+    at = {c: i for i, c in enumerate(classes)}
+    pick, e = np.array([at[x % (p - 1)] for x in s], np.intp), [n - count + 1 for n in N]
+    places = [np.array([x >> 6 * level & 63 for x in e], np.intp)  # base-64 digits of e
+              for level in range((max(e, default=0).bit_length() + 5) // 6)]
+    dot = (2**64 - 1) // (pk - 1) ** 2 if dtype is np.uint64 else p  # products a sum holds
+    reduce = dot < 4
+    width = min(p - 1, max(1, _BLOCK // count), p if reduce else dot)
+    rows = max(1, _BLOCK // (width * (count if reduce else 1)))
+    out = np.zeros((len(N), count), dtype)
+    for lo in range(0, p - 1, width):
+        cols = slice(lo, lo + width)
+        table = _power_rows(np.array(tt.steps[cols], dtype), count, pk)[::-1]  # row n: i = count-1-n
+        for i in range(0, len(N), rows):
+            t = lifts[pick[i:i + rows], cols]
+            for level, d in enumerate(places):  # times step^(d 64^level)
+                t = t * tt.step_digits(level)[d[i:i + rows], cols] % pk
+            if reduce:  # in place, so one block of products is alive at a time
+                products = t[:, None, :] * table
+                out[i:i + rows] += np.remainder(products, pk, out=products).sum(axis=2) % pk
+            else:
+                out[i:i + rows] += t @ table.T % pk
+    return (out % pk).tolist()
 
 
 def class_sum_S(r: int, a: int, p: int) -> tuple[int, int]:
@@ -175,35 +192,16 @@ def class_sum_table(r: int, p: int, k: int = 3) -> list[int]:
     return [row[0] for row in _step_class_sums([r] * (p - 1), [r - c for c in range(p - 1)], p, k)]
 
 
-def _diagonal_class_sums(r_to: int, p: int, k: int) -> np.ndarray:
-    """T(r, r) and T(r, r-1) mod p^k for r = 0..r_to, as an (r_to+1) x 2 array.
-
-    (p-1) T(r, r-s) is the sum of zeta^s step^r over zeta, step = zeta^(-1)
-    (1 + zeta).  step^r fills a table by doubling, 64 lifts at a time so that
-    memory is O(r_to).  Products stay below p^(2k), in the dtype of
-    ``_mod_dtype``."""
-    pk, tt, dtype = p**k, teich_table(p, k), _mod_dtype(p, k)
-    sums = np.zeros((r_to + 1, 2), dtype)
-    for lo in range(0, p - 1, 64):
-        step, zeta = (np.array(x[lo:lo + 64], dtype) for x in (tt.steps, tt.rep[1:]))
-        pw, L = np.ones((r_to + 1, len(step)), dtype), 1
-        while L <= r_to:  # rows L..2L-1 are rows 0..L-1 times step^L
-            pw[L:2 * L] = pw[:min(L, r_to + 1 - L)] * step % pk
-            step, L = step * step % pk, 2 * L
-        sums += np.stack([pw.sum(axis=1), (pw * zeta % pk).sum(axis=1)], axis=1)
-    return (sums % pk * inv_mod(p - 1, pk) % pk).astype(np.int64)
-
-
 def _lemma_columns(p: int, r_to: int) -> dict[str, np.ndarray]:
     """The columns of ``lemma_rows`` as arrays over r = 1..r_to, keyed by
     its row keys; ``t_sum`` and ``s_sum_mod_p2`` belong to a row only where
     ``has_t`` and ``has_s2`` hold.  S and S2 read T(r, a) = T(r, r), and T
-    reads T(r, b-1) = T(r, r-1)."""
+    reads T(r, b-1) = T(r, r-1): one kernel call, at (r_to, 0) and (r_to, 1)."""
     if r_to < 1:
         raise DomainError(f"empty lemma range: --r-to {r_to} is below 1")
     require_odd_prime(p)
     n, p2, p3 = p - 1, p * p, p**3
-    T = _diagonal_class_sums(r_to, p, 3)[1:]  # T(r, r) and T(r, r-1)
+    T = np.array(_step_class_sums([r_to] * 2, [0, 1], p, 3, r_to + 1), np.int64).T[-2::-1]
     r = np.arange(1, r_to + 1)
     a = (r - 1) % n + 1
     b = np.where(a == 1, p, a)
@@ -280,11 +278,7 @@ class TeichTable:
                 base = self._digits[-1][63] * self._digits[-1][1] % pk
             else:
                 base = np.array(self.steps, _mod_dtype(self.p, self.precision))
-            rows, L = np.empty((64, self.p - 1), base.dtype), 1
-            rows[0] = 1
-            while L < 64:  # rows L..2L-1 are rows 0..L-1 times base^L
-                rows[L:2 * L], base, L = rows[:L] * base % pk, base * base % pk, 2 * L
-            self._digits.append(rows)
+            self._digits.append(_power_rows(base, 64, pk))
         return self._digits[level]
 
     def power(self, c: int, k: int) -> int:
@@ -462,8 +456,8 @@ def _certified(p: int, *specs: _Spec) -> tuple[_Family, ...]:
 def _alpha_spec(r: int, a: int, p: int) -> _Spec:
     """The spec of ``choose_alphas``; HypothesisError off its hypotheses."""
     require_odd_prime(p)
-    if not (2 <= a <= p - 1) or (r - a) % (p - 1):
-        raise HypothesisError(f"need r = a (mod p-1) with 2 <= a <= p-1; got r={r}, a={a}")
+    if r < 1 or not (2 <= a <= p - 1) or (r - a) % (p - 1):
+        raise HypothesisError(f"need r >= 1, r = a (mod p-1) with 2 <= a <= p-1; got r={r}, a={a}")
     unit, zero = (a, a * p) if r > a * p else (None, None)  # zero at r <= ap
     return _Spec("alpha", r, _class_range(1, r, a, p - 1), 1, unit, zero,
                  math.comb(r, 2) if a == 2 else 0)
@@ -482,8 +476,8 @@ def choose_alphas(r: int, a: int, p: int) -> Mapping[int, int]:
 def _beta_spec(r: int, b: int, p: int) -> _Spec:
     """The spec of ``choose_betas``; HypothesisError off its hypotheses."""
     require_odd_prime(p)
-    if not (3 <= b <= p) or (r - b) % (p - 1):
-        raise HypothesisError(f"need r = b (mod p-1) with 3 <= b <= p; got r={r}, b={b}")
+    if r < 1 or not (3 <= b <= p) or (r - b) % (p - 1):
+        raise HypothesisError(f"need r >= 1, r = b (mod p-1) with 3 <= b <= p; got r={r}, b={b}")
     if (r - b) % p:
         raise HypothesisError(f"need p | r - b; got r={r}, b={b}, p={p}")
     return _Spec("beta", r, _class_range(b - 1, r - 1, b - 1, p - 1), 1, b - 1, (b - 1) * p)
@@ -502,8 +496,8 @@ def _quad_specs(r: int, p: int) -> tuple[_Spec, _Spec]:
     """The specs of ``choose_alphas_modp2`` and ``choose_gammas_modp2``;
     HypothesisError off their hypotheses."""
     require_odd_prime(p)
-    if (r - 1) % (p - 1) or (r - p) % (p * p):
-        raise HypothesisError(f"need r = 1 (mod p-1) and p^2 | r - p; got r={r}, p={p}")
+    if r < 1 or (r - 1) % (p - 1) or (r - p) % (p * p):
+        raise HypothesisError(f"need r >= 1, r = 1 (mod p-1) and p^2 | r - p; got r={r}, p={p}")
     return (_Spec("alpha2", r, _class_range(p, r, 1, p - 1), 2, None, p, 1 if p == 3 else 0),
             _Spec("gamma", r, _class_range(p - 1, r - 1, 0, p - 1), 2, p - 1, (p - 1) * p,
                   -1 if p == 3 else 0))

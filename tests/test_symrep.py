@@ -824,17 +824,21 @@ class TestResidueModel:
 
     def test_class_sums_against_the_kernel(self):
         # the sums of binom(N, i) and i binom(N, i) over a class, mod p,
-        # against arith's kernel at k = 1: T(N, rho) and N T(N-1, rho-1)
-        for p in (3, 5, 7, 11, 13, 31):
-            N = np.array([0, 1, 2, p - 1, p, p * p + 1, 3 * p * p, 10**9 + 7])
+        # against arith's kernel at k = 1: T(N, rho) and N T(N-1, rho-1).
+        # The two forms stay apart on purpose (the kernel builds one lift row
+        # per pair), so they meet at a large p and a degree near 10^15 too
+        for p in (3, 5, 7, 11, 13, 31, 211):
+            N = np.array([0, 1, 2, p - 1, p, p * p + 1, 3 * p * p, 10**9 + 7, 10**15 + 37])
             N = np.concatenate([N, np.arange(2 * p, 4 * p)])
             sums, weighted = symrep._class_sums_mod_p(N, p)
+            degrees = [n for n in N.tolist() if n]  # one kernel call, p-1 classes a degree
+            rows = iter(_step_class_sums([n for n in degrees for _ in range(p - 1)],
+                                         [n - rho for n in degrees for rho in range(p - 1)], p, 1, 2))
             for j, n in enumerate(N.tolist()):
                 if n == 0:
                     want = [[int(rho == 0), 0] for rho in range(p - 1)]
                 else:
-                    rows = _step_class_sums([n] * (p - 1), [n - rho for rho in range(p - 1)], p, 1, 2)
-                    want = [[t0, n * t1 % p] for t0, t1 in rows]
+                    want = [[t0, n * t1 % p] for t0, t1 in itertools.islice(rows, p - 1)]
                 assert np.array_equal(np.stack([sums[:, j], weighted[:, j]], axis=1), want), (p, n)
 
     def test_a_class_sum_off_by_one_fails_the_u_check(self, monkeypatch):
