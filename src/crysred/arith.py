@@ -535,23 +535,26 @@ class ApCoeff:
     dividing n (n = k = 0 when the term holds only an error bound), and err
     a lower bound on the valuation of its Teichmuller rounding error (INF
     when exact).  So v(c_d) = k, and at slope v(A) = a/b the term's valuation
-    is compared as the integer b*k + a*d.  The prime is part of the value:
-    a rational with a denominator prime to p raises ArithmeticError, and a
-    coefficient met at another prime (in a sum, an ``IndFunction`` or
-    ``val_lb``) raises ValueError.
+    is compared as the integer b*k + a*d.  ``ApCoeff(terms, p)`` stores
+    terms in this normal form as given; a rational enters only through
+    ``ApCoeff.rational``.  The prime is part of the value: a rational with a
+    denominator prime to p raises ArithmeticError, and a coefficient met at
+    another prime (in a sum, an ``IndFunction`` or ``val_lb``) raises
+    ValueError.
     """
 
     __slots__ = ("p", "terms")
 
     def __init__(self, terms: dict, p: int):
-        """``terms`` maps d to (rational c_d, err)."""
+        """Trusted: {d: (n, k, err)} in normal form, neither copied nor checked."""
         self.p = p
-        self.terms = {d: (*_split(c, p), e) for d, (c, e) in terms.items()
-                      if c or e != INF} if terms else {}
+        self.terms = terms
 
     @classmethod
     def rational(cls, q, d: int = 0, *, p: int):
-        return cls({d: (q, INF)}, p)
+        """q A^d, q split into n p^k; ArithmeticError for a denominator prime to p."""
+        n, k = _split(q, p)
+        return cls({d: (n, k, INF)} if n else {}, p)
 
     def exact_terms(self) -> dict:
         """{d: (c_d as a Fraction, err)}."""
@@ -563,8 +566,7 @@ class ApCoeff:
     def __add__(self, other):
         if other.p != self.p:
             raise ValueError(f"coefficient at p = {other.p} added at p = {self.p}")
-        out = ApCoeff({}, self.p)
-        out.terms = dict(self.terms)
+        out = ApCoeff(dict(self.terms), self.p)
         for d, t in other.terms.items():
             _accum(out.terms, self.p, d, *t)
         return out
@@ -601,9 +603,7 @@ class ApCoeff:
 
     def shift(self, k: int):
         """Multiply by A^k."""
-        out = ApCoeff({}, self.p)
-        out.terms = {d + k: t for d, t in self.terms.items()}
-        return out
+        return ApCoeff({d + k: t for d, t in self.terms.items()}, self.p)
 
     # -- audits --------------------------------------------------------------
 

@@ -8,7 +8,8 @@ Functions live on the standard tree cosets
 and are finite sums of terms [coset, polynomial], built with
 ``IndFunction.add_term``; polynomials are dicts from monomial index to
 ``ApCoeff`` values, sums of n p^k A^d with n a p-adic unit and A the
-symbolic eigenvalue, Teichmuller truncation tracked.  ``apply_T`` is the
+symbolic eigenvalue, Teichmuller truncation tracked, each built from its
+(n, k, err) terms as given or by ``ApCoeff.rational``.  ``apply_T`` is the
 raising/lowering decomposition on branch-0 support.  Its oracle, the
 double-coset formula with generic coset normalization (``direct_T``), lives
 in ``tests/reference.py``.  Reduced mod p, a function is one map from
@@ -189,10 +190,8 @@ class IndFunction:
         for coset, poly in self.data.items():
             shifted = {}
             for j, c in poly.items():
-                c = c.shift(k)
-                c.terms = _below_cap(c.terms, out.cap)
-                if c.terms:
-                    shifted[j] = c
+                if terms := _below_cap({d + k: t for d, t in c.terms.items()}, out.cap):
+                    shifted[j] = ApCoeff(terms, self.p)
             if shifted:
                 out.data[coset] = shifted
         return out
@@ -228,13 +227,6 @@ def _below_cap(terms: dict, cap) -> dict:
     return {d: t for d, t in terms.items() if not _past_cap(d, t, cap)}
 
 
-def _coeff(terms: dict, p: int) -> ApCoeff:
-    """The coefficient with these (n, k, err) terms, taken as they are."""
-    out = ApCoeff({}, p)
-    out.terms = terms
-    return out
-
-
 def _normal_terms(vals: dict, k0: int, errs: dict, p: int, cap) -> dict:
     """{d: (n, k, err)} for the exact values x p^k0 in ``vals``, each with
     its error bound in ``errs``: n is x with p stripped once, and a zero
@@ -262,7 +254,7 @@ def _add_into(out: IndFunction, coset: Coset, items) -> None:
         cur = poly.get(j)
         if cur is None:
             if terms:
-                poly[j] = _coeff(terms, p)
+                poly[j] = ApCoeff(terms, p)
             continue
         acc = cur.terms
         for d, t in terms.items():
@@ -364,7 +356,7 @@ def apply_Tplus(f: IndFunction, *, _binoms: dict | None = None) -> IndFunction:
         for lam, child in enumerate(children):
             if child:
                 out.data[Coset(0, coset.level + 1, coset.digits + (lam,))] = {
-                    j: _coeff(terms, p) for j, terms in child.items()}
+                    j: ApCoeff(terms, p) for j, terms in child.items()}
     return out
 
 
@@ -432,7 +424,7 @@ def apply_Tminus(f: IndFunction, *, _binoms: dict | None = None) -> IndFunction:
                     if acc is None:
                         acc = poly[j] = ApCoeff({}, p)
                     by_class[e]._mul_into(acc, u, r - i + v)
-        poly = {j: _coeff(terms, p) for j, c in poly.items()
+        poly = {j: ApCoeff(terms, p) for j, c in poly.items()
                 if c is not None and (terms := _below_cap(c.terms, cap))}
         if poly:
             out.data[parent] = poly

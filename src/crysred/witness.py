@@ -58,7 +58,6 @@ from .symrep import (
     quotient_Q,
     socle_simples,
     sym_power,
-    theta_index_classes,
     weight_module,
 )
 
@@ -350,11 +349,11 @@ class QEnv:
         self.star = self.module.star_image()
 
     def cls(self, entries: dict[int, int]) -> np.ndarray:
-        """The class in Q of sum_j entries[j] X^(r-j) Y^j: the values times
-        their monomials' classes modulo theta^2, read by index, projected."""
-        vals = np.fromiter(entries.values(), np.int64, len(entries))
-        classes = theta_index_classes(list(entries), self.p, self.r, 2)
-        return self.module.project_coords(vals @ classes % self.p)
+        """The class in Q of sum_j entries[j] X^(r-j) Y^j, one row of
+        ``QuotientModule.project_entries``."""
+        n = len(entries)
+        idx, vals = np.fromiter(entries, np.int64, n), np.fromiter(entries.values(), np.int64, n)
+        return self.module.project_entries(np.zeros(n, np.int64), idx, vals, 1)[0]
 
     def cls_theta(self, m: int) -> np.ndarray:
         """The class of theta * X^(s-m) Y^m, s = r - p - 1."""

@@ -139,6 +139,7 @@ from crysred.arith import (
     _accum,
     _binom_row,
     _class_range,
+    _split,
     inv_mod,
     padic_val,
     require_odd_prime,
@@ -157,7 +158,6 @@ from crysred.hecke import (
     IndFunction,
     ResidueFunction,
     _binom_units,
-    _coeff,
     _floor_val,
     apply_Tminus,
     apply_Tplus,
@@ -216,7 +216,7 @@ def exact_sum(f: IndFunction, items=(), cap=None) -> IndFunction:
                     _accum(acc, p, d, *t)
     out = f._empty(cap)
     for coset, poly in data.items():
-        if poly := {j: _coeff(terms, p) for j, terms in poly.items() if terms}:
+        if poly := {j: ApCoeff(terms, p) for j, terms in poly.items() if terms}:
             out.data[coset] = poly
     return out
 
@@ -303,16 +303,16 @@ def _substitute_poly(poly: dict[int, ApCoeff], mat, r: int, p: int, prec: int):
                 cell[1] = min(cell[1], eps)
     out: dict[int, ApCoeff] = {}
     for j, cells in acc.items():
-        coeff = ApCoeff({}, p)
+        terms = {}
         for dd, (val, eps) in cells.items():
             k = -D
             while val and val % p == 0:
                 val //= p
                 k += 1
             if val or eps != INF:
-                coeff.terms[dd] = (val, k if val else 0, eps)
-        if coeff.terms:
-            out[j] = coeff
+                terms[dd] = (val, k if val else 0, eps)
+        if terms:
+            out[j] = ApCoeff(terms, p)
     return out
 
 
@@ -485,8 +485,7 @@ def cut_past_cap(f: IndFunction) -> IndFunction:
                 elif e < lo:
                     terms[d] = (0, 0, e)
             if terms:
-                kept[j] = ApCoeff({}, p)
-                kept[j].terms = terms
+                kept[j] = ApCoeff(terms, p)
         if kept:
             out.data[coset] = kept
     return out
@@ -611,6 +610,13 @@ def reduce_mod(x, p: int) -> int:
     if den % p == 0:
         raise ValueError(f"{x} is not p-integral at p = {p}")
     return num * inv_mod(den, p) % p
+
+
+def split_coeff(raw: dict, p: int) -> ApCoeff:
+    """The ``ApCoeff`` of the {d: (rational c_d, err)} that ``FractionCoeff``
+    reads: each c_d split into its normal form (n, k), and a term with
+    c_d = 0 and err = INF left out."""
+    return ApCoeff({d: (*_split(c, p), e) for d, (c, e) in raw.items() if c or e != INF}, p)
 
 
 class FractionCoeff:
@@ -1292,8 +1298,8 @@ def corrected_family(name: str, row: list[int], js, p: int, level: int,
 def choose_alphas_by_row(r: int, a: int, p: int) -> dict[int, int]:
     """``arith.choose_alphas`` on the exact row binom(r, 0..r)."""
     require_odd_prime(p)
-    if not (2 <= a <= p - 1) or (r - a) % (p - 1):
-        raise HypothesisError(f"need r = a (mod p-1) with 2 <= a <= p-1; got r={r}, a={a}")
+    if r < 1 or not (2 <= a <= p - 1) or (r - a) % (p - 1):
+        raise HypothesisError(f"need r >= 1, r = a (mod p-1) with 2 <= a <= p-1; got r={r}, a={a}")
     js = _class_range(1, r, a, p - 1)
     row = _binom_row(r)
     target = math.comb(r, 2) if a == 2 else 0
@@ -1305,8 +1311,8 @@ def choose_alphas_by_row(r: int, a: int, p: int) -> dict[int, int]:
 def choose_betas_by_row(r: int, b: int, p: int) -> dict[int, int]:
     """``arith.choose_betas`` on the exact row binom(r, 0..r)."""
     require_odd_prime(p)
-    if not (3 <= b <= p) or (r - b) % (p - 1):
-        raise HypothesisError(f"need r = b (mod p-1) with 3 <= b <= p; got r={r}, b={b}")
+    if r < 1 or not (3 <= b <= p) or (r - b) % (p - 1):
+        raise HypothesisError(f"need r >= 1, r = b (mod p-1) with 3 <= b <= p; got r={r}, b={b}")
     if (r - b) % p:
         raise HypothesisError(f"need p | r - b; got r={r}, b={b}, p={p}")
     js = _class_range(b - 1, r - 1, b - 1, p - 1)
@@ -1316,8 +1322,8 @@ def choose_betas_by_row(r: int, b: int, p: int) -> dict[int, int]:
 def choose_gammas_alphas2_by_row(r: int, p: int) -> tuple[dict[int, int], dict[int, int]]:
     """``arith.choose_gammas_alphas2`` on one exact row binom(r, 0..r)."""
     require_odd_prime(p)
-    if (r - 1) % (p - 1) or (r - p) % (p * p):
-        raise HypothesisError(f"need r = 1 (mod p-1) and p^2 | r - p; got r={r}, p={p}")
+    if r < 1 or (r - 1) % (p - 1) or (r - p) % (p * p):
+        raise HypothesisError(f"need r >= 1, r = 1 (mod p-1) and p^2 | r - p; got r={r}, p={p}")
     row = _binom_row(r)
     return (corrected_family("alpha2", row, _class_range(p, r, 1, p - 1), p, 2,
                              None, p, 1 if p == 3 else 0),

@@ -43,6 +43,7 @@ from reference import (
     coefficient_residue,
     corrected_family,
     family_holds,
+    split_coeff,
 )
 from test_acceptance import LEMMA_PRIMES, LEMMA_R_MAX, criterion4_families
 
@@ -357,9 +358,30 @@ class TestFamilies:
             for r in (p, p + p * p * (p - 1), p + 2 * p * p * (p - 1)):
                 assert tuple(map(dict, choose_gammas_alphas2(r, p))) == \
                     choose_gammas_alphas2_by_row(r, p), (r, p)
+        # degrees below 1, on and off each family's congruences: both refuse
+        for p in (3, 5, 7):
+            for r in (-17, 0):
+                calls = ([(choose_alphas, (r, a, p)) for a in range(2, p)]
+                         + [(choose_betas, (r, b, p)) for b in range(3, p + 1)]
+                         + [(choose_alphas_modp2, (r, p)), (choose_gammas_modp2, (r, p))])
+                for choose, args in calls:
+                    for fn in (choose, by_row[choose]):
+                        with pytest.raises(HypothesisError):
+                            fn(*args)
 
 
 class TestApCoeff:
+    def test_two_ways_to_build(self):
+        # the constructor stores the normal-form terms it is given
+        terms = {-2: (0, 0, 4), 0: (4, 0, 5), 1: (-3, 7, arith.INF)}
+        c = ApCoeff(terms, 5)
+        assert c.terms is terms and c.terms == {-2: (0, 0, 4), 0: (4, 0, 5), 1: (-3, 7, arith.INF)}
+        # a rational enters through ``rational``: p stripped, 0 stores no term
+        assert ApCoeff.rational(Fraction(-75, 125), 3, p=5).terms == {3: (-3, -1, arith.INF)}
+        assert ApCoeff.rational(0, 2, p=5).terms == {}
+        with pytest.raises(ArithmeticError):
+            ApCoeff.rational(Fraction(1, 3), p=5)
+
     def test_single_term_valuation_is_exact(self):
         sig = Fraction(5, 4)
         c = ApCoeff.rational(Fraction(75), -1, p=5)  # 75 = 3 * 5^2
@@ -394,7 +416,7 @@ class TestApCoeff:
             coefficient_residue(c, Fraction(4, 3))
 
     def test_truncated_precision_aborts(self):
-        c = ApCoeff({0: (5**7, 8)}, 5)  # value p^7 known mod p^8
+        c = ApCoeff({0: (1, 7, 8)}, 5)  # value p^7 known mod p^8
         with pytest.raises(PrecisionError):
             certify_val_ge(c, 7, Fraction(3, 2), 5)
 
@@ -431,7 +453,7 @@ class TestApCoeffProperties:
             num = data.draw(st.integers(-50, 50))
             den_pow = data.draw(st.integers(0, 3))
             terms[d] = (Fraction(num, 5**den_pow), arith.INF)
-        return ApCoeff(terms, 5)
+        return split_coeff(terms, 5)
 
     @given(st.data())
     @settings(max_examples=80, deadline=None)
@@ -490,13 +512,13 @@ class TestApCoeffAgainstFractions:
     @settings(max_examples=300, deadline=None)
     def test_operations_match(self, data, p):
         raw = data.draw(coeff_terms(p))
-        a, ref = ApCoeff(raw, p), FractionCoeff(p, raw)
+        a, ref = split_coeff(raw, p), FractionCoeff(p, raw)
         assert a.exact_terms() == ref.terms
         for _ in range(data.draw(st.integers(1, 6))):
             op = data.draw(st.sampled_from(["add", "sub", "scale", "scale_trunc", "shift"]))
             if op in ("add", "sub"):
                 other = data.draw(coeff_terms(p))
-                b, ref_b = ApCoeff(other, p), FractionCoeff(p, other)
+                b, ref_b = split_coeff(other, p), FractionCoeff(p, other)
                 a, ref = (a + b, ref + ref_b) if op == "add" else (a - b, ref - ref_b)
             elif op == "scale":
                 q = Fraction(data.draw(st.integers(-p**3, p**3)), p ** data.draw(st.integers(0, 3)))
@@ -522,7 +544,7 @@ class TestApCoeffAgainstFractions:
     @given(st.data(), st.sampled_from([3, 5, 7]))
     @settings(max_examples=200, deadline=None)
     def test_audit_bound_is_an_integer_count_of_one_over_b(self, data, p):
-        c = ApCoeff(data.draw(coeff_terms(p)), p)
+        c = split_coeff(data.draw(coeff_terms(p)), p)
         for sigma in (Fraction(5, 4), Fraction(4, 3), Fraction(3, 2), Fraction(7, 4)):
             bound = c.audit_terms(sigma)[0]
             if not c.terms:

@@ -47,6 +47,7 @@ from reference import (
     reductions_agree,
     same_below_cap,
     same_terms,
+    split_coeff,
     t_minus_ap_by_parts,
     t_minus_ap_uncut,
     translate,
@@ -314,7 +315,7 @@ def raising_inputs(draw):
     # drawn terms can cancel and leave f empty: then add at the root coset
     p, cosets, items = f.p, sorted(f.data) or [g0(0, ())], []
     for _ in range(draw(st.integers(0, 2))):
-        loose = ApCoeff({draw(st.integers(-2, 2)): (0, draw(st.integers(0, 6)))}, p)
+        loose = ApCoeff({draw(st.integers(-2, 2)): (0, 0, draw(st.integers(0, 6)))}, p)
         items.append((draw(st.sampled_from(cosets)), draw(st.integers(0, f.r)), loose))
     f = exact_sum(f, items)
     if draw(st.booleans()):
@@ -336,7 +337,7 @@ class TestGroupedRaising:
         f = elementary(5, 30, g0(1, (3,)), {
             30: ApCoeff.rational(Fraction(7, 25), 2, p=5),
             29: ApCoeff.rational(3, p=5).scale_trunc(table.power(2, 3), 8),
-            27: ApCoeff({0: (Fraction(4), 5), -2: (0, 4)}, 5),
+            27: ApCoeff({0: (4, 0, 5), -2: (0, 0, 4)}, 5),
             12: ApCoeff.rational(Fraction(1, 5), p=5),
         })
         f.cap = 6
@@ -442,7 +443,7 @@ class TestAbsoluteCap:
     def test_truncation_error_survives_the_cap(self):
         # a coefficient known only to valuation 3 (stored value 0): its
         # error, not the stored value, decides whether a term is dropped
-        unknown = ApCoeff({0: (Fraction(0), 3)}, 5)
+        unknown = ApCoeff({0: (0, 0, 3)}, 5)
         f = elementary(5, 11, g0(1, (2,)), {11: unknown, 4: unknown}, precision=8)
         out = apply_T(f)
         assert out.data
@@ -464,16 +465,16 @@ class TestAbsoluteCap:
         # cap 10 (9 + 1 = 10, past it): the shift drops it as add_term would,
         # and the coset that it leaves empty; a term still below the cap stays
         f = IndFunction(5, 11, precision=8)
-        f.add_term(IDENTITY, {0: ApCoeff({-1: (5**9, INF)}, 5), 3: ONE})
-        f.add_term(g0(1, (2,)), {0: ApCoeff({-1: (5**9, INF)}, 5)})
+        f.add_term(IDENTITY, {0: ApCoeff({-1: (1, 9, INF)}, 5), 3: ONE})
+        f.add_term(g0(1, (2,)), {0: ApCoeff({-1: (1, 9, INF)}, 5)})
         assert f.data[IDENTITY][0].terms == {-1: (1, 9, INF)}
         out = f.shift_ap(2)
         assert out.cap == 10 and list(out.data) == [IDENTITY]
         assert list(out.data[IDENTITY]) == [3] and out.data[IDENTITY][3].terms == {2: (1, 0, INF)}
         # the function that add_term builds from the shifted terms at cap 10
         want = IndFunction(5, 11, precision=10)
-        want.add_term(IDENTITY, {0: ApCoeff({1: (5**9, INF)}, 5), 3: ONE.shift(2)})
-        want.add_term(g0(1, (2,)), {0: ApCoeff({1: (5**9, INF)}, 5)})
+        want.add_term(IDENTITY, {0: ApCoeff({1: (1, 9, INF)}, 5), 3: ONE.shift(2)})
+        want.add_term(g0(1, (2,)), {0: ApCoeff({1: (1, 9, INF)}, 5)})
         assert same_terms(out, want)
 
     def test_low_cap_refused_by_audit_and_reduction(self):
@@ -535,7 +536,7 @@ class TestResidueFromTheAudit:
 
     def test_precision_refusal_waits_for_the_residue(self):
         # 1 known mod 5^2: valuation 0 is certified, its residue is within the headroom
-        f = elementary(5, 11, IDENTITY, {0: ApCoeff({0: (Fraction(1), 2)}, 5)})
+        f = elementary(5, 11, IDENTITY, {0: ApCoeff({0: (1, 0, 2)}, 5)})
         rep = audit_valuations(f, Fraction(5, 4))
         assert rep.integral and rep.margin == 1 < PRECISION_HEADROOM
         for refused in (lambda: residue_terms(rep), lambda: reduce_mod_p(f, Fraction(5, 4))):
@@ -756,13 +757,13 @@ def audit_inputs(draw):
             err = draw(st.one_of(st.just(math.inf), st.integers(0, 6)))
             terms[d] = (Fraction(num, den), err)
         items.append((draw(st.sampled_from(AUDIT_COSETS)), draw(st.integers(0, 11)),
-                      ApCoeff(terms, 5)))
+                      split_coeff(terms, 5)))
     sigma = draw(st.sampled_from([Fraction(5, 4), Fraction(4, 3), Fraction(3, 2)]))
     return exact_sum(IndFunction(5, 11, precision=8), items), sigma
 
 
 class TestSinglePassAudit:
-    SHORT = ApCoeff({0: (Fraction(5), 1)}, 5)  # 5 known mod 5: within the headroom of 0
+    SHORT = ApCoeff({0: (1, 1, 1)}, 5)  # 5 known mod 5: within the headroom of 0
     SIG = Fraction(3, 2)
 
     def _function(self, *coeffs):
@@ -784,7 +785,7 @@ class TestSinglePassAudit:
         assert new[0] == "IndeterminateCancellation"
 
     def test_headroom_alone_raises_at_the_first_term(self):
-        later = ApCoeff({1: (Fraction(5), 0)}, 5)  # another term short of headroom
+        later = ApCoeff({1: (1, 1, 0)}, 5)  # another term short of headroom
         f = self._function((g0(1, (3,)), later), (IDENTITY, self.SHORT))
         new = _outcome(audit_valuations, f, self.SIG)
         assert new == _outcome(_two_pass_audit, f, self.SIG)
@@ -792,7 +793,7 @@ class TestSinglePassAudit:
 
     # 5^-1 A^-1 known only mod 5^1 (nothing, or 5): at slope 5/4 the bound
     # -1/4 rests on the error, and the true value may be 0
-    LOOSE = [ApCoeff({-1: (Fraction(0), 1)}, 5), ApCoeff({-1: (Fraction(5), 1)}, 5)]
+    LOOSE = [ApCoeff({-1: (0, 0, 1)}, 5), ApCoeff({-1: (1, 1, 1)}, 5)]
 
     @pytest.mark.parametrize("loose", LOOSE)
     def test_error_dominated_bound_is_refused(self, loose):
