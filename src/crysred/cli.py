@@ -126,9 +126,6 @@ def _print_record(rec: ReportRecord) -> None:
 
 
 def cmd_structure(args) -> int:
-    if args.r + 1 > args.bound:
-        raise DimensionBoundError(
-            f"degree-r coefficient row length r+1 = {args.r + 1} exceeds bound {args.bound}")
     rec = structure_report(args.p, args.r)
     _emit(rec.to_dict(), args.format, lambda: _print_record(rec))
     return EXIT_OK if rec.passed else EXIT_MISMATCH
@@ -324,8 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("structure", help="brute-force structure report at one degree")
     s.add_argument("--p", type=int, required=True)
     s.add_argument("--r", type=int, required=True)
-    s.add_argument("--bound", type=int, default=2000,
-                   help="largest r+1 (the length of a degree-r coefficient row) to accept")
     s.add_argument("--format", default="text", choices=["text", "json"])
     s.set_defaults(fn=cmd_structure)
 

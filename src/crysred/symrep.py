@@ -24,11 +24,17 @@ h = (a b; c d), is sum_t binom(r-1, i-t) a^(r-1-i+t) c^(i-t) m_t, t in
 power factor V_(t,c) depends on i only through its class c mod p-1, and
 column i is sum_t binom(r-1, i-t) V_(t,c).  The columns of class c thus
 span the combinations sum_t beta_t V_(t,c), beta in a basis of the span of
-their coefficient vectors: at most two columns per class.  With the edge
-columns 0, 1, r-1 and r, computed exactly with 0^0 = 1, that is at most
-4 + 2(p-1) columns in place of r+1 (``_column_types``).  The module comes
-in the basis T S, S the spanning set and T the row transform of its column
-types.
+their pairs (binom(r-1, i), binom(r-1, i-1)): at most two columns per
+class.  With the edge columns 0, 1, r-1 and r, computed exactly with
+0^0 = 1, that is at most 4 + 2(p-1) columns in place of r+1.  The module
+comes in the basis T S, S the spanning set and T the row transform of its
+column types.  The pairs come from the base-p digits n_m of n = r-1
+(Lucas): i = H p^(m+1) + d p^m, 0 < d < p, has the pair B(H) times
+(binom(n_m, d), e_m binom(n_m, d-1)), as i-1 has the digits p-1 below
+m: e_m = 1 exactly when n's digits below m are all p-1, and B(H) != 0
+exactly when H's digits are at most n's above m.  The class of i is d
+plus H's digit sum, so counting those H by digit sum mod p-1 gives each
+class's directions (m, d) (``_class_pairs``), with nothing sized by r.
 
 X_r lies in X_(r-1), since X^r = (1 1; 0 0) . X^(r-1) Y, and it is the
 span of the g . X^r = (aX + cY)^r: c^r (kX + Y)^r with k = a/c if c != 0,
@@ -70,6 +76,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import linalg
+from .arith import digits, padic_val
 from .errors import DimensionBoundError, DomainError
 from .linalg import FpSpace
 
@@ -261,28 +268,35 @@ def _image_parts(hs, r: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     return E % p, np.stack(V)
 
 
-def _middle_binomials(p: int, r: int) -> np.ndarray:
-    """C[t, m, i] = binom(r-1, i-t) mod p for the middle indices
-    2 <= i <= r-2 of class 2 + m mod p-1, zero elsewhere: C[:, m] holds
-    the coefficient vectors of class 2 + m as degree-r vectors."""
-    i = np.arange(2, r - 1)
-    C = np.zeros((2, p - 1, r + 1), dtype=np.int64)
-    C[:, (i - 2) % (p - 1), i] = _binomials(r - 1, i - np.arange(2)[:, None], p)
-    return C
+def _digit_sum_counts(n, p: int) -> np.ndarray:
+    """counts[m, s]: how many H have base-p digits at most n[m+1:], one by
+    one, and digit sum s mod p-1; exact in int64 (prod(n + 1) of them)."""
+    P, top = p - 1, np.asarray(n)[:, None]
+    box = (np.arange(P) <= top).astype(np.int64) + ((np.arange(P) == 0) & (top == P))
+    shift = (np.arange(P)[:, None] - np.arange(P)) % P  # a digit h = t mod p-1 adds t to s
+    counts = [np.eye(1, P, dtype=np.int64)[0]]  # no digits above the top: H = 0
+    for row in box[:0:-1]:
+        counts.append(row[shift] @ counts[-1])
+    return np.array(counts[::-1])
 
 
-def _column_types(E: np.ndarray, V: np.ndarray, C: np.ndarray, p: int) -> np.ndarray:
-    """A matrix with the row relations of the images with parts E, V (see
-    ``_image_parts``), C the ``_middle_binomials``: the edge columns E, then
-    per class of middle indices a basis of the combinations sum_t beta_t V[t]
-    that its columns are (see the module docstring), at most 4 + 2(p-1)
-    columns.  A class whose coefficient vectors span F_p^2 keeps both V[t];
-    one whose vectors span a line keeps the combination by its first one."""
-    nz = C.any(axis=0)
-    first = C[:, np.arange(p - 1), nz.argmax(axis=1)]
-    full = ((first[0, :, None] * C[1] - first[1, :, None] * C[0]) % p).any(axis=1)
-    line = nz.any(axis=1) & ~full
-    return np.hstack([E, *V[:, :, full], (first[:, None, line] * V[:, :, line]).sum(axis=0) % p])
+def _class_pairs(p: int, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per class 2 + c mod p-1 of the middle indices 2 <= i <= r-2: whether
+    a pair (binom(r-1, i), binom(r-1, i-1)) mod p is nonzero, whether the
+    pairs span F_p^2, and a nonzero pair if any (column c), off the digits
+    of r-1 (module docstring); the edge indices 1, r-1 and r are taken off."""
+    P, n, d = p - 1, np.array(digits(r - 1, p) + [0]), np.arange(1, p)
+    e = np.cumprod(np.concatenate([[1], n[:-1] == P]))  # n's digits below m all p-1
+    dirs = np.stack([_pascal(p)[n[:, None], d], e[:, None] * _pascal(p)[n[:, None], d - 1]])
+    cells = _digit_sum_counts(n, p)[:, (np.arange(P)[:, None] + 2 - d) % P]
+    cells *= dirs.any(axis=0)[:, None]  # cells[m, c, d-1]: the i of class 2 + c at (m, d)
+    for i in _edges(r)[1:]:  # 0 has no pair
+        m = padic_val(i, p)
+        cells[m, (i - 2) % P, i // p**m % p - 1] -= 1
+    live, dirs = cells.transpose(1, 0, 2).reshape(P, -1) > 0, dirs.reshape(2, -1)
+    first = dirs[:, live.argmax(axis=1)]
+    off = (first[0, :, None] * dirs[1] - first[1, :, None] * dirs[0]) % p != 0  # off its line
+    return live.any(axis=1), (live & off).any(axis=1), first
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +357,7 @@ def build_X(p: int, r: int) -> ClosedSubspace:
     the Gamma generators and diag(1, 0), which generate the monoid.  The
     same images give the Gamma action on the basis T S, T the row transform
     of S.  Rank, stability and action are row relations, read off the
-    spanning set and all five image sets on their ``_column_types``: no
+    spanning set and all five image sets on their column types: no
     (r+1)-long row is formed.  X_r is the span of X^r = S[0] and the p
     powers (kX + Y)^r, read as further images under the same residual
     check (see the module docstring).  The theta filtration and the
@@ -369,8 +383,9 @@ def _closure_on_column_types(p: int, r: int) -> tuple[np.ndarray, GammaModule, F
     gens = gamma_generators(p) + [(1, 0, 0, 0)]
     powers = [(k, k, 1, 1) for k in range(p)]  # (k k; 1 1) . X^(r-1) Y = (kX + Y)^r
     E, V = _image_parts(hs + [mat_mul(g, h, p) for g in gens for h in hs] + powers, r, p)
-    C = _middle_binomials(p, r)
-    vecs = _column_types(E, V, C, p)
+    nz, full, first = _class_pairs(p, r)  # a class on a line keeps one combination
+    line = nz & ~full
+    vecs = np.hstack([E, *V[:, :, full], (first[:, None, line] * V[:, :, line]).sum(axis=0) % p])
     S, images = vecs[: len(hs)], vecs[len(hs):]
     B, T, pivots = linalg.row_transform(S, p)  # echelon basis B = T S
     coords = images[:, pivots]

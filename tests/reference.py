@@ -41,8 +41,13 @@ they check.
   of X^(r-1) Y there, against ``symrep.quotient_Q`` and ``build_X``'s
   quotient, which take the span of the classes of X's spanning set; and
   ``filtration_dims_by_columns``, the theta-filtration dims from the
-  classes of the (r+1)-long rows ``symrep._middle_binomials``, against
+  classes of the (r+1)-long rows ``middle_binomials``, against
   ``build_X``, which reads them in V_r/V**.
+- ``middle_binomials``: the pairs (binom(r-1, i), binom(r-1, i-1)) mod p
+  of the middle indices 2 <= i <= r-2 as (r+1)-long rows per class mod
+  p-1, and ``class_pairs_by_columns``, each class's nonzero, spanning and
+  first nonzero pair read off them, against ``symrep._class_pairs``, which
+  reads them off the base-p digits of r-1 with no array sized by r.
 - ``dense_classes``: classes in Q read off the classes modulo theta^2 of
   whole (r+1)-long rows, against ``QuotientModule.project_entries`` and
   ``witness.QEnv.cls``, which read each monomial's class by its index.
@@ -175,7 +180,6 @@ from crysred.symrep import (
     _binomials,
     _edges,
     _image_parts,
-    _middle_binomials,
     _power_cycles,
     _spanning_matrices,
     _theta_coordinates,
@@ -1133,16 +1137,38 @@ def quotient_by_spin(p: int, r: int) -> QuotientModule:
     return QuotientModule(r, ambient, ambient.spin([np.eye(1, len(ambient.mats["u"]), 1)]))
 
 
+def middle_binomials(p: int, r: int) -> np.ndarray:
+    """C[t, c, i] = binom(r-1, i-t) mod p for the middle indices
+    2 <= i <= r-2 of class 2 + c mod p-1, zero elsewhere: C[:, c] holds
+    the pairs of class 2 + c as degree-r vectors."""
+    i = np.arange(2, r - 1)
+    C = np.zeros((2, p - 1, r + 1), dtype=np.int64)
+    C[:, (i - 2) % (p - 1), i] = _binomials(r - 1, i - np.arange(2)[:, None], p)
+    return C
+
+
+def class_pairs_by_columns(p: int, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per class of middle indices, from the (r+1)-long rows of
+    ``middle_binomials``: whether a pair is nonzero, whether the pairs span
+    F_p^2, and the pair at the first index with a nonzero one; against
+    ``symrep._class_pairs``, which reads them off the digits of r-1."""
+    C = middle_binomials(p, r)
+    nz = C.any(axis=0)
+    first = C[:, np.arange(p - 1), nz.argmax(axis=1)]
+    full = ((first[0, :, None] * C[1] - first[1, :, None] * C[0]) % p).any(axis=1)
+    return nz.any(axis=1), full, first
+
+
 def filtration_dims_by_columns(X) -> tuple[int, ...]:
     """The four theta-filtration dims of ``symrep.build_X``'s X from the
     classes of its spanning set read off the edge monomials and the
-    (r+1)-long rows of ``_middle_binomials``, times the parts of
+    (r+1)-long rows of ``middle_binomials``, times the parts of
     ``_image_parts``; against ``build_X``, which reads them in V_r/V**."""
     p, r = X.p, X.r
     E, V = _image_parts(_spanning_matrices(p), r, p)
     edges = np.arange(r + 1) == np.array(_edges(r))[:, None]
     ends, mid = (np.concatenate([theta_classes(x, p, k) for k in (1, 2)], axis=-1)
-                 for x in (edges, _middle_binomials(p, r)))
+                 for x in (edges, middle_binomials(p, r)))
     SR = (E @ ends + V[0] @ mid[0] + V[1] @ mid[1]) % p
     width = len(_theta_coordinates(p, r, 1))
     dims = ()

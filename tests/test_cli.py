@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crysred import cli, report
+from crysred import cli, report, symrep
 from crysred.classify import StructurePrediction
 from crysred.cli import main, parse_slope
 from crysred.errors import DomainError
@@ -85,9 +85,12 @@ class TestStructure:
         code, out, _ = run(capsys, "structure", "--p", "5", "--r", "25")
         assert code == 0 and "pass: True" in out
 
-    def test_dimension_bound_exit(self, capsys):
-        code, _, err = run(capsys, "structure", "--p", "5", "--r", "2500")
-        assert code == 3
+    def test_dimension_bound_exit(self, capsys, monkeypatch):
+        # the one bound a structure run can meet is JH_DIMENSION_BOUND:
+        # patched low, X's 8 dimensions at (5, 25) exceed it
+        monkeypatch.setattr(symrep, "JH_DIMENSION_BOUND", 4)
+        code, out, err = run(capsys, "structure", "--p", "5", "--r", "25")
+        assert code == 3 and "exceeds bound 4" in err and out == ""
 
     def test_json(self, capsys):
         code, out, _ = run(capsys, "structure", "--p", "5", "--r", "11",
@@ -98,8 +101,7 @@ class TestStructure:
     def test_int64_overflow_is_a_domain_error(self, capsys):
         # refused before any module is built
         r = 2**63 // 9
-        code, out, err = run(capsys, "structure", "--p", "3", "--r", str(r),
-                             "--bound", str(r + 2))
+        code, out, err = run(capsys, "structure", "--p", "3", "--r", str(r))
         assert code == 2 and "2^63" in err and out == ""
 
     def test_internal_error_exit(self, capsys, monkeypatch):
@@ -444,7 +446,8 @@ FORMATS = st.sampled_from(["text", "json"])
 @st.composite
 def cli_argv(draw):
     """Bounded arguments for one subcommand: small and invalid p, r and
-    --r-to, each witness tag, malformed and out-of-range slopes, --ubar."""
+    --r-to, structure degrees up to 3^30, each witness tag, malformed and
+    out-of-range slopes, --ubar."""
     p = ["--p", str(draw(SMALL_P))]
     command = draw(st.sampled_from(["classify", "structure", "sweep", "witness", "verify-lemmas"]))
     if command == "classify":
@@ -456,8 +459,8 @@ def cli_argv(draw):
             argv += ["--r", str(draw(st.integers(-2, 40)))]
         return argv + ["--format", draw(FORMATS)]
     if command == "structure":
-        return ["structure", *p, "--r", str(draw(st.integers(-2, 40))),
-                "--bound", str(draw(st.integers(0, 60))), "--format", draw(FORMATS)]
+        r = draw(st.one_of(st.integers(-2, 40), st.integers(41, 3**30)))
+        return ["structure", *p, "--r", str(r), "--format", draw(FORMATS)]
     if command == "sweep":
         check = draw(st.sampled_from(["dim", "x-factors", "q-factors", "all", "lemmas"]))
         r_to = draw(st.integers(-3, 200 if check == "lemmas" else 40))

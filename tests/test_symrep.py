@@ -1,4 +1,5 @@
 import itertools
+import math
 import multiprocessing
 import os
 from collections import Counter
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crysred import symrep
-from crysred.arith import _step_class_sums
+from crysred.arith import _step_class_sums, digit_sum, digits
 from crysred.classify import case_descriptor, predict_dim_X
 from crysred.errors import DomainError
 from crysred.linalg import FpSpace, eliminate, nullspace, rank, row_transform, rref
@@ -36,6 +37,7 @@ from crysred.symrep import (
 )
 from reference import (
     build_X_rows,
+    class_pairs_by_columns,
     dense_classes,
     eliminate_by_hit_rows,
     filtration_dims_by_columns,
@@ -572,6 +574,73 @@ class TestColumnTypes:
             assert rec.passed, (p, r, rec.discrepancies)
             assert rec.dim_computed == predict_dim_X(case_descriptor(p, r)), (p, r)
 
+    @pytest.mark.parametrize("p, r", [(3, 3**20), (3, 3**30), (31, 31**8), (3, 2**63 // 9 - 3)])
+    def test_reports_where_no_r_long_row_fits(self, p, r):
+        # an (r+1)-long int64 row would take 26 GiB at (3, 3^20); the last
+        # degree is the largest p = 3 one the int64 guard lets through
+        rec = structure_report(p, r)
+        assert rec.passed, rec.discrepancies
+
+
+def _class_pairs_mismatch(p, r):
+    """What ``symrep._class_pairs`` gets wrong at (p, r) against the rows of
+    ``middle_binomials``: which classes hold a nonzero pair, which span
+    F_p^2, and, up to a scalar, a line's direction; None if nothing."""
+    nz, full, first = symrep._class_pairs(p, r)
+    want_nz, want_full, want_first = class_pairs_by_columns(p, r)
+    if not np.array_equal(nz, want_nz):
+        return "nonzero classes"
+    if not np.array_equal(full, want_full):
+        return "spanning classes"
+    if not (first[:, nz] % p).any(axis=0).all():
+        return "a zero pair"
+    if ((first[0] * want_first[1] - first[1] * want_first[0]) % p)[nz & ~full].any():
+        return "a line's direction"
+    return None
+
+
+class TestClassPairs:
+    """X's column types per class mod p-1 read off the digits of r-1
+    (Lucas) against the (r+1)-long rows of binomial pairs."""
+
+    PRIMES = (3, 5, 7, 11, 13, 23)
+
+    def test_against_the_rows(self):
+        degrees = [(p, r) for p in self.PRIMES for r in range(1, 3 * p * p + 1)]
+        # r-1 ending in runs of p-1 digits or of zeros
+        degrees += [(p, r) for p in self.PRIMES for k in range(1, 10) if 2 * p**k + 3 <= 50_000
+                    for r in (p**k - 1, p**k, p**k + 1, p**k + 2, 2 * p**k + 3)]
+        bad = [(p, r, what) for p, r in degrees if (what := _class_pairs_mismatch(p, r))]
+        assert not bad, bad[:10]
+
+    def test_digit_sum_counts_by_enumeration(self):
+        for p in (3, 5, 7):
+            for n in range(0, 2 * p**3):
+                n_digits = digits(n, p) + [0]
+                counts = symrep._digit_sum_counts(n_digits, p)
+                for m in range(len(n_digits)):
+                    top = n // p ** (m + 1)  # H's digits at most top's (Lucas)
+                    sums = Counter(digit_sum(H, p) % (p - 1) for H in range(top + 1)
+                                   if math.comb(top, H) % p)
+                    assert counts[m].tolist() == [sums[s] for s in range(p - 1)], (p, n, m)
+
+    @pytest.mark.parametrize("edge, p, r", [("1", 7, 15), ("r-1", 5, 16), ("r", 11, 25)])
+    def test_each_edge_index_comes_off(self, monkeypatch, edge, p, r):
+        # the mutant that leaves one of 1, r-1, r counted is seen at (p, r)
+        keep = {"1": 1, "r-1": r - 1, "r": r}[edge]
+        edges = symrep._edges
+        monkeypatch.setattr(symrep, "_edges", lambda r: [i for i in edges(r) if i != keep])
+        assert _class_pairs_mismatch(p, r)
+
+    def test_counts_are_not_capped(self, monkeypatch):
+        # at (3, 25) the cell of direction (0, 1) in the odd class holds the
+        # indices 1, 7, 13, 19 and 25: capped at 2, it is emptied by taking
+        # off the edges 1 and 25, and the class, which spans F_3^2, reads as a line
+        assert _class_pairs_mismatch(3, 25) is None
+        counts = symrep._digit_sum_counts
+        monkeypatch.setattr(symrep, "_digit_sum_counts", lambda n, p: np.minimum(counts(n, p), 2))
+        assert _class_pairs_mismatch(3, 25)
+
 
 class TestTheta:
     def test_theta_itself(self):
@@ -774,7 +843,7 @@ def _model_vs_oracles(p, r):
     generators, the Q of build_X and of quotient_Q, build_X's filtration
     dims) and the whole-row oracles: generators on the classes of whole rows,
     Q modulo the spin of X^(r-1) Y there, and the dims from the rows
-    ``_middle_binomials``."""
+    ``middle_binomials``."""
     bad = []
     ambient, ref = symrep._residue_module(p, r), residue_module_by_rows(p, r)
     bad += [f"V_r/V** {n}" for n in ref.mats if not np.array_equal(ambient.mats[n], ref.mats[n])]
